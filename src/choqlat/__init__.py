@@ -86,6 +86,7 @@ from .bipolar import (
     Tile,
     admissible_vertex_pairs,
     bicapacity_choquet,
+    bipolar_cover_pairs,
     bipolar_extension,
     bipolar_join_irreducibles,
     bipolar_leq,

@@ -66,6 +66,33 @@ def bipolar_extension(
     return tuple(out)
 
 
+def bipolar_cover_pairs(
+    base: Poset, extension: tuple[BipolarElement, ...]
+) -> list[tuple[BipolarElement, BipolarElement]]:
+    """Covering pairs of the bipolar extension of the downsets of ``base``.
+
+    An upper cover adds one base element j, outside both parts, to one part
+    that already holds everything strictly below j. Pairs are ordered by the
+    position in ``extension`` of the lower element, then of the upper one.
+    """
+    index = {pair: i for i, pair in enumerate(extension)}
+    needs = [(j, base.below(j) - {j}) for j in base.elements]
+    out = []
+    for lower in extension:
+        pos, neg = lower
+        uppers = []
+        for j, required in needs:
+            if j in pos or j in neg:
+                continue
+            if required <= pos:
+                uppers.append(BipolarElement(pos | {j}, neg))
+            if required <= neg:
+                uppers.append(BipolarElement(pos, neg | {j}))
+        uppers.sort(key=index.__getitem__)
+        out += [(lower, upper) for upper in uppers]
+    return out
+
+
 def bipolar_join_irreducibles(lattice: DownsetLattice) -> tuple[BipolarElement, ...]:
     """Join-irreducibles of the extension: the one-signed principal downsets."""
     empty = frozenset()

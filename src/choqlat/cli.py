@@ -17,6 +17,7 @@ from .bipolar import (
     BipolarCapacity,
     BipolarElement,
     BipolarProfile,
+    bipolar_cover_pairs,
     bipolar_extension,
     bipolar_join_irreducibles,
     bipolar_leq,
@@ -45,7 +46,7 @@ from .moebius import (
     moebius_transform,
     rota_moebius,
 )
-from .poset import Poset, connected_components, linear_extension, reduce_order
+from .poset import Poset, connected_components, linear_extension
 
 
 class CrossCheckFailure(Exception):
@@ -238,7 +239,7 @@ def cmd_bipolar_enumerate(args):
     lattice, _ = _load(args.file, fileio.parse_lattice)
     extension = bipolar_extension(lattice)
     if args.dot:
-        edges = reduce_order(extension, bipolar_leq)
+        edges = bipolar_cover_pairs(lattice.base, extension)
         return _dot("bipolar_extension", extension, edges, _pair_text)
     tiles = lattice.complemented()
     covered: set = set()

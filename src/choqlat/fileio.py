@@ -181,17 +181,22 @@ def bipolar_capacity_payload(capacity: BipolarCapacity) -> dict:
 # grid (chain-product) capacities keyed by grid points
 
 
+def _is_int(x) -> bool:
+    """JSON integer; ``bool`` subclasses ``int``, but ``true`` is no number."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _grid_header(obj, where: str) -> tuple[int, int]:
     k = _require(obj, "k", where)
     n = _require(obj, "n", where)
-    if not isinstance(k, int) or not isinstance(n, int):
+    if not (_is_int(k) and _is_int(n)):
         raise FileFormatError(f"k and n must be integers in {where}", field="k")
     return k, n
 
 
 def _node(entry, key: str, k: int, n: int) -> frozenset:
     node = _require(entry, key, "grid entry")
-    if not isinstance(node, list) or len(node) != n or not all(isinstance(x, int) for x in node):
+    if not isinstance(node, list) or len(node) != n or not all(map(_is_int, node)):
         raise FileFormatError(
             f"{key} must be a list of {n} integers", field=key
         )

@@ -1,14 +1,19 @@
 """Moebius functions and transforms, exact in rational arithmetic.
 
-The single computational primitive is the defining recursion for the Moebius
-function of a finite order; lattice transforms, unanimity bases and the
-product rule on the bipolar extension are built on top of it. Memo caches
-are created per call (or passed in explicitly), never global, so concurrent
-evaluations need no coordination.
+On a downset lattice the Moebius function has a closed form: for downsets
+X <= Y it is (-1)^|Y - X| when Y - X is an antichain of the base and 0
+otherwise (Rota 1964). The zeta/Moebius transform pair therefore runs as one
+accumulation (or difference) pass per base element along a linear
+extension, in O(n |L|); the bipolar extension, a down-closed family of
+downset pairs, takes one pass per (side, base element). The defining
+recursion :func:`rota_moebius` remains for arbitrary finite orders; its
+memo caches are created per call (or passed in explicitly), never global, so
+concurrent evaluations need no coordination.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Hashable, Mapping, Sequence
@@ -20,10 +25,8 @@ from .errors import (
     NotComparable,
     NotInBipolarExtension,
 )
-from .poset import Poset
+from .poset import Poset, linear_extension
 from .rationals import as_fraction
-
-ZERO = Fraction(0)
 
 
 class GeneralizedCapacity:
@@ -130,39 +133,69 @@ def moebius_function(p: Poset, lower: str, upper: str, cache: dict | None = None
     return rota_moebius(p.elements, p.leq, lower, upper, cache)
 
 
-def lattice_moebius(
-    lattice: DownsetLattice, lower, upper, cache: dict | None = None
-) -> int:
+def _interval_moebius(base: Poset, lower: frozenset, upper: frozenset) -> int:
+    """Moebius value between downsets ``lower <= upper``.
+
+    The interval is the lattice of downsets of ``upper - lower``, which is
+    Boolean exactly when that gap is an antichain and has value 0 otherwise.
+    """
+    gap = upper - lower
+    if any(len(gap & base.below(j)) > 1 for j in gap):
+        return 0
+    return -1 if len(gap) % 2 else 1
+
+
+def lattice_moebius(lattice: DownsetLattice, lower, upper) -> int:
     """Moebius function of the downset lattice itself (inclusion order)."""
     x = lattice.check_element(lower)
     y = lattice.check_element(upper)
-    return rota_moebius(lattice.elements, frozenset.issubset, x, y, cache)
+    if not x <= y:
+        raise NotComparable(f"{x!r} is not below {y!r}")
+    return _interval_moebius(lattice.base, x, y)
+
+
+def _downset_pass(base: Poset, table: dict, sides: int, inverse: bool) -> dict:
+    """Zeta transform of ``table``, or its Moebius transform when ``inverse``.
+
+    Keys are tuples of ``sides`` downsets of ``base`` forming a down-closed
+    family under the product order, so each interval below a key is the
+    same in the family as in the full product of lattices. One step per
+    (side, base element j) adds the value at the key with j removed from
+    that side, wherever j is maximal there (no upper cover of j present);
+    the steps run along the linear extension, and backwards with
+    subtraction for the inverse. The result keeps the key order of
+    ``table``.
+    """
+    steps = [
+        (side, j, frozenset(base.upper_covers(j)))
+        for side in range(sides)
+        for j in linear_extension(base)
+    ]
+    if inverse:
+        steps.reverse()
+    combine = operator.sub if inverse else operator.add
+    out = dict(table)
+    for side, j, covers in steps:
+        for key in table:
+            part = key[side]
+            if j in part and covers.isdisjoint(part):
+                lower = key[:side] + (part - {j},) + key[side + 1 :]
+                out[key] = combine(out[key], out[lower])
+    return out
 
 
 def moebius_transform(g: GeneralizedCapacity) -> MoebiusVector:
     """Coefficients of ``g`` in the unanimity basis; inverse of ``zeta_transform``."""
-    lattice = g.lattice
-    cache: dict = {}
-    coefficients = {}
-    for x in lattice.elements:
-        acc = ZERO
-        for y in lattice.elements:
-            if y <= x:
-                acc += g.values[y] * rota_moebius(
-                    lattice.elements, frozenset.issubset, y, x, cache
-                )
-        coefficients[x] = acc
-    return MoebiusVector(lattice, coefficients)
+    table = {(x,): v for x, v in g.values.items()}
+    out = _downset_pass(g.lattice.base, table, 1, inverse=True)
+    return MoebiusVector(g.lattice, {key[0]: v for key, v in out.items()})
 
 
 def zeta_transform(m: MoebiusVector) -> GeneralizedCapacity:
     """Accumulate coefficients upward: value at x sums m over elements below x."""
-    lattice = m.lattice
-    values = {
-        x: sum((m.coefficients[y] for y in lattice.elements if y <= x), ZERO)
-        for x in lattice.elements
-    }
-    return GeneralizedCapacity(lattice, values)
+    table = {(x,): v for x, v in m.coefficients.items()}
+    out = _downset_pass(m.lattice.base, table, 1, inverse=False)
+    return GeneralizedCapacity(m.lattice, {key[0]: v for key, v in out.items()})
 
 
 def unanimity(lattice: DownsetLattice, x) -> GeneralizedCapacity:
@@ -188,23 +221,18 @@ def check_bipolar_pair(lattice: DownsetLattice, pair) -> tuple[frozenset, frozen
     return pos, neg
 
 
-def bipolar_moebius_function(
-    lattice: DownsetLattice, lower, upper, cache: dict | None = None
-) -> int:
+def bipolar_moebius_function(lattice: DownsetLattice, lower, upper) -> int:
     """Moebius function on the bipolar extension: the product of the two
     one-sided lattice values."""
     z, t = check_bipolar_pair(lattice, lower)
     x, y = check_bipolar_pair(lattice, upper)
     if not (z <= x and t <= y):
         raise NotComparable(f"{(z, t)!r} is not below {(x, y)!r}")
-    if cache is None:
-        cache = {}
-    return rota_moebius(
-        lattice.elements, frozenset.issubset, z, x, cache
-    ) * rota_moebius(lattice.elements, frozenset.issubset, t, y, cache)
+    return _interval_moebius(lattice.base, z, x) * _interval_moebius(lattice.base, t, y)
 
 
 def _full_bipolar_table(lattice: DownsetLattice, values: Mapping) -> dict:
+    """Validated values keyed and ordered by :func:`disjoint_element_pairs`."""
     table = {}
     for key, raw in values.items():
         table[check_bipolar_pair(lattice, key)] = as_fraction(raw)
@@ -214,37 +242,20 @@ def _full_bipolar_table(lattice: DownsetLattice, values: Mapping) -> dict:
             "values must cover the whole bipolar extension"
             f" ({len(expected)} pairs, got {len(table)})"
         )
-    return table
+    return {pair: table[pair] for pair in expected}
 
 
 def bipolar_moebius_transform(lattice: DownsetLattice, values: Mapping) -> dict:
     """Moebius coefficients of a functional given on the whole bipolar
     extension; inverse of :func:`bipolar_zeta_transform`."""
     table = _full_bipolar_table(lattice, values)
-    cache: dict = {}
-    out = {}
-    for (x, y) in disjoint_element_pairs(lattice):
-        acc = ZERO
-        for (z, t), value in table.items():
-            if z <= x and t <= y:
-                acc += (
-                    value
-                    * rota_moebius(lattice.elements, frozenset.issubset, z, x, cache)
-                    * rota_moebius(lattice.elements, frozenset.issubset, t, y, cache)
-                )
-        out[(x, y)] = acc
-    return out
+    return _downset_pass(lattice.base, table, 2, inverse=True)
 
 
 def bipolar_zeta_transform(lattice: DownsetLattice, coefficients: Mapping) -> dict:
     """Accumulate bipolar coefficients upward under the product order."""
     table = _full_bipolar_table(lattice, coefficients)
-    out = {}
-    for (x, y) in disjoint_element_pairs(lattice):
-        out[(x, y)] = sum(
-            (value for (z, t), value in table.items() if z <= x and t <= y), ZERO
-        )
-    return out
+    return _downset_pass(lattice.base, table, 2, inverse=False)
 
 
 def bipolar_unanimity(lattice: DownsetLattice, pair) -> dict:

@@ -12,6 +12,7 @@ import random
 from hypothesis import strategies as st
 
 import choqlat as cq
+from choqlat.moebius import check_bipolar_pair
 
 
 def wedge_poset() -> cq.Poset:
@@ -97,6 +98,45 @@ def capacities(draw, lattice: cq.DownsetLattice, game=False):
     if game:
         values[lattice.bottom] = Fraction(0)
     return cq.GeneralizedCapacity(lattice, values)
+
+
+# slow reference transforms: a sum over every comparable pair, each weighted
+# by the defining Moebius recursion
+
+
+def slow_moebius_transform(g: cq.GeneralizedCapacity) -> cq.MoebiusVector:
+    lattice = g.lattice
+    cache: dict = {}
+    coefficients = {}
+    for x in lattice.elements:
+        acc = Fraction(0)
+        for y in lattice.elements:
+            if y <= x:
+                acc += g.values[y] * cq.rota_moebius(
+                    lattice.elements, frozenset.issubset, y, x, cache
+                )
+        coefficients[x] = acc
+    return cq.MoebiusVector(lattice, coefficients)
+
+
+def slow_bipolar_moebius_transform(lattice: cq.DownsetLattice, values) -> dict:
+    table = {
+        check_bipolar_pair(lattice, key): cq.as_fraction(raw)
+        for key, raw in values.items()
+    }
+    cache: dict = {}
+    out = {}
+    for (x, y) in cq.disjoint_element_pairs(lattice):
+        acc = Fraction(0)
+        for (z, t), value in table.items():
+            if z <= x and t <= y:
+                acc += (
+                    value
+                    * cq.rota_moebius(lattice.elements, frozenset.issubset, z, x, cache)
+                    * cq.rota_moebius(lattice.elements, frozenset.issubset, t, y, cache)
+                )
+        out[(x, y)] = acc
+    return out
 
 
 # plain-random helpers for seeded bulk runs

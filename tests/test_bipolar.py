@@ -55,6 +55,17 @@ class TestExtension:
             pair((), {"j"}),
         }
 
+    @pytest.mark.parametrize(
+        "base",
+        [wedge_poset(), antichain(4), cq.build_kary_base(3, 2)],
+        ids=["wedge", "antichain4", "grid3x2"],
+    )
+    def test_cover_pairs_match_transitive_reduction(self, base):
+        extension = cq.bipolar_extension(cq.DownsetLattice(base))
+        assert cq.bipolar_cover_pairs(base, extension) == cq.reduce_order(
+            extension, cq.bipolar_leq
+        )
+
     def test_cap(self, grid):
         with pytest.raises(cq.SizeLimitExceeded):
             cq.bipolar_extension(grid, max_size=10)

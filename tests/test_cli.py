@@ -320,6 +320,19 @@ class TestKaryAndLevels:
         assert payload["positive_criteria"] == [1]
         assert payload["cross_check"]["agrees"] is True
 
+    def test_boolean_grid_header_is_a_file_format_error(self, capsys, tmp_path):
+        cpath = write(
+            tmp_path,
+            "grid_bool.json",
+            {"k": True, "n": 2, "values": [{"node": [0, 0], "value": "0"}]},
+        )
+        ppath = write(tmp_path, "profile.json", {"values": {"c1l1": "0.5"}})
+        code, payload = run_json(
+            capsys, "kary", "eval", "--capacity", cpath, "--profile", ppath
+        )
+        assert code == 2
+        assert payload["error"]["code"] == "file_format"
+
     def test_point_out_of_scale(self, capsys, tmp_path, grid_capacity_file):
         spath = write(tmp_path, "scale.json", {"levels": ["0", "0.5", "1"]})
         code, payload = run_json(

@@ -180,6 +180,24 @@ class TestGridFiles:
         with pytest.raises(cq.FileFormatError):
             fileio.parse_kary_capacity(payload)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"k": True, "n": 2, "values": [{"node": [0, 0], "value": "0"}]},
+            {"k": 3, "n": True, "values": [{"node": [0], "value": "0"}]},
+        ],
+    )
+    def test_boolean_header_rejected(self, payload):
+        with pytest.raises(cq.FileFormatError):
+            fileio.parse_kary_capacity(payload)
+        with pytest.raises(cq.FileFormatError):
+            fileio.parse_bipolar_kary_capacity(payload)
+
+    def test_boolean_node_rejected(self):
+        payload = {"k": 3, "n": 2, "values": [{"node": [True, 0], "value": "0"}]}
+        with pytest.raises(cq.FileFormatError):
+            fileio.parse_kary_capacity(payload)
+
 
 class TestScaleFiles:
     def test_round_trip(self):

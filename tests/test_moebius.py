@@ -1,12 +1,23 @@
 from fractions import Fraction
 from itertools import product
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import choqlat as cq
-from support import antichain, capacities, chain, lattices, wedge_poset
+from support import (
+    antichain,
+    capacities,
+    chain,
+    lattices,
+    random_fraction,
+    slow_bipolar_moebius_transform,
+    slow_moebius_transform,
+    wedge_poset,
+)
 
 
 def boolean_lattice(n: int) -> cq.DownsetLattice:
@@ -55,10 +66,9 @@ class TestMoebiusFunction:
 
     @given(lattices(min_elements=1, max_elements=4))
     def test_column_sums_vanish(self, lattice):
-        cache = {}
         for x in lattice.elements:
             total = sum(
-                cq.lattice_moebius(lattice, y, x, cache)
+                cq.lattice_moebius(lattice, y, x)
                 for y in lattice.elements
                 if y <= x
             )
@@ -277,6 +287,64 @@ class TestBipolarMoebius:
         lattice = boolean_lattice(2)
         with pytest.raises(cq.BaseMismatch):
             cq.bipolar_moebius_transform(lattice, {(frozenset(), frozenset()): 1})
+
+
+def random_bipolar_table(lattice, seed):
+    rng = random.Random(seed)
+    return {pair: random_fraction(rng) for pair in cq.disjoint_element_pairs(lattice)}
+
+
+class TestFastTransformsAgainstSlowPath:
+    """The per-element passes against the sum over every comparable pair
+    weighted by the Moebius recursion, on posets of up to six elements."""
+
+    @given(st.data())
+    def test_unsigned_matches_slow(self, data):
+        lattice = data.draw(lattices(max_elements=6))
+        capacity = data.draw(capacities(lattice))
+        fast = cq.moebius_transform(capacity).coefficients
+        slow = slow_moebius_transform(capacity).coefficients
+        assert list(fast.items()) == list(slow.items())
+
+    @given(lattices(max_elements=6), st.integers(min_value=0, max_value=2**32))
+    def test_bipolar_matches_slow(self, lattice, seed):
+        table = random_bipolar_table(lattice, seed)
+        fast = cq.bipolar_moebius_transform(lattice, table)
+        slow = slow_bipolar_moebius_transform(lattice, table)
+        assert list(fast.items()) == list(slow.items())
+
+    @given(st.data())
+    def test_zeta_inverts_moebius(self, data):
+        lattice = data.draw(lattices(max_elements=6))
+        capacity = data.draw(capacities(lattice))
+        again = cq.zeta_transform(cq.moebius_transform(capacity))
+        assert list(again.values.items()) == list(capacity.values.items())
+        table = random_bipolar_table(lattice, data.draw(st.integers(0, 2**32)))
+        signed = cq.bipolar_zeta_transform(
+            lattice, cq.bipolar_moebius_transform(lattice, table)
+        )
+        assert list(signed.items()) == list(table.items())
+
+    @given(lattices(max_elements=6))
+    def test_closed_form_matches_recursion(self, lattice):
+        cache = {}
+        for x in lattice.elements:
+            for y in lattice.elements:
+                if y <= x:
+                    assert cq.lattice_moebius(lattice, y, x) == cq.rota_moebius(
+                        lattice.elements, frozenset.issubset, y, x, cache
+                    )
+
+    @given(lattices(max_elements=6))
+    def test_bipolar_closed_form_matches_recursion(self, lattice):
+        pairs = cq.bipolar_extension(lattice)
+        cache = {}
+        for low in pairs:
+            for up in pairs:
+                if cq.bipolar_leq(low, up):
+                    assert cq.bipolar_moebius_function(
+                        lattice, low, up
+                    ) == cq.rota_moebius(pairs, cq.bipolar_leq, low, up, cache)
 
 
 def _subsets(s):
