@@ -12,9 +12,9 @@ from fractions import Fraction
 import choqlat as cq
 
 
-def show_decomposition(dec, n):
-    for vertex, weight in zip(dec.chain, dec.weights):
-        print(f"    {cq.downset_to_node(vertex, n)}  weight {weight}")
+def show_decomposition(evaluation, n):
+    for node, weight in zip(cq.grid_steps(evaluation, n).nodes, evaluation.weights):
+        print(f"    {node}  weight {weight}")
 
 
 def main():
@@ -32,12 +32,11 @@ def main():
         base, {"c1l1": "0.5", "c1l2": "0.1", "c2l1": "0.3", "c2l2": "0.2"}
     )
     print("unsigned profile:", dict(profile.values))
-    dec = cq.triangulate(profile)
+    evaluation = cq.evaluate(capacity, profile)
     print("  chain and weights:")
-    show_decomposition(dec, 2)
-    value = cq.natural_extension(capacity, profile)
+    show_decomposition(evaluation, 2)
     dual = cq.moebius_form_eval(cq.moebius_transform(capacity), profile)
-    print(f"  extension value {value}  (moebius dual path {dual})")
+    print(f"  extension value {evaluation.value}  (moebius dual path {dual})")
 
     print()
     signed = cq.BipolarProfile(
@@ -58,9 +57,7 @@ def main():
     print("signed profile:", dict(signed.values))
     print("  tile (positive side):", sorted(evaluation.tile))
     print("  chain and weights:")
-    for pair, weight in zip(evaluation.chain, evaluation.weights):
-        node = (cq.downset_to_node(pair.pos, 2), cq.downset_to_node(pair.neg, 2))
-        print(f"    {node}  weight {weight}")
+    show_decomposition(evaluation, 2)
     print(f"  extension value {evaluation.value}")
 
     print()

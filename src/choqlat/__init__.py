@@ -46,7 +46,6 @@ from .poset import (
     is_downset,
     linear_extension,
     reduce_order,
-    validate_poset,
 )
 from .birkhoff import (
     BirkhoffForm,
@@ -71,8 +70,10 @@ from .moebius import (
 )
 from .interpolation import (
     ChainDecomposition,
+    Evaluation,
     Profile,
     choquet_classical,
+    evaluate,
     moebius_form_eval,
     natural_extension,
     triangulate,
@@ -81,7 +82,6 @@ from .interpolation import (
 from .bipolar import (
     BipolarCapacity,
     BipolarElement,
-    BipolarEvaluation,
     BipolarProfile,
     Tile,
     admissible_vertex_pairs,
@@ -99,24 +99,24 @@ from .bipolar import (
     psi_inverse,
     select_tile,
     tile,
+    tile_union,
 )
 from .kary import (
-    BipolarKaryEvaluation,
-    KaryEvaluation,
+    GridSteps,
     LevelIndexing,
     ReferenceScale,
-    bipolar_kary_choquet,
     bipolar_level_profile,
     build_kary_base,
     downset_to_node,
     grid_shape,
+    grid_steps,
     interpolate_point,
     interpolate_signed_point,
-    kary_choquet,
     label_parts,
     level_label,
     level_profile,
     locate_point,
+    locate_signed_point,
     node_to_downset,
     staircase_eval,
 )

@@ -8,7 +8,10 @@ interval below (x, complement) is a tile order-isomorphic to the whole
 lattice; when every connected component of the base poset has a single
 bottom element the tiles cover the entire extension (a "regular mosaic"),
 and signed profiles can be evaluated by pulling them back to the unsigned
-polytope through their tile.
+polytope through their tile: :func:`evaluate_bipolar` returns the same
+:class:`~choqlat.interpolation.Evaluation` record as the unsigned
+:func:`~choqlat.interpolation.evaluate`, with signed chain vertices and the
+tile set.
 """
 
 from __future__ import annotations
@@ -23,16 +26,21 @@ from .errors import (
     BaseMismatch,
     NotAnElement,
     NotComplemented,
-    NotInBipolarExtension,
     NotInTile,
     NotNonincreasing,
     NotRegularMosaic,
     ProfileNotInAnyTile,
     SignConstraintViolated,
     SizeLimitExceeded,
-    ValueOutOfRange,
 )
-from .interpolation import Profile, choquet_classical, triangulate
+from .interpolation import (
+    Evaluation,
+    Profile,
+    _profile_values,
+    choquet_classical,
+    triangulate,
+)
+from .moebius import check_bipolar_pair
 from .poset import DOWNSET_CAP, Poset, connected_components, is_downset
 from .rationals import as_fraction
 
@@ -173,6 +181,14 @@ def tile(lattice: DownsetLattice, x) -> Tile:
     return Tile(lattice, member, complement)
 
 
+def tile_union(lattice: DownsetLattice) -> set:
+    """Signed vertices lying in the tile of some complemented element."""
+    covered: set = set()
+    for member in lattice.complemented():
+        covered.update(tile(lattice, member).elements)
+    return covered
+
+
 def psi(lattice: DownsetLattice, x, signed: Mapping[str, int]) -> BipolarElement:
     """Signed vertex (ternary map on the base) to element of the tile at x."""
     t = tile(lattice, x)
@@ -216,28 +232,8 @@ class BipolarProfile:
     """Signed map on the base poset: values in [-1, 1], sizes nonincreasing."""
 
     def __init__(self, base: Poset, values: Mapping[str, object]):
-        parsed = {label: as_fraction(raw) for label, raw in values.items()}
-        if set(parsed) != set(base.elements):
-            raise BaseMismatch(
-                "profile labels must cover the base poset exactly",
-                missing=sorted(set(base.elements) - set(parsed)),
-                extra=sorted(set(parsed) - set(base.elements)),
-            )
-        for label, value in parsed.items():
-            if not -ONE <= value <= ONE:
-                raise ValueOutOfRange(
-                    f"signed value {value} at {label!r} is outside [-1, 1]",
-                    label=label,
-                )
-        for lower, upper in base.covers:
-            if abs(parsed[lower]) < abs(parsed[upper]):
-                raise NotNonincreasing(
-                    f"|values| increase along {lower!r} < {upper!r}",
-                    lower=lower,
-                    upper=upper,
-                )
+        self.values: dict[str, Fraction] = _profile_values(base, values, signed=True)
         self.base = base
-        self.values: dict[str, Fraction] = {label: parsed[label] for label in base.elements}
 
     def __call__(self, label: str) -> Fraction:
         return self.values[label]
@@ -286,13 +282,7 @@ class BipolarCapacity:
         domain_set = frozenset(domain)
         parsed = {}
         for key, raw in values.items():
-            pos, neg = key
-            pair = BipolarElement(lattice.check_element(pos), lattice.check_element(neg))
-            if pair.pos & pair.neg:
-                raise NotInBipolarExtension(
-                    f"parts are not disjoint: {sorted(pair.pos & pair.neg)!r}",
-                    overlap=sorted(pair.pos & pair.neg),
-                )
+            pair = BipolarElement(*check_bipolar_pair(lattice, key))
             if pair not in domain_set:
                 raise NotInTile(
                     f"({sorted(pair.pos)!r}, {sorted(pair.neg)!r}) lies in no tile",
@@ -375,14 +365,19 @@ def select_tile(profile: BipolarProfile) -> frozenset:
     return frozenset(positive)
 
 
-def _checked_tile(profile: BipolarProfile, x) -> frozenset:
-    base = profile.base
+def _complemented(base: Poset, x) -> frozenset:
+    """``x`` as a downset whose complement in ``base`` is a downset too."""
     member = frozenset(x)
     complement = frozenset(base.elements) - member
     if not (is_downset(base, member) and is_downset(base, complement)):
         raise NotComplemented(
             f"{sorted(member)!r} is not a complemented element", element=sorted(member)
         )
+    return member
+
+
+def _checked_tile(profile: BipolarProfile, x) -> frozenset:
+    member = _complemented(profile.base, x)
     for label, value in profile.values.items():
         if value > 0 and label not in member:
             raise NotInTile(f"strictly positive value at {label!r} outside the tile")
@@ -391,28 +386,18 @@ def _checked_tile(profile: BipolarProfile, x) -> frozenset:
     return member
 
 
-@dataclass(frozen=True)
-class BipolarEvaluation:
-    """Value of the signed extension together with its decomposition."""
-
-    value: Fraction
-    tile: frozenset
-    order: tuple[str, ...]
-    chain: tuple[BipolarElement, ...]
-    weights: tuple[Fraction, ...]
-
-
 def evaluate_bipolar(
     capacity: BipolarCapacity, profile: BipolarProfile, tile_hint=None
-) -> BipolarEvaluation:
+) -> Evaluation:
     """Signed natural extension with its full decomposition.
 
     The profile is pulled back to the unsigned polytope through its tile:
     triangulate the magnitude profile, split every chain vertex along the
     complement pair, and take the convex combination of stored vertex
-    values, bottom vertex included. ``tile_hint`` forces a particular tile
-    (it must contain the profile); the value does not depend on the
-    admissible choice.
+    values, bottom vertex included. The result's ``chain`` holds the split
+    vertices and its ``tile`` the positive side. ``tile_hint`` forces a
+    particular tile (it must contain the profile); the value does not
+    depend on the admissible choice.
     """
     if capacity.base != profile.base:
         raise BaseMismatch("capacity and profile are over different base posets")
@@ -422,10 +407,7 @@ def evaluate_bipolar(
     negative = frozenset(profile.base.elements) - positive
     dec = triangulate(profile.magnitude())
     chain = tuple(BipolarElement(v & positive, v & negative) for v in dec.chain)
-    value = sum(
-        (w * capacity.values[p] for p, w in zip(chain, dec.weights)), ZERO
-    )
-    return BipolarEvaluation(value, positive, dec.order, chain, dec.weights)
+    return Evaluation.along(capacity.values, dec.order, chain, dec.weights, positive)
 
 
 def bipolar_natural_extension(
@@ -491,15 +473,9 @@ def bipolar_moebius_form_eval(
 def embed_profile(profile: Profile, x) -> BipolarProfile:
     """Signed copy of an unsigned profile whose tile is ``x``: values keep
     their size and take the sign of the side of the complement pair."""
-    base = profile.base
-    member = frozenset(x)
-    complement = frozenset(base.elements) - member
-    if not (is_downset(base, member) and is_downset(base, complement)):
-        raise NotComplemented(
-            f"{sorted(member)!r} is not a complemented element", element=sorted(member)
-        )
+    member = _complemented(profile.base, x)
     signed = {
         label: (value if label in member else -value)
         for label, value in profile.values.items()
     }
-    return BipolarProfile(base, signed)
+    return BipolarProfile(profile.base, signed)

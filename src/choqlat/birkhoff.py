@@ -66,6 +66,11 @@ class DownsetLattice:
         return f"DownsetLattice(base={self.base!r})"
 
     def check_element(self, x) -> frozenset:
+        """``x`` as a lattice element, rejecting anything that is not one.
+
+        An element's decomposition into the join-irreducibles at or below
+        it is, in downset form, the element itself.
+        """
         member = frozenset(x)
         if member not in self._member_set:
             raise NotAnElement(
@@ -73,14 +78,6 @@ class DownsetLattice:
                 element=sorted(member),
             )
         return member
-
-    def eta(self, x) -> frozenset:
-        """Decomposition of ``x`` into the join-irreducibles at or below it.
-
-        In downset form this is the identity; it exists so callers never
-        bypass the canonical accessor (and so non-elements are rejected).
-        """
-        return self.check_element(x)
 
     def join(self, x, y) -> frozenset:
         return self.check_element(x) | self.check_element(y)

@@ -16,26 +16,28 @@ from . import fileio
 from .bipolar import (
     BipolarCapacity,
     BipolarElement,
-    BipolarProfile,
+    admissible_vertex_pairs,
     bipolar_cover_pairs,
     bipolar_extension,
     bipolar_join_irreducibles,
     bipolar_leq,
     bipolar_moebius_form_eval,
+    embed_profile,
     evaluate_bipolar,
     is_regular_mosaic,
-    tile,
+    tile_union,
 )
 from .birkhoff import DownsetLattice
 from .errors import ChoqlatError, FileFormatError, NotNormalized, NotRegularMosaic
-from .interpolation import Profile, moebius_form_eval, natural_extension, triangulate
+from .interpolation import Evaluation, Profile, evaluate, moebius_form_eval
 from .kary import (
-    bipolar_kary_choquet,
+    GridSteps,
     bipolar_level_profile,
     build_kary_base,
+    downset_to_node,
+    grid_steps,
     interpolate_point,
     interpolate_signed_point,
-    kary_choquet,
     level_profile,
     staircase_eval,
 )
@@ -72,12 +74,9 @@ def _load(path, parse, *extra):
         raise
 
 
-def _set_text(members) -> str:
-    return "{" + ",".join(sorted(members)) + "}"
-
-
 def _pair_text(pair) -> str:
-    return f"({_set_text(pair[0])},{_set_text(pair[1])})"
+    pos, neg = (",".join(sorted(part)) for part in pair)
+    return f"({{{pos}}},{{{neg}}})"
 
 
 def _dot(name, nodes, edges, label) -> str:
@@ -101,6 +100,66 @@ def _capacity_diagnostics(capacity) -> list[str]:
     return notes
 
 
+def _dual_value(capacity, profile) -> Fraction:
+    """The Moebius-form value of ``profile``, bipolar for bipolar capacities."""
+    if isinstance(capacity, BipolarCapacity):
+        coefficients = bipolar_moebius_transform(capacity.lattice, capacity.values)
+        return bipolar_moebius_form_eval(coefficients, profile)
+    return moebius_form_eval(moebius_transform(capacity), profile)
+
+
+def _cross_check(payload, method, direct, dual, paths=("moebius", "direct")) -> dict:
+    """Record the dual value in ``payload``; a disagreement is fatal."""
+    payload["cross_check"] = {"method": method, "value": str(dual), "agrees": dual == direct}
+    if dual != direct:
+        raise CrossCheckFailure(
+            f"{paths[0]} path gives {dual}, {paths[1]} path gives {direct}"
+        )
+    return payload
+
+
+def _pair_payload(pair, render=sorted) -> dict:
+    pos, neg = pair
+    return {"pos": render(pos), "neg": render(neg)}
+
+
+def _eval_payload(
+    args, capacity, profile, evaluation: Evaluation, steps: GridSteps | None = None
+) -> dict:
+    """Render an evaluation: value, tile, diagnostics, then the decomposition
+    (as grid steps when ``steps`` is given) and the cross-check on request."""
+    signed = evaluation.tile is not None
+    vertex = _pair_payload if signed else (lambda v, render: render(v))
+    payload = _value_payload(evaluation.value)
+    if signed and steps is not None:
+        payload["positive_criteria"] = sorted(steps.positive_criteria)
+    elif signed:
+        payload["tile"] = sorted(evaluation.tile)
+    payload["diagnostics"] = _capacity_diagnostics(capacity)
+    if args.decomposition:
+        if steps is None:
+            report = {
+                "order": list(evaluation.order),
+                "chain": [vertex(v, sorted) for v in evaluation.chain],
+            }
+        else:
+            report = {
+                "levels": list(steps.levels),
+                "criteria": list(steps.criteria),
+                "nodes": [vertex(v, list) for v in steps.nodes],
+            }
+        report["weights"] = [str(w) for w in evaluation.weights]
+        payload["decomposition"] = report
+    if args.cross_check:
+        method = "bipolar_moebius_form" if signed else "moebius_form"
+        _cross_check(payload, method, evaluation.value, _dual_value(capacity, profile))
+    return payload
+
+
+def _components_payload(components) -> list[dict]:
+    return [{"members": sorted(c.members), "minimals": sorted(c.minimals)} for c in components]
+
+
 # command handlers
 
 
@@ -112,10 +171,7 @@ def cmd_poset_check(args):
         "ok": True,
         "element_count": len(p.elements),
         "cover_count": len(p.covers),
-        "components": [
-            {"members": sorted(c.members), "minimals": sorted(c.minimals)}
-            for c in connected_components(p)
-        ],
+        "components": _components_payload(connected_components(p)),
         "linear_extension": list(linear_extension(p)),
     }
 
@@ -141,10 +197,7 @@ def cmd_mosaic_check(args):
     return {
         "regular_mosaic": witness is None,
         "witness_component_bottoms": witness,
-        "components": [
-            {"members": sorted(c.members), "minimals": sorted(c.minimals)}
-            for c in components
-        ],
+        "components": _components_payload(components),
     }
 
 
@@ -152,55 +205,25 @@ def cmd_mobius(args):
     if bool(args.capacity) == bool(args.bipolar_capacity):
         raise FileFormatError("provide exactly one of --capacity / --bipolar-capacity")
     if args.capacity:
-        capacity = _load(args.capacity, fileio.parse_capacity)
-        vector = moebius_transform(capacity)
-        return {
-            "coefficients": [
-                {"downset": sorted(d), "value": str(v)}
-                for d, v in vector.coefficients.items()
-            ]
-        }
+        vector = moebius_transform(_load(args.capacity, fileio.parse_capacity))
+        coefficients = [
+            {"downset": sorted(d), "value": str(v)} for d, v in vector.coefficients.items()
+        ]
+        return {"coefficients": coefficients}
     capacity = _load(args.bipolar_capacity, fileio.parse_bipolar_capacity)
     if not is_regular_mosaic(capacity.base):
         raise NotRegularMosaic(
             "the bipolar transform needs values on the whole extension"
         )
-    coefficients = bipolar_moebius_transform(capacity.lattice, capacity.values)
-    return {
-        "coefficients": [
-            {"pos": sorted(p), "neg": sorted(q), "value": str(v)}
-            for (p, q), v in coefficients.items()
-        ]
-    }
+    table = bipolar_moebius_transform(capacity.lattice, capacity.values)
+    coefficients = [{**_pair_payload(pair), "value": str(v)} for pair, v in table.items()]
+    return {"coefficients": coefficients}
 
 
 def cmd_choquet_eval(args):
     capacity = _load(args.capacity, fileio.parse_capacity)
     profile = _load(args.profile, fileio.parse_profile, capacity.lattice.base)
-    dec = triangulate(profile)
-    value = sum(
-        (w * capacity.values[v] for v, w in zip(dec.chain, dec.weights)), Fraction(0)
-    )
-    payload = _value_payload(value)
-    payload["diagnostics"] = _capacity_diagnostics(capacity)
-    if args.decomposition:
-        payload["decomposition"] = {
-            "order": list(dec.order),
-            "chain": [sorted(v) for v in dec.chain],
-            "weights": [str(w) for w in dec.weights],
-        }
-    if args.cross_check:
-        dual = moebius_form_eval(moebius_transform(capacity), profile)
-        payload["cross_check"] = {
-            "method": "moebius_form",
-            "value": str(dual),
-            "agrees": dual == value,
-        }
-        if dual != value:
-            raise CrossCheckFailure(
-                f"moebius path gives {dual}, direct path gives {value}"
-            )
-    return payload
+    return _eval_payload(args, capacity, profile, evaluate(capacity, profile))
 
 
 def cmd_bipolar_eval(args):
@@ -208,31 +231,7 @@ def cmd_bipolar_eval(args):
     if args.require_normalized and not capacity.check_normalized():
         raise NotNormalized("capacity is not 1 at (top, bottom) and -1 at (bottom, top)")
     profile = _load(args.profile, fileio.parse_bipolar_profile, capacity.base)
-    evaluation = evaluate_bipolar(capacity, profile)
-    payload = _value_payload(evaluation.value)
-    payload["tile"] = sorted(evaluation.tile)
-    payload["diagnostics"] = _capacity_diagnostics(capacity)
-    if args.decomposition:
-        payload["decomposition"] = {
-            "order": list(evaluation.order),
-            "chain": [
-                {"pos": sorted(p), "neg": sorted(q)} for p, q in evaluation.chain
-            ],
-            "weights": [str(w) for w in evaluation.weights],
-        }
-    if args.cross_check:
-        coefficients = bipolar_moebius_transform(capacity.lattice, capacity.values)
-        dual = bipolar_moebius_form_eval(coefficients, profile)
-        payload["cross_check"] = {
-            "method": "bipolar_moebius_form",
-            "value": str(dual),
-            "agrees": dual == evaluation.value,
-        }
-        if dual != evaluation.value:
-            raise CrossCheckFailure(
-                f"moebius path gives {dual}, direct path gives {evaluation.value}"
-            )
-    return payload
+    return _eval_payload(args, capacity, profile, evaluate_bipolar(capacity, profile))
 
 
 def cmd_bipolar_enumerate(args):
@@ -241,138 +240,65 @@ def cmd_bipolar_enumerate(args):
     if args.dot:
         edges = bipolar_cover_pairs(lattice.base, extension)
         return _dot("bipolar_extension", extension, edges, _pair_text)
-    tiles = lattice.complemented()
-    covered: set = set()
-    for member in tiles:
-        covered.update(tile(lattice, member).elements)
     return {
         "count": len(extension),
-        "elements": [{"pos": sorted(p), "neg": sorted(q)} for p, q in extension],
-        "join_irreducibles": [
-            {"pos": sorted(p), "neg": sorted(q)}
-            for p, q in bipolar_join_irreducibles(lattice)
-        ],
+        "elements": [_pair_payload(pair) for pair in extension],
+        "join_irreducibles": [_pair_payload(j) for j in bipolar_join_irreducibles(lattice)],
         "regular_mosaic": is_regular_mosaic(lattice.base),
-        "tile_count": len(tiles),
-        "tile_union_count": len(covered),
+        "tile_count": len(lattice.complemented()),
+        "tile_union_count": len(tile_union(lattice)),
     }
 
 
 def cmd_kary_eval(args):
     if args.bipolar:
-        _, _, capacity = _load(args.capacity, fileio.parse_bipolar_kary_capacity)
+        _, n, capacity = _load(args.capacity, fileio.parse_bipolar_kary_capacity)
         profile = _load(args.profile, fileio.parse_bipolar_profile, capacity.base)
-        evaluation = bipolar_kary_choquet(capacity, profile)
-        payload = _value_payload(evaluation.value)
-        payload["positive_criteria"] = sorted(evaluation.positive_criteria)
-        payload["diagnostics"] = _capacity_diagnostics(capacity)
-        if args.decomposition:
-            payload["decomposition"] = {
-                "levels": list(evaluation.levels),
-                "criteria": list(evaluation.criteria),
-                "nodes": [
-                    {"pos": list(p), "neg": list(q)} for p, q in evaluation.nodes
-                ],
-                "weights": [str(w) for w in evaluation.weights],
-            }
-        if args.cross_check:
-            coefficients = bipolar_moebius_transform(capacity.lattice, capacity.values)
-            dual = bipolar_moebius_form_eval(coefficients, profile)
-            payload["cross_check"] = {
-                "method": "bipolar_moebius_form",
-                "value": str(dual),
-                "agrees": dual == evaluation.value,
-            }
-            if dual != evaluation.value:
-                raise CrossCheckFailure(
-                    f"moebius path gives {dual}, direct path gives {evaluation.value}"
-                )
-        return payload
-    _, _, capacity = _load(args.capacity, fileio.parse_kary_capacity)
-    profile = _load(args.profile, fileio.parse_profile, capacity.lattice.base)
-    evaluation = kary_choquet(capacity, profile)
-    payload = _value_payload(evaluation.value)
-    payload["diagnostics"] = _capacity_diagnostics(capacity)
-    if args.decomposition:
-        payload["decomposition"] = {
-            "levels": list(evaluation.levels),
-            "criteria": list(evaluation.criteria),
-            "nodes": [list(node) for node in evaluation.nodes],
-            "weights": [str(w) for w in evaluation.weights],
-        }
-    if args.cross_check:
-        dual = moebius_form_eval(moebius_transform(capacity), profile)
-        payload["cross_check"] = {
-            "method": "moebius_form",
-            "value": str(dual),
-            "agrees": dual == evaluation.value,
-        }
-        if dual != evaluation.value:
-            raise CrossCheckFailure(
-                f"moebius path gives {dual}, direct path gives {evaluation.value}"
-            )
-    return payload
+        evaluation = evaluate_bipolar(capacity, profile)
+    else:
+        _, n, capacity = _load(args.capacity, fileio.parse_kary_capacity)
+        profile = _load(args.profile, fileio.parse_profile, capacity.lattice.base)
+        evaluation = evaluate(capacity, profile)
+    return _eval_payload(args, capacity, profile, evaluation, grid_steps(evaluation, n))
 
 
 def cmd_levels_eval(args):
-    point = [part.strip() for part in args.point.split(",") if part.strip()]
+    point = fileio.parse_point(args.point)
+    parse = fileio.parse_bipolar_kary_capacity if args.bipolar else fileio.parse_kary_capacity
+    _, _, capacity = _load(args.capacity, parse)
+    scale = _load(args.scale, fileio.parse_scale, args.bipolar)
     if args.bipolar:
-        _, _, capacity = _load(args.capacity, fileio.parse_bipolar_kary_capacity)
-        scale = _load(args.scale, fileio.parse_scale, True)
         value = interpolate_signed_point(capacity, point, scale)
         positive, indexing, profile = bipolar_level_profile(point, scale)
-        dual = bipolar_kary_choquet(capacity, profile).value
-        payload = _value_payload(value)
-        payload["positive_criteria"] = sorted(positive)
+        dual = evaluate_bipolar(capacity, profile).value
+        payload = {**_value_payload(value), "positive_criteria": sorted(positive)}
     else:
-        _, _, capacity = _load(args.capacity, fileio.parse_kary_capacity)
-        scale = _load(args.scale, fileio.parse_scale, False)
         value = interpolate_point(capacity, point, scale)
         indexing, profile = level_profile(point, scale)
         dual = staircase_eval(capacity, profile)
         payload = _value_payload(value)
     payload["level_indices"] = list(indexing.indices)
     payload["residues"] = [str(z) for z in indexing.residues]
-    payload["cross_check"] = {
-        "method": "staircase",
-        "value": str(dual),
-        "agrees": dual == value,
-    }
-    if dual != value:
-        raise CrossCheckFailure(f"staircase path gives {dual}, point path gives {value}")
-    return payload
+    return _cross_check(payload, "staircase", value, dual, ("staircase", "point"))
 
 
 # bundled selftest instances
 
 
-def _grid_capacity() -> GeneralizedCapacity:
-    from .kary import downset_to_node
-
-    base = build_kary_base(3, 2)
-    lattice = DownsetLattice(base)
-    values = {}
-    for d in lattice.elements:
-        i, j = downset_to_node(d, 2)
-        values[d] = Fraction(3 * i + 2 * j, 12)
-    return GeneralizedCapacity(lattice, values)
-
-
-def _grid_bipolar_capacity() -> BipolarCapacity:
-    from .bipolar import admissible_vertex_pairs
-    from .kary import downset_to_node
-
-    base = build_kary_base(3, 2)
-    lattice = DownsetLattice(base)
+def _grid_capacities() -> tuple[GeneralizedCapacity, BipolarCapacity]:
+    """Bipolar capacity on the (3, 2) grid, (3 p1 + 2 p2 - 2 n1 - n2) / 12 at
+    the node pair (p, n), and its restriction to the positive side."""
+    lattice = DownsetLattice(build_kary_base(3, 2))
     values = {}
     for pair in admissible_vertex_pairs(lattice):
         pi, pj = downset_to_node(pair.pos, 2)
         ni, nj = downset_to_node(pair.neg, 2)
         values[pair] = Fraction(3 * pi + 2 * pj - 2 * ni - nj, 12)
-    return BipolarCapacity(lattice, values)
+    unsigned = {d: values[BipolarElement(d, frozenset())] for d in lattice.elements}
+    return GeneralizedCapacity(lattice, unsigned), BipolarCapacity(lattice, values)
 
 
-def _selftest_checks() -> list[dict]:
+def cmd_selftest(args):
     checks = []
 
     def record(name, ok, detail=None):
@@ -381,55 +307,42 @@ def _selftest_checks() -> list[dict]:
             entry["detail"] = detail
         checks.append(entry)
 
-    from .kary import downset_to_node
-
-    base = build_kary_base(3, 2)
-    capacity = _grid_capacity()
+    golden_nodes = [(0, 0), (1, 0), (1, 1), (1, 2), (2, 2)]
+    golden_weights = [
+        Fraction(1, 2), Fraction(1, 5), Fraction(1, 10), Fraction(1, 10), Fraction(1, 10)
+    ]
+    capacity, bipolar_capacity = _grid_capacities()
     profile = Profile(
-        base, {"c1l1": "0.5", "c1l2": "0.1", "c2l1": "0.3", "c2l2": "0.2"}
+        capacity.lattice.base, {"c1l1": "0.5", "c1l2": "0.1", "c2l1": "0.3", "c2l2": "0.2"}
     )
-    dec = triangulate(profile)
-    nodes = [downset_to_node(v, 2) for v in dec.chain]
+    evaluation = evaluate(capacity, profile)
+    nodes = list(grid_steps(evaluation, 2).nodes)
     record(
         "grid triangulation golden",
-        nodes == [(0, 0), (1, 0), (1, 1), (1, 2), (2, 2)]
-        and list(dec.weights)
-        == [Fraction(1, 2), Fraction(1, 5), Fraction(1, 10), Fraction(1, 10), Fraction(1, 10)],
-        {"nodes": nodes, "weights": [str(w) for w in dec.weights]},
+        nodes == golden_nodes and list(evaluation.weights) == golden_weights,
+        {"nodes": nodes, "weights": [str(w) for w in evaluation.weights]},
     )
 
-    direct = natural_extension(capacity, profile)
-    dual = moebius_form_eval(moebius_transform(capacity), profile)
-    record("dual path agreement", direct == dual, {"direct": str(direct), "moebius": str(dual)})
-
-    bipolar_capacity = _grid_bipolar_capacity()
-    signed = BipolarProfile(
-        base, {"c1l1": "0.5", "c1l2": "0.1", "c2l1": "-0.3", "c2l2": "-0.2"}
+    dual = _dual_value(capacity, profile)
+    record(
+        "dual path agreement",
+        evaluation.value == dual,
+        {"direct": str(evaluation.value), "moebius": str(dual)},
     )
+
+    # the same profile with criterion 2 negated: the chain splits along the tile
+    signed = embed_profile(profile, {"c1l1", "c1l2"})
     evaluation = evaluate_bipolar(bipolar_capacity, signed)
-    pair_nodes = [
-        (downset_to_node(p, 2), downset_to_node(q, 2)) for p, q in evaluation.chain
-    ]
+    steps = grid_steps(evaluation, 2)
     record(
         "signed tile golden",
-        sorted({c for label in evaluation.tile for c in [int(label[1])]}) == [1]
-        and pair_nodes
-        == [
-            ((0, 0), (0, 0)),
-            ((1, 0), (0, 0)),
-            ((1, 0), (0, 1)),
-            ((1, 0), (0, 2)),
-            ((2, 0), (0, 2)),
-        ]
-        and list(evaluation.weights)
-        == [Fraction(1, 2), Fraction(1, 5), Fraction(1, 10), Fraction(1, 10), Fraction(1, 10)],
-        {"nodes": [str(p) for p in pair_nodes]},
+        steps.positive_criteria == {1}
+        and list(steps.nodes) == [((i, 0), (0, j)) for i, j in golden_nodes]
+        and list(evaluation.weights) == golden_weights,
+        {"nodes": [str(p) for p in steps.nodes]},
     )
 
-    coefficients = bipolar_moebius_transform(
-        bipolar_capacity.lattice, bipolar_capacity.values
-    )
-    signed_dual = bipolar_moebius_form_eval(coefficients, signed)
+    signed_dual = _dual_value(bipolar_capacity, signed)
     record(
         "signed dual path agreement",
         signed_dual == evaluation.value,
@@ -439,10 +352,7 @@ def _selftest_checks() -> list[dict]:
     wedge = Poset(["a", "b", "c"], [("a", "b"), ("c", "b")])
     lattice = DownsetLattice(wedge)
     extension = bipolar_extension(lattice)
-    tiles = lattice.complemented()
-    covered: set = set()
-    for member in tiles:
-        covered.update(tile(lattice, member).elements)
+    covered = tile_union(lattice)
     record(
         "wedge extension counts",
         len(extension) == 11
@@ -475,11 +385,6 @@ def _selftest_checks() -> list[dict]:
         {"value": str(point_value)},
     )
 
-    return checks
-
-
-def cmd_selftest(args):
-    checks = _selftest_checks()
     all_ok = all(c["ok"] for c in checks)
     return {"checks": checks, "all_ok": all_ok, "_exit_code": 0 if all_ok else 3}
 
@@ -493,82 +398,79 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     groups = parser.add_subparsers(dest="group", required=True, metavar="command")
+    subcommands: dict = {}
 
-    poset_group = groups.add_parser("poset", help="poset file operations")
-    poset_sub = poset_group.add_subparsers(dest="command", required=True)
-    poset_check = poset_sub.add_parser("check", help="validate a poset file")
+    def command(group, group_help, name, help, handler):
+        if group not in subcommands:
+            subcommands[group] = groups.add_parser(group, help=group_help).add_subparsers(
+                dest="command", required=True
+            )
+        sub = subcommands[group].add_parser(name, help=help)
+        sub.set_defaults(handler=handler)
+        return sub
+
+    def evaluation(group, group_help, help, handler):
+        sub = command(group, group_help, "eval", help, handler)
+        sub.add_argument("--capacity", required=True)
+        sub.add_argument("--profile", required=True)
+        sub.add_argument("--decomposition", action="store_true")
+        sub.add_argument("--cross-check", action="store_true")
+        return sub
+
+    poset_check = command(
+        "poset", "poset file operations", "check", "validate a poset file", cmd_poset_check
+    )
     poset_check.add_argument("file")
     poset_check.add_argument("--dot", action="store_true", help="emit a Graphviz Hasse diagram")
-    poset_check.set_defaults(handler=cmd_poset_check)
 
-    lattice_group = groups.add_parser("lattice", help="lattice file operations")
-    lattice_sub = lattice_group.add_subparsers(dest="command", required=True)
-    lattice_verify = lattice_sub.add_parser(
-        "verify", help="check distributivity and extract the base poset"
+    lattice_verify = command(
+        "lattice", "lattice file operations",
+        "verify", "check distributivity and extract the base poset", cmd_lattice_verify,
     )
     lattice_verify.add_argument("file")
-    lattice_verify.set_defaults(handler=cmd_lattice_verify)
 
-    mosaic_group = groups.add_parser("mosaic", help="mosaic structure checks")
-    mosaic_sub = mosaic_group.add_subparsers(dest="command", required=True)
-    mosaic_check = mosaic_sub.add_parser(
-        "check", help="is the bipolar extension a union of tiles?"
+    mosaic_check = command(
+        "mosaic", "mosaic structure checks",
+        "check", "is the bipolar extension a union of tiles?", cmd_mosaic_check,
     )
     mosaic_check.add_argument("file")
-    mosaic_check.set_defaults(handler=cmd_mosaic_check)
 
     mobius = groups.add_parser("mobius", help="Moebius coefficients of a capacity")
     mobius.add_argument("--capacity")
     mobius.add_argument("--bipolar-capacity")
     mobius.set_defaults(handler=cmd_mobius)
 
-    choquet_group = groups.add_parser("choquet", help="unsigned evaluation")
-    choquet_sub = choquet_group.add_subparsers(dest="command", required=True)
-    choquet_eval = choquet_sub.add_parser("eval", help="extension value of a profile")
-    choquet_eval.add_argument("--capacity", required=True)
-    choquet_eval.add_argument("--profile", required=True)
-    choquet_eval.add_argument("--decomposition", action="store_true")
-    choquet_eval.add_argument("--cross-check", action="store_true")
-    choquet_eval.set_defaults(handler=cmd_choquet_eval)
+    evaluation(
+        "choquet", "unsigned evaluation", "extension value of a profile", cmd_choquet_eval
+    )
 
-    bipolar_group = groups.add_parser("bipolar", help="signed structure and evaluation")
-    bipolar_sub = bipolar_group.add_subparsers(dest="command", required=True)
-    bipolar_eval = bipolar_sub.add_parser("eval", help="signed extension value")
-    bipolar_eval.add_argument("--capacity", required=True)
-    bipolar_eval.add_argument("--profile", required=True)
-    bipolar_eval.add_argument("--decomposition", action="store_true")
-    bipolar_eval.add_argument("--cross-check", action="store_true")
+    bipolar_eval = evaluation(
+        "bipolar", "signed structure and evaluation", "signed extension value", cmd_bipolar_eval
+    )
     bipolar_eval.add_argument(
         "--require-normalized",
         action="store_true",
         help="reject capacities that are not 1/-1 at the extreme vertices",
     )
-    bipolar_eval.set_defaults(handler=cmd_bipolar_eval)
-    bipolar_enumerate = bipolar_sub.add_parser(
-        "enumerate", help="list the bipolar extension"
+    bipolar_enumerate = command(
+        "bipolar", None, "enumerate", "list the bipolar extension", cmd_bipolar_enumerate
     )
     bipolar_enumerate.add_argument("file")
     bipolar_enumerate.add_argument("--dot", action="store_true")
-    bipolar_enumerate.set_defaults(handler=cmd_bipolar_enumerate)
 
-    kary_group = groups.add_parser("kary", help="chain-product (grid) evaluation")
-    kary_sub = kary_group.add_subparsers(dest="command", required=True)
-    kary_eval = kary_sub.add_parser("eval", help="grid capacity against a profile")
-    kary_eval.add_argument("--capacity", required=True)
-    kary_eval.add_argument("--profile", required=True)
+    kary_eval = evaluation(
+        "kary", "chain-product (grid) evaluation", "grid capacity against a profile", cmd_kary_eval
+    )
     kary_eval.add_argument("--bipolar", action="store_true")
-    kary_eval.add_argument("--decomposition", action="store_true")
-    kary_eval.add_argument("--cross-check", action="store_true")
-    kary_eval.set_defaults(handler=cmd_kary_eval)
 
-    levels_group = groups.add_parser("levels", help="reference-level point scoring")
-    levels_sub = levels_group.add_subparsers(dest="command", required=True)
-    levels_eval = levels_sub.add_parser("eval", help="score a point of the score space")
+    levels_eval = command(
+        "levels", "reference-level point scoring",
+        "eval", "score a point of the score space", cmd_levels_eval,
+    )
     levels_eval.add_argument("--scale", required=True)
     levels_eval.add_argument("--capacity", required=True)
     levels_eval.add_argument("--point", required=True, help="comma-separated coordinates")
     levels_eval.add_argument("--bipolar", action="store_true")
-    levels_eval.set_defaults(handler=cmd_levels_eval)
 
     selftest = groups.add_parser("selftest", help="run the bundled golden instances")
     selftest.set_defaults(handler=cmd_selftest)
@@ -584,9 +486,7 @@ def main(argv=None) -> int:
         _print_json({"error": {"code": "cross_check_failed", "message": str(exc)}})
         return 3
     except ChoqlatError as exc:
-        error = {"code": exc.code, "message": str(exc)}
-        error.update({k: v for k, v in exc.context.items()})
-        _print_json({"error": error})
+        _print_json({"error": {"code": exc.code, "message": str(exc), **exc.context}})
         return 2
     if isinstance(result, str):
         sys.stdout.write(result)

@@ -20,10 +20,6 @@ from .poset import Poset
 from .rationals import as_fraction
 
 
-def fraction_text(value: Fraction) -> str:
-    return str(value)
-
-
 def _require(obj, key: str, where: str):
     if not isinstance(obj, dict) or key not in obj:
         raise FileFormatError(f"missing {key!r} in {where}", field=key)
@@ -43,6 +39,13 @@ def _parse_value(raw, where: str) -> Fraction:
         raise FileFormatError(f"bad value in {where}: {exc}", field=where) from None
 
 
+def _entries(obj, where: str) -> list:
+    entries = _require(obj, "values", where)
+    if not isinstance(entries, list):
+        raise FileFormatError("values must be a list", field="values")
+    return entries
+
+
 # posets and lattices
 
 
@@ -53,7 +56,9 @@ def parse_poset(obj) -> Poset:
         raise FileFormatError("covers must be a list of [lower, upper] pairs", field="covers")
     covers = []
     for entry in covers_raw:
-        if not isinstance(entry, list) or len(entry) != 2:
+        if not isinstance(entry, list) or len(entry) != 2 or not all(
+            isinstance(label, str) for label in entry
+        ):
             raise FileFormatError(
                 f"bad cover entry {entry!r}, expected [lower, upper]", field="covers"
             )
@@ -97,9 +102,7 @@ def lattice_payload(lattice: DownsetLattice) -> dict:
 
 def parse_capacity(obj) -> GeneralizedCapacity:
     lattice, _ = parse_lattice(_require(obj, "lattice", "capacity file"))
-    entries = _require(obj, "values", "capacity file")
-    if not isinstance(entries, list):
-        raise FileFormatError("values must be a list", field="values")
+    entries = _entries(obj, "capacity file")
     table: dict[frozenset, Fraction] = {}
     for entry in entries:
         downset = frozenset(_label_list(_require(entry, "downset", "capacity entry"), "downset"))
@@ -117,41 +120,34 @@ def capacity_payload(capacity: GeneralizedCapacity) -> dict:
     return {
         "lattice": lattice_payload(capacity.lattice),
         "values": [
-            {"downset": sorted(d), "value": fraction_text(v)}
+            {"downset": sorted(d), "value": str(v)}
             for d, v in capacity.values.items()
         ],
     }
 
 
-def parse_profile(obj, base: Poset) -> Profile:
+def _profile_entries(obj) -> dict[str, Fraction]:
     values = _require(obj, "values", "profile file")
     if not isinstance(values, dict):
         raise FileFormatError("values must be a label-to-number object", field="values")
-    return Profile(base, {label: _parse_value(raw, label) for label, raw in values.items()})
+    return {label: _parse_value(raw, label) for label, raw in values.items()}
 
 
-def profile_payload(profile: Profile) -> dict:
-    return {"values": {label: fraction_text(v) for label, v in profile.values.items()}}
+def parse_profile(obj, base: Poset) -> Profile:
+    return Profile(base, _profile_entries(obj))
 
 
 def parse_bipolar_profile(obj, base: Poset) -> BipolarProfile:
-    values = _require(obj, "values", "profile file")
-    if not isinstance(values, dict):
-        raise FileFormatError("values must be a label-to-number object", field="values")
-    return BipolarProfile(
-        base, {label: _parse_value(raw, label) for label, raw in values.items()}
-    )
+    return BipolarProfile(base, _profile_entries(obj))
 
 
-def bipolar_profile_payload(profile: BipolarProfile) -> dict:
-    return {"values": {label: fraction_text(v) for label, v in profile.values.items()}}
+def profile_payload(profile: Profile | BipolarProfile) -> dict:
+    return {"values": {label: str(v) for label, v in profile.values.items()}}
 
 
 def parse_bipolar_capacity(obj) -> BipolarCapacity:
     lattice, _ = parse_lattice(_require(obj, "lattice", "bipolar capacity file"))
-    entries = _require(obj, "values", "bipolar capacity file")
-    if not isinstance(entries, list):
-        raise FileFormatError("values must be a list", field="values")
+    entries = _entries(obj, "bipolar capacity file")
     table: dict[tuple, Fraction] = {}
     for entry in entries:
         pos = frozenset(_label_list(_require(entry, "pos", "bipolar entry"), "pos"))
@@ -172,7 +168,7 @@ def bipolar_capacity_payload(capacity: BipolarCapacity) -> dict:
     return {
         "lattice": lattice_payload(capacity.lattice),
         "values": [
-            {"pos": sorted(pair.pos), "neg": sorted(pair.neg), "value": fraction_text(v)}
+            {"pos": sorted(pair.pos), "neg": sorted(pair.neg), "value": str(v)}
             for pair, v in capacity.values.items()
         ],
     }
@@ -205,7 +201,7 @@ def _node(entry, key: str, k: int, n: int) -> frozenset:
 
 def parse_kary_capacity(obj) -> tuple[int, int, GeneralizedCapacity]:
     k, n = _grid_header(obj, "grid capacity file")
-    entries = _require(obj, "values", "grid capacity file")
+    entries = _entries(obj, "grid capacity file")
     table: dict[frozenset, Fraction] = {}
     for entry in entries:
         downset = _node(entry, "node", k, n)
@@ -222,7 +218,7 @@ def kary_capacity_payload(capacity: GeneralizedCapacity) -> dict:
         "k": k,
         "n": n,
         "values": [
-            {"node": list(downset_to_node(d, n)), "value": fraction_text(v)}
+            {"node": list(downset_to_node(d, n)), "value": str(v)}
             for d, v in capacity.values.items()
         ],
     }
@@ -230,7 +226,7 @@ def kary_capacity_payload(capacity: GeneralizedCapacity) -> dict:
 
 def parse_bipolar_kary_capacity(obj) -> tuple[int, int, BipolarCapacity]:
     k, n = _grid_header(obj, "grid bipolar capacity file")
-    entries = _require(obj, "values", "grid bipolar capacity file")
+    entries = _entries(obj, "grid bipolar capacity file")
     table: dict[tuple, Fraction] = {}
     for entry in entries:
         pos = _node(entry, "pos", k, n)
@@ -254,11 +250,19 @@ def bipolar_kary_capacity_payload(capacity: BipolarCapacity) -> dict:
             {
                 "pos": list(downset_to_node(pair.pos, n)),
                 "neg": list(downset_to_node(pair.neg, n)),
-                "value": fraction_text(v),
+                "value": str(v),
             }
             for pair, v in capacity.values.items()
         ],
     }
+
+
+def parse_point(text: str) -> list[Fraction]:
+    """Comma-separated point coordinates; every coordinate must be a number."""
+    parts = [part.strip() for part in text.split(",")]
+    if not all(parts):
+        raise FileFormatError(f"empty coordinate in point {text!r}", field="point")
+    return [_parse_value(part, "point") for part in parts]
 
 
 def parse_scale(obj, symmetric: bool = False) -> ReferenceScale:
@@ -271,4 +275,4 @@ def parse_scale(obj, symmetric: bool = False) -> ReferenceScale:
 
 
 def scale_payload(scale: ReferenceScale) -> dict:
-    return {"levels": [fraction_text(v) for v in scale.levels]}
+    return {"levels": [str(v) for v in scale.levels]}

@@ -8,6 +8,11 @@ the profile, and the extension of a vertex functional is the matching convex
 combination of its vertex values. On an antichain base this is the classical
 Choquet integral; the bottom vertex is always kept in the combination so
 functionals that do not vanish at the empty set evaluate correctly.
+
+Every chain-path value, unsigned or signed, is an :class:`Evaluation`: the
+weighted sum of vertex values along a chain, built by
+:meth:`Evaluation.along` and nowhere else. :func:`evaluate` returns the
+unsigned one; the signed extension pulls the same sum back through a tile.
 """
 
 from __future__ import annotations
@@ -33,32 +38,45 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _profile_values(
+    base: Poset, values: Mapping[str, object], signed: bool = False
+) -> dict[str, Fraction]:
+    """Parsed values of a profile on ``base``, in base order.
+
+    Unsigned profiles take values in [0, 1] and are nonincreasing; signed
+    ones take values in [-1, 1] and their sizes are nonincreasing.
+    """
+    parsed = {label: as_fraction(raw) for label, raw in values.items()}
+    if set(parsed) != set(base.elements):
+        raise BaseMismatch(
+            "profile labels must cover the base poset exactly",
+            missing=sorted(set(base.elements) - set(parsed)),
+            extra=sorted(set(parsed) - set(base.elements)),
+        )
+    if signed:
+        low, kind, rising = -ONE, "signed value", "|values| increase"
+    else:
+        low, kind, rising = ZERO, "profile value", "profile increases"
+    for label, value in parsed.items():
+        if not low <= value <= ONE:
+            raise ValueOutOfRange(
+                f"{kind} {value} at {label!r} is outside [{low}, 1]", label=label
+            )
+    for lower, upper in base.covers:
+        a, b = parsed[lower], parsed[upper]
+        if (abs(a) < abs(b)) if signed else (a < b):
+            raise NotNonincreasing(
+                f"{rising} along {lower!r} < {upper!r}", lower=lower, upper=upper
+            )
+    return {label: parsed[label] for label in base.elements}
+
+
 class Profile:
     """Nonincreasing map from the base poset into [0, 1]."""
 
     def __init__(self, base: Poset, values: Mapping[str, object]):
-        parsed = {label: as_fraction(raw) for label, raw in values.items()}
-        if set(parsed) != set(base.elements):
-            raise BaseMismatch(
-                "profile labels must cover the base poset exactly",
-                missing=sorted(set(base.elements) - set(parsed)),
-                extra=sorted(set(parsed) - set(base.elements)),
-            )
-        for label, value in parsed.items():
-            if not ZERO <= value <= ONE:
-                raise ValueOutOfRange(
-                    f"profile value {value} at {label!r} is outside [0, 1]",
-                    label=label,
-                )
-        for lower, upper in base.covers:
-            if parsed[lower] < parsed[upper]:
-                raise NotNonincreasing(
-                    f"profile increases along {lower!r} < {upper!r}",
-                    lower=lower,
-                    upper=upper,
-                )
+        self.values: dict[str, Fraction] = _profile_values(base, values)
         self.base = base
-        self.values: dict[str, Fraction] = {label: parsed[label] for label in base.elements}
 
     def __call__(self, label: str) -> Fraction:
         return self.values[label]
@@ -121,6 +139,41 @@ def triangulate(profile: Profile, tie_break: Sequence[str] | None = None) -> Cha
     return ChainDecomposition(base, tuple(order), tuple(chain), tuple(weights))
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """Value of an extension together with the chain that produced it.
+
+    ``chain[i]`` is the vertex reached after ``order[:i]`` (the bottom
+    vertex first) and carries ``weights[i]``. In the signed case the
+    vertices are :class:`~choqlat.bipolar.BipolarElement` pairs and ``tile``
+    is the positive side of the tile the profile was pulled back through;
+    unsigned evaluations have ``tile=None``.
+    """
+
+    value: Fraction
+    order: tuple[str, ...]
+    chain: tuple
+    weights: tuple[Fraction, ...]
+    tile: frozenset | None = None
+
+    @classmethod
+    def along(
+        cls, values: Mapping, order, chain, weights, tile: frozenset | None = None
+    ) -> "Evaluation":
+        """Weighted sum of the vertex ``values`` read along ``chain``."""
+        value = sum((w * values[v] for v, w in zip(chain, weights)), ZERO)
+        return cls(value, order, chain, weights, tile)
+
+
+def evaluate(functional: GeneralizedCapacity, profile: Profile) -> Evaluation:
+    """Natural extension of a vertex functional at ``profile``, with its
+    triangulating chain and weights (see :func:`natural_extension`)."""
+    if functional.lattice.base != profile.base:
+        raise BaseMismatch("capacity and profile are over different base posets")
+    dec = triangulate(profile)
+    return Evaluation.along(functional.values, dec.order, dec.chain, dec.weights)
+
+
 def natural_extension(functional: GeneralizedCapacity, profile: Profile) -> Fraction:
     """Piecewise-linear interpolation of a vertex functional at ``profile``.
 
@@ -129,12 +182,7 @@ def natural_extension(functional: GeneralizedCapacity, profile: Profile) -> Frac
     profiles, and reduces to the classical Choquet integral of a game on an
     antichain base.
     """
-    if functional.lattice.base != profile.base:
-        raise BaseMismatch("capacity and profile are over different base posets")
-    dec = triangulate(profile)
-    return sum(
-        (w * functional.values[v] for v, w in zip(dec.chain, dec.weights)), ZERO
-    )
+    return evaluate(functional, profile).value
 
 
 def _capacity_value(capacity, subset: frozenset) -> Fraction:

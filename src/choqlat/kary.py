@@ -9,23 +9,25 @@ into per-criterion level indices and residues, and scored by interpolating
 the capacity at the surrounding mesh nodes. The sorted-residue sweep, the
 staircase-profile evaluation and the generic natural extension all give the
 same number; the signed variants mirror the construction on a symmetric
-scale around 0.
+scale around 0. :func:`grid_steps` reads an
+:class:`~choqlat.interpolation.Evaluation` on a grid base as levels,
+criteria and grid points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .bipolar import BipolarCapacity, BipolarElement, BipolarProfile, evaluate_bipolar
+from .bipolar import BipolarCapacity, BipolarElement, BipolarProfile
 from .errors import (
     BaseMismatch,
     InvalidDimensions,
     NotStaircase,
     OutOfScale,
 )
-from .interpolation import Profile, triangulate
+from .interpolation import Evaluation, Profile
 from .moebius import GeneralizedCapacity
 from .poset import Poset
 from .rationals import as_fraction
@@ -91,6 +93,8 @@ def downset_to_node(downset, n: int) -> tuple[int, ...]:
     levels = [0] * n
     for label in downset:
         criterion, level = label_parts(label)
+        if not 1 <= criterion <= n:
+            raise InvalidDimensions(f"label {label!r} is outside a grid of {n} criteria")
         levels[criterion - 1] = max(levels[criterion - 1], level)
     return tuple(levels)
 
@@ -168,25 +172,51 @@ def _locate(value: Fraction, scale: ReferenceScale, sign: int) -> tuple[int, Fra
     raise OutOfScale(f"{value} is outside the scale range")
 
 
-def locate_point(point: Sequence, scale: ReferenceScale) -> LevelIndexing:
-    """Mesh-cell location of a score point on a one-sided scale."""
-    if scale.symmetric:
-        raise InvalidDimensions("locate_point expects a one-sided scale")
+def _locate_coordinates(
+    point: Sequence, scale: ReferenceScale
+) -> tuple[frozenset, LevelIndexing]:
+    """Criteria located on the nonnegative side, and the mesh-cell location.
+
+    On a symmetric scale each coordinate is located on the side of its
+    sign (zero counts as nonnegative); on a one-sided scale every
+    coordinate is on the nonnegative side.
+    """
     values = [as_fraction(v) for v in point]
     if not values:
         raise InvalidDimensions("a point needs at least one coordinate")
     low, high = scale.levels[0], scale.levels[-1]
-    indices, residues = [], []
+    indices, residues, positive = [], [], set()
     for i, value in enumerate(values, start=1):
         if not low <= value <= high:
             raise OutOfScale(
                 f"coordinate {value} of criterion {i} outside [{low}, {high}]",
                 criterion=i,
             )
-        index, residue = _locate(value, scale, 1)
+        sign = -1 if scale.symmetric and value < 0 else 1
+        if sign > 0:
+            positive.add(i)
+        index, residue = _locate(value, scale, sign)
         indices.append(index)
         residues.append(residue)
-    return LevelIndexing(tuple(indices), tuple(residues), _residue_order(residues))
+    indexing = LevelIndexing(tuple(indices), tuple(residues), _residue_order(residues))
+    return frozenset(positive), indexing
+
+
+def locate_point(point: Sequence, scale: ReferenceScale) -> LevelIndexing:
+    """Mesh-cell location of a score point on a one-sided scale."""
+    if scale.symmetric:
+        raise InvalidDimensions("locate_point expects a one-sided scale")
+    return _locate_coordinates(point, scale)[1]
+
+
+def locate_signed_point(
+    point: Sequence, scale: ReferenceScale
+) -> tuple[frozenset, LevelIndexing]:
+    """Mesh-cell location of a signed score point: the set of nonnegative
+    criteria, and per-side level indices and residues."""
+    if not scale.symmetric:
+        raise InvalidDimensions("signed location needs a symmetric scale")
+    return _locate_coordinates(point, scale)
 
 
 def _staircase_values(
@@ -216,23 +246,37 @@ def level_profile(point: Sequence, scale: ReferenceScale) -> tuple[LevelIndexing
 
 
 def _corner_sweep(
-    read_corner: Callable[[frozenset], Fraction],
-    residues: Sequence[Fraction],
-    order: Sequence[int],
+    values: Mapping, indexing: LevelIndexing, positive: frozenset | None = None
 ) -> Fraction:
     """Sorted sweep over residues against lazily read mesh corners.
 
-    The corner with no criterion raised enters with weight 1 minus the top
-    residue, so corners with nonzero value at the resting point are kept.
+    The corner with no criterion raised is the staircase prefix (every
+    criterion below its level index); each step raises one more criterion,
+    in sorted-residue order, to its index. The first corner enters with
+    weight 1 minus the top residue, so corners with nonzero value at the
+    resting point are kept. With ``positive`` (a set of base labels) the
+    corners are read as signed vertices split along that tile.
     """
-    total = (ONE - residues[order[0] - 1]) * read_corner(frozenset())
-    prefix: set = set()
+    indices, residues, order = indexing.indices, indexing.residues, indexing.order
+    node = {
+        level_label(i, l)
+        for i, index in enumerate(indices, start=1)
+        for l in range(1, index)
+    }
+
+    def corner() -> Fraction:
+        key = frozenset(node)
+        if positive is None:
+            return values[key]
+        return values[BipolarElement(key & positive, key - positive)]
+
+    total = (ONE - residues[order[0] - 1]) * corner()
     for position, criterion in enumerate(order):
-        prefix.add(criterion)
+        node.add(level_label(criterion, indices[criterion - 1]))
         nxt = residues[order[position + 1] - 1] if position + 1 < len(order) else ZERO
         step = residues[criterion - 1] - nxt
         if step:
-            total += step * read_corner(frozenset(prefix))
+            total += step * corner()
     return total
 
 
@@ -253,23 +297,7 @@ def interpolate_point(
     indexing = locate_point(point, scale)
     if len(indexing.indices) != n:
         raise InvalidDimensions(f"point has {len(indexing.indices)} coordinates, grid has {n}")
-    prefix = _staircase_prefix(indexing.indices, n)
-
-    def read_corner(raised: frozenset) -> Fraction:
-        node = prefix | {
-            level_label(i, indexing.indices[i - 1]) for i in raised
-        }
-        return capacity.values[frozenset(node)]
-
-    return _corner_sweep(read_corner, indexing.residues, indexing.order)
-
-
-def _staircase_prefix(indices: Sequence[int], n: int) -> set:
-    return {
-        level_label(i, l)
-        for i in range(1, n + 1)
-        for l in range(1, indices[i - 1])
-    }
+    return _corner_sweep(capacity.values, indexing)
 
 
 def _parse_staircase(chain_values: Sequence[Fraction]) -> tuple[int, Fraction]:
@@ -303,47 +331,43 @@ def staircase_eval(capacity: GeneralizedCapacity, profile: Profile) -> Fraction:
         )
         indices.append(index)
         residues.append(residue)
-    prefix = _staircase_prefix(indices, n)
-
-    def read_corner(raised: frozenset) -> Fraction:
-        node = prefix | {level_label(i, indices[i - 1]) for i in raised}
-        return capacity.values[frozenset(node)]
-
-    return _corner_sweep(read_corner, residues, _residue_order(residues))
+    indexing = LevelIndexing(tuple(indices), tuple(residues), _residue_order(residues))
+    return _corner_sweep(capacity.values, indexing)
 
 
-@dataclass(frozen=True)
-class KaryEvaluation:
-    """Extension value on a chain-product base plus the sorted-step report."""
-
-    value: Fraction
-    levels: tuple[int, ...]
-    criteria: tuple[int, ...]
-    nodes: tuple[tuple[int, ...], ...]
-    weights: tuple[Fraction, ...]
-
-
-def kary_choquet(capacity: GeneralizedCapacity, profile: Profile) -> KaryEvaluation:
-    """Natural extension on a chain-product base, reporting the sorted pass.
+class GridSteps(NamedTuple):
+    """An :class:`~choqlat.interpolation.Evaluation` read on a grid base.
 
     ``levels[i]``/``criteria[i]`` decode the i-th element of the sorted
-    order; ``nodes`` renders the triangulating chain as grid points, bottom
-    first, matching ``weights``.
+    order; ``nodes`` renders the chain as grid points, bottom first,
+    matching the evaluation's weights, as (pos, neg) point pairs in the
+    signed case, where ``positive_criteria`` is the tile as a set of
+    criteria (``None`` when unsigned).
     """
-    k, n = grid_shape(capacity.lattice.base)
-    if profile.base != capacity.lattice.base:
-        raise BaseMismatch("capacity and profile are over different base posets")
-    dec = triangulate(profile)
-    value = sum(
-        (w * capacity.values[v] for v, w in zip(dec.chain, dec.weights)), ZERO
-    )
-    parts = [label_parts(label) for label in dec.order]
-    return KaryEvaluation(
-        value=value,
+
+    levels: tuple[int, ...]
+    criteria: tuple[int, ...]
+    nodes: tuple
+    positive_criteria: frozenset | None
+
+
+def grid_steps(evaluation: Evaluation, n: int) -> GridSteps:
+    """Sorted-step report of an evaluation on the base with ``n`` criteria."""
+    parts = [label_parts(label) for label in evaluation.order]
+    if evaluation.tile is None:
+        nodes = tuple(downset_to_node(v, n) for v in evaluation.chain)
+        positive = None
+    else:
+        nodes = tuple(
+            (downset_to_node(pair.pos, n), downset_to_node(pair.neg, n))
+            for pair in evaluation.chain
+        )
+        positive = frozenset(label_parts(label)[0] for label in evaluation.tile)
+    return GridSteps(
         levels=tuple(level for _, level in parts),
         criteria=tuple(criterion for criterion, _ in parts),
-        nodes=tuple(downset_to_node(v, n) for v in dec.chain),
-        weights=dec.weights,
+        nodes=nodes,
+        positive_criteria=positive,
     )
 
 
@@ -355,35 +379,14 @@ def bipolar_level_profile(
 ) -> tuple[frozenset, LevelIndexing, BipolarProfile]:
     """Locate a signed score point: the set of nonnegative criteria, the
     per-side mesh indices and residues, and the signed staircase profile."""
-    if not scale.symmetric:
-        raise InvalidDimensions("signed location needs a symmetric scale")
-    values = [as_fraction(v) for v in point]
-    if not values:
-        raise InvalidDimensions("a point needs at least one coordinate")
-    k = scale.k
-    low, high = scale.rho(-(k - 1)), scale.rho(k - 1)
-    indices, residues, positive = [], [], set()
-    for i, value in enumerate(values, start=1):
-        if not low <= value <= high:
-            raise OutOfScale(
-                f"coordinate {value} of criterion {i} outside [{low}, {high}]",
-                criterion=i,
-            )
-        sign = 1 if value >= 0 else -1
-        if sign > 0:
-            positive.add(i)
-        index, residue = _locate(value, scale, sign)
-        indices.append(index)
-        residues.append(residue)
-    indexing = LevelIndexing(tuple(indices), tuple(residues), _residue_order(residues))
-    n = len(values)
-    base = build_kary_base(k, n)
-    magnitudes = _staircase_values(k, n, indices, residues)
+    positive, indexing = locate_signed_point(point, scale)
+    k, n = scale.k, len(indexing.indices)
+    magnitudes = _staircase_values(k, n, indexing.indices, indexing.residues)
     signed = {
         label: (v if label_parts(label)[0] in positive else -v)
         for label, v in magnitudes.items()
     }
-    return frozenset(positive), indexing, BipolarProfile(base, signed)
+    return positive, indexing, BipolarProfile(build_kary_base(k, n), signed)
 
 
 def interpolate_signed_point(
@@ -399,56 +402,10 @@ def interpolate_signed_point(
         raise InvalidDimensions(
             f"need a symmetric scale with {k} levels per side"
         )
-    positive, indexing, _ = bipolar_level_profile(point, scale)
+    positive, indexing = locate_signed_point(point, scale)
     if len(indexing.indices) != n:
         raise InvalidDimensions(f"point has {len(indexing.indices)} coordinates, grid has {n}")
-    positive_labels = {
+    positive_labels = frozenset(
         level_label(i, l) for i in positive for l in range(1, k)
-    }
-    prefix = _staircase_prefix(indexing.indices, n)
-
-    def read_corner(raised: frozenset) -> Fraction:
-        node = prefix | {level_label(i, indexing.indices[i - 1]) for i in raised}
-        return capacity.values[
-            BipolarElement(
-                frozenset(node) & frozenset(positive_labels),
-                frozenset(node) - frozenset(positive_labels),
-            )
-        ]
-
-    return _corner_sweep(read_corner, indexing.residues, indexing.order)
-
-
-@dataclass(frozen=True)
-class BipolarKaryEvaluation:
-    """Signed extension value on a chain-product base with the sorted-step
-    report and the selected tile as a set of criteria."""
-
-    value: Fraction
-    levels: tuple[int, ...]
-    criteria: tuple[int, ...]
-    positive_criteria: frozenset
-    nodes: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    weights: tuple[Fraction, ...]
-
-
-def bipolar_kary_choquet(
-    capacity: BipolarCapacity, profile: BipolarProfile
-) -> BipolarKaryEvaluation:
-    """Signed natural extension on a chain-product base with reporting."""
-    k, n = grid_shape(capacity.base)
-    evaluation = evaluate_bipolar(capacity, profile)
-    parts = [label_parts(label) for label in evaluation.order]
-    return BipolarKaryEvaluation(
-        value=evaluation.value,
-        levels=tuple(level for _, level in parts),
-        criteria=tuple(criterion for criterion, _ in parts),
-        positive_criteria=frozenset(
-            {label_parts(label)[0] for label in evaluation.tile}
-        ),
-        nodes=tuple(
-            (downset_to_node(pair.pos, n), downset_to_node(pair.neg, n))
-            for pair in evaluation.chain
-        ),
-        weights=evaluation.weights,
     )
+    return _corner_sweep(capacity.values, indexing, positive_labels)

@@ -29,21 +29,26 @@ from .poset import Poset, linear_extension
 from .rationals import as_fraction
 
 
+def _lattice_table(lattice: DownsetLattice, entries: Mapping, what: str) -> dict:
+    """Parsed ``entries``, one per lattice element, in lattice order."""
+    parsed = {}
+    for key, raw in entries.items():
+        parsed[lattice.check_element(key)] = as_fraction(raw)
+    missing = [e for e in lattice.elements if e not in parsed]
+    if missing:
+        raise BaseMismatch(
+            f"missing {what} for {len(missing)} lattice elements,"
+            f" e.g. {sorted(missing[0])!r}"
+        )
+    return {e: parsed[e] for e in lattice.elements}
+
+
 class GeneralizedCapacity:
     """A rational value attached to every element of a downset lattice."""
 
     def __init__(self, lattice: DownsetLattice, values: Mapping):
-        parsed = {}
-        for key, raw in values.items():
-            parsed[lattice.check_element(key)] = as_fraction(raw)
-        missing = [e for e in lattice.elements if e not in parsed]
-        if missing:
-            raise BaseMismatch(
-                f"missing values for {len(missing)} lattice elements,"
-                f" e.g. {sorted(missing[0])!r}"
-            )
+        self.values: dict[frozenset, Fraction] = _lattice_table(lattice, values, "values")
         self.lattice = lattice
-        self.values: dict[frozenset, Fraction] = {e: parsed[e] for e in lattice.elements}
 
     def __call__(self, x) -> Fraction:
         try:
@@ -70,18 +75,10 @@ class MoebiusVector:
     """Coordinates of a lattice functional in the unanimity basis."""
 
     def __init__(self, lattice: DownsetLattice, coefficients: Mapping):
-        parsed = {}
-        for key, raw in coefficients.items():
-            parsed[lattice.check_element(key)] = as_fraction(raw)
-        missing = [e for e in lattice.elements if e not in parsed]
-        if missing:
-            raise BaseMismatch(
-                f"missing coefficients for {len(missing)} lattice elements"
-            )
+        self.coefficients: dict[frozenset, Fraction] = _lattice_table(
+            lattice, coefficients, "coefficients"
+        )
         self.lattice = lattice
-        self.coefficients: dict[frozenset, Fraction] = {
-            e: parsed[e] for e in lattice.elements
-        }
 
     def __call__(self, x) -> Fraction:
         try:

@@ -52,7 +52,7 @@ class Poset:
         for cover in covers:
             lower, upper = cover
             for label in (lower, upper):
-                if label not in seen:
+                if not isinstance(label, str) or label not in seen:
                     raise UnknownLabel(
                         f"cover references unknown label {label!r}", label=label
                     )
@@ -150,11 +150,6 @@ class Poset:
 
     def __repr__(self) -> str:
         return f"Poset({len(self.elements)} elements, {len(self.covers)} covers)"
-
-
-def validate_poset(elements: Iterable[str], covers: Iterable[Sequence[str]]) -> Poset:
-    """Build a poset, rejecting cycles, redundant covers and unknown labels."""
-    return Poset(elements, covers)
 
 
 def linear_extension(p: Poset) -> tuple[str, ...]:

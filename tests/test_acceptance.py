@@ -208,9 +208,9 @@ def test_criterion_5_reductions():
         for _ in range(25):
             game = random_capacity(rng, lattice, game=True)
             profile = random_profile(rng, base)
-            classical_ok = classical_ok and cq.kary_choquet(
+            classical_ok = classical_ok and cq.natural_extension(
                 game, profile
-            ).value == cq.choquet_classical(game.values, profile.values)
+            ) == cq.choquet_classical(game.values, profile.values)
 
     pair_ok = True
     for n in (1, 2, 3, 4):
@@ -219,7 +219,7 @@ def test_criterion_5_reductions():
         for _ in range(25):
             capacity = random_bipolar_capacity(rng, lattice, game=True)
             profile = random_signed_profile(rng, base)
-            via_chain = cq.bipolar_kary_choquet(capacity, profile).value
+            via_chain = cq.bipolar_natural_extension(capacity, profile)
             via_pairs = cq.bicapacity_choquet(capacity, profile.values)
             pair_ok = pair_ok and via_chain == via_pairs
 
@@ -284,7 +284,7 @@ def test_criterion_6_interpolation_identities():
         ]
         direct = cq.interpolate_signed_point(capacity, point, scale)
         _, _, induced = cq.bipolar_level_profile(point, scale)
-        dual = cq.bipolar_kary_choquet(capacity, induced).value
+        dual = cq.bipolar_natural_extension(capacity, induced)
         signed_ok = signed_ok and direct == dual
         worst = max(worst, abs(float(direct - dual)))
 

@@ -97,6 +97,7 @@ class TestRegularMosaic:
         for member in lattice.complemented():
             covered.update(cq.tile(lattice, member).elements)
         assert covered == extension
+        assert cq.tile_union(lattice) == covered
 
     def test_wedge_tiles_cover_strictly_less(self, wedge_lattice):
         extension = set(cq.bipolar_extension(wedge_lattice))
@@ -104,6 +105,7 @@ class TestRegularMosaic:
         for member in wedge_lattice.complemented():
             covered.update(cq.tile(wedge_lattice, member).elements)
         assert len(covered) == 9
+        assert cq.tile_union(wedge_lattice) == covered
         assert covered < extension
         assert extension - covered == {pair({"a"}, {"c"}), pair({"c"}, {"a"})}
 

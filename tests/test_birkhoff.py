@@ -13,13 +13,13 @@ def wedge_lattice():
 
 class TestAccessors:
     def test_eta_is_identity_on_elements(self, wedge_lattice):
-        assert wedge_lattice.eta({"a", "c"}) == frozenset({"a", "c"})
-        assert wedge_lattice.eta(wedge_lattice.bottom) == frozenset()
-        assert wedge_lattice.eta(wedge_lattice.top) == frozenset({"a", "b", "c"})
+        assert wedge_lattice.check_element({"a", "c"}) == frozenset({"a", "c"})
+        assert wedge_lattice.check_element(wedge_lattice.bottom) == frozenset()
+        assert wedge_lattice.check_element(wedge_lattice.top) == frozenset({"a", "b", "c"})
 
     def test_eta_rejects_non_downsets(self, wedge_lattice):
         with pytest.raises(cq.NotAnElement):
-            wedge_lattice.eta({"b"})
+            wedge_lattice.check_element({"b"})
 
     def test_join_meet_examples(self, wedge_lattice):
         assert wedge_lattice.join({"a"}, {"c"}) == frozenset({"a", "c"})

@@ -1,6 +1,8 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,8 +34,7 @@ def wedge_file(tmp_path):
     return write(tmp_path, "wedge.json", fileio.poset_payload(wedge_poset()))
 
 
-@pytest.fixture
-def grid_capacity_file(tmp_path):
+def grid_capacity_path(tmp_path):
     base = cq.build_kary_base(3, 2)
     lattice = cq.DownsetLattice(base)
     values = {}
@@ -42,6 +43,44 @@ def grid_capacity_file(tmp_path):
         values[d] = Fraction(3 * i + 2 * j, 12)
     capacity = cq.GeneralizedCapacity(lattice, values)
     return write(tmp_path, "grid_capacity.json", fileio.kary_capacity_payload(capacity))
+
+
+@pytest.fixture
+def grid_capacity_file(tmp_path):
+    return grid_capacity_path(tmp_path)
+
+
+def choquet_files(tmp_path):
+    rng = random.Random(1)
+    base = wedge_poset()
+    lattice = cq.DownsetLattice(base)
+    capacity = random_capacity(rng, lattice)
+    cpath = write(tmp_path, "capacity.json", fileio.capacity_payload(capacity))
+    profile = cq.Profile(base, {"a": "0.9", "b": "0.2", "c": "0.5"})
+    ppath = write(tmp_path, "profile.json", fileio.profile_payload(profile))
+    return capacity, profile, cpath, ppath
+
+
+def bipolar_files(tmp_path):
+    rng = random.Random(2)
+    base = cq.build_kary_base(3, 2)
+    lattice = cq.DownsetLattice(base)
+    capacity = random_bipolar_capacity(rng, lattice)
+    cpath = write(tmp_path, "bipolar.json", fileio.bipolar_capacity_payload(capacity))
+    profile = cq.BipolarProfile(
+        base, {"c1l1": "0.5", "c1l2": "0.1", "c2l1": "-0.3", "c2l2": "-0.2"}
+    )
+    ppath = write(tmp_path, "signed_profile.json", fileio.profile_payload(profile))
+    return capacity, profile, cpath, ppath
+
+
+def bipolar_grid_capacity_path(tmp_path, seed):
+    rng = random.Random(seed)
+    lattice = cq.DownsetLattice(cq.build_kary_base(3, 2))
+    capacity = random_bipolar_capacity(rng, lattice)
+    return write(
+        tmp_path, "grid_bipolar.json", fileio.bipolar_kary_capacity_payload(capacity)
+    )
 
 
 class TestPosetCommands:
@@ -126,18 +165,8 @@ class TestMosaicCheck:
 
 
 class TestChoquetEval:
-    def make_files(self, tmp_path):
-        rng = random.Random(1)
-        base = wedge_poset()
-        lattice = cq.DownsetLattice(base)
-        capacity = random_capacity(rng, lattice)
-        cpath = write(tmp_path, "capacity.json", fileio.capacity_payload(capacity))
-        profile = cq.Profile(base, {"a": "0.9", "b": "0.2", "c": "0.5"})
-        ppath = write(tmp_path, "profile.json", fileio.profile_payload(profile))
-        return capacity, profile, cpath, ppath
-
     def test_value_and_cross_check(self, capsys, tmp_path):
-        capacity, profile, cpath, ppath = self.make_files(tmp_path)
+        capacity, profile, cpath, ppath = choquet_files(tmp_path)
         code, payload = run_json(
             capsys, "choquet", "eval", "--capacity", cpath, "--profile", ppath, "--cross-check"
         )
@@ -146,7 +175,7 @@ class TestChoquetEval:
         assert payload["cross_check"]["agrees"] is True
 
     def test_decomposition_reconstructs_profile(self, capsys, tmp_path):
-        capacity, profile, cpath, ppath = self.make_files(tmp_path)
+        capacity, profile, cpath, ppath = choquet_files(tmp_path)
         code, payload = run_json(
             capsys, "choquet", "eval", "--capacity", cpath, "--profile", ppath, "--decomposition"
         )
@@ -160,7 +189,7 @@ class TestChoquetEval:
             assert abs(rebuilt[label] - float(value)) <= 1e-12
 
     def test_profile_must_match_base(self, capsys, tmp_path):
-        _, _, cpath, _ = self.make_files(tmp_path)
+        _, _, cpath, _ = choquet_files(tmp_path)
         bad = write(tmp_path, "bad_profile.json", {"values": {"a": 1}})
         code, payload = run_json(
             capsys, "choquet", "eval", "--capacity", cpath, "--profile", bad
@@ -170,20 +199,8 @@ class TestChoquetEval:
 
 
 class TestBipolarCommands:
-    def make_files(self, tmp_path):
-        rng = random.Random(2)
-        base = cq.build_kary_base(3, 2)
-        lattice = cq.DownsetLattice(base)
-        capacity = random_bipolar_capacity(rng, lattice)
-        cpath = write(tmp_path, "bipolar.json", fileio.bipolar_capacity_payload(capacity))
-        profile = cq.BipolarProfile(
-            base, {"c1l1": "0.5", "c1l2": "0.1", "c2l1": "-0.3", "c2l2": "-0.2"}
-        )
-        ppath = write(tmp_path, "signed_profile.json", fileio.bipolar_profile_payload(profile))
-        return capacity, profile, cpath, ppath
-
     def test_eval_with_tile_and_cross_check(self, capsys, tmp_path):
-        capacity, profile, cpath, ppath = self.make_files(tmp_path)
+        capacity, profile, cpath, ppath = bipolar_files(tmp_path)
         code, payload = run_json(
             capsys,
             "bipolar", "eval",
@@ -199,7 +216,7 @@ class TestBipolarCommands:
         assert len(payload["decomposition"]["chain"]) == 5
 
     def test_require_normalized_flag(self, capsys, tmp_path):
-        _, _, cpath, ppath = self.make_files(tmp_path)
+        _, _, cpath, ppath = bipolar_files(tmp_path)
         code, payload = run_json(
             capsys,
             "bipolar", "eval",
@@ -265,12 +282,7 @@ class TestKaryAndLevels:
         assert payload["cross_check"]["agrees"] is True
 
     def test_kary_eval_bipolar(self, capsys, tmp_path):
-        rng = random.Random(3)
-        lattice = cq.DownsetLattice(cq.build_kary_base(3, 2))
-        capacity = random_bipolar_capacity(rng, lattice)
-        cpath = write(
-            tmp_path, "grid_bipolar.json", fileio.bipolar_kary_capacity_payload(capacity)
-        )
+        cpath = bipolar_grid_capacity_path(tmp_path, 3)
         ppath = write(
             tmp_path,
             "signed.json",
@@ -302,12 +314,7 @@ class TestKaryAndLevels:
         assert payload["cross_check"]["agrees"] is True
 
     def test_levels_eval_bipolar(self, capsys, tmp_path):
-        rng = random.Random(4)
-        lattice = cq.DownsetLattice(cq.build_kary_base(3, 2))
-        capacity = random_bipolar_capacity(rng, lattice)
-        cpath = write(
-            tmp_path, "grid_bipolar.json", fileio.bipolar_kary_capacity_payload(capacity)
-        )
+        cpath = bipolar_grid_capacity_path(tmp_path, 4)
         spath = write(tmp_path, "sym.json", {"levels": ["-1", "-0.5", "0", "0.5", "1"]})
         code, payload = run_json(
             capsys,
@@ -344,6 +351,118 @@ class TestKaryAndLevels:
         )
         assert code == 2
         assert payload["error"]["code"] == "out_of_scale"
+
+
+def golden_argv(tmp_path, name):
+    """Command line of one golden case, on the fixtures of the tests above."""
+    unsigned_grid = {"c1l1": "0.5", "c1l2": "0.1", "c2l1": "0.3", "c2l2": "0.2"}
+    signed_grid = {"c1l1": "0.5", "c1l2": "0.1", "c2l1": "-0.3", "c2l2": "-0.2"}
+    report = ["--decomposition", "--cross-check"]
+    if name == "choquet":
+        _, _, cpath, ppath = choquet_files(tmp_path)
+        return ["choquet", "eval", "--capacity", cpath, "--profile", ppath, *report]
+    if name == "bipolar":
+        _, _, cpath, ppath = bipolar_files(tmp_path)
+        return ["bipolar", "eval", "--capacity", cpath, "--profile", ppath, *report]
+    if name == "kary":
+        ppath = write(tmp_path, "profile.json", {"values": unsigned_grid})
+        cpath = grid_capacity_path(tmp_path)
+        return ["kary", "eval", "--capacity", cpath, "--profile", ppath, *report]
+    if name == "kary_bipolar":
+        ppath = write(tmp_path, "signed.json", {"values": signed_grid})
+        cpath = bipolar_grid_capacity_path(tmp_path, 3)
+        return ["kary", "eval", "--bipolar", "--capacity", cpath, "--profile", ppath, *report]
+    if name == "levels":
+        spath = write(tmp_path, "scale.json", {"levels": ["0", "0.5", "1"]})
+        cpath = grid_capacity_path(tmp_path)
+        return ["levels", "eval", "--scale", spath, "--capacity", cpath, "--point", "0.7,0.1"]
+    spath = write(tmp_path, "sym.json", {"levels": ["-1", "-0.5", "0", "0.5", "1"]})
+    cpath = bipolar_grid_capacity_path(tmp_path, 4)
+    return [
+        "levels", "eval", "--bipolar",
+        "--scale", spath, "--capacity", cpath, "--point", "0.7,-0.1",
+    ]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = ["choquet", "bipolar", "kary", "kary_bipolar", "levels", "levels_bipolar"]
+WRONG = Fraction(99)
+
+
+def wrong_value(*args, **kwargs):
+    return WRONG
+
+
+def wrong_evaluation(*args, **kwargs):
+    return SimpleNamespace(value=WRONG)
+
+
+# golden case -> (dual-path function the CLI calls, stand-in, path names in the message)
+DUAL_PATHS = {
+    "choquet": ("moebius_form_eval", wrong_value, ("moebius", "direct")),
+    "bipolar": ("bipolar_moebius_form_eval", wrong_value, ("moebius", "direct")),
+    "kary": ("moebius_form_eval", wrong_value, ("moebius", "direct")),
+    "kary_bipolar": ("bipolar_moebius_form_eval", wrong_value, ("moebius", "direct")),
+    "levels": ("staircase_eval", wrong_value, ("staircase", "point")),
+    "levels_bipolar": ("evaluate_bipolar", wrong_evaluation, ("staircase", "point")),
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("name", GOLDEN_CASES)
+    def test_stdout_is_pinned(self, capsys, tmp_path, name):
+        code, out = run(capsys, *golden_argv(tmp_path, name))
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("name", GOLDEN_CASES)
+    def test_dual_path_disagreement_exits_3(self, capsys, tmp_path, monkeypatch, name):
+        target, stand_in, (dual_path, direct_path) = DUAL_PATHS[name]
+        monkeypatch.setattr(f"choqlat.cli.{target}", stand_in)
+        direct = json.loads((GOLDEN / f"{name}.out").read_text(encoding="utf-8"))["value"]
+        code, payload = run_json(capsys, *golden_argv(tmp_path, name))
+        assert code == 3
+        assert payload == {
+            "error": {
+                "code": "cross_check_failed",
+                "message": f"{dual_path} path gives {WRONG}, {direct_path} path gives {direct}",
+            }
+        }
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("bipolar", [False, True])
+    def test_grid_values_must_be_a_list(self, capsys, tmp_path, bipolar):
+        cpath = write(tmp_path, "grid.json", {"k": 3, "n": 2, "values": 5})
+        ppath = write(tmp_path, "profile.json", {"values": {"c1l1": "0.5"}})
+        flags = ["--bipolar"] if bipolar else []
+        code, payload = run_json(
+            capsys, "kary", "eval", *flags, "--capacity", cpath, "--profile", ppath
+        )
+        assert code == 2
+        assert payload["error"]["code"] == "file_format"
+        assert payload["error"]["field"] == "values"
+
+    def test_cover_label_must_be_a_string(self, capsys, tmp_path):
+        path = write(tmp_path, "poset.json", {"elements": ["a", "b"], "covers": [[["a"], "b"]]})
+        code, payload = run_json(capsys, "poset", "check", path)
+        assert code == 2
+        assert payload["error"]["code"] == "file_format"
+        assert payload["error"]["field"] == "covers"
+
+    @pytest.mark.parametrize("point", ["abc,0.2", "0.5,,0.2", "0.5,0.2,"])
+    def test_point_coordinates_must_parse(self, capsys, tmp_path, grid_capacity_file, point):
+        spath = write(tmp_path, "scale.json", {"levels": ["0", "0.5", "1"]})
+        code, payload = run_json(
+            capsys,
+            "levels", "eval",
+            "--scale", spath,
+            "--capacity", grid_capacity_file,
+            f"--point={point}",
+        )
+        assert code == 2
+        assert payload["error"]["code"] == "file_format"
+        assert payload["error"]["field"] == "point"
 
 
 class TestMobius:

@@ -130,7 +130,7 @@ class TestProfileFiles:
         base = antichain(2)
         profile = cq.BipolarProfile(base, {"1": "-0.5", "2": "0.25"})
         parsed = fileio.parse_bipolar_profile(
-            fileio.bipolar_profile_payload(profile), base
+            fileio.profile_payload(profile), base
         )
         assert parsed.values == profile.values
 

@@ -75,10 +75,11 @@ class TestKaryChoquet:
         profile = cq.Profile(
             grid32.base, {"c1l1": "0.5", "c1l2": "0.1", "c2l1": "0.3", "c2l2": "0.2"}
         )
-        evaluation = cq.kary_choquet(capacity, profile)
-        assert evaluation.levels == (1, 1, 2, 2)
-        assert evaluation.criteria == (1, 2, 2, 1)
-        assert evaluation.nodes == ((0, 0), (1, 0), (1, 1), (1, 2), (2, 2))
+        evaluation = cq.evaluate(capacity, profile)
+        steps = cq.grid_steps(evaluation, 2)
+        assert steps.levels == (1, 1, 2, 2)
+        assert steps.criteria == (1, 2, 2, 1)
+        assert steps.nodes == ((0, 0), (1, 0), (1, 1), (1, 2), (2, 2))
         assert evaluation.weights == (
             Fraction(1, 2),
             Fraction(1, 5),
@@ -88,20 +89,26 @@ class TestKaryChoquet:
         )
         assert evaluation.value == cq.natural_extension(capacity, profile)
 
+    def test_grid_steps_rejects_too_few_criteria(self, grid32):
+        profile = cq.Profile(grid32.base, {x: "0.5" for x in grid32.base.elements})
+        evaluation = cq.evaluate(random_capacity(random.Random(4), grid32), profile)
+        with pytest.raises(cq.InvalidDimensions):
+            cq.grid_steps(evaluation, 1)
+
     def test_constant_one_profile_hits_top(self, grid32):
         rng = random.Random(1)
         capacity = random_capacity(rng, grid32, game=True)
         profile = cq.Profile(grid32.base, {x: 1 for x in grid32.base.elements})
-        assert cq.kary_choquet(capacity, profile).value == capacity.values[grid32.top]
+        assert cq.natural_extension(capacity, profile) == capacity.values[grid32.top]
 
     def test_sorted_pass_is_nonincreasing(self, grid32):
         rng = random.Random(2)
         for _ in range(20):
             profile = random_profile(rng, grid32.base)
-            evaluation = cq.kary_choquet(random_capacity(rng, grid32), profile)
+            steps = cq.grid_steps(cq.evaluate(random_capacity(rng, grid32), profile), 2)
             run = [
                 profile.values[cq.level_label(c, l)]
-                for l, c in zip(evaluation.levels, evaluation.criteria)
+                for l, c in zip(steps.levels, steps.criteria)
             ]
             assert run == sorted(run, reverse=True)
 
@@ -110,7 +117,7 @@ class TestKaryChoquet:
         for _ in range(20):
             capacity = random_capacity(rng, grid32)
             profile = random_profile(rng, grid32.base)
-            assert cq.kary_choquet(capacity, profile).value == cq.moebius_form_eval(
+            assert cq.natural_extension(capacity, profile) == cq.moebius_form_eval(
                 cq.moebius_transform(capacity), profile
             )
 
@@ -250,9 +257,10 @@ class TestSignedGrid:
             grid32.base,
             {"c1l1": "0.5", "c1l2": "0.1", "c2l1": "-0.3", "c2l2": "-0.2"},
         )
-        evaluation = cq.bipolar_kary_choquet(capacity, profile)
-        assert evaluation.positive_criteria == frozenset({1})
-        assert evaluation.nodes == (
+        evaluation = cq.evaluate_bipolar(capacity, profile)
+        steps = cq.grid_steps(evaluation, 2)
+        assert steps.positive_criteria == frozenset({1})
+        assert steps.nodes == (
             ((0, 0), (0, 0)),
             ((1, 0), (0, 0)),
             ((1, 0), (0, 1)),
@@ -277,9 +285,9 @@ class TestSignedGrid:
         for _ in range(10):
             magnitude = random_profile(rng, grid32.base)
             signed = cq.BipolarProfile(grid32.base, magnitude.values)
-            assert cq.bipolar_kary_choquet(capacity, signed).value == cq.kary_choquet(
+            assert cq.bipolar_natural_extension(capacity, signed) == cq.natural_extension(
                 unsigned, magnitude
-            ).value
+            )
 
     def test_agrees_with_moebius_form(self, grid32):
         rng = random.Random(12)
@@ -287,9 +295,9 @@ class TestSignedGrid:
         coefficients = cq.bipolar_moebius_transform(grid32, capacity.values)
         for _ in range(10):
             profile = random_signed_profile(rng, grid32.base)
-            assert cq.bipolar_kary_choquet(
+            assert cq.bipolar_natural_extension(
                 capacity, profile
-            ).value == cq.bipolar_moebius_form_eval(coefficients, profile)
+            ) == cq.bipolar_moebius_form_eval(coefficients, profile)
 
 
 class TestSignedPoints:
@@ -310,7 +318,7 @@ class TestSignedPoints:
         )
         assert cq.interpolate_signed_point(
             capacity, ["0.7", "-0.1"], symmetric5
-        ) == cq.bipolar_kary_choquet(capacity, profile).value
+        ) == cq.bipolar_natural_extension(capacity, profile)
 
     def test_signed_point_agrees_with_chain_path(self, symmetric5):
         rng = random.Random(13)
@@ -320,7 +328,7 @@ class TestSignedPoints:
             point = [Fraction(rng.randint(-20, 20), 20) for _ in range(2)]
             direct = cq.interpolate_signed_point(capacity, point, symmetric5)
             _, _, profile = cq.bipolar_level_profile(point, symmetric5)
-            assert direct == cq.bipolar_kary_choquet(capacity, profile).value
+            assert direct == cq.bipolar_natural_extension(capacity, profile)
 
     def test_nonnegative_point_reduces_to_unsigned(self, symmetric5, scale3):
         rng = random.Random(14)
@@ -365,7 +373,7 @@ class TestTwoLevelCollapse:
             for _ in range(10):
                 game = random_capacity(rng, lattice, game=True)
                 profile = random_profile(rng, base)
-                assert cq.kary_choquet(game, profile).value == cq.choquet_classical(
+                assert cq.natural_extension(game, profile) == cq.choquet_classical(
                     game.values, profile.values
                 )
 
@@ -377,6 +385,6 @@ class TestTwoLevelCollapse:
             for _ in range(10):
                 capacity = random_bipolar_capacity(rng, lattice, game=True)
                 profile = random_signed_profile(rng, base)
-                assert cq.bipolar_kary_choquet(
+                assert cq.bipolar_natural_extension(
                     capacity, profile
-                ).value == cq.bicapacity_choquet(capacity, profile.values)
+                ) == cq.bicapacity_choquet(capacity, profile.values)

@@ -15,33 +15,35 @@ class TestValidation:
         assert p.leq("a", "a")
 
     def test_singleton(self):
-        p = cq.validate_poset(["a"], [])
+        p = cq.Poset(["a"], [])
         assert p.elements == ("a",)
         assert p.leq("a", "a")
 
     def test_two_cycle_rejected(self):
         with pytest.raises(cq.CycleDetected):
-            cq.validate_poset(["a", "b"], [("a", "b"), ("b", "a")])
+            cq.Poset(["a", "b"], [("a", "b"), ("b", "a")])
 
     def test_self_cover_rejected(self):
         with pytest.raises(cq.CycleDetected):
-            cq.validate_poset(["a"], [("a", "a")])
+            cq.Poset(["a"], [("a", "a")])
 
     def test_longer_cycle_rejected(self):
         with pytest.raises(cq.CycleDetected):
-            cq.validate_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+            cq.Poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
 
     def test_unknown_label_rejected(self):
         with pytest.raises(cq.UnknownLabel):
-            cq.validate_poset(["a"], [("a", "z")])
+            cq.Poset(["a"], [("a", "z")])
+        with pytest.raises(cq.UnknownLabel):
+            cq.Poset(["a", "b"], [(["a"], "b")])
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(cq.DuplicateLabel):
-            cq.validate_poset(["a", "a"], [])
+            cq.Poset(["a", "a"], [])
 
     def test_redundant_cover_rejected(self):
         with pytest.raises(cq.RedundantCover):
-            cq.validate_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+            cq.Poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
 
     def test_equality_ignores_input_order(self):
         p = cq.Poset(["b", "a"], [("a", "b")])
