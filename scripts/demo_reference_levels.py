@@ -67,7 +67,7 @@ def main():
     indexing, staircase = cq.level_profile(point, scale)
     print(f"point {point} on scale {[str(v) for v in scale.levels]}:")
     print(f"  level indices {indexing.indices}, residues {[str(z) for z in indexing.residues]}")
-    print(f"  corner sweep {corner}, staircase chain {cq.staircase_eval(capacity, staircase)}")
+    print(f"  corner sweep {corner}, staircase chain {cq.natural_extension(capacity, staircase)}")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Randomised agreement sweep between independent evaluation paths.
 
 Every value the library produces has a second route: chain decomposition vs
-Moebius form, corner sweep vs staircase chain, signed chain vs pair-table
-integral. This script hammers those pairs with random instances and reports
-counts and timing; any disagreement is a bug and exits nonzero.
+Moebius form, corner sweep vs the natural extension of the staircase
+profile, signed chain vs pair-table integral. This script hammers those
+pairs with random instances and reports counts and timing; any
+disagreement is a bug and exits nonzero.
 
     python scripts/dual_path_sweep.py --instances 300 --seed 7
 """
@@ -68,7 +69,7 @@ def sweep(instances, seed):
         point = [Fraction(rng.randint(0, 24), 24) for _ in range(n)]
         corner = cq.interpolate_point(capacity, point, scale)
         _, staircase = cq.level_profile(point, scale)
-        mismatches += corner != cq.staircase_eval(capacity, staircase)
+        mismatches += corner != cq.natural_extension(capacity, staircase)
 
         bipolar = cq.BipolarCapacity(
             lattice,

@@ -27,7 +27,6 @@ from .errors import (
     NotNonincreasing,
     NotNormalized,
     NotRegularMosaic,
-    NotStaircase,
     NotZeroOne,
     OutOfScale,
     ProfileNotInAnyTile,
@@ -56,7 +55,6 @@ from .birkhoff import (
 )
 from .moebius import (
     GeneralizedCapacity,
-    MoebiusVector,
     bipolar_moebius_function,
     bipolar_moebius_transform,
     bipolar_unanimity,
@@ -118,7 +116,6 @@ from .kary import (
     locate_point,
     locate_signed_point,
     node_to_downset,
-    staircase_eval,
 )
 from .rationals import as_fraction
 

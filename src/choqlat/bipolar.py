@@ -40,7 +40,7 @@ from .interpolation import (
     choquet_classical,
     triangulate,
 )
-from .moebius import check_bipolar_pair
+from .moebius import check_bipolar_pair, vertex_table
 from .poset import DOWNSET_CAP, Poset, connected_components, is_downset
 from .rationals import as_fraction
 
@@ -276,29 +276,25 @@ class BipolarCapacity:
     representable.
     """
 
-    def __init__(self, base, values: Mapping, max_size: int | None = None):
-        lattice = base if isinstance(base, DownsetLattice) else DownsetLattice(base, max_size)
+    def __init__(self, lattice: DownsetLattice, values: Mapping):
         domain = admissible_vertex_pairs(lattice)
-        domain_set = frozenset(domain)
-        parsed = {}
-        for key, raw in values.items():
-            pair = BipolarElement(*check_bipolar_pair(lattice, key))
-            if pair not in domain_set:
+        members = frozenset(domain)
+
+        def vertex(key) -> tuple[frozenset, frozenset]:
+            pos, neg = pair = check_bipolar_pair(lattice, key)
+            if pair not in members:
                 raise NotInTile(
-                    f"({sorted(pair.pos)!r}, {sorted(pair.neg)!r}) lies in no tile",
-                    pos=sorted(pair.pos),
-                    neg=sorted(pair.neg),
+                    f"({sorted(pos)!r}, {sorted(neg)!r}) lies in no tile",
+                    pos=sorted(pos),
+                    neg=sorted(neg),
                 )
-            parsed[pair] = as_fraction(raw)
-        if len(parsed) != len(domain):
-            missing = [p for p in domain if p not in parsed]
-            raise BaseMismatch(
-                f"missing values for {len(missing)} signed vertices, e.g."
-                f" ({sorted(missing[0].pos)!r}, {sorted(missing[0].neg)!r})"
-            )
+            return pair
+
+        self.values: dict[BipolarElement, Fraction] = vertex_table(
+            domain, values, vertex, "signed vertices in a tile"
+        )
         self.lattice = lattice
         self.base = lattice.base
-        self.values: dict[BipolarElement, Fraction] = {p: parsed[p] for p in domain}
 
     def __call__(self, pair) -> Fraction:
         pos, neg = pair

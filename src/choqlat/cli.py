@@ -39,7 +39,6 @@ from .kary import (
     interpolate_point,
     interpolate_signed_point,
     level_profile,
-    staircase_eval,
 )
 from .moebius import (
     GeneralizedCapacity,
@@ -205,10 +204,8 @@ def cmd_mobius(args):
     if bool(args.capacity) == bool(args.bipolar_capacity):
         raise FileFormatError("provide exactly one of --capacity / --bipolar-capacity")
     if args.capacity:
-        vector = moebius_transform(_load(args.capacity, fileio.parse_capacity))
-        coefficients = [
-            {"downset": sorted(d), "value": str(v)} for d, v in vector.coefficients.items()
-        ]
+        table = moebius_transform(_load(args.capacity, fileio.parse_capacity)).values
+        coefficients = [{"downset": sorted(d), "value": str(v)} for d, v in table.items()]
         return {"coefficients": coefficients}
     capacity = _load(args.bipolar_capacity, fileio.parse_bipolar_capacity)
     if not is_regular_mosaic(capacity.base):
@@ -275,7 +272,7 @@ def cmd_levels_eval(args):
     else:
         value = interpolate_point(capacity, point, scale)
         indexing, profile = level_profile(point, scale)
-        dual = staircase_eval(capacity, profile)
+        dual = evaluate(capacity, profile).value
         payload = _value_payload(value)
     payload["level_indices"] = list(indexing.indices)
     payload["residues"] = [str(z) for z in indexing.residues]
@@ -380,7 +377,7 @@ def cmd_selftest(args):
     _, staircase = level_profile(["0.7", "0.1"], scale)
     record(
         "point scoring two ways",
-        point_value == staircase_eval(capacity, staircase)
+        point_value == evaluate(capacity, staircase).value
         and point_value == Fraction(23, 60),
         {"value": str(point_value)},
     )

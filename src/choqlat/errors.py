@@ -123,10 +123,6 @@ class OutOfScale(ChoqlatError):
     code = "out_of_scale"
 
 
-class NotStaircase(ChoqlatError):
-    code = "not_staircase"
-
-
 # file handling
 
 class FileFormatError(ChoqlatError):

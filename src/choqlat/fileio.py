@@ -9,6 +9,7 @@ agree.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .bipolar import BipolarCapacity, BipolarProfile
 from .birkhoff import BirkhoffForm, DownsetLattice, verify_distributive
@@ -39,11 +40,39 @@ def _parse_value(raw, where: str) -> Fraction:
         raise FileFormatError(f"bad value in {where}: {exc}", field=where) from None
 
 
-def _entries(obj, where: str) -> list:
-    entries = _require(obj, "values", where)
+def _read_entries(obj, what: str, names: tuple[str, ...], part) -> dict:
+    """Values of a capacity file's entries, keyed by their ``names`` fields.
+
+    ``part(entry, name, where)`` reads one field; an entry with two fields
+    is keyed by the pair. The one duplicate-entry check: a vertex given
+    twice must carry the same value both times, and a clash names the entry.
+    """
+    entries = _require(obj, "values", f"{what} file")
     if not isinstance(entries, list):
         raise FileFormatError("values must be a list", field="values")
-    return entries
+    where = f"{what} entry"
+    pair = len(names) == 2
+    table: dict = {}
+    for entry in entries:
+        vertex = part(entry, names[0], where)
+        if pair:
+            vertex = (vertex, part(entry, names[1], where))
+        value = _parse_value(_require(entry, "value", where), "value")
+        if table.setdefault(vertex, value) != value:
+            fields = {name: entry[name] for name in names}
+            shown = ", ".join(repr(v) for v in fields.values())
+            label = f"({shown})" if pair else f"{names[0]} {shown}"
+            raise ContradictoryValue(f"two different values for {label}", **fields)
+    return table
+
+
+def _rows(table: dict, fields) -> list[dict]:
+    """Entries of a capacity file: each vertex's ``fields``, then its value."""
+    return [{**fields(vertex), "value": str(v)} for vertex, v in table.items()]
+
+
+def _labels(entry, name: str, where: str) -> frozenset:
+    return frozenset(_label_list(_require(entry, name, where), name))
 
 
 # posets and lattices
@@ -102,27 +131,14 @@ def lattice_payload(lattice: DownsetLattice) -> dict:
 
 def parse_capacity(obj) -> GeneralizedCapacity:
     lattice, _ = parse_lattice(_require(obj, "lattice", "capacity file"))
-    entries = _entries(obj, "capacity file")
-    table: dict[frozenset, Fraction] = {}
-    for entry in entries:
-        downset = frozenset(_label_list(_require(entry, "downset", "capacity entry"), "downset"))
-        value = _parse_value(_require(entry, "value", "capacity entry"), "value")
-        if downset in table and table[downset] != value:
-            raise ContradictoryValue(
-                f"two different values for downset {sorted(downset)!r}",
-                downset=sorted(downset),
-            )
-        table[downset] = value
+    table = _read_entries(obj, "capacity", ("downset",), _labels)
     return GeneralizedCapacity(lattice, table)
 
 
 def capacity_payload(capacity: GeneralizedCapacity) -> dict:
     return {
         "lattice": lattice_payload(capacity.lattice),
-        "values": [
-            {"downset": sorted(d), "value": str(v)}
-            for d, v in capacity.values.items()
-        ],
+        "values": _rows(capacity.values, lambda d: {"downset": sorted(d)}),
     }
 
 
@@ -147,30 +163,14 @@ def profile_payload(profile: Profile | BipolarProfile) -> dict:
 
 def parse_bipolar_capacity(obj) -> BipolarCapacity:
     lattice, _ = parse_lattice(_require(obj, "lattice", "bipolar capacity file"))
-    entries = _entries(obj, "bipolar capacity file")
-    table: dict[tuple, Fraction] = {}
-    for entry in entries:
-        pos = frozenset(_label_list(_require(entry, "pos", "bipolar entry"), "pos"))
-        neg = frozenset(_label_list(_require(entry, "neg", "bipolar entry"), "neg"))
-        value = _parse_value(_require(entry, "value", "bipolar entry"), "value")
-        key = (pos, neg)
-        if key in table and table[key] != value:
-            raise ContradictoryValue(
-                f"two different values for ({sorted(pos)!r}, {sorted(neg)!r})",
-                pos=sorted(pos),
-                neg=sorted(neg),
-            )
-        table[key] = value
+    table = _read_entries(obj, "bipolar capacity", ("pos", "neg"), _labels)
     return BipolarCapacity(lattice, table)
 
 
 def bipolar_capacity_payload(capacity: BipolarCapacity) -> dict:
     return {
         "lattice": lattice_payload(capacity.lattice),
-        "values": [
-            {"pos": sorted(pair.pos), "neg": sorted(pair.neg), "value": str(v)}
-            for pair, v in capacity.values.items()
-        ],
+        "values": _rows(capacity.values, lambda p: {"pos": sorted(p.pos), "neg": sorted(p.neg)}),
     }
 
 
@@ -190,25 +190,18 @@ def _grid_header(obj, where: str) -> tuple[int, int]:
     return k, n
 
 
-def _node(entry, key: str, k: int, n: int) -> frozenset:
-    node = _require(entry, key, "grid entry")
+def _node(entry, name: str, where: str, k: int, n: int) -> frozenset:
+    node = _require(entry, name, where)
     if not isinstance(node, list) or len(node) != n or not all(map(_is_int, node)):
         raise FileFormatError(
-            f"{key} must be a list of {n} integers", field=key
+            f"{name} must be a list of {n} integers", field=name
         )
     return node_to_downset(node, k)
 
 
 def parse_kary_capacity(obj) -> tuple[int, int, GeneralizedCapacity]:
     k, n = _grid_header(obj, "grid capacity file")
-    entries = _entries(obj, "grid capacity file")
-    table: dict[frozenset, Fraction] = {}
-    for entry in entries:
-        downset = _node(entry, "node", k, n)
-        value = _parse_value(_require(entry, "value", "grid entry"), "value")
-        if downset in table and table[downset] != value:
-            raise ContradictoryValue(f"two different values for node {entry['node']!r}")
-        table[downset] = value
+    table = _read_entries(obj, "grid capacity", ("node",), partial(_node, k=k, n=n))
     return k, n, GeneralizedCapacity(DownsetLattice(build_kary_base(k, n)), table)
 
 
@@ -217,43 +210,23 @@ def kary_capacity_payload(capacity: GeneralizedCapacity) -> dict:
     return {
         "k": k,
         "n": n,
-        "values": [
-            {"node": list(downset_to_node(d, n)), "value": str(v)}
-            for d, v in capacity.values.items()
-        ],
+        "values": _rows(capacity.values, lambda d: {"node": list(downset_to_node(d, n))}),
     }
 
 
 def parse_bipolar_kary_capacity(obj) -> tuple[int, int, BipolarCapacity]:
     k, n = _grid_header(obj, "grid bipolar capacity file")
-    entries = _entries(obj, "grid bipolar capacity file")
-    table: dict[tuple, Fraction] = {}
-    for entry in entries:
-        pos = _node(entry, "pos", k, n)
-        neg = _node(entry, "neg", k, n)
-        value = _parse_value(_require(entry, "value", "grid entry"), "value")
-        key = (pos, neg)
-        if key in table and table[key] != value:
-            raise ContradictoryValue(
-                f"two different values for node pair ({entry['pos']!r}, {entry['neg']!r})"
-            )
-        table[key] = value
-    return k, n, BipolarCapacity(build_kary_base(k, n), table)
+    table = _read_entries(obj, "grid bipolar capacity", ("pos", "neg"), partial(_node, k=k, n=n))
+    return k, n, BipolarCapacity(DownsetLattice(build_kary_base(k, n)), table)
 
 
 def bipolar_kary_capacity_payload(capacity: BipolarCapacity) -> dict:
     k, n = grid_shape(capacity.base)
+    node = lambda part: list(downset_to_node(part, n))
     return {
         "k": k,
         "n": n,
-        "values": [
-            {
-                "pos": list(downset_to_node(pair.pos, n)),
-                "neg": list(downset_to_node(pair.neg, n)),
-                "value": str(v),
-            }
-            for pair, v in capacity.values.items()
-        ],
+        "values": _rows(capacity.values, lambda p: {"pos": node(p.pos), "neg": node(p.neg)}),
     }
 
 

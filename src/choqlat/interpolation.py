@@ -30,7 +30,7 @@ from .errors import (
     NotZeroOne,
     ValueOutOfRange,
 )
-from .moebius import GeneralizedCapacity, MoebiusVector
+from .moebius import GeneralizedCapacity
 from .poset import Poset, linear_extension
 from .rationals import as_fraction
 
@@ -241,7 +241,7 @@ def zero_one_maxmin(functional: GeneralizedCapacity, profile: Profile) -> Fracti
     return best
 
 
-def moebius_form_eval(vector: MoebiusVector, profile: Profile) -> Fraction:
+def moebius_form_eval(coefficients: GeneralizedCapacity, profile: Profile) -> Fraction:
     """Evaluate the extension from Moebius coefficients.
 
     Each lattice element contributes its coefficient times the minimum
@@ -249,10 +249,10 @@ def moebius_form_eval(vector: MoebiusVector, profile: Profile) -> Fraction:
     the bare coefficient (empty meet is 1). Equals ``natural_extension`` of
     the zeta transform.
     """
-    if vector.lattice.base != profile.base:
+    if coefficients.lattice.base != profile.base:
         raise BaseMismatch("coefficients and profile are over different base posets")
     total = ZERO
-    for element, coeff in vector.coefficients.items():
+    for element, coeff in coefficients.values.items():
         if coeff:
             total += coeff * min((profile.values[j] for j in element), default=ONE)
     return total

@@ -6,10 +6,11 @@ The base poset for k levels and n criteria is a disjoint union of n chains
 with k-1 elements each; a point of the k^n grid corresponds to the downset
 of levels it dominates. A score vector is located inside a mesh cell, split
 into per-criterion level indices and residues, and scored by interpolating
-the capacity at the surrounding mesh nodes. The sorted-residue sweep, the
-staircase-profile evaluation and the generic natural extension all give the
-same number; the signed variants mirror the construction on a symmetric
-scale around 0. :func:`grid_steps` reads an
+the capacity at the surrounding mesh nodes. The sorted-residue sweep over
+mesh corners and the generic natural extension of the point's staircase
+profile give the same number along independent code, so each checks the
+other; the signed variants mirror the construction on a symmetric scale
+around 0. :func:`grid_steps` reads an
 :class:`~choqlat.interpolation.Evaluation` on a grid base as levels,
 criteria and grid points.
 """
@@ -21,12 +22,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .bipolar import BipolarCapacity, BipolarElement, BipolarProfile
-from .errors import (
-    BaseMismatch,
-    InvalidDimensions,
-    NotStaircase,
-    OutOfScale,
-)
+from .errors import InvalidDimensions, OutOfScale
 from .interpolation import Evaluation, Profile
 from .moebius import GeneralizedCapacity
 from .poset import Poset
@@ -152,12 +148,6 @@ class LevelIndexing:
         return sum(i - 1 for i in self.indices)
 
 
-def _residue_order(residues: Sequence[Fraction]) -> tuple[int, ...]:
-    return tuple(
-        sorted(range(1, len(residues) + 1), key=lambda i: (-residues[i - 1], i))
-    )
-
-
 def _locate(value: Fraction, scale: ReferenceScale, sign: int) -> tuple[int, Fraction]:
     """Level index and residue of one coordinate on one side of the scale.
 
@@ -198,7 +188,8 @@ def _locate_coordinates(
         index, residue = _locate(value, scale, sign)
         indices.append(index)
         residues.append(residue)
-    indexing = LevelIndexing(tuple(indices), tuple(residues), _residue_order(residues))
+    order = sorted(range(1, len(residues) + 1), key=lambda i: (-residues[i - 1], i))
+    indexing = LevelIndexing(tuple(indices), tuple(residues), tuple(order))
     return frozenset(positive), indexing
 
 
@@ -297,41 +288,6 @@ def interpolate_point(
     indexing = locate_point(point, scale)
     if len(indexing.indices) != n:
         raise InvalidDimensions(f"point has {len(indexing.indices)} coordinates, grid has {n}")
-    return _corner_sweep(capacity.values, indexing)
-
-
-def _parse_staircase(chain_values: Sequence[Fraction]) -> tuple[int, Fraction]:
-    ones = 0
-    while ones < len(chain_values) and chain_values[ones] == ONE:
-        ones += 1
-    if ones == len(chain_values):
-        return ones, ONE
-    index, residue = ones + 1, chain_values[ones]
-    if any(v != 0 for v in chain_values[ones + 1:]):
-        raise NotStaircase(
-            "per-criterion values must look like 1..1, residue, 0..0"
-        )
-    return index, residue
-
-
-def staircase_eval(capacity: GeneralizedCapacity, profile: Profile) -> Fraction:
-    """Closed n-step form of the extension for staircase profiles.
-
-    Each criterion's chain must read 1..1, residue, 0..0; the residue slot
-    is parsed deterministically as the first level below 1. Equals the
-    generic natural extension of the same profile.
-    """
-    k, n = grid_shape(capacity.lattice.base)
-    if profile.base != capacity.lattice.base:
-        raise BaseMismatch("capacity and profile are over different base posets")
-    indices, residues = [], []
-    for i in range(1, n + 1):
-        index, residue = _parse_staircase(
-            [profile.values[level_label(i, l)] for l in range(1, k)]
-        )
-        indices.append(index)
-        residues.append(residue)
-    indexing = LevelIndexing(tuple(indices), tuple(residues), _residue_order(residues))
     return _corner_sweep(capacity.values, indexing)
 
 

@@ -1,4 +1,10 @@
-"""Moebius functions and transforms, exact in rational arithmetic.
+"""Lattice functionals, Moebius functions and transforms, exact in rational
+arithmetic.
+
+A capacity, a game and its Moebius coefficients are one object, a rational
+value on each lattice vertex: :class:`GeneralizedCapacity`, or on the bipolar
+extension a table keyed by disjoint pairs. :func:`vertex_table` reads and
+checks every such table.
 
 On a downset lattice the Moebius function has a closed form: for downsets
 X <= Y it is (-1)^|Y - X| when Y - X is an antichain of the base and 0
@@ -15,7 +21,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Hashable, Mapping, Sequence
 
 from .birkhoff import DownsetLattice, disjoint_element_pairs
@@ -29,25 +35,32 @@ from .poset import Poset, linear_extension
 from .rationals import as_fraction
 
 
-def _lattice_table(lattice: DownsetLattice, entries: Mapping, what: str) -> dict:
-    """Parsed ``entries``, one per lattice element, in lattice order."""
-    parsed = {}
-    for key, raw in entries.items():
-        parsed[lattice.check_element(key)] = as_fraction(raw)
-    missing = [e for e in lattice.elements if e not in parsed]
-    if missing:
+def vertex_table(domain: Sequence, entries: Mapping, vertex: Callable, what: str) -> dict:
+    """Exact values of ``entries`` on every vertex of ``domain``, in domain order.
+
+    ``vertex`` checks each key and returns it as a member of ``domain``;
+    a vertex left without a value is reported with an example.
+    """
+    parsed = {vertex(key): as_fraction(raw) for key, raw in entries.items()}
+    if len(parsed) < len(domain):
+        missing = [v for v in domain if v not in parsed]
+        first = missing[0]
+        shown = sorted(first) if isinstance(first, frozenset) else tuple(map(sorted, first))
         raise BaseMismatch(
-            f"missing {what} for {len(missing)} lattice elements,"
-            f" e.g. {sorted(missing[0])!r}"
+            f"missing values for {len(missing)} of the {len(domain)} {what},"
+            f" e.g. {shown!r}"
         )
-    return {e: parsed[e] for e in lattice.elements}
+    return {v: parsed[v] for v in domain}
 
 
 class GeneralizedCapacity:
-    """A rational value attached to every element of a downset lattice."""
+    """A rational value attached to every element of a downset lattice: a
+    capacity, a game, or the Moebius coefficients of one."""
 
     def __init__(self, lattice: DownsetLattice, values: Mapping):
-        self.values: dict[frozenset, Fraction] = _lattice_table(lattice, values, "values")
+        self.values: dict[frozenset, Fraction] = vertex_table(
+            lattice.elements, values, lattice.check_element, "lattice elements"
+        )
         self.lattice = lattice
 
     def __call__(self, x) -> Fraction:
@@ -69,25 +82,6 @@ class GeneralizedCapacity:
         return all(
             self.values[a] <= self.values[b] for a, b in self.lattice.cover_pairs()
         )
-
-
-class MoebiusVector:
-    """Coordinates of a lattice functional in the unanimity basis."""
-
-    def __init__(self, lattice: DownsetLattice, coefficients: Mapping):
-        self.coefficients: dict[frozenset, Fraction] = _lattice_table(
-            lattice, coefficients, "coefficients"
-        )
-        self.lattice = lattice
-
-    def __call__(self, x) -> Fraction:
-        try:
-            return self.coefficients[frozenset(x)]
-        except KeyError:
-            raise NotAnElement(f"{sorted(frozenset(x))!r} is not a lattice element") from None
-
-    def __repr__(self) -> str:
-        return f"MoebiusVector(on {len(self.coefficients)} elements)"
 
 
 def rota_moebius(
@@ -181,16 +175,17 @@ def _downset_pass(base: Poset, table: dict, sides: int, inverse: bool) -> dict:
     return out
 
 
-def moebius_transform(g: GeneralizedCapacity) -> MoebiusVector:
-    """Coefficients of ``g`` in the unanimity basis; inverse of ``zeta_transform``."""
+def moebius_transform(g: GeneralizedCapacity) -> GeneralizedCapacity:
+    """Coefficients of ``g`` in the unanimity basis, as a table on the same
+    lattice; inverse of ``zeta_transform``."""
     table = {(x,): v for x, v in g.values.items()}
     out = _downset_pass(g.lattice.base, table, 1, inverse=True)
-    return MoebiusVector(g.lattice, {key[0]: v for key, v in out.items()})
+    return GeneralizedCapacity(g.lattice, {key[0]: v for key, v in out.items()})
 
 
-def zeta_transform(m: MoebiusVector) -> GeneralizedCapacity:
+def zeta_transform(m: GeneralizedCapacity) -> GeneralizedCapacity:
     """Accumulate coefficients upward: value at x sums m over elements below x."""
-    table = {(x,): v for x, v in m.coefficients.items()}
+    table = {(x,): v for x, v in m.values.items()}
     out = _downset_pass(m.lattice.base, table, 1, inverse=False)
     return GeneralizedCapacity(m.lattice, {key[0]: v for key, v in out.items()})
 
@@ -230,16 +225,12 @@ def bipolar_moebius_function(lattice: DownsetLattice, lower, upper) -> int:
 
 def _full_bipolar_table(lattice: DownsetLattice, values: Mapping) -> dict:
     """Validated values keyed and ordered by :func:`disjoint_element_pairs`."""
-    table = {}
-    for key, raw in values.items():
-        table[check_bipolar_pair(lattice, key)] = as_fraction(raw)
-    expected = disjoint_element_pairs(lattice)
-    if len(table) != len(expected) or any(pair not in table for pair in expected):
-        raise BaseMismatch(
-            "values must cover the whole bipolar extension"
-            f" ({len(expected)} pairs, got {len(table)})"
-        )
-    return {pair: table[pair] for pair in expected}
+    return vertex_table(
+        disjoint_element_pairs(lattice),
+        values,
+        partial(check_bipolar_pair, lattice),
+        "pairs of the bipolar extension",
+    )
 
 
 def bipolar_moebius_transform(lattice: DownsetLattice, values: Mapping) -> dict:

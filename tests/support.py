@@ -104,7 +104,7 @@ def capacities(draw, lattice: cq.DownsetLattice, game=False):
 # by the defining Moebius recursion
 
 
-def slow_moebius_transform(g: cq.GeneralizedCapacity) -> cq.MoebiusVector:
+def slow_moebius_transform(g: cq.GeneralizedCapacity) -> cq.GeneralizedCapacity:
     lattice = g.lattice
     cache: dict = {}
     coefficients = {}
@@ -116,7 +116,7 @@ def slow_moebius_transform(g: cq.GeneralizedCapacity) -> cq.MoebiusVector:
                     lattice.elements, frozenset.issubset, y, x, cache
                 )
         coefficients[x] = acc
-    return cq.MoebiusVector(lattice, coefficients)
+    return cq.GeneralizedCapacity(lattice, coefficients)
 
 
 def slow_bipolar_moebius_transform(lattice: cq.DownsetLattice, values) -> dict:

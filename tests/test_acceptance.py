@@ -263,7 +263,7 @@ def test_criterion_6_interpolation_identities():
         ]
         direct = cq.interpolate_point(capacity, point, scale)
         _, staircase = cq.level_profile(point, scale)
-        dual = cq.staircase_eval(capacity, staircase)
+        dual = cq.natural_extension(capacity, staircase)
         point_ok = point_ok and direct == dual
         worst = max(worst, abs(float(direct - dual)))
 

@@ -403,7 +403,7 @@ DUAL_PATHS = {
     "bipolar": ("bipolar_moebius_form_eval", wrong_value, ("moebius", "direct")),
     "kary": ("moebius_form_eval", wrong_value, ("moebius", "direct")),
     "kary_bipolar": ("bipolar_moebius_form_eval", wrong_value, ("moebius", "direct")),
-    "levels": ("staircase_eval", wrong_value, ("staircase", "point")),
+    "levels": ("evaluate", wrong_evaluation, ("staircase", "point")),
     "levels_bipolar": ("evaluate_bipolar", wrong_evaluation, ("staircase", "point")),
 }
 
@@ -429,8 +429,47 @@ class TestGoldenOutput:
             }
         }
 
+    @pytest.mark.parametrize("name", ["levels", "levels_bipolar"])
+    def test_broken_corner_sweep_exits_3(self, capsys, tmp_path, monkeypatch, name):
+        """The point path and its cross-check share no code: a wrong corner
+        sweep is caught by the generic extension of the staircase profile."""
+        monkeypatch.setattr("choqlat.kary._corner_sweep", wrong_value)
+        dual = json.loads((GOLDEN / f"{name}.out").read_text(encoding="utf-8"))["value"]
+        code, payload = run_json(capsys, *golden_argv(tmp_path, name))
+        assert code == 3
+        assert payload == {
+            "error": {
+                "code": "cross_check_failed",
+                "message": f"staircase path gives {dual}, point path gives {WRONG}",
+            }
+        }
+
+
+# capacity file format of a golden case -> fields naming one of its entries
+ENTRY_FIELDS = {
+    "choquet": ["downset"],
+    "bipolar": ["pos", "neg"],
+    "kary": ["node"],
+    "kary_bipolar": ["pos", "neg"],
+}
+
 
 class TestInputBoundary:
+    @pytest.mark.parametrize("name", list(ENTRY_FIELDS))
+    def test_contradictory_duplicate_names_the_entry(self, capsys, tmp_path, name):
+        fields = ENTRY_FIELDS[name]
+        argv = golden_argv(tmp_path, name)
+        cpath = Path(argv[argv.index("--capacity") + 1])
+        capacity = json.loads(cpath.read_text(encoding="utf-8"))
+        clash = {**capacity["values"][1], "value": str(WRONG)}
+        assert capacity["values"][1]["value"] != clash["value"]
+        capacity["values"].append(clash)
+        cpath.write_text(json.dumps(capacity), encoding="utf-8")
+        code, payload = run_json(capsys, *argv)
+        assert code == 2
+        assert payload["error"]["code"] == "contradictory_value"
+        assert {f: payload["error"].get(f) for f in fields} == {f: clash[f] for f in fields}
+
     @pytest.mark.parametrize("bipolar", [False, True])
     def test_grid_values_must_be_a_list(self, capsys, tmp_path, bipolar):
         cpath = write(tmp_path, "grid.json", {"k": 3, "n": 2, "values": 5})

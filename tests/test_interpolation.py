@@ -279,7 +279,7 @@ class TestZeroOneMaxmin:
 class TestMoebiusFormEval:
     def test_boolean_hand_sum(self):
         lattice = cq.DownsetLattice(antichain(2))
-        vector = cq.MoebiusVector(
+        vector = cq.GeneralizedCapacity(
             lattice,
             {
                 frozenset(): 0,
@@ -297,7 +297,7 @@ class TestMoebiusFormEval:
     def test_indicator_coefficients_give_min(self, data):
         lattice = data.draw(lattices(min_elements=1, max_elements=5))
         x = data.draw(st.sampled_from(lattice.elements))
-        vector = cq.MoebiusVector(
+        vector = cq.GeneralizedCapacity(
             lattice, {e: int(e == x) for e in lattice.elements}
         )
         profile = data.draw(profiles(lattice.base))

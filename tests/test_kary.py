@@ -205,7 +205,6 @@ class TestPointInterpolation:
             point = [Fraction(rng.randint(0, 20), 20) for _ in range(2)]
             direct = cq.interpolate_point(capacity, point, scale3)
             _, staircase = cq.level_profile(point, scale3)
-            assert direct == cq.staircase_eval(capacity, staircase)
             assert direct == cq.natural_extension(capacity, staircase)
 
     def test_scale_shape_checked(self, grid32):
@@ -216,37 +215,6 @@ class TestPointInterpolation:
                 ["0.5", "0.5"],
                 wrong,
             )
-
-
-class TestStaircaseEval:
-    def test_rejects_non_staircase(self, grid32):
-        rng = random.Random(7)
-        capacity = random_capacity(rng, grid32)
-        profile = cq.Profile(
-            grid32.base, {"c1l1": "0.9", "c1l2": "0.4", "c2l1": 0, "c2l2": 0}
-        )
-        with pytest.raises(cq.NotStaircase):
-            cq.staircase_eval(capacity, profile)
-
-    def test_full_residues_reach_upper_corner(self, grid32):
-        rng = random.Random(8)
-        capacity = random_capacity(rng, grid32)
-        profile = cq.Profile(
-            grid32.base, {"c1l1": 1, "c1l2": 0, "c2l1": 1, "c2l2": 0}
-        )
-        assert cq.staircase_eval(capacity, profile) == capacity.values[
-            cq.node_to_downset((1, 1), 3)
-        ]
-
-    def test_zero_residues_stay_at_prefix(self, grid32):
-        rng = random.Random(9)
-        capacity = random_capacity(rng, grid32)
-        profile = cq.Profile(
-            grid32.base, {"c1l1": 1, "c1l2": 0, "c2l1": 0, "c2l2": 0}
-        )
-        assert cq.staircase_eval(capacity, profile) == capacity.values[
-            cq.node_to_downset((1, 0), 3)
-        ]
 
 
 class TestSignedGrid:
