@@ -4,7 +4,10 @@ Every value the library produces has a second route: chain decomposition vs
 Moebius form, corner sweep vs the natural extension of the staircase
 profile, signed chain vs pair-table integral. This script hammers those
 pairs with random instances and reports counts and timing; any
-disagreement is a bug and exits nonzero.
+disagreement is a bug and exits nonzero. Like a long-running caller, it
+keeps one lattice per grid across instances, so the transforms run on the
+step plans cached with each lattice, and its values carry denominators
+from 1 to over a dozen digits.
 
     python scripts/dual_path_sweep.py --instances 300 --seed 7
 """
@@ -18,9 +21,11 @@ from fractions import Fraction
 import choqlat as cq
 
 GRIDS = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]
+DENOMINATORS = (1, 2, 3, 7, 12, 60, 97, 1024, 10**9 + 7, 3**40)
 
 
-def random_fraction(rng, low=-2, high=2, denominator=12):
+def random_fraction(rng, low=-2, high=2):
+    denominator = rng.choice(DENOMINATORS)
     return Fraction(rng.randint(low * denominator, high * denominator), denominator)
 
 
@@ -49,11 +54,12 @@ def sweep(instances, seed):
     rng = random.Random(seed)
     mismatches = 0
     started = time.perf_counter()
+    lattices = [cq.DownsetLattice(cq.build_kary_base(k, n)) for k, n in GRIDS]
 
     for i in range(instances):
         k, n = GRIDS[i % len(GRIDS)]
-        base = cq.build_kary_base(k, n)
-        lattice = cq.DownsetLattice(base)
+        lattice = lattices[i % len(GRIDS)]
+        base = lattice.base
 
         capacity = cq.GeneralizedCapacity(
             lattice, {d: random_fraction(rng) for d in lattice.elements}

@@ -253,8 +253,12 @@ def admissible_vertex_pairs(
 
     For a regular mosaic this is the whole bipolar extension; otherwise it
     is a strict subset (elements like two minimal points of one component on
-    opposite signs belong to no tile).
+    opposite signs belong to no tile). Computed once per lattice.
     """
+    return lattice.derived(_admissible_pairs)
+
+
+def _admissible_pairs(lattice: DownsetLattice) -> tuple[BipolarElement, ...]:
     comp_index: dict[str, int] = {}
     for i, comp in enumerate(connected_components(lattice.base)):
         for label in comp.members:
@@ -265,6 +269,10 @@ def admissible_vertex_pairs(
             continue
         out.append(BipolarElement(pos, neg))
     return tuple(out)
+
+
+def _admissible_members(lattice: DownsetLattice) -> frozenset:
+    return frozenset(admissible_vertex_pairs(lattice))
 
 
 class BipolarCapacity:
@@ -278,7 +286,7 @@ class BipolarCapacity:
 
     def __init__(self, lattice: DownsetLattice, values: Mapping):
         domain = admissible_vertex_pairs(lattice)
-        members = frozenset(domain)
+        members = lattice.derived(_admissible_members)
 
         def vertex(key) -> tuple[frozenset, frozenset]:
             pos, neg = pair = check_bipolar_pair(lattice, key)

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Mapping, TypeVar
 
 from .errors import NotALattice, NotAnElement, NotDistributive, SizeLimitExceeded
 from .poset import Poset, all_downsets, downset_key
+
+T = TypeVar("T")
 
 
 class DownsetLattice:
@@ -22,12 +24,14 @@ class DownsetLattice:
 
     Bottom is the empty set, top is the whole ground set. Elements are
     enumerated lazily (first access to :attr:`elements`) and cached; a
-    ``max_size`` cap guards the exponential family.
+    ``max_size`` cap guards the exponential family. Tables that other
+    modules derive from the lattice are cached with it by :meth:`derived`.
     """
 
     def __init__(self, base: Poset, max_size: int | None = None):
         self.base = base
         self._max_size = max_size
+        self._derived: dict = {}
 
     @cached_property
     def elements(self) -> tuple[frozenset, ...]:
@@ -64,6 +68,16 @@ class DownsetLattice:
 
     def __repr__(self) -> str:
         return f"DownsetLattice(base={self.base!r})"
+
+    def derived(self, build: Callable[["DownsetLattice"], T]) -> T:
+        """``build(self)``, computed on the first request and kept with the
+        lattice under the key ``build`` (a module-level function), so the
+        cache lives and dies with this instance. ``build`` must depend on the
+        lattice alone: threads racing on a first request may each build, and
+        whichever result is kept equals the other."""
+        if build not in self._derived:
+            self._derived[build] = build(self)
+        return self._derived[build]
 
     def check_element(self, x) -> frozenset:
         """``x`` as a lattice element, rejecting anything that is not one.
@@ -119,8 +133,12 @@ def disjoint_element_pairs(
     lattice: DownsetLattice,
 ) -> tuple[tuple[frozenset, frozenset], ...]:
     """All ordered pairs of disjoint lattice elements, canonically ordered."""
+    return lattice.derived(_disjoint_pairs)
+
+
+def _disjoint_pairs(lattice: DownsetLattice) -> tuple[tuple[frozenset, frozenset], ...]:
     elems = lattice.elements
-    return tuple((a, b) for a in elems for b in elems if not (a & b))
+    return tuple([(a, b) for a in elems for b in elems if a.isdisjoint(b)])
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,16 @@ from functools import partial
 
 from .bipolar import BipolarCapacity, BipolarProfile
 from .birkhoff import BirkhoffForm, DownsetLattice, verify_distributive
-from .errors import ContradictoryValue, FileFormatError
+from .errors import ContradictoryValue, FileFormatError, SizeLimitExceeded
 from .interpolation import Profile
 from .kary import ReferenceScale, build_kary_base, node_to_downset, downset_to_node, grid_shape
 from .moebius import GeneralizedCapacity
-from .poset import Poset
+from .poset import DOWNSET_CAP, Poset
 from .rationals import as_fraction
+
+# A grid base is n chains of k-1 elements, and ordering a chain takes time
+# and memory quadratic in its length: larger grid headers are refused.
+GRID_ELEMENT_CAP = 1024
 
 
 def _require(obj, key: str, where: str):
@@ -183,10 +187,23 @@ def _is_int(x) -> bool:
 
 
 def _grid_header(obj, where: str) -> tuple[int, int]:
+    """(k, n) of a grid file, refused before anything is built when the
+    base or its lattice of k**n nodes would be over budget."""
     k = _require(obj, "k", where)
     n = _require(obj, "n", where)
     if not (_is_int(k) and _is_int(n)):
         raise FileFormatError(f"k and n must be integers in {where}", field="k")
+    if k >= 2 and n >= 1:
+        if (k - 1) * n > GRID_ELEMENT_CAP:
+            raise SizeLimitExceeded(
+                f"grid base has (k-1)*n = {(k - 1) * n} elements, over the cap"
+                f" {GRID_ELEMENT_CAP}",
+                cap=GRID_ELEMENT_CAP,
+            )
+        if k**n > DOWNSET_CAP:
+            raise SizeLimitExceeded(
+                f"grid lattice has {k}**{n} nodes, over the cap {DOWNSET_CAP}", cap=DOWNSET_CAP
+            )
     return k, n
 
 

@@ -11,17 +11,27 @@ X <= Y it is (-1)^|Y - X| when Y - X is an antichain of the base and 0
 otherwise (Rota 1964). The zeta/Moebius transform pair therefore runs as one
 accumulation (or difference) pass per base element along a linear
 extension, in O(n |L|); the bipolar extension, a down-closed family of
-downset pairs, takes one pass per (side, base element). The defining
-recursion :func:`rota_moebius` remains for arbitrary finite orders; its
-memo caches are created per call (or passed in explicitly), never global, so
-concurrent evaluations need no coordination.
+downset pairs, takes one pass per (side, base element). Which vertex each
+step combines with which depends on the lattice alone, so that step plan is
+built once per lattice, as two integer arrays, and kept with it. Each
+transform then scales its values to integer numerators over their common
+denominator, runs the plan's additions (or, backwards, its subtractions) on
+Python ints, and makes one exact ``Fraction`` per vertex at the end (the
+fast Moebius transform of Kennes 1992, with denominators cleared).
+
+No cache is global: step plans and pair tables live on the
+:class:`DownsetLattice` they were built for (:meth:`DownsetLattice.derived`),
+and the memo of the defining recursion :func:`rota_moebius`, which remains
+for arbitrary finite orders, is created per call or passed in explicitly.
+Callers that share nothing need no coordination.
 """
 
 from __future__ import annotations
 
-import operator
+from array import array
 from fractions import Fraction
 from functools import cached_property, partial
+from math import lcm
 from typing import Callable, Hashable, Mapping, Sequence
 
 from .birkhoff import DownsetLattice, disjoint_element_pairs
@@ -145,49 +155,89 @@ def lattice_moebius(lattice: DownsetLattice, lower, upper) -> int:
     return _interval_moebius(lattice.base, x, y)
 
 
-def _downset_pass(base: Poset, table: dict, sides: int, inverse: bool) -> dict:
+def _step_plan(lattice: DownsetLattice, sides: int) -> tuple:
+    """Index pairs (key, key with j removed from one side) for every
+    (side, base element j) step, the steps in linear-extension order.
+
+    Keys are the lattice elements as 1-tuples (one side) or the disjoint
+    pairs of :func:`disjoint_element_pairs` (two sides), in that order. They
+    form a down-closed family under the product order, so each interval
+    below a key is the same in the family as in the full product of
+    lattices. A key takes part in the step (side, j) when j is maximal in
+    that side: no upper cover of j lies in it. Within one step no key is
+    another's lower key, so the flat sequence, read backwards, is also the
+    inverse's order of steps. Lower keys are found by a bit code: base
+    element j of side s is bit s * width + (position of j in the linear
+    extension).
+    """
+    base = lattice.base
+    order = linear_extension(base)
+    width = len(order)
+    bit = {j: 1 << position for position, j in enumerate(order)}
+    covers = {j: sum(map(bit.get, base.upper_covers(j))) for j in order}
+    code = {x: sum(map(bit.get, x)) for x in lattice.elements}
+    if sides == 1:
+        domain = [(x,) for x in lattice.elements]
+        codes = [code[x] for x in lattice.elements]
+    else:
+        domain = disjoint_element_pairs(lattice)
+        codes = [code[pos] | code[neg] << width for pos, neg in domain]
+    shifts = [side * width for side in range(sides)]
+    index = {c: i for i, c in enumerate(codes)}
+    steps = [[] for _ in shifts for _ in order]
+    for i, (key, key_code) in enumerate(zip(domain, codes)):
+        for shift, part in zip(shifts, key):
+            present = code[part]
+            for j in part:
+                if not covers[j] & present:
+                    step = bit[j] << shift
+                    steps[step.bit_length() - 1] += (i, index[key_code ^ step])
+    flat = array("i")
+    for pairs in steps:
+        flat.extend(pairs)
+    return flat[0::2], flat[1::2]
+
+
+def _lattice_plan(lattice: DownsetLattice) -> tuple:
+    return _step_plan(lattice, 1)
+
+
+def _extension_plan(lattice: DownsetLattice) -> tuple:
+    return _step_plan(lattice, 2)
+
+
+def _downset_pass(plan: tuple, table: dict, inverse: bool) -> dict:
     """Zeta transform of ``table``, or its Moebius transform when ``inverse``.
 
-    Keys are tuples of ``sides`` downsets of ``base`` forming a down-closed
-    family under the product order, so each interval below a key is the
-    same in the family as in the full product of lattices. One step per
-    (side, base element j) adds the value at the key with j removed from
-    that side, wherever j is maximal there (no upper cover of j present);
-    the steps run along the linear extension, and backwards with
-    subtraction for the inverse. The result keeps the key order of
-    ``table``.
+    ``table`` holds exact values in the order of the domain ``plan`` was
+    built on. Each step adds the value at the lower key (subtracts it, with
+    the steps reversed, for the inverse); the sums run on integer
+    numerators over the common denominator, and each result becomes one
+    ``Fraction`` at the end.
     """
-    steps = [
-        (side, j, frozenset(base.upper_covers(j)))
-        for side in range(sides)
-        for j in linear_extension(base)
-    ]
+    keys, lowers = plan
+    scale = lcm(*{v.denominator for v in table.values()})
+    nums = [v.numerator * (scale // v.denominator) for v in table.values()]
     if inverse:
-        steps.reverse()
-    combine = operator.sub if inverse else operator.add
-    out = dict(table)
-    for side, j, covers in steps:
-        for key in table:
-            part = key[side]
-            if j in part and covers.isdisjoint(part):
-                lower = key[:side] + (part - {j},) + key[side + 1 :]
-                out[key] = combine(out[key], out[lower])
-    return out
+        for key, lower in zip(reversed(keys), reversed(lowers)):
+            nums[key] -= nums[lower]
+    else:
+        for key, lower in zip(keys, lowers):
+            nums[key] += nums[lower]
+    return {x: Fraction(num, scale) for x, num in zip(table, nums)}
 
 
 def moebius_transform(g: GeneralizedCapacity) -> GeneralizedCapacity:
     """Coefficients of ``g`` in the unanimity basis, as a table on the same
     lattice; inverse of ``zeta_transform``."""
-    table = {(x,): v for x, v in g.values.items()}
-    out = _downset_pass(g.lattice.base, table, 1, inverse=True)
-    return GeneralizedCapacity(g.lattice, {key[0]: v for key, v in out.items()})
+    plan = g.lattice.derived(_lattice_plan)
+    return GeneralizedCapacity(g.lattice, _downset_pass(plan, g.values, inverse=True))
 
 
 def zeta_transform(m: GeneralizedCapacity) -> GeneralizedCapacity:
     """Accumulate coefficients upward: value at x sums m over elements below x."""
-    table = {(x,): v for x, v in m.values.items()}
-    out = _downset_pass(m.lattice.base, table, 1, inverse=False)
-    return GeneralizedCapacity(m.lattice, {key[0]: v for key, v in out.items()})
+    plan = m.lattice.derived(_lattice_plan)
+    return GeneralizedCapacity(m.lattice, _downset_pass(plan, m.values, inverse=False))
 
 
 def unanimity(lattice: DownsetLattice, x) -> GeneralizedCapacity:
@@ -237,13 +287,13 @@ def bipolar_moebius_transform(lattice: DownsetLattice, values: Mapping) -> dict:
     """Moebius coefficients of a functional given on the whole bipolar
     extension; inverse of :func:`bipolar_zeta_transform`."""
     table = _full_bipolar_table(lattice, values)
-    return _downset_pass(lattice.base, table, 2, inverse=True)
+    return _downset_pass(lattice.derived(_extension_plan), table, inverse=True)
 
 
 def bipolar_zeta_transform(lattice: DownsetLattice, coefficients: Mapping) -> dict:
     """Accumulate bipolar coefficients upward under the product order."""
     table = _full_bipolar_table(lattice, coefficients)
-    return _downset_pass(lattice.base, table, 2, inverse=False)
+    return _downset_pass(lattice.derived(_extension_plan), table, inverse=False)
 
 
 def bipolar_unanimity(lattice: DownsetLattice, pair) -> dict:

@@ -100,8 +100,56 @@ def capacities(draw, lattice: cq.DownsetLattice, game=False):
     return cq.GeneralizedCapacity(lattice, values)
 
 
-# slow reference transforms: a sum over every comparable pair, each weighted
-# by the defining Moebius recursion
+# Vertex values whose common denominator varies: 1 (zero and integer
+# tables), small and mixed, pairwise coprime primes, or dozens of digits.
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+VALUE_KINDS = {
+    "zero": st.just(Fraction(0)),
+    "integer": st.integers(-10**6, 10**6).map(Fraction),
+    "small": st.fractions(min_value=-3, max_value=3, max_denominator=60),
+    "coprime": st.builds(Fraction, st.integers(-50, 50), st.sampled_from(PRIMES)),
+    "large": st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**30)),
+}
+VALUE_KINDS["mixed"] = st.one_of(*VALUE_KINDS.values())
+
+
+@st.composite
+def exact_tables(draw, keys):
+    """One exact value per key, all drawn from one of ``VALUE_KINDS``."""
+    values = VALUE_KINDS[draw(st.sampled_from(sorted(VALUE_KINDS)))]
+    return {key: draw(values) for key in keys}
+
+
+def slow_disjoint_element_pairs(lattice: cq.DownsetLattice) -> tuple:
+    """The plain double loop over the lattice: every ordered disjoint pair."""
+    elems = lattice.elements
+    return tuple((a, b) for a in elems for b in elems if not (a & b))
+
+
+# slow reference transforms: zeta sums over everything below; Moebius sums
+# over every comparable pair, each weighted by the defining recursion
+
+
+def slow_zeta_transform(m: cq.GeneralizedCapacity) -> cq.GeneralizedCapacity:
+    lattice = m.lattice
+    sums = {
+        x: sum((m.values[y] for y in lattice.elements if y <= x), Fraction(0))
+        for x in lattice.elements
+    }
+    return cq.GeneralizedCapacity(lattice, sums)
+
+
+def slow_bipolar_zeta_transform(lattice: cq.DownsetLattice, coefficients) -> dict:
+    table = {
+        check_bipolar_pair(lattice, key): cq.as_fraction(raw)
+        for key, raw in coefficients.items()
+    }
+    return {
+        (x, y): sum(
+            (v for (z, t), v in table.items() if z <= x and t <= y), Fraction(0)
+        )
+        for (x, y) in slow_disjoint_element_pairs(lattice)
+    }
 
 
 def slow_moebius_transform(g: cq.GeneralizedCapacity) -> cq.GeneralizedCapacity:
@@ -126,7 +174,7 @@ def slow_bipolar_moebius_transform(lattice: cq.DownsetLattice, values) -> dict:
     }
     cache: dict = {}
     out = {}
-    for (x, y) in cq.disjoint_element_pairs(lattice):
+    for (x, y) in slow_disjoint_element_pairs(lattice):
         acc = Fraction(0)
         for (z, t), value in table.items():
             if z <= x and t <= y:

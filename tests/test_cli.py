@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -499,6 +500,36 @@ class TestInputBoundary:
             "--capacity", grid_capacity_file,
             f"--point={point}",
         )
+        assert code == 2
+        assert payload["error"]["code"] == "file_format"
+        assert payload["error"]["field"] == "point"
+
+    @pytest.mark.parametrize("bipolar", [False, True])
+    @pytest.mark.parametrize("header", [{"k": 200000, "n": 1}, {"k": 3, "n": 10**40}])
+    def test_grid_header_over_budget_exits_fast(self, capsys, tmp_path, bipolar, header):
+        cpath = write(tmp_path, "grid.json", {**header, "values": []})
+        ppath = write(tmp_path, "profile.json", {"values": {"c1l1": "0.5"}})
+        flags = ["--bipolar"] if bipolar else []
+        started = time.perf_counter()
+        code, payload = run_json(
+            capsys, "kary", "eval", *flags, "--capacity", cpath, "--profile", ppath
+        )
+        assert time.perf_counter() - started < 1
+        assert code == 2
+        assert payload["error"]["code"] == "size_limit_exceeded"
+
+    @pytest.mark.parametrize("point", ["inf,0.2", "0.5,-Infinity", "1e-99999999999,0.2"])
+    def test_point_must_be_finite_and_bounded(self, capsys, tmp_path, grid_capacity_file, point):
+        spath = write(tmp_path, "scale.json", {"levels": ["0", "0.5", "1"]})
+        started = time.perf_counter()
+        code, payload = run_json(
+            capsys,
+            "levels", "eval",
+            "--scale", spath,
+            "--capacity", grid_capacity_file,
+            f"--point={point}",
+        )
+        assert time.perf_counter() - started < 1
         assert code == 2
         assert payload["error"]["code"] == "file_format"
         assert payload["error"]["field"] == "point"

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import choqlat as cq
-from choqlat import fileio
+from choqlat import fileio, rationals
 from support import antichain, random_bipolar_capacity, random_capacity, wedge_poset
 
 
@@ -30,6 +30,24 @@ class TestValueParsing:
             cq.as_fraction(None)
         with pytest.raises(ValueError):
             cq.as_fraction("1/0")
+
+    @pytest.mark.parametrize(
+        "raw", ["inf", "-inf", "Infinity", "nan", "sNaN", "1e-9999999", "1e-99999999999", "1E+1001"]
+    )
+    def test_rejects_non_finite_and_huge_exponents(self, raw):
+        with pytest.raises(ValueError):
+            cq.as_fraction(raw)
+
+    def test_rejects_overlong_strings(self):
+        digits = "1" * rationals.MAX_DIGITS
+        assert cq.as_fraction(digits) == int(digits)
+        with pytest.raises(ValueError):
+            cq.as_fraction(digits + "1")
+
+    def test_exponent_bound_is_inclusive(self):
+        bound = rationals.MAX_EXPONENT
+        assert cq.as_fraction(f"1e{bound}") == 10**bound
+        assert cq.as_fraction(f"2.5E-{bound}") == Fraction(25, 10 ** (bound + 1))
 
 
 class TestPosetFiles:
@@ -197,6 +215,40 @@ class TestGridFiles:
         payload = {"k": 3, "n": 2, "values": [{"node": [True, 0], "value": "0"}]}
         with pytest.raises(cq.FileFormatError):
             fileio.parse_kary_capacity(payload)
+
+    @pytest.mark.parametrize(
+        "k,n",
+        [
+            (fileio.GRID_ELEMENT_CAP + 2, 1),
+            (200000, 1),
+            (2, 10**30),
+            (3, 13),
+            (1001, 2),
+        ],
+    )
+    def test_header_over_budget_rejected(self, k, n):
+        payload = {"k": k, "n": n, "values": []}
+        with pytest.raises(cq.SizeLimitExceeded):
+            fileio.parse_kary_capacity(payload)
+        with pytest.raises(cq.SizeLimitExceeded):
+            fileio.parse_bipolar_kary_capacity(payload)
+
+    def test_largest_headers_in_use_still_parse(self):
+        grid = cq.DownsetLattice(cq.build_kary_base(6, 5))
+        zero = cq.GeneralizedCapacity(grid, {x: 0 for x in grid.elements})
+        k, n, parsed = fileio.parse_kary_capacity(fileio.kary_capacity_payload(zero))
+        assert (k, n, len(parsed.values)) == (6, 5, 7776)
+        signed = cq.DownsetLattice(cq.build_kary_base(4, 4))
+        pairs = cq.admissible_vertex_pairs(signed)
+        payload = fileio.bipolar_kary_capacity_payload(
+            cq.BipolarCapacity(signed, {pair: 0 for pair in pairs})
+        )
+        k, n, parsed = fileio.parse_bipolar_kary_capacity(payload)
+        assert (k, n, len(parsed.values)) == (4, 4, 2401)
+        longest = fileio.GRID_ELEMENT_CAP + 1
+        entries = [{"node": [i], "value": "0"} for i in range(longest)]
+        k, n, _ = fileio.parse_kary_capacity({"k": longest, "n": 1, "values": entries})
+        assert (k, n) == (longest, 1)
 
 
 class TestScaleFiles:

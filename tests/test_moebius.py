@@ -12,10 +12,13 @@ from support import (
     antichain,
     capacities,
     chain,
+    exact_tables,
     lattices,
-    random_fraction,
     slow_bipolar_moebius_transform,
+    slow_bipolar_zeta_transform,
+    slow_disjoint_element_pairs,
     slow_moebius_transform,
+    slow_zeta_transform,
     wedge_poset,
 )
 
@@ -288,41 +291,51 @@ class TestBipolarMoebius:
             cq.bipolar_moebius_transform(lattice, {(frozenset(), frozenset()): 1})
 
 
-def random_bipolar_table(lattice, seed):
-    rng = random.Random(seed)
-    return {pair: random_fraction(rng) for pair in cq.disjoint_element_pairs(lattice)}
-
-
 class TestFastTransformsAgainstSlowPath:
-    """The per-element passes against the sum over every comparable pair
-    weighted by the Moebius recursion, on posets of up to six elements."""
+    """The integer passes along the per-lattice step plan against the slow
+    oracles (sums over everything below, or over every comparable pair
+    weighted by the Moebius recursion), on posets of up to six elements and
+    tables whose common denominator is 1, small, a product of coprime
+    primes, or dozens of digits long."""
 
     @given(st.data())
     def test_unsigned_matches_slow(self, data):
         lattice = data.draw(lattices(max_elements=6))
-        capacity = data.draw(capacities(lattice))
+        capacity = cq.GeneralizedCapacity(lattice, data.draw(exact_tables(lattice.elements)))
         fast = cq.moebius_transform(capacity).values
         slow = slow_moebius_transform(capacity).values
         assert list(fast.items()) == list(slow.items())
+        fast = cq.zeta_transform(capacity).values
+        slow = slow_zeta_transform(capacity).values
+        assert list(fast.items()) == list(slow.items())
 
-    @given(lattices(max_elements=6), st.integers(min_value=0, max_value=2**32))
-    def test_bipolar_matches_slow(self, lattice, seed):
-        table = random_bipolar_table(lattice, seed)
+    @given(lattices(max_elements=6), st.data())
+    def test_bipolar_matches_slow(self, lattice, data):
+        table = data.draw(exact_tables(slow_disjoint_element_pairs(lattice)))
         fast = cq.bipolar_moebius_transform(lattice, table)
         slow = slow_bipolar_moebius_transform(lattice, table)
+        assert list(fast.items()) == list(slow.items())
+        fast = cq.bipolar_zeta_transform(lattice, table)
+        slow = slow_bipolar_zeta_transform(lattice, table)
         assert list(fast.items()) == list(slow.items())
 
     @given(st.data())
     def test_zeta_inverts_moebius(self, data):
         lattice = data.draw(lattices(max_elements=6))
-        capacity = data.draw(capacities(lattice))
+        capacity = cq.GeneralizedCapacity(lattice, data.draw(exact_tables(lattice.elements)))
         again = cq.zeta_transform(cq.moebius_transform(capacity))
         assert list(again.values.items()) == list(capacity.values.items())
-        table = random_bipolar_table(lattice, data.draw(st.integers(0, 2**32)))
+        table = data.draw(exact_tables(slow_disjoint_element_pairs(lattice)))
         signed = cq.bipolar_zeta_transform(
             lattice, cq.bipolar_moebius_transform(lattice, table)
         )
         assert list(signed.items()) == list(table.items())
+
+    @given(lattices(max_elements=6))
+    def test_disjoint_pairs_match_double_loop(self, lattice):
+        pairs = cq.disjoint_element_pairs(lattice)
+        assert pairs == slow_disjoint_element_pairs(lattice)
+        assert cq.disjoint_element_pairs(lattice) is pairs
 
     @given(lattices(max_elements=6))
     def test_closed_form_matches_recursion(self, lattice):
@@ -344,6 +357,28 @@ class TestFastTransformsAgainstSlowPath:
                     assert cq.bipolar_moebius_function(
                         lattice, low, up
                     ) == cq.rota_moebius(pairs, cq.bipolar_leq, low, up, cache)
+
+
+    def test_interleaved_and_repeated_transforms_equal_fresh_ones(self):
+        """Lattices kept across calls, each running both transforms in turn,
+        give what a lattice that has seen nothing else gives."""
+        rng = random.Random(17)
+        draw = lambda: Fraction(rng.randint(-99, 99), rng.randint(1, 40))
+        kept = [cq.DownsetLattice(cq.build_kary_base(3, 2)), cq.DownsetLattice(wedge_poset())]
+        for _ in range(4):
+            for lattice in kept:
+                values = {x: draw() for x in lattice.elements}
+                got = cq.moebius_transform(cq.GeneralizedCapacity(lattice, values))
+                fresh = cq.DownsetLattice(lattice.base)
+                want = cq.moebius_transform(cq.GeneralizedCapacity(fresh, values))
+                assert list(got.values.items()) == list(want.values.items())
+                assert cq.zeta_transform(got).values == values
+                table = {pair: draw() for pair in cq.disjoint_element_pairs(lattice)}
+                got = cq.bipolar_moebius_transform(lattice, table)
+                fresh = cq.DownsetLattice(lattice.base)
+                want = cq.bipolar_moebius_transform(fresh, table)
+                assert list(got.items()) == list(want.items())
+                assert cq.bipolar_zeta_transform(lattice, got) == table
 
 
 def _subsets(s):
