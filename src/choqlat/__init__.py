@@ -47,9 +47,10 @@ from .poset import (
     reduce_order,
 )
 from .birkhoff import (
+    BipolarElement,
     BirkhoffForm,
     DownsetLattice,
-    disjoint_element_pairs,
+    bipolar_extension,
     explicit_poset,
     verify_distributive,
 )
@@ -60,7 +61,6 @@ from .moebius import (
     bipolar_unanimity,
     bipolar_zeta_transform,
     lattice_moebius,
-    moebius_function,
     moebius_transform,
     rota_moebius,
     unanimity,
@@ -79,13 +79,11 @@ from .interpolation import (
 )
 from .bipolar import (
     BipolarCapacity,
-    BipolarElement,
     BipolarProfile,
     Tile,
     admissible_vertex_pairs,
     bicapacity_choquet,
     bipolar_cover_pairs,
-    bipolar_extension,
     bipolar_join_irreducibles,
     bipolar_leq,
     bipolar_moebius_form_eval,

@@ -1,11 +1,11 @@
-"""Bipolar extension of a distributive lattice: signed vertices, tiles,
-mosaic structure, signed profiles and capacities, and the signed natural
-extension.
+"""Signed structure on a distributive lattice: tiles, mosaic structure,
+signed profiles and capacities, and the signed natural extension.
 
-The bipolar extension pairs two disjoint lattice elements, a positive and a
-negative part, under the product order. For a complemented element the
-interval below (x, complement) is a tile order-isomorphic to the whole
-lattice; when every connected component of the base poset has a single
+A signed vertex pairs a positive and a negative part from the bipolar
+extension (:func:`~choqlat.birkhoff.bipolar_extension`). For a complemented
+element the interval below (x, complement) is a tile order-isomorphic to
+the whole lattice; the vertices in some tile are read off the extension by
+one filter. When every connected component of the base poset has a single
 bottom element the tiles cover the entire extension (a "regular mosaic"),
 and signed profiles can be evaluated by pulling them back to the unsigned
 polytope through their tile: :func:`evaluate_bipolar` returns the same
@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
-from .birkhoff import DownsetLattice, disjoint_element_pairs
+from .birkhoff import BipolarElement, DownsetLattice, bipolar_extension
 from .errors import (
     BaseMismatch,
     NotAnElement,
@@ -31,7 +31,6 @@ from .errors import (
     NotRegularMosaic,
     ProfileNotInAnyTile,
     SignConstraintViolated,
-    SizeLimitExceeded,
 )
 from .interpolation import (
     Evaluation,
@@ -41,37 +40,16 @@ from .interpolation import (
     triangulate,
 )
 from .moebius import check_bipolar_pair, vertex_table
-from .poset import DOWNSET_CAP, Poset, connected_components, is_downset
+from .poset import Poset, connected_components, is_downset
 from .rationals import as_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class BipolarElement(NamedTuple):
-    """Signed vertex: a positive and a negative part with empty meet."""
-
-    pos: frozenset
-    neg: frozenset
-
-
 def bipolar_leq(a, b) -> bool:
     """Product order on signed elements."""
     return a[0] <= b[0] and a[1] <= b[1]
-
-
-def bipolar_extension(
-    lattice: DownsetLattice, max_size: int | None = None
-) -> tuple[BipolarElement, ...]:
-    """Enumerate the bipolar extension: all disjoint element pairs, in
-    canonical order."""
-    cap = DOWNSET_CAP if max_size is None else max_size
-    out = []
-    for pos, neg in disjoint_element_pairs(lattice):
-        out.append(BipolarElement(pos, neg))
-        if len(out) > cap:
-            raise SizeLimitExceeded(f"bipolar extension exceeds cap {cap}", cap=cap)
-    return tuple(out)
 
 
 def bipolar_cover_pairs(
@@ -136,18 +114,6 @@ class Tile:
         neg_parts = [d for d in self.lattice.elements if d <= self.negative]
         return tuple(BipolarElement(a, b) for a in pos_parts for b in neg_parts)
 
-    def __contains__(self, pair) -> bool:
-        try:
-            pos, neg = pair
-            return (
-                frozenset(pos) in self.lattice
-                and frozenset(neg) in self.lattice
-                and frozenset(pos) <= self.positive
-                and frozenset(neg) <= self.negative
-            )
-        except (TypeError, ValueError):
-            return False
-
     def check_pair(self, pair) -> BipolarElement:
         pos, neg = pair
         pos = self.lattice.check_element(pos)
@@ -181,12 +147,14 @@ def tile(lattice: DownsetLattice, x) -> Tile:
     return Tile(lattice, member, complement)
 
 
-def tile_union(lattice: DownsetLattice) -> set:
-    """Signed vertices lying in the tile of some complemented element."""
-    covered: set = set()
-    for member in lattice.complemented():
-        covered.update(tile(lattice, member).elements)
-    return covered
+def tile_union(lattice: DownsetLattice) -> frozenset:
+    """Signed vertices lying in the tile of some complemented element: the
+    admissible vertex pairs as a set, built once per lattice."""
+    return lattice.derived(_tile_union)
+
+
+def _tile_union(lattice: DownsetLattice) -> frozenset:
+    return frozenset(admissible_vertex_pairs(lattice))
 
 
 def psi(lattice: DownsetLattice, x, signed: Mapping[str, int]) -> BipolarElement:
@@ -259,20 +227,13 @@ def admissible_vertex_pairs(
 
 
 def _admissible_pairs(lattice: DownsetLattice) -> tuple[BipolarElement, ...]:
-    comp_index: dict[str, int] = {}
-    for i, comp in enumerate(connected_components(lattice.base)):
-        for label in comp.members:
-            comp_index[label] = i
-    out = []
-    for pos, neg in disjoint_element_pairs(lattice):
-        if {comp_index[l] for l in pos} & {comp_index[l] for l in neg}:
-            continue
-        out.append(BipolarElement(pos, neg))
-    return tuple(out)
-
-
-def _admissible_members(lattice: DownsetLattice) -> frozenset:
-    return frozenset(admissible_vertex_pairs(lattice))
+    # both parts of a disjoint pair meet a component only if it has two bottoms
+    shared = [c.members for c in connected_components(lattice.base) if len(c.minimals) > 1]
+    return tuple(
+        pair
+        for pair in bipolar_extension(lattice)
+        if all(pair.pos.isdisjoint(c) or pair.neg.isdisjoint(c) for c in shared)
+    )
 
 
 class BipolarCapacity:
@@ -286,7 +247,7 @@ class BipolarCapacity:
 
     def __init__(self, lattice: DownsetLattice, values: Mapping):
         domain = admissible_vertex_pairs(lattice)
-        members = lattice.derived(_admissible_members)
+        members = tile_union(lattice)
 
         def vertex(key) -> tuple[frozenset, frozenset]:
             pos, neg = pair = check_bipolar_pair(lattice, key)
@@ -352,11 +313,11 @@ def select_tile(profile: BipolarProfile) -> frozenset:
     no strictly negative value (so all-zero components count as positive);
     a component carrying both strict signs lies in no tile.
     """
-    base = profile.base
-    if not is_regular_mosaic(base):
-        raise NotRegularMosaic("tile selection needs single-bottom components")
+    components = connected_components(profile.base)
+    if any(len(comp.minimals) != 1 for comp in components):
+        raise NotRegularMosaic("signed evaluation needs a regular mosaic base")
     positive: set = set()
-    for comp in connected_components(base):
+    for comp in components:
         has_pos = any(profile.values[l] > 0 for l in comp.members)
         has_neg = any(profile.values[l] < 0 for l in comp.members)
         if has_pos and has_neg:
@@ -381,6 +342,8 @@ def _complemented(base: Poset, x) -> frozenset:
 
 
 def _checked_tile(profile: BipolarProfile, x) -> frozenset:
+    if not is_regular_mosaic(profile.base):
+        raise NotRegularMosaic("signed evaluation needs a regular mosaic base")
     member = _complemented(profile.base, x)
     for label, value in profile.values.items():
         if value > 0 and label not in member:
@@ -405,8 +368,6 @@ def evaluate_bipolar(
     """
     if capacity.base != profile.base:
         raise BaseMismatch("capacity and profile are over different base posets")
-    if not is_regular_mosaic(profile.base):
-        raise NotRegularMosaic("signed evaluation needs a regular mosaic base")
     positive = select_tile(profile) if tile_hint is None else _checked_tile(profile, tile_hint)
     negative = frozenset(profile.base.elements) - positive
     dec = triangulate(profile.magnitude())

@@ -5,16 +5,19 @@ downsets of the poset of its join-irreducible elements ordered by inclusion.
 This module keeps that single representation everywhere: joins are unions,
 meets are intersections, and explicitly presented lattices are converted at
 the boundary by :func:`verify_distributive`.
+
+The bipolar extension, the ordered pairs of disjoint elements, has one
+enumerator, :func:`bipolar_extension`, which counts the pairs first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Mapping, NamedTuple, TypeVar
 
 from .errors import NotALattice, NotAnElement, NotDistributive, SizeLimitExceeded
-from .poset import Poset, all_downsets, downset_key
+from .poset import DOWNSET_CAP, Poset, all_downsets, connected_components, downset_key
 
 T = TypeVar("T")
 
@@ -23,19 +26,18 @@ class DownsetLattice:
     """The lattice of all downsets of ``base``, ordered by inclusion.
 
     Bottom is the empty set, top is the whole ground set. Elements are
-    enumerated lazily (first access to :attr:`elements`) and cached; a
-    ``max_size`` cap guards the exponential family. Tables that other
+    enumerated lazily (first access to :attr:`elements`) and cached;
+    ``DOWNSET_CAP`` guards the exponential family. Tables that other
     modules derive from the lattice are cached with it by :meth:`derived`.
     """
 
-    def __init__(self, base: Poset, max_size: int | None = None):
+    def __init__(self, base: Poset):
         self.base = base
-        self._max_size = max_size
         self._derived: dict = {}
 
     @cached_property
     def elements(self) -> tuple[frozenset, ...]:
-        return tuple(all_downsets(self.base, self._max_size))
+        return tuple(all_downsets(self.base))
 
     @cached_property
     def _member_set(self) -> frozenset:
@@ -129,16 +131,50 @@ class DownsetLattice:
         return {d: top - d for d in self.elements if (top - d) in member}
 
 
-def disjoint_element_pairs(
-    lattice: DownsetLattice,
-) -> tuple[tuple[frozenset, frozenset], ...]:
-    """All ordered pairs of disjoint lattice elements, canonically ordered."""
-    return lattice.derived(_disjoint_pairs)
+class BipolarElement(NamedTuple):
+    """Signed vertex: a positive and a negative part with empty meet."""
+
+    pos: frozenset
+    neg: frozenset
 
 
-def _disjoint_pairs(lattice: DownsetLattice) -> tuple[tuple[frozenset, frozenset], ...]:
+def bipolar_extension(lattice: DownsetLattice) -> tuple[BipolarElement, ...]:
+    """Every ordered pair of disjoint lattice elements, by the lattice order
+    of the positive part, then of the negative part. Built once per lattice;
+    refused with :class:`SizeLimitExceeded` before it is built when the
+    count (:func:`_extension_size`) is over ``DOWNSET_CAP``."""
+    return lattice.derived(_extension)
+
+
+def _extension(lattice: DownsetLattice) -> tuple[BipolarElement, ...]:
+    size = _extension_size(lattice)
+    if size > DOWNSET_CAP:
+        raise SizeLimitExceeded(
+            f"bipolar extension has at least {size} pairs, over the cap {DOWNSET_CAP}",
+            cap=DOWNSET_CAP,
+        )
     elems = lattice.elements
-    return tuple([(a, b) for a in elems for b in elems if a.isdisjoint(b)])
+    return tuple([BipolarElement(a, b) for a in elems for b in elems if a.isdisjoint(b)])
+
+
+def _extension_size(lattice: DownsetLattice) -> int:
+    """Number of disjoint element pairs, or a lower bound past ``DOWNSET_CAP``:
+    a product over the components of the base. Nonempty downsets of a
+    component with one bottom all hold it, so its lattice L_c gives
+    2|L_c| - 1 pairs; other components are scanned until the cap is passed."""
+    size = 1
+    for component in connected_components(lattice.base):
+        inside = [d for d in lattice.elements if d <= component.members]
+        if len(component.minimals) == 1:
+            size *= 2 * len(inside) - 1
+            continue
+        pairs = 0
+        for a in inside:
+            if size * pairs > DOWNSET_CAP:
+                break
+            pairs += sum(1 for b in inside if a.isdisjoint(b))
+        size *= pairs
+    return size
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Command line interface: validation, evaluation and diagram emission.
 
 Commands print machine-readable JSON on stdout (Graphviz text with --dot).
-Exit codes: 0 ok, 2 validation failure, 3 internal invariant breach (a
+Exit codes: 0 ok, 2 bad input or arguments, 3 internal invariant breach (a
 cross-check disagreement or a failed selftest).
 """
 
@@ -15,10 +15,8 @@ from fractions import Fraction
 from . import fileio
 from .bipolar import (
     BipolarCapacity,
-    BipolarElement,
     admissible_vertex_pairs,
     bipolar_cover_pairs,
-    bipolar_extension,
     bipolar_join_irreducibles,
     bipolar_leq,
     bipolar_moebius_form_eval,
@@ -27,7 +25,7 @@ from .bipolar import (
     is_regular_mosaic,
     tile_union,
 )
-from .birkhoff import DownsetLattice
+from .birkhoff import BipolarElement, DownsetLattice, bipolar_extension
 from .errors import ChoqlatError, FileFormatError, NotNormalized, NotRegularMosaic
 from .interpolation import Evaluation, Profile, evaluate, moebius_form_eval
 from .kary import (
@@ -54,6 +52,17 @@ class CrossCheckFailure(Exception):
     """Two evaluation paths disagreed; the build's invariants are broken."""
 
 
+class UsageError(ChoqlatError):
+    code = "usage"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments end like a bad input file: a JSON error and exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _print_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, default=str) + "\n")
 
@@ -64,7 +73,8 @@ def _load(path, parse, *extra):
             obj = json.load(handle)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}", file=str(path)) from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON or UTF-8, an integer over the digit limit, too deep nesting
         raise FileFormatError(f"{path} is not valid JSON: {exc}", file=str(path)) from None
     try:
         return parse(obj, *extra)
@@ -387,7 +397,7 @@ def cmd_selftest(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="choqlat",
         description=(
             "Vertex-functional interpolation on distributive lattices:"
@@ -476,8 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         result = args.handler(args)
     except CrossCheckFailure as exc:
         _print_json({"error": {"code": "cross_check_failed", "message": str(exc)}})

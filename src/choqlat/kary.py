@@ -72,6 +72,10 @@ def grid_shape(base: Poset) -> tuple[int, int]:
     return k, n
 
 
+def _lattice_shape(lattice) -> tuple[int, int]:
+    return grid_shape(lattice.base)
+
+
 def node_to_downset(node: Sequence[int], k: int) -> frozenset:
     """Downset of the base poset matching a grid point."""
     out = set()
@@ -280,7 +284,7 @@ def interpolate_point(
     Reads the 2^n corner values lazily rather than materialising a local
     capacity. Returns the capacity value itself at mesh nodes.
     """
-    k, n = grid_shape(capacity.lattice.base)
+    k, n = capacity.lattice.derived(_lattice_shape)
     if scale.symmetric or scale.k != k:
         raise InvalidDimensions(
             f"scale has {scale.k} levels but the capacity grid has {k}"
@@ -353,7 +357,7 @@ def interpolate_signed_point(
     Criteria split by score sign (zero counts as positive); mesh corners are
     read as signed vertices split along that tile.
     """
-    k, n = grid_shape(capacity.base)
+    k, n = capacity.lattice.derived(_lattice_shape)
     if not scale.symmetric or scale.k != k:
         raise InvalidDimensions(
             f"need a symmetric scale with {k} levels per side"

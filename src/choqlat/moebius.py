@@ -34,7 +34,7 @@ from functools import cached_property, partial
 from math import lcm
 from typing import Callable, Hashable, Mapping, Sequence
 
-from .birkhoff import DownsetLattice, disjoint_element_pairs
+from .birkhoff import DownsetLattice, bipolar_extension
 from .errors import (
     BaseMismatch,
     NotAnElement,
@@ -128,12 +128,6 @@ def rota_moebius(
     return mu(upper)
 
 
-def moebius_function(p: Poset, lower: str, upper: str, cache: dict | None = None) -> int:
-    """Moebius function of a poset between two comparable elements."""
-    p.leq(lower, upper)  # raises UnknownLabel early
-    return rota_moebius(p.elements, p.leq, lower, upper, cache)
-
-
 def _interval_moebius(base: Poset, lower: frozenset, upper: frozenset) -> int:
     """Moebius value between downsets ``lower <= upper``.
 
@@ -159,9 +153,9 @@ def _step_plan(lattice: DownsetLattice, sides: int) -> tuple:
     """Index pairs (key, key with j removed from one side) for every
     (side, base element j) step, the steps in linear-extension order.
 
-    Keys are the lattice elements as 1-tuples (one side) or the disjoint
-    pairs of :func:`disjoint_element_pairs` (two sides), in that order. They
-    form a down-closed family under the product order, so each interval
+    Keys are the lattice elements as 1-tuples (one side) or the pairs of
+    :func:`~choqlat.birkhoff.bipolar_extension` (two sides), in that order.
+    They form a down-closed family under the product order, so each interval
     below a key is the same in the family as in the full product of
     lattices. A key takes part in the step (side, j) when j is maximal in
     that side: no upper cover of j lies in it. Within one step no key is
@@ -180,7 +174,7 @@ def _step_plan(lattice: DownsetLattice, sides: int) -> tuple:
         domain = [(x,) for x in lattice.elements]
         codes = [code[x] for x in lattice.elements]
     else:
-        domain = disjoint_element_pairs(lattice)
+        domain = bipolar_extension(lattice)
         codes = [code[pos] | code[neg] << width for pos, neg in domain]
     shifts = [side * width for side in range(sides)]
     index = {c: i for i, c in enumerate(codes)}
@@ -274,9 +268,9 @@ def bipolar_moebius_function(lattice: DownsetLattice, lower, upper) -> int:
 
 
 def _full_bipolar_table(lattice: DownsetLattice, values: Mapping) -> dict:
-    """Validated values keyed and ordered by :func:`disjoint_element_pairs`."""
+    """Validated values keyed and ordered by the bipolar extension."""
     return vertex_table(
-        disjoint_element_pairs(lattice),
+        bipolar_extension(lattice),
         values,
         partial(check_bipolar_pair, lattice),
         "pairs of the bipolar extension",
@@ -301,6 +295,5 @@ def bipolar_unanimity(lattice: DownsetLattice, pair) -> dict:
     bipolar extension."""
     x, y = check_bipolar_pair(lattice, pair)
     return {
-        (a, b): Fraction(int(x <= a and y <= b))
-        for (a, b) in disjoint_element_pairs(lattice)
+        (a, b): Fraction(int(x <= a and y <= b)) for (a, b) in bipolar_extension(lattice)
     }

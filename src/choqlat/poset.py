@@ -128,9 +128,6 @@ class Poset:
     def lower_covers(self, x: str) -> tuple[str, ...]:
         return self._lowers[self._check(x)]
 
-    def minimals(self) -> tuple[str, ...]:
-        return tuple(x for x in self.elements if not self._lowers[x])
-
     def restrict(self, members: Iterable[str]) -> "Poset":
         """Sub-poset induced on ``members``; covers are recomputed."""
         kept = sorted({self._check(label) for label in members})

@@ -126,6 +126,25 @@ def slow_disjoint_element_pairs(lattice: cq.DownsetLattice) -> tuple:
     return tuple((a, b) for a in elems for b in elems if not (a & b))
 
 
+def slow_admissible_pairs(lattice: cq.DownsetLattice) -> tuple:
+    """Disjoint pairs whose parts touch disjoint sets of components."""
+    comp_index = {}
+    for i, comp in enumerate(cq.connected_components(lattice.base)):
+        for label in comp.members:
+            comp_index[label] = i
+    return tuple(
+        (pos, neg)
+        for pos, neg in slow_disjoint_element_pairs(lattice)
+        if not {comp_index[l] for l in pos} & {comp_index[l] for l in neg}
+    )
+
+
+def moebius_function(p: cq.Poset, lower: str, upper: str, cache: dict | None = None) -> int:
+    """Moebius function of a poset between two comparable elements."""
+    p.leq(lower, upper)  # raises UnknownLabel early
+    return cq.rota_moebius(p.elements, p.leq, lower, upper, cache)
+
+
 # slow reference transforms: zeta sums over everything below; Moebius sums
 # over every comparable pair, each weighted by the defining recursion
 

@@ -324,7 +324,7 @@ def test_criterion_7_moebius_correctness():
             round_trip_ok = round_trip_ok and again.values == capacity.values
         table = {
             pair: Fraction(rng.randint(-24, 24), 12)
-            for pair in cq.disjoint_element_pairs(lattice)
+            for pair in cq.bipolar_extension(lattice)
         }
         back = cq.bipolar_zeta_transform(
             lattice, cq.bipolar_moebius_transform(lattice, table)

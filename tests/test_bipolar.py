@@ -2,13 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+
 import choqlat as cq
+import choqlat.birkhoff
+from choqlat.birkhoff import _extension_size
 from support import (
     antichain,
+    lattices,
     mosaic_bases,
     random_bipolar_capacity,
     random_profile,
     random_signed_profile,
+    slow_admissible_pairs,
+    slow_disjoint_element_pairs,
     wedge_poset,
 )
 
@@ -66,9 +73,32 @@ class TestExtension:
             extension, cq.bipolar_leq
         )
 
-    def test_cap(self, grid):
-        with pytest.raises(cq.SizeLimitExceeded):
-            cq.bipolar_extension(grid, max_size=10)
+    def test_cap(self, monkeypatch):
+        for base, size in [(cq.build_kary_base(3, 2), 25), (wedge_poset(), 11)]:
+            monkeypatch.setattr(choqlat.birkhoff, "DOWNSET_CAP", size - 1)
+            with pytest.raises(cq.SizeLimitExceeded):
+                cq.bipolar_extension(cq.DownsetLattice(base))
+            monkeypatch.setattr(choqlat.birkhoff, "DOWNSET_CAP", size)
+            assert len(cq.bipolar_extension(cq.DownsetLattice(base))) == size
+
+    @given(lattices(max_elements=6))
+    def test_count_equals_size(self, lattice):
+        size = _extension_size(lattice)
+        assert size == len(cq.bipolar_extension(lattice))
+        assert size == len(slow_disjoint_element_pairs(lattice))
+
+    @given(lattices(max_elements=6))
+    def test_admissible_pairs_match_component_filter(self, lattice):
+        pairs = cq.admissible_vertex_pairs(lattice)
+        assert pairs == slow_admissible_pairs(lattice)
+        assert cq.admissible_vertex_pairs(lattice) is pairs
+
+    @given(lattices(max_elements=6))
+    def test_tile_union_is_union_of_tiles(self, lattice):
+        covered = set()
+        for member in lattice.complemented():
+            covered.update(cq.tile(lattice, member).elements)
+        assert cq.tile_union(lattice) == covered
 
     def test_join_irreducibles_are_one_signed(self, boolean2):
         assert set(cq.bipolar_join_irreducibles(boolean2)) == {

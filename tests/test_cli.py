@@ -518,6 +518,57 @@ class TestInputBoundary:
         assert code == 2
         assert payload["error"]["code"] == "size_limit_exceeded"
 
+    @pytest.mark.parametrize("command", ["enumerate", "eval"])
+    def test_bipolar_extension_over_budget_exits_fast(self, capsys, tmp_path, command):
+        lattice = fileio.lattice_payload(cq.DownsetLattice(antichain(16)))
+        if command == "enumerate":
+            argv = ["bipolar", "enumerate", write(tmp_path, "lattice.json", lattice)]
+        else:
+            values = [{"pos": [], "neg": [], "value": "0"}]
+            cpath = write(tmp_path, "capacity.json", {"lattice": lattice, "values": values})
+            ppath = write(tmp_path, "profile.json", {"values": {"1": "0.5"}})
+            argv = ["bipolar", "eval", "--capacity", cpath, "--profile", ppath]
+        started = time.perf_counter()
+        code, payload = run_json(capsys, *argv)
+        assert time.perf_counter() - started < 2
+        assert code == 2
+        assert payload["error"]["code"] == "size_limit_exceeded"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100000, '{"elements": [' + "1" * 5000 + "]}", b"\xff\xfe"],
+        ids=["deep_nesting", "long_integer", "bad_utf8"],
+    )
+    def test_unreadable_json_is_a_file_format_error(self, capsys, tmp_path, text):
+        path = tmp_path / "poset.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        code, payload = run_json(capsys, "poset", "check", str(path))
+        assert code == 2
+        assert payload["error"]["code"] == "file_format"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["levels", "eval", "--scale", "s.json", "--capacity", "c.json", "--point", "-0.3,0.2"],
+            ["choquet", "eval", "--capacity", "c.json"],
+            ["no-such-command"],
+        ],
+        ids=["negative_point_as_flag", "missing_profile", "unknown_command"],
+    )
+    def test_bad_arguments_are_a_usage_error(self, capsys, argv):
+        code, payload = run_json(capsys, *argv)
+        assert code == 2
+        assert payload["error"]["code"] == "usage"
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert "usage: choqlat" in capsys.readouterr().out
+
     @pytest.mark.parametrize("point", ["inf,0.2", "0.5,-Infinity", "1e-99999999999,0.2"])
     def test_point_must_be_finite_and_bounded(self, capsys, tmp_path, grid_capacity_file, point):
         spath = write(tmp_path, "scale.json", {"levels": ["0", "0.5", "1"]})

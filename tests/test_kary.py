@@ -216,6 +216,31 @@ class TestPointInterpolation:
                 wrong,
             )
 
+    def test_grid_base_built_once_per_lattice(self, monkeypatch, scale3, symmetric5):
+        rng = random.Random(19)
+        lattice = cq.DownsetLattice(cq.build_kary_base(3, 2))
+        unsigned = random_capacity(rng, lattice)
+        signed = random_bipolar_capacity(rng, lattice)
+        points = [[Fraction(rng.randint(0, 20), 20) for _ in range(2)] for _ in range(10)]
+        signed_points = [[2 * x - 1 for x in point] for point in points]
+        expected = [
+            cq.natural_extension(unsigned, cq.level_profile(point, scale3)[1])
+            for point in points
+        ] + [
+            cq.bipolar_natural_extension(signed, cq.bipolar_level_profile(point, symmetric5)[2])
+            for point in signed_points
+        ]
+        builds = []
+        original = cq.kary.build_kary_base
+        monkeypatch.setattr(
+            cq.kary, "build_kary_base", lambda k, n: builds.append((k, n)) or original(k, n)
+        )
+        got = [cq.interpolate_point(unsigned, point, scale3) for point in points] + [
+            cq.interpolate_signed_point(signed, point, symmetric5) for point in signed_points
+        ]
+        assert got == expected
+        assert len(builds) <= 1
+
 
 class TestSignedGrid:
     def test_worked_instance_report(self, grid32):

@@ -14,6 +14,7 @@ from support import (
     chain,
     exact_tables,
     lattices,
+    moebius_function,
     slow_bipolar_moebius_transform,
     slow_bipolar_zeta_transform,
     slow_disjoint_element_pairs,
@@ -41,9 +42,9 @@ def inline_rota(elements, leq, lower, upper):
 class TestMoebiusFunction:
     def test_chain_steps(self):
         p = chain(3)
-        assert cq.moebius_function(p, "x0", "x1") == -1
-        assert cq.moebius_function(p, "x0", "x2") == 0
-        assert cq.moebius_function(p, "x1", "x1") == 1
+        assert moebius_function(p, "x0", "x1") == -1
+        assert moebius_function(p, "x0", "x2") == 0
+        assert moebius_function(p, "x1", "x1") == 1
 
     def test_boolean_square_top(self):
         lattice = boolean_lattice(2)
@@ -56,7 +57,7 @@ class TestMoebiusFunction:
 
     def test_not_comparable(self):
         with pytest.raises(cq.NotComparable):
-            cq.moebius_function(wedge_poset(), "b", "a")
+            moebius_function(wedge_poset(), "b", "a")
 
     @given(lattices(min_elements=1, max_elements=4), st.data())
     def test_matches_inline_recursion(self, lattice, data):
@@ -256,7 +257,7 @@ class TestBipolarMoebius:
         lattice = boolean_lattice(2)
         table = {
             pair: Fraction(rng.randint(-12, 12), 7)
-            for pair in cq.disjoint_element_pairs(lattice)
+            for pair in cq.bipolar_extension(lattice)
         }
         coefficients = cq.bipolar_moebius_transform(lattice, table)
         again = cq.bipolar_zeta_transform(lattice, coefficients)
@@ -270,7 +271,7 @@ class TestBipolarMoebius:
         lattice = boolean_lattice(n)
         table = {
             pair: Fraction(rng.randint(-20, 20), 9)
-            for pair in cq.disjoint_element_pairs(lattice)
+            for pair in cq.bipolar_extension(lattice)
         }
         coefficients = cq.bipolar_moebius_transform(lattice, table)
         for (a1, a2), coeff in coefficients.items():
@@ -333,9 +334,9 @@ class TestFastTransformsAgainstSlowPath:
 
     @given(lattices(max_elements=6))
     def test_disjoint_pairs_match_double_loop(self, lattice):
-        pairs = cq.disjoint_element_pairs(lattice)
+        pairs = cq.bipolar_extension(lattice)
         assert pairs == slow_disjoint_element_pairs(lattice)
-        assert cq.disjoint_element_pairs(lattice) is pairs
+        assert cq.bipolar_extension(lattice) is pairs
 
     @given(lattices(max_elements=6))
     def test_closed_form_matches_recursion(self, lattice):
@@ -373,7 +374,7 @@ class TestFastTransformsAgainstSlowPath:
                 want = cq.moebius_transform(cq.GeneralizedCapacity(fresh, values))
                 assert list(got.values.items()) == list(want.values.items())
                 assert cq.zeta_transform(got).values == values
-                table = {pair: draw() for pair in cq.disjoint_element_pairs(lattice)}
+                table = {pair: draw() for pair in cq.bipolar_extension(lattice)}
                 got = cq.bipolar_moebius_transform(lattice, table)
                 fresh = cq.DownsetLattice(lattice.base)
                 want = cq.bipolar_moebius_transform(fresh, table)
