@@ -11,7 +11,9 @@ and signed profiles can be evaluated by pulling them back to the unsigned
 polytope through their tile: :func:`evaluate_bipolar` returns the same
 :class:`~choqlat.interpolation.Evaluation` record as the unsigned
 :func:`~choqlat.interpolation.evaluate`, with signed chain vertices and the
-tile set.
+tile set. Its dual path, :func:`bipolar_moebius_form_eval`, is the same
+rank-bucket sum over one ranking of the positive and negative parts of the
+profile.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .interpolation import (
     Evaluation,
     Profile,
     _profile_values,
+    _rank_form,
     choquet_classical,
     triangulate,
 )
@@ -44,7 +47,6 @@ from .poset import Poset, connected_components, is_downset
 from .rationals import as_fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def bipolar_leq(a, b) -> bool:
@@ -250,6 +252,13 @@ class BipolarCapacity:
         members = tile_union(lattice)
 
         def vertex(key) -> tuple[frozenset, frozenset]:
+            try:
+                pair = tuple(map(frozenset, key))
+            except TypeError:
+                pair = None
+            if pair in members:
+                return pair
+            # a miss: report it as the full check does
             pos, neg = pair = check_bipolar_pair(lattice, key)
             if pair not in members:
                 raise NotInTile(
@@ -417,22 +426,24 @@ def bipolar_moebius_form_eval(
     Each signed element contributes its coefficient times the joint minimum
     of the positive part of the profile over its positive side and of the
     negative part over its negative side; empty sides contribute the
-    empty-meet value 1. Equals ``bipolar_natural_extension`` when the
-    coefficients are the bipolar Moebius transform of the capacity.
+    empty-meet value 1. The minima come from one ranking of the 2n values
+    max(f, 0) and max(-f, 0), and the sum runs on integer numerators by
+    rank bucket, as in :func:`~choqlat.interpolation.moebius_form_eval`.
+    Equals ``bipolar_natural_extension`` when the coefficients are the
+    bipolar Moebius transform of the capacity.
     """
     values = profile.values
-    known = set(profile.base.elements)
-    total = ZERO
+    known = frozenset(values)
+    terms = []
     for (pos, neg), raw in coefficients.items():
         coeff = as_fraction(raw)
-        if not (set(pos) <= known and set(neg) <= known):
+        if not (known.issuperset(pos) and known.issuperset(neg)):
             raise BaseMismatch("coefficient keys mention labels outside the base")
-        if not coeff:
-            continue
-        plus = min((max(values[j], ZERO) for j in pos), default=ONE)
-        minus = min((max(-values[j], ZERO) for j in neg), default=ONE)
-        total += coeff * min(plus, minus)
-    return total
+        if coeff:
+            terms.append((coeff, (pos, neg)))
+    plus = {j: max(v, ZERO) for j, v in values.items()}
+    minus = {j: max(-v, ZERO) for j, v in values.items()}
+    return _rank_form((plus, minus), terms)
 
 
 def embed_profile(profile: Profile, x) -> BipolarProfile:

@@ -2,7 +2,8 @@
 
 Commands print machine-readable JSON on stdout (Graphviz text with --dot).
 Exit codes: 0 ok, 2 bad input or arguments, 3 internal invariant breach (a
-cross-check disagreement or a failed selftest).
+cross-check disagreement or a failed selftest), 1 any other failure (code
+``internal_error``, traceback on stderr).
 """
 
 from __future__ import annotations
@@ -495,6 +496,15 @@ def main(argv=None) -> int:
     except ChoqlatError as exc:
         _print_json({"error": {"code": exc.code, "message": str(exc), **exc.context}})
         return 2
+    except Exception as exc:
+        # any other failure is a defect: a stable code on stdout, the
+        # traceback on stderr, and the exit status an uncaught error gives
+        import traceback
+
+        traceback.print_exc()
+        message = f"{type(exc).__name__}: {exc}"
+        _print_json({"error": {"code": "internal_error", "message": message}})
+        return 1
     if isinstance(result, str):
         sys.stdout.write(result)
         return 0

@@ -13,12 +13,20 @@ Every chain-path value, unsigned or signed, is an :class:`Evaluation`: the
 weighted sum of vertex values along a chain, built by
 :meth:`Evaluation.along` and nowhere else. :func:`evaluate` returns the
 unsigned one; the signed extension pulls the same sum back through a tile.
+
+The dual path, :func:`moebius_form_eval`, reads only the Moebius
+coefficients and the profile: C(f) = sum of m(X) * min over X of f. It
+ranks the profile values once, adds each nonzero coefficient's integer
+numerator to the bucket of the smallest rank in its key, and ends with one
+product per nonempty bucket.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -241,18 +249,49 @@ def zero_one_maxmin(functional: GeneralizedCapacity, profile: Profile) -> Fracti
     return best
 
 
+def _rank_form(sides: Sequence[Mapping[str, Fraction]], terms: Sequence) -> Fraction:
+    """Sum over ``terms`` of coefficient times the minimum value over a key.
+
+    ``sides`` maps labels to values, one map per part of a key (one part
+    for lattice elements, two for signed pairs); ``terms`` holds the
+    (nonzero coefficient, key) pairs, a key being one label set per side.
+    All values are ranked in one sort, so the minimum over a key is the
+    value at the smallest rank of its labels, or the empty meet 1 (rank n,
+    past the last value) for an empty key. Each coefficient adds its
+    integer numerator, over the lcm of the denominators, to the bucket of
+    that rank; the sum then takes one product per nonempty bucket.
+    """
+    ranked = sorted(
+        ((value, s, label) for s, side in enumerate(sides) for label, value in side.items()),
+        key=itemgetter(0),
+    )
+    ranks: list[dict] = [{} for _ in sides]
+    for r, (_, s, label) in enumerate(ranked):
+        ranks[s][label] = r
+    n = len(ranked)
+    scale = lcm(*{coeff.denominator for coeff, _ in terms})
+    buckets = [0] * (n + 1)
+    for coeff, key in terms:
+        low = min([min(map(rank.__getitem__, part), default=n) for rank, part in zip(ranks, key)])
+        buckets[low] += coeff.numerator * (scale // coeff.denominator)
+    total = sum(
+        (value * bucket for (value, _, _), bucket in zip(ranked, buckets) if bucket),
+        Fraction(buckets[n]),
+    )
+    return total / scale
+
+
 def moebius_form_eval(coefficients: GeneralizedCapacity, profile: Profile) -> Fraction:
     """Evaluate the extension from Moebius coefficients.
 
     Each lattice element contributes its coefficient times the minimum
     profile value over its decomposition; the bottom element contributes
-    the bare coefficient (empty meet is 1). Equals ``natural_extension`` of
+    the bare coefficient (empty meet is 1). The minima come from one
+    ranking of the profile values, and the sum runs on integer numerators
+    by rank bucket (:func:`_rank_form`). Equals ``natural_extension`` of
     the zeta transform.
     """
     if coefficients.lattice.base != profile.base:
         raise BaseMismatch("coefficients and profile are over different base posets")
-    total = ZERO
-    for element, coeff in coefficients.values.items():
-        if coeff:
-            total += coeff * min((profile.values[j] for j in element), default=ONE)
-    return total
+    terms = [(coeff, (element,)) for element, coeff in coefficients.values.items() if coeff]
+    return _rank_form((profile.values,), terms)

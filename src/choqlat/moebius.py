@@ -28,6 +28,7 @@ Callers that share nothing need no coordination.
 
 from __future__ import annotations
 
+import operator
 from array import array
 from fractions import Fraction
 from functools import cached_property, partial
@@ -44,13 +45,21 @@ from .errors import (
 from .poset import Poset, linear_extension
 from .rationals import as_fraction
 
+ZERO = Fraction(0)
+
 
 def vertex_table(domain: Sequence, entries: Mapping, vertex: Callable, what: str) -> dict:
     """Exact values of ``entries`` on every vertex of ``domain``, in domain order.
 
     ``vertex`` checks each key and returns it as a member of ``domain``;
-    a vertex left without a value is reported with an example.
+    a vertex left without a value is reported with an example. A table
+    whose keys are the domain's own vertex objects, in domain order (a
+    transform's output, or the values of a table built here), needs no key
+    check: each key is a vertex by identity. Its values are still read
+    through ``as_fraction``.
     """
+    if len(entries) == len(domain) and all(map(operator.is_, entries, domain)):
+        return dict(zip(domain, map(as_fraction, entries.values())))
     parsed = {vertex(key): as_fraction(raw) for key, raw in entries.items()}
     if len(parsed) < len(domain):
         missing = [v for v in domain if v not in parsed]
@@ -206,8 +215,9 @@ def _downset_pass(plan: tuple, table: dict, inverse: bool) -> dict:
     ``table`` holds exact values in the order of the domain ``plan`` was
     built on. Each step adds the value at the lower key (subtracts it, with
     the steps reversed, for the inverse); the sums run on integer
-    numerators over the common denominator, and each result becomes one
-    ``Fraction`` at the end.
+    numerators over the common denominator, and each nonzero result becomes
+    one ``Fraction`` at the end. Zero results, most of a sparse Moebius
+    table, share one.
     """
     keys, lowers = plan
     scale = lcm(*{v.denominator for v in table.values()})
@@ -218,7 +228,7 @@ def _downset_pass(plan: tuple, table: dict, inverse: bool) -> dict:
     else:
         for key, lower in zip(keys, lowers):
             nums[key] += nums[lower]
-    return {x: Fraction(num, scale) for x, num in zip(table, nums)}
+    return {x: Fraction(num, scale) if num else ZERO for x, num in zip(table, nums)}
 
 
 def moebius_transform(g: GeneralizedCapacity) -> GeneralizedCapacity:

@@ -87,9 +87,22 @@ def nonincreasing(base: cq.Poset, raw: dict) -> dict:
 
 
 @st.composite
-def profiles(draw, base: cq.Poset):
-    raw = {label: draw(unit_fractions) for label in base.elements}
+def profiles(draw, base: cq.Poset, values=unit_fractions):
+    raw = {label: draw(values) for label in base.elements}
     return cq.Profile(base, nonincreasing(base, raw))
+
+
+# few distinct values, zero among them: profiles full of ties
+tied_values = st.sampled_from((Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)))
+
+
+@st.composite
+def signed_profiles(draw, base: cq.Poset, values=unit_fractions):
+    """A profile's values with a sign drawn per label."""
+    magnitude = draw(profiles(base, values))
+    return cq.BipolarProfile(
+        base, {j: v if draw(st.booleans()) else -v for j, v in magnitude.values.items()}
+    )
 
 
 @st.composite
@@ -114,9 +127,10 @@ VALUE_KINDS["mixed"] = st.one_of(*VALUE_KINDS.values())
 
 
 @st.composite
-def exact_tables(draw, keys):
-    """One exact value per key, all drawn from one of ``VALUE_KINDS``."""
-    values = VALUE_KINDS[draw(st.sampled_from(sorted(VALUE_KINDS)))]
+def exact_tables(draw, keys, kind=None):
+    """One exact value per key, all drawn from ``VALUE_KINDS[kind]`` (a kind
+    drawn too when none is given)."""
+    values = VALUE_KINDS[kind or draw(st.sampled_from(sorted(VALUE_KINDS)))]
     return {key: draw(values) for key in keys}
 
 
@@ -143,6 +157,36 @@ def moebius_function(p: cq.Poset, lower: str, upper: str, cache: dict | None = N
     """Moebius function of a poset between two comparable elements."""
     p.leq(lower, upper)  # raises UnknownLabel early
     return cq.rota_moebius(p.elements, p.leq, lower, upper, cache)
+
+
+# slow reference evaluators of the Moebius form: each coefficient times the
+# minimum over its key, summed in Fractions
+
+
+def slow_moebius_form_eval(coefficients: cq.GeneralizedCapacity, profile: cq.Profile) -> Fraction:
+    if coefficients.lattice.base != profile.base:
+        raise cq.BaseMismatch("coefficients and profile are over different base posets")
+    total = Fraction(0)
+    for element, coeff in coefficients.values.items():
+        if coeff:
+            total += coeff * min((profile.values[j] for j in element), default=Fraction(1))
+    return total
+
+
+def slow_bipolar_moebius_form_eval(coefficients, profile: cq.BipolarProfile) -> Fraction:
+    values = profile.values
+    known = set(profile.base.elements)
+    total = Fraction(0)
+    for (pos, neg), raw in coefficients.items():
+        coeff = cq.as_fraction(raw)
+        if not (set(pos) <= known and set(neg) <= known):
+            raise cq.BaseMismatch("coefficient keys mention labels outside the base")
+        if not coeff:
+            continue
+        plus = min((max(values[j], Fraction(0)) for j in pos), default=Fraction(1))
+        minus = min((max(-values[j], Fraction(0)) for j in neg), default=Fraction(1))
+        total += coeff * min(plus, minus)
+    return total
 
 
 # slow reference transforms: zeta sums over everything below; Moebius sums

@@ -3,19 +3,27 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import choqlat as cq
 import choqlat.birkhoff
 from choqlat.birkhoff import _extension_size
 from support import (
+    VALUE_KINDS,
     antichain,
+    exact_tables,
     lattices,
     mosaic_bases,
     random_bipolar_capacity,
+    random_fraction,
     random_profile,
     random_signed_profile,
+    signed_profiles,
     slow_admissible_pairs,
+    slow_bipolar_moebius_form_eval,
     slow_disjoint_element_pairs,
+    tied_values,
+    unit_fractions,
     wedge_poset,
 )
 
@@ -245,6 +253,22 @@ class TestCapacity:
         with pytest.raises(cq.NotInBipolarExtension):
             cq.BipolarCapacity(boolean2, values)
 
+    @pytest.mark.parametrize(
+        "key, error",
+        [
+            (pair({"9"}), cq.NotAnElement),
+            ((frozenset({"9"}), 5), cq.NotAnElement),  # parts are checked in order
+            ((frozenset(), 5), TypeError),
+            ((frozenset(), frozenset(), frozenset()), ValueError),
+        ],
+        ids=["not_a_downset", "bad_then_not_iterable", "not_iterable", "triple"],
+    )
+    def test_bad_key_rejected(self, boolean2, key, error):
+        values = {p: 0 for p in cq.admissible_vertex_pairs(boolean2)}
+        values[key] = 1
+        with pytest.raises(error):
+            cq.BipolarCapacity(boolean2, values)
+
     def test_missing_values_rejected(self, boolean2):
         with pytest.raises(cq.BaseMismatch):
             cq.BipolarCapacity(boolean2, {pair(): 0})
@@ -465,6 +489,41 @@ class TestMoebiusFormEval:
             assert cq.bipolar_moebius_form_eval(
                 coefficients, profile
             ) == cq.bipolar_natural_extension(capacity, profile)
+
+
+    @pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
+    @given(data=st.data())
+    def test_matches_slow_oracle(self, kind, data):
+        """Rank buckets over one ranking of the 2n signed parts against the
+        per-coefficient minimum, for each kind of table and profiles with
+        or without ties and zeros; the base need not be a mosaic."""
+        lattice = data.draw(lattices(max_elements=5))
+        table = data.draw(exact_tables(cq.bipolar_extension(lattice), kind))
+        values = data.draw(st.sampled_from((unit_fractions, tied_values)))
+        profile = data.draw(signed_profiles(lattice.base, values))
+        assert cq.bipolar_moebius_form_eval(
+            table, profile
+        ) == slow_bipolar_moebius_form_eval(table, profile)
+
+    def test_empty_base(self):
+        profile = cq.BipolarProfile(cq.Poset([], []), {})
+        for value in ("-7/3", 0):
+            assert cq.bipolar_moebius_form_eval({pair(): value}, profile) == Fraction(value)
+
+    def test_outside_label_rejected(self, grid):
+        profile = cq.BipolarProfile(grid.base, dict.fromkeys(grid.base.elements, "0.5"))
+        for key in (pair({"zz"}), pair((), {"c1l1", "zz"})):
+            with pytest.raises(cq.BaseMismatch):  # even with a zero coefficient
+                cq.bipolar_moebius_form_eval({pair(): 1, key: 0}, profile)
+
+    def test_keys_may_be_any_iterables(self, grid):
+        rng = random.Random(24)
+        table = {p: str(random_fraction(rng)) for p in cq.bipolar_extension(grid)}
+        as_tuples = {(tuple(sorted(p)), tuple(sorted(n))): v for (p, n), v in table.items()}
+        profile = random_signed_profile(rng, grid.base)
+        assert cq.bipolar_moebius_form_eval(
+            as_tuples, profile
+        ) == cq.bipolar_moebius_form_eval(table, profile)
 
 
 class TestEmbedProfile:

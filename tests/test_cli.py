@@ -569,6 +569,28 @@ class TestInputBoundary:
         assert exit_info.value.code == 0
         assert "usage: choqlat" in capsys.readouterr().out
 
+    def test_unexpected_error_is_an_internal_error(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("choqlat.cli.cmd_selftest", broken)
+        code = main(["selftest"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out) == {
+            "error": {"code": "internal_error", "message": "RuntimeError: boom"}
+        }
+        assert "Traceback" in captured.err
+        assert captured.err.rstrip().endswith("RuntimeError: boom")
+
+    def test_interrupt_is_not_caught(self, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("choqlat.cli.cmd_selftest", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["selftest"])
+
     @pytest.mark.parametrize("point", ["inf,0.2", "0.5,-Infinity", "1e-99999999999,0.2"])
     def test_point_must_be_finite_and_bounded(self, capsys, tmp_path, grid_capacity_file, point):
         spath = write(tmp_path, "scale.json", {"levels": ["0", "0.5", "1"]})

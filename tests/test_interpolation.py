@@ -7,13 +7,18 @@ from hypothesis import strategies as st
 
 import choqlat as cq
 from support import (
+    VALUE_KINDS,
     antichain,
     capacities,
+    exact_tables,
     lattices,
     posets,
     profiles,
     random_linear_extension,
     random_profile,
+    slow_moebius_form_eval,
+    tied_values,
+    unit_fractions,
     wedge_poset,
 )
 
@@ -312,3 +317,22 @@ class TestMoebiusFormEval:
         assert cq.moebius_form_eval(
             cq.moebius_transform(capacity), profile
         ) == cq.natural_extension(capacity, profile)
+
+    @pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
+    @given(data=st.data())
+    def test_matches_slow_oracle(self, kind, data):
+        """Rank buckets against the per-coefficient minimum, for each kind of
+        table (all zero, integer, small, coprime, huge denominators, mixed)
+        and profiles with or without ties and zeros."""
+        lattice = data.draw(lattices(max_elements=6))
+        vector = cq.GeneralizedCapacity(lattice, data.draw(exact_tables(lattice.elements, kind)))
+        values = data.draw(st.sampled_from((unit_fractions, tied_values)))
+        profile = data.draw(profiles(lattice.base, values))
+        assert cq.moebius_form_eval(vector, profile) == slow_moebius_form_eval(vector, profile)
+
+    def test_empty_base(self):
+        lattice = cq.DownsetLattice(cq.Poset([], []))
+        profile = cq.Profile(lattice.base, {})
+        for value in ("-7/3", 0):
+            vector = cq.GeneralizedCapacity(lattice, {frozenset(): value})
+            assert cq.moebius_form_eval(vector, profile) == Fraction(value)

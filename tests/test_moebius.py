@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from itertools import product
 
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import choqlat as cq
+from choqlat.moebius import vertex_table
 from support import (
     antichain,
     capacities,
@@ -177,6 +179,56 @@ class TestTransforms:
         lattice = boolean_lattice(2)
         with pytest.raises(cq.BaseMismatch):
             cq.GeneralizedCapacity(lattice, {frozenset(): 0})
+
+    @pytest.mark.parametrize("bad", ["abc", True])
+    def test_own_keys_still_check_values(self, bad):
+        """A table keyed by the lattice's own element objects skips the key
+        check, not the value check: it fails as an equal-keyed copy does."""
+        lattice = boolean_lattice(2)
+        own = dict.fromkeys(lattice.elements, "1/2")
+        own[lattice.elements[2]] = bad
+        copy = {frozenset(sorted(x)): v for x, v in own.items()}
+        assert not all(map(operator.is_, copy, lattice.elements))  # the full path
+        errors = []
+        for table in (own, copy):
+            with pytest.raises((TypeError, ValueError)) as info:
+                cq.GeneralizedCapacity(lattice, table)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        signed = dict.fromkeys(cq.bipolar_extension(lattice), 0)
+        signed[cq.bipolar_extension(lattice)[3]] = bad
+        plain = {(frozenset(sorted(p)), frozenset(sorted(n))): v for (p, n), v in signed.items()}
+        errors = []
+        for table in (signed, plain):
+            with pytest.raises((TypeError, ValueError)) as info:
+                cq.bipolar_moebius_transform(lattice, table)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+
+    def test_only_own_keys_in_domain_order_skip_the_key_check(self):
+        lattice = cq.DownsetLattice(wedge_poset())
+        checked = []
+
+        def vertex(key):
+            checked.append(key)
+            return lattice.check_element(key)
+
+        own = {x: Fraction(i) for i, x in enumerate(lattice.elements)}
+        assert vertex_table(lattice.elements, own, vertex, "elements") == own
+        assert checked == []
+        reordered = dict(reversed(own.items()))
+        table = vertex_table(lattice.elements, reordered, vertex, "elements")
+        assert list(table.items()) == list(own.items())
+        assert len(checked) == len(own)
+        checked.clear()
+        short = dict(list(own.items())[:-1])
+        with pytest.raises(cq.BaseMismatch):
+            vertex_table(lattice.elements, short, vertex, "elements")
+        assert len(checked) == len(short)
+        checked.clear()
+        extra = {**own, frozenset({"b"}): 0}
+        with pytest.raises(cq.NotAnElement):
+            vertex_table(lattice.elements, extra, vertex, "elements")
 
 
 class TestBipolarMoebius:
