@@ -18,6 +18,7 @@ profile.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -327,8 +328,8 @@ def select_tile(profile: BipolarProfile) -> frozenset:
         raise NotRegularMosaic("signed evaluation needs a regular mosaic base")
     positive: set = set()
     for comp in components:
-        has_pos = any(profile.values[l] > 0 for l in comp.members)
-        has_neg = any(profile.values[l] < 0 for l in comp.members)
+        has_pos = any(profile.values[l].numerator > 0 for l in comp.members)
+        has_neg = any(profile.values[l].numerator < 0 for l in comp.members)
         if has_pos and has_neg:
             raise ProfileNotInAnyTile(
                 f"component {sorted(comp.members)!r} carries both signs",
@@ -433,14 +434,16 @@ def bipolar_moebius_form_eval(
     bipolar Moebius transform of the capacity.
     """
     values = profile.values
-    known = frozenset(values)
     terms = []
     for (pos, neg), raw in coefficients.items():
         coeff = as_fraction(raw)
-        if not (known.issuperset(pos) and known.issuperset(neg)):
-            raise BaseMismatch("coefficient keys mention labels outside the base")
         if coeff:
             terms.append((coeff, (pos, neg)))
+    # one test over the labels of every distinct key part, zero
+    # coefficients' keys included (many keys share each part)
+    parts = set(itertools.chain.from_iterable(coefficients))
+    if not frozenset(values).issuperset(itertools.chain.from_iterable(parts)):
+        raise BaseMismatch("coefficient keys mention labels outside the base")
     plus = {j: max(v, ZERO) for j, v in values.items()}
     minus = {j: max(-v, ZERO) for j, v in values.items()}
     return _rank_form((plus, minus), terms)

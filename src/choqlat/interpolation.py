@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BaseMismatch,
@@ -62,17 +62,22 @@ def _profile_values(
             extra=sorted(set(parsed) - set(base.elements)),
         )
     if signed:
-        low, kind, rising = -ONE, "signed value", "|values| increase"
+        low, kind, rising = -1, "signed value", "|values| increase"
     else:
-        low, kind, rising = ZERO, "profile value", "profile increases"
+        low, kind, rising = 0, "profile value", "profile increases"
+    # checks on each value's own numerator and denominator (denominators
+    # are positive), sizes compared by cross-multiplying
+    sizes = {}
     for label, value in parsed.items():
-        if not low <= value <= ONE:
+        n, d = value.numerator, value.denominator
+        if not low * d <= n <= d:
             raise ValueOutOfRange(
                 f"{kind} {value} at {label!r} is outside [{low}, 1]", label=label
             )
+        sizes[label] = (abs(n), d)
     for lower, upper in base.covers:
-        a, b = parsed[lower], parsed[upper]
-        if (abs(a) < abs(b)) if signed else (a < b):
+        (an, ad), (bn, bd) = sizes[lower], sizes[upper]
+        if an * bd < bn * ad:
             raise NotNonincreasing(
                 f"{rising} along {lower!r} < {upper!r}", lower=lower, upper=upper
             )
@@ -116,13 +121,30 @@ class ChainDecomposition:
         return out
 
 
+def _sort_keys(values: Mapping[str, Fraction]) -> dict[str, int]:
+    """An integer per label that orders the labels exactly as their values.
+
+    The key is the value scaled by 2**shift and rounded down, where
+    ``shift`` is twice the bit length of the largest denominator. Two
+    distinct values with denominators below 2**b differ by at least
+    1/(their denominators' product) > 2**-2b, so their keys differ in the
+    same direction; equal values get equal keys. Each key costs one shift
+    and one division on the value's own numerator and denominator.
+    """
+    shift = 2 * max((v.denominator.bit_length() for v in values.values()), default=0)
+    return {label: (v.numerator << shift) // v.denominator for label, v in values.items()}
+
+
 def triangulate(profile: Profile, tie_break: Sequence[str] | None = None) -> ChainDecomposition:
     """Chain-of-downsets decomposition of a profile.
 
     Elements are sorted by decreasing value; ties fall back to ``tie_break``
     (any linear extension of the base poset, the deterministic one by
     default). The extension value computed from the result never depends on
-    the tie order, only the reported chain does.
+    the tie order, only the reported chain does. The sort runs on exact
+    integer keys (:func:`_sort_keys`), stable in ``tie_break`` order, and
+    each weight is the gap between consecutive values of 1, the sorted
+    values and 0, built as one ``Fraction`` from integer cross products.
     """
     base = profile.base
     if tie_break is None:
@@ -135,16 +157,37 @@ def triangulate(profile: Profile, tie_break: Sequence[str] | None = None) -> Cha
             raise NotNonincreasing(
                 f"tie_break does not refine the base order at {lower!r} < {upper!r}"
             )
-    order = sorted(base.elements, key=lambda label: (-profile.values[label], ranks[label]))
+    values = profile.values
+    # a stable sort keeps tied labels in tie_break order, reverse=True included
+    order = sorted(tie_break, key=_sort_keys(values).__getitem__, reverse=True)
+    levels = [ONE, *map(values.__getitem__, order), ZERO]
+    weights = [
+        Fraction(a.numerator * b.denominator - b.numerator * a.denominator,
+                 a.denominator * b.denominator)
+        for a, b in zip(levels, levels[1:])
+    ]
     chain = [frozenset()]
-    weights = [ONE - (profile.values[order[0]] if order else ZERO)]
     running: set = set()
-    for i, label in enumerate(order):
+    for label in order:
         running.add(label)
         chain.append(frozenset(running))
-        nxt = profile.values[order[i + 1]] if i + 1 < len(order) else ZERO
-        weights.append(profile.values[label] - nxt)
     return ChainDecomposition(base, tuple(order), tuple(chain), tuple(weights))
+
+
+def _exact_sum(terms: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
+    """Exact sum of ``w * x`` over (w, x) pairs of rationals.
+
+    Runs on integer numerators over a running common denominator, with one
+    ``gcd`` per term, and builds one ``Fraction`` at the end.
+    """
+    num, den = 0, 1
+    for w, x in terms:
+        d = w.denominator * x.denominator
+        g = gcd(den, d)
+        scale = d // g
+        num = num * scale + w.numerator * x.numerator * (den // g)
+        den *= scale
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -168,8 +211,12 @@ class Evaluation:
     def along(
         cls, values: Mapping, order, chain, weights, tile: frozenset | None = None
     ) -> "Evaluation":
-        """Weighted sum of the vertex ``values`` read along ``chain``."""
-        value = sum((w * values[v] for v, w in zip(chain, weights)), ZERO)
+        """Weighted sum of the vertex ``values`` read along ``chain``.
+
+        Vertices with zero weight are not read; the sum runs on integer
+        numerators (:func:`_exact_sum`).
+        """
+        value = _exact_sum((w, values[v]) for v, w in zip(chain, weights) if w)
         return cls(value, order, chain, weights, tile)
 
 

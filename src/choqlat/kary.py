@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .bipolar import BipolarCapacity, BipolarElement, BipolarProfile
 from .errors import InvalidDimensions, OutOfScale
-from .interpolation import Evaluation, Profile
+from .interpolation import Evaluation, Profile, _exact_sum
 from .moebius import GeneralizedCapacity
 from .poset import Poset
 from .rationals import as_fraction
@@ -250,7 +250,10 @@ def _corner_sweep(
     in sorted-residue order, to its index. The first corner enters with
     weight 1 minus the top residue, so corners with nonzero value at the
     resting point are kept. With ``positive`` (a set of base labels) the
-    corners are read as signed vertices split along that tile.
+    corners are read as signed vertices split along that tile. The steps
+    are ``Fraction`` differences of the residues, and the weighted corners
+    are added by the package's one exact sum on integer numerators
+    (:func:`~choqlat.interpolation._exact_sum`).
     """
     indices, residues, order = indexing.indices, indexing.residues, indexing.order
     node = {
@@ -265,14 +268,14 @@ def _corner_sweep(
             return values[key]
         return values[BipolarElement(key & positive, key - positive)]
 
-    total = (ONE - residues[order[0] - 1]) * corner()
+    terms = [(ONE - residues[order[0] - 1], corner())]
     for position, criterion in enumerate(order):
         node.add(level_label(criterion, indices[criterion - 1]))
         nxt = residues[order[position + 1] - 1] if position + 1 < len(order) else ZERO
         step = residues[criterion - 1] - nxt
         if step:
-            total += step * corner()
-    return total
+            terms.append((step, corner()))
+    return _exact_sum(terms)
 
 
 def interpolate_point(

@@ -1,8 +1,9 @@
 """Finite posets over opaque string labels.
 
 Covering pairs are the only stored relation; the full order is derived once
-at construction and every value is immutable afterwards, so posets are cheap
-to query and safe to share between concurrent evaluators. Covers must form a
+at construction (the connected components on first request) and every value
+is immutable afterwards, so posets are cheap to query and safe to share
+between concurrent evaluators. Covers must form a
 transitive reduction: a cover implied by other covers is rejected instead of
 silently dropped, which keeps file round trips byte-stable.
 """
@@ -35,7 +36,7 @@ class Component(NamedTuple):
 class Poset:
     """Immutable finite poset described by elements and covering pairs."""
 
-    __slots__ = ("elements", "covers", "_below", "_uppers", "_lowers", "_topo")
+    __slots__ = ("elements", "covers", "_below", "_uppers", "_lowers", "_topo", "_components")
 
     def __init__(self, elements: Iterable[str], covers: Iterable[Sequence[str]] = ()):
         labels: list[str] = []
@@ -72,6 +73,7 @@ class Poset:
         self._lowers = {x: tuple(sorted(lows)) for x, lows in lowers.items()}
 
         self._topo = self._toposort()
+        self._components: tuple[Component, ...] | None = None  # on first request
 
         below: dict[str, frozenset] = {}
         for x in self._topo:
@@ -194,8 +196,15 @@ def all_downsets(p: Poset, max_count: int | None = None) -> list[frozenset]:
 def connected_components(p: Poset) -> tuple[Component, ...]:
     """Components of the comparability graph, each with its minimal elements.
 
-    Ordered by smallest member label, so output is deterministic.
+    Ordered by smallest member label, so output is deterministic. Found
+    once per poset and kept with it.
     """
+    if p._components is None:
+        p._components = _components(p)
+    return p._components
+
+
+def _components(p: Poset) -> tuple[Component, ...]:
     neighbours: dict[str, set[str]] = {x: set() for x in p.elements}
     for lower, upper in p.covers:
         neighbours[lower].add(upper)

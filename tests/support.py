@@ -96,6 +96,13 @@ def profiles(draw, base: cq.Poset, values=unit_fractions):
 tied_values = st.sampled_from((Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)))
 
 
+# profile values over denominators of up to 30 digits
+large_unit_fractions = st.integers(1, 10**30).flatmap(
+    lambda d: st.builds(Fraction, st.integers(0, d), st.just(d))
+)
+PROFILE_VALUES = {"unit": unit_fractions, "tied": tied_values, "large": large_unit_fractions}
+
+
 @st.composite
 def signed_profiles(draw, base: cq.Poset, values=unit_fractions):
     """A profile's values with a sign drawn per label."""
@@ -157,6 +164,31 @@ def moebius_function(p: cq.Poset, lower: str, upper: str, cache: dict | None = N
     """Moebius function of a poset between two comparable elements."""
     p.leq(lower, upper)  # raises UnknownLabel early
     return cq.rota_moebius(p.elements, p.leq, lower, upper, cache)
+
+
+# slow reference chain path: sort on (-value, tie-break rank) and subtract
+# in Fractions, then add the weighted vertex values in Fractions
+
+
+def slow_triangulate(profile, tie_break=None) -> cq.ChainDecomposition:
+    base = profile.base
+    if tie_break is None:
+        tie_break = cq.linear_extension(base)
+    ranks = {label: i for i, label in enumerate(tie_break)}
+    order = sorted(base.elements, key=lambda label: (-profile.values[label], ranks[label]))
+    chain = [frozenset()]
+    weights = [Fraction(1) - (profile.values[order[0]] if order else Fraction(0))]
+    running: set = set()
+    for i, label in enumerate(order):
+        running.add(label)
+        chain.append(frozenset(running))
+        nxt = profile.values[order[i + 1]] if i + 1 < len(order) else Fraction(0)
+        weights.append(profile.values[label] - nxt)
+    return cq.ChainDecomposition(base, tuple(order), tuple(chain), tuple(weights))
+
+
+def slow_chain_value(values, chain, weights) -> Fraction:
+    return sum((w * values[v] for v, w in zip(chain, weights)), Fraction(0))
 
 
 # slow reference evaluators of the Moebius form: each coefficient times the

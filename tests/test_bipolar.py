@@ -9,11 +9,14 @@ import choqlat as cq
 import choqlat.birkhoff
 from choqlat.birkhoff import _extension_size
 from support import (
+    PROFILE_VALUES,
     VALUE_KINDS,
     antichain,
     exact_tables,
     lattices,
     mosaic_bases,
+    posets,
+    profiles,
     random_bipolar_capacity,
     random_fraction,
     random_profile,
@@ -21,7 +24,9 @@ from support import (
     signed_profiles,
     slow_admissible_pairs,
     slow_bipolar_moebius_form_eval,
+    slow_chain_value,
     slow_disjoint_element_pairs,
+    slow_triangulate,
     tied_values,
     unit_fractions,
     wedge_poset,
@@ -408,6 +413,37 @@ class TestEvaluate:
         with pytest.raises(cq.NotComplemented):
             cq.evaluate_bipolar(capacity, profile, tile_hint=frozenset({"c1l2"}))
 
+    @pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
+    @given(data=st.data())
+    def test_matches_slow_oracle(self, kind, data):
+        """The signed chain path against the Fraction sort and sum of the
+        magnitudes, split along the tile: signs drawn per component, values
+        with ties and zeros or 30-digit denominators."""
+        base = data.draw(posets(max_elements=5).filter(cq.is_regular_mosaic))
+        lattice = cq.DownsetLattice(base)
+        table = data.draw(exact_tables(cq.admissible_vertex_pairs(lattice), kind))
+        capacity = cq.BipolarCapacity(lattice, table)
+        values = PROFILE_VALUES[data.draw(st.sampled_from(sorted(PROFILE_VALUES)))]
+        magnitude = data.draw(profiles(base, values))
+        flipped = [c.members for c in cq.connected_components(base) if data.draw(st.booleans())]
+        profile = cq.BipolarProfile(
+            base,
+            {j: -v if any(j in c for c in flipped) else v for j, v in magnitude.values.items()},
+        )
+        # a component goes negative when it carries a strictly negative value
+        positive = frozenset(base.elements).difference(
+            *(c for c in flipped if any(magnitude.values[j] for j in c))
+        )
+        expected = slow_triangulate(magnitude)
+        split = tuple(pair(v & positive, v - positive) for v in expected.chain)
+        assert cq.evaluate_bipolar(capacity, profile) == cq.Evaluation(
+            slow_chain_value(capacity.values, split, expected.weights),
+            expected.order,
+            split,
+            expected.weights,
+            positive,
+        )
+
     def test_non_mosaic_rejected(self, wedge_lattice):
         rng = random.Random(2)
         capacity = random_bipolar_capacity(rng, wedge_lattice)
@@ -512,9 +548,13 @@ class TestMoebiusFormEval:
 
     def test_outside_label_rejected(self, grid):
         profile = cq.BipolarProfile(grid.base, dict.fromkeys(grid.base.elements, "0.5"))
+        message = "coefficient keys mention labels outside the base"
         for key in (pair({"zz"}), pair((), {"c1l1", "zz"})):
-            with pytest.raises(cq.BaseMismatch):  # even with a zero coefficient
-                cq.bipolar_moebius_form_eval({pair(): 1, key: 0}, profile)
+            for value in (0, "0", "-1/3"):  # a zero coefficient too
+                for table in ({pair(): 1, key: value}, {key: value, pair({"c1l1"}): 2}, {key: value}):
+                    with pytest.raises(cq.BaseMismatch) as info:
+                        cq.bipolar_moebius_form_eval(table, profile)
+                    assert str(info.value) == message
 
     def test_keys_may_be_any_iterables(self, grid):
         rng = random.Random(24)

@@ -6,17 +6,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import choqlat as cq
+from choqlat.interpolation import _sort_keys
 from support import (
+    PROFILE_VALUES,
     VALUE_KINDS,
     antichain,
     capacities,
+    chain,
     exact_tables,
     lattices,
     posets,
     profiles,
     random_linear_extension,
     random_profile,
+    slow_chain_value,
     slow_moebius_form_eval,
+    slow_triangulate,
     tied_values,
     unit_fractions,
     wedge_poset,
@@ -51,6 +56,33 @@ class TestProfileValidation:
     def test_boundaries_allowed(self, grid_base):
         profile = cq.Profile(grid_base, {"c1l1": 1, "c1l2": 1, "c2l1": 0, "c2l2": 0})
         assert profile("c1l2") == 1
+        signed = cq.BipolarProfile(
+            grid_base, {"c1l1": -1, "c1l2": 1, "c2l1": "-1/3", "c2l2": "1/3"}
+        )
+        assert signed("c1l1") == -1
+
+    @pytest.mark.parametrize(
+        "cls, changes, error, message",
+        [
+            (cq.Profile, {"c1l1": "3/2"}, cq.ValueOutOfRange,
+             "profile value 3/2 at 'c1l1' is outside [0, 1]"),
+            (cq.Profile, {"c2l2": "-1/3"}, cq.ValueOutOfRange,
+             "profile value -1/3 at 'c2l2' is outside [0, 1]"),
+            (cq.Profile, {"c1l2": "0.5"}, cq.NotNonincreasing,
+             "profile increases along 'c1l1' < 'c1l2'"),
+            (cq.BipolarProfile, {"c1l1": "-3/2"}, cq.ValueOutOfRange,
+             "signed value -3/2 at 'c1l1' is outside [-1, 1]"),
+            (cq.BipolarProfile, {"c2l1": "1.25"}, cq.ValueOutOfRange,
+             "signed value 5/4 at 'c2l1' is outside [-1, 1]"),
+            (cq.BipolarProfile, {"c2l1": "1/3", "c2l2": "-1/2"}, cq.NotNonincreasing,
+             "|values| increase along 'c2l1' < 'c2l2'"),
+        ],
+    )
+    def test_error_texts(self, grid_base, cls, changes, error, message):
+        values = {**dict.fromkeys(grid_base.elements, 0), **changes}
+        with pytest.raises(error) as info:
+            cls(grid_base, values)
+        assert str(info.value) == message
 
 
 class TestTriangulate:
@@ -103,11 +135,74 @@ class TestTriangulate:
             assert lower < upper
             assert cq.is_downset(base, upper)
 
+    @pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
+    @given(data=st.data())
+    def test_matches_slow_oracle(self, kind, data):
+        """Integer sort keys, cross-product weights and the integer sum
+        against the Fraction sort and sum, for each kind of table and of
+        profile values (ties and zeros, 30-digit denominators), under the
+        default and a random tie-break, on bases down to the empty one."""
+        lattice = data.draw(lattices(max_elements=6))
+        capacity = cq.GeneralizedCapacity(lattice, data.draw(exact_tables(lattice.elements, kind)))
+        values = PROFILE_VALUES[data.draw(st.sampled_from(sorted(PROFILE_VALUES)))]
+        profile = data.draw(profiles(lattice.base, values))
+        expected = slow_triangulate(profile)
+        value = slow_chain_value(capacity.values, expected.chain, expected.weights)
+        assert cq.evaluate(capacity, profile) == cq.Evaluation(
+            value, expected.order, expected.chain, expected.weights
+        )
+        tie_break = random_linear_extension(data.draw(st.randoms()), lattice.base)
+        dec = cq.triangulate(profile, tie_break)
+        assert dec == slow_triangulate(profile, tie_break)
+        assert cq.Evaluation.along(capacity.values, dec.order, dec.chain, dec.weights).value == value
+
+    def test_empty_base(self):
+        lattice = cq.DownsetLattice(cq.Poset([], []))
+        profile = cq.Profile(lattice.base, {})
+        dec = cq.triangulate(profile)
+        assert (dec.order, dec.chain, dec.weights) == ((), (frozenset(),), (1,))
+        capacity = cq.GeneralizedCapacity(lattice, {frozenset(): "-7/3"})
+        assert cq.natural_extension(capacity, profile) == Fraction(-7, 3)
+
     def test_bad_tie_break_rejected(self, grid_base, worked_profile):
         with pytest.raises(cq.NotNonincreasing):
             cq.triangulate(worked_profile, tie_break=("c1l2", "c1l1", "c2l1", "c2l2"))
         with pytest.raises(cq.BaseMismatch):
             cq.triangulate(worked_profile, tie_break=("c1l1",))
+
+
+class TestSortKeys:
+    def test_adjacent_large_denominators(self):
+        above = Fraction(10**300, 10**300 + 1)
+        below = Fraction(10**300 - 1, 10**300)
+        assert below < above
+        keys = _sort_keys(
+            {"a": above, "b": below, "c": above, "d": below, "o": Fraction(1), "z": Fraction(0)}
+        )
+        assert keys["o"] > keys["a"] == keys["c"] > keys["b"] == keys["d"] > keys["z"]
+        profile = cq.Profile(antichain(2), {"1": below, "2": above})
+        assert cq.triangulate(profile).order == ("2", "1")
+
+    def test_long_chain_of_large_denominators(self):
+        """128 distinct 300-digit denominators along a chain: the integer
+        path equals the Fraction sort and sum exactly."""
+        rng = random.Random(41)
+        denominators: set = set()
+        while len(denominators) < 128:
+            denominators.add(rng.randrange(10**299, 10**300))
+        values = sorted((Fraction(rng.randrange(d + 1), d) for d in denominators), reverse=True)
+        base = chain(128)
+        profile = cq.Profile(base, dict(zip(cq.linear_extension(base), values)))
+        lattice = cq.DownsetLattice(base)
+        capacity = cq.GeneralizedCapacity(
+            lattice,
+            {d: Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**30)) for d in lattice.elements},
+        )
+        expected = slow_triangulate(profile)
+        assert cq.triangulate(profile) == expected
+        assert cq.natural_extension(capacity, profile) == slow_chain_value(
+            capacity.values, expected.chain, expected.weights
+        )
 
 
 class TestNaturalExtension:

@@ -2,13 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import choqlat as cq
 from support import (
+    exact_tables,
     random_bipolar_capacity,
     random_capacity,
     random_profile,
     random_signed_profile,
+    slow_chain_value,
+    slow_triangulate,
 )
 
 
@@ -355,6 +360,62 @@ class TestSignedPoints:
         )
         with pytest.raises(cq.OutOfScale):
             cq.interpolate_signed_point(capacity, ["-1.5", "0"], symmetric5)
+
+
+def _sides(size, low, high):
+    """``size`` distinct increasing levels strictly between low and high."""
+    inner = st.fractions(min_value=low, max_value=high, max_denominator=40)
+    return st.lists(
+        inner.filter(lambda v: low < v < high), min_size=size, max_size=size, unique=True
+    ).map(sorted)
+
+
+def _points(n, levels):
+    """Points on the scale: mesh nodes and cell interiors."""
+    coordinate = st.one_of(
+        st.sampled_from(levels),
+        st.fractions(min_value=levels[0], max_value=levels[-1], max_denominator=60),
+    )
+    return st.lists(coordinate, min_size=n, max_size=n)
+
+
+class TestCornerSweepOracle:
+    """The corner sweep against the Fraction sort and sum of the point's
+    staircase profile, on random scales, points and tables of every value
+    kind."""
+
+    @given(data=st.data())
+    def test_unsigned(self, data):
+        k, n = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 3))
+        levels = [Fraction(0), *data.draw(_sides(k - 2, 0, 1)), Fraction(1)]
+        scale = cq.ReferenceScale(tuple(levels))
+        lattice = cq.DownsetLattice(cq.build_kary_base(k, n))
+        capacity = cq.GeneralizedCapacity(lattice, data.draw(exact_tables(lattice.elements)))
+        point = data.draw(_points(n, levels))
+        _, staircase = cq.level_profile(point, scale)
+        expected = slow_triangulate(staircase)
+        assert cq.interpolate_point(capacity, point, scale) == slow_chain_value(
+            capacity.values, expected.chain, expected.weights
+        )
+
+    @given(data=st.data())
+    def test_signed(self, data):
+        k, n = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 3))
+        levels = [
+            *data.draw(_sides(k - 1, -2, 0)), Fraction(0), *data.draw(_sides(k - 1, 0, 2))
+        ]
+        scale = cq.ReferenceScale(tuple(levels), symmetric=True)
+        lattice = cq.DownsetLattice(cq.build_kary_base(k, n))
+        table = data.draw(exact_tables(cq.admissible_vertex_pairs(lattice)))
+        capacity = cq.BipolarCapacity(lattice, table)
+        point = data.draw(_points(n, levels))
+        positive, _, profile = cq.bipolar_level_profile(point, scale)
+        tile = frozenset(cq.level_label(i, l) for i in positive for l in range(1, k))
+        expected = slow_triangulate(profile.magnitude())
+        split = [cq.BipolarElement(v & tile, v - tile) for v in expected.chain]
+        assert cq.interpolate_signed_point(capacity, point, scale) == slow_chain_value(
+            capacity.values, split, expected.weights
+        )
 
 
 class TestTwoLevelCollapse:

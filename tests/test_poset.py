@@ -126,6 +126,15 @@ class TestComponents:
         assert comps[0].members == frozenset({"a1", "a2"})
         assert comps[0].minimals == frozenset({"a1"})
 
+    def test_kept_with_the_poset(self):
+        p = cq.Poset(["b1", "a2", "a1"], [("a1", "a2")])
+        q = cq.Poset(["a1", "a2", "b1"], [("a1", "a2")])
+        first = cq.connected_components(p)
+        assert cq.connected_components(p) is first
+        assert p == q and hash(p) == hash(q) == hash((p.elements, p.covers))
+        assert cq.connected_components(q) == first
+        assert p != cq.Poset(["a1", "a2", "b1"], [])
+
     @given(posets())
     def test_components_partition(self, p):
         comps = cq.connected_components(p)
