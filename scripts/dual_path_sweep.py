@@ -7,7 +7,10 @@ pairs with random instances and reports counts and timing; any
 disagreement is a bug and exits nonzero. Like a long-running caller, it
 keeps one lattice per grid across instances, so the transforms run on the
 step plans cached with each lattice, and its values carry denominators
-from 1 to over a dozen digits.
+from 1 to over a dozen digits. About half of the profile values and point
+coordinates reach the library as text (p/q, decimal or exponent form, with
+or without surrounding spaces), so both paths start from the number
+parser; every parsed value must equal the Fraction it was rendered from.
 
     python scripts/dual_path_sweep.py --instances 300 --seed 7
 """
@@ -29,25 +32,41 @@ def random_fraction(rng, low=-2, high=2):
     return Fraction(rng.randint(low * denominator, high * denominator), denominator)
 
 
-def random_profile(rng, base):
+def render(rng, value):
+    """``value`` itself half of the time, else text for it: p/q, or a
+    decimal or exponent form when its denominator divides a power of ten,
+    with spaces around it at random."""
+    if rng.random() < 0.5:
+        return value
+    digits = next((d for d in range(7) if 10**d % value.denominator == 0), None)
+    form = 0 if digits is None else rng.randrange(3)
+    if form == 0:
+        text = f"{value.numerator}/{value.denominator}"
+    else:
+        scaled = value.numerator * 10**digits // value.denominator
+        if form == 1:
+            text = f"{scaled}e-{digits}"
+        else:
+            whole, rest = divmod(abs(scaled), 10**digits)
+            text = f"{'-' if scaled < 0 else ''}{whole}." + (f"{rest:0{digits}d}" if digits else "")
+    return rng.choice(("", " ", "  ")) + text + rng.choice(("", " "))
+
+
+def random_values(rng, base):
     raw = {x: Fraction(rng.randint(0, 10), 10) for x in base.elements}
-    return cq.Profile(
-        base,
-        {
-            j: max(raw[x] for x in base.elements if base.leq(j, x))
-            for j in base.elements
-        },
-    )
+    return {
+        j: max(raw[x] for x in base.elements if base.leq(j, x))
+        for j in base.elements
+    }
 
 
-def random_signed_profile(rng, base):
-    magnitude = random_profile(rng, base)
-    signed = dict(magnitude.values)
+def random_signed_values(rng, base):
+    signed = random_values(rng, base)
     for component in cq.connected_components(base):
         if rng.random() < 0.5:
             for label in component.members:
                 signed[label] = -signed[label]
-    return cq.BipolarProfile(base, signed)
+    return signed
 
 
 def sweep(instances, seed):
@@ -64,7 +83,9 @@ def sweep(instances, seed):
         capacity = cq.GeneralizedCapacity(
             lattice, {d: random_fraction(rng) for d in lattice.elements}
         )
-        profile = random_profile(rng, base)
+        values = random_values(rng, base)
+        profile = cq.Profile(base, {j: render(rng, v) for j, v in values.items()})
+        mismatches += profile.values != values
         direct = cq.natural_extension(capacity, profile)
         dual = cq.moebius_form_eval(cq.moebius_transform(capacity), profile)
         mismatches += direct != dual
@@ -72,7 +93,9 @@ def sweep(instances, seed):
         scale = cq.ReferenceScale(
             tuple(Fraction(j, k - 1) for j in range(k))
         )
-        point = [Fraction(rng.randint(0, 24), 24) for _ in range(n)]
+        exact = [Fraction(rng.randint(0, 24), 24) for _ in range(n)]
+        point = [render(rng, v) for v in exact]
+        mismatches += [cq.as_fraction(v) for v in point] != exact
         corner = cq.interpolate_point(capacity, point, scale)
         _, staircase = cq.level_profile(point, scale)
         mismatches += corner != cq.natural_extension(capacity, staircase)
@@ -81,7 +104,9 @@ def sweep(instances, seed):
             lattice,
             {p: random_fraction(rng) for p in cq.admissible_vertex_pairs(lattice)},
         )
-        signed = random_signed_profile(rng, base)
+        values = random_signed_values(rng, base)
+        signed = cq.BipolarProfile(base, {j: render(rng, v) for j, v in values.items()})
+        mismatches += signed.values != values
         chain_value = cq.bipolar_natural_extension(bipolar, signed)
         coefficients = cq.bipolar_moebius_transform(lattice, bipolar.values)
         mismatches += chain_value != cq.bipolar_moebius_form_eval(coefficients, signed)

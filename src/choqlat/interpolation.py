@@ -121,8 +121,8 @@ class ChainDecomposition:
         return out
 
 
-def _sort_keys(values: Mapping[str, Fraction]) -> dict[str, int]:
-    """An integer per label that orders the labels exactly as their values.
+def _sort_keys(values: Mapping[object, Fraction]) -> dict[object, int]:
+    """An integer per key that orders the keys exactly as their values.
 
     The key is the value scaled by 2**shift and rounded down, where
     ``shift`` is twice the bit length of the largest denominator. Two
@@ -132,7 +132,7 @@ def _sort_keys(values: Mapping[str, Fraction]) -> dict[str, int]:
     and one division on the value's own numerator and denominator.
     """
     shift = 2 * max((v.denominator.bit_length() for v in values.values()), default=0)
-    return {label: (v.numerator << shift) // v.denominator for label, v in values.items()}
+    return {key: (v.numerator << shift) // v.denominator for key, v in values.items()}
 
 
 def triangulate(profile: Profile, tie_break: Sequence[str] | None = None) -> ChainDecomposition:
@@ -148,15 +148,17 @@ def triangulate(profile: Profile, tie_break: Sequence[str] | None = None) -> Cha
     """
     base = profile.base
     if tie_break is None:
+        # the cached linear extension refines the order by construction
         tie_break = linear_extension(base)
-    ranks = {label: i for i, label in enumerate(tie_break)}
-    if set(ranks) != set(base.elements) or len(tie_break) != len(base.elements):
-        raise BaseMismatch("tie_break must enumerate the base poset exactly")
-    for lower, upper in base.covers:
-        if ranks[lower] > ranks[upper]:
-            raise NotNonincreasing(
-                f"tie_break does not refine the base order at {lower!r} < {upper!r}"
-            )
+    else:
+        ranks = {label: i for i, label in enumerate(tie_break)}
+        if set(ranks) != set(base.elements) or len(tie_break) != len(base.elements):
+            raise BaseMismatch("tie_break must enumerate the base poset exactly")
+        for lower, upper in base.covers:
+            if ranks[lower] > ranks[upper]:
+                raise NotNonincreasing(
+                    f"tie_break does not refine the base order at {lower!r} < {upper!r}"
+                )
     values = profile.values
     # a stable sort keeps tied labels in tie_break order, reverse=True included
     order = sorted(tie_break, key=_sort_keys(values).__getitem__, reverse=True)

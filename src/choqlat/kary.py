@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .bipolar import BipolarCapacity, BipolarElement, BipolarProfile
 from .errors import InvalidDimensions, OutOfScale
-from .interpolation import Evaluation, Profile, _exact_sum
+from .interpolation import Evaluation, Profile, _exact_sum, _sort_keys
 from .moebius import GeneralizedCapacity
 from .poset import Poset
 from .rationals import as_fraction
@@ -40,7 +40,14 @@ def level_label(criterion: int, level: int) -> str:
 def label_parts(label: str) -> tuple[int, int]:
     """(criterion, level) encoded in a base label."""
     criterion, sep, level = label[1:].partition("l")
-    if label[:1] != "c" or not sep or not criterion.isdigit() or not level.isdigit():
+    # ASCII first: str.isdigit also accepts digits such as "²" and "١"
+    if (
+        not label.isascii()
+        or label[:1] != "c"
+        or not sep
+        or not criterion.isdigit()
+        or not level.isdigit()
+    ):
         raise InvalidDimensions(f"label {label!r} does not encode a grid level")
     return int(criterion), int(level)
 
@@ -152,17 +159,25 @@ class LevelIndexing:
         return sum(i - 1 for i in self.indices)
 
 
-def _locate(value: Fraction, scale: ReferenceScale, sign: int) -> tuple[int, Fraction]:
+def _locate(
+    value: Fraction, anchors: Sequence[tuple[int, int]], middle: int, sign: int
+) -> tuple[int, Fraction]:
     """Level index and residue of one coordinate on one side of the scale.
 
-    Takes the lowest admissible interval, so residues are 1 at interior mesh
-    nodes and 0 only at the neutral end of the side.
+    ``anchors`` are the scale levels as (numerator, denominator) pairs and
+    ``middle`` is the position of level index 0. Takes the lowest admissible
+    interval, so residues are 1 at interior mesh nodes and 0 only at the
+    neutral end of the side. Comparisons cross-multiply numerators and
+    denominators (all denominators are positive), and the residue is one
+    ``Fraction`` built from integers.
     """
-    for j in range(1, scale.k):
-        anchor = scale.rho(sign * j)
-        if (value <= anchor) if sign > 0 else (value >= anchor):
-            previous = scale.rho(sign * (j - 1))
-            return j, (value - previous) / (anchor - previous)
+    n, d = value.numerator, value.denominator
+    pn, pd = anchors[middle]
+    for j in range(1, len(anchors) - middle):
+        an, ad = anchors[middle + sign * j]
+        if (n * ad <= an * d) if sign > 0 else (n * ad >= an * d):
+            return j, Fraction((n * pd - pn * d) * ad, (an * pd - pn * ad) * d)
+        pn, pd = an, ad
     raise OutOfScale(f"{value} is outside the scale range")
 
 
@@ -173,27 +188,34 @@ def _locate_coordinates(
 
     On a symmetric scale each coordinate is located on the side of its
     sign (zero counts as nonnegative); on a one-sided scale every
-    coordinate is on the nonnegative side.
+    coordinate is on the nonnegative side. The range and sign tests run on
+    integer numerators and denominators, and the residues are ordered by
+    exact integer keys (:func:`~choqlat.interpolation._sort_keys`), ties
+    by criterion.
     """
     values = [as_fraction(v) for v in point]
     if not values:
         raise InvalidDimensions("a point needs at least one coordinate")
-    low, high = scale.levels[0], scale.levels[-1]
-    indices, residues, positive = [], [], set()
+    levels = scale.levels
+    anchors = [(a.numerator, a.denominator) for a in levels]
+    (ln, ld), (hn, hd) = anchors[0], anchors[-1]
+    middle = len(levels) // 2 if scale.symmetric else 0
+    indices, residues, positive = [], {}, set()
     for i, value in enumerate(values, start=1):
-        if not low <= value <= high:
+        n, d = value.numerator, value.denominator
+        if not (ln * d <= n * ld and n * hd <= hn * d):
             raise OutOfScale(
-                f"coordinate {value} of criterion {i} outside [{low}, {high}]",
+                f"coordinate {value} of criterion {i} outside [{levels[0]}, {levels[-1]}]",
                 criterion=i,
             )
-        sign = -1 if scale.symmetric and value < 0 else 1
+        sign = -1 if scale.symmetric and n < 0 else 1
         if sign > 0:
             positive.add(i)
-        index, residue = _locate(value, scale, sign)
+        index, residues[i] = _locate(value, anchors, middle, sign)
         indices.append(index)
-        residues.append(residue)
-    order = sorted(range(1, len(residues) + 1), key=lambda i: (-residues[i - 1], i))
-    indexing = LevelIndexing(tuple(indices), tuple(residues), tuple(order))
+    # a stable sort keeps tied criteria in increasing order, reverse=True included
+    order = sorted(residues, key=_sort_keys(residues).__getitem__, reverse=True)
+    indexing = LevelIndexing(tuple(indices), tuple(residues.values()), tuple(order))
     return frozenset(positive), indexing
 
 

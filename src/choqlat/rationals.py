@@ -20,6 +20,67 @@ def _check_exponent(text: str, value: str) -> None:
         raise ValueError(f"exponent beyond {MAX_EXPONENT} in {value!r}")
 
 
+def _read_plain(text: str) -> Fraction | None:
+    """Exact value of a plain number string, or None when it is not plain.
+
+    Plain means ASCII of the form ``[+-]digits/digits`` or
+    ``[+-]digits[.digits][(e|E)[+-]digits]``, with digits on at least one
+    side of the point (".5" and "5." count). ``Fraction(text)`` reads each
+    such string to the same value; here ``int`` reads the digits and one
+    ``Fraction`` is built from the integers, without a regular expression.
+    A zero denominator raises ``ZeroDivisionError`` as ``Fraction`` does.
+    """
+    if not text.isascii():
+        return None
+    negative = text[:1] == "-"
+    body = text[1:] if negative or text[:1] == "+" else text
+    whole, slash, rest = body.partition("/")
+    if slash:
+        if not (whole.isdigit() and rest.isdigit()):
+            return None
+        numerator, denominator = int(whole), int(rest)
+    else:
+        mantissa, e, exponent = body.lower().partition("e")
+        whole, _, decimals = mantissa.partition(".")
+        digits = whole + decimals
+        if not digits.isdigit():
+            return None
+        shift = -len(decimals)
+        if e:
+            unsigned = exponent[1:] if exponent[:1] in ("+", "-") else exponent
+            if not unsigned.isdigit():
+                return None
+            shift += int(exponent)
+        numerator, denominator = int(digits), 1
+        if shift >= 0:
+            numerator *= 10**shift
+        else:
+            denominator = 10**-shift
+    return Fraction(-numerator if negative else numerator, denominator)
+
+
+def _from_string(value: str) -> Fraction:
+    text = value.strip()
+    if len(text) > MAX_DIGITS:
+        raise ValueError(f"number longer than {MAX_DIGITS} characters: {value[:20]!r}...")
+    if "e" in text or "E" in text:
+        _check_exponent(text, value)
+    try:
+        number = _read_plain(text)
+        return Fraction(text) if number is None else number
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+    except ValueError:
+        pass
+    try:
+        number = Decimal(text)
+    except InvalidOperation:
+        raise ValueError(f"cannot parse {value!r} as a rational") from None
+    if not number.is_finite():
+        raise ValueError(f"{value!r} is not a finite number")
+    return Fraction(number)
+
+
 def as_fraction(value) -> Fraction:
     """Convert ``value`` to an exact ``Fraction``.
 
@@ -27,8 +88,17 @@ def as_fraction(value) -> Fraction:
     Floats are read through their shortest decimal representation, so 0.3
     becomes exactly 3/10 rather than the nearest binary double. A string
     must be finite, at most ``MAX_DIGITS`` characters long and carry an
-    exponent of at most ``MAX_EXPONENT`` in size.
+    exponent of at most ``MAX_EXPONENT`` in size. Plain ASCII strings
+    (:func:`_read_plain`) are read on integers; every other string follows
+    the grammar of ``Fraction``, then of ``Decimal``.
     """
+    kind = type(value)
+    if kind is Fraction:
+        return value
+    if kind is str:
+        return _from_string(value)
+    if kind is int:
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -40,22 +110,5 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(Decimal(repr(value)))
     if isinstance(value, str):
-        text = value.strip()
-        if len(text) > MAX_DIGITS:
-            raise ValueError(f"number longer than {MAX_DIGITS} characters: {value[:20]!r}...")
-        if "e" in text or "E" in text:
-            _check_exponent(text, value)
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
-        except ValueError:
-            pass
-        try:
-            number = Decimal(text)
-        except InvalidOperation:
-            raise ValueError(f"cannot parse {value!r} as a rational") from None
-        if not number.is_finite():
-            raise ValueError(f"{value!r} is not a finite number")
-        return Fraction(number)
+        return _from_string(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")

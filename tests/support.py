@@ -6,13 +6,16 @@ helpers drive the seeded bulk runs in the acceptance module.
 
 from __future__ import annotations
 
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 import random
 
 from hypothesis import strategies as st
 
 import choqlat as cq
+from choqlat.kary import LevelIndexing
 from choqlat.moebius import check_bipolar_pair
+from choqlat.rationals import MAX_DIGITS, MAX_EXPONENT
 
 
 def wedge_poset() -> cq.Poset:
@@ -164,6 +167,88 @@ def moebius_function(p: cq.Poset, lower: str, upper: str, cache: dict | None = N
     """Moebius function of a poset between two comparable elements."""
     p.leq(lower, upper)  # raises UnknownLabel early
     return cq.rota_moebius(p.elements, p.leq, lower, upper, cache)
+
+
+# slow reference parser: every string through the regular expression of
+# Fraction, then Decimal
+
+
+def _slow_check_exponent(text: str, value: str) -> None:
+    _, _, exponent = text.lower().partition("e")
+    try:
+        size = abs(int(exponent))
+    except ValueError:
+        return
+    if size > MAX_EXPONENT:
+        raise ValueError(f"exponent beyond {MAX_EXPONENT} in {value!r}")
+
+
+def slow_as_fraction(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise TypeError("booleans are not numeric values")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, Decimal):
+        return Fraction(value)
+    if isinstance(value, float):
+        return Fraction(Decimal(repr(value)))
+    if isinstance(value, str):
+        text = value.strip()
+        if len(text) > MAX_DIGITS:
+            raise ValueError(f"number longer than {MAX_DIGITS} characters: {value[:20]!r}...")
+        if "e" in text or "E" in text:
+            _slow_check_exponent(text, value)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+        except ValueError:
+            pass
+        try:
+            number = Decimal(text)
+        except InvalidOperation:
+            raise ValueError(f"cannot parse {value!r} as a rational") from None
+        if not number.is_finite():
+            raise ValueError(f"{value!r} is not a finite number")
+        return Fraction(number)
+    raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+# slow reference point location: Fraction comparisons against the scale's
+# anchors, residues sorted on (-residue, criterion) tuples
+
+
+def _slow_locate(value: Fraction, scale: cq.ReferenceScale, sign: int) -> tuple[int, Fraction]:
+    for j in range(1, scale.k):
+        anchor = scale.rho(sign * j)
+        if (value <= anchor) if sign > 0 else (value >= anchor):
+            previous = scale.rho(sign * (j - 1))
+            return j, (value - previous) / (anchor - previous)
+    raise cq.OutOfScale(f"{value} is outside the scale range")
+
+
+def slow_locate_coordinates(point, scale: cq.ReferenceScale) -> tuple[frozenset, LevelIndexing]:
+    values = [slow_as_fraction(v) for v in point]
+    if not values:
+        raise cq.InvalidDimensions("a point needs at least one coordinate")
+    low, high = scale.levels[0], scale.levels[-1]
+    indices, residues, positive = [], [], set()
+    for i, value in enumerate(values, start=1):
+        if not low <= value <= high:
+            raise cq.OutOfScale(
+                f"coordinate {value} of criterion {i} outside [{low}, {high}]",
+                criterion=i,
+            )
+        sign = -1 if scale.symmetric and value < 0 else 1
+        if sign > 0:
+            positive.add(i)
+        index, residue = _slow_locate(value, scale, sign)
+        indices.append(index)
+        residues.append(residue)
+    order = sorted(range(1, len(residues) + 1), key=lambda i: (-residues[i - 1], i))
+    return frozenset(positive), LevelIndexing(tuple(indices), tuple(residues), tuple(order))
 
 
 # slow reference chain path: sort on (-value, tie-break rank) and subtract

@@ -1,11 +1,63 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import choqlat as cq
 from choqlat import fileio, rationals
-from support import antichain, random_bipolar_capacity, random_capacity, wedge_poset
+from support import (
+    antichain,
+    random_bipolar_capacity,
+    random_capacity,
+    slow_as_fraction,
+    wedge_poset,
+)
+
+MAX_DIGITS, MAX_EXPONENT = rationals.MAX_DIGITS, rationals.MAX_EXPONENT
+# characters of the plain grammar, and pieces only Fraction or Decimal read
+TOKENS = (
+    "+", "-", "0", "1", "7", "9", ".", "/", "e", "E", " ", "_", "²", "١", "inf", "nan", "Infinity"
+)
+DIGITS = st.text("0123456789", max_size=5)
+
+
+@st.composite
+def number_texts(draw):
+    """Plain-shaped strings at the grammar's and the guards' edges, some
+    with one stray token put in."""
+    whole = draw(
+        st.one_of(DIGITS, st.integers(MAX_DIGITS - 2, MAX_DIGITS + 1).map(lambda size: "1" * size))
+    )
+    if draw(st.booleans()):
+        body = f"{whole}/{draw(DIGITS)}"
+    else:
+        body = whole + draw(st.sampled_from(("", "."))) + draw(DIGITS)
+        if draw(st.booleans()):
+            exponent = draw(
+                st.one_of(
+                    st.integers(-12, 12),
+                    st.sampled_from((MAX_EXPONENT - 1, MAX_EXPONENT, MAX_EXPONENT + 1)),
+                )
+            )
+            sign = draw(st.sampled_from(("", "+", "-")))
+            body += draw(st.sampled_from(("e", "E"))) + sign + str(exponent)
+    pad = st.sampled_from(("", " ", "\t\n"))
+    text = draw(pad) + draw(st.sampled_from(("", "+", "-"))) + body + draw(pad)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(TOKENS)) + text[at:]
+    return text
+
+
+def _outcome(parse, raw):
+    try:
+        value = parse(raw)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(value), value
 
 
 class TestValueParsing:
@@ -48,6 +100,54 @@ class TestValueParsing:
         bound = rationals.MAX_EXPONENT
         assert cq.as_fraction(f"1e{bound}") == 10**bound
         assert cq.as_fraction(f"2.5E-{bound}") == Fraction(25, 10 ** (bound + 1))
+
+
+class TestParserOracle:
+    """``as_fraction`` against the Fraction-regex parser it replaced: the
+    same Fraction, or the same exception class and text."""
+
+    @given(st.one_of(number_texts(), st.lists(st.sampled_from(TOKENS), max_size=10).map("".join)))
+    def test_strings(self, raw):
+        assert _outcome(cq.as_fraction, raw) == _outcome(slow_as_fraction, raw)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            ".", "e5", "1e", "+.5e-3", "5.", "-0", " 3/4 ", "3 / 4", "", "  ", "-", "+-1",
+            "1/0", "0/0", "-7/0", "1_000", "1.5/2", "1/2e3", "1e5.0", "5.e3", ".e3", "²", "1١",
+            "١/2", "Inf", "-nan", "1e1001", "1E-1000", "0x10", "1/", "/2", "1/+2", "1/-2",
+            "1/ 2", "1 /2", "1e+-5", "1e--5", "1e 5", "- 1", "1.2.3", "1/2/3",
+        ],
+    )
+    def test_pinned_strings(self, raw):
+        assert _outcome(cq.as_fraction, raw) == _outcome(slow_as_fraction, raw)
+
+    class Text(str):
+        pass
+
+    class Whole(int):
+        pass
+
+    class Exact(Fraction):
+        pass
+
+    @pytest.mark.parametrize(
+        "raw",
+        [True, False, 0, -3, Whole(4), Text("0.25"), Exact(1, 3), Fraction(-2, 7),
+         Decimal("0.1"), Decimal("NaN"), 0.3, -1e-7, None, [], b"1"],
+    )
+    def test_other_types(self, raw):
+        assert _outcome(cq.as_fraction, raw) == _outcome(slow_as_fraction, raw)
+
+    @pytest.mark.parametrize(
+        "raw,plain",
+        [
+            ("3/4", True), ("-3/4", True), ("+.5e-3", True), ("5.", True), ("1E+9", True),
+            ("3 / 4", False), ("1_000", False), ("١", False), ("inf", False), (".", False),
+        ],
+    )
+    def test_which_strings_read_on_integers(self, raw, plain):
+        assert (rationals._read_plain(raw) is not None) is plain
 
 
 class TestPosetFiles:

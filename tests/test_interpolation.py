@@ -165,10 +165,16 @@ class TestTriangulate:
         assert cq.natural_extension(capacity, profile) == Fraction(-7, 3)
 
     def test_bad_tie_break_rejected(self, grid_base, worked_profile):
-        with pytest.raises(cq.NotNonincreasing):
+        with pytest.raises(
+            cq.NotNonincreasing,
+            match="^tie_break does not refine the base order at 'c1l1' < 'c1l2'$",
+        ):
             cq.triangulate(worked_profile, tie_break=("c1l2", "c1l1", "c2l1", "c2l2"))
-        with pytest.raises(cq.BaseMismatch):
-            cq.triangulate(worked_profile, tie_break=("c1l1",))
+        for short in (("c1l1",), ("c1l1", "c1l2", "c2l1", "c2l2", "c2l2"), ()):
+            with pytest.raises(
+                cq.BaseMismatch, match="^tie_break must enumerate the base poset exactly$"
+            ):
+                cq.triangulate(worked_profile, tie_break=short)
 
 
 class TestSortKeys:

@@ -13,6 +13,7 @@ from support import (
     random_profile,
     random_signed_profile,
     slow_chain_value,
+    slow_locate_coordinates,
     slow_triangulate,
 )
 
@@ -67,6 +68,17 @@ class TestBase:
         assert cq.grid_shape(cq.build_kary_base(3, 2)) == (3, 2)
         with pytest.raises(cq.InvalidDimensions):
             cq.grid_shape(cq.Poset(["a"], []))
+
+    @pytest.mark.parametrize("label", ["c²l1", "c١l1", "c1l²", "c1l١"])
+    def test_non_ascii_digits_rejected(self, label):
+        with pytest.raises(cq.InvalidDimensions, match="does not encode a grid level"):
+            cq.label_parts(label)
+
+    def test_non_ascii_label_rejected_when_scoring(self, scale3):
+        lattice = cq.DownsetLattice(cq.Poset(["c²l1"], []))
+        capacity = cq.GeneralizedCapacity(lattice, {d: 0 for d in lattice.elements})
+        with pytest.raises(cq.InvalidDimensions, match="does not encode a grid level"):
+            cq.interpolate_point(capacity, ["1/2"], cq.ReferenceScale(("0", "1")))
 
     def test_node_out_of_range(self):
         with pytest.raises(cq.InvalidDimensions):
@@ -442,3 +454,50 @@ class TestTwoLevelCollapse:
                 assert cq.bipolar_natural_extension(
                     capacity, profile
                 ) == cq.bicapacity_choquet(capacity, profile.values)
+
+
+# 30-digit denominators, and the smallest step off an anchor at that size
+HUGE = 10**30
+scale_values = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=40),
+    st.builds(Fraction, st.integers(-3 * HUGE, 3 * HUGE), st.integers(1, HUGE)),
+)
+
+
+def _located(point, scale, locate):
+    try:
+        return locate(point, scale)
+    except cq.ChoqlatError as exc:
+        return type(exc), str(exc)
+
+
+class TestLocationOracle:
+    """Point location on integers against the Fraction comparisons it
+    replaced: the same indexing and positive set, or the same error text.
+    The corner sweep and the staircase share the location, so the dual
+    path cannot catch a fault here."""
+
+    @given(data=st.data(), symmetric=st.booleans())
+    def test_matches_fraction_location(self, data, symmetric):
+        size = data.draw(st.integers(1, 3))
+        if symmetric:
+            side = st.lists(
+                scale_values.map(abs).filter(bool), min_size=size, max_size=size, unique=True
+            ).map(sorted)
+            levels = [-v for v in reversed(data.draw(side))] + [Fraction(0)] + data.draw(side)
+        else:
+            levels = sorted(
+                data.draw(st.lists(scale_values, min_size=size + 1, max_size=size + 1, unique=True))
+            )
+        scale = cq.ReferenceScale(tuple(levels), symmetric=symmetric)
+        low, high = levels[0], levels[-1]
+        hair = Fraction(1, data.draw(st.sampled_from((7, HUGE, HUGE * 3 + 1))))
+        edges = [*levels, Fraction(0), low - hair, low + hair, high - hair, high + hair]
+        inside = st.fractions(min_value=0, max_value=1, max_denominator=HUGE)
+        coordinate = st.one_of(
+            st.sampled_from(edges), inside.map(lambda t: low + (high - low) * t)
+        )
+        for point in ([], data.draw(st.lists(coordinate, min_size=1, max_size=4))):
+            assert _located(point, scale, cq.kary._locate_coordinates) == _located(
+                point, scale, slow_locate_coordinates
+            )
