@@ -50,6 +50,7 @@ from .birkhoff import (
     BipolarElement,
     BirkhoffForm,
     DownsetLattice,
+    bipolar_cover_pairs,
     bipolar_extension,
     explicit_poset,
     verify_distributive,
@@ -83,7 +84,6 @@ from .bipolar import (
     Tile,
     admissible_vertex_pairs,
     bicapacity_choquet,
-    bipolar_cover_pairs,
     bipolar_join_irreducibles,
     bipolar_leq,
     bipolar_moebius_form_eval,

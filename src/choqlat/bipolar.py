@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-from .birkhoff import BipolarElement, DownsetLattice, bipolar_extension
+from .birkhoff import BipolarElement, DownsetLattice, _extension_plan, bipolar_extension
 from .errors import (
     BaseMismatch,
     NotAnElement,
@@ -53,33 +53,6 @@ ZERO = Fraction(0)
 def bipolar_leq(a, b) -> bool:
     """Product order on signed elements."""
     return a[0] <= b[0] and a[1] <= b[1]
-
-
-def bipolar_cover_pairs(
-    base: Poset, extension: tuple[BipolarElement, ...]
-) -> list[tuple[BipolarElement, BipolarElement]]:
-    """Covering pairs of the bipolar extension of the downsets of ``base``.
-
-    An upper cover adds one base element j, outside both parts, to one part
-    that already holds everything strictly below j. Pairs are ordered by the
-    position in ``extension`` of the lower element, then of the upper one.
-    """
-    index = {pair: i for i, pair in enumerate(extension)}
-    needs = [(j, base.below(j) - {j}) for j in base.elements]
-    out = []
-    for lower in extension:
-        pos, neg = lower
-        uppers = []
-        for j, required in needs:
-            if j in pos or j in neg:
-                continue
-            if required <= pos:
-                uppers.append(BipolarElement(pos | {j}, neg))
-            if required <= neg:
-                uppers.append(BipolarElement(pos, neg | {j}))
-        uppers.sort(key=index.__getitem__)
-        out += [(lower, upper) for upper in uppers]
-    return out
 
 
 def bipolar_join_irreducibles(lattice: DownsetLattice) -> tuple[BipolarElement, ...]:
@@ -294,15 +267,16 @@ class BipolarCapacity:
 
     @cached_property
     def is_monotone(self) -> bool:
-        """Nondecreasing in the positive part, nonincreasing in the negative."""
+        """Nondecreasing in the positive part, nonincreasing in the negative,
+        along every cover of the extension (its step plan) between stored
+        vertices."""
         stored = self.values
-        for (pos, neg), value in stored.items():
-            for j in self.base.elements:
-                grown_pos = BipolarElement(pos | {j}, neg)
-                if j not in pos and grown_pos in stored and stored[grown_pos] < value:
-                    return False
-                grown_neg = BipolarElement(pos, neg | {j})
-                if j not in neg and grown_neg in stored and stored[grown_neg] > value:
+        extension = bipolar_extension(self.lattice)
+        for key, lower_key in zip(*self.lattice.derived(_extension_plan)):
+            upper, lower = extension[key], extension[lower_key]
+            if lower in stored and upper in stored:
+                low, high = stored[lower], stored[upper]
+                if (low > high) if len(upper.pos) > len(lower.pos) else (low < high):
                     return False
         return True
 
@@ -323,11 +297,10 @@ def select_tile(profile: BipolarProfile) -> frozenset:
     no strictly negative value (so all-zero components count as positive);
     a component carrying both strict signs lies in no tile.
     """
-    components = connected_components(profile.base)
-    if any(len(comp.minimals) != 1 for comp in components):
+    if not is_regular_mosaic(profile.base):
         raise NotRegularMosaic("signed evaluation needs a regular mosaic base")
     positive: set = set()
-    for comp in components:
+    for comp in connected_components(profile.base):
         has_pos = any(profile.values[l].numerator > 0 for l in comp.members)
         has_neg = any(profile.values[l].numerator < 0 for l in comp.members)
         if has_pos and has_neg:

@@ -6,18 +6,22 @@ This module keeps that single representation everywhere: joins are unions,
 meets are intersections, and explicitly presented lattices are converted at
 the boundary by :func:`verify_distributive`.
 
-The bipolar extension, the ordered pairs of disjoint elements, has one
-enumerator, :func:`bipolar_extension`, which counts the pairs first.
+Each lattice keeps one bit-code table (base element j is bit (position of
+j in the linear extension)). The bipolar extension, the ordered pairs of
+disjoint elements, is enumerated from it per downset, counted before it is
+built; the step plan of the zeta/Moebius transforms, also the Hasse diagram
+that every covering relation is read from, is built from it too.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Mapping, NamedTuple, TypeVar
 
 from .errors import NotALattice, NotAnElement, NotDistributive, SizeLimitExceeded
-from .poset import DOWNSET_CAP, Poset, all_downsets, connected_components, downset_key
+from .poset import DOWNSET_CAP, Poset, all_downsets, downset_key, linear_extension
 
 T = TypeVar("T")
 
@@ -116,13 +120,9 @@ class DownsetLattice:
         )
 
     def cover_pairs(self) -> list[tuple[frozenset, frozenset]]:
-        """All covering pairs (lower, upper); upper adds one base element."""
-        out = []
-        for d in self.elements:
-            for j in self.base.elements:
-                if j not in d and (self.base.below(j) - {j}) <= d:
-                    out.append((d, d | {j}))
-        return out
+        """All covering pairs (lower, upper), by lower then upper position;
+        upper adds one base element."""
+        return _covers(self.elements, self.derived(_lattice_plan))
 
     def complemented(self) -> dict[frozenset, frozenset]:
         """Elements whose set complement is again a downset, with complements."""
@@ -142,39 +142,117 @@ def bipolar_extension(lattice: DownsetLattice) -> tuple[BipolarElement, ...]:
     """Every ordered pair of disjoint lattice elements, by the lattice order
     of the positive part, then of the negative part. Built once per lattice;
     refused with :class:`SizeLimitExceeded` before it is built when the
-    count (:func:`_extension_size`) is over ``DOWNSET_CAP``."""
+    count is over ``DOWNSET_CAP``."""
     return lattice.derived(_extension)
 
 
+def bipolar_cover_pairs(
+    lattice: DownsetLattice,
+) -> list[tuple[BipolarElement, BipolarElement]]:
+    """Covering pairs of the bipolar extension of ``lattice``.
+
+    An upper cover adds one base element j, outside both parts, to one part
+    that already holds everything strictly below j. Pairs are ordered by the
+    position in :func:`bipolar_extension` of the lower element, then of the
+    upper one.
+    """
+    return _covers(bipolar_extension(lattice), lattice.derived(_extension_plan))
+
+
+def _bits(base: Poset) -> dict[str, int]:
+    return {j: 1 << t for t, j in enumerate(linear_extension(base))}
+
+
+def _codes(lattice: DownsetLattice) -> dict[int, int]:
+    """The bit-code table: each element's code, mapped to its position in
+    the lattice, in lattice order."""
+    bit = _bits(lattice.base)
+    return {sum(map(bit.get, x)): i for i, x in enumerate(lattice.elements)}
+
+
 def _extension(lattice: DownsetLattice) -> tuple[BipolarElement, ...]:
-    size = _extension_size(lattice)
-    if size > DOWNSET_CAP:
-        raise SizeLimitExceeded(
-            f"bipolar extension has at least {size} pairs, over the cap {DOWNSET_CAP}",
-            cap=DOWNSET_CAP,
-        )
+    """A disjoint pair (a, b) is a downset d = a | b whose connected
+    components each go to one side, so d gives 2^(components of d) pairs.
+    Less its highest bit (its last element in the linear extension), d is a
+    downset whose components are known; that element joins those its lower
+    covers touch. The pairs are counted first, then built, sorted on the
+    integers p * |L| + q for the positions p and q of their parts."""
+    position = lattice.derived(_codes)
+    bit = _bits(lattice.base)
+    lowers = [sum(map(bit.get, lattice.base.lower_covers(j))) for j in bit]
+    parts, size = {0: ()}, 1
+    for code in list(position)[1:]:
+        top = code.bit_length() - 1
+        kept = [part for part in parts[code ^ 1 << top] if not part & lowers[top]]
+        parts[code] = (*kept, code ^ sum(kept))
+        size += 1 << len(parts[code])
+        if size > DOWNSET_CAP:
+            raise SizeLimitExceeded(
+                f"bipolar extension has at least {size} pairs, over the cap {DOWNSET_CAP}",
+                cap=DOWNSET_CAP,
+            )
+    n = len(position)
+    keys = []
+    for code, components in parts.items():
+        sides = [0]
+        for part in components:
+            sides += [side | part for side in sides]
+        keys += [position[side] * n + position[code ^ side] for side in sides]
+    keys.sort()
     elems = lattice.elements
-    return tuple([BipolarElement(a, b) for a in elems for b in elems if a.isdisjoint(b)])
+    return tuple([BipolarElement(elems[key // n], elems[key % n]) for key in keys])
 
 
-def _extension_size(lattice: DownsetLattice) -> int:
-    """Number of disjoint element pairs, or a lower bound past ``DOWNSET_CAP``:
-    a product over the components of the base. Nonempty downsets of a
-    component with one bottom all hold it, so its lattice L_c gives
-    2|L_c| - 1 pairs; other components are scanned until the cap is passed."""
-    size = 1
-    for component in connected_components(lattice.base):
-        inside = [d for d in lattice.elements if d <= component.members]
-        if len(component.minimals) == 1:
-            size *= 2 * len(inside) - 1
-            continue
-        pairs = 0
-        for a in inside:
-            if size * pairs > DOWNSET_CAP:
-                break
-            pairs += sum(1 for b in inside if a.isdisjoint(b))
-        size *= pairs
-    return size
+def _step_plan(lattice: DownsetLattice, sides: int) -> tuple:
+    """Index pairs (key, key with j removed from one side) for every
+    (side, base element j) step, the steps in linear-extension order.
+
+    Keys are the lattice elements (one side) or the pairs of
+    :func:`bipolar_extension` (two sides), in that order. They form a
+    down-closed family under the product order, so each interval below a
+    key is the same in the family as in the full product of lattices. A key
+    takes part in the step (side, j) when j is maximal in that side, that
+    is, when that side less j is a downset; the pairs are thus the family's
+    covering pairs, each once. Within one step no key is another's lower
+    key, so the flat sequence, read backwards, is also the inverse's order
+    of steps. A pair at lattice positions (p, q) is the integer p * |L| + q,
+    as in :func:`_extension`.
+    """
+    position = lattice.derived(_codes)
+    width, n = len(lattice.base), len(position)
+    # each element's lower covers: (t, position of the element less bit t)
+    drops = [
+        [(t, position[code ^ 1 << t]) for t in range(width)
+         if code >> t & 1 and code ^ 1 << t in position]
+        for code in position
+    ]
+    index = {x: i for i, x in enumerate(lattice.elements)}
+    keys = range(n) if sides == 1 else [
+        index[pos] * n + index[neg] for pos, neg in bipolar_extension(lattice)
+    ]
+    at = {key: k for k, key in enumerate(keys)}
+    steps = [[] for _ in range(sides * width)]
+    shifts = [(side * width, n ** (sides - 1 - side)) for side in range(sides)]
+    for k, key in enumerate(keys):
+        for shift, scale in shifts:
+            p = key // scale % n
+            for t, lower in drops[p]:
+                steps[shift + t] += (k, at[key + (lower - p) * scale])
+    flat = array("i")
+    for pairs in steps:
+        flat.extend(pairs)
+    return flat[0::2], flat[1::2]
+
+
+_lattice_plan = partial(_step_plan, sides=1)
+_extension_plan = partial(_step_plan, sides=2)
+
+
+def _covers(domain: tuple, plan: tuple) -> list[tuple]:
+    """The (lower, upper) pairs of a step plan over ``domain``, by the
+    position of the lower element, then of the upper one."""
+    keys, lowers = plan
+    return [(domain[lo], domain[up]) for lo, up in sorted(zip(lowers, keys))]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from . import fileio
 from .bipolar import (
     BipolarCapacity,
     admissible_vertex_pairs,
-    bipolar_cover_pairs,
     bipolar_join_irreducibles,
     bipolar_leq,
     bipolar_moebius_form_eval,
@@ -26,7 +25,7 @@ from .bipolar import (
     is_regular_mosaic,
     tile_union,
 )
-from .birkhoff import BipolarElement, DownsetLattice, bipolar_extension
+from .birkhoff import BipolarElement, DownsetLattice, bipolar_cover_pairs, bipolar_extension
 from .errors import ChoqlatError, FileFormatError, NotNormalized, NotRegularMosaic
 from .interpolation import Evaluation, Profile, evaluate, moebius_form_eval
 from .kary import (
@@ -246,7 +245,7 @@ def cmd_bipolar_enumerate(args):
     lattice, _ = _load(args.file, fileio.parse_lattice)
     extension = bipolar_extension(lattice)
     if args.dot:
-        edges = bipolar_cover_pairs(lattice.base, extension)
+        edges = bipolar_cover_pairs(lattice)
         return _dot("bipolar_extension", extension, edges, _pair_text)
     return {
         "count": len(extension),

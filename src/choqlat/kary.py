@@ -74,7 +74,7 @@ def grid_shape(base: Poset) -> tuple[int, int]:
         criteria.add(criterion)
         top_level = max(top_level, level)
     k, n = top_level + 1, max(criteria, default=0)
-    if n == 0 or base != build_kary_base(k, n):
+    if n == 0 or len(base.elements) != (k - 1) * n or base != build_kary_base(k, n):
         raise InvalidDimensions("base poset is not a chain product")
     return k, n
 

@@ -12,12 +12,13 @@ otherwise (Rota 1964). The zeta/Moebius transform pair therefore runs as one
 accumulation (or difference) pass per base element along a linear
 extension, in O(n |L|); the bipolar extension, a down-closed family of
 downset pairs, takes one pass per (side, base element). Which vertex each
-step combines with which depends on the lattice alone, so that step plan is
-built once per lattice, as two integer arrays, and kept with it. Each
-transform then scales its values to integer numerators over their common
-denominator, runs the plan's additions (or, backwards, its subtractions) on
-Python ints, and makes one exact ``Fraction`` per vertex at the end (the
-fast Moebius transform of Kennes 1992, with denominators cleared).
+step combines with which depends on the lattice alone, so that step plan,
+two integer arrays that are also the Hasse diagram, is built once per
+lattice by :mod:`~choqlat.birkhoff` and kept with it. Each transform
+then scales its values to integer numerators over their common denominator,
+runs the plan's additions (or, backwards, its subtractions) on Python ints,
+and makes one exact ``Fraction`` per vertex at the end (the fast Moebius
+transform of Kennes 1992, with denominators cleared).
 
 No cache is global: step plans and pair tables live on the
 :class:`DownsetLattice` they were built for (:meth:`DownsetLattice.derived`),
@@ -29,20 +30,19 @@ Callers that share nothing need no coordination.
 from __future__ import annotations
 
 import operator
-from array import array
 from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm
 from typing import Callable, Hashable, Mapping, Sequence
 
-from .birkhoff import DownsetLattice, bipolar_extension
+from .birkhoff import DownsetLattice, _extension_plan, _lattice_plan, bipolar_extension
 from .errors import (
     BaseMismatch,
     NotAnElement,
     NotComparable,
     NotInBipolarExtension,
 )
-from .poset import Poset, linear_extension
+from .poset import Poset
 from .rationals import as_fraction
 
 ZERO = Fraction(0)
@@ -156,57 +156,6 @@ def lattice_moebius(lattice: DownsetLattice, lower, upper) -> int:
     if not x <= y:
         raise NotComparable(f"{x!r} is not below {y!r}")
     return _interval_moebius(lattice.base, x, y)
-
-
-def _step_plan(lattice: DownsetLattice, sides: int) -> tuple:
-    """Index pairs (key, key with j removed from one side) for every
-    (side, base element j) step, the steps in linear-extension order.
-
-    Keys are the lattice elements as 1-tuples (one side) or the pairs of
-    :func:`~choqlat.birkhoff.bipolar_extension` (two sides), in that order.
-    They form a down-closed family under the product order, so each interval
-    below a key is the same in the family as in the full product of
-    lattices. A key takes part in the step (side, j) when j is maximal in
-    that side: no upper cover of j lies in it. Within one step no key is
-    another's lower key, so the flat sequence, read backwards, is also the
-    inverse's order of steps. Lower keys are found by a bit code: base
-    element j of side s is bit s * width + (position of j in the linear
-    extension).
-    """
-    base = lattice.base
-    order = linear_extension(base)
-    width = len(order)
-    bit = {j: 1 << position for position, j in enumerate(order)}
-    covers = {j: sum(map(bit.get, base.upper_covers(j))) for j in order}
-    code = {x: sum(map(bit.get, x)) for x in lattice.elements}
-    if sides == 1:
-        domain = [(x,) for x in lattice.elements]
-        codes = [code[x] for x in lattice.elements]
-    else:
-        domain = bipolar_extension(lattice)
-        codes = [code[pos] | code[neg] << width for pos, neg in domain]
-    shifts = [side * width for side in range(sides)]
-    index = {c: i for i, c in enumerate(codes)}
-    steps = [[] for _ in shifts for _ in order]
-    for i, (key, key_code) in enumerate(zip(domain, codes)):
-        for shift, part in zip(shifts, key):
-            present = code[part]
-            for j in part:
-                if not covers[j] & present:
-                    step = bit[j] << shift
-                    steps[step.bit_length() - 1] += (i, index[key_code ^ step])
-    flat = array("i")
-    for pairs in steps:
-        flat.extend(pairs)
-    return flat[0::2], flat[1::2]
-
-
-def _lattice_plan(lattice: DownsetLattice) -> tuple:
-    return _step_plan(lattice, 1)
-
-
-def _extension_plan(lattice: DownsetLattice) -> tuple:
-    return _step_plan(lattice, 2)
 
 
 def _downset_pass(plan: tuple, table: dict, inverse: bool) -> dict:

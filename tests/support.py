@@ -23,6 +23,18 @@ def wedge_poset() -> cq.Poset:
     return cq.Poset(["a", "b", "c"], [("a", "b"), ("c", "b")])
 
 
+def fan(m: int) -> cq.Poset:
+    """One bottom under m atoms: 2^m + 1 downsets, 2^(m+1) + 1 disjoint pairs."""
+    atoms = [f"a{i:02d}" for i in range(1, m + 1)]
+    return cq.Poset(["o", *atoms], [("o", a) for a in atoms])
+
+
+def wedge(m: int) -> cq.Poset:
+    """m bottoms under one top: 2^m + 1 downsets, 3^m + 2 disjoint pairs."""
+    bottoms = [f"b{i:02d}" for i in range(1, m + 1)]
+    return cq.Poset([*bottoms, "t"], [(b, "t") for b in bottoms])
+
+
 def antichain(n: int) -> cq.Poset:
     return cq.Poset([str(i) for i in range(1, n + 1)], [])
 
@@ -123,6 +135,42 @@ def capacities(draw, lattice: cq.DownsetLattice, game=False):
     return cq.GeneralizedCapacity(lattice, values)
 
 
+nonnegative_weights = st.fractions(min_value=0, max_value=2, max_denominator=6)
+
+
+def _monotone_or_not(draw, table: dict) -> dict:
+    """A monotone ``table`` as it is, with one value moved, or replaced by
+    free draws."""
+    kind = draw(st.sampled_from(["monotone", "moved", "free"]))
+    if kind == "moved":
+        table[draw(st.sampled_from(list(table)))] += draw(small_fractions)
+    elif kind == "free":
+        table = {key: draw(small_fractions) for key in table}
+    return table
+
+
+@st.composite
+def capacity_tables(draw, lattice: cq.DownsetLattice):
+    """Values on the lattice: additive with nonnegative weights, or not."""
+    w = {j: draw(nonnegative_weights) for j in lattice.base.elements}
+    table = {x: sum((w[j] for j in x), Fraction(0)) for x in lattice.elements}
+    return _monotone_or_not(draw, table)
+
+
+@st.composite
+def bipolar_capacity_tables(draw, lattice: cq.DownsetLattice):
+    """Values on the admissible pairs: nonnegative weights summed over the
+    positive part minus others over the negative part, or not."""
+    plus = {j: draw(nonnegative_weights) for j in lattice.base.elements}
+    minus = {j: draw(nonnegative_weights) for j in lattice.base.elements}
+    table = {
+        pair: sum((plus[j] for j in pair.pos), Fraction(0))
+        - sum((minus[j] for j in pair.neg), Fraction(0))
+        for pair in cq.admissible_vertex_pairs(lattice)
+    }
+    return _monotone_or_not(draw, table)
+
+
 # Vertex values whose common denominator varies: 1 (zero and integer
 # tables), small and mixed, pairwise coprime primes, or dozens of digits.
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -148,6 +196,53 @@ def slow_disjoint_element_pairs(lattice: cq.DownsetLattice) -> tuple:
     """The plain double loop over the lattice: every ordered disjoint pair."""
     elems = lattice.elements
     return tuple((a, b) for a in elems for b in elems if not (a & b))
+
+
+# slow reference covering relations: try every base element on every
+# element (and, in the signed case, on either side)
+
+
+def slow_cover_pairs(lattice: cq.DownsetLattice) -> list:
+    out = []
+    for d in lattice.elements:
+        for j in lattice.base.elements:
+            if j not in d and (lattice.base.below(j) - {j}) <= d:
+                out.append((d, d | {j}))
+    return out
+
+
+def slow_bipolar_cover_pairs(lattice: cq.DownsetLattice) -> list:
+    base = lattice.base
+    extension = [cq.BipolarElement(*pair) for pair in slow_disjoint_element_pairs(lattice)]
+    index = {pair: i for i, pair in enumerate(extension)}
+    needs = [(j, base.below(j) - {j}) for j in base.elements]
+    out = []
+    for lower in extension:
+        pos, neg = lower
+        uppers = []
+        for j, required in needs:
+            if j in pos or j in neg:
+                continue
+            if required <= pos:
+                uppers.append(cq.BipolarElement(pos | {j}, neg))
+            if required <= neg:
+                uppers.append(cq.BipolarElement(pos, neg | {j}))
+        uppers.sort(key=index.__getitem__)
+        out += [(lower, upper) for upper in uppers]
+    return out
+
+
+def slow_bipolar_is_monotone(capacity: cq.BipolarCapacity) -> bool:
+    stored = capacity.values
+    for (pos, neg), value in stored.items():
+        for j in capacity.base.elements:
+            grown_pos = cq.BipolarElement(pos | {j}, neg)
+            if j not in pos and grown_pos in stored and stored[grown_pos] < value:
+                return False
+            grown_neg = cq.BipolarElement(pos, neg | {j})
+            if j not in neg and grown_neg in stored and stored[grown_neg] > value:
+                return False
+    return True
 
 
 def slow_admissible_pairs(lattice: cq.DownsetLattice) -> tuple:

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 import choqlat as cq
 import choqlat.birkhoff
-from choqlat.birkhoff import _extension_size
 from support import (
     PROFILE_VALUES,
     VALUE_KINDS,
     antichain,
+    bipolar_capacity_tables,
     exact_tables,
+    fan,
     lattices,
     mosaic_bases,
     posets,
@@ -23,12 +24,15 @@ from support import (
     random_signed_profile,
     signed_profiles,
     slow_admissible_pairs,
+    slow_bipolar_cover_pairs,
+    slow_bipolar_is_monotone,
     slow_bipolar_moebius_form_eval,
     slow_chain_value,
     slow_disjoint_element_pairs,
     slow_triangulate,
     tied_values,
     unit_fractions,
+    wedge,
     wedge_poset,
 )
 
@@ -82,9 +86,13 @@ class TestExtension:
     )
     def test_cover_pairs_match_transitive_reduction(self, base):
         extension = cq.bipolar_extension(cq.DownsetLattice(base))
-        assert cq.bipolar_cover_pairs(base, extension) == cq.reduce_order(
+        assert cq.bipolar_cover_pairs(cq.DownsetLattice(base)) == cq.reduce_order(
             extension, cq.bipolar_leq
         )
+
+    @given(lattices(max_elements=6))
+    def test_cover_pairs_match_oracle(self, lattice):
+        assert cq.bipolar_cover_pairs(lattice) == slow_bipolar_cover_pairs(lattice)
 
     def test_cap(self, monkeypatch):
         for base, size in [(cq.build_kary_base(3, 2), 25), (wedge_poset(), 11)]:
@@ -96,9 +104,22 @@ class TestExtension:
 
     @given(lattices(max_elements=6))
     def test_count_equals_size(self, lattice):
-        size = _extension_size(lattice)
-        assert size == len(cq.bipolar_extension(lattice))
-        assert size == len(slow_disjoint_element_pairs(lattice))
+        assert len(cq.bipolar_extension(lattice)) == len(slow_disjoint_element_pairs(lattice))
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_fan_has_two_per_element_less_one(self, m):
+        lattice = cq.DownsetLattice(fan(m))
+        pairs = cq.bipolar_extension(lattice)
+        assert len(pairs) == 2 * len(lattice) - 1
+        assert pairs == slow_disjoint_element_pairs(lattice)
+
+    def test_thirteen_atom_fan(self):
+        assert len(cq.bipolar_extension(cq.DownsetLattice(fan(13)))) == 16385
+
+    def test_thirteen_bottom_wedge_is_refused(self):
+        message = r"bipolar extension has at least \d+ pairs, over the cap 1000000"
+        with pytest.raises(cq.SizeLimitExceeded, match=message):
+            cq.bipolar_extension(cq.DownsetLattice(wedge(13)))
 
     @given(lattices(max_elements=6))
     def test_admissible_pairs_match_component_filter(self, lattice):
@@ -289,6 +310,11 @@ class TestCapacity:
         assert capacity.check_normalized()
         values[pair({"1"})] = -5
         assert not cq.BipolarCapacity(boolean2, values).is_monotone
+
+    @given(lattices(max_elements=6), st.data())
+    def test_is_monotone_matches_oracle(self, lattice, data):
+        capacity = cq.BipolarCapacity(lattice, data.draw(bipolar_capacity_tables(lattice)))
+        assert capacity.is_monotone == slow_bipolar_is_monotone(capacity)
 
 
 class TestSelectTile:

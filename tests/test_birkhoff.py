@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import choqlat as cq
-from support import antichain, lattices, wedge_poset
+from support import antichain, lattices, slow_cover_pairs, wedge_poset
 
 
 @pytest.fixture
@@ -50,6 +50,10 @@ class TestAccessors:
             assert lower < upper
             assert len(upper - lower) == 1
             assert upper in lattice
+
+    @given(lattices(max_elements=6))
+    def test_cover_pairs_match_oracle(self, lattice):
+        assert lattice.cover_pairs() == slow_cover_pairs(lattice)
 
 
 class TestComplemented:

@@ -10,7 +10,7 @@ import pytest
 import choqlat as cq
 from choqlat import fileio
 from choqlat.cli import main
-from support import antichain, random_bipolar_capacity, random_capacity, wedge_poset
+from support import antichain, random_bipolar_capacity, random_capacity, wedge, wedge_poset
 
 
 def run(capsys, *argv):
@@ -531,6 +531,14 @@ class TestInputBoundary:
         started = time.perf_counter()
         code, payload = run_json(capsys, *argv)
         assert time.perf_counter() - started < 2
+        assert code == 2
+        assert payload["error"]["code"] == "size_limit_exceeded"
+
+    def test_thirteen_bottom_wedge_exits_2(self, capsys, tmp_path):
+        lattice = fileio.lattice_payload(cq.DownsetLattice(wedge(13)))
+        code, payload = run_json(
+            capsys, "bipolar", "enumerate", write(tmp_path, "wedge.json", lattice)
+        )
         assert code == 2
         assert payload["error"]["code"] == "size_limit_exceeded"
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import choqlat as cq
+import choqlat.kary
 from support import (
     exact_tables,
     random_bipolar_capacity,
@@ -68,6 +69,15 @@ class TestBase:
         assert cq.grid_shape(cq.build_kary_base(3, 2)) == (3, 2)
         with pytest.raises(cq.InvalidDimensions):
             cq.grid_shape(cq.Poset(["a"], []))
+
+    @pytest.mark.parametrize("labels", [["c100000l1"], ["c1l1", "c2l2"], ["c1l3", "c2l1"]])
+    def test_grid_shape_counts_before_building(self, monkeypatch, labels):
+        def build(k, n):
+            raise AssertionError(f"built a ({k}, {n}) grid for a base of the wrong size")
+
+        monkeypatch.setattr(choqlat.kary, "build_kary_base", build)
+        with pytest.raises(cq.InvalidDimensions, match="not a chain product"):
+            cq.grid_shape(cq.Poset(labels))
 
     @pytest.mark.parametrize("label", ["c²l1", "c١l1", "c1l²", "c1l١"])
     def test_non_ascii_digits_rejected(self, label):

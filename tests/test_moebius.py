@@ -13,12 +13,14 @@ from choqlat.moebius import vertex_table
 from support import (
     antichain,
     capacities,
+    capacity_tables,
     chain,
     exact_tables,
     lattices,
     moebius_function,
     slow_bipolar_moebius_transform,
     slow_bipolar_zeta_transform,
+    slow_cover_pairs,
     slow_disjoint_element_pairs,
     slow_moebius_transform,
     slow_zeta_transform,
@@ -174,6 +176,13 @@ class TestTransforms:
         )
         assert not skewed.is_game
         assert not skewed.is_monotone
+
+    @given(lattices(max_elements=6), st.data())
+    def test_is_monotone_matches_oracle(self, lattice, data):
+        capacity = cq.GeneralizedCapacity(lattice, data.draw(capacity_tables(lattice)))
+        assert capacity.is_monotone == all(
+            capacity.values[a] <= capacity.values[b] for a, b in slow_cover_pairs(lattice)
+        )
 
     def test_missing_values_rejected(self):
         lattice = boolean_lattice(2)
