@@ -19,6 +19,7 @@ profile.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,11 +44,10 @@ from .interpolation import (
     choquet_classical,
     triangulate,
 )
-from .moebius import check_bipolar_pair, vertex_table
+from .moebius import ZERO, _numerators, check_bipolar_pair, vertex_table
 from .poset import Poset, connected_components, is_downset
 from .rationals import as_fraction
 
-ZERO = Fraction(0)
 
 
 def bipolar_leq(a, b) -> bool:
@@ -212,29 +212,47 @@ def _admissible_pairs(lattice: DownsetLattice) -> tuple[BipolarElement, ...]:
     )
 
 
+def _admissible_positions(lattice: DownsetLattice) -> dict[BipolarElement, int]:
+    """Each admissible vertex pair mapped to its position, in order."""
+    return {pair: i for i, pair in enumerate(admissible_vertex_pairs(lattice))}
+
+
+def _admissible_steps(lattice: DownsetLattice) -> tuple[tuple[list, list], tuple[list, list]]:
+    """The covers of the extension (its step plan) between admissible
+    pairs, as (upper, lower) lists of positions among those pairs: first
+    the steps that grow the positive part, then those that grow the
+    negative part."""
+    positions = lattice.derived(_admissible_positions)
+    extension = bipolar_extension(lattice)
+    stored = [positions.get(pair) for pair in extension]
+    rising, falling = ([], []), ([], [])
+    for key, lower in zip(*lattice.derived(_extension_plan)):
+        upper_at, lower_at = stored[key], stored[lower]
+        if upper_at is not None and lower_at is not None:
+            steps = rising if extension[key].neg == extension[lower].neg else falling
+            steps[0].append(upper_at)
+            steps[1].append(lower_at)
+    return rising, falling
+
+
 class BipolarCapacity:
     """Rational values on every signed vertex that lies in some tile.
 
     One value per vertex globally: overlapping tiles share vertices by
     construction, so tile-consistency cannot be violated. Values on
     non-tile elements of a non-mosaic extension are deliberately not
-    representable.
+    representable. As for :class:`~choqlat.moebius.GeneralizedCapacity`,
+    ``values`` is a dict in the order of :func:`admissible_vertex_pairs`,
+    and ``_integers`` the numerators by that position over one denominator.
     """
 
     def __init__(self, lattice: DownsetLattice, values: Mapping):
-        domain = admissible_vertex_pairs(lattice)
-        members = tile_union(lattice)
+        positions = lattice.derived(_admissible_positions)
 
         def vertex(key) -> tuple[frozenset, frozenset]:
-            try:
-                pair = tuple(map(frozenset, key))
-            except TypeError:
-                pair = None
-            if pair in members:
-                return pair
-            # a miss: report it as the full check does
+            # a key the position table does not hold: report it as the full check does
             pos, neg = pair = check_bipolar_pair(lattice, key)
-            if pair not in members:
+            if pair not in positions:
                 raise NotInTile(
                     f"({sorted(pos)!r}, {sorted(neg)!r}) lies in no tile",
                     pos=sorted(pos),
@@ -242,11 +260,14 @@ class BipolarCapacity:
                 )
             return pair
 
-        self.values: dict[BipolarElement, Fraction] = vertex_table(
-            domain, values, vertex, "signed vertices in a tile"
-        )
+        table = vertex_table(positions, values, vertex, "signed vertices in a tile")
+        self.values: dict[BipolarElement, Fraction] = dict(zip(positions, table))
         self.lattice = lattice
         self.base = lattice.base
+
+    @cached_property
+    def _integers(self) -> tuple[list[int], int]:
+        return _numerators(self.values.values())
 
     def __call__(self, pair) -> Fraction:
         pos, neg = pair
@@ -270,15 +291,11 @@ class BipolarCapacity:
         """Nondecreasing in the positive part, nonincreasing in the negative,
         along every cover of the extension (its step plan) between stored
         vertices."""
-        stored = self.values
-        extension = bipolar_extension(self.lattice)
-        for key, lower_key in zip(*self.lattice.derived(_extension_plan)):
-            upper, lower = extension[key], extension[lower_key]
-            if lower in stored and upper in stored:
-                low, high = stored[lower], stored[upper]
-                if (low > high) if len(upper.pos) > len(lower.pos) else (low < high):
-                    return False
-        return True
+        at = self._integers[0].__getitem__
+        (up, low), (up_neg, low_neg) = self.lattice.derived(_admissible_steps)
+        return all(map(operator.le, map(at, low), map(at, up))) and all(
+            map(operator.ge, map(at, low_neg), map(at, up_neg))
+        )
 
     def check_normalized(self) -> bool:
         """Optional normalization: 1 at (top, bottom) and -1 at (bottom, top)."""
@@ -406,20 +423,20 @@ def bipolar_moebius_form_eval(
     Equals ``bipolar_natural_extension`` when the coefficients are the
     bipolar Moebius transform of the capacity.
     """
-    values = profile.values
-    terms = []
-    for (pos, neg), raw in coefficients.items():
-        coeff = as_fraction(raw)
-        if coeff:
-            terms.append((coeff, (pos, neg)))
+    coeffs = list(map(as_fraction, coefficients.values()))
+    # a transform's zeros are one shared object, tested by identity first
+    nonzero = [(c, key) for c, key in zip(coeffs, coefficients) if c is not ZERO and c]
+    numerators, denominator = _numerators([c for c, _ in nonzero])
     # one test over the labels of every distinct key part, zero
     # coefficients' keys included (many keys share each part)
     parts = set(itertools.chain.from_iterable(coefficients))
+    values = profile.values
     if not frozenset(values).issuperset(itertools.chain.from_iterable(parts)):
         raise BaseMismatch("coefficient keys mention labels outside the base")
-    plus = {j: max(v, ZERO) for j, v in values.items()}
-    minus = {j: max(-v, ZERO) for j, v in values.items()}
-    return _rank_form((plus, minus), terms)
+    plus = {j: v if v.numerator > 0 else ZERO for j, v in values.items()}
+    minus = {j: -v if v.numerator < 0 else ZERO for j, v in values.items()}
+    terms = list(zip(numerators, [key for _, key in nonzero]))
+    return _rank_form((plus, minus), terms, denominator)
 
 
 def embed_profile(profile: Profile, x) -> BipolarProfile:

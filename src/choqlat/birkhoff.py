@@ -159,6 +159,16 @@ def bipolar_cover_pairs(
     return _covers(bipolar_extension(lattice), lattice.derived(_extension_plan))
 
 
+def _element_positions(lattice: DownsetLattice) -> dict[frozenset, int]:
+    """Each lattice element mapped to its position, in lattice order."""
+    return {x: i for i, x in enumerate(lattice.elements)}
+
+
+def _extension_positions(lattice: DownsetLattice) -> dict[BipolarElement, int]:
+    """Each pair of the bipolar extension mapped to its position, in order."""
+    return {pair: k for k, pair in enumerate(bipolar_extension(lattice))}
+
+
 def _bits(base: Poset) -> dict[str, int]:
     return {j: 1 << t for t, j in enumerate(linear_extension(base))}
 
@@ -226,7 +236,7 @@ def _step_plan(lattice: DownsetLattice, sides: int) -> tuple:
          if code >> t & 1 and code ^ 1 << t in position]
         for code in position
     ]
-    index = {x: i for i, x in enumerate(lattice.elements)}
+    index = lattice.derived(_element_positions)
     keys = range(n) if sides == 1 else [
         index[pos] * n + index[neg] for pos, neg in bipolar_extension(lattice)
     ]

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -298,36 +297,38 @@ def zero_one_maxmin(functional: GeneralizedCapacity, profile: Profile) -> Fracti
     return best
 
 
-def _rank_form(sides: Sequence[Mapping[str, Fraction]], terms: Sequence) -> Fraction:
+def _rank_form(
+    sides: Sequence[Mapping[str, Fraction]], terms: Sequence, denominator: int
+) -> Fraction:
     """Sum over ``terms`` of coefficient times the minimum value over a key.
 
     ``sides`` maps labels to values, one map per part of a key (one part
     for lattice elements, two for signed pairs); ``terms`` holds the
-    (nonzero coefficient, key) pairs, a key being one label set per side.
-    All values are ranked in one sort, so the minimum over a key is the
-    value at the smallest rank of its labels, or the empty meet 1 (rank n,
-    past the last value) for an empty key. Each coefficient adds its
-    integer numerator, over the lcm of the denominators, to the bucket of
-    that rank; the sum then takes one product per nonempty bucket.
+    (nonzero integer numerator, key) pairs of the coefficients, all over
+    ``denominator``, a key being one label set per side. All values are
+    ranked in one stable sort on exact integer keys (:func:`_sort_keys`),
+    so the minimum over a key is the value at the smallest rank of its
+    labels, or the empty meet 1 (rank n, past the last value) for an empty
+    key. Each numerator adds to the bucket of that rank; the sum then takes
+    one product per nonempty bucket, on integers over the least common
+    denominator of the values.
     """
-    ranked = sorted(
-        ((value, s, label) for s, side in enumerate(sides) for label, value in side.items()),
-        key=itemgetter(0),
-    )
+    values = {(s, label): value for s, side in enumerate(sides) for label, value in side.items()}
+    ranked = sorted(values, key=_sort_keys(values).__getitem__)
     ranks: list[dict] = [{} for _ in sides]
-    for r, (_, s, label) in enumerate(ranked):
+    for r, (s, label) in enumerate(ranked):
         ranks[s][label] = r
     n = len(ranked)
-    scale = lcm(*{coeff.denominator for coeff, _ in terms})
     buckets = [0] * (n + 1)
-    for coeff, key in terms:
+    for num, key in terms:
         low = min([min(map(rank.__getitem__, part), default=n) for rank, part in zip(ranks, key)])
-        buckets[low] += coeff.numerator * (scale // coeff.denominator)
-    total = sum(
-        (value * bucket for (value, _, _), bucket in zip(ranked, buckets) if bucket),
-        Fraction(buckets[n]),
+        buckets[low] += num
+    levels = [values[labelled].as_integer_ratio() for labelled in ranked]
+    scale = lcm(*{q for _, q in levels})
+    total = buckets[n] * scale + sum(
+        bucket * p * (scale // q) for (p, q), bucket in zip(levels, buckets) if bucket
     )
-    return total / scale
+    return Fraction(total, scale * denominator)
 
 
 def moebius_form_eval(coefficients: GeneralizedCapacity, profile: Profile) -> Fraction:
@@ -335,12 +336,18 @@ def moebius_form_eval(coefficients: GeneralizedCapacity, profile: Profile) -> Fr
 
     Each lattice element contributes its coefficient times the minimum
     profile value over its decomposition; the bottom element contributes
-    the bare coefficient (empty meet is 1). The minima come from one
-    ranking of the profile values, and the sum runs on integer numerators
-    by rank bucket (:func:`_rank_form`). Equals ``natural_extension`` of
-    the zeta transform.
+    the bare coefficient (empty meet is 1). The coefficients are read as
+    integer numerators by lattice position, the minima come from one
+    ranking of the profile values, and the sum runs by rank bucket
+    (:func:`_rank_form`). Equals ``natural_extension`` of the zeta
+    transform.
     """
     if coefficients.lattice.base != profile.base:
         raise BaseMismatch("coefficients and profile are over different base posets")
-    terms = [(coeff, (element,)) for element, coeff in coefficients.values.items() if coeff]
-    return _rank_form((profile.values,), terms)
+    numerators, denominator = coefficients._integers
+    terms = [
+        (num, (element,))
+        for num, element in zip(numerators, coefficients.lattice.elements)
+        if num
+    ]
+    return _rank_form((profile.values,), terms, denominator)

@@ -4,7 +4,9 @@ arithmetic.
 A capacity, a game and its Moebius coefficients are one object, a rational
 value on each lattice vertex: :class:`GeneralizedCapacity`, or on the bipolar
 extension a table keyed by disjoint pairs. :func:`vertex_table` reads and
-checks every such table.
+checks every such table, and is the one place where keys become positions.
+Inside, a table is one list of integer numerators by position over one
+common denominator; its ``Fraction`` values are made only when read.
 
 On a downset lattice the Moebius function has a closed form: for downsets
 X <= Y it is (-1)^|Y - X| when Y - X is an antichain of the base and 0
@@ -14,13 +16,12 @@ extension, in O(n |L|); the bipolar extension, a down-closed family of
 downset pairs, takes one pass per (side, base element). Which vertex each
 step combines with which depends on the lattice alone, so that step plan,
 two integer arrays that are also the Hasse diagram, is built once per
-lattice by :mod:`~choqlat.birkhoff` and kept with it. Each transform
-then scales its values to integer numerators over their common denominator,
-runs the plan's additions (or, backwards, its subtractions) on Python ints,
-and makes one exact ``Fraction`` per vertex at the end (the fast Moebius
-transform of Kennes 1992, with denominators cleared).
+lattice by :mod:`~choqlat.birkhoff` and kept with it. Each transform runs
+the plan's additions (or, backwards, its subtractions) on the numerators,
+and its output keeps the input's denominator: the fast Moebius transform of
+Kennes 1992, on integer arrays.
 
-No cache is global: step plans and pair tables live on the
+No cache is global: step plans and position tables live on the
 :class:`DownsetLattice` they were built for (:meth:`DownsetLattice.derived`),
 and the memo of the defining recursion :func:`rota_moebius`, which remains
 for arbitrary finite orders, is created per call or passed in explicitly.
@@ -33,9 +34,16 @@ import operator
 from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .birkhoff import DownsetLattice, _extension_plan, _lattice_plan, bipolar_extension
+from .birkhoff import (
+    DownsetLattice,
+    _element_positions,
+    _extension_plan,
+    _extension_positions,
+    _lattice_plan,
+    bipolar_extension,
+)
 from .errors import (
     BaseMismatch,
     NotAnElement,
@@ -48,39 +56,88 @@ from .rationals import as_fraction
 ZERO = Fraction(0)
 
 
-def vertex_table(domain: Sequence, entries: Mapping, vertex: Callable, what: str) -> dict:
-    """Exact values of ``entries`` on every vertex of ``domain``, in domain order.
+def vertex_table(
+    positions: Mapping, entries: Mapping, vertex: Callable, what: str
+) -> list[Fraction]:
+    """Exact values of ``entries`` on every vertex, by position.
 
-    ``vertex`` checks each key and returns it as a member of ``domain``;
-    a vertex left without a value is reported with an example. A table
-    whose keys are the domain's own vertex objects, in domain order (a
-    transform's output, or the values of a table built here), needs no key
-    check: each key is a vertex by identity. Its values are still read
-    through ``as_fraction``.
+    ``positions`` maps each vertex of the domain to its position, in domain
+    order. A key found there needs no other check; any other key goes to
+    ``vertex``, which checks it and returns it as a vertex (or raises). A
+    vertex left without a value is reported with an example. A table whose
+    keys are the domain's own vertex objects, in domain order (a capacity's
+    values), needs no lookup: each key is a vertex by identity. Its values
+    are still read through ``as_fraction``.
     """
-    if len(entries) == len(domain) and all(map(operator.is_, entries, domain)):
-        return dict(zip(domain, map(as_fraction, entries.values())))
-    parsed = {vertex(key): as_fraction(raw) for key, raw in entries.items()}
-    if len(parsed) < len(domain):
-        missing = [v for v in domain if v not in parsed]
+    if len(entries) == len(positions) and all(map(operator.is_, entries, positions)):
+        return list(map(as_fraction, entries.values()))
+    values: list = [None] * len(positions)
+    for key, raw in entries.items():
+        try:
+            at = positions[key]
+        except (KeyError, TypeError):
+            at = positions[vertex(key)]
+        values[at] = as_fraction(raw)
+    missing = [v for v, value in zip(positions, values) if value is None]
+    if missing:
         first = missing[0]
         shown = sorted(first) if isinstance(first, frozenset) else tuple(map(sorted, first))
         raise BaseMismatch(
-            f"missing values for {len(missing)} of the {len(domain)} {what},"
+            f"missing values for {len(missing)} of the {len(positions)} {what},"
             f" e.g. {shown!r}"
         )
-    return {v: parsed[v] for v in domain}
+    return values
+
+
+def _numerators(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of exact ``values`` over their least common
+    denominator, and that denominator."""
+    pairs = list(map(Fraction.as_integer_ratio, values))
+    denominator = lcm(*{d for _, d in pairs})
+    return [n * (denominator // d) for n, d in pairs], denominator
+
+
+def _fractions(domain: Iterable, numerators: Iterable[int], denominator: int) -> dict:
+    """The table with ``numerators`` over ``denominator`` on ``domain``, one
+    ``Fraction`` per nonzero value; zeros share one."""
+    return {
+        x: Fraction(num, denominator) if num else ZERO
+        for x, num in zip(domain, numerators)
+    }
 
 
 class GeneralizedCapacity:
     """A rational value attached to every element of a downset lattice: a
-    capacity, a game, or the Moebius coefficients of one."""
+    capacity, a game, or the Moebius coefficients of one.
+
+    Held two ways, each made on first need from the other: ``values``, a
+    dict in lattice order, and ``_integers``, one numerator per lattice
+    position over one denominator. A table given by the caller is checked
+    into ``values``; a transform's output starts from its integers.
+    """
 
     def __init__(self, lattice: DownsetLattice, values: Mapping):
-        self.values: dict[frozenset, Fraction] = vertex_table(
-            lattice.elements, values, lattice.check_element, "lattice elements"
-        )
+        positions = lattice.derived(_element_positions)
+        table = vertex_table(positions, values, lattice.check_element, "lattice elements")
+        self.values = dict(zip(positions, table))
         self.lattice = lattice
+
+    @classmethod
+    def _from_integers(
+        cls, lattice: DownsetLattice, numerators: list[int], denominator: int
+    ) -> "GeneralizedCapacity":
+        capacity = cls.__new__(cls)
+        capacity.lattice = lattice
+        capacity._integers = (numerators, denominator)
+        return capacity
+
+    @cached_property
+    def values(self) -> dict[frozenset, Fraction]:
+        return _fractions(self.lattice.elements, *self._integers)
+
+    @cached_property
+    def _integers(self) -> tuple[list[int], int]:
+        return _numerators(self.values.values())
 
     def __call__(self, x) -> Fraction:
         try:
@@ -89,7 +146,7 @@ class GeneralizedCapacity:
             raise NotAnElement(f"{sorted(frozenset(x))!r} is not a lattice element") from None
 
     def __repr__(self) -> str:
-        return f"GeneralizedCapacity(on {len(self.values)} elements)"
+        return f"GeneralizedCapacity(on {len(self.lattice)} elements)"
 
     @property
     def is_game(self) -> bool:
@@ -98,9 +155,10 @@ class GeneralizedCapacity:
 
     @cached_property
     def is_monotone(self) -> bool:
-        return all(
-            self.values[a] <= self.values[b] for a, b in self.lattice.cover_pairs()
-        )
+        """Nondecreasing along every cover of the lattice (its step plan)."""
+        at = self._integers[0].__getitem__
+        keys, lowers = self.lattice.derived(_lattice_plan)
+        return all(map(operator.le, map(at, lowers), map(at, keys)))
 
 
 def rota_moebius(
@@ -158,39 +216,43 @@ def lattice_moebius(lattice: DownsetLattice, lower, upper) -> int:
     return _interval_moebius(lattice.base, x, y)
 
 
-def _downset_pass(plan: tuple, table: dict, inverse: bool) -> dict:
-    """Zeta transform of ``table``, or its Moebius transform when ``inverse``.
+def _downset_pass(plan: tuple, numerators: list[int], inverse: bool) -> list[int]:
+    """Zeta transform of the integer table ``numerators``, or its Moebius
+    transform when ``inverse``, as a new list.
 
-    ``table`` holds exact values in the order of the domain ``plan`` was
-    built on. Each step adds the value at the lower key (subtracts it, with
-    the steps reversed, for the inverse); the sums run on integer
-    numerators over the common denominator, and each nonzero result becomes
-    one ``Fraction`` at the end. Zero results, most of a sparse Moebius
-    table, share one.
+    ``numerators`` holds one value per position of the domain ``plan`` was
+    built on, all over one denominator that the result keeps. Each step
+    adds the value at the lower key (subtracts it, with the steps reversed,
+    for the inverse).
     """
     keys, lowers = plan
-    scale = lcm(*{v.denominator for v in table.values()})
-    nums = [v.numerator * (scale // v.denominator) for v in table.values()]
+    nums = list(numerators)
     if inverse:
         for key, lower in zip(reversed(keys), reversed(lowers)):
             nums[key] -= nums[lower]
     else:
         for key, lower in zip(keys, lowers):
             nums[key] += nums[lower]
-    return {x: Fraction(num, scale) if num else ZERO for x, num in zip(table, nums)}
+    return nums
+
+
+def _capacity_pass(g: GeneralizedCapacity, inverse: bool) -> GeneralizedCapacity:
+    numerators, denominator = g._integers
+    plan = g.lattice.derived(_lattice_plan)
+    return GeneralizedCapacity._from_integers(
+        g.lattice, _downset_pass(plan, numerators, inverse), denominator
+    )
 
 
 def moebius_transform(g: GeneralizedCapacity) -> GeneralizedCapacity:
     """Coefficients of ``g`` in the unanimity basis, as a table on the same
     lattice; inverse of ``zeta_transform``."""
-    plan = g.lattice.derived(_lattice_plan)
-    return GeneralizedCapacity(g.lattice, _downset_pass(plan, g.values, inverse=True))
+    return _capacity_pass(g, inverse=True)
 
 
 def zeta_transform(m: GeneralizedCapacity) -> GeneralizedCapacity:
     """Accumulate coefficients upward: value at x sums m over elements below x."""
-    plan = m.lattice.derived(_lattice_plan)
-    return GeneralizedCapacity(m.lattice, _downset_pass(plan, m.values, inverse=False))
+    return _capacity_pass(m, inverse=False)
 
 
 def unanimity(lattice: DownsetLattice, x) -> GeneralizedCapacity:
@@ -226,27 +288,31 @@ def bipolar_moebius_function(lattice: DownsetLattice, lower, upper) -> int:
     return _interval_moebius(lattice.base, z, x) * _interval_moebius(lattice.base, t, y)
 
 
-def _full_bipolar_table(lattice: DownsetLattice, values: Mapping) -> dict:
-    """Validated values keyed and ordered by the bipolar extension."""
-    return vertex_table(
-        bipolar_extension(lattice),
+def _bipolar_pass(lattice: DownsetLattice, values: Mapping, inverse: bool) -> dict:
+    """The pass of :func:`_downset_pass` over a table given on the whole
+    bipolar extension, checked by position, as a dict in extension order."""
+    table = vertex_table(
+        lattice.derived(_extension_positions),
         values,
         partial(check_bipolar_pair, lattice),
         "pairs of the bipolar extension",
+    )
+    numerators, denominator = _numerators(table)
+    plan = lattice.derived(_extension_plan)
+    return _fractions(
+        bipolar_extension(lattice), _downset_pass(plan, numerators, inverse), denominator
     )
 
 
 def bipolar_moebius_transform(lattice: DownsetLattice, values: Mapping) -> dict:
     """Moebius coefficients of a functional given on the whole bipolar
     extension; inverse of :func:`bipolar_zeta_transform`."""
-    table = _full_bipolar_table(lattice, values)
-    return _downset_pass(lattice.derived(_extension_plan), table, inverse=True)
+    return _bipolar_pass(lattice, values, inverse=True)
 
 
 def bipolar_zeta_transform(lattice: DownsetLattice, coefficients: Mapping) -> dict:
     """Accumulate bipolar coefficients upward under the product order."""
-    table = _full_bipolar_table(lattice, coefficients)
-    return _downset_pass(lattice.derived(_extension_plan), table, inverse=False)
+    return _bipolar_pass(lattice, coefficients, inverse=False)
 
 
 def bipolar_unanimity(lattice: DownsetLattice, pair) -> dict:

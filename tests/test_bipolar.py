@@ -567,6 +567,21 @@ class TestMoebiusFormEval:
             table, profile
         ) == slow_bipolar_moebius_form_eval(table, profile)
 
+    @pytest.mark.parametrize("profile_kind", ["tied", "large"])
+    @given(data=st.data())
+    def test_tied_and_large_profiles_match_slow_oracle(self, profile_kind, data):
+        """Ranks from integer sort keys over the 2n signed parts against the
+        Fraction minimum per coefficient, on profiles full of ties or over
+        30-digit denominators; the coefficients are a transform's output
+        (zeros shared) and, on any base, a plain table."""
+        lattice = data.draw(lattices(max_elements=5))
+        table = data.draw(exact_tables(cq.bipolar_extension(lattice)))
+        profile = data.draw(signed_profiles(lattice.base, PROFILE_VALUES[profile_kind]))
+        for coefficients in (table, cq.bipolar_moebius_transform(lattice, table)):
+            assert cq.bipolar_moebius_form_eval(
+                coefficients, profile
+            ) == slow_bipolar_moebius_form_eval(coefficients, profile)
+
     def test_empty_base(self):
         profile = cq.BipolarProfile(cq.Poset([], []), {})
         for value in ("-7/3", 0):

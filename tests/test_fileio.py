@@ -17,6 +17,12 @@ from support import (
 )
 
 MAX_DIGITS, MAX_EXPONENT = rationals.MAX_DIGITS, rationals.MAX_EXPONENT
+
+
+def chain_payload(n: int) -> dict:
+    """Poset file of an n-element chain, written without building it."""
+    labels = [f"x{i}" for i in range(n)]
+    return {"elements": labels, "covers": [list(cover) for cover in zip(labels, labels[1:])]}
 # characters of the plain grammar, and pieces only Fraction or Decimal read
 TOKENS = (
     "+", "-", "0", "1", "7", "9", ".", "/", "e", "E", " ", "_", "²", "١", "inf", "nan", "Infinity"
@@ -169,6 +175,24 @@ class TestPosetFiles:
     def test_bad_cover_entry(self):
         with pytest.raises(cq.FileFormatError):
             fileio.parse_poset({"elements": ["a"], "covers": [["a"]]})
+
+    def test_element_budget(self, monkeypatch):
+        """A chain of GRID_ELEMENT_CAP elements still parses; a longer
+        element list is refused before any Poset is built."""
+        cap = fileio.GRID_ELEMENT_CAP
+        assert len(fileio.parse_poset(chain_payload(cap)).elements) == cap
+
+        def no_poset(*args):
+            raise AssertionError("a Poset was built")
+
+        monkeypatch.setattr(fileio, "Poset", no_poset)
+        for n in (cap + 1, 8000):
+            with pytest.raises(cq.SizeLimitExceeded) as info:
+                fileio.parse_poset(chain_payload(n))
+            assert str(info.value) == f"poset has {n} elements, over the cap {cap}"
+            assert info.value.context == {"cap": cap}
+            with pytest.raises(cq.SizeLimitExceeded):
+                fileio.parse_lattice({**chain_payload(n), "role": "join_irreducibles"})
 
 
 class TestLatticeFiles:

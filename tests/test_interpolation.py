@@ -431,6 +431,20 @@ class TestMoebiusFormEval:
         profile = data.draw(profiles(lattice.base, values))
         assert cq.moebius_form_eval(vector, profile) == slow_moebius_form_eval(vector, profile)
 
+    @pytest.mark.parametrize("profile_kind", ["tied", "large"])
+    @given(data=st.data())
+    def test_tied_and_large_profiles_match_slow_oracle(self, profile_kind, data):
+        """Ranks from integer sort keys against the Fraction minimum per
+        coefficient, on profiles full of ties or over 30-digit denominators,
+        with a transform's output read by position as the coefficients."""
+        lattice = data.draw(lattices(max_elements=6))
+        capacity = cq.GeneralizedCapacity(lattice, data.draw(exact_tables(lattice.elements)))
+        vector = cq.moebius_transform(capacity)
+        profile = data.draw(profiles(lattice.base, PROFILE_VALUES[profile_kind]))
+        value = cq.moebius_form_eval(vector, profile)
+        assert value == slow_moebius_form_eval(vector, profile)
+        assert value == cq.natural_extension(capacity, profile)
+
     def test_empty_base(self):
         lattice = cq.DownsetLattice(cq.Poset([], []))
         profile = cq.Profile(lattice.base, {})

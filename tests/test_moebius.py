@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import choqlat as cq
 from choqlat.moebius import vertex_table
 from support import (
+    VALUE_KINDS,
     antichain,
     capacities,
     capacity_tables,
@@ -18,6 +19,7 @@ from support import (
     exact_tables,
     lattices,
     moebius_function,
+    slow_bipolar_is_monotone,
     slow_bipolar_moebius_transform,
     slow_bipolar_zeta_transform,
     slow_cover_pairs,
@@ -214,30 +216,43 @@ class TestTransforms:
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
 
-    def test_only_own_keys_in_domain_order_skip_the_key_check(self):
+    def test_keys_outside_the_position_table_get_the_key_check(self):
+        """Own keys in domain order are read by identity, keys equal to a
+        vertex by one position lookup, and only other keys go through the
+        key check; the values come back by position."""
         lattice = cq.DownsetLattice(wedge_poset())
-        checked = []
+        checked, looked_up = [], []
+
+        class Positions(dict):
+            def __getitem__(self, key):
+                looked_up.append(key)
+                return super().__getitem__(key)
+
+        positions = Positions((x, i) for i, x in enumerate(lattice.elements))
 
         def vertex(key):
             checked.append(key)
             return lattice.check_element(key)
 
         own = {x: Fraction(i) for i, x in enumerate(lattice.elements)}
-        assert vertex_table(lattice.elements, own, vertex, "elements") == own
-        assert checked == []
-        reordered = dict(reversed(own.items()))
-        table = vertex_table(lattice.elements, reordered, vertex, "elements")
-        assert list(table.items()) == list(own.items())
-        assert len(checked) == len(own)
+        by_position = list(own.values())
+        assert vertex_table(positions, own, vertex, "elements") == by_position
+        assert (checked, looked_up) == ([], [])
+        equal = {frozenset(sorted(x)): v for x, v in reversed(own.items())}
+        assert vertex_table(positions, equal, vertex, "elements") == by_position
+        assert checked == [] and len(looked_up) == len(own)
+        tuples = {tuple(sorted(x)): v for x, v in own.items()}
+        assert vertex_table(positions, tuples, vertex, "elements") == by_position
+        assert checked == list(tuples)
         checked.clear()
         short = dict(list(own.items())[:-1])
         with pytest.raises(cq.BaseMismatch):
-            vertex_table(lattice.elements, short, vertex, "elements")
-        assert len(checked) == len(short)
-        checked.clear()
-        extra = {**own, frozenset({"b"}): 0}
+            vertex_table(positions, short, vertex, "elements")
+        assert checked == []
+        extra = {**own, ("b",): 0}
         with pytest.raises(cq.NotAnElement):
-            vertex_table(lattice.elements, extra, vertex, "elements")
+            vertex_table(positions, extra, vertex, "elements")
+        assert checked == [("b",)]
 
 
 class TestBipolarMoebius:
@@ -441,6 +456,184 @@ class TestFastTransformsAgainstSlowPath:
                 want = cq.bipolar_moebius_transform(fresh, table)
                 assert list(got.items()) == list(want.items())
                 assert cq.bipolar_zeta_transform(lattice, got) == table
+
+
+WEDGE = cq.DownsetLattice(wedge_poset())
+BOTTOM = cq.BipolarElement(frozenset(), frozenset())
+OVERLAP = (("a",), ("a",))
+
+
+def _drop_last(table: dict, count: int) -> dict:
+    return dict(list(table.items())[:-count])
+
+
+def _unpack_pair(key) -> None:
+    pos, neg = key
+
+
+def _interpreter_text(action, *args) -> str:
+    """The text this interpreter gives the error of ``action(*args)``."""
+    try:
+        action(*args)
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    raise AssertionError("no error")
+
+
+class TestPositionalTables:
+    """Capacities and coefficient tables held as integer numerators by
+    position over one denominator: transform outputs against the slow
+    oracles for every kind of table, with and without their ``values``
+    read first, and the errors of the key check pinned word for word."""
+
+    @pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
+    @given(data=st.data())
+    def test_transform_outputs_match_slow(self, kind, data):
+        lattice = data.draw(lattices(max_elements=6))
+        capacity = cq.GeneralizedCapacity(lattice, data.draw(exact_tables(lattice.elements, kind)))
+        for fast, slow in (
+            (cq.moebius_transform, slow_moebius_transform),
+            (cq.zeta_transform, slow_zeta_transform),
+        ):
+            out = fast(capacity)
+            assert list(out.values.items()) == list(slow(capacity).values.items())
+            assert out.is_monotone == all(
+                out.values[a] <= out.values[b] for a, b in slow_cover_pairs(lattice)
+            )
+        again = cq.zeta_transform(cq.moebius_transform(capacity))
+        assert list(again.values.items()) == list(capacity.values.items())
+
+    @pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
+    @given(data=st.data())
+    def test_reading_values_first_changes_nothing(self, kind, data):
+        """A transform of a transform's output gives the same table whether
+        or not that output's values were read first."""
+        lattice = data.draw(lattices(max_elements=6))
+        capacity = cq.GeneralizedCapacity(lattice, data.draw(exact_tables(lattice.elements, kind)))
+        results = []
+        for read in (False, True):
+            vector = cq.moebius_transform(capacity)
+            if read:
+                vector.values
+            again = cq.zeta_transform(vector)
+            twice = cq.moebius_transform(cq.moebius_transform(vector))
+            results.append((list(again.values.items()), list(twice.values.items())))
+        assert results[0] == results[1]
+        assert results[0][0] == list(capacity.values.items())
+
+    @pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
+    @given(data=st.data())
+    def test_values_round_trip_through_the_constructor(self, kind, data):
+        lattice = data.draw(lattices(max_elements=6))
+        capacity = cq.GeneralizedCapacity(lattice, data.draw(exact_tables(lattice.elements, kind)))
+        for table in (capacity, cq.moebius_transform(capacity), cq.zeta_transform(capacity)):
+            copy = cq.GeneralizedCapacity(lattice, table.values)
+            assert list(copy.values.items()) == list(table.values.items())
+            assert all(type(v) is Fraction for v in copy.values.values())
+            slow = slow_moebius_transform(copy).values
+            assert list(cq.moebius_transform(copy).values.items()) == list(slow.items())
+
+    @pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
+    @given(data=st.data())
+    def test_bipolar_transforms_match_slow(self, kind, data):
+        """Any base: the whole extension as a plain table; mosaic bases: a
+        capacity's own values too."""
+        lattice = data.draw(lattices(max_elements=5))
+        table = data.draw(exact_tables(slow_disjoint_element_pairs(lattice), kind))
+        for fast, slow in (
+            (cq.bipolar_moebius_transform, slow_bipolar_moebius_transform),
+            (cq.bipolar_zeta_transform, slow_bipolar_zeta_transform),
+        ):
+            assert list(fast(lattice, table).items()) == list(slow(lattice, table).items())
+        if cq.is_regular_mosaic(lattice.base):
+            capacity = cq.BipolarCapacity(lattice, table)
+            coefficients = cq.bipolar_moebius_transform(lattice, capacity.values)
+            slow = slow_bipolar_moebius_transform(lattice, table)
+            assert list(coefficients.items()) == list(slow.items())
+            again = cq.bipolar_zeta_transform(lattice, coefficients)
+            assert list(again.items()) == list(capacity.values.items())
+        else:
+            stored = {pair: table[pair] for pair in cq.admissible_vertex_pairs(lattice)}
+            capacity = cq.BipolarCapacity(lattice, stored)
+            with pytest.raises(cq.BaseMismatch):
+                cq.bipolar_moebius_transform(lattice, capacity.values)
+        assert capacity.is_monotone == slow_bipolar_is_monotone(capacity)
+
+    @pytest.mark.parametrize(
+        "build, table, error, message",
+        [
+            (
+                "unsigned", _drop_last(dict.fromkeys(WEDGE.elements, 1), 2), cq.BaseMismatch,
+                "missing values for 2 of the 5 lattice elements, e.g. ['a', 'c']",
+            ),
+            (
+                "unsigned", {**dict.fromkeys(WEDGE.elements, 1), ("b",): 1}, cq.NotAnElement,
+                "['b'] is not a downset of the base poset",
+            ),
+            (
+                "unsigned", {**dict.fromkeys(WEDGE.elements, 1), 5: 1}, TypeError,
+                _interpreter_text(frozenset, 5),
+            ),
+            (
+                "signed", _drop_last(dict.fromkeys(cq.admissible_vertex_pairs(WEDGE), 1), 3),
+                cq.BaseMismatch,
+                "missing values for 3 of the 9 signed vertices in a tile, e.g. (['c'], [])",
+            ),
+            (
+                "extension", _drop_last(dict.fromkeys(cq.bipolar_extension(WEDGE), 1), 3),
+                cq.BaseMismatch,
+                "missing values for 3 of the 11 pairs of the bipolar extension,"
+                " e.g. (['c'], ['a'])",
+            ),
+            ("signed", {(("a",), ("c",)): 1}, cq.NotInTile, "(['a'], ['c']) lies in no tile"),
+            ("signed", {OVERLAP: 1}, cq.NotInBipolarExtension, "parts are not disjoint: ['a']"),
+            ("extension", {OVERLAP: 1}, cq.NotInBipolarExtension, "parts are not disjoint: ['a']"),
+            (
+                "signed", {(frozenset({"9"}), 5): 1}, cq.NotAnElement,
+                "['9'] is not a downset of the base poset",
+            ),
+            ("extension", {"ab": 1}, cq.NotAnElement, "['b'] is not a downset of the base poset"),
+            ("signed", {(frozenset(), 5): 1}, TypeError, _interpreter_text(frozenset, 5)),
+            ("extension", {5: 1}, TypeError, _interpreter_text(_unpack_pair, 5)),
+            (
+                "signed", {(frozenset(),) * 3: 1}, ValueError,
+                _interpreter_text(_unpack_pair, (frozenset(),) * 3),
+            ),
+            ("extension", {BOTTOM: "1/0"}, ValueError, "zero denominator in '1/0'"),
+        ],
+        ids=[
+            "unsigned_missing", "unsigned_not_an_element", "unsigned_not_iterable",
+            "signed_missing", "extension_missing", "signed_not_in_tile",
+            "signed_overlap", "extension_overlap", "signed_not_an_element",
+            "extension_string_key", "signed_not_iterable", "extension_not_iterable",
+            "signed_triple", "extension_bad_value",
+        ],
+    )
+    def test_key_errors_unchanged(self, build, table, error, message):
+        """Each bad table fails with the class and text it always had; a
+        bad key among good ones fails the same, wherever it sits."""
+        full = {
+            "unsigned": WEDGE.elements,
+            "signed": cq.admissible_vertex_pairs(WEDGE),
+            "extension": cq.bipolar_extension(WEDGE),
+        }[build]
+        run = {
+            "unsigned": lambda t: cq.GeneralizedCapacity(WEDGE, t),
+            "signed": lambda t: cq.BipolarCapacity(WEDGE, t),
+            "extension": lambda t: cq.bipolar_moebius_transform(WEDGE, t),
+        }[build]
+        tables = [table]
+        if len(table) == 1 and next(iter(table)) not in full:
+            good = dict.fromkeys(full, 1)
+            tables += [{**good, **table}, {**table, **good}]
+        for each in tables:
+            with pytest.raises(error) as info:
+                run(each)
+            assert str(info.value) == message
+            if build == "extension":
+                with pytest.raises(error) as info:
+                    cq.bipolar_zeta_transform(WEDGE, each)
+                assert str(info.value) == message
 
 
 def _subsets(s):
