@@ -44,7 +44,6 @@ from .poset import (
     downset_key,
     is_downset,
     linear_extension,
-    reduce_order,
 )
 from .birkhoff import (
     BipolarElement,

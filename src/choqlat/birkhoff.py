@@ -6,11 +6,12 @@ This module keeps that single representation everywhere: joins are unions,
 meets are intersections, and explicitly presented lattices are converted at
 the boundary by :func:`verify_distributive`.
 
-Each lattice keeps one bit-code table (base element j is bit (position of
-j in the linear extension)). The bipolar extension, the ordered pairs of
-disjoint elements, is enumerated from it per downset, counted before it is
-built; the step plan of the zeta/Moebius transforms, also the Hasse diagram
-that every covering relation is read from, is built from it too.
+The bits are the base poset's own (base element j is bit (position of j in
+the linear extension)), and each lattice keeps one table of its elements'
+codes. The bipolar extension, the ordered pairs of disjoint elements, is
+enumerated from it per downset, counted before it is built; the step plan
+of the zeta/Moebius transforms, also the Hasse diagram that every covering
+relation is read from, is built from it too.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ class DownsetLattice:
     def elements(self) -> tuple[frozenset, ...]:
         return tuple(all_downsets(self.base))
 
-    @cached_property
-    def _member_set(self) -> frozenset:
-        return frozenset(self.elements)
-
     @property
     def bottom(self) -> frozenset:
         return frozenset()
@@ -60,7 +57,7 @@ class DownsetLattice:
 
     def __contains__(self, item) -> bool:
         try:
-            return frozenset(item) in self._member_set
+            return frozenset(item) in self.derived(_element_positions)
         except TypeError:
             return False
 
@@ -92,7 +89,7 @@ class DownsetLattice:
         it is, in downset form, the element itself.
         """
         member = frozenset(x)
-        if member not in self._member_set:
+        if member not in self.derived(_element_positions):
             raise NotAnElement(
                 f"{sorted(member)!r} is not a downset of the base poset",
                 element=sorted(member),
@@ -126,7 +123,7 @@ class DownsetLattice:
 
     def complemented(self) -> dict[frozenset, frozenset]:
         """Elements whose set complement is again a downset, with complements."""
-        member = self._member_set
+        member = self.derived(_element_positions)
         top = self.top
         return {d: top - d for d in self.elements if (top - d) in member}
 
@@ -169,14 +166,10 @@ def _extension_positions(lattice: DownsetLattice) -> dict[BipolarElement, int]:
     return {pair: k for k, pair in enumerate(bipolar_extension(lattice))}
 
 
-def _bits(base: Poset) -> dict[str, int]:
-    return {j: 1 << t for t, j in enumerate(linear_extension(base))}
-
-
 def _codes(lattice: DownsetLattice) -> dict[int, int]:
     """The bit-code table: each element's code, mapped to its position in
     the lattice, in lattice order."""
-    bit = _bits(lattice.base)
+    bit = lattice.base._bit
     return {sum(map(bit.get, x)): i for i, x in enumerate(lattice.elements)}
 
 
@@ -184,16 +177,16 @@ def _extension(lattice: DownsetLattice) -> tuple[BipolarElement, ...]:
     """A disjoint pair (a, b) is a downset d = a | b whose connected
     components each go to one side, so d gives 2^(components of d) pairs.
     Less its highest bit (its last element in the linear extension), d is a
-    downset whose components are known; that element joins those its lower
-    covers touch. The pairs are counted first, then built, sorted on the
-    integers p * |L| + q for the positions p and q of their parts."""
+    downset whose components are known; that element joins those that hold
+    an element below it. The pairs are counted first, then built, sorted on
+    the integers p * |L| + q for the positions p and q of their parts."""
     position = lattice.derived(_codes)
-    bit = _bits(lattice.base)
-    lowers = [sum(map(bit.get, lattice.base.lower_covers(j))) for j in bit]
+    base = lattice.base
+    below = [base._down[j] ^ bit for j, bit in base._bit.items()]
     parts, size = {0: ()}, 1
     for code in list(position)[1:]:
         top = code.bit_length() - 1
-        kept = [part for part in parts[code ^ 1 << top] if not part & lowers[top]]
+        kept = [part for part in parts[code ^ 1 << top] if not part & below[top]]
         parts[code] = (*kept, code ^ sum(kept))
         size += 1 << len(parts[code])
         if size > DOWNSET_CAP:
@@ -281,15 +274,26 @@ def verify_distributive(explicit: Poset) -> BirkhoffForm:
     Join-irreducible elements — those covering exactly one element — are
     extracted with their induced order, and the lattice is distributive
     exactly when it has as many elements as that poset has downsets.
+    Two elements have a join exactly when their common upper bounds are one
+    element's upset (a meet likewise, with downsets): one lookup per pair.
     """
     elems = explicit.elements
     n = len(elems)
     if n == 0:
         raise NotALattice("a lattice needs at least one element")
-    for x in elems:
-        for y in elems:
-            _bound(explicit, x, y, upper=True)
-            _bound(explicit, x, y, upper=False)
+    down, up = explicit._down, {}
+    for x in reversed(linear_extension(explicit)):
+        up[x] = explicit._bit[x]
+        for upper in explicit.upper_covers(x):
+            up[x] |= up[upper]
+    ups, downs = set(up.values()), set(down.values())
+    # a pair fails in both orders, so the first failure has x before y
+    for i, x in enumerate(elems):
+        for y in elems[i + 1:]:
+            if up[x] & up[y] not in ups:
+                raise NotALattice(f"{x!r} and {y!r} have no join", x=x, y=y)
+            if down[x] & down[y] not in downs:
+                raise NotALattice(f"{x!r} and {y!r} have no meet", x=x, y=y)
     irreducibles = [x for x in elems if len(explicit.lower_covers(x)) == 1]
     base = explicit.restrict(irreducibles)
     try:
@@ -304,24 +308,9 @@ def verify_distributive(explicit: Poset) -> BirkhoffForm:
             f"lattice has {n} elements but the join-irreducible poset has"
             f" {count} downsets"
         )
-    eta_map = {
-        x: frozenset(j for j in irreducibles if explicit.leq(j, x)) for x in elems
-    }
+    inside = sum(map(explicit._bit.get, irreducibles))
+    eta_map = {x: explicit._labels(down[x] & inside) for x in elems}
     return BirkhoffForm(DownsetLattice(base), eta_map)
-
-
-def _bound(p: Poset, x: str, y: str, *, upper: bool) -> str:
-    rel = p.leq
-    if upper:
-        shared = [z for z in p.elements if rel(x, z) and rel(y, z)]
-        extremal = [z for z in shared if all(rel(z, w) for w in shared)]
-    else:
-        shared = [z for z in p.elements if rel(z, x) and rel(z, y)]
-        extremal = [z for z in shared if all(rel(w, z) for w in shared)]
-    if len(extremal) != 1:
-        kind = "join" if upper else "meet"
-        raise NotALattice(f"{x!r} and {y!r} have no {kind}", x=x, y=y)
-    return extremal[0]
 
 
 def explicit_poset(

@@ -20,10 +20,11 @@ from .moebius import GeneralizedCapacity
 from .poset import DOWNSET_CAP, Poset
 from .rationals import as_fraction
 
-# Ordering a poset takes time and memory quadratic in its number of elements
-# (a chain of 8000 takes 45 s and 1.35 GB): poset files with more elements,
-# and grid headers whose base (n chains of k-1 elements) would have more,
-# are refused before anything is built.
+# Poset files with more elements, and grid headers whose base (n chains of
+# k-1 elements) would have more, are refused before anything is built. The
+# order itself is one int OR per cover (a chain of 8000 builds in 0.08 s and
+# 30 MB), but an explicit lattice is checked with one mask step per pair of
+# elements (a chain of 1024 verifies in about 2 s in a cold CLI).
 GRID_ELEMENT_CAP = 1024
 
 

@@ -202,7 +202,8 @@ def _interval_moebius(base: Poset, lower: frozenset, upper: frozenset) -> int:
     Boolean exactly when that gap is an antichain and has value 0 otherwise.
     """
     gap = upper - lower
-    if any(len(gap & base.below(j)) > 1 for j in gap):
+    mask = sum(map(base._bit.get, gap))
+    if any((base._down[j] & mask).bit_count() > 1 for j in gap):
         return 0
     return -1 if len(gap) % 2 else 1
 

@@ -6,12 +6,17 @@ is immutable afterwards, so posets are cheap to query and safe to share
 between concurrent evaluators. Covers must form a
 transitive reduction: a cover implied by other covers is rejected instead of
 silently dropped, which keeps file round trips byte-stable.
+
+A poset owns the one bit encoding of its order: element x is bit (position
+of x in the linear extension), each principal downset one int of those bits;
+label frozensets are made only where a public function returns them.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
+from itertools import compress
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     CycleDetected,
@@ -36,7 +41,7 @@ class Component(NamedTuple):
 class Poset:
     """Immutable finite poset described by elements and covering pairs."""
 
-    __slots__ = ("elements", "covers", "_below", "_uppers", "_lowers", "_topo", "_components")
+    __slots__ = ("elements", "covers", "_uppers", "_lowers", "_topo", "_bit", "_down", "_components")
 
     def __init__(self, elements: Iterable[str], covers: Iterable[Sequence[str]] = ()):
         labels: list[str] = []
@@ -75,22 +80,25 @@ class Poset:
         self._topo = self._toposort()
         self._components: tuple[Component, ...] | None = None  # on first request
 
-        below: dict[str, frozenset] = {}
+        # one OR per cover; a cover is implied when its lower end lies
+        # strictly below another lower cover of its upper end
+        bit = self._bit = {x: 1 << t for t, x in enumerate(self._topo)}
+        down = self._down = {}
+        implied = []
         for x in self._topo:
-            closure = {x}
+            closure, strict = bit[x], 0
             for lower in self._lowers[x]:
-                closure |= below[lower]
-            below[x] = frozenset(closure)
-        self._below = below
-
-        for lower, upper in pairs:
-            between = below[upper] - {lower, upper}
-            if any(lower in below[mid] for mid in between):
-                raise RedundantCover(
-                    f"cover ({lower!r}, {upper!r}) is implied by other covers",
-                    lower=lower,
-                    upper=upper,
-                )
+                closure |= down[lower]
+                strict |= down[lower] ^ bit[lower]
+            down[x] = closure
+            implied += [(lower, x) for lower in self._lowers[x] if strict & bit[lower]]
+        if implied:
+            lower, upper = min(implied)
+            raise RedundantCover(
+                f"cover ({lower!r}, {upper!r}) is implied by other covers",
+                lower=lower,
+                upper=upper,
+            )
 
     def _toposort(self) -> tuple[str, ...]:
         indegree = {x: len(self._lowers[x]) for x in self.elements}
@@ -111,18 +119,22 @@ class Poset:
     # queries
 
     def _check(self, label: str) -> str:
-        if label not in self._below:
+        if label not in self._down:
             raise UnknownLabel(f"unknown label {label!r}", label=label)
         return label
 
+    def _labels(self, mask: int) -> frozenset:
+        """The labels of the elements whose bits are set in ``mask``."""
+        return frozenset(compress(self._topo, map("1".__eq__, bin(mask)[:1:-1])))
+
     def leq(self, x: str, y: str) -> bool:
         """True iff ``x`` is below or equal to ``y``."""
-        self._check(x)
-        return x in self._below[self._check(y)]
+        bit = self._bit[self._check(x)]
+        return bool(self._down[self._check(y)] & bit)
 
     def below(self, x: str) -> frozenset:
         """All elements at or below ``x`` (its principal downset)."""
-        return self._below[self._check(x)]
+        return self._labels(self._down[self._check(x)])
 
     def upper_covers(self, x: str) -> tuple[str, ...]:
         return self._uppers[self._check(x)]
@@ -131,10 +143,21 @@ class Poset:
         return self._lowers[self._check(x)]
 
     def restrict(self, members: Iterable[str]) -> "Poset":
-        """Sub-poset induced on ``members``; covers are recomputed."""
+        """Sub-poset induced on ``members``; covers are recomputed.
+
+        Below a kept y, the kept element with the highest bit is maximal, so
+        y covers it; the next cover is found once its downset is dropped.
+        """
         kept = sorted({self._check(label) for label in members})
-        sub_leq = lambda a, b: a in self._below[b]
-        return Poset(kept, reduce_order(kept, sub_leq))
+        inside = sum(map(self._bit.get, kept))
+        covers = []
+        for upper in kept:
+            rest = (self._down[upper] & inside) ^ self._bit[upper]
+            while rest:
+                lower = self._topo[rest.bit_length() - 1]
+                covers.append((lower, upper))
+                rest &= ~self._down[lower]
+        return Poset(kept, covers)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -163,7 +186,8 @@ def linear_extension(p: Poset) -> tuple[str, ...]:
 def is_downset(p: Poset, members: Iterable[str]) -> bool:
     """True iff ``members`` is downward closed in ``p``."""
     kept = {p._check(label) for label in members}
-    return all(p.below(label) <= kept for label in kept)
+    inside = sum(map(p._bit.get, kept))
+    return all(p._down[label] | inside == inside for label in kept)
 
 
 def downset_key(d: Iterable[str]) -> tuple:
@@ -184,7 +208,7 @@ def all_downsets(p: Poset, max_count: int | None = None) -> list[frozenset]:
     if len(family) > cap:
         raise SizeLimitExceeded(f"downset family exceeds cap {cap}", cap=cap)
     for label in linear_extension(p):
-        required = p.below(label) - {label}
+        required = frozenset(p.lower_covers(label))
         grown = [d | {label} for d in family if required <= d]
         if len(family) + len(grown) > cap:
             raise SizeLimitExceeded(f"downset family exceeds cap {cap}", cap=cap)
@@ -205,39 +229,20 @@ def connected_components(p: Poset) -> tuple[Component, ...]:
 
 
 def _components(p: Poset) -> tuple[Component, ...]:
-    neighbours: dict[str, set[str]] = {x: set() for x in p.elements}
+    """Union-find over the covers, halving paths to each part's root."""
+    parent = {x: x for x in p.elements}
+
+    def root(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
     for lower, upper in p.covers:
-        neighbours[lower].add(upper)
-        neighbours[upper].add(lower)
-    unvisited = set(p.elements)
-    out = []
-    for seed in p.elements:
-        if seed not in unvisited:
-            continue
-        unvisited.discard(seed)
-        stack, members = [seed], set()
-        while stack:
-            x = stack.pop()
-            members.add(x)
-            for y in neighbours[x]:
-                if y in unvisited:
-                    unvisited.discard(y)
-                    stack.append(y)
-        minimals = frozenset(x for x in members if not p.lower_covers(x))
-        out.append(Component(frozenset(members), minimals))
-    return tuple(out)
-
-
-def reduce_order(
-    elements: Sequence[Hashable], leq: Callable[[Hashable, Hashable], bool]
-) -> list[tuple]:
-    """Transitive reduction (covering pairs) of an explicit finite order."""
-    covers = []
-    for a in elements:
-        for b in elements:
-            if a == b or not leq(a, b):
-                continue
-            if any(c not in (a, b) and leq(a, c) and leq(c, b) for c in elements):
-                continue
-            covers.append((a, b))
-    return covers
+        parent[root(lower)] = root(upper)
+    parts: dict[str, list[str]] = {}
+    for x in p.elements:
+        parts.setdefault(root(x), []).append(x)
+    return tuple(
+        Component(frozenset(part), frozenset(x for x in part if not p._lowers[x]))
+        for part in parts.values()
+    )

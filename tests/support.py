@@ -89,6 +89,126 @@ def lattices(draw, min_elements=0, max_elements=5):
     return cq.DownsetLattice(draw(posets(min_elements, max_elements)))
 
 
+@st.composite
+def explicit_orders(draw, max_elements=6):
+    """Orders for the lattice check: random posets, the same with a bottom
+    and a top adjoined (often lattices, not always distributive ones), and
+    explicit forms of downset lattices."""
+    kind = draw(st.sampled_from(["poset", "bounded", "distributive"]))
+    if kind == "distributive":
+        return cq.explicit_poset(draw(lattices(max_elements=4)))
+    p = draw(posets(max_elements=max_elements))
+    if kind == "poset":
+        return p
+    covers = [*p.covers, ("bot", "top")] if not p.elements else list(p.covers)
+    covers += [("bot", x) for x in p.elements if not p.lower_covers(x)]
+    covers += [(x, "top") for x in p.elements if not p.upper_covers(x)]
+    return cq.Poset([*p.elements, "bot", "top"], covers)
+
+
+# slow reference order algorithms on frozensets of labels: the closure, the
+# transitive reduction, the pairwise bound scan and the component search
+
+
+def slow_below(p: cq.Poset) -> dict[str, frozenset]:
+    """Each element's principal downset, one union per lower cover."""
+    below: dict[str, frozenset] = {}
+    for x in cq.linear_extension(p):
+        below[x] = frozenset({x}).union(*(below[lower] for lower in p.lower_covers(x)))
+    return below
+
+
+def slow_is_downset(p: cq.Poset, members) -> bool:
+    below, kept = slow_below(p), set(members)
+    return all(below[label] <= kept for label in kept)
+
+
+def reduce_order(elements, leq) -> list[tuple]:
+    """Transitive reduction (covering pairs) of an explicit finite order."""
+    covers = []
+    for a in elements:
+        for b in elements:
+            if a == b or not leq(a, b):
+                continue
+            if any(c not in (a, b) and leq(a, c) and leq(c, b) for c in elements):
+                continue
+            covers.append((a, b))
+    return covers
+
+
+def slow_restrict(p: cq.Poset, members) -> cq.Poset:
+    below, kept = slow_below(p), sorted(set(members))
+    return cq.Poset(kept, reduce_order(kept, lambda a, b: a in below[b]))
+
+
+def slow_components(p: cq.Poset) -> tuple:
+    """Search of the cover graph from each unvisited element, by label."""
+    neighbours: dict[str, set[str]] = {x: set() for x in p.elements}
+    for lower, upper in p.covers:
+        neighbours[lower].add(upper)
+        neighbours[upper].add(lower)
+    unvisited = set(p.elements)
+    out = []
+    for seed in p.elements:
+        if seed not in unvisited:
+            continue
+        unvisited.discard(seed)
+        stack, members = [seed], set()
+        while stack:
+            x = stack.pop()
+            members.add(x)
+            for y in neighbours[x]:
+                if y in unvisited:
+                    unvisited.discard(y)
+                    stack.append(y)
+        minimals = frozenset(x for x in members if not p.lower_covers(x))
+        out.append(cq.Component(frozenset(members), minimals))
+    return tuple(out)
+
+
+def _slow_bound(p: cq.Poset, below: dict, x: str, y: str, *, upper: bool) -> str:
+    rel = lambda a, b: a in below[b]
+    if upper:
+        shared = [z for z in p.elements if rel(x, z) and rel(y, z)]
+        extremal = [z for z in shared if all(rel(z, w) for w in shared)]
+    else:
+        shared = [z for z in p.elements if rel(z, x) and rel(z, y)]
+        extremal = [z for z in shared if all(rel(w, z) for w in shared)]
+    if len(extremal) != 1:
+        kind = "join" if upper else "meet"
+        raise cq.NotALattice(f"{x!r} and {y!r} have no {kind}", x=x, y=y)
+    return extremal[0]
+
+
+def slow_verify_distributive(explicit: cq.Poset) -> cq.BirkhoffForm:
+    """Every ordered pair's join and meet by scanning all common bounds."""
+    elems = explicit.elements
+    n = len(elems)
+    if n == 0:
+        raise cq.NotALattice("a lattice needs at least one element")
+    below = slow_below(explicit)
+    for x in elems:
+        for y in elems:
+            _slow_bound(explicit, below, x, y, upper=True)
+            _slow_bound(explicit, below, x, y, upper=False)
+    irreducibles = [x for x in elems if len(explicit.lower_covers(x)) == 1]
+    base = slow_restrict(explicit, irreducibles)
+    try:
+        count = len(cq.all_downsets(base, max_count=n))
+    except cq.SizeLimitExceeded:
+        raise cq.NotDistributive(
+            f"the join-irreducible poset has more downsets than the lattice"
+            f" has elements ({n})"
+        ) from None
+    if count != n:
+        raise cq.NotDistributive(
+            f"lattice has {n} elements but the join-irreducible poset has"
+            f" {count} downsets"
+        )
+    eta_map = {x: frozenset(j for j in irreducibles if j in below[x]) for x in elems}
+    return cq.BirkhoffForm(cq.DownsetLattice(base), eta_map)
+
+
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=12)
 small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=8)
 

@@ -22,6 +22,7 @@ from support import (
     random_fraction,
     random_profile,
     random_signed_profile,
+    reduce_order,
     signed_profiles,
     slow_admissible_pairs,
     slow_bipolar_cover_pairs,
@@ -86,7 +87,7 @@ class TestExtension:
     )
     def test_cover_pairs_match_transitive_reduction(self, base):
         extension = cq.bipolar_extension(cq.DownsetLattice(base))
-        assert cq.bipolar_cover_pairs(cq.DownsetLattice(base)) == cq.reduce_order(
+        assert cq.bipolar_cover_pairs(cq.DownsetLattice(base)) == reduce_order(
             extension, cq.bipolar_leq
         )
 

@@ -1,9 +1,19 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import choqlat as cq
-from support import antichain, lattices, slow_cover_pairs, wedge_poset
+from support import (
+    antichain,
+    chain,
+    explicit_orders,
+    lattices,
+    slow_cover_pairs,
+    slow_verify_distributive,
+    wedge_poset,
+)
 
 
 @pytest.fixture
@@ -149,6 +159,32 @@ class TestVerifyDistributive:
             cq.verify_distributive(antichain(2))
         with pytest.raises(cq.NotALattice):
             cq.verify_distributive(wedge_poset())
+
+    @given(explicit_orders())
+    def test_matches_bound_scan_oracle(self, explicit):
+        """The same form, or the same error class, text and context, as
+        scanning every ordered pair's common bounds."""
+        try:
+            expected = slow_verify_distributive(explicit)
+        except (cq.NotALattice, cq.NotDistributive) as error:
+            with pytest.raises(type(error)) as caught:
+                cq.verify_distributive(explicit)
+            assert str(caught.value) == str(error)
+            assert caught.value.context == error.context
+        else:
+            assert cq.verify_distributive(explicit) == expected
+
+    def test_long_chain_is_fast(self):
+        """A 200-element explicit chain (the pairwise bound scan took about
+        a minute) becomes the downsets of a 199-element chain."""
+        started = time.perf_counter()
+        form = cq.verify_distributive(chain(200))
+        assert time.perf_counter() - started < 2
+        assert form.lattice.base == cq.Poset(
+            [f"x{i}" for i in range(1, 200)],
+            [(f"x{i}", f"x{i + 1}") for i in range(1, 199)],
+        )
+        assert form.eta_map["x199"] == frozenset(form.lattice.base.elements)
 
     @given(lattices(min_elements=0, max_elements=4))
     def test_round_trip_through_explicit_form(self, lattice):

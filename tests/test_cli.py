@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -100,6 +103,28 @@ class TestPosetCommands:
         assert code == 2
         assert payload["error"]["code"] == "cycle_detected"
         assert payload["error"]["file"] == path
+
+    def test_redundant_cover_error_is_stable(self, tmp_path):
+        """Under any hash seed, the error names the smallest implied cover
+        (covers were once checked in set order)."""
+        labels = [f"x{i:03d}" for i in range(40)]
+        skips = [[labels[i], labels[i + 2]] for i in range(0, 40, 5)]
+        covers = [[a, b] for a, b in zip(labels, labels[1:])] + skips[::-1]
+        path = write(tmp_path, "skips.json", {"elements": labels, "covers": covers})
+        src = str(Path(cq.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            proc = subprocess.run(
+                [sys.executable, "-m", "choqlat.cli", "poset", "check", path],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 2
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        error = json.loads(outputs[0])["error"]
+        assert error["code"] == "redundant_cover"
+        assert (error["lower"], error["upper"]) == ("x000", "x002")
 
     def test_check_dot(self, capsys, wedge_file):
         code, out = run(capsys, "poset", "check", wedge_file, "--dot")

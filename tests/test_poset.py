@@ -3,7 +3,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import choqlat as cq
-from support import antichain, chain, posets, wedge_poset
+from support import (
+    antichain,
+    chain,
+    posets,
+    reduce_order,
+    slow_below,
+    slow_components,
+    slow_is_downset,
+    slow_restrict,
+    wedge_poset,
+)
 
 
 class TestValidation:
@@ -44,6 +54,36 @@ class TestValidation:
     def test_redundant_cover_rejected(self):
         with pytest.raises(cq.RedundantCover):
             cq.Poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+
+    @given(posets(min_elements=1), st.data())
+    def test_redundant_covers_match_oracle(self, p, data):
+        """Pairs added to a valid poset's covers are implied exactly when
+        something lies between their ends; the error names the smallest
+        implied cover."""
+        below = slow_below(p)
+        comparable = sorted(
+            (a, b) for a in p.elements for b in p.elements if a != b and a in below[b]
+        )
+        extra = data.draw(st.lists(st.sampled_from(comparable), max_size=3)) if comparable else []
+        covers = p.covers | set(extra)
+        implied = sorted(
+            (a, b) for a, b in covers
+            if any(c not in (a, b) and a in below[c] and c in below[b] for c in p.elements)
+        )
+        if not implied:
+            assert cq.Poset(p.elements, covers) == p
+            return
+        with pytest.raises(cq.RedundantCover) as caught:
+            cq.Poset(p.elements, covers)
+        assert caught.value.context == dict(zip(("lower", "upper"), implied[0]))
+
+    @given(posets())
+    def test_below_and_leq_match_oracle(self, p):
+        below = slow_below(p)
+        for x in p.elements:
+            assert p.below(x) == below[x]
+            for y in p.elements:
+                assert p.leq(x, y) == (x in below[y])
 
     def test_equality_ignores_input_order(self):
         p = cq.Poset(["b", "a"], [("a", "b")])
@@ -91,6 +131,11 @@ class TestDownsets:
         for downset in family:
             assert cq.is_downset(p, downset)
 
+    @given(posets(max_elements=6), st.data())
+    def test_is_downset_matches_oracle(self, p, data):
+        members = data.draw(st.sets(st.sampled_from(p.elements))) if p.elements else set()
+        assert cq.is_downset(p, members) == slow_is_downset(p, members)
+
     @given(posets(max_elements=4))
     def test_canonical_order(self, p):
         family = cq.all_downsets(p)
@@ -135,6 +180,10 @@ class TestComponents:
         assert cq.connected_components(q) == first
         assert p != cq.Poset(["a1", "a2", "b1"], [])
 
+    @given(posets(max_elements=7))
+    def test_components_match_oracle(self, p):
+        assert cq.connected_components(p) == slow_components(p)
+
     @given(posets())
     def test_components_partition(self, p):
         comps = cq.connected_components(p)
@@ -168,7 +217,7 @@ class TestLinearExtension:
 class TestRestrictAndReduce:
     @given(posets())
     def test_reduce_recovers_covers(self, p):
-        covers = cq.reduce_order(p.elements, p.leq)
+        covers = reduce_order(p.elements, p.leq)
         assert set(covers) == set(p.covers)
 
     def test_restrict_recomputes_covers(self):
@@ -183,3 +232,8 @@ class TestRestrictAndReduce:
         for x in keep:
             for y in keep:
                 assert sub.leq(x, y) == p.leq(x, y)
+
+    @given(posets(max_elements=7), st.data())
+    def test_restrict_matches_reduction(self, p, data):
+        members = data.draw(st.sets(st.sampled_from(p.elements))) if p.elements else set()
+        assert p.restrict(members) == slow_restrict(p, members)
