@@ -23,9 +23,16 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .birkhoff import BipolarElement, DownsetLattice, _extension_plan, bipolar_extension
+from .birkhoff import (
+    BipolarElement,
+    DownsetLattice,
+    _codes,
+    _element_positions,
+    _extension_plan,
+    bipolar_extension,
+)
 from .errors import (
     BaseMismatch,
     NotAnElement,
@@ -217,6 +224,28 @@ def _admissible_positions(lattice: DownsetLattice) -> dict[BipolarElement, int]:
     return {pair: i for i, pair in enumerate(admissible_vertex_pairs(lattice))}
 
 
+def _admissible_codes(lattice: DownsetLattice) -> dict[int, int]:
+    """Each admissible vertex pair (pos, neg) as the integer
+    code(pos) << |base| | code(neg) of its parts' bit codes, mapped to its
+    position among the admissible pairs."""
+    codes = list(lattice.derived(_codes))
+    index = lattice.derived(_element_positions)
+    width = len(lattice.base)
+    return {
+        codes[index[pos]] << width | codes[index[neg]]: i
+        for i, (pos, neg) in enumerate(admissible_vertex_pairs(lattice))
+    }
+
+
+def _pair_positions(lattice: DownsetLattice, masks: Iterable[int], positive: int) -> list[int]:
+    """Positions among the admissible pairs of the chain vertices ``masks``
+    (bit codes of downsets), each split along the tile whose positive side
+    has the bit code ``positive``."""
+    pairs = lattice.derived(_admissible_codes)
+    width = len(lattice.base)
+    return [pairs[(m & positive) << width | m & ~positive] for m in masks]
+
+
 def _admissible_steps(lattice: DownsetLattice) -> tuple[tuple[list, list], tuple[list, list]]:
     """The covers of the extension (its step plan) between admissible
     pairs, as (upper, lower) lists of positions among those pairs: first
@@ -361,18 +390,22 @@ def evaluate_bipolar(
     The profile is pulled back to the unsigned polytope through its tile:
     triangulate the magnitude profile, split every chain vertex along the
     complement pair, and take the convex combination of stored vertex
-    values, bottom vertex included. The result's ``chain`` holds the split
-    vertices and its ``tile`` the positive side. ``tile_hint`` forces a
-    particular tile (it must contain the profile); the value does not
-    depend on the admissible choice.
+    values, bottom vertex included. Each vertex's bit code is split by the
+    tile's code and looked up among the admissible pairs
+    (:func:`_pair_positions`), and the sum runs on the capacity's integer
+    numerators (:meth:`~choqlat.interpolation.Evaluation.along`). The
+    result's ``chain`` holds the split vertices, built when first read,
+    and its ``tile`` the positive side. ``tile_hint`` forces a particular
+    tile (it must contain the profile); the value does not depend on the
+    admissible choice.
     """
     if capacity.base != profile.base:
         raise BaseMismatch("capacity and profile are over different base posets")
     positive = select_tile(profile) if tile_hint is None else _checked_tile(profile, tile_hint)
-    negative = frozenset(profile.base.elements) - positive
     dec = triangulate(profile.magnitude())
-    chain = tuple(BipolarElement(v & positive, v & negative) for v in dec.chain)
-    return Evaluation.along(capacity.values, dec.order, chain, dec.weights, positive)
+    tile_code = sum(map(profile.base._bit.__getitem__, positive))
+    positions = _pair_positions(capacity.lattice, dec._masks, tile_code)
+    return Evaluation.along(capacity._integers, positions, dec, positive)
 
 
 def bipolar_natural_extension(

@@ -297,20 +297,23 @@ def verify_distributive(explicit: Poset) -> BirkhoffForm:
     irreducibles = [x for x in elems if len(explicit.lower_covers(x)) == 1]
     base = explicit.restrict(irreducibles)
     try:
-        count = len(all_downsets(base, max_count=n))
+        family = all_downsets(base, max_count=n)
     except SizeLimitExceeded:
         raise NotDistributive(
             f"the join-irreducible poset has more downsets than the lattice"
             f" has elements ({n})"
         ) from None
-    if count != n:
+    if len(family) != n:
         raise NotDistributive(
             f"lattice has {n} elements but the join-irreducible poset has"
-            f" {count} downsets"
+            f" {len(family)} downsets"
         )
     inside = sum(map(explicit._bit.get, irreducibles))
     eta_map = {x: explicit._labels(down[x] & inside) for x in elems}
-    return BirkhoffForm(DownsetLattice(base), eta_map)
+    lattice = DownsetLattice(base)
+    # the counted family is the lattice's elements, in the same canonical order
+    lattice.elements = tuple(family)
+    return BirkhoffForm(lattice, eta_map)
 
 
 def explicit_poset(

@@ -9,10 +9,16 @@ combination of its vertex values. On an antichain base this is the classical
 Choquet integral; the bottom vertex is always kept in the combination so
 functionals that do not vanish at the empty set evaluate correctly.
 
-Every chain-path value, unsigned or signed, is an :class:`Evaluation`: the
-weighted sum of vertex values along a chain, built by
-:meth:`Evaluation.along` and nowhere else. :func:`evaluate` returns the
-unsigned one; the signed extension pulls the same sum back through a tile.
+The chain path runs on lattice positions and integers. :func:`triangulate`
+records each chain vertex as a bit code of the base's elements, and the
+sorted profile values whose gaps are the weights; the caller maps the codes
+to positions in its capacity's integer table, and :func:`_chain_value`, the
+package's one chain sum, adds integer weight times value numerator and
+makes one ``Fraction``. It serves :meth:`Evaluation.along`,
+which builds every chain-path :class:`Evaluation`, unsigned
+(:func:`evaluate`) or signed (the extension pulled back through a tile),
+and the grid corner sweep of :mod:`~choqlat.kary`. An evaluation's frozenset
+chain and ``Fraction`` weights are built only when read.
 
 The dual path, :func:`moebius_form_eval`, reads only the Moebius
 coefficients and the profile: C(f) = sum of m(X) * min over X of f. It
@@ -23,9 +29,11 @@ product per nonempty bucket.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import accumulate, chain, tee
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -37,6 +45,7 @@ from .errors import (
     NotZeroOne,
     ValueOutOfRange,
 )
+from .birkhoff import BipolarElement, _codes
 from .moebius import GeneralizedCapacity
 from .poset import Poset, linear_extension
 from .rationals import as_fraction
@@ -54,7 +63,8 @@ def _profile_values(
     ones take values in [-1, 1] and their sizes are nonincreasing.
     """
     parsed = {label: as_fraction(raw) for label, raw in values.items()}
-    if set(parsed) != set(base.elements):
+    # key views compare as sets; the sets are built only to report a mismatch
+    if parsed.keys() != base._bit.keys():
         raise BaseMismatch(
             "profile labels must cover the base poset exactly",
             missing=sorted(set(base.elements) - set(parsed)),
@@ -104,12 +114,40 @@ class ChainDecomposition:
     ``chain[0]`` is the empty set and ``chain[i]`` adds ``order[i-1]``;
     ``weights`` are the simplex coordinates (nonnegative, summing to one),
     with ``weights[0]`` attached to the bottom vertex.
+
+    :func:`triangulate` makes the record by position: each vertex as a mask
+    of the base's element bits (``_masks``), and the sorted profile values
+    (``_levels``) in place of the weights. Its ``chain`` and ``weights`` are
+    built on first read.
     """
 
     base: Poset
     order: tuple[str, ...]
     chain: tuple[frozenset, ...]
     weights: tuple[Fraction, ...]
+
+    @classmethod
+    def _positional(
+        cls, base: Poset, order: tuple[str, ...], masks: list[int], levels: list[Fraction]
+    ) -> "ChainDecomposition":
+        dec = cls.__new__(cls)
+        dec.__dict__.update(base=base, order=order, _masks=masks, _levels=levels)
+        return dec
+
+    def __getattr__(self, name: str):
+        # reached only for a field that a positional record has not built yet
+        if name == "chain":
+            running: set = set()
+            made = [frozenset()]
+            for label in self.order:
+                running.add(label)
+                made.append(frozenset(running))
+        elif name == "weights":
+            made = map(operator.sub, [ONE, *self._levels], [*self._levels, ZERO])
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        made = self.__dict__[name] = tuple(made)
+        return made
 
     def reconstruct(self) -> dict[str, Fraction]:
         """Profile values implied by the decomposition (exact)."""
@@ -130,8 +168,9 @@ def _sort_keys(values: Mapping[object, Fraction]) -> dict[object, int]:
     same direction; equal values get equal keys. Each key costs one shift
     and one division on the value's own numerator and denominator.
     """
-    shift = 2 * max((v.denominator.bit_length() for v in values.values()), default=0)
-    return {key: (v.numerator << shift) // v.denominator for key, v in values.items()}
+    ratios = list(map(Fraction.as_integer_ratio, values.values()))
+    shift = 2 * max([d.bit_length() for _, d in ratios], default=0)
+    return {key: (n << shift) // d for key, (n, d) in zip(values, ratios)}
 
 
 def triangulate(profile: Profile, tie_break: Sequence[str] | None = None) -> ChainDecomposition:
@@ -141,9 +180,12 @@ def triangulate(profile: Profile, tie_break: Sequence[str] | None = None) -> Cha
     (any linear extension of the base poset, the deterministic one by
     default). The extension value computed from the result never depends on
     the tie order, only the reported chain does. The sort runs on exact
-    integer keys (:func:`_sort_keys`), stable in ``tie_break`` order, and
-    each weight is the gap between consecutive values of 1, the sorted
-    values and 0, built as one ``Fraction`` from integer cross products.
+    integer keys (:func:`_sort_keys`), stable in ``tie_break`` order. The
+    record is positional: each chain vertex is the running OR of the sorted
+    elements' bits, and the sorted values stand for the weights, the gaps
+    between consecutive values of 1, the sorted values and 0, which
+    :func:`_chain_value` takes as integers. The frozensets and ``Fraction``
+    weights are made only when read.
     """
     base = profile.base
     if tie_break is None:
@@ -161,34 +203,33 @@ def triangulate(profile: Profile, tie_break: Sequence[str] | None = None) -> Cha
     values = profile.values
     # a stable sort keeps tied labels in tie_break order, reverse=True included
     order = sorted(tie_break, key=_sort_keys(values).__getitem__, reverse=True)
-    levels = [ONE, *map(values.__getitem__, order), ZERO]
-    weights = [
-        Fraction(a.numerator * b.denominator - b.numerator * a.denominator,
-                 a.denominator * b.denominator)
-        for a, b in zip(levels, levels[1:])
-    ]
-    chain = [frozenset()]
-    running: set = set()
-    for label in order:
-        running.add(label)
-        chain.append(frozenset(running))
-    return ChainDecomposition(base, tuple(order), tuple(chain), tuple(weights))
+    masks = list(accumulate(map(base._bit.__getitem__, order), operator.or_, initial=0))
+    levels = list(map(values.__getitem__, order))
+    return ChainDecomposition._positional(base, tuple(order), masks, levels)
 
 
-def _exact_sum(terms: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
-    """Exact sum of ``w * x`` over (w, x) pairs of rationals.
+def _chain_value(
+    table: tuple[list[int], int], positions: Iterable[int], levels: Sequence[Fraction]
+) -> Fraction:
+    """The weighted sum of vertex values along a chain, exact.
 
-    Runs on integer numerators over a running common denominator, with one
-    ``gcd`` per term, and builds one ``Fraction`` at the end.
+    ``table`` holds the vertex values as integer numerators by position
+    over one denominator, and ``positions`` the chain vertices' positions
+    in it, bottom first. ``levels`` are the chain's sorted values
+    (nonincreasing, in [0, 1]), and the weights are the gaps between
+    consecutive terms of 1, the levels and 0: integers over the levels'
+    least common denominator. The sum runs on integers and makes one
+    ``Fraction``, over the product of the two denominators. The scaled
+    levels are made as the sum reaches them, so however large that common
+    denominator grows, no more than two of them are held at once.
     """
-    num, den = 0, 1
-    for w, x in terms:
-        d = w.denominator * x.denominator
-        g = gcd(den, d)
-        scale = d // g
-        num = num * scale + w.numerator * x.numerator * (den // g)
-        den *= scale
-    return Fraction(num, den)
+    numerators, denominator = table
+    pairs = list(map(Fraction.as_integer_ratio, levels))
+    scale = lcm(*{d for _, d in pairs})
+    high, low = tee(num * (scale // den) for num, den in pairs)
+    weights = map(operator.sub, chain((scale,), high), chain(low, (0,)))
+    total = sum(map(operator.mul, weights, map(numerators.__getitem__, positions)))
+    return Fraction(total, denominator * scale)
 
 
 @dataclass(frozen=True)
@@ -200,6 +241,10 @@ class Evaluation:
     vertices are :class:`~choqlat.bipolar.BipolarElement` pairs and ``tile``
     is the positive side of the tile the profile was pulled back through;
     unsigned evaluations have ``tile=None``.
+
+    :meth:`along` computes only the value; the record's ``chain`` and
+    ``weights`` come from its decomposition on first read, the chain split
+    along the tile when signed.
     """
 
     value: Fraction
@@ -210,24 +255,46 @@ class Evaluation:
 
     @classmethod
     def along(
-        cls, values: Mapping, order, chain, weights, tile: frozenset | None = None
+        cls,
+        table: tuple[list[int], int],
+        positions: Iterable[int],
+        dec: ChainDecomposition,
+        tile: frozenset | None = None,
     ) -> "Evaluation":
-        """Weighted sum of the vertex ``values`` read along ``chain``.
+        """The extension at the profile that :func:`triangulate` decomposed
+        into ``dec``: its weights times the vertex values ``table`` holds
+        (integer numerators by position over one denominator) at the chain
+        vertices' ``positions``, summed once by :func:`_chain_value`."""
+        evaluation = cls.__new__(cls)
+        evaluation.__dict__.update(
+            value=_chain_value(table, positions, dec._levels), order=dec.order, tile=tile, _dec=dec
+        )
+        return evaluation
 
-        Vertices with zero weight are not read; the sum runs on integer
-        numerators (:func:`_exact_sum`).
-        """
-        value = _exact_sum((w, values[v]) for v, w in zip(chain, weights) if w)
-        return cls(value, order, chain, weights, tile)
+    def __getattr__(self, name: str):
+        # reached only for a field that a record made by along has not built yet
+        if name == "weights":
+            made = self._dec.weights
+        elif name == "chain":
+            made = self._dec.chain
+            if self.tile is not None:
+                negative = frozenset(self._dec.base.elements) - self.tile
+                made = tuple(BipolarElement(v & self.tile, v & negative) for v in made)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__[name] = made
+        return made
 
 
 def evaluate(functional: GeneralizedCapacity, profile: Profile) -> Evaluation:
     """Natural extension of a vertex functional at ``profile``, with its
-    triangulating chain and weights (see :func:`natural_extension`)."""
+    triangulating chain and weights (see :func:`natural_extension`). Each
+    chain vertex's mask is looked up in the lattice's code table."""
     if functional.lattice.base != profile.base:
         raise BaseMismatch("capacity and profile are over different base posets")
     dec = triangulate(profile)
-    return Evaluation.along(functional.values, dec.order, dec.chain, dec.weights)
+    positions = map(functional.lattice.derived(_codes).__getitem__, dec._masks)
+    return Evaluation.along(functional._integers, positions, dec)
 
 
 def natural_extension(functional: GeneralizedCapacity, profile: Profile) -> Fraction:

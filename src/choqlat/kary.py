@@ -8,9 +8,10 @@ of levels it dominates. A score vector is located inside a mesh cell, split
 into per-criterion level indices and residues, and scored by interpolating
 the capacity at the surrounding mesh nodes. The sorted-residue sweep over
 mesh corners and the generic natural extension of the point's staircase
-profile give the same number along independent code, so each checks the
-other; the signed variants mirror the construction on a symmetric scale
-around 0. :func:`grid_steps` reads an
+profile give the same number, so each checks the other: they find the
+order, the levels and the vertex codes independently and share only the
+positional integer sum; the signed variants mirror the construction on a
+symmetric scale around 0. :func:`grid_steps` reads an
 :class:`~choqlat.interpolation.Evaluation` on a grid base as levels,
 criteria and grid points.
 """
@@ -19,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .bipolar import BipolarCapacity, BipolarElement, BipolarProfile
+from .birkhoff import _codes
+from .bipolar import BipolarCapacity, BipolarProfile, _pair_positions
 from .errors import InvalidDimensions, OutOfScale
-from .interpolation import Evaluation, Profile, _exact_sum, _sort_keys
+from .interpolation import Evaluation, Profile, _chain_value, _sort_keys
 from .moebius import GeneralizedCapacity
 from .poset import Poset
 from .rationals import as_fraction
@@ -263,7 +265,9 @@ def level_profile(point: Sequence, scale: ReferenceScale) -> tuple[LevelIndexing
 
 
 def _corner_sweep(
-    values: Mapping, indexing: LevelIndexing, positive: frozenset | None = None
+    capacity: GeneralizedCapacity | BipolarCapacity,
+    indexing: LevelIndexing,
+    positive: int | None = None,
 ) -> Fraction:
     """Sorted sweep over residues against lazily read mesh corners.
 
@@ -271,33 +275,31 @@ def _corner_sweep(
     criterion below its level index); each step raises one more criterion,
     in sorted-residue order, to its index. The first corner enters with
     weight 1 minus the top residue, so corners with nonzero value at the
-    resting point are kept. With ``positive`` (a set of base labels) the
-    corners are read as signed vertices split along that tile. The steps
-    are ``Fraction`` differences of the residues, and the weighted corners
-    are added by the package's one exact sum on integer numerators
-    (:func:`~choqlat.interpolation._exact_sum`).
+    resting point are kept. Corners are bit codes of downsets, looked up by
+    position in the capacity's integer table; with ``positive`` (the bit
+    code of a tile's positive side) they are read as signed vertices split
+    along that tile. The sorted residues give the weights, and the weighted
+    corners are added by the package's one positional integer sum
+    (:func:`~choqlat.interpolation._chain_value`).
     """
     indices, residues, order = indexing.indices, indexing.residues, indexing.order
-    node = {
-        level_label(i, l)
-        for i, index in enumerate(indices, start=1)
-        for l in range(1, index)
-    }
-
-    def corner() -> Fraction:
-        key = frozenset(node)
-        if positive is None:
-            return values[key]
-        return values[BipolarElement(key & positive, key - positive)]
-
-    terms = [(ONE - residues[order[0] - 1], corner())]
-    for position, criterion in enumerate(order):
-        node.add(level_label(criterion, indices[criterion - 1]))
-        nxt = residues[order[position + 1] - 1] if position + 1 < len(order) else ZERO
-        step = residues[criterion - 1] - nxt
-        if step:
-            terms.append((step, corner()))
-    return _exact_sum(terms)
+    lattice = capacity.lattice
+    bit, down = lattice.base._bit, lattice.base._down
+    # a level's principal downset is its criterion's levels up to it
+    corner = 0
+    for i, index in enumerate(indices, start=1):
+        if index > 1:
+            corner |= down[level_label(i, index - 1)]
+    corners = [corner]
+    for criterion in order:
+        corner |= bit[level_label(criterion, indices[criterion - 1])]
+        corners.append(corner)
+    if positive is None:
+        positions = map(lattice.derived(_codes).__getitem__, corners)
+    else:
+        positions = _pair_positions(lattice, corners, positive)
+    levels = [residues[criterion - 1] for criterion in order]
+    return _chain_value(capacity._integers, positions, levels)
 
 
 def interpolate_point(
@@ -317,7 +319,7 @@ def interpolate_point(
     indexing = locate_point(point, scale)
     if len(indexing.indices) != n:
         raise InvalidDimensions(f"point has {len(indexing.indices)} coordinates, grid has {n}")
-    return _corner_sweep(capacity.values, indexing)
+    return _corner_sweep(capacity, indexing)
 
 
 class GridSteps(NamedTuple):
@@ -390,7 +392,8 @@ def interpolate_signed_point(
     positive, indexing = locate_signed_point(point, scale)
     if len(indexing.indices) != n:
         raise InvalidDimensions(f"point has {len(indexing.indices)} coordinates, grid has {n}")
-    positive_labels = frozenset(
-        level_label(i, l) for i in positive for l in range(1, k)
+    # the top level's principal downset is the whole criterion
+    down = capacity.base._down
+    return _corner_sweep(
+        capacity, indexing, sum(down[level_label(i, k - 1)] for i in positive)
     )
-    return _corner_sweep(capacity.values, indexing, positive_labels)

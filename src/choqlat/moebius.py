@@ -110,16 +110,16 @@ class GeneralizedCapacity:
     """A rational value attached to every element of a downset lattice: a
     capacity, a game, or the Moebius coefficients of one.
 
-    Held two ways, each made on first need from the other: ``values``, a
-    dict in lattice order, and ``_integers``, one numerator per lattice
-    position over one denominator. A table given by the caller is checked
-    into ``values``; a transform's output starts from its integers.
+    Held as ``_integers``, one numerator per lattice position over one
+    denominator: a table given by the caller is checked and scaled into it,
+    and a transform's output starts from it. ``values``, a dict of
+    ``Fraction`` values in lattice order, is made on first read.
     """
 
     def __init__(self, lattice: DownsetLattice, values: Mapping):
         positions = lattice.derived(_element_positions)
         table = vertex_table(positions, values, lattice.check_element, "lattice elements")
-        self.values = dict(zip(positions, table))
+        self._integers = _numerators(table)
         self.lattice = lattice
 
     @classmethod
@@ -135,10 +135,6 @@ class GeneralizedCapacity:
     def values(self) -> dict[frozenset, Fraction]:
         return _fractions(self.lattice.elements, *self._integers)
 
-    @cached_property
-    def _integers(self) -> tuple[list[int], int]:
-        return _numerators(self.values.values())
-
     def __call__(self, x) -> Fraction:
         try:
             return self.values[frozenset(x)]
@@ -150,8 +146,8 @@ class GeneralizedCapacity:
 
     @property
     def is_game(self) -> bool:
-        """True when the bottom element carries value zero."""
-        return self.values[self.lattice.bottom] == 0
+        """True when the bottom element (position 0) carries value zero."""
+        return self._integers[0][0] == 0
 
     @cached_property
     def is_monotone(self) -> bool:

@@ -235,7 +235,16 @@ tied_values = st.sampled_from((Fraction(0), Fraction(1, 3), Fraction(1, 2), Frac
 large_unit_fractions = st.integers(1, 10**30).flatmap(
     lambda d: st.builds(Fraction, st.integers(0, d), st.just(d))
 )
-PROFILE_VALUES = {"unit": unit_fractions, "tied": tied_values, "large": large_unit_fractions}
+# and over denominators of up to 300 digits
+huge_unit_fractions = st.integers(1, 10**300).flatmap(
+    lambda d: st.builds(Fraction, st.integers(0, d), st.just(d))
+)
+PROFILE_VALUES = {
+    "unit": unit_fractions,
+    "tied": tied_values,
+    "large": large_unit_fractions,
+    "huge": huge_unit_fractions,
+}
 
 
 @st.composite
@@ -489,6 +498,15 @@ def slow_triangulate(profile, tie_break=None) -> cq.ChainDecomposition:
 
 def slow_chain_value(values, chain, weights) -> Fraction:
     return sum((w * values[v] for v, w in zip(chain, weights)), Fraction(0))
+
+
+def slow_evaluation(values, dec: cq.ChainDecomposition, tile=None) -> cq.Evaluation:
+    """The evaluation record of a slow decomposition: its chain split along
+    ``tile`` when signed, its value summed in Fractions."""
+    chain = dec.chain
+    if tile is not None:
+        chain = tuple(cq.BipolarElement(v & tile, v - tile) for v in chain)
+    return cq.Evaluation(slow_chain_value(values, chain, dec.weights), dec.order, chain, dec.weights, tile)
 
 
 # slow reference evaluators of the Moebius form: each coefficient times the

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import choqlat as cq
 import choqlat.birkhoff
+from choqlat.bipolar import _pair_positions
 from support import (
     PROFILE_VALUES,
     VALUE_KINDS,
@@ -20,6 +21,7 @@ from support import (
     profiles,
     random_bipolar_capacity,
     random_fraction,
+    random_linear_extension,
     random_profile,
     random_signed_profile,
     reduce_order,
@@ -30,6 +32,7 @@ from support import (
     slow_bipolar_moebius_form_eval,
     slow_chain_value,
     slow_disjoint_element_pairs,
+    slow_evaluation,
     slow_triangulate,
     tied_values,
     unit_fractions,
@@ -469,6 +472,30 @@ class TestEvaluate:
             split,
             expected.weights,
             positive,
+        )
+
+    @pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
+    @given(data=st.data())
+    def test_positional_chain_matches_slow_oracle(self, kind, data):
+        """The signed chain on positions under a random tie-break and any
+        tile: each vertex's bit code split by the tile's code and looked up
+        among the admissible pairs, the whole record against the slow
+        decomposition split along the tile."""
+        base = data.draw(posets(max_elements=5).filter(cq.is_regular_mosaic))
+        lattice = cq.DownsetLattice(base)
+        table = data.draw(exact_tables(cq.admissible_vertex_pairs(lattice), kind))
+        capacity = cq.BipolarCapacity(lattice, table)
+        values = PROFILE_VALUES[data.draw(st.sampled_from(sorted(PROFILE_VALUES)))]
+        magnitude = data.draw(profiles(base, values))
+        # a union of components and its complement are both downsets
+        negative = [c.members for c in cq.connected_components(base) if data.draw(st.booleans())]
+        tile = frozenset(base.elements).difference(*negative)
+        tie_break = random_linear_extension(data.draw(st.randoms()), base)
+        dec = cq.triangulate(magnitude, tie_break)
+        positions = _pair_positions(lattice, dec._masks, sum(base._bit[j] for j in tile))
+        evaluation = cq.Evaluation.along(capacity._integers, positions, dec, tile)
+        assert evaluation == slow_evaluation(
+            capacity.values, slow_triangulate(magnitude, tie_break), tile
         )
 
     def test_non_mosaic_rejected(self, wedge_lattice):

@@ -20,6 +20,7 @@ from support import (
     random_linear_extension,
     random_profile,
     slow_chain_value,
+    slow_evaluation,
     slow_moebius_form_eval,
     slow_triangulate,
     tied_values,
@@ -154,7 +155,10 @@ class TestTriangulate:
         tie_break = random_linear_extension(data.draw(st.randoms()), lattice.base)
         dec = cq.triangulate(profile, tie_break)
         assert dec == slow_triangulate(profile, tie_break)
-        assert cq.Evaluation.along(capacity.values, dec.order, dec.chain, dec.weights).value == value
+        # positions read off the chain's frozensets, not off the decomposition's masks
+        positions = {x: i for i, x in enumerate(lattice.elements)}
+        along = cq.Evaluation.along(capacity._integers, map(positions.__getitem__, dec.chain), dec)
+        assert along.value == value
 
     def test_empty_base(self):
         lattice = cq.DownsetLattice(cq.Poset([], []))
@@ -175,6 +179,28 @@ class TestTriangulate:
                 cq.BaseMismatch, match="^tie_break must enumerate the base poset exactly$"
             ):
                 cq.triangulate(worked_profile, tie_break=short)
+
+
+class TestUnreadValues:
+    """A capacity holds integer numerators by position, whether scaled from
+    a caller's table or made by a transform: the chain path reads those and
+    never builds the ``Fraction`` values."""
+
+    @pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
+    @given(data=st.data())
+    def test_transform_output(self, kind, data):
+        lattice = data.draw(lattices(max_elements=6))
+        table = data.draw(exact_tables(lattice.elements, kind))
+        capacity = cq.GeneralizedCapacity(lattice, table)
+        if data.draw(st.booleans()):
+            capacity = cq.zeta_transform(capacity)
+        values = PROFILE_VALUES[data.draw(st.sampled_from(sorted(PROFILE_VALUES)))]
+        profile = data.draw(profiles(lattice.base, values))
+        evaluation = cq.evaluate(capacity, profile)
+        value = cq.natural_extension(capacity, profile)
+        assert "values" not in vars(capacity)
+        assert evaluation == slow_evaluation(capacity.values, slow_triangulate(profile))
+        assert value == evaluation.value
 
 
 class TestSortKeys:

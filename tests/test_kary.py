@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 import choqlat as cq
 import choqlat.kary
 from support import (
+    VALUE_KINDS,
     exact_tables,
     random_bipolar_capacity,
     random_capacity,
     random_profile,
     random_signed_profile,
     slow_chain_value,
+    slow_evaluation,
     slow_locate_coordinates,
     slow_triangulate,
 )
@@ -438,6 +440,50 @@ class TestCornerSweepOracle:
         assert cq.interpolate_signed_point(capacity, point, scale) == slow_chain_value(
             capacity.values, split, expected.weights
         )
+
+
+class TestPositionalCornerSweep:
+    """Both corner sweeps on corner bit codes and integer residue gaps, and
+    the staircase evaluation they are checked against, for each kind of
+    vertex table: the point value and the whole staircase record against
+    the Fraction sort and sum. Unsigned tables are transform outputs, which
+    hold only integer numerators, and neither path builds their values."""
+
+    @pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
+    @given(data=st.data())
+    def test_unsigned(self, kind, data):
+        k, n = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 3))
+        levels = [Fraction(0), *data.draw(_sides(k - 2, 0, 1)), Fraction(1)]
+        scale = cq.ReferenceScale(tuple(levels))
+        lattice = cq.DownsetLattice(cq.build_kary_base(k, n))
+        coefficients = cq.GeneralizedCapacity(lattice, data.draw(exact_tables(lattice.elements, kind)))
+        capacity = cq.zeta_transform(coefficients)
+        point = data.draw(_points(n, levels))
+        _, staircase = cq.level_profile(point, scale)
+        value = cq.interpolate_point(capacity, point, scale)
+        evaluation = cq.evaluate(capacity, staircase)
+        assert "values" not in vars(capacity)
+        expected = slow_evaluation(capacity.values, slow_triangulate(staircase))
+        assert evaluation == expected
+        assert value == expected.value
+
+    @pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
+    @given(data=st.data())
+    def test_signed(self, kind, data):
+        k, n = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 3))
+        levels = [
+            *data.draw(_sides(k - 1, -2, 0)), Fraction(0), *data.draw(_sides(k - 1, 0, 2))
+        ]
+        scale = cq.ReferenceScale(tuple(levels), symmetric=True)
+        lattice = cq.DownsetLattice(cq.build_kary_base(k, n))
+        table = data.draw(exact_tables(cq.admissible_vertex_pairs(lattice), kind))
+        capacity = cq.BipolarCapacity(lattice, table)
+        point = data.draw(_points(n, levels))
+        positive, _, profile = cq.bipolar_level_profile(point, scale)
+        tile = frozenset(cq.level_label(i, l) for i in positive for l in range(1, k))
+        expected = slow_evaluation(capacity.values, slow_triangulate(profile.magnitude()), tile)
+        assert cq.evaluate_bipolar(capacity, profile) == expected
+        assert cq.interpolate_signed_point(capacity, point, scale) == expected.value
 
 
 class TestTwoLevelCollapse:
