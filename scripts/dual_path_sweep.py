@@ -11,6 +11,9 @@ from 1 to over a dozen digits. About half of the profile values and point
 coordinates reach the library as text (p/q, decimal or exponent form, with
 or without surrounding spaces), so both paths start from the number
 parser; every parsed value must equal the Fraction it was rendered from.
+Each signed dual value is computed twice, from the capacity's positional
+table and from a plain dict copy of it (the value-by-value path of the
+transform and of the Moebius form); the two must agree.
 
     python scripts/dual_path_sweep.py --instances 300 --seed 7
 """
@@ -109,11 +112,14 @@ def sweep(instances, seed):
         mismatches += signed.values != values
         chain_value = cq.bipolar_natural_extension(bipolar, signed)
         coefficients = cq.bipolar_moebius_transform(lattice, bipolar.values)
-        mismatches += chain_value != cq.bipolar_moebius_form_eval(coefficients, signed)
+        dual = cq.bipolar_moebius_form_eval(coefficients, signed)
+        mismatches += chain_value != dual
+        plain = cq.bipolar_moebius_transform(lattice, dict(bipolar.values))
+        mismatches += dual != cq.bipolar_moebius_form_eval(dict(plain), signed)
 
     elapsed = time.perf_counter() - started
     print(
-        f"{instances} instances x 3 path pairs on grids {GRIDS}: "
+        f"{instances} instances x 4 path pairs on grids {GRIDS}: "
         f"{mismatches} mismatches in {elapsed:.2f}s"
     )
     return mismatches

@@ -51,7 +51,7 @@ from .interpolation import (
     choquet_classical,
     triangulate,
 )
-from .moebius import ZERO, _numerators, check_bipolar_pair, vertex_table
+from .moebius import ZERO, ValueTable, _numerators, check_bipolar_pair, vertex_table
 from .poset import Poset, connected_components, is_downset
 from .rationals import as_fraction
 
@@ -193,7 +193,8 @@ class BipolarProfile:
         return f"BipolarProfile(on {len(self.values)} elements)"
 
     def magnitude(self) -> Profile:
-        return Profile(self.base, {label: abs(v) for label, v in self.values.items()})
+        # the sizes of checked signed values pass the unsigned checks as they are
+        return Profile._from_checked(self.base, {label: abs(v) for label, v in self.values.items()})
 
 
 def admissible_vertex_pairs(
@@ -271,8 +272,9 @@ class BipolarCapacity:
     construction, so tile-consistency cannot be violated. Values on
     non-tile elements of a non-mosaic extension are deliberately not
     representable. As for :class:`~choqlat.moebius.GeneralizedCapacity`,
-    ``values`` is a dict in the order of :func:`admissible_vertex_pairs`,
-    and ``_integers`` the numerators by that position over one denominator.
+    ``_integers`` holds the numerators by position among
+    :func:`admissible_vertex_pairs` over one denominator, and ``values``
+    reads them as a :class:`~choqlat.moebius.ValueTable` in that order.
     """
 
     def __init__(self, lattice: DownsetLattice, values: Mapping):
@@ -289,14 +291,13 @@ class BipolarCapacity:
                 )
             return pair
 
-        table = vertex_table(positions, values, vertex, "signed vertices in a tile")
-        self.values: dict[BipolarElement, Fraction] = dict(zip(positions, table))
+        self._integers = vertex_table(positions, values, vertex, "signed vertices in a tile")
         self.lattice = lattice
         self.base = lattice.base
 
     @cached_property
-    def _integers(self) -> tuple[list[int], int]:
-        return _numerators(self.values.values())
+    def values(self) -> ValueTable:
+        return ValueTable(self.lattice.derived(_admissible_positions), *self._integers)
 
     def __call__(self, pair) -> Fraction:
         pos, neg = pair
@@ -309,11 +310,12 @@ class BipolarCapacity:
             ) from None
 
     def __repr__(self) -> str:
-        return f"BipolarCapacity(on {len(self.values)} signed vertices)"
+        return f"BipolarCapacity(on {len(self._integers[0])} signed vertices)"
 
     @property
     def is_game(self) -> bool:
-        return self.values[BipolarElement(frozenset(), frozenset())] == 0
+        """True when (bottom, bottom) (position 0) carries value zero."""
+        return self._integers[0][0] == 0
 
     @cached_property
     def is_monotone(self) -> bool:
@@ -328,11 +330,12 @@ class BipolarCapacity:
 
     def check_normalized(self) -> bool:
         """Optional normalization: 1 at (top, bottom) and -1 at (bottom, top)."""
-        top = self.lattice.top
-        empty = frozenset()
+        numerators, denominator = self._integers
+        at = self.lattice.derived(_admissible_positions)
+        top, empty = self.lattice.top, frozenset()
         return (
-            self.values[BipolarElement(top, empty)] == 1
-            and self.values[BipolarElement(empty, top)] == -1
+            numerators[at[BipolarElement(top, empty)]] == denominator
+            and numerators[at[BipolarElement(empty, top)]] == -denominator
         )
 
 
@@ -453,22 +456,29 @@ def bipolar_moebius_form_eval(
     empty-meet value 1. The minima come from one ranking of the 2n values
     max(f, 0) and max(-f, 0), and the sum runs on integer numerators by
     rank bucket, as in :func:`~choqlat.interpolation.moebius_form_eval`.
-    Equals ``bipolar_natural_extension`` when the coefficients are the
-    bipolar Moebius transform of the capacity.
+    A :class:`~choqlat.moebius.ValueTable` (a transform's output) is read
+    as its nonzero numerators by position; any other mapping is read value
+    by value. Equals ``bipolar_natural_extension`` when the coefficients
+    are the bipolar Moebius transform of the capacity.
     """
-    coeffs = list(map(as_fraction, coefficients.values()))
-    # a transform's zeros are one shared object, tested by identity first
-    nonzero = [(c, key) for c, key in zip(coeffs, coefficients) if c is not ZERO and c]
-    numerators, denominator = _numerators([c for c, _ in nonzero])
-    # one test over the labels of every distinct key part, zero
-    # coefficients' keys included (many keys share each part)
-    parts = set(itertools.chain.from_iterable(coefficients))
+    if isinstance(coefficients, ValueTable):
+        numerators, denominator = coefficients._integers
+        terms = [(num, key) for num, key in zip(numerators, coefficients) if num]
+        # the last key, (top, empty), holds every label of every key
+        labels = frozenset().union(*next(reversed(coefficients._positions)))
+    else:
+        coeffs = list(map(as_fraction, coefficients.values()))
+        nonzero = [(c, key) for c, key in zip(coeffs, coefficients) if c]
+        numerators, denominator = _numerators([c for c, _ in nonzero])
+        terms = list(zip(numerators, [key for _, key in nonzero]))
+        # the labels of every distinct key part, zero coefficients' keys
+        # included (many keys share each part)
+        labels = itertools.chain.from_iterable(set(itertools.chain.from_iterable(coefficients)))
     values = profile.values
-    if not frozenset(values).issuperset(itertools.chain.from_iterable(parts)):
+    if not frozenset(values).issuperset(labels):
         raise BaseMismatch("coefficient keys mention labels outside the base")
     plus = {j: v if v.numerator > 0 else ZERO for j, v in values.items()}
     minus = {j: -v if v.numerator < 0 else ZERO for j, v in values.items()}
-    terms = list(zip(numerators, [key for _, key in nonzero]))
     return _rank_form((plus, minus), terms, denominator)
 
 

@@ -100,6 +100,15 @@ class Profile:
         self.values: dict[str, Fraction] = _profile_values(base, values)
         self.base = base
 
+    @classmethod
+    def _from_checked(cls, base: Poset, values: dict[str, Fraction]) -> "Profile":
+        """A profile of ``values`` that already pass every check of
+        :func:`_profile_values`, given in base order."""
+        profile = cls.__new__(cls)
+        profile.values = values
+        profile.base = base
+        return profile
+
     def __call__(self, label: str) -> Fraction:
         return self.values[label]
 

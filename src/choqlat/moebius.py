@@ -6,7 +6,8 @@ value on each lattice vertex: :class:`GeneralizedCapacity`, or on the bipolar
 extension a table keyed by disjoint pairs. :func:`vertex_table` reads and
 checks every such table, and is the one place where keys become positions.
 Inside, a table is one list of integer numerators by position over one
-common denominator; its ``Fraction`` values are made only when read.
+common denominator; every functional's values are read through one
+:class:`ValueTable`, which makes a ``Fraction`` only when a value is read.
 
 On a downset lattice the Moebius function has a closed form: for downsets
 X <= Y it is (-1)^|Y - X| when Y - X is an antichain of the base and 0
@@ -31,10 +32,11 @@ Callers that share nothing need no coordination.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .birkhoff import (
     DownsetLattice,
@@ -56,21 +58,60 @@ from .rationals import as_fraction
 ZERO = Fraction(0)
 
 
+class ValueTable(Mapping):
+    """Read-only table of exact values on a domain, held by position.
+
+    ``_positions`` maps each vertex of the domain to its position, in domain
+    order (lattice order, or extension order for pairs, so the top comes
+    last), and ``_integers`` is the one list of numerators by position over
+    one denominator. A value becomes a ``Fraction`` only when it is read;
+    zeros share one.
+    """
+
+    __slots__ = ("_positions", "_integers")
+
+    def __init__(self, positions: Mapping, numerators: list[int], denominator: int):
+        self._positions = positions
+        self._integers = (numerators, denominator)
+
+    def __getitem__(self, key) -> Fraction:
+        numerators, denominator = self._integers
+        num = numerators[self._positions[key]]
+        return Fraction(num, denominator) if num else ZERO
+
+    def __contains__(self, key) -> bool:
+        return key in self._positions
+
+    def __iter__(self):
+        return iter(self._positions)
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def __repr__(self) -> str:
+        return f"ValueTable(on {len(self)} vertices)"
+
+
 def vertex_table(
     positions: Mapping, entries: Mapping, vertex: Callable, what: str
-) -> list[Fraction]:
-    """Exact values of ``entries`` on every vertex, by position.
+) -> tuple[list[int], int]:
+    """Exact values of ``entries`` on every vertex, as integer numerators by
+    position over one common denominator, and that denominator.
 
     ``positions`` maps each vertex of the domain to its position, in domain
     order. A key found there needs no other check; any other key goes to
     ``vertex``, which checks it and returns it as a vertex (or raises). A
     vertex left without a value is reported with an example. A table whose
     keys are the domain's own vertex objects, in domain order (a capacity's
-    values), needs no lookup: each key is a vertex by identity. Its values
-    are still read through ``as_fraction``.
+    values), needs no lookup: each key is a vertex by identity. Such a
+    :class:`ValueTable` hands over its integers, and their denominator,
+    unread; any other table's values are read through ``as_fraction`` and
+    scaled to their least common denominator.
     """
     if len(entries) == len(positions) and all(map(operator.is_, entries, positions)):
-        return list(map(as_fraction, entries.values()))
+        if isinstance(entries, ValueTable):
+            return entries._integers
+        return _numerators(map(as_fraction, entries.values()))
     values: list = [None] * len(positions)
     for key, raw in entries.items():
         try:
@@ -86,7 +127,7 @@ def vertex_table(
             f"missing values for {len(missing)} of the {len(positions)} {what},"
             f" e.g. {shown!r}"
         )
-    return values
+    return _numerators(values)
 
 
 def _numerators(values: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -97,29 +138,19 @@ def _numerators(values: Iterable[Fraction]) -> tuple[list[int], int]:
     return [n * (denominator // d) for n, d in pairs], denominator
 
 
-def _fractions(domain: Iterable, numerators: Iterable[int], denominator: int) -> dict:
-    """The table with ``numerators`` over ``denominator`` on ``domain``, one
-    ``Fraction`` per nonzero value; zeros share one."""
-    return {
-        x: Fraction(num, denominator) if num else ZERO
-        for x, num in zip(domain, numerators)
-    }
-
-
 class GeneralizedCapacity:
     """A rational value attached to every element of a downset lattice: a
     capacity, a game, or the Moebius coefficients of one.
 
     Held as ``_integers``, one numerator per lattice position over one
     denominator: a table given by the caller is checked and scaled into it,
-    and a transform's output starts from it. ``values``, a dict of
-    ``Fraction`` values in lattice order, is made on first read.
+    and a transform's output starts from it. ``values`` reads them as a
+    :class:`ValueTable` in lattice order.
     """
 
     def __init__(self, lattice: DownsetLattice, values: Mapping):
         positions = lattice.derived(_element_positions)
-        table = vertex_table(positions, values, lattice.check_element, "lattice elements")
-        self._integers = _numerators(table)
+        self._integers = vertex_table(positions, values, lattice.check_element, "lattice elements")
         self.lattice = lattice
 
     @classmethod
@@ -132,8 +163,8 @@ class GeneralizedCapacity:
         return capacity
 
     @cached_property
-    def values(self) -> dict[frozenset, Fraction]:
-        return _fractions(self.lattice.elements, *self._integers)
+    def values(self) -> ValueTable:
+        return ValueTable(self.lattice.derived(_element_positions), *self._integers)
 
     def __call__(self, x) -> Fraction:
         try:
@@ -285,29 +316,24 @@ def bipolar_moebius_function(lattice: DownsetLattice, lower, upper) -> int:
     return _interval_moebius(lattice.base, z, x) * _interval_moebius(lattice.base, t, y)
 
 
-def _bipolar_pass(lattice: DownsetLattice, values: Mapping, inverse: bool) -> dict:
+def _bipolar_pass(lattice: DownsetLattice, values: Mapping, inverse: bool) -> ValueTable:
     """The pass of :func:`_downset_pass` over a table given on the whole
-    bipolar extension, checked by position, as a dict in extension order."""
-    table = vertex_table(
-        lattice.derived(_extension_positions),
-        values,
-        partial(check_bipolar_pair, lattice),
-        "pairs of the bipolar extension",
+    bipolar extension, checked by position, as a table in extension order."""
+    positions = lattice.derived(_extension_positions)
+    numerators, denominator = vertex_table(
+        positions, values, partial(check_bipolar_pair, lattice), "pairs of the bipolar extension"
     )
-    numerators, denominator = _numerators(table)
     plan = lattice.derived(_extension_plan)
-    return _fractions(
-        bipolar_extension(lattice), _downset_pass(plan, numerators, inverse), denominator
-    )
+    return ValueTable(positions, _downset_pass(plan, numerators, inverse), denominator)
 
 
-def bipolar_moebius_transform(lattice: DownsetLattice, values: Mapping) -> dict:
+def bipolar_moebius_transform(lattice: DownsetLattice, values: Mapping) -> ValueTable:
     """Moebius coefficients of a functional given on the whole bipolar
     extension; inverse of :func:`bipolar_zeta_transform`."""
     return _bipolar_pass(lattice, values, inverse=True)
 
 
-def bipolar_zeta_transform(lattice: DownsetLattice, coefficients: Mapping) -> dict:
+def bipolar_zeta_transform(lattice: DownsetLattice, coefficients: Mapping) -> ValueTable:
     """Accumulate bipolar coefficients upward under the product order."""
     return _bipolar_pass(lattice, coefficients, inverse=False)
 

@@ -1,4 +1,5 @@
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import choqlat as cq
+import choqlat.bipolar
 import choqlat.birkhoff
+import choqlat.interpolation
 from choqlat.bipolar import _pair_positions
+from choqlat.moebius import ValueTable
 from support import (
     PROFILE_VALUES,
     VALUE_KINDS,
@@ -30,6 +34,8 @@ from support import (
     slow_bipolar_cover_pairs,
     slow_bipolar_is_monotone,
     slow_bipolar_moebius_form_eval,
+    slow_bipolar_moebius_transform,
+    slow_bipolar_zeta_transform,
     slow_chain_value,
     slow_disjoint_element_pairs,
     slow_evaluation,
@@ -314,6 +320,24 @@ class TestCapacity:
         assert capacity.check_normalized()
         values[pair({"1"})] = -5
         assert not cq.BipolarCapacity(boolean2, values).is_monotone
+
+    @given(lattices(max_elements=5), st.data())
+    def test_flags_match_the_table(self, lattice, data):
+        """``is_game`` and ``check_normalized`` read numerators by position;
+        they agree with the caller's table read by key, for every kind of
+        value, normalized or not."""
+        table = data.draw(exact_tables(cq.admissible_vertex_pairs(lattice)))
+        if data.draw(st.booleans()):
+            table[pair()] = data.draw(st.sampled_from((0, Fraction(0), "0/7")))
+        if data.draw(st.booleans()):
+            table[pair(lattice.top)] = data.draw(st.sampled_from((1, "2/2")))
+            table[pair((), lattice.top)] = data.draw(st.sampled_from((-1, "-3/3")))
+        capacity = cq.BipolarCapacity(lattice, table)
+        value = lambda key: cq.as_fraction(table[key])
+        assert capacity.is_game == (value(pair()) == 0)
+        assert capacity.check_normalized() == (
+            value(pair(lattice.top)) == 1 and value(pair((), lattice.top)) == -1
+        )
 
     @given(lattices(max_elements=6), st.data())
     def test_is_monotone_matches_oracle(self, lattice, data):
@@ -633,6 +657,160 @@ class TestMoebiusFormEval:
         assert cq.bipolar_moebius_form_eval(
             as_tuples, profile
         ) == cq.bipolar_moebius_form_eval(table, profile)
+
+
+def bases(shape: str):
+    """Bases that are regular mosaics, or bases that are not."""
+    mosaic = shape == "mosaic"
+    return posets(min_elements=0 if mosaic else 3, max_elements=5).filter(
+        lambda base: cq.is_regular_mosaic(base) == mosaic
+    )
+
+
+class TestPositionalBipolarTables:
+    """A capacity's values and the bipolar transforms' outputs are read-only
+    positional tables; each is read by position, and must give what a plain
+    dict of the same values gives through the value-by-value path, and what
+    the slow oracles give."""
+
+    @pytest.mark.parametrize("shape", ["mosaic", "non-mosaic"])
+    @pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
+    @given(data=st.data())
+    def test_transforms_of_a_capacity_table(self, shape, kind, data):
+        """The capacity's own table, a dict of it (its key objects) and a
+        dict of fresh keys transform alike; on a non-mosaic base each is
+        refused with the text a plain table missing those pairs gets."""
+        lattice = cq.DownsetLattice(data.draw(bases(shape)))
+        table = data.draw(exact_tables(cq.admissible_vertex_pairs(lattice), kind))
+        capacity = cq.BipolarCapacity(lattice, table)
+        sources = (
+            capacity.values,
+            dict(capacity.values),
+            {(frozenset(p), frozenset(n)): v for (p, n), v in capacity.values.items()},
+        )
+        transforms = (
+            (cq.bipolar_moebius_transform, slow_bipolar_moebius_transform),
+            (cq.bipolar_zeta_transform, slow_bipolar_zeta_transform),
+        )
+        if shape == "mosaic":
+            for fast, slow in transforms:
+                expected = list(slow(lattice, table).items())
+                for source in sources:
+                    out = fast(lattice, source)
+                    assert isinstance(out, ValueTable)
+                    assert list(out.items()) == expected
+            coefficients = cq.bipolar_moebius_transform(lattice, capacity.values)
+            again = cq.bipolar_zeta_transform(lattice, coefficients)
+            assert list(again.items()) == list(table.items())
+            return
+        extension = cq.bipolar_extension(lattice)
+        missing = [p for p in extension if p not in table]
+        message = (
+            f"missing values for {len(missing)} of the {len(extension)} pairs of the"
+            f" bipolar extension, e.g. {(sorted(missing[0].pos), sorted(missing[0].neg))!r}"
+        )
+        for fast, _ in transforms:
+            for source in sources:
+                with pytest.raises(cq.BaseMismatch) as info:
+                    fast(lattice, source)
+                assert str(info.value) == message
+
+    @pytest.mark.parametrize("shape", ["mosaic", "non-mosaic"])
+    @pytest.mark.parametrize("profile_kind", sorted(PROFILE_VALUES))
+    @given(data=st.data())
+    def test_signed_form_on_a_positional_table(self, shape, profile_kind, data):
+        """The signed Moebius form of a transform's output, and of a
+        capacity's own table, equals the form of a dict of the same values
+        and the slow oracle."""
+        lattice = cq.DownsetLattice(data.draw(bases(shape)))
+        table = data.draw(exact_tables(cq.bipolar_extension(lattice)))
+        capacity = cq.BipolarCapacity(
+            lattice, {p: table[p] for p in cq.admissible_vertex_pairs(lattice)}
+        )
+        profile = data.draw(signed_profiles(lattice.base, PROFILE_VALUES[profile_kind]))
+        for positional in (cq.bipolar_moebius_transform(lattice, table), capacity.values):
+            value = cq.bipolar_moebius_form_eval(positional, profile)
+            assert value == cq.bipolar_moebius_form_eval(dict(positional), profile)
+            assert value == slow_bipolar_moebius_form_eval(dict(positional), profile)
+
+    @pytest.mark.parametrize("shape", ["mosaic", "non-mosaic"])
+    @given(data=st.data())
+    def test_profile_over_another_base(self, shape, data):
+        """A profile whose base lacks a label of the table's keys is refused
+        alike by the positional and the value-by-value path."""
+        lattice = cq.DownsetLattice(data.draw(bases(shape).filter(len)))
+        table = cq.bipolar_moebius_transform(
+            lattice, data.draw(exact_tables(cq.bipolar_extension(lattice)))
+        )
+        other = data.draw(posets(max_elements=len(lattice.base) - 1))
+        profile = data.draw(signed_profiles(other))
+        for coefficients in (table, dict(table)):
+            with pytest.raises(cq.BaseMismatch) as info:
+                cq.bipolar_moebius_form_eval(coefficients, profile)
+            assert str(info.value) == "coefficient keys mention labels outside the base"
+
+    @pytest.mark.parametrize(
+        "base", [cq.build_kary_base(3, 2), wedge_poset()], ids=["grid", "wedge"]
+    )
+    def test_values_are_read_only(self, base):
+        lattice = cq.DownsetLattice(base)
+        rng = random.Random(35)
+        capacity = cq.GeneralizedCapacity(
+            lattice, {d: random_fraction(rng) for d in lattice.elements}
+        )
+        extension = {p: random_fraction(rng) for p in cq.bipolar_extension(lattice)}
+        tables = [
+            capacity.values,
+            cq.moebius_transform(capacity).values,
+            random_bipolar_capacity(rng, lattice).values,
+            cq.bipolar_moebius_transform(lattice, extension),
+            cq.bipolar_zeta_transform(lattice, extension),
+        ]
+        for table in tables:
+            assert isinstance(table, Mapping) and not isinstance(table, dict)
+            key = next(iter(table))
+            before = table[key]
+            with pytest.raises(TypeError):
+                table[key] = 1
+            with pytest.raises(TypeError):
+                del table[key]
+            assert table[key] == before
+
+
+class TestMagnitude:
+    @given(data=st.data())
+    def test_equals_a_parsed_profile(self, data):
+        """The magnitude of a checked signed profile is the profile that
+        parsing the sizes gives, label order included."""
+        base = data.draw(posets(max_elements=6))
+        kind = data.draw(st.sampled_from(sorted(PROFILE_VALUES)))
+        signed = data.draw(signed_profiles(base, PROFILE_VALUES[kind]))
+        magnitude = signed.magnitude()
+        parsed = cq.Profile(base, {label: abs(v) for label, v in signed.values.items()})
+        assert type(magnitude) is cq.Profile and magnitude.base is base
+        assert list(magnitude.values.items()) == list(parsed.values.items())
+
+    def test_one_parse_per_signed_evaluation(self, grid, monkeypatch):
+        """A signed profile's values are parsed and checked once: building
+        it, not evaluating it."""
+        calls = []
+        parse = choqlat.interpolation._profile_values
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(choqlat.interpolation, "_profile_values", counted)
+        monkeypatch.setattr(choqlat.bipolar, "_profile_values", counted)
+        rng = random.Random(36)
+        capacity = random_bipolar_capacity(rng, grid)
+        for _ in range(5):
+            profile = random_signed_profile(rng, grid.base)
+            del calls[:]
+            cq.evaluate_bipolar(capacity, profile)
+            assert calls == []
+            cq.evaluate_bipolar(capacity, cq.BipolarProfile(grid.base, profile.values))
+            assert len(calls) == 1
 
 
 class TestEmbedProfile:

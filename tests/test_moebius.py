@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import choqlat as cq
-from choqlat.moebius import vertex_table
+from choqlat.moebius import ValueTable, _numerators, vertex_table
 from support import (
     VALUE_KINDS,
     antichain,
@@ -219,7 +219,9 @@ class TestTransforms:
     def test_keys_outside_the_position_table_get_the_key_check(self):
         """Own keys in domain order are read by identity, keys equal to a
         vertex by one position lookup, and only other keys go through the
-        key check; the values come back by position."""
+        key check; the values come back as numerators by position over
+        their least common denominator. A positional table keyed by the
+        domain's own vertices hands over its integers unread."""
         lattice = cq.DownsetLattice(wedge_poset())
         checked, looked_up = [], []
 
@@ -234,15 +236,19 @@ class TestTransforms:
             checked.append(key)
             return lattice.check_element(key)
 
-        own = {x: Fraction(i) for i, x in enumerate(lattice.elements)}
+        own = {x: Fraction(i, 1 + i % 3) for i, x in enumerate(lattice.elements)}
         by_position = list(own.values())
-        assert vertex_table(positions, own, vertex, "elements") == by_position
+        expected = _numerators(by_position)
+        assert vertex_table(positions, own, vertex, "elements") == expected
+        assert (checked, looked_up) == ([], [])
+        positional = ValueTable(positions, *expected)
+        assert vertex_table(positions, positional, vertex, "elements") is positional._integers
         assert (checked, looked_up) == ([], [])
         equal = {frozenset(sorted(x)): v for x, v in reversed(own.items())}
-        assert vertex_table(positions, equal, vertex, "elements") == by_position
+        assert vertex_table(positions, equal, vertex, "elements") == expected
         assert checked == [] and len(looked_up) == len(own)
         tuples = {tuple(sorted(x)): v for x, v in own.items()}
-        assert vertex_table(positions, tuples, vertex, "elements") == by_position
+        assert vertex_table(positions, tuples, vertex, "elements") == expected
         assert checked == list(tuples)
         checked.clear()
         short = dict(list(own.items())[:-1])
