@@ -9,8 +9,10 @@ keeps one lattice per grid across instances, so the transforms run on the
 step plans cached with each lattice, and its values carry denominators
 from 1 to over a dozen digits. About half of the profile values and point
 coordinates reach the library as text (p/q, decimal or exponent form, with
-or without surrounding spaces), so both paths start from the number
-parser; every parsed value must equal the Fraction it was rendered from.
+or without surrounding spaces, half of it not in lowest terms: "2/4",
+"0.50", "50e-2", "-0/3"), so both paths start from the number reader and
+run on the integer pairs it keeps as written; every parsed value must equal
+the Fraction it was rendered from.
 Each signed dual value is computed twice, from the capacity's positional
 table and from a plain dict copy of it (the value-by-value path of the
 transform and of the Moebius form); the two must agree.
@@ -38,21 +40,28 @@ def random_fraction(rng, low=-2, high=2):
 def render(rng, value):
     """``value`` itself half of the time, else text for it: p/q, or a
     decimal or exponent form when its denominator divides a power of ten,
-    with spaces around it at random."""
+    with spaces around it at random. Half of the texts are not in lowest
+    terms: p/q with both sides scaled up, a decimal with trailing zeros or
+    an exponent form with its digits shifted ("2/4", "0.50", "50e-2"); a
+    zero is written "-0" as often as "0"."""
     if rng.random() < 0.5:
         return value
-    digits = next((d for d in range(7) if 10**d % value.denominator == 0), None)
+    sign = "-" if value < 0 or (not value and rng.random() < 0.5) else ""
+    size = abs(value)
+    digits = next((d for d in range(7) if 10**d % size.denominator == 0), None)
     form = 0 if digits is None else rng.randrange(3)
+    up = rng.choice((0, rng.randint(1, 3)))
     if form == 0:
-        text = f"{value.numerator}/{value.denominator}"
+        text = f"{size.numerator * (up + 1)}/{size.denominator * (up + 1)}"
     else:
-        scaled = value.numerator * 10**digits // value.denominator
+        places = digits + up
+        scaled = size.numerator * 10**places // size.denominator
         if form == 1:
-            text = f"{scaled}e-{digits}"
+            text = f"{scaled}e-{places}"
         else:
-            whole, rest = divmod(abs(scaled), 10**digits)
-            text = f"{'-' if scaled < 0 else ''}{whole}." + (f"{rest:0{digits}d}" if digits else "")
-    return rng.choice(("", " ", "  ")) + text + rng.choice(("", " "))
+            whole, rest = divmod(scaled, 10**places)
+            text = f"{whole}." + (f"{rest:0{places}d}" if places else "")
+    return rng.choice(("", " ", "  ")) + sign + text + rng.choice(("", " "))
 
 
 def random_values(rng, base):

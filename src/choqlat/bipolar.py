@@ -46,12 +46,13 @@ from .errors import (
 from .interpolation import (
     Evaluation,
     Profile,
+    _fractions,
     _profile_values,
     _rank_form,
     choquet_classical,
     triangulate,
 )
-from .moebius import ZERO, ValueTable, _numerators, check_bipolar_pair, vertex_table
+from .moebius import ValueTable, _numerators, check_bipolar_pair, vertex_table
 from .poset import Poset, connected_components, is_downset
 from .rationals import as_fraction
 
@@ -180,21 +181,32 @@ def psi_inverse(lattice: DownsetLattice, x, pair) -> dict[str, int]:
 
 
 class BipolarProfile:
-    """Signed map on the base poset: values in [-1, 1], sizes nonincreasing."""
+    """Signed map on the base poset: values in [-1, 1], sizes nonincreasing.
+
+    Kept as :class:`~choqlat.interpolation.Profile` keeps its values: checked
+    (numerator, denominator) pairs in base order, with the reduced
+    ``values`` built on first read.
+    """
 
     def __init__(self, base: Poset, values: Mapping[str, object]):
-        self.values: dict[str, Fraction] = _profile_values(base, values, signed=True)
+        self._pairs = _profile_values(base, values, signed=True)
         self.base = base
+
+    @cached_property
+    def values(self) -> dict[str, Fraction]:
+        return _fractions(self._pairs)
 
     def __call__(self, label: str) -> Fraction:
         return self.values[label]
 
     def __repr__(self) -> str:
-        return f"BipolarProfile(on {len(self.values)} elements)"
+        return f"BipolarProfile(on {len(self._pairs)} elements)"
 
     def magnitude(self) -> Profile:
         # the sizes of checked signed values pass the unsigned checks as they are
-        return Profile._from_checked(self.base, {label: abs(v) for label, v in self.values.items()})
+        return Profile._from_checked(
+            self.base, {label: (abs(n), d) for label, (n, d) in self._pairs.items()}
+        )
 
 
 def admissible_vertex_pairs(
@@ -348,10 +360,11 @@ def select_tile(profile: BipolarProfile) -> frozenset:
     """
     if not is_regular_mosaic(profile.base):
         raise NotRegularMosaic("signed evaluation needs a regular mosaic base")
+    pairs = profile._pairs
     positive: set = set()
     for comp in connected_components(profile.base):
-        has_pos = any(profile.values[l].numerator > 0 for l in comp.members)
-        has_neg = any(profile.values[l].numerator < 0 for l in comp.members)
+        has_pos = any(pairs[l][0] > 0 for l in comp.members)
+        has_neg = any(pairs[l][0] < 0 for l in comp.members)
         if has_pos and has_neg:
             raise ProfileNotInAnyTile(
                 f"component {sorted(comp.members)!r} carries both signs",
@@ -377,10 +390,10 @@ def _checked_tile(profile: BipolarProfile, x) -> frozenset:
     if not is_regular_mosaic(profile.base):
         raise NotRegularMosaic("signed evaluation needs a regular mosaic base")
     member = _complemented(profile.base, x)
-    for label, value in profile.values.items():
-        if value > 0 and label not in member:
+    for label, (n, _) in profile._pairs.items():
+        if n > 0 and label not in member:
             raise NotInTile(f"strictly positive value at {label!r} outside the tile")
-        if value < 0 and label in member:
+        if n < 0 and label in member:
             raise NotInTile(f"strictly negative value at {label!r} inside the tile")
     return member
 
@@ -454,31 +467,31 @@ def bipolar_moebius_form_eval(
     of the positive part of the profile over its positive side and of the
     negative part over its negative side; empty sides contribute the
     empty-meet value 1. The minima come from one ranking of the 2n values
-    max(f, 0) and max(-f, 0), and the sum runs on integer numerators by
-    rank bucket, as in :func:`~choqlat.interpolation.moebius_form_eval`.
+    max(f, 0) and max(-f, 0), split from the profile's (numerator,
+    denominator) pairs, and the sum runs on integer numerators by rank
+    bucket, as in :func:`~choqlat.interpolation.moebius_form_eval`.
     A :class:`~choqlat.moebius.ValueTable` (a transform's output) is read
-    as its nonzero numerators by position; any other mapping is read value
-    by value. Equals ``bipolar_natural_extension`` when the coefficients
-    are the bipolar Moebius transform of the capacity.
+    as its numerators by position; any other mapping is read value by value
+    to numerators over one denominator. Only the nonzero numerators enter
+    the sum. Equals ``bipolar_natural_extension`` when the coefficients are
+    the bipolar Moebius transform of the capacity.
     """
     if isinstance(coefficients, ValueTable):
         numerators, denominator = coefficients._integers
-        terms = [(num, key) for num, key in zip(numerators, coefficients) if num]
         # the last key, (top, empty), holds every label of every key
         labels = frozenset().union(*next(reversed(coefficients._positions)))
     else:
-        coeffs = list(map(as_fraction, coefficients.values()))
-        nonzero = [(c, key) for c, key in zip(coeffs, coefficients) if c]
-        numerators, denominator = _numerators([c for c, _ in nonzero])
-        terms = list(zip(numerators, [key for _, key in nonzero]))
+        numerators, denominator = _numerators(coefficients.values())
         # the labels of every distinct key part, zero coefficients' keys
         # included (many keys share each part)
         labels = itertools.chain.from_iterable(set(itertools.chain.from_iterable(coefficients)))
-    values = profile.values
-    if not frozenset(values).issuperset(labels):
+    terms = [(num, key) for num, key in zip(numerators, coefficients) if num]
+    pairs = profile._pairs
+    if not frozenset(pairs).issuperset(labels):
         raise BaseMismatch("coefficient keys mention labels outside the base")
-    plus = {j: v if v.numerator > 0 else ZERO for j, v in values.items()}
-    minus = {j: -v if v.numerator < 0 else ZERO for j, v in values.items()}
+    zero = (0, 1)
+    plus = {j: pair if pair[0] > 0 else zero for j, pair in pairs.items()}
+    minus = {j: (-n, d) if n < 0 else zero for j, (n, d) in pairs.items()}
     return _rank_form((plus, minus), terms, denominator)
 
 

@@ -9,9 +9,16 @@ combination of its vertex values. On an antichain base this is the classical
 Choquet integral; the bottom vertex is always kept in the combination so
 functionals that do not vanish at the empty set evaluate correctly.
 
+Profile values are read once, straight to (numerator, denominator) pairs
+(:func:`~choqlat.rationals._ratio`), and checked on those integers; a
+profile keeps the pairs, not in lowest terms when the text was not
+("0.50" is (50, 100)), and builds its ``values``, the reduced ``Fraction``s,
+only when they are read. Only order and the final sums depend on the pairs,
+so every ``Fraction`` that leaves the module is the same either way.
+
 The chain path runs on lattice positions and integers. :func:`triangulate`
 records each chain vertex as a bit code of the base's elements, and the
-sorted profile values whose gaps are the weights; the caller maps the codes
+sorted profile pairs whose gaps are the weights; the caller maps the codes
 to positions in its capacity's integer table, and :func:`_chain_value`, the
 package's one chain sum, adds integer weight times value numerator and
 makes one ``Fraction``. It serves :meth:`Evaluation.along`,
@@ -22,7 +29,7 @@ chain and ``Fraction`` weights are built only when read.
 
 The dual path, :func:`moebius_form_eval`, reads only the Moebius
 coefficients and the profile: C(f) = sum of m(X) * min over X of f. It
-ranks the profile values once, adds each nonzero coefficient's integer
+ranks the profile pairs once, adds each nonzero coefficient's integer
 numerator to the bucket of the smallest rank in its key, and ends with one
 product per nonempty bucket.
 """
@@ -32,6 +39,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, chain, tee
 from math import lcm
 from typing import Iterable, Mapping, Sequence
@@ -48,7 +56,7 @@ from .errors import (
 from .birkhoff import BipolarElement, _codes
 from .moebius import GeneralizedCapacity
 from .poset import Poset, linear_extension
-from .rationals import as_fraction
+from .rationals import _ratio, as_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -56,13 +64,15 @@ ONE = Fraction(1)
 
 def _profile_values(
     base: Poset, values: Mapping[str, object], signed: bool = False
-) -> dict[str, Fraction]:
-    """Parsed values of a profile on ``base``, in base order.
+) -> dict[str, tuple[int, int]]:
+    """Checked values of a profile on ``base``, as the (numerator,
+    denominator) pairs :func:`~choqlat.rationals._ratio` reads, in base
+    order.
 
     Unsigned profiles take values in [0, 1] and are nonincreasing; signed
     ones take values in [-1, 1] and their sizes are nonincreasing.
     """
-    parsed = {label: as_fraction(raw) for label, raw in values.items()}
+    parsed = {label: _ratio(raw) for label, raw in values.items()}
     # key views compare as sets; the sets are built only to report a mismatch
     if parsed.keys() != base._bit.keys():
         raise BaseMismatch(
@@ -76,14 +86,12 @@ def _profile_values(
         low, kind, rising = 0, "profile value", "profile increases"
     # checks on each value's own numerator and denominator (denominators
     # are positive), sizes compared by cross-multiplying
-    sizes = {}
-    for label, value in parsed.items():
-        n, d = value.numerator, value.denominator
+    for label, (n, d) in parsed.items():
         if not low * d <= n <= d:
             raise ValueOutOfRange(
-                f"{kind} {value} at {label!r} is outside [{low}, 1]", label=label
+                f"{kind} {Fraction(n, d)} at {label!r} is outside [{low}, 1]", label=label
             )
-        sizes[label] = (abs(n), d)
+    sizes = {label: (abs(n), d) for label, (n, d) in parsed.items()} if signed else parsed
     for lower, upper in base.covers:
         (an, ad), (bn, bd) = sizes[lower], sizes[upper]
         if an * bd < bn * ad:
@@ -93,27 +101,42 @@ def _profile_values(
     return {label: parsed[label] for label in base.elements}
 
 
+def _fractions(pairs: Mapping[str, tuple[int, int]]) -> dict[str, Fraction]:
+    """Each pair as its reduced ``Fraction``, in the same order."""
+    return {label: Fraction(n, d) for label, (n, d) in pairs.items()}
+
+
 class Profile:
-    """Nonincreasing map from the base poset into [0, 1]."""
+    """Nonincreasing map from the base poset into [0, 1].
+
+    The checked values are kept as ``_pairs``, (numerator, denominator) by
+    label in base order, as they were read (``"0.50"`` is (50, 100)); the
+    evaluations read those. ``values``, the reduced ``Fraction``s, is built
+    on first read.
+    """
 
     def __init__(self, base: Poset, values: Mapping[str, object]):
-        self.values: dict[str, Fraction] = _profile_values(base, values)
+        self._pairs = _profile_values(base, values)
         self.base = base
 
     @classmethod
-    def _from_checked(cls, base: Poset, values: dict[str, Fraction]) -> "Profile":
-        """A profile of ``values`` that already pass every check of
+    def _from_checked(cls, base: Poset, pairs: dict[str, tuple[int, int]]) -> "Profile":
+        """A profile of ``pairs`` that already pass every check of
         :func:`_profile_values`, given in base order."""
         profile = cls.__new__(cls)
-        profile.values = values
+        profile._pairs = pairs
         profile.base = base
         return profile
+
+    @cached_property
+    def values(self) -> dict[str, Fraction]:
+        return _fractions(self._pairs)
 
     def __call__(self, label: str) -> Fraction:
         return self.values[label]
 
     def __repr__(self) -> str:
-        return f"Profile(on {len(self.values)} elements)"
+        return f"Profile(on {len(self._pairs)} elements)"
 
 
 @dataclass(frozen=True)
@@ -126,8 +149,8 @@ class ChainDecomposition:
 
     :func:`triangulate` makes the record by position: each vertex as a mask
     of the base's element bits (``_masks``), and the sorted profile values
-    (``_levels``) in place of the weights. Its ``chain`` and ``weights`` are
-    built on first read.
+    as (numerator, denominator) pairs (``_levels``) in place of the
+    weights. Its ``chain`` and ``weights`` are built on first read.
     """
 
     base: Poset
@@ -137,7 +160,11 @@ class ChainDecomposition:
 
     @classmethod
     def _positional(
-        cls, base: Poset, order: tuple[str, ...], masks: list[int], levels: list[Fraction]
+        cls,
+        base: Poset,
+        order: tuple[str, ...],
+        masks: list[int],
+        levels: list[tuple[int, int]],
     ) -> "ChainDecomposition":
         dec = cls.__new__(cls)
         dec.__dict__.update(base=base, order=order, _masks=masks, _levels=levels)
@@ -152,7 +179,8 @@ class ChainDecomposition:
                 running.add(label)
                 made.append(frozenset(running))
         elif name == "weights":
-            made = map(operator.sub, [ONE, *self._levels], [*self._levels, ZERO])
+            levels = [Fraction(n, d) for n, d in self._levels]
+            made = map(operator.sub, [ONE, *levels], [*levels, ZERO])
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         made = self.__dict__[name] = tuple(made)
@@ -167,8 +195,10 @@ class ChainDecomposition:
         return out
 
 
-def _sort_keys(values: Mapping[object, Fraction]) -> dict[object, int]:
-    """An integer per key that orders the keys exactly as their values.
+def _sort_keys(values: Mapping[object, tuple[int, int]]) -> dict[object, int]:
+    """An integer per key that orders the keys exactly as their values,
+    given as (numerator, positive denominator) pairs, in lowest terms or
+    not.
 
     The key is the value scaled by 2**shift and rounded down, where
     ``shift`` is twice the bit length of the largest denominator. Two
@@ -177,9 +207,8 @@ def _sort_keys(values: Mapping[object, Fraction]) -> dict[object, int]:
     same direction; equal values get equal keys. Each key costs one shift
     and one division on the value's own numerator and denominator.
     """
-    ratios = list(map(Fraction.as_integer_ratio, values.values()))
-    shift = 2 * max([d.bit_length() for _, d in ratios], default=0)
-    return {key: (n << shift) // d for key, (n, d) in zip(values, ratios)}
+    shift = 2 * max([d.bit_length() for _, d in values.values()], default=0)
+    return {key: (n << shift) // d for key, (n, d) in values.items()}
 
 
 def triangulate(profile: Profile, tie_break: Sequence[str] | None = None) -> ChainDecomposition:
@@ -193,8 +222,9 @@ def triangulate(profile: Profile, tie_break: Sequence[str] | None = None) -> Cha
     record is positional: each chain vertex is the running OR of the sorted
     elements' bits, and the sorted values stand for the weights, the gaps
     between consecutive values of 1, the sorted values and 0, which
-    :func:`_chain_value` takes as integers. The frozensets and ``Fraction``
-    weights are made only when read.
+    :func:`_chain_value` takes as integers. The values are the profile's
+    (numerator, denominator) pairs, never a ``Fraction``; the frozensets
+    and ``Fraction`` weights are made only when read.
     """
     base = profile.base
     if tie_break is None:
@@ -209,7 +239,7 @@ def triangulate(profile: Profile, tie_break: Sequence[str] | None = None) -> Cha
                 raise NotNonincreasing(
                     f"tie_break does not refine the base order at {lower!r} < {upper!r}"
                 )
-    values = profile.values
+    values = profile._pairs
     # a stable sort keeps tied labels in tie_break order, reverse=True included
     order = sorted(tie_break, key=_sort_keys(values).__getitem__, reverse=True)
     masks = list(accumulate(map(base._bit.__getitem__, order), operator.or_, initial=0))
@@ -218,14 +248,15 @@ def triangulate(profile: Profile, tie_break: Sequence[str] | None = None) -> Cha
 
 
 def _chain_value(
-    table: tuple[list[int], int], positions: Iterable[int], levels: Sequence[Fraction]
+    table: tuple[list[int], int], positions: Iterable[int], levels: Sequence[tuple[int, int]]
 ) -> Fraction:
     """The weighted sum of vertex values along a chain, exact.
 
     ``table`` holds the vertex values as integer numerators by position
     over one denominator, and ``positions`` the chain vertices' positions
     in it, bottom first. ``levels`` are the chain's sorted values
-    (nonincreasing, in [0, 1]), and the weights are the gaps between
+    (nonincreasing, in [0, 1]) as (numerator, positive denominator) pairs,
+    in lowest terms or not, and the weights are the gaps between
     consecutive terms of 1, the levels and 0: integers over the levels'
     least common denominator. The sum runs on integers and makes one
     ``Fraction``, over the product of the two denominators. The scaled
@@ -233,9 +264,8 @@ def _chain_value(
     denominator grows, no more than two of them are held at once.
     """
     numerators, denominator = table
-    pairs = list(map(Fraction.as_integer_ratio, levels))
-    scale = lcm(*{d for _, d in pairs})
-    high, low = tee(num * (scale // den) for num, den in pairs)
+    scale = lcm(*{d for _, d in levels})
+    high, low = tee(num * (scale // den) for num, den in levels)
     weights = map(operator.sub, chain((scale,), high), chain(low, (0,)))
     total = sum(map(operator.mul, weights, map(numerators.__getitem__, positions)))
     return Fraction(total, denominator * scale)
@@ -374,20 +404,20 @@ def zero_one_maxmin(functional: GeneralizedCapacity, profile: Profile) -> Fracti
 
 
 def _rank_form(
-    sides: Sequence[Mapping[str, Fraction]], terms: Sequence, denominator: int
+    sides: Sequence[Mapping[str, tuple[int, int]]], terms: Sequence, denominator: int
 ) -> Fraction:
     """Sum over ``terms`` of coefficient times the minimum value over a key.
 
-    ``sides`` maps labels to values, one map per part of a key (one part
-    for lattice elements, two for signed pairs); ``terms`` holds the
-    (nonzero integer numerator, key) pairs of the coefficients, all over
-    ``denominator``, a key being one label set per side. All values are
-    ranked in one stable sort on exact integer keys (:func:`_sort_keys`),
-    so the minimum over a key is the value at the smallest rank of its
-    labels, or the empty meet 1 (rank n, past the last value) for an empty
-    key. Each numerator adds to the bucket of that rank; the sum then takes
-    one product per nonempty bucket, on integers over the least common
-    denominator of the values.
+    ``sides`` maps labels to values as (numerator, positive denominator)
+    pairs, one map per part of a key (one part for lattice elements, two
+    for signed pairs); ``terms`` holds the (nonzero integer numerator, key)
+    pairs of the coefficients, all over ``denominator``, a key being one
+    label set per side. All values are ranked in one stable sort on exact
+    integer keys (:func:`_sort_keys`), so the minimum over a key is the
+    value at the smallest rank of its labels, or the empty meet 1 (rank n,
+    past the last value) for an empty key. Each numerator adds to the
+    bucket of that rank; the sum then takes one product per nonempty
+    bucket, on integers over the least common denominator of the values.
     """
     values = {(s, label): value for s, side in enumerate(sides) for label, value in side.items()}
     ranked = sorted(values, key=_sort_keys(values).__getitem__)
@@ -399,7 +429,7 @@ def _rank_form(
     for num, key in terms:
         low = min([min(map(rank.__getitem__, part), default=n) for rank, part in zip(ranks, key)])
         buckets[low] += num
-    levels = [values[labelled].as_integer_ratio() for labelled in ranked]
+    levels = list(map(values.__getitem__, ranked))
     scale = lcm(*{q for _, q in levels})
     total = buckets[n] * scale + sum(
         bucket * p * (scale // q) for (p, q), bucket in zip(levels, buckets) if bucket
@@ -426,4 +456,4 @@ def moebius_form_eval(coefficients: GeneralizedCapacity, profile: Profile) -> Fr
         for num, element in zip(numerators, coefficients.lattice.elements)
         if num
     ]
-    return _rank_form((profile.values,), terms, denominator)
+    return _rank_form((profile._pairs,), terms, denominator)

@@ -18,7 +18,8 @@ criteria and grid points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -28,7 +29,7 @@ from .errors import InvalidDimensions, OutOfScale
 from .interpolation import Evaluation, Profile, _chain_value, _sort_keys
 from .moebius import GeneralizedCapacity
 from .poset import Poset
-from .rationals import as_fraction
+from .rationals import _ratio
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -93,7 +94,9 @@ def node_to_downset(node: Sequence[int], k: int) -> frozenset:
             raise InvalidDimensions(
                 f"node coordinate {level} of criterion {i} outside 0..{k - 1}"
             )
-        out.update(level_label(i, l) for l in range(1, level + 1))
+        # one shared string per label: a grid file repeats each label in
+        # thousands of nodes (97200 label strings for a 6**5 grid)
+        out.update(sys.intern(level_label(i, l)) for l in range(1, level + 1))
     return frozenset(out)
 
 
@@ -113,15 +116,20 @@ class ReferenceScale:
     """Strictly increasing anchor scores, one per level.
 
     Symmetric scales must contain 0 with equally many levels on each side;
-    signed level indices then count away from the neutral entry.
+    signed level indices then count away from the neutral entry. The levels
+    are read once to (numerator, denominator) pairs, kept as ``_anchors``
+    for locating points, and to ``Fraction``s, kept as ``levels``.
     """
 
     levels: tuple[Fraction, ...]
     symmetric: bool = False
+    _anchors: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        levels = tuple(as_fraction(v) for v in self.levels)
+        anchors = tuple(map(_ratio, self.levels))
+        levels = tuple(Fraction(n, d) for n, d in anchors)
         object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "_anchors", anchors)
         if len(levels) < 2:
             raise InvalidDimensions("a scale needs at least two levels")
         if any(a >= b for a, b in zip(levels, levels[1:])):
@@ -162,25 +170,26 @@ class LevelIndexing:
 
 
 def _locate(
-    value: Fraction, anchors: Sequence[tuple[int, int]], middle: int, sign: int
-) -> tuple[int, Fraction]:
+    value: tuple[int, int], anchors: Sequence[tuple[int, int]], middle: int, sign: int
+) -> tuple[int, tuple[int, int]]:
     """Level index and residue of one coordinate on one side of the scale.
 
-    ``anchors`` are the scale levels as (numerator, denominator) pairs and
-    ``middle`` is the position of level index 0. Takes the lowest admissible
-    interval, so residues are 1 at interior mesh nodes and 0 only at the
-    neutral end of the side. Comparisons cross-multiply numerators and
-    denominators (all denominators are positive), and the residue is one
-    ``Fraction`` built from integers.
+    ``value`` and the scale levels ``anchors`` are (numerator, denominator)
+    pairs, and ``middle`` is the position of level index 0. Takes the
+    lowest admissible interval, so residues are 1 at interior mesh nodes
+    and 0 only at the neutral end of the side. Comparisons cross-multiply
+    numerators and denominators (all denominators are positive), and the
+    residue is a pair of integers with a positive denominator, not reduced.
     """
-    n, d = value.numerator, value.denominator
+    n, d = value
     pn, pd = anchors[middle]
     for j in range(1, len(anchors) - middle):
         an, ad = anchors[middle + sign * j]
         if (n * ad <= an * d) if sign > 0 else (n * ad >= an * d):
-            return j, Fraction((n * pd - pn * d) * ad, (an * pd - pn * ad) * d)
+            # the interval's width has the side's sign
+            return j, (sign * (n * pd - pn * d) * ad, sign * (an * pd - pn * ad) * d)
         pn, pd = an, ad
-    raise OutOfScale(f"{value} is outside the scale range")
+    raise OutOfScale(f"{Fraction(n, d)} is outside the scale range")
 
 
 def _locate_coordinates(
@@ -190,24 +199,25 @@ def _locate_coordinates(
 
     On a symmetric scale each coordinate is located on the side of its
     sign (zero counts as nonnegative); on a one-sided scale every
-    coordinate is on the nonnegative side. The range and sign tests run on
-    integer numerators and denominators, and the residues are ordered by
-    exact integer keys (:func:`~choqlat.interpolation._sort_keys`), ties
-    by criterion.
+    coordinate is on the nonnegative side. The coordinates are read
+    straight to (numerator, denominator) pairs, the range and sign tests run
+    on those integers and the scale's own pairs, and the residues are
+    ordered by exact integer keys
+    (:func:`~choqlat.interpolation._sort_keys`), ties by criterion.
     """
-    values = [as_fraction(v) for v in point]
+    values = [_ratio(v) for v in point]
     if not values:
         raise InvalidDimensions("a point needs at least one coordinate")
-    levels = scale.levels
-    anchors = [(a.numerator, a.denominator) for a in levels]
+    levels, anchors = scale.levels, scale._anchors
     (ln, ld), (hn, hd) = anchors[0], anchors[-1]
     middle = len(levels) // 2 if scale.symmetric else 0
     indices, residues, positive = [], {}, set()
     for i, value in enumerate(values, start=1):
-        n, d = value.numerator, value.denominator
+        n, d = value
         if not (ln * d <= n * ld and n * hd <= hn * d):
             raise OutOfScale(
-                f"coordinate {value} of criterion {i} outside [{levels[0]}, {levels[-1]}]",
+                f"coordinate {Fraction(n, d)} of criterion {i} outside"
+                f" [{levels[0]}, {levels[-1]}]",
                 criterion=i,
             )
         sign = -1 if scale.symmetric and n < 0 else 1
@@ -217,7 +227,8 @@ def _locate_coordinates(
         indices.append(index)
     # a stable sort keeps tied criteria in increasing order, reverse=True included
     order = sorted(residues, key=_sort_keys(residues).__getitem__, reverse=True)
-    indexing = LevelIndexing(tuple(indices), tuple(residues.values()), tuple(order))
+    exact = tuple(Fraction(n, d) for n, d in residues.values())
+    indexing = LevelIndexing(tuple(indices), exact, tuple(order))
     return frozenset(positive), indexing
 
 
@@ -298,7 +309,7 @@ def _corner_sweep(
         positions = map(lattice.derived(_codes).__getitem__, corners)
     else:
         positions = _pair_positions(lattice, corners, positive)
-    levels = [residues[criterion - 1] for criterion in order]
+    levels = [residues[criterion - 1].as_integer_ratio() for criterion in order]
     return _chain_value(capacity._integers, positions, levels)
 
 

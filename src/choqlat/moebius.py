@@ -53,7 +53,7 @@ from .errors import (
     NotInBipolarExtension,
 )
 from .poset import Poset
-from .rationals import as_fraction
+from .rationals import _ratio
 
 ZERO = Fraction(0)
 
@@ -105,20 +105,21 @@ def vertex_table(
     keys are the domain's own vertex objects, in domain order (a capacity's
     values), needs no lookup: each key is a vertex by identity. Such a
     :class:`ValueTable` hands over its integers, and their denominator,
-    unread; any other table's values are read through ``as_fraction`` and
-    scaled to their least common denominator.
+    unread; any other table's values are read by the package's one number
+    reader (:func:`~choqlat.rationals._ratio`) and scaled to their least
+    common denominator.
     """
     if len(entries) == len(positions) and all(map(operator.is_, entries, positions)):
         if isinstance(entries, ValueTable):
             return entries._integers
-        return _numerators(map(as_fraction, entries.values()))
+        return _numerators(entries.values())
     values: list = [None] * len(positions)
     for key, raw in entries.items():
         try:
             at = positions[key]
         except (KeyError, TypeError):
             at = positions[vertex(key)]
-        values[at] = as_fraction(raw)
+        values[at] = _ratio(raw)
     missing = [v for v, value in zip(positions, values) if value is None]
     if missing:
         first = missing[0]
@@ -127,13 +128,19 @@ def vertex_table(
             f"missing values for {len(missing)} of the {len(positions)} {what},"
             f" e.g. {shown!r}"
         )
-    return _numerators(values)
+    return _scaled(values)
 
 
-def _numerators(values: Iterable[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of exact ``values`` over their least common
-    denominator, and that denominator."""
-    pairs = list(map(Fraction.as_integer_ratio, values))
+def _numerators(values: Iterable) -> tuple[list[int], int]:
+    """Integer numerators of ``values``, each read by
+    :func:`~choqlat.rationals._ratio`, over their least common denominator,
+    and that denominator."""
+    return _scaled(list(map(_ratio, values)))
+
+
+def _scaled(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """(numerator, positive denominator) ``pairs`` as integer numerators over
+    the least common denominator of theirs, and that denominator."""
     denominator = lcm(*{d for _, d in pairs})
     return [n * (denominator // d) for n, d in pairs], denominator
 

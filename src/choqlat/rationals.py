@@ -1,4 +1,13 @@
-"""Coercion of user-supplied numbers to exact rationals."""
+"""Coercion of user-supplied numbers to exact rationals.
+
+The package has one number grammar, :func:`_ratio`: it reads a value to an
+integer pair (numerator, positive denominator). A string is read straight to
+its integers, so ``"0.50"`` gives (50, 100), not reduced; Fractions, ints,
+Decimals and floats give their reduced pair. Profile values and point
+coordinates stay pairs, since their checks cross-multiply and their sums
+run on integers; :func:`as_fraction` is that reader followed by one
+``Fraction``, for every value that is kept as one.
+"""
 
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -20,15 +29,16 @@ def _check_exponent(text: str, value: str) -> None:
         raise ValueError(f"exponent beyond {MAX_EXPONENT} in {value!r}")
 
 
-def _read_plain(text: str) -> Fraction | None:
-    """Exact value of a plain number string, or None when it is not plain.
+def _read_plain(text: str) -> tuple[int, int] | None:
+    """Integer pair of a plain number string, or None when it is not plain.
 
     Plain means ASCII of the form ``[+-]digits/digits`` or
     ``[+-]digits[.digits][(e|E)[+-]digits]``, with digits on at least one
     side of the point (".5" and "5." count). ``Fraction(text)`` reads each
-    such string to the same value; here ``int`` reads the digits and one
-    ``Fraction`` is built from the integers, without a regular expression.
-    A zero denominator raises ``ZeroDivisionError`` as ``Fraction`` does.
+    such string to the same value; here ``int`` reads the digits, without a
+    regular expression, and the pair is the digits as written: "0.50" is
+    (50, 100) and "2/4" is (2, 4). A zero denominator raises
+    ``ZeroDivisionError`` as ``Fraction`` does.
     """
     if not text.isascii():
         return None
@@ -39,6 +49,8 @@ def _read_plain(text: str) -> Fraction | None:
         if not (whole.isdigit() and rest.isdigit()):
             return None
         numerator, denominator = int(whole), int(rest)
+        if not denominator:
+            raise ZeroDivisionError(text)
     else:
         mantissa, e, exponent = body.lower().partition("e")
         whole, _, decimals = mantissa.partition(".")
@@ -56,18 +68,18 @@ def _read_plain(text: str) -> Fraction | None:
             numerator *= 10**shift
         else:
             denominator = 10**-shift
-    return Fraction(-numerator if negative else numerator, denominator)
+    return (-numerator if negative else numerator), denominator
 
 
-def _from_string(value: str) -> Fraction:
+def _from_string(value: str) -> tuple[int, int]:
     text = value.strip()
     if len(text) > MAX_DIGITS:
         raise ValueError(f"number longer than {MAX_DIGITS} characters: {value[:20]!r}...")
     if "e" in text or "E" in text:
         _check_exponent(text, value)
     try:
-        number = _read_plain(text)
-        return Fraction(text) if number is None else number
+        pair = _read_plain(text)
+        return Fraction(text).as_integer_ratio() if pair is None else pair
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
     except ValueError:
@@ -78,7 +90,38 @@ def _from_string(value: str) -> Fraction:
         raise ValueError(f"cannot parse {value!r} as a rational") from None
     if not number.is_finite():
         raise ValueError(f"{value!r} is not a finite number")
-    return Fraction(number)
+    return number.as_integer_ratio()
+
+
+def _ratio(value) -> tuple[int, int]:
+    """``value`` as an exact (numerator, denominator) pair, the denominator
+    positive.
+
+    Accepts what :func:`as_fraction` accepts and raises what it raises. A
+    plain string keeps the integers it was written with (:func:`_read_plain`),
+    so the pair need not be in lowest terms; every other value gives the
+    pair of its ``Fraction``.
+    """
+    kind = type(value)
+    if kind is str:
+        return _from_string(value)
+    if kind is Fraction:
+        return value.as_integer_ratio()
+    if kind is int:
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.as_integer_ratio()
+    if isinstance(value, bool):
+        raise TypeError("booleans are not numeric values")
+    if isinstance(value, int):
+        return Fraction(value).as_integer_ratio()
+    if isinstance(value, Decimal):
+        return value.as_integer_ratio()
+    if isinstance(value, float):
+        return Decimal(repr(value)).as_integer_ratio()
+    if isinstance(value, str):
+        return _from_string(value)
+    raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
 def as_fraction(value) -> Fraction:
@@ -90,25 +133,14 @@ def as_fraction(value) -> Fraction:
     must be finite, at most ``MAX_DIGITS`` characters long and carry an
     exponent of at most ``MAX_EXPONENT`` in size. Plain ASCII strings
     (:func:`_read_plain`) are read on integers; every other string follows
-    the grammar of ``Fraction``, then of ``Decimal``.
+    the grammar of ``Fraction``, then of ``Decimal``. A Fraction is
+    returned as it is; anything else is read by :func:`_ratio` and made
+    into one ``Fraction``.
     """
-    kind = type(value)
-    if kind is Fraction:
+    if type(value) is str:
+        numerator, denominator = _from_string(value)
+    elif isinstance(value, Fraction):
         return value
-    if kind is str:
-        return _from_string(value)
-    if kind is int:
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise TypeError("booleans are not numeric values")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Decimal):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(Decimal(repr(value)))
-    if isinstance(value, str):
-        return _from_string(value)
-    raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+    else:
+        numerator, denominator = _ratio(value)
+    return Fraction(numerator, denominator)

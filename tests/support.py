@@ -247,6 +247,33 @@ PROFILE_VALUES = {
 }
 
 
+# values whose denominators often divide a power of ten, so that decimal and
+# exponent text can write them
+decimal_unit_fractions = st.sampled_from((1, 2, 3, 4, 5, 7, 8, 10, 12, 20, 25, 40)).flatmap(
+    lambda d: st.builds(Fraction, st.integers(0, d), st.just(d))
+)
+
+
+@st.composite
+def unreduced_texts(draw, value: Fraction) -> str:
+    """Text for ``value`` with its integers scaled up: p/q with both sides
+    multiplied, a decimal with trailing zeros, or an exponent form whose
+    digits are shifted, and signed zeros for 0."""
+    n, d = value.numerator, value.denominator
+    sign = "-" if n < 0 else draw(st.sampled_from(("", "+")))
+    extra = draw(st.integers(1, 3))
+    forms = [f"{sign}{abs(n) * (extra + 1)}/{d * (extra + 1)}"]
+    digits = next((k for k in range(7) if 10**k % d == 0), None)
+    if digits is not None:
+        places = digits + extra
+        scaled = abs(n) * 10**places // d
+        whole, rest = divmod(scaled, 10**places)
+        forms += [f"{sign}{whole}.{rest:0{places}d}", f"{sign}{scaled}e-{places}"]
+    if not n:
+        forms += ["-0/7", "+0.0", "-0e5", "-.000"]
+    return draw(st.sampled_from(forms))
+
+
 @st.composite
 def signed_profiles(draw, base: cq.Poset, values=unit_fractions):
     """A profile's values with a sign drawn per label."""

@@ -66,6 +66,20 @@ def _outcome(parse, raw):
     return type(value), value
 
 
+def _value_outcome(parse, raw):
+    """The value ``parse`` reads from ``raw``, or its exception class and text."""
+    try:
+        return "value", parse(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _read_ratio(raw) -> Fraction:
+    numerator, denominator = rationals._ratio(raw)
+    assert type(numerator) is int and type(denominator) is int and denominator > 0
+    return Fraction(numerator, denominator)
+
+
 class TestValueParsing:
     @pytest.mark.parametrize(
         "raw,expected",
@@ -109,12 +123,17 @@ class TestValueParsing:
 
 
 class TestParserOracle:
-    """``as_fraction`` against the Fraction-regex parser it replaced: the
-    same Fraction, or the same exception class and text."""
+    """``as_fraction`` and the pair reader ``_ratio`` under it against the
+    Fraction-regex parser they replaced: the same Fraction (from the pair,
+    for ``_ratio``), or the same exception class and text."""
 
     @given(st.one_of(number_texts(), st.lists(st.sampled_from(TOKENS), max_size=10).map("".join)))
     def test_strings(self, raw):
         assert _outcome(cq.as_fraction, raw) == _outcome(slow_as_fraction, raw)
+
+    @given(st.one_of(number_texts(), st.lists(st.sampled_from(TOKENS), max_size=10).map("".join)))
+    def test_strings_to_pairs(self, raw):
+        assert _value_outcome(_read_ratio, raw) == _value_outcome(slow_as_fraction, raw)
 
     @pytest.mark.parametrize(
         "raw",
@@ -127,6 +146,7 @@ class TestParserOracle:
     )
     def test_pinned_strings(self, raw):
         assert _outcome(cq.as_fraction, raw) == _outcome(slow_as_fraction, raw)
+        assert _value_outcome(_read_ratio, raw) == _value_outcome(slow_as_fraction, raw)
 
     class Text(str):
         pass
@@ -144,6 +164,28 @@ class TestParserOracle:
     )
     def test_other_types(self, raw):
         assert _outcome(cq.as_fraction, raw) == _outcome(slow_as_fraction, raw)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [True, False, 0, -3, Whole(4), Text("0.25"), Text("2/4"), Exact(1, 3), Fraction(-2, 7),
+         Decimal("0.1"), Decimal("1.50"), Decimal("NaN"), Decimal("-Infinity"), 0.3, -1e-7,
+         -0.0, 1e400, float("nan"), None, [], b"1"],
+    )
+    def test_other_types_to_pairs(self, raw):
+        assert _value_outcome(_read_ratio, raw) == _value_outcome(slow_as_fraction, raw)
+
+    @pytest.mark.parametrize(
+        "raw,pair",
+        [
+            ("2/4", (2, 4)), ("0.50", (50, 100)), ("50e-2", (50, 100)), ("5E+1", (50, 1)),
+            ("-0/7", (0, 7)), ("+0.0", (0, 10)), (" -.250 ", (-250, 1000)), ("007", (7, 1)),
+            (Fraction(2, 4), (1, 2)), (Decimal("0.50"), (1, 2)), (0.5, (1, 2)), (-0.0, (0, 1)),
+        ],
+    )
+    def test_plain_strings_keep_their_integers(self, raw, pair):
+        """A plain string's pair is its digits as written; any other value
+        gives the pair of its Fraction."""
+        assert rationals._ratio(raw) == pair
 
     @pytest.mark.parametrize(
         "raw,plain",

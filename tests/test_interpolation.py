@@ -13,8 +13,10 @@ from support import (
     antichain,
     capacities,
     chain,
+    decimal_unit_fractions,
     exact_tables,
     lattices,
+    nonincreasing,
     posets,
     profiles,
     random_linear_extension,
@@ -25,6 +27,7 @@ from support import (
     slow_triangulate,
     tied_values,
     unit_fractions,
+    unreduced_texts,
     wedge_poset,
 )
 
@@ -208,10 +211,13 @@ class TestSortKeys:
         above = Fraction(10**300, 10**300 + 1)
         below = Fraction(10**300 - 1, 10**300)
         assert below < above
-        keys = _sort_keys(
-            {"a": above, "b": below, "c": above, "d": below, "o": Fraction(1), "z": Fraction(0)}
-        )
-        assert keys["o"] > keys["a"] == keys["c"] > keys["b"] == keys["d"] > keys["z"]
+        values = {"a": above, "b": below, "c": above, "d": below, "o": Fraction(1), "z": Fraction(0)}
+        pairs = {label: v.as_integer_ratio() for label, v in values.items()}
+        # the same values with their integers scaled up, by a different factor for "c"
+        scaled = {label: (n * 7, d * 7) for label, (n, d) in pairs.items()}
+        scaled["c"] = (above.numerator * 3, above.denominator * 3)
+        for keys in map(_sort_keys, (pairs, scaled)):
+            assert keys["o"] > keys["a"] == keys["c"] > keys["b"] == keys["d"] > keys["z"]
         profile = cq.Profile(antichain(2), {"1": below, "2": above})
         assert cq.triangulate(profile).order == ("2", "1")
 
@@ -477,3 +483,97 @@ class TestMoebiusFormEval:
         for value in ("-7/3", 0):
             vector = cq.GeneralizedCapacity(lattice, {frozenset(): value})
             assert cq.moebius_form_eval(vector, profile) == Fraction(value)
+
+
+GRID = cq.DownsetLattice(cq.build_kary_base(3, 2))
+# the same scales written with scaled-up integers and signed zeros
+SCALES = [
+    (("0", "1/2", "1"), ("-0/3", "50e-2", "1.00"), False),
+    (("-1", "-1/2", "0", "1/2", "1"), ("-2/2", "-0.50", "+0.0", "5e-1", "10/10"), True),
+]
+
+
+class TestUnreducedText:
+    """Values written with their integers scaled up ("2/4", "0.50", "50e-2")
+    or as signed zeros ("-0/7", "+0.0") are kept as the pairs they were
+    written as; every Fraction that comes out equals the one the reduced
+    values give, and scoring never builds a profile's ``values``."""
+
+    @staticmethod
+    def _assert_same_values(read, exact):
+        """``.values`` is the base-ordered dict of reduced Fractions."""
+        assert list(read.values) == list(read.base.elements)
+        assert all(type(v) is Fraction for v in read.values.values())
+        assert list(read.values.items()) == list(exact.values.items())
+
+    @given(data=st.data())
+    def test_unsigned_profile(self, data):
+        base = GRID.base
+        values = nonincreasing(base, {j: data.draw(decimal_unit_fractions) for j in base.elements})
+        text = {j: data.draw(unreduced_texts(v)) for j, v in values.items()}
+        read, exact = cq.Profile(base, text), cq.Profile(base, values)
+        capacity = data.draw(capacities(GRID))
+        evaluation = cq.evaluate(capacity, read)
+        expected = cq.evaluate(capacity, exact)
+        assert evaluation.value == expected.value == cq.natural_extension(capacity, read)
+        assert (evaluation.order, evaluation.chain) == (expected.order, expected.chain)
+        assert evaluation.weights == expected.weights
+        assert all(type(w) is Fraction for w in evaluation.weights)
+        assert cq.triangulate(read) == cq.triangulate(exact) == slow_triangulate(exact)
+        dual = cq.moebius_form_eval(cq.moebius_transform(capacity), read)
+        assert dual == evaluation.value
+        assert "values" not in vars(read)
+        self._assert_same_values(read, exact)
+
+    @given(data=st.data())
+    def test_signed_profile(self, data):
+        base = GRID.base
+        magnitude = nonincreasing(
+            base, {j: data.draw(decimal_unit_fractions) for j in base.elements}
+        )
+        # one sign per criterion, so the profile lies in a tile
+        signs = {c: data.draw(st.sampled_from((1, -1))) for c in (1, 2)}
+        values = {j: signs[cq.label_parts(j)[0]] * v for j, v in magnitude.items()}
+        text = {j: data.draw(unreduced_texts(v)) for j, v in values.items()}
+        read, exact = cq.BipolarProfile(base, text), cq.BipolarProfile(base, values)
+        capacity = cq.BipolarCapacity(
+            GRID, data.draw(exact_tables(cq.admissible_vertex_pairs(GRID), "small"))
+        )
+        evaluation = cq.evaluate_bipolar(capacity, read)
+        expected = cq.evaluate_bipolar(capacity, exact)
+        assert evaluation.value == expected.value
+        assert (evaluation.tile, evaluation.chain) == (expected.tile, expected.chain)
+        assert evaluation.weights == expected.weights
+        coefficients = cq.bipolar_moebius_transform(GRID, capacity.values)
+        assert cq.bipolar_moebius_form_eval(coefficients, read) == evaluation.value
+        assert cq.bipolar_moebius_form_eval(dict(coefficients), read) == evaluation.value
+        assert "values" not in vars(read)
+        self._assert_same_values(read.magnitude(), exact.magnitude())
+        self._assert_same_values(read, exact)
+
+    @pytest.mark.parametrize("exact_levels, text_levels, symmetric", SCALES)
+    @given(data=st.data())
+    def test_points(self, exact_levels, text_levels, symmetric, data):
+        exact_scale = cq.ReferenceScale(exact_levels, symmetric=symmetric)
+        scale = cq.ReferenceScale(text_levels, symmetric=symmetric)
+        assert scale == exact_scale
+        assert all(type(v) is Fraction for v in scale.levels)
+        sign = st.sampled_from((1, -1) if symmetric else (1,))
+        point = [data.draw(sign) * data.draw(decimal_unit_fractions) for _ in range(2)]
+        text = [data.draw(unreduced_texts(v)) for v in point]
+        if symmetric:
+            capacity = cq.BipolarCapacity(
+                GRID, data.draw(exact_tables(cq.admissible_vertex_pairs(GRID), "small"))
+            )
+            score, locate, staircase = (
+                cq.interpolate_signed_point, cq.locate_signed_point, cq.bipolar_level_profile
+            )
+        else:
+            capacity = data.draw(capacities(GRID))
+            score, locate, staircase = cq.interpolate_point, cq.locate_point, cq.level_profile
+        assert score(capacity, text, scale) == score(capacity, point, exact_scale)
+        assert locate(text, scale) == locate(point, exact_scale)
+        *located, profile = staircase(text, scale)
+        *expected, exact = staircase(point, exact_scale)
+        assert located == expected
+        self._assert_same_values(profile, exact)
