@@ -46,7 +46,7 @@ from .errors import (
 from .interpolation import (
     Evaluation,
     Profile,
-    _fractions,
+    _ProfileBody,
     _profile_values,
     _rank_form,
     choquet_classical,
@@ -55,7 +55,6 @@ from .interpolation import (
 from .moebius import ValueTable, _numerators, check_bipolar_pair, vertex_table
 from .poset import Poset, connected_components, is_downset
 from .rationals import as_fraction
-
 
 
 def bipolar_leq(a, b) -> bool:
@@ -133,11 +132,7 @@ def tile(lattice: DownsetLattice, x) -> Tile:
 
 def tile_union(lattice: DownsetLattice) -> frozenset:
     """Signed vertices lying in the tile of some complemented element: the
-    admissible vertex pairs as a set, built once per lattice."""
-    return lattice.derived(_tile_union)
-
-
-def _tile_union(lattice: DownsetLattice) -> frozenset:
+    admissible vertex pairs as a set."""
     return frozenset(admissible_vertex_pairs(lattice))
 
 
@@ -180,7 +175,7 @@ def psi_inverse(lattice: DownsetLattice, x, pair) -> dict[str, int]:
     }
 
 
-class BipolarProfile:
+class BipolarProfile(_ProfileBody):
     """Signed map on the base poset: values in [-1, 1], sizes nonincreasing.
 
     Kept as :class:`~choqlat.interpolation.Profile` keeps its values: checked
@@ -189,18 +184,7 @@ class BipolarProfile:
     """
 
     def __init__(self, base: Poset, values: Mapping[str, object]):
-        self._pairs = _profile_values(base, values, signed=True)
-        self.base = base
-
-    @cached_property
-    def values(self) -> dict[str, Fraction]:
-        return _fractions(self._pairs)
-
-    def __call__(self, label: str) -> Fraction:
-        return self.values[label]
-
-    def __repr__(self) -> str:
-        return f"BipolarProfile(on {len(self._pairs)} elements)"
+        self.base, self._pairs = base, _profile_values(base, values, signed=True)
 
     def magnitude(self) -> Profile:
         # the sizes of checked signed values pass the unsigned checks as they are
@@ -284,9 +268,9 @@ class BipolarCapacity:
     construction, so tile-consistency cannot be violated. Values on
     non-tile elements of a non-mosaic extension are deliberately not
     representable. As for :class:`~choqlat.moebius.GeneralizedCapacity`,
-    ``_integers`` holds the numerators by position among
-    :func:`admissible_vertex_pairs` over one denominator, and ``values``
-    reads them as a :class:`~choqlat.moebius.ValueTable` in that order.
+    ``values`` is the one :class:`~choqlat.moebius.ValueTable` of
+    :func:`~choqlat.moebius.vertex_table`: the numerators by position among
+    :func:`admissible_vertex_pairs` over one denominator.
     """
 
     def __init__(self, lattice: DownsetLattice, values: Mapping):
@@ -303,13 +287,9 @@ class BipolarCapacity:
                 )
             return pair
 
-        self._integers = vertex_table(positions, values, vertex, "signed vertices in a tile")
+        self.values = vertex_table(positions, values, vertex, "signed vertices in a tile")
         self.lattice = lattice
         self.base = lattice.base
-
-    @cached_property
-    def values(self) -> ValueTable:
-        return ValueTable(self.lattice.derived(_admissible_positions), *self._integers)
 
     def __call__(self, pair) -> Fraction:
         pos, neg = pair
@@ -322,19 +302,19 @@ class BipolarCapacity:
             ) from None
 
     def __repr__(self) -> str:
-        return f"BipolarCapacity(on {len(self._integers[0])} signed vertices)"
+        return f"BipolarCapacity(on {len(self.values)} signed vertices)"
 
     @property
     def is_game(self) -> bool:
         """True when (bottom, bottom) (position 0) carries value zero."""
-        return self._integers[0][0] == 0
+        return self.values._integers[0][0] == 0
 
     @cached_property
     def is_monotone(self) -> bool:
         """Nondecreasing in the positive part, nonincreasing in the negative,
         along every cover of the extension (its step plan) between stored
         vertices."""
-        at = self._integers[0].__getitem__
+        at = self.values._integers[0].__getitem__
         (up, low), (up_neg, low_neg) = self.lattice.derived(_admissible_steps)
         return all(map(operator.le, map(at, low), map(at, up))) and all(
             map(operator.ge, map(at, low_neg), map(at, up_neg))
@@ -342,7 +322,7 @@ class BipolarCapacity:
 
     def check_normalized(self) -> bool:
         """Optional normalization: 1 at (top, bottom) and -1 at (bottom, top)."""
-        numerators, denominator = self._integers
+        numerators, denominator = self.values._integers
         at = self.lattice.derived(_admissible_positions)
         top, empty = self.lattice.top, frozenset()
         return (
@@ -421,7 +401,7 @@ def evaluate_bipolar(
     dec = triangulate(profile.magnitude())
     tile_code = sum(map(profile.base._bit.__getitem__, positive))
     positions = _pair_positions(capacity.lattice, dec._masks, tile_code)
-    return Evaluation.along(capacity._integers, positions, dec, positive)
+    return Evaluation.along(capacity.values._integers, positions, dec, positive)
 
 
 def bipolar_natural_extension(

@@ -489,6 +489,13 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         result = args.handler(args)
+        # rendering fails like the handler: every run ends with a JSON body
+        if isinstance(result, str):
+            sys.stdout.write(result)
+            return 0
+        code = result.pop("_exit_code", 0)
+        _print_json(result)
+        return code
     except CrossCheckFailure as exc:
         _print_json({"error": {"code": "cross_check_failed", "message": str(exc)}})
         return 3
@@ -504,12 +511,6 @@ def main(argv=None) -> int:
         message = f"{type(exc).__name__}: {exc}"
         _print_json({"error": {"code": "internal_error", "message": message}})
         return 1
-    if isinstance(result, str):
-        sys.stdout.write(result)
-        return 0
-    code = result.pop("_exit_code", 0)
-    _print_json(result)
-    return code
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from .interpolation import Profile
 from .kary import ReferenceScale, build_kary_base, node_to_downset, downset_to_node, grid_shape
 from .moebius import GeneralizedCapacity
 from .poset import DOWNSET_CAP, Poset
-from .rationals import as_fraction
+from .rationals import _shown, as_fraction
 
 # Poset files with more elements, and grid headers whose base (n chains of
 # k-1 elements) would have more, are refused before anything is built. The
@@ -259,7 +259,7 @@ def parse_point(text: str) -> list[Fraction]:
     """Comma-separated point coordinates; every coordinate must be a number."""
     parts = [part.strip() for part in text.split(",")]
     if not all(parts):
-        raise FileFormatError(f"empty coordinate in point {text!r}", field="point")
+        raise FileFormatError(f"empty coordinate in point {_shown(repr(text))}", field="point")
     return [_parse_value(part, "point") for part in parts]
 
 

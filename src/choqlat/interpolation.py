@@ -19,13 +19,15 @@ so every ``Fraction`` that leaves the module is the same either way.
 The chain path runs on lattice positions and integers. :func:`triangulate`
 records each chain vertex as a bit code of the base's elements, and the
 sorted profile pairs whose gaps are the weights; the caller maps the codes
-to positions in its capacity's integer table, and :func:`_chain_value`, the
-package's one chain sum, adds integer weight times value numerator and
-makes one ``Fraction``. It serves :meth:`Evaluation.along`,
+to positions in its capacity's ``values``, the one
+:class:`~choqlat.moebius.ValueTable` of integer numerators by position, and
+:func:`_chain_value`, the package's one chain sum, adds integer weight times
+value numerator and makes one ``Fraction``. It serves :meth:`Evaluation.along`,
 which builds every chain-path :class:`Evaluation`, unsigned
 (:func:`evaluate`) or signed (the extension pulled back through a tile),
 and the grid corner sweep of :mod:`~choqlat.kary`. An evaluation's frozenset
-chain and ``Fraction`` weights are built only when read.
+chain and ``Fraction`` weights are built only when read, by the one
+build-on-read mechanism both records share.
 
 The dual path, :func:`moebius_form_eval`, reads only the Moebius
 coefficients and the profile: C(f) = sum of m(X) * min over X of f. It
@@ -56,7 +58,7 @@ from .errors import (
 from .birkhoff import BipolarElement, _codes
 from .moebius import GeneralizedCapacity
 from .poset import Poset, linear_extension
-from .rationals import _ratio, as_fraction
+from .rationals import _ratio, _shown, as_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -89,7 +91,8 @@ def _profile_values(
     for label, (n, d) in parsed.items():
         if not low * d <= n <= d:
             raise ValueOutOfRange(
-                f"{kind} {Fraction(n, d)} at {label!r} is outside [{low}, 1]", label=label
+                f"{kind} {_shown(str(Fraction(n, d)))} at {label!r} is outside [{low}, 1]",
+                label=label,
             )
     sizes = {label: (abs(n), d) for label, (n, d) in parsed.items()} if signed else parsed
     for lower, upper in base.covers:
@@ -101,46 +104,61 @@ def _profile_values(
     return {label: parsed[label] for label in base.elements}
 
 
-def _fractions(pairs: Mapping[str, tuple[int, int]]) -> dict[str, Fraction]:
-    """Each pair as its reduced ``Fraction``, in the same order."""
-    return {label: Fraction(n, d) for label, (n, d) in pairs.items()}
-
-
-class Profile:
-    """Nonincreasing map from the base poset into [0, 1].
-
-    The checked values are kept as ``_pairs``, (numerator, denominator) by
-    label in base order, as they were read (``"0.50"`` is (50, 100)); the
-    evaluations read those. ``values``, the reduced ``Fraction``s, is built
-    on first read.
-    """
-
-    def __init__(self, base: Poset, values: Mapping[str, object]):
-        self._pairs = _profile_values(base, values)
-        self.base = base
+class _ProfileBody:
+    """What both profile kinds hold: the checked values as ``_pairs``,
+    (numerator, denominator) by label in base order, as they were read
+    (``"0.50"`` is (50, 100)); the evaluations read those. ``values``, the
+    reduced ``Fraction``s, is built on first read. Each kind's own
+    ``__init__`` checks its values."""
 
     @classmethod
-    def _from_checked(cls, base: Poset, pairs: dict[str, tuple[int, int]]) -> "Profile":
-        """A profile of ``pairs`` that already pass every check of
-        :func:`_profile_values`, given in base order."""
+    def _from_checked(cls, base: Poset, pairs: dict[str, tuple[int, int]]):
+        """A profile of ``pairs`` that already pass every check of its
+        kind, given in base order."""
         profile = cls.__new__(cls)
-        profile._pairs = pairs
-        profile.base = base
+        profile.base, profile._pairs = base, pairs
         return profile
 
     @cached_property
     def values(self) -> dict[str, Fraction]:
-        return _fractions(self._pairs)
+        return {label: Fraction(n, d) for label, (n, d) in self._pairs.items()}
 
     def __call__(self, label: str) -> Fraction:
         return self.values[label]
 
     def __repr__(self) -> str:
-        return f"Profile(on {len(self._pairs)} elements)"
+        return f"{type(self).__name__}(on {len(self._pairs)} elements)"
+
+
+class Profile(_ProfileBody):
+    """Nonincreasing map from the base poset into [0, 1]."""
+
+    def __init__(self, base: Poset, values: Mapping[str, object]):
+        self.base, self._pairs = base, _profile_values(base, values)
+
+
+class _BuiltOnRead:
+    """A frozen record whose fast path fills only some fields: :meth:`_made`
+    makes it from the fields it has, and a field read before it is built
+    comes from the record's ``_build_<field>`` method, once."""
+
+    @classmethod
+    def _made(cls, **fields):
+        record = cls.__new__(cls)
+        record.__dict__.update(fields)
+        return record
+
+    def __getattr__(self, name: str):
+        # reached only for a name the record does not hold (yet)
+        build = getattr(type(self), f"_build_{name}", None)
+        if build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        made = self.__dict__[name] = build(self)
+        return made
 
 
 @dataclass(frozen=True)
-class ChainDecomposition:
+class ChainDecomposition(_BuiltOnRead):
     """A profile written as a convex combination of chained downset vertices.
 
     ``chain[0]`` is the empty set and ``chain[i]`` adds ``order[i-1]``;
@@ -158,33 +176,12 @@ class ChainDecomposition:
     chain: tuple[frozenset, ...]
     weights: tuple[Fraction, ...]
 
-    @classmethod
-    def _positional(
-        cls,
-        base: Poset,
-        order: tuple[str, ...],
-        masks: list[int],
-        levels: list[tuple[int, int]],
-    ) -> "ChainDecomposition":
-        dec = cls.__new__(cls)
-        dec.__dict__.update(base=base, order=order, _masks=masks, _levels=levels)
-        return dec
+    def _build_chain(self) -> tuple[frozenset, ...]:
+        return tuple(frozenset(self.order[:i]) for i in range(len(self.order) + 1))
 
-    def __getattr__(self, name: str):
-        # reached only for a field that a positional record has not built yet
-        if name == "chain":
-            running: set = set()
-            made = [frozenset()]
-            for label in self.order:
-                running.add(label)
-                made.append(frozenset(running))
-        elif name == "weights":
-            levels = [Fraction(n, d) for n, d in self._levels]
-            made = map(operator.sub, [ONE, *levels], [*levels, ZERO])
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        made = self.__dict__[name] = tuple(made)
-        return made
+    def _build_weights(self) -> tuple[Fraction, ...]:
+        levels = [Fraction(n, d) for n, d in self._levels]
+        return tuple(map(operator.sub, [ONE, *levels], [*levels, ZERO]))
 
     def reconstruct(self) -> dict[str, Fraction]:
         """Profile values implied by the decomposition (exact)."""
@@ -244,7 +241,7 @@ def triangulate(profile: Profile, tie_break: Sequence[str] | None = None) -> Cha
     order = sorted(tie_break, key=_sort_keys(values).__getitem__, reverse=True)
     masks = list(accumulate(map(base._bit.__getitem__, order), operator.or_, initial=0))
     levels = list(map(values.__getitem__, order))
-    return ChainDecomposition._positional(base, tuple(order), masks, levels)
+    return ChainDecomposition._made(base=base, order=tuple(order), _masks=masks, _levels=levels)
 
 
 def _chain_value(
@@ -272,7 +269,7 @@ def _chain_value(
 
 
 @dataclass(frozen=True)
-class Evaluation:
+class Evaluation(_BuiltOnRead):
     """Value of an extension together with the chain that produced it.
 
     ``chain[i]`` is the vertex reached after ``order[:i]`` (the bottom
@@ -304,25 +301,17 @@ class Evaluation:
         into ``dec``: its weights times the vertex values ``table`` holds
         (integer numerators by position over one denominator) at the chain
         vertices' ``positions``, summed once by :func:`_chain_value`."""
-        evaluation = cls.__new__(cls)
-        evaluation.__dict__.update(
-            value=_chain_value(table, positions, dec._levels), order=dec.order, tile=tile, _dec=dec
-        )
-        return evaluation
+        value = _chain_value(table, positions, dec._levels)
+        return cls._made(value=value, order=dec.order, tile=tile, _dec=dec)
 
-    def __getattr__(self, name: str):
-        # reached only for a field that a record made by along has not built yet
-        if name == "weights":
-            made = self._dec.weights
-        elif name == "chain":
-            made = self._dec.chain
-            if self.tile is not None:
-                negative = frozenset(self._dec.base.elements) - self.tile
-                made = tuple(BipolarElement(v & self.tile, v & negative) for v in made)
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.__dict__[name] = made
-        return made
+    def _build_weights(self) -> tuple[Fraction, ...]:
+        return self._dec.weights
+
+    def _build_chain(self) -> tuple:
+        if self.tile is None:
+            return self._dec.chain
+        negative = frozenset(self._dec.base.elements) - self.tile
+        return tuple(BipolarElement(v & self.tile, v & negative) for v in self._dec.chain)
 
 
 def evaluate(functional: GeneralizedCapacity, profile: Profile) -> Evaluation:
@@ -333,7 +322,7 @@ def evaluate(functional: GeneralizedCapacity, profile: Profile) -> Evaluation:
         raise BaseMismatch("capacity and profile are over different base posets")
     dec = triangulate(profile)
     positions = map(functional.lattice.derived(_codes).__getitem__, dec._masks)
-    return Evaluation.along(functional._integers, positions, dec)
+    return Evaluation.along(functional.values._integers, positions, dec)
 
 
 def natural_extension(functional: GeneralizedCapacity, profile: Profile) -> Fraction:
@@ -366,7 +355,9 @@ def choquet_classical(capacity, scores: Mapping[str, object]) -> Fraction:
     parsed = {label: as_fraction(raw) for label, raw in scores.items()}
     for label, value in parsed.items():
         if value < 0:
-            raise NegativeScore(f"score {value} at {label!r} is negative", label=label)
+            raise NegativeScore(
+                f"score {_shown(str(value))} at {label!r} is negative", label=label
+            )
     order = sorted(parsed, key=lambda label: (-parsed[label], label))
     total = ZERO
     prefix: set = set()
@@ -391,7 +382,7 @@ def zero_one_maxmin(functional: GeneralizedCapacity, profile: Profile) -> Fracti
         raise BaseMismatch("functional and profile are over different base posets")
     for element, value in functional.values.items():
         if value not in (0, 1):
-            raise NotZeroOne(f"value {value} at {sorted(element)!r} is not 0 or 1")
+            raise NotZeroOne(f"value {_shown(str(value))} at {sorted(element)!r} is not 0 or 1")
     if not functional.is_monotone:
         raise NotMonotone("functional is not nondecreasing")
     best = ZERO
@@ -450,7 +441,7 @@ def moebius_form_eval(coefficients: GeneralizedCapacity, profile: Profile) -> Fr
     """
     if coefficients.lattice.base != profile.base:
         raise BaseMismatch("coefficients and profile are over different base posets")
-    numerators, denominator = coefficients._integers
+    numerators, denominator = coefficients.values._integers
     terms = [
         (num, (element,))
         for num, element in zip(numerators, coefficients.lattice.elements)

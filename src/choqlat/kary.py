@@ -10,8 +10,9 @@ the capacity at the surrounding mesh nodes. The sorted-residue sweep over
 mesh corners and the generic natural extension of the point's staircase
 profile give the same number, so each checks the other: they find the
 order, the levels and the vertex codes independently and share only the
-positional integer sum; the signed variants mirror the construction on a
-symmetric scale around 0. :func:`grid_steps` reads an
+positional integer sum over the capacity's ``values``, its one
+:class:`~choqlat.moebius.ValueTable`; the signed variants mirror the
+construction on a symmetric scale around 0. :func:`grid_steps` reads an
 :class:`~choqlat.interpolation.Evaluation` on a grid base as levels,
 criteria and grid points.
 """
@@ -19,7 +20,7 @@ criteria and grid points.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -29,7 +30,7 @@ from .errors import InvalidDimensions, OutOfScale
 from .interpolation import Evaluation, Profile, _chain_value, _sort_keys
 from .moebius import GeneralizedCapacity
 from .poset import Poset
-from .rationals import _ratio
+from .rationals import _ratio, _shown, as_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -117,19 +118,15 @@ class ReferenceScale:
 
     Symmetric scales must contain 0 with equally many levels on each side;
     signed level indices then count away from the neutral entry. The levels
-    are read once to (numerator, denominator) pairs, kept as ``_anchors``
-    for locating points, and to ``Fraction``s, kept as ``levels``.
+    are kept as ``Fraction``s.
     """
 
     levels: tuple[Fraction, ...]
     symmetric: bool = False
-    _anchors: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        anchors = tuple(map(_ratio, self.levels))
-        levels = tuple(Fraction(n, d) for n, d in anchors)
+        levels = tuple(map(as_fraction, self.levels))
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "_anchors", anchors)
         if len(levels) < 2:
             raise InvalidDimensions("a scale needs at least two levels")
         if any(a >= b for a, b in zip(levels, levels[1:])):
@@ -189,7 +186,7 @@ def _locate(
             # the interval's width has the side's sign
             return j, (sign * (n * pd - pn * d) * ad, sign * (an * pd - pn * ad) * d)
         pn, pd = an, ad
-    raise OutOfScale(f"{Fraction(n, d)} is outside the scale range")
+    raise OutOfScale(f"{_shown(str(Fraction(n, d)))} is outside the scale range")
 
 
 def _locate_coordinates(
@@ -201,14 +198,15 @@ def _locate_coordinates(
     sign (zero counts as nonnegative); on a one-sided scale every
     coordinate is on the nonnegative side. The coordinates are read
     straight to (numerator, denominator) pairs, the range and sign tests run
-    on those integers and the scale's own pairs, and the residues are
-    ordered by exact integer keys
+    on those integers and the scale levels' pairs, read once per point, and
+    the residues are ordered by exact integer keys
     (:func:`~choqlat.interpolation._sort_keys`), ties by criterion.
     """
     values = [_ratio(v) for v in point]
     if not values:
         raise InvalidDimensions("a point needs at least one coordinate")
-    levels, anchors = scale.levels, scale._anchors
+    levels = scale.levels
+    anchors = [level.as_integer_ratio() for level in levels]
     (ln, ld), (hn, hd) = anchors[0], anchors[-1]
     middle = len(levels) // 2 if scale.symmetric else 0
     indices, residues, positive = [], {}, set()
@@ -216,8 +214,8 @@ def _locate_coordinates(
         n, d = value
         if not (ln * d <= n * ld and n * hd <= hn * d):
             raise OutOfScale(
-                f"coordinate {Fraction(n, d)} of criterion {i} outside"
-                f" [{levels[0]}, {levels[-1]}]",
+                f"coordinate {_shown(str(Fraction(n, d)))} of criterion {i} outside"
+                f" [{_shown(str(levels[0]))}, {_shown(str(levels[-1]))}]",
                 criterion=i,
             )
         sign = -1 if scale.symmetric and n < 0 else 1
@@ -310,7 +308,7 @@ def _corner_sweep(
     else:
         positions = _pair_positions(lattice, corners, positive)
     levels = [residues[criterion - 1].as_integer_ratio() for criterion in order]
-    return _chain_value(capacity._integers, positions, levels)
+    return _chain_value(capacity.values._integers, positions, levels)
 
 
 def interpolate_point(

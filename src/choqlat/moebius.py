@@ -5,9 +5,9 @@ A capacity, a game and its Moebius coefficients are one object, a rational
 value on each lattice vertex: :class:`GeneralizedCapacity`, or on the bipolar
 extension a table keyed by disjoint pairs. :func:`vertex_table` reads and
 checks every such table, and is the one place where keys become positions.
-Inside, a table is one list of integer numerators by position over one
-common denominator; every functional's values are read through one
-:class:`ValueTable`, which makes a ``Fraction`` only when a value is read.
+It returns the functional's one :class:`ValueTable`, which a capacity keeps
+as its ``values``: one list of integer numerators by position over one
+common denominator, making a ``Fraction`` only when a value is read.
 
 On a downset lattice the Moebius function has a closed form: for downsets
 X <= Y it is (-1)^|Y - X| when Y - X is an antichain of the base and 0
@@ -94,9 +94,10 @@ class ValueTable(Mapping):
 
 def vertex_table(
     positions: Mapping, entries: Mapping, vertex: Callable, what: str
-) -> tuple[list[int], int]:
-    """Exact values of ``entries`` on every vertex, as integer numerators by
-    position over one common denominator, and that denominator.
+) -> ValueTable:
+    """Exact values of ``entries`` on every vertex, as a :class:`ValueTable`
+    over ``positions``: integer numerators by position over one common
+    denominator.
 
     ``positions`` maps each vertex of the domain to its position, in domain
     order. A key found there needs no other check; any other key goes to
@@ -104,15 +105,15 @@ def vertex_table(
     vertex left without a value is reported with an example. A table whose
     keys are the domain's own vertex objects, in domain order (a capacity's
     values), needs no lookup: each key is a vertex by identity. Such a
-    :class:`ValueTable` hands over its integers, and their denominator,
-    unread; any other table's values are read by the package's one number
-    reader (:func:`~choqlat.rationals._ratio`) and scaled to their least
-    common denominator.
+    :class:`ValueTable` is handed over as it is, its values unread; any
+    other table's values are read by the package's one number reader
+    (:func:`~choqlat.rationals._ratio`) and scaled to their least common
+    denominator.
     """
     if len(entries) == len(positions) and all(map(operator.is_, entries, positions)):
         if isinstance(entries, ValueTable):
-            return entries._integers
-        return _numerators(entries.values())
+            return entries
+        return ValueTable(positions, *_numerators(entries.values()))
     values: list = [None] * len(positions)
     for key, raw in entries.items():
         try:
@@ -128,7 +129,7 @@ def vertex_table(
             f"missing values for {len(missing)} of the {len(positions)} {what},"
             f" e.g. {shown!r}"
         )
-    return _scaled(values)
+    return ValueTable(positions, *_scaled(values))
 
 
 def _numerators(values: Iterable) -> tuple[list[int], int]:
@@ -149,29 +150,16 @@ class GeneralizedCapacity:
     """A rational value attached to every element of a downset lattice: a
     capacity, a game, or the Moebius coefficients of one.
 
-    Held as ``_integers``, one numerator per lattice position over one
-    denominator: a table given by the caller is checked and scaled into it,
-    and a transform's output starts from it. ``values`` reads them as a
-    :class:`ValueTable` in lattice order.
+    ``values`` is the one :class:`ValueTable` that :func:`vertex_table`
+    makes of the caller's table, in lattice order: one numerator per
+    lattice position over one denominator. A transform's output is such a
+    table, taken over unread.
     """
 
     def __init__(self, lattice: DownsetLattice, values: Mapping):
         positions = lattice.derived(_element_positions)
-        self._integers = vertex_table(positions, values, lattice.check_element, "lattice elements")
+        self.values = vertex_table(positions, values, lattice.check_element, "lattice elements")
         self.lattice = lattice
-
-    @classmethod
-    def _from_integers(
-        cls, lattice: DownsetLattice, numerators: list[int], denominator: int
-    ) -> "GeneralizedCapacity":
-        capacity = cls.__new__(cls)
-        capacity.lattice = lattice
-        capacity._integers = (numerators, denominator)
-        return capacity
-
-    @cached_property
-    def values(self) -> ValueTable:
-        return ValueTable(self.lattice.derived(_element_positions), *self._integers)
 
     def __call__(self, x) -> Fraction:
         try:
@@ -185,12 +173,12 @@ class GeneralizedCapacity:
     @property
     def is_game(self) -> bool:
         """True when the bottom element (position 0) carries value zero."""
-        return self._integers[0][0] == 0
+        return self.values._integers[0][0] == 0
 
     @cached_property
     def is_monotone(self) -> bool:
         """Nondecreasing along every cover of the lattice (its step plan)."""
-        at = self._integers[0].__getitem__
+        at = self.values._integers[0].__getitem__
         keys, lowers = self.lattice.derived(_lattice_plan)
         return all(map(operator.le, map(at, lowers), map(at, keys)))
 
@@ -272,11 +260,9 @@ def _downset_pass(plan: tuple, numerators: list[int], inverse: bool) -> list[int
 
 
 def _capacity_pass(g: GeneralizedCapacity, inverse: bool) -> GeneralizedCapacity:
-    numerators, denominator = g._integers
-    plan = g.lattice.derived(_lattice_plan)
-    return GeneralizedCapacity._from_integers(
-        g.lattice, _downset_pass(plan, numerators, inverse), denominator
-    )
+    (numerators, denominator), plan = g.values._integers, g.lattice.derived(_lattice_plan)
+    table = ValueTable(g.values._positions, _downset_pass(plan, numerators, inverse), denominator)
+    return GeneralizedCapacity(g.lattice, table)
 
 
 def moebius_transform(g: GeneralizedCapacity) -> GeneralizedCapacity:
@@ -327,10 +313,10 @@ def _bipolar_pass(lattice: DownsetLattice, values: Mapping, inverse: bool) -> Va
     """The pass of :func:`_downset_pass` over a table given on the whole
     bipolar extension, checked by position, as a table in extension order."""
     positions = lattice.derived(_extension_positions)
-    numerators, denominator = vertex_table(
+    table = vertex_table(
         positions, values, partial(check_bipolar_pair, lattice), "pairs of the bipolar extension"
     )
-    plan = lattice.derived(_extension_plan)
+    (numerators, denominator), plan = table._integers, lattice.derived(_extension_plan)
     return ValueTable(positions, _downset_pass(plan, numerators, inverse), denominator)
 
 

@@ -19,6 +19,13 @@ MAX_DIGITS = 1000
 MAX_EXPONENT = 1000
 
 
+def _shown(text: str) -> str:
+    """``text``, the rendering of a value, as an error message quotes it:
+    whole up to 64 characters, else its first 24 characters, ``...`` and
+    its length, so that no message grows with the value."""
+    return text if len(text) <= 64 else f"{text[:24]}... ({len(text)} characters)"
+
+
 def _check_exponent(text: str, value: str) -> None:
     _, _, exponent = text.lower().partition("e")
     try:
@@ -26,7 +33,7 @@ def _check_exponent(text: str, value: str) -> None:
     except ValueError:
         return  # not a number at all; the parse rejects it
     if size > MAX_EXPONENT:
-        raise ValueError(f"exponent beyond {MAX_EXPONENT} in {value!r}")
+        raise ValueError(f"exponent beyond {MAX_EXPONENT} in {_shown(repr(value))}")
 
 
 def _read_plain(text: str) -> tuple[int, int] | None:
@@ -81,15 +88,15 @@ def _from_string(value: str) -> tuple[int, int]:
         pair = _read_plain(text)
         return Fraction(text).as_integer_ratio() if pair is None else pair
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {value!r}") from None
+        raise ValueError(f"zero denominator in {_shown(repr(value))}") from None
     except ValueError:
         pass
     try:
         number = Decimal(text)
     except InvalidOperation:
-        raise ValueError(f"cannot parse {value!r} as a rational") from None
+        raise ValueError(f"cannot parse {_shown(repr(value))} as a rational") from None
     if not number.is_finite():
-        raise ValueError(f"{value!r} is not a finite number")
+        raise ValueError(f"{_shown(repr(value))} is not a finite number")
     return number.as_integer_ratio()
 
 

@@ -6,6 +6,7 @@ helpers drive the seeded bulk runs in the acceptance module.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 import random
@@ -14,8 +15,25 @@ from hypothesis import strategies as st
 
 import choqlat as cq
 from choqlat.kary import LevelIndexing
-from choqlat.moebius import check_bipolar_pair
+from choqlat.moebius import ValueTable, check_bipolar_pair
 from choqlat.rationals import MAX_DIGITS, MAX_EXPONENT
+
+
+@contextmanager
+def values_unread():
+    """Inside the block, reading any value of any ``ValueTable`` fails: every
+    read of a table's values (``[]``, ``get``, ``values()``, ``items()``,
+    equality) goes through ``ValueTable.__getitem__``."""
+
+    def refuse(table, key):
+        raise AssertionError(f"a value of {table!r} was read at {key!r}")
+
+    original = ValueTable.__getitem__
+    ValueTable.__getitem__ = refuse
+    try:
+        yield
+    finally:
+        ValueTable.__getitem__ = original
 
 
 def wedge_poset() -> cq.Poset:
@@ -424,6 +442,14 @@ def moebius_function(p: cq.Poset, lower: str, upper: str, cache: dict | None = N
 # Fraction, then Decimal
 
 
+def _slow_quoted(text: str) -> str:
+    """A value's rendering as an error message quotes it: whole up to 64
+    characters, else the first 24, "...", and the length in characters."""
+    if len(text) > 64:
+        return text[:24] + "... (" + str(len(text)) + " characters)"
+    return text
+
+
 def _slow_check_exponent(text: str, value: str) -> None:
     _, _, exponent = text.lower().partition("e")
     try:
@@ -431,7 +457,7 @@ def _slow_check_exponent(text: str, value: str) -> None:
     except ValueError:
         return
     if size > MAX_EXPONENT:
-        raise ValueError(f"exponent beyond {MAX_EXPONENT} in {value!r}")
+        raise ValueError(f"exponent beyond {MAX_EXPONENT} in {_slow_quoted(repr(value))}")
 
 
 def slow_as_fraction(value) -> Fraction:
@@ -454,15 +480,15 @@ def slow_as_fraction(value) -> Fraction:
         try:
             return Fraction(text)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
+            raise ValueError(f"zero denominator in {_slow_quoted(repr(value))}") from None
         except ValueError:
             pass
         try:
             number = Decimal(text)
         except InvalidOperation:
-            raise ValueError(f"cannot parse {value!r} as a rational") from None
+            raise ValueError(f"cannot parse {_slow_quoted(repr(value))} as a rational") from None
         if not number.is_finite():
-            raise ValueError(f"{value!r} is not a finite number")
+            raise ValueError(f"{_slow_quoted(repr(value))} is not a finite number")
         return Fraction(number)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
@@ -477,7 +503,7 @@ def _slow_locate(value: Fraction, scale: cq.ReferenceScale, sign: int) -> tuple[
         if (value <= anchor) if sign > 0 else (value >= anchor):
             previous = scale.rho(sign * (j - 1))
             return j, (value - previous) / (anchor - previous)
-    raise cq.OutOfScale(f"{value} is outside the scale range")
+    raise cq.OutOfScale(f"{_slow_quoted(str(value))} is outside the scale range")
 
 
 def slow_locate_coordinates(point, scale: cq.ReferenceScale) -> tuple[frozenset, LevelIndexing]:
@@ -489,7 +515,8 @@ def slow_locate_coordinates(point, scale: cq.ReferenceScale) -> tuple[frozenset,
     for i, value in enumerate(values, start=1):
         if not low <= value <= high:
             raise cq.OutOfScale(
-                f"coordinate {value} of criterion {i} outside [{low}, {high}]",
+                f"coordinate {_slow_quoted(str(value))} of criterion {i} outside"
+                f" [{_slow_quoted(str(low))}, {_slow_quoted(str(high))}]",
                 criterion=i,
             )
         sign = -1 if scale.symmetric and value < 0 else 1

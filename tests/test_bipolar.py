@@ -517,7 +517,7 @@ class TestEvaluate:
         tie_break = random_linear_extension(data.draw(st.randoms()), base)
         dec = cq.triangulate(magnitude, tie_break)
         positions = _pair_positions(lattice, dec._masks, sum(base._bit[j] for j in tile))
-        evaluation = cq.Evaluation.along(capacity._integers, positions, dec, tile)
+        evaluation = cq.Evaluation.along(capacity.values._integers, positions, dec, tile)
         assert evaluation == slow_evaluation(
             capacity.values, slow_triangulate(magnitude, tie_break), tile
         )

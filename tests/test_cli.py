@@ -13,6 +13,7 @@ import pytest
 import choqlat as cq
 from choqlat import fileio
 from choqlat.cli import main
+from choqlat.rationals import _shown
 from support import antichain, random_bipolar_capacity, random_capacity, wedge, wedge_poset
 
 
@@ -420,6 +421,17 @@ def golden_argv(tmp_path, name):
         ppath = write(tmp_path, "signed.json", {"values": signed_grid})
         cpath = bipolar_grid_capacity_path(tmp_path, 3)
         return ["kary", "eval", "--bipolar", "--capacity", cpath, "--profile", ppath, *report]
+    if name == "mobius":
+        _, _, cpath, _ = choquet_files(tmp_path)
+        return ["mobius", "--capacity", cpath]
+    if name == "mobius_bipolar":
+        _, _, cpath, _ = bipolar_files(tmp_path)
+        return ["mobius", "--bipolar-capacity", cpath]
+    if name in ("bipolar_enumerate", "bipolar_enumerate_dot"):
+        path = write(tmp_path, "wedge.json", fileio.poset_payload(wedge_poset()))
+        return ["bipolar", "enumerate", path, *(["--dot"] if name.endswith("dot") else [])]
+    if name == "selftest":
+        return ["selftest"]
     if name == "levels":
         spath = write(tmp_path, "scale.json", {"levels": ["0", "0.5", "1"]})
         cpath = grid_capacity_path(tmp_path)
@@ -434,6 +446,8 @@ def golden_argv(tmp_path, name):
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = ["choquet", "bipolar", "kary", "kary_bipolar", "levels", "levels_bipolar"]
+# the command kinds with no dual path: Moebius tables, the extension, selftest
+TABLE_CASES = ["mobius", "mobius_bipolar", "bipolar_enumerate", "bipolar_enumerate_dot", "selftest"]
 WRONG = Fraction(99)
 
 
@@ -457,7 +471,7 @@ DUAL_PATHS = {
 
 
 class TestGoldenOutput:
-    @pytest.mark.parametrize("name", GOLDEN_CASES)
+    @pytest.mark.parametrize("name", GOLDEN_CASES + TABLE_CASES)
     def test_stdout_is_pinned(self, capsys, tmp_path, name):
         code, out = run(capsys, *golden_argv(tmp_path, name))
         assert code == 0
@@ -638,6 +652,23 @@ class TestInputBoundary:
         assert "Traceback" in captured.err
         assert captured.err.rstrip().endswith("RuntimeError: boom")
 
+    def test_render_failure_is_an_internal_error(self, capsys, monkeypatch):
+        """A handler's result that cannot be rendered ends like any other
+        defect: exit 1 and a JSON body, not an exception out of ``main``."""
+
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("cannot render")
+
+        monkeypatch.setattr("choqlat.cli.cmd_selftest", lambda args: {"x": Unprintable()})
+        code = main(["selftest"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out) == {
+            "error": {"code": "internal_error", "message": "RuntimeError: cannot render"}
+        }
+        assert captured.err.rstrip().endswith("RuntimeError: cannot render")
+
     def test_interrupt_is_not_caught(self, monkeypatch):
         def interrupted(args):
             raise KeyboardInterrupt
@@ -693,3 +724,112 @@ class TestSelftest:
         assert code == 0
         assert payload["all_ok"] is True
         assert all(check["ok"] for check in payload["checks"])
+
+
+def cut(text: str) -> str:
+    """How an error message quotes a rendering longer than 64 characters."""
+    return f"{text[:24]}... ({len(text)} characters)"
+
+
+class TestBoundedMessages:
+    """A value quoted in an error message is cut to its first 24 characters
+    and its length once its rendering passes 64 characters, so no message
+    grows with the value; codes and context fields are unchanged, and a
+    shorter rendering is quoted whole."""
+
+    def test_limit(self):
+        assert _shown("7" * 64) == "7" * 64
+        assert _shown("7" * 65) == "7" * 24 + "... (65 characters)"
+
+    def test_profile_value(self, capsys, tmp_path):
+        _, _, cpath, _ = choquet_files(tmp_path)
+        ppath = write(tmp_path, "big.json", {"values": {"a": "1e400", "b": "0", "c": "0"}})
+        code, payload = run_json(
+            capsys, "choquet", "eval", "--capacity", cpath, "--profile", ppath
+        )
+        assert code == 2
+        assert payload["error"] == {
+            "code": "value_out_of_range",
+            "message": f"profile value {cut(str(10**400))} at 'a' is outside [0, 1]",
+            "label": "a",
+            "file": ppath,
+        }
+        assert len(payload["error"]["message"]) < 100
+
+    def test_short_value_is_quoted_whole(self, capsys, tmp_path):
+        _, _, cpath, _ = choquet_files(tmp_path)
+        ppath = write(tmp_path, "two.json", {"values": {"a": "2", "b": "0", "c": "0"}})
+        code, payload = run_json(
+            capsys, "choquet", "eval", "--capacity", cpath, "--profile", ppath
+        )
+        assert code == 2
+        assert payload["error"]["message"] == "profile value 2 at 'a' is outside [0, 1]"
+
+    def test_point_coordinate(self, capsys, tmp_path, grid_capacity_file):
+        spath = write(tmp_path, "scale.json", {"levels": ["0", "0.5", "1"]})
+        coordinate = "-1/" + "9" * 900
+        code, payload = run_json(
+            capsys,
+            "levels", "eval",
+            "--scale", spath,
+            "--capacity", grid_capacity_file,
+            f"--point={coordinate},0.2",
+        )
+        assert code == 2
+        assert payload["error"] == {
+            "code": "out_of_scale",
+            "message": f"coordinate {cut(coordinate)} of criterion 1 outside [0, 1]",
+            "criterion": 1,
+        }
+
+    def test_point_text(self, capsys):
+        point = "," + "1" * 5000
+        code, payload = run_json(
+            capsys,
+            "levels", "eval",
+            "--scale", "s.json",
+            "--capacity", "c.json",
+            f"--point={point}",
+        )
+        assert code == 2
+        assert payload["error"] == {
+            "code": "file_format",
+            "message": f"empty coordinate in point {cut(repr(point))}",
+            "field": "point",
+        }
+
+    def test_signed_profile_value(self):
+        with pytest.raises(cq.ValueOutOfRange) as info:
+            cq.BipolarProfile(wedge_poset(), {"a": "-1e400", "b": "0", "c": "0"})
+        assert str(info.value) == f"signed value {cut(str(-(10**400)))} at 'a' is outside [-1, 1]"
+
+    def test_negative_score(self):
+        score = "-" + "9" * 100
+        with pytest.raises(cq.NegativeScore) as info:
+            cq.choquet_classical(lambda subset: 1, {"a": score})
+        assert str(info.value) == f"score {cut(score)} at 'a' is negative"
+        assert info.value.context == {"label": "a"}
+
+    def test_not_zero_one(self):
+        lattice = cq.DownsetLattice(antichain(1))
+        big = 10**100
+        functional = cq.GeneralizedCapacity(lattice, {frozenset(): 0, frozenset({"1"}): big})
+        profile = cq.Profile(lattice.base, {"1": "0.5"})
+        with pytest.raises(cq.NotZeroOne) as info:
+            cq.zero_one_maxmin(functional, profile)
+        assert str(info.value) == f"value {cut(str(big))} at ['1'] is not 0 or 1"
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ("1" * 500 + "/0", "zero denominator in {}"),
+            ("x" * 500, "cannot parse {} as a rational"),
+            (" " * 2000 + "nan", "{} is not a finite number"),
+            ("1" * 900 + "e2000", "exponent beyond 1000 in {}"),
+        ],
+        ids=["zero_denominator", "unparsable", "not_finite", "exponent"],
+    )
+    def test_number_text(self, raw, message):
+        with pytest.raises(ValueError) as info:
+            cq.as_fraction(raw)
+        assert str(info.value) == message.format(cut(repr(raw)))

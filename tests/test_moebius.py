@@ -239,16 +239,16 @@ class TestTransforms:
         own = {x: Fraction(i, 1 + i % 3) for i, x in enumerate(lattice.elements)}
         by_position = list(own.values())
         expected = _numerators(by_position)
-        assert vertex_table(positions, own, vertex, "elements") == expected
+        assert vertex_table(positions, own, vertex, "elements")._integers == expected
         assert (checked, looked_up) == ([], [])
         positional = ValueTable(positions, *expected)
-        assert vertex_table(positions, positional, vertex, "elements") is positional._integers
+        assert vertex_table(positions, positional, vertex, "elements")._integers is positional._integers
         assert (checked, looked_up) == ([], [])
         equal = {frozenset(sorted(x)): v for x, v in reversed(own.items())}
-        assert vertex_table(positions, equal, vertex, "elements") == expected
+        assert vertex_table(positions, equal, vertex, "elements")._integers == expected
         assert checked == [] and len(looked_up) == len(own)
         tuples = {tuple(sorted(x)): v for x, v in own.items()}
-        assert vertex_table(positions, tuples, vertex, "elements") == expected
+        assert vertex_table(positions, tuples, vertex, "elements")._integers == expected
         assert checked == list(tuples)
         checked.clear()
         short = dict(list(own.items())[:-1])
