@@ -2,8 +2,9 @@
 
 Every value the library produces has a second route: chain decomposition vs
 Moebius form, corner sweep vs the natural extension of the staircase
-profile, signed chain vs pair-table integral. This script hammers those
-pairs with random instances and reports counts and timing; any
+profile, signed chain vs pair-table integral, signed corner sweep vs the
+signed natural extension of the signed staircase profile. This script
+hammers those pairs with random instances and reports counts and timing; any
 disagreement is a bug and exits nonzero. Like a long-running caller, it
 keeps one lattice per grid across instances, so the transforms run on the
 step plans cached with each lattice, and its values carry denominators
@@ -126,9 +127,19 @@ def sweep(instances, seed):
         plain = cq.bipolar_moebius_transform(lattice, dict(bipolar.values))
         mismatches += dual != cq.bipolar_moebius_form_eval(dict(plain), signed)
 
+        symmetric = cq.ReferenceScale(
+            tuple(Fraction(j, k - 1) for j in range(1 - k, k)), symmetric=True
+        )
+        exact = [Fraction(rng.randint(-24, 24), 24) for _ in range(n)]
+        point = [render(rng, v) for v in exact]
+        mismatches += [cq.as_fraction(v) for v in point] != exact
+        corner = cq.interpolate_signed_point(bipolar, point, symmetric)
+        _, _, staircase = cq.bipolar_level_profile(point, symmetric)
+        mismatches += corner != cq.bipolar_natural_extension(bipolar, staircase)
+
     elapsed = time.perf_counter() - started
     print(
-        f"{instances} instances x 4 path pairs on grids {GRIDS}: "
+        f"{instances} instances x 5 path pairs on grids {GRIDS}: "
         f"{mismatches} mismatches in {elapsed:.2f}s"
     )
     return mismatches

@@ -28,9 +28,8 @@ from typing import Iterable, Mapping
 from .birkhoff import (
     BipolarElement,
     DownsetLattice,
-    _codes,
-    _element_positions,
-    _extension_plan,
+    _pair_codes,
+    _step_plan,
     bipolar_extension,
 )
 from .errors import (
@@ -222,43 +221,30 @@ def _admissible_positions(lattice: DownsetLattice) -> dict[BipolarElement, int]:
 
 
 def _admissible_codes(lattice: DownsetLattice) -> dict[int, int]:
-    """Each admissible vertex pair (pos, neg) as the integer
-    code(pos) << |base| | code(neg) of its parts' bit codes, mapped to its
-    position among the admissible pairs."""
-    codes = list(lattice.derived(_codes))
-    index = lattice.derived(_element_positions)
-    width = len(lattice.base)
-    return {
-        codes[index[pos]] << width | codes[index[neg]]: i
-        for i, (pos, neg) in enumerate(admissible_vertex_pairs(lattice))
-    }
+    """Each admissible vertex pair mapped from its code in the doubled base
+    (:func:`~choqlat.birkhoff._pair_codes`: the positive part in the low
+    bits) to its position among the admissible pairs."""
+    return _pair_codes(lattice, admissible_vertex_pairs(lattice))
 
 
 def _pair_positions(lattice: DownsetLattice, masks: Iterable[int], positive: int) -> list[int]:
     """Positions among the admissible pairs of the chain vertices ``masks``
     (bit codes of downsets), each split along the tile whose positive side
-    has the bit code ``positive``."""
+    has the bit code ``positive``: the bits outside it move to the negative
+    half of the pair's code."""
     pairs = lattice.derived(_admissible_codes)
     width = len(lattice.base)
-    return [pairs[(m & positive) << width | m & ~positive] for m in masks]
+    return [pairs[(m & ~positive) << width | m & positive] for m in masks]
 
 
-def _admissible_steps(lattice: DownsetLattice) -> tuple[tuple[list, list], tuple[list, list]]:
-    """The covers of the extension (its step plan) between admissible
-    pairs, as (upper, lower) lists of positions among those pairs: first
-    the steps that grow the positive part, then those that grow the
-    negative part."""
-    positions = lattice.derived(_admissible_positions)
-    extension = bipolar_extension(lattice)
-    stored = [positions.get(pair) for pair in extension]
-    rising, falling = ([], []), ([], [])
-    for key, lower in zip(*lattice.derived(_extension_plan)):
-        upper_at, lower_at = stored[key], stored[lower]
-        if upper_at is not None and lower_at is not None:
-            steps = rising if extension[key].neg == extension[lower].neg else falling
-            steps[0].append(upper_at)
-            steps[1].append(lower_at)
-    return rising, falling
+def _admissible_steps(lattice: DownsetLattice) -> tuple[tuple, tuple]:
+    """The covers between admissible pairs, as (upper, lower) arrays of
+    positions among those pairs (step plans of the admissible codes, a
+    down-closed family): first the steps that grow the positive part, then
+    those that grow the negative part."""
+    at = lattice.derived(_admissible_codes)
+    positive = (1 << len(lattice.base)) - 1
+    return _step_plan(at, positive), _step_plan(at, ~positive)
 
 
 class BipolarCapacity:

@@ -7,18 +7,22 @@ meets are intersections, and explicitly presented lattices are converted at
 the boundary by :func:`verify_distributive`.
 
 The bits are the base poset's own (base element j is bit (position of j in
-the linear extension)), and each lattice keeps one table of its elements'
-codes. The bipolar extension, the ordered pairs of disjoint elements, is
-enumerated from it per downset, counted before it is built; the step plan
-of the zeta/Moebius transforms, also the Hasse diagram that every covering
-relation is read from, is built from it too.
+the linear extension)), and every vertex has one code: a lattice element
+its bits, a pair of disjoint elements those of a downset of two copies of
+the base, positive part low. Each lattice keeps one table of its elements'
+codes; the bipolar extension, the ordered pairs of disjoint elements, is
+enumerated from it per downset, counted before it is built. The lattice,
+the extension and the admissible pairs are down-closed families of codes,
+and one walk over a family's code table lists its covers: the step plan of
+the zeta/Moebius transforms, also the Hasse diagram that every covering
+relation is read from.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, TypeVar
 
 from .errors import NotALattice, NotAnElement, NotDistributive, SizeLimitExceeded
@@ -206,49 +210,57 @@ def _extension(lattice: DownsetLattice) -> tuple[BipolarElement, ...]:
     return tuple([BipolarElement(elems[key // n], elems[key % n]) for key in keys])
 
 
-def _step_plan(lattice: DownsetLattice, sides: int) -> tuple:
-    """Index pairs (key, key with j removed from one side) for every
-    (side, base element j) step, the steps in linear-extension order.
-
-    Keys are the lattice elements (one side) or the pairs of
-    :func:`bipolar_extension` (two sides), in that order. They form a
-    down-closed family under the product order, so each interval below a
-    key is the same in the family as in the full product of lattices. A key
-    takes part in the step (side, j) when j is maximal in that side, that
-    is, when that side less j is a downset; the pairs are thus the family's
-    covering pairs, each once. Within one step no key is another's lower
-    key, so the flat sequence, read backwards, is also the inverse's order
-    of steps. A pair at lattice positions (p, q) is the integer p * |L| + q,
-    as in :func:`_extension`.
-    """
-    position = lattice.derived(_codes)
-    width, n = len(lattice.base), len(position)
-    # each element's lower covers: (t, position of the element less bit t)
-    drops = [
-        [(t, position[code ^ 1 << t]) for t in range(width)
-         if code >> t & 1 and code ^ 1 << t in position]
-        for code in position
-    ]
+def _pair_codes(lattice: DownsetLattice, pairs) -> dict[int, int]:
+    """Each pair (pos, neg) of disjoint lattice elements in ``pairs`` as its
+    downset code in the doubled base, code(neg) << |base| | code(pos) (the
+    positive part in the low bits), mapped to its position in ``pairs``."""
+    codes = list(lattice.derived(_codes))
     index = lattice.derived(_element_positions)
-    keys = range(n) if sides == 1 else [
-        index[pos] * n + index[neg] for pos, neg in bipolar_extension(lattice)
-    ]
-    at = {key: k for k, key in enumerate(keys)}
-    steps = [[] for _ in range(sides * width)]
-    shifts = [(side * width, n ** (sides - 1 - side)) for side in range(sides)]
-    for k, key in enumerate(keys):
-        for shift, scale in shifts:
-            p = key // scale % n
-            for t, lower in drops[p]:
-                steps[shift + t] += (k, at[key + (lower - p) * scale])
+    width = len(lattice.base)
+    return {
+        codes[index[neg]] << width | codes[index[pos]]: k for k, (pos, neg) in enumerate(pairs)
+    }
+
+
+def _extension_codes(lattice: DownsetLattice) -> dict[int, int]:
+    """The code table of the bipolar extension, in extension order."""
+    return _pair_codes(lattice, bipolar_extension(lattice))
+
+
+def _step_plan(at: dict[int, int], bits: int = -1) -> tuple:
+    """Index pairs (key, key less one element) of a family of codes, for
+    every step that clears one bit within ``bits``, the steps by bit.
+
+    ``at`` maps each code of the family to its position: the lattice
+    (:func:`_codes`), the bipolar extension (:func:`_extension_codes`) or a
+    down-closed family of either. A key takes part in the step of bit t when
+    clearing t leaves a code of the family. The family is down-closed, so
+    each interval below a key is the same in it as in the full product of
+    lattices, and the pairs are its covering pairs, each once. Within one
+    step no key is another's lower key, so the flat sequence, read
+    backwards, is also the inverse's order of steps.
+    """
+    steps = [[] for _ in range(max(at).bit_length())]
+    for code, k in at.items():
+        rest = code & bits
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            lower = at.get(code ^ bit)
+            if lower is not None:
+                steps[bit.bit_length() - 1] += (k, lower)
     flat = array("i")
     for pairs in steps:
         flat.extend(pairs)
     return flat[0::2], flat[1::2]
 
 
-_lattice_plan = partial(_step_plan, sides=1)
-_extension_plan = partial(_step_plan, sides=2)
+def _lattice_plan(lattice: DownsetLattice) -> tuple:
+    return _step_plan(lattice.derived(_codes))
+
+
+def _extension_plan(lattice: DownsetLattice) -> tuple:
+    return _step_plan(lattice.derived(_extension_codes))
 
 
 def _covers(domain: tuple, plan: tuple) -> list[tuple]:

@@ -26,7 +26,13 @@ from .bipolar import (
     tile_union,
 )
 from .birkhoff import BipolarElement, DownsetLattice, bipolar_cover_pairs, bipolar_extension
-from .errors import ChoqlatError, FileFormatError, NotNormalized, NotRegularMosaic
+from .errors import (
+    ChoqlatError,
+    FileFormatError,
+    NotNormalized,
+    NotRegularMosaic,
+    SizeLimitExceeded,
+)
 from .interpolation import Evaluation, Profile, evaluate, moebius_form_eval
 from .kary import (
     GridSteps,
@@ -46,6 +52,7 @@ from .moebius import (
     rota_moebius,
 )
 from .poset import Poset, connected_components, linear_extension
+from .rationals import as_fraction
 
 
 class CrossCheckFailure(Exception):
@@ -67,14 +74,20 @@ def _print_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, default=str) + "\n")
 
 
+def _not_finite(literal: str):
+    raise ValueError(f"{literal} is not a finite number")
+
+
 def _load(path, parse, *extra):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
+            # number literals are read exactly, within the string reader's bounds
+            obj = json.load(handle, parse_float=as_fraction, parse_constant=_not_finite)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}", file=str(path)) from None
     except (ValueError, RecursionError) as exc:
-        # bad JSON or UTF-8, an integer over the digit limit, too deep nesting
+        # bad JSON or UTF-8, an integer over the digit limit, a number literal
+        # out of bounds or not finite, too deep nesting
         raise FileFormatError(f"{path} is not valid JSON: {exc}", file=str(path)) from None
     try:
         return parse(obj, *extra)
@@ -96,8 +109,25 @@ def _dot(name, nodes, edges, label) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _exact(value: Fraction) -> str:
+    """``value`` as the CLI prints every exact value, refused when its
+    numerator or denominator has more digits than the interpreter's
+    int-to-string limit."""
+    try:
+        return str(value)
+    except ValueError:
+        cap = sys.get_int_max_str_digits()
+        raise SizeLimitExceeded(
+            f"exact value has a numerator or denominator over {cap} digits", cap=cap
+        ) from None
+
+
 def _value_payload(value: Fraction) -> dict:
-    return {"value": str(value), "float": float(value)}
+    try:
+        approximation = float(value)
+    except OverflowError:
+        approximation = None  # JSON has no infinity
+    return {"value": _exact(value), "float": approximation}
 
 
 def _capacity_diagnostics(capacity) -> list[str]:
@@ -119,10 +149,11 @@ def _dual_value(capacity, profile) -> Fraction:
 
 def _cross_check(payload, method, direct, dual, paths=("moebius", "direct")) -> dict:
     """Record the dual value in ``payload``; a disagreement is fatal."""
-    payload["cross_check"] = {"method": method, "value": str(dual), "agrees": dual == direct}
+    shown = _exact(dual)
+    payload["cross_check"] = {"method": method, "value": shown, "agrees": dual == direct}
     if dual != direct:
         raise CrossCheckFailure(
-            f"{paths[0]} path gives {dual}, {paths[1]} path gives {direct}"
+            f"{paths[0]} path gives {shown}, {paths[1]} path gives {_exact(direct)}"
         )
     return payload
 
@@ -157,7 +188,7 @@ def _eval_payload(
                 "criteria": list(steps.criteria),
                 "nodes": [vertex(v, list) for v in steps.nodes],
             }
-        report["weights"] = [str(w) for w in evaluation.weights]
+        report["weights"] = [_exact(w) for w in evaluation.weights]
         payload["decomposition"] = report
     if args.cross_check:
         method = "bipolar_moebius_form" if signed else "moebius_form"
@@ -215,7 +246,7 @@ def cmd_mobius(args):
         raise FileFormatError("provide exactly one of --capacity / --bipolar-capacity")
     if args.capacity:
         table = moebius_transform(_load(args.capacity, fileio.parse_capacity)).values
-        coefficients = [{"downset": sorted(d), "value": str(v)} for d, v in table.items()]
+        coefficients = [{"downset": sorted(d), "value": _exact(v)} for d, v in table.items()]
         return {"coefficients": coefficients}
     capacity = _load(args.bipolar_capacity, fileio.parse_bipolar_capacity)
     if not is_regular_mosaic(capacity.base):
@@ -223,7 +254,7 @@ def cmd_mobius(args):
             "the bipolar transform needs values on the whole extension"
         )
     table = bipolar_moebius_transform(capacity.lattice, capacity.values)
-    coefficients = [{**_pair_payload(pair), "value": str(v)} for pair, v in table.items()]
+    coefficients = [{**_pair_payload(pair), "value": _exact(v)} for pair, v in table.items()]
     return {"coefficients": coefficients}
 
 
@@ -285,7 +316,7 @@ def cmd_levels_eval(args):
         dual = evaluate(capacity, profile).value
         payload = _value_payload(value)
     payload["level_indices"] = list(indexing.indices)
-    payload["residues"] = [str(z) for z in indexing.residues]
+    payload["residues"] = [_exact(z) for z in indexing.residues]
     return _cross_check(payload, "staircase", value, dual, ("staircase", "point"))
 
 

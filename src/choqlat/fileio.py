@@ -1,8 +1,9 @@
 """JSON file formats: posets, lattices, capacities, profiles, scales.
 
-Rationals travel as strings ("3/10" or "0.3"); floats found in files are
-read through their decimal form, so every value survives a parse/serialize
-round trip exactly. Duplicate value entries are tolerated only when they
+Rationals travel as strings ("3/10" or "0.3"); the CLI hands number
+literals over as exact values read from their text, and a float a caller
+parsed is read through its shortest decimal form, so every value survives
+a parse/serialize round trip exactly. Duplicate value entries are tolerated only when they
 agree.
 """
 

@@ -102,14 +102,18 @@ def vertex_table(
     ``positions`` maps each vertex of the domain to its position, in domain
     order. A key found there needs no other check; any other key goes to
     ``vertex``, which checks it and returns it as a vertex (or raises). A
-    vertex left without a value is reported with an example. A table whose
-    keys are the domain's own vertex objects, in domain order (a capacity's
-    values), needs no lookup: each key is a vertex by identity. Such a
-    :class:`ValueTable` is handed over as it is, its values unread; any
-    other table's values are read by the package's one number reader
+    vertex left without a value is reported with an example. A
+    :class:`ValueTable` built on ``positions`` itself (a capacity's values,
+    a transform's output) is handed over as it is, unscanned and its values
+    unread. A table whose keys are the domain's own vertex objects, in
+    domain order, needs no lookup: each key is a vertex by identity, and
+    such a :class:`ValueTable` is handed over too; any other table's values
+    are read by the package's one number reader
     (:func:`~choqlat.rationals._ratio`) and scaled to their least common
     denominator.
     """
+    if isinstance(entries, ValueTable) and entries._positions is positions:
+        return entries
     if len(entries) == len(positions) and all(map(operator.is_, entries, positions)):
         if isinstance(entries, ValueTable):
             return entries

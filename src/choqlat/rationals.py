@@ -122,10 +122,11 @@ def _ratio(value) -> tuple[int, int]:
         raise TypeError("booleans are not numeric values")
     if isinstance(value, int):
         return Fraction(value).as_integer_ratio()
-    if isinstance(value, Decimal):
-        return value.as_integer_ratio()
-    if isinstance(value, float):
-        return Decimal(repr(value)).as_integer_ratio()
+    if isinstance(value, (Decimal, float)):
+        number = value if isinstance(value, Decimal) else Decimal(repr(value))
+        if not number.is_finite():
+            raise ValueError(f"{_shown(repr(value))} is not a finite number")
+        return number.as_integer_ratio()
     if isinstance(value, str):
         return _from_string(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
@@ -136,13 +137,14 @@ def as_fraction(value) -> Fraction:
 
     Accepts Fraction, int, Decimal, str ("3/10", "0.3", "3e-2") and float.
     Floats are read through their shortest decimal representation, so 0.3
-    becomes exactly 3/10 rather than the nearest binary double. A string
-    must be finite, at most ``MAX_DIGITS`` characters long and carry an
-    exponent of at most ``MAX_EXPONENT`` in size. Plain ASCII strings
-    (:func:`_read_plain`) are read on integers; every other string follows
-    the grammar of ``Fraction``, then of ``Decimal``. A Fraction is
-    returned as it is; anything else is read by :func:`_ratio` and made
-    into one ``Fraction``.
+    becomes exactly 3/10 rather than the nearest binary double. A value
+    must be finite (a string, a float and a Decimal that is not raise the
+    same "is not a finite number"), and a string at most ``MAX_DIGITS``
+    characters long with an exponent of at most ``MAX_EXPONENT`` in size.
+    Plain ASCII strings (:func:`_read_plain`) are read on integers; every
+    other string follows the grammar of ``Fraction``, then of ``Decimal``.
+    A Fraction is returned as it is; anything else is read by
+    :func:`_ratio` and made into one ``Fraction``.
     """
     if type(value) is str:
         numerator, denominator = _from_string(value)

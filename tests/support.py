@@ -6,6 +6,7 @@ helpers drive the seeded bulk runs in the acceptance module.
 
 from __future__ import annotations
 
+from array import array
 from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -14,6 +15,7 @@ import random
 from hypothesis import strategies as st
 
 import choqlat as cq
+from choqlat.birkhoff import _codes
 from choqlat.kary import LevelIndexing
 from choqlat.moebius import ValueTable, check_bipolar_pair
 from choqlat.rationals import MAX_DIGITS, MAX_EXPONENT
@@ -406,6 +408,64 @@ def slow_bipolar_cover_pairs(lattice: cq.DownsetLattice) -> list:
     return out
 
 
+# grids, a wedge and an antichain on which the step plans are checked
+PLAN_BASES = {
+    "grid3x2": cq.build_kary_base(3, 2),
+    "grid4x3": cq.build_kary_base(4, 3),
+    "grid4x4": cq.build_kary_base(4, 4),
+    "grid6x5": cq.build_kary_base(6, 5),
+    "wedge": wedge_poset(),
+    "antichain8": antichain(8),
+}
+
+
+def slow_step_plan(lattice: cq.DownsetLattice, sides: int) -> tuple:
+    """The step plan as it was built before every vertex had one code: keys
+    are lattice positions (one side) or pairs packed as p * |L| + q from the
+    positions p and q of their parts (two sides), and each key's lower
+    covers come from a per-element drop table, scaled into the side."""
+    position = lattice.derived(_codes)
+    width, n = len(lattice.base), len(position)
+    drops = [
+        [(t, position[code ^ 1 << t]) for t in range(width)
+         if code >> t & 1 and code ^ 1 << t in position]
+        for code in position
+    ]
+    index = {x: i for i, x in enumerate(lattice.elements)}
+    keys = range(n) if sides == 1 else [
+        index[pos] * n + index[neg] for pos, neg in cq.bipolar_extension(lattice)
+    ]
+    at = {key: k for k, key in enumerate(keys)}
+    steps = [[] for _ in range(sides * width)]
+    shifts = [(side * width, n ** (sides - 1 - side)) for side in range(sides)]
+    for k, key in enumerate(keys):
+        for shift, scale in shifts:
+            p = key // scale % n
+            for t, lower in drops[p]:
+                steps[shift + t] += (k, at[key + (lower - p) * scale])
+    flat = array("i")
+    for pairs in steps:
+        flat.extend(pairs)
+    return flat[0::2], flat[1::2]
+
+
+def slow_admissible_steps(lattice: cq.DownsetLattice) -> tuple:
+    """The covers between admissible pairs by filtering the extension's
+    step plan (:func:`slow_step_plan`) through the admissible positions:
+    (upper, lower) lists growing the positive part, then the negative."""
+    positions = {pair: i for i, pair in enumerate(cq.admissible_vertex_pairs(lattice))}
+    extension = cq.bipolar_extension(lattice)
+    stored = [positions.get(pair) for pair in extension]
+    rising, falling = ([], []), ([], [])
+    for key, lower in zip(*slow_step_plan(lattice, 2)):
+        upper_at, lower_at = stored[key], stored[lower]
+        if upper_at is not None and lower_at is not None:
+            steps = rising if extension[key].neg == extension[lower].neg else falling
+            steps[0].append(upper_at)
+            steps[1].append(lower_at)
+    return rising, falling
+
+
 def slow_bipolar_is_monotone(capacity: cq.BipolarCapacity) -> bool:
     stored = capacity.values
     for (pos, neg), value in stored.items():
@@ -467,10 +527,11 @@ def slow_as_fraction(value) -> Fraction:
         raise TypeError("booleans are not numeric values")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, Decimal):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(Decimal(repr(value)))
+    if isinstance(value, (Decimal, float)):
+        number = value if isinstance(value, Decimal) else Decimal(repr(value))
+        if number.is_nan() or number.is_infinite():
+            raise ValueError(f"{_slow_quoted(repr(value))} is not a finite number")
+        return Fraction(number)
     if isinstance(value, str):
         text = value.strip()
         if len(text) > MAX_DIGITS:

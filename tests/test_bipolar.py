@@ -10,9 +10,10 @@ import choqlat as cq
 import choqlat.bipolar
 import choqlat.birkhoff
 import choqlat.interpolation
-from choqlat.bipolar import _pair_positions
+from choqlat.bipolar import _admissible_steps, _pair_positions
 from choqlat.moebius import ValueTable
 from support import (
+    PLAN_BASES,
     PROFILE_VALUES,
     VALUE_KINDS,
     antichain,
@@ -31,6 +32,7 @@ from support import (
     reduce_order,
     signed_profiles,
     slow_admissible_pairs,
+    slow_admissible_steps,
     slow_bipolar_cover_pairs,
     slow_bipolar_is_monotone,
     slow_bipolar_moebius_form_eval,
@@ -45,6 +47,11 @@ from support import (
     wedge,
     wedge_poset,
 )
+
+
+def _steps_as_lists(lattice) -> tuple:
+    """``_admissible_steps`` with its arrays as lists, as the oracle gives."""
+    return tuple(tuple(map(list, steps)) for steps in _admissible_steps(lattice))
 
 
 def pair(pos=(), neg=()):
@@ -103,6 +110,28 @@ class TestExtension:
     @given(lattices(max_elements=6))
     def test_cover_pairs_match_oracle(self, lattice):
         assert cq.bipolar_cover_pairs(lattice) == slow_bipolar_cover_pairs(lattice)
+
+    @given(lattices(max_elements=6))
+    def test_admissible_steps_match_oracle(self, lattice):
+        assert _steps_as_lists(lattice) == slow_admissible_steps(lattice)
+
+    @pytest.mark.parametrize("base", PLAN_BASES.values(), ids=PLAN_BASES.keys())
+    def test_admissible_steps_match_oracle_on_larger_bases(self, base):
+        lattice = cq.DownsetLattice(base)
+        assert _steps_as_lists(lattice) == slow_admissible_steps(lattice)
+
+    @given(lattices(max_elements=6))
+    def test_pair_positions_name_the_split_pairs(self, lattice):
+        """Every downset, split along every tile, is found at the position
+        of the pair (its part in the tile, its part outside)."""
+        pairs = cq.admissible_vertex_pairs(lattice)
+        bit = lattice.base._bit
+        masks = [sum(map(bit.get, d)) for d in lattice.elements]
+        for positive in lattice.complemented():
+            positions = _pair_positions(lattice, masks, sum(map(bit.get, positive)))
+            assert [pairs[k] for k in positions] == [
+                pair(d & positive, d - positive) for d in lattice.elements
+            ]
 
     def test_cap(self, monkeypatch):
         for base, size in [(cq.build_kary_base(3, 2), 25), (wedge_poset(), 11)]:

@@ -5,12 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import choqlat as cq
+from choqlat.birkhoff import _extension_plan, _lattice_plan
 from support import (
+    PLAN_BASES,
     antichain,
     chain,
     explicit_orders,
     lattices,
     slow_cover_pairs,
+    slow_step_plan,
     slow_verify_distributive,
     wedge_poset,
 )
@@ -64,6 +67,22 @@ class TestAccessors:
     @given(lattices(max_elements=6))
     def test_cover_pairs_match_oracle(self, lattice):
         assert lattice.cover_pairs() == slow_cover_pairs(lattice)
+
+
+class TestStepPlans:
+    """The one walk over a family's code table against the plan built with
+    sides, drop tables and packed position keys: the same arrays."""
+
+    @given(lattices(max_elements=6))
+    def test_match_oracle(self, lattice):
+        assert _lattice_plan(lattice) == slow_step_plan(lattice, 1)
+        assert _extension_plan(lattice) == slow_step_plan(lattice, 2)
+
+    @pytest.mark.parametrize("base", PLAN_BASES.values(), ids=PLAN_BASES.keys())
+    def test_match_oracle_on_larger_bases(self, base):
+        lattice = cq.DownsetLattice(base)
+        assert _lattice_plan(lattice) == slow_step_plan(lattice, 1)
+        assert _extension_plan(lattice) == slow_step_plan(lattice, 2)
 
 
 class TestComplemented:

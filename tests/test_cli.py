@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import choqlat as cq
-from choqlat import fileio
+from choqlat import cli, fileio
 from choqlat.cli import main
 from choqlat.rationals import _shown
 from support import antichain, random_bipolar_capacity, random_capacity, wedge, wedge_poset
@@ -833,3 +833,119 @@ class TestBoundedMessages:
         with pytest.raises(ValueError) as info:
             cq.as_fraction(raw)
         assert str(info.value) == message.format(cut(repr(raw)))
+
+
+def chain_capacity_file(tmp_path, m: int) -> str:
+    """A capacity i/m on the i-th downset of a chain of ``m`` elements."""
+    labels = [f"x{i:02d}" for i in range(m)]
+    lattice = {"elements": labels, "covers": [[a, b] for a, b in zip(labels, labels[1:])]}
+    values = [{"downset": labels[:i], "value": f"{i}/{m}"} for i in range(m + 1)]
+    return write(tmp_path, "chain.json", {"lattice": lattice, "values": values})
+
+
+class TestLargeExactValues:
+    """Every exact value the CLI prints goes through one rendering: a
+    numerator or denominator past the interpreter's int-to-string limit
+    exits 2 with ``size_limit_exceeded``, and a value past the double range
+    prints its exact text with ``float`` null."""
+
+    def test_too_many_digits(self, capsys, tmp_path):
+        # 12 values of 490-digit denominators, nearly coprime: the value's
+        # denominator has several thousand digits
+        labels = [f"x{i:02d}" for i in range(12)]
+        denominators = [10**489 + 2 * k + 1 for k in range(12)]
+        values = {
+            label: f"{q // (k + 2)}/{q}" for k, (label, q) in enumerate(zip(labels, denominators))
+        }
+        ppath = write(tmp_path, "profile.json", {"values": values})
+        assert os.path.getsize(ppath) < 12_000
+        code, payload = run_json(
+            capsys, "choquet", "eval", "--capacity", chain_capacity_file(tmp_path, 12),
+            "--profile", ppath,
+        )
+        assert code == 2
+        assert payload["error"]["code"] == "size_limit_exceeded"
+        assert payload["error"]["cap"] == sys.get_int_max_str_digits()
+
+    def test_moebius_coefficients_with_too_many_digits(self, capsys, tmp_path):
+        lattice = cq.DownsetLattice(antichain(4))
+        values = {d: f"1/{10**490 + 2 * k + 1}" for k, d in enumerate(lattice.elements)}
+        capacity = cq.GeneralizedCapacity(lattice, values)
+        cpath = write(tmp_path, "capacity.json", fileio.capacity_payload(capacity))
+        code, payload = run_json(capsys, "mobius", "--capacity", cpath)
+        assert code == 2
+        assert payload["error"]["code"] == "size_limit_exceeded"
+
+    def test_too_large_for_a_float(self, capsys, tmp_path):
+        values = [
+            {"node": [i, j], "value": "1e400" if (i, j) == (1, 1) else "0"}
+            for i in range(2) for j in range(2)
+        ]
+        cpath = write(tmp_path, "grid.json", {"k": 2, "n": 2, "values": values})
+        ppath = write(tmp_path, "profile.json", {"values": {"c1l1": "0.5", "c2l1": "0.3"}})
+        code, payload = run_json(
+            capsys, "kary", "eval", "--capacity", cpath, "--profile", ppath, "--cross-check"
+        )
+        assert code == 0
+        assert payload["value"] == str(3 * 10**399)
+        assert payload["float"] is None
+        assert payload["cross_check"]["value"] == payload["value"]
+
+    def test_a_float_in_range_is_printed(self, capsys, tmp_path):
+        _, _, cpath, ppath = choquet_files(tmp_path)
+        code, payload = run_json(capsys, "choquet", "eval", "--capacity", cpath, "--profile", ppath)
+        assert code == 0
+        assert payload["float"] == float(Fraction(payload["value"]))
+
+
+def write_text(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+class TestJsonNumberLiterals:
+    """A JSON number literal is read by the bounded string reader, so it
+    keeps its exact decimal value and obeys the same limits as a string;
+    the non-finite literals are not JSON numbers at all."""
+
+    def profile_run(self, capsys, tmp_path, literal):
+        _, _, cpath, _ = choquet_files(tmp_path)
+        ppath = write_text(
+            tmp_path, "literal.json", f'{{"values": {{"a": {literal}, "b": 0, "c": 0}}}}'
+        )
+        return run_json(capsys, "choquet", "eval", "--capacity", cpath, "--profile", ppath)
+
+    def test_huge_literal_in_a_profile_is_out_of_range(self, capsys, tmp_path):
+        code, payload = self.profile_run(capsys, tmp_path, "1e400")
+        assert code == 2
+        assert payload["error"]["code"] == "value_out_of_range"
+        assert payload["error"]["label"] == "a"
+
+    @pytest.mark.parametrize("literal", ["1e2000", "Infinity", "-Infinity", "NaN"])
+    def test_unbounded_literals_are_file_format_errors(self, capsys, tmp_path, literal):
+        code, payload = self.profile_run(capsys, tmp_path, literal)
+        assert code == 2
+        assert payload["error"]["code"] == "file_format"
+
+    @pytest.mark.parametrize(
+        "literal, value",
+        [("1e-400", Fraction(1, 10**400)), ("0.30000000000000001", Fraction(30000000000000001, 10**17))],
+    )
+    def test_literals_read_exactly(self, tmp_path, literal, value):
+        path = write_text(tmp_path, "exact.json", f'{{"values": {{"a": {literal}, "b": 0, "c": 0}}}}')
+        assert cli._load(path, fileio.parse_profile, wedge_poset()).values["a"] == value
+
+    def test_huge_literal_in_a_capacity_loads_exactly(self, capsys, tmp_path):
+        cells = ", ".join(
+            f'{{"node": [{i}, {j}], "value": {"1e400" if (i, j) == (1, 1) else 0}}}'
+            for i in range(2) for j in range(2)
+        )
+        cpath = write_text(tmp_path, "grid.json", f'{{"k": 2, "n": 2, "values": [{cells}]}}')
+        _, _, capacity = cli._load(cpath, fileio.parse_kary_capacity)
+        assert capacity.values[capacity.lattice.top] == 10**400
+        ppath = write(tmp_path, "profile.json", {"values": {"c1l1": "1", "c2l1": "1"}})
+        code, payload = run_json(capsys, "kary", "eval", "--capacity", cpath, "--profile", ppath)
+        assert code == 0
+        assert payload["value"] == str(10**400)
+        assert payload["float"] is None

@@ -110,6 +110,18 @@ class TestValueParsing:
         with pytest.raises(ValueError):
             cq.as_fraction(raw)
 
+    @pytest.mark.parametrize(
+        "raw", [float("inf"), float("-inf"), float("nan"), Decimal("Infinity"), Decimal("-Infinity"),
+                Decimal("NaN"), Decimal("sNaN")]
+    )
+    def test_non_finite_floats_and_decimals_read_as_strings_do(self, raw):
+        """A float or Decimal that is not finite fails as a string that is
+        not finite does: a ``ValueError`` with the same wording."""
+        for read in (cq.as_fraction, rationals._ratio):
+            with pytest.raises(ValueError) as info:
+                read(raw)
+            assert str(info.value) == f"{raw!r} is not a finite number"
+
     def test_rejects_overlong_strings(self):
         digits = "1" * rationals.MAX_DIGITS
         assert cq.as_fraction(digits) == int(digits)

@@ -216,6 +216,23 @@ class TestTransforms:
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
 
+    def test_table_on_the_domain_positions_is_handed_over_unscanned(self):
+        """A table built on the domain's own position dict is returned
+        before any key is compared; a table on another dict with the same
+        keys is still scanned."""
+        lattice = cq.DownsetLattice(wedge_poset())
+
+        class Unscannable(dict):
+            def __iter__(self):
+                raise AssertionError("the position dict was scanned")
+
+        positions = Unscannable((x, i) for i, x in enumerate(lattice.elements))
+        table = ValueTable(positions, list(range(len(positions))), 3)
+        assert vertex_table(positions, table, lattice.check_element, "elements") is table
+        other = ValueTable(dict(positions), list(range(len(positions))), 3)
+        with pytest.raises(AssertionError, match="scanned"):
+            vertex_table(positions, other, lattice.check_element, "elements")
+
     def test_keys_outside_the_position_table_get_the_key_check(self):
         """Own keys in domain order are read by identity, keys equal to a
         vertex by one position lookup, and only other keys go through the
