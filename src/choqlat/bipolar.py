@@ -19,7 +19,6 @@ profile.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,8 +27,8 @@ from typing import Iterable, Mapping
 from .birkhoff import (
     BipolarElement,
     DownsetLattice,
-    _pair_codes,
-    _step_plan,
+    _extension_family,
+    _Family,
     bipolar_extension,
 )
 from .errors import (
@@ -51,7 +50,7 @@ from .interpolation import (
     choquet_classical,
     triangulate,
 )
-from .moebius import ValueTable, _numerators, check_bipolar_pair, vertex_table
+from .moebius import ValueTable, _CapacityBody, _numerators, check_bipolar_pair
 from .poset import Poset, connected_components, is_downset
 from .rationals import as_fraction
 
@@ -208,6 +207,8 @@ def admissible_vertex_pairs(
 def _admissible_pairs(lattice: DownsetLattice) -> tuple[BipolarElement, ...]:
     # both parts of a disjoint pair meet a component only if it has two bottoms
     shared = [c.members for c in connected_components(lattice.base) if len(c.minimals) > 1]
+    if not shared:
+        return bipolar_extension(lattice)
     return tuple(
         pair
         for pair in bipolar_extension(lattice)
@@ -215,16 +216,12 @@ def _admissible_pairs(lattice: DownsetLattice) -> tuple[BipolarElement, ...]:
     )
 
 
-def _admissible_positions(lattice: DownsetLattice) -> dict[BipolarElement, int]:
-    """Each admissible vertex pair mapped to its position, in order."""
-    return {pair: i for i, pair in enumerate(admissible_vertex_pairs(lattice))}
-
-
-def _admissible_codes(lattice: DownsetLattice) -> dict[int, int]:
-    """Each admissible vertex pair mapped from its code in the doubled base
-    (:func:`~choqlat.birkhoff._pair_codes`: the positive part in the low
-    bits) to its position among the admissible pairs."""
-    return _pair_codes(lattice, admissible_vertex_pairs(lattice))
+def _admissible_family(lattice: DownsetLattice) -> _Family:
+    """The admissible vertex pairs as a vertex family: on a regular mosaic
+    the extension's own family, else a down-closed family of its own."""
+    pairs = admissible_vertex_pairs(lattice)
+    extension = lattice.derived(_extension_family)
+    return extension if pairs is extension.vertices else _Family(pairs, lattice, signed=True)
 
 
 def _pair_positions(lattice: DownsetLattice, masks: Iterable[int], positive: int) -> list[int]:
@@ -232,22 +229,12 @@ def _pair_positions(lattice: DownsetLattice, masks: Iterable[int], positive: int
     (bit codes of downsets), each split along the tile whose positive side
     has the bit code ``positive``: the bits outside it move to the negative
     half of the pair's code."""
-    pairs = lattice.derived(_admissible_codes)
+    pairs = lattice.derived(_admissible_family).codes
     width = len(lattice.base)
     return [pairs[(m & ~positive) << width | m & positive] for m in masks]
 
 
-def _admissible_steps(lattice: DownsetLattice) -> tuple[tuple, tuple]:
-    """The covers between admissible pairs, as (upper, lower) arrays of
-    positions among those pairs (step plans of the admissible codes, a
-    down-closed family): first the steps that grow the positive part, then
-    those that grow the negative part."""
-    at = lattice.derived(_admissible_codes)
-    positive = (1 << len(lattice.base)) - 1
-    return _step_plan(at, positive), _step_plan(at, ~positive)
-
-
-class BipolarCapacity:
+class BipolarCapacity(_CapacityBody):
     """Rational values on every signed vertex that lies in some tile.
 
     One value per vertex globally: overlapping tiles share vertices by
@@ -260,12 +247,12 @@ class BipolarCapacity:
     """
 
     def __init__(self, lattice: DownsetLattice, values: Mapping):
-        positions = lattice.derived(_admissible_positions)
+        family = lattice.derived(_admissible_family)
 
         def vertex(key) -> tuple[frozenset, frozenset]:
             # a key the position table does not hold: report it as the full check does
             pos, neg = pair = check_bipolar_pair(lattice, key)
-            if pair not in positions:
+            if pair not in family.positions:
                 raise NotInTile(
                     f"({sorted(pos)!r}, {sorted(neg)!r}) lies in no tile",
                     pos=sorted(pos),
@@ -273,8 +260,7 @@ class BipolarCapacity:
                 )
             return pair
 
-        self.values = vertex_table(positions, values, vertex, "signed vertices in a tile")
-        self.lattice = lattice
+        self._hold(family, values, vertex, "signed vertices in a tile")
         self.base = lattice.base
 
     def __call__(self, pair) -> Fraction:
@@ -290,26 +276,10 @@ class BipolarCapacity:
     def __repr__(self) -> str:
         return f"BipolarCapacity(on {len(self.values)} signed vertices)"
 
-    @property
-    def is_game(self) -> bool:
-        """True when (bottom, bottom) (position 0) carries value zero."""
-        return self.values._integers[0][0] == 0
-
-    @cached_property
-    def is_monotone(self) -> bool:
-        """Nondecreasing in the positive part, nonincreasing in the negative,
-        along every cover of the extension (its step plan) between stored
-        vertices."""
-        at = self.values._integers[0].__getitem__
-        (up, low), (up_neg, low_neg) = self.lattice.derived(_admissible_steps)
-        return all(map(operator.le, map(at, low), map(at, up))) and all(
-            map(operator.ge, map(at, low_neg), map(at, up_neg))
-        )
-
     def check_normalized(self) -> bool:
         """Optional normalization: 1 at (top, bottom) and -1 at (bottom, top)."""
         numerators, denominator = self.values._integers
-        at = self.lattice.derived(_admissible_positions)
+        at = self._family.positions
         top, empty = self.lattice.top, frozenset()
         return (
             numerators[at[BipolarElement(top, empty)]] == denominator

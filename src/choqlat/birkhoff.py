@@ -9,12 +9,13 @@ the boundary by :func:`verify_distributive`.
 The bits are the base poset's own (base element j is bit (position of j in
 the linear extension)), and every vertex has one code: a lattice element
 its bits, a pair of disjoint elements those of a downset of two copies of
-the base, positive part low. Each lattice keeps one table of its elements'
-codes; the bipolar extension, the ordered pairs of disjoint elements, is
-enumerated from it per downset, counted before it is built. The lattice,
-the extension and the admissible pairs are down-closed families of codes,
-and one walk over a family's code table lists its covers: the step plan of
-the zeta/Moebius transforms, also the Hasse diagram that every covering
+the base, positive part low. The lattice's elements, the bipolar extension
+(the ordered pairs of disjoint elements, enumerated per downset from the
+elements' codes, counted before they are built) and the admissible pairs
+are down-closed families of codes, each one :class:`_Family` record kept
+with the lattice: its vertices, positions, codes and step plan. One walk
+over a family's code table lists its covers: the step plan of the
+zeta/Moebius transforms, also the Hasse diagram that every covering
 relation is read from.
 """
 
@@ -61,7 +62,7 @@ class DownsetLattice:
 
     def __contains__(self, item) -> bool:
         try:
-            return frozenset(item) in self.derived(_element_positions)
+            return frozenset(item) in self.derived(_lattice_family).positions
         except TypeError:
             return False
 
@@ -93,7 +94,7 @@ class DownsetLattice:
         it is, in downset form, the element itself.
         """
         member = frozenset(x)
-        if member not in self.derived(_element_positions):
+        if member not in self.derived(_lattice_family).positions:
             raise NotAnElement(
                 f"{sorted(member)!r} is not a downset of the base poset",
                 element=sorted(member),
@@ -123,11 +124,11 @@ class DownsetLattice:
     def cover_pairs(self) -> list[tuple[frozenset, frozenset]]:
         """All covering pairs (lower, upper), by lower then upper position;
         upper adds one base element."""
-        return _covers(self.elements, self.derived(_lattice_plan))
+        return self.derived(_lattice_family).covers()
 
     def complemented(self) -> dict[frozenset, frozenset]:
         """Elements whose set complement is again a downset, with complements."""
-        member = self.derived(_element_positions)
+        member = self.derived(_lattice_family).positions
         top = self.top
         return {d: top - d for d in self.elements if (top - d) in member}
 
@@ -144,7 +145,7 @@ def bipolar_extension(lattice: DownsetLattice) -> tuple[BipolarElement, ...]:
     of the positive part, then of the negative part. Built once per lattice;
     refused with :class:`SizeLimitExceeded` before it is built when the
     count is over ``DOWNSET_CAP``."""
-    return lattice.derived(_extension)
+    return lattice.derived(_extension_family).vertices
 
 
 def bipolar_cover_pairs(
@@ -157,34 +158,62 @@ def bipolar_cover_pairs(
     position in :func:`bipolar_extension` of the lower element, then of the
     upper one.
     """
-    return _covers(bipolar_extension(lattice), lattice.derived(_extension_plan))
+    return lattice.derived(_extension_family).covers()
 
 
-def _element_positions(lattice: DownsetLattice) -> dict[frozenset, int]:
-    """Each lattice element mapped to its position, in lattice order."""
-    return {x: i for i, x in enumerate(lattice.elements)}
+class _Family:
+    """One vertex family of a lattice: its ``vertices`` in domain order, and,
+    each built on first read, their ``positions``, their ``codes`` and the
+    family's step ``plan``.
+
+    ``signed`` families hold pairs (pos, neg) of disjoint lattice elements.
+    A pair's code is the code of a downset of two copies of the base,
+    code(neg) << |base| | code(pos): the positive part in the low bits.
+    """
+
+    def __init__(self, vertices: tuple, lattice: DownsetLattice, signed: bool):
+        self.vertices, self.lattice, self.signed = vertices, lattice, signed
+
+    @cached_property
+    def positions(self) -> dict:
+        """Each vertex mapped to its position."""
+        return {v: k for k, v in enumerate(self.vertices)}
+
+    @cached_property
+    def codes(self) -> dict[int, int]:
+        """Each vertex's code mapped to its position, in domain order."""
+        if not self.signed:
+            bit = self.lattice.base._bit
+            return {sum(map(bit.get, x)): k for k, x in enumerate(self.vertices)}
+        elements = self.lattice.derived(_lattice_family)
+        code = dict(zip(elements.vertices, elements.codes))
+        width = len(self.lattice.base)
+        return {code[neg] << width | code[pos]: k for k, (pos, neg) in enumerate(self.vertices)}
+
+    @cached_property
+    def plan(self) -> tuple:
+        """The step plan of :func:`_step_plan` over :attr:`codes`."""
+        return _step_plan(self.codes, len(self.lattice.base))
+
+    def covers(self) -> list[tuple]:
+        """The (lower, upper) pairs of the plan, by the position of the
+        lower vertex, then of the upper one."""
+        keys, lowers, _ = self.plan
+        return [(self.vertices[lo], self.vertices[up]) for lo, up in sorted(zip(lowers, keys))]
 
 
-def _extension_positions(lattice: DownsetLattice) -> dict[BipolarElement, int]:
-    """Each pair of the bipolar extension mapped to its position, in order."""
-    return {pair: k for k, pair in enumerate(bipolar_extension(lattice))}
+def _lattice_family(lattice: DownsetLattice) -> _Family:
+    return _Family(lattice.elements, lattice, signed=False)
 
 
-def _codes(lattice: DownsetLattice) -> dict[int, int]:
-    """The bit-code table: each element's code, mapped to its position in
-    the lattice, in lattice order."""
-    bit = lattice.base._bit
-    return {sum(map(bit.get, x)): i for i, x in enumerate(lattice.elements)}
-
-
-def _extension(lattice: DownsetLattice) -> tuple[BipolarElement, ...]:
+def _extension_family(lattice: DownsetLattice) -> _Family:
     """A disjoint pair (a, b) is a downset d = a | b whose connected
     components each go to one side, so d gives 2^(components of d) pairs.
     Less its highest bit (its last element in the linear extension), d is a
     downset whose components are known; that element joins those that hold
     an element below it. The pairs are counted first, then built, sorted on
     the integers p * |L| + q for the positions p and q of their parts."""
-    position = lattice.derived(_codes)
+    position = lattice.derived(_lattice_family).codes
     base = lattice.base
     below = [base._down[j] ^ bit for j, bit in base._bit.items()]
     parts, size = {0: ()}, 1
@@ -207,42 +236,27 @@ def _extension(lattice: DownsetLattice) -> tuple[BipolarElement, ...]:
         keys += [position[side] * n + position[code ^ side] for side in sides]
     keys.sort()
     elems = lattice.elements
-    return tuple([BipolarElement(elems[key // n], elems[key % n]) for key in keys])
+    pairs = tuple([BipolarElement(elems[key // n], elems[key % n]) for key in keys])
+    return _Family(pairs, lattice, signed=True)
 
 
-def _pair_codes(lattice: DownsetLattice, pairs) -> dict[int, int]:
-    """Each pair (pos, neg) of disjoint lattice elements in ``pairs`` as its
-    downset code in the doubled base, code(neg) << |base| | code(pos) (the
-    positive part in the low bits), mapped to its position in ``pairs``."""
-    codes = list(lattice.derived(_codes))
-    index = lattice.derived(_element_positions)
-    width = len(lattice.base)
-    return {
-        codes[index[neg]] << width | codes[index[pos]]: k for k, (pos, neg) in enumerate(pairs)
-    }
+def _step_plan(at: dict[int, int], width: int) -> tuple:
+    """Index arrays (keys, lowers) of a family of codes, a key and its
+    lower key at each step that clears one bit, the steps by bit; and the
+    number of steps that clear one of the low ``width`` bits, which come
+    first (the steps that grow the positive part of a pair).
 
-
-def _extension_codes(lattice: DownsetLattice) -> dict[int, int]:
-    """The code table of the bipolar extension, in extension order."""
-    return _pair_codes(lattice, bipolar_extension(lattice))
-
-
-def _step_plan(at: dict[int, int], bits: int = -1) -> tuple:
-    """Index pairs (key, key less one element) of a family of codes, for
-    every step that clears one bit within ``bits``, the steps by bit.
-
-    ``at`` maps each code of the family to its position: the lattice
-    (:func:`_codes`), the bipolar extension (:func:`_extension_codes`) or a
-    down-closed family of either. A key takes part in the step of bit t when
-    clearing t leaves a code of the family. The family is down-closed, so
-    each interval below a key is the same in it as in the full product of
-    lattices, and the pairs are its covering pairs, each once. Within one
-    step no key is another's lower key, so the flat sequence, read
-    backwards, is also the inverse's order of steps.
+    ``at`` maps each code of a down-closed family to its position. A key
+    takes part in the step of bit t when clearing t leaves a code of the
+    family. The family is down-closed, so each interval below a key is the
+    same in it as in the full product of lattices, and the pairs are its
+    covering pairs, each once. Within one step no key is another's lower
+    key, so the flat sequence, read backwards, is also the inverse's order
+    of steps.
     """
     steps = [[] for _ in range(max(at).bit_length())]
     for code, k in at.items():
-        rest = code & bits
+        rest = code
         while rest:
             bit = rest & -rest
             rest ^= bit
@@ -250,24 +264,12 @@ def _step_plan(at: dict[int, int], bits: int = -1) -> tuple:
             if lower is not None:
                 steps[bit.bit_length() - 1] += (k, lower)
     flat = array("i")
-    for pairs in steps:
+    for pairs in steps[:width]:
         flat.extend(pairs)
-    return flat[0::2], flat[1::2]
-
-
-def _lattice_plan(lattice: DownsetLattice) -> tuple:
-    return _step_plan(lattice.derived(_codes))
-
-
-def _extension_plan(lattice: DownsetLattice) -> tuple:
-    return _step_plan(lattice.derived(_extension_codes))
-
-
-def _covers(domain: tuple, plan: tuple) -> list[tuple]:
-    """The (lower, upper) pairs of a step plan over ``domain``, by the
-    position of the lower element, then of the upper one."""
-    keys, lowers = plan
-    return [(domain[lo], domain[up]) for lo, up in sorted(zip(lowers, keys))]
+    rising = len(flat) // 2
+    for pairs in steps[width:]:
+        flat.extend(pairs)
+    return flat[0::2], flat[1::2], rising
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from . import fileio
 from .bipolar import (
@@ -53,6 +54,11 @@ from .moebius import (
 )
 from .poset import Poset, connected_components, linear_extension
 from .rationals import as_fraction
+
+
+# most label strings one output may print: two chains of 128 elements print
+# 8,487,168 in `bipolar enumerate`, two chains of 256 print 67,502,592
+OUTPUT_LABEL_CAP = 1 << 24
 
 
 class CrossCheckFailure(Exception):
@@ -272,11 +278,24 @@ def cmd_bipolar_eval(args):
     return _eval_payload(args, capacity, profile, evaluate_bipolar(capacity, profile))
 
 
+def _label_count(pairs) -> int:
+    return sum(len(pos) + len(neg) for pos, neg in pairs)
+
+
 def cmd_bipolar_enumerate(args):
     lattice, _ = _load(args.file, fileio.parse_lattice)
     extension = bipolar_extension(lattice)
+    # the labels the output prints, counted before it is built: each part of
+    # each pair, and with --dot each part of both ends of every cover
+    labels = _label_count(extension)
+    edges = bipolar_cover_pairs(lattice) if args.dot and labels <= OUTPUT_LABEL_CAP else []
+    labels += _label_count(chain.from_iterable(edges))
+    if labels > OUTPUT_LABEL_CAP:
+        raise SizeLimitExceeded(
+            f"the output would print at least {labels} labels, over the cap {OUTPUT_LABEL_CAP}",
+            cap=OUTPUT_LABEL_CAP,
+        )
     if args.dot:
-        edges = bipolar_cover_pairs(lattice)
         return _dot("bipolar_extension", extension, edges, _pair_text)
     return {
         "count": len(extension),

@@ -55,7 +55,7 @@ from .errors import (
     NotZeroOne,
     ValueOutOfRange,
 )
-from .birkhoff import BipolarElement, _codes
+from .birkhoff import BipolarElement
 from .moebius import GeneralizedCapacity
 from .poset import Poset, linear_extension
 from .rationals import _ratio, _shown, as_fraction
@@ -321,7 +321,7 @@ def evaluate(functional: GeneralizedCapacity, profile: Profile) -> Evaluation:
     if functional.lattice.base != profile.base:
         raise BaseMismatch("capacity and profile are over different base posets")
     dec = triangulate(profile)
-    positions = map(functional.lattice.derived(_codes).__getitem__, dec._masks)
+    positions = map(functional._family.codes.__getitem__, dec._masks)
     return Evaluation.along(functional.values._integers, positions, dec)
 
 

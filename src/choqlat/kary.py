@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .birkhoff import _codes
 from .bipolar import BipolarCapacity, BipolarProfile, _pair_positions
 from .errors import InvalidDimensions, OutOfScale
 from .interpolation import Evaluation, Profile, _chain_value, _sort_keys
@@ -304,7 +303,7 @@ def _corner_sweep(
         corner |= bit[level_label(criterion, indices[criterion - 1])]
         corners.append(corner)
     if positive is None:
-        positions = map(lattice.derived(_codes).__getitem__, corners)
+        positions = map(capacity._family.codes.__getitem__, corners)
     else:
         positions = _pair_positions(lattice, corners, positive)
     levels = [residues[criterion - 1].as_integer_ratio() for criterion in order]

@@ -15,15 +15,15 @@ otherwise (Rota 1964). The zeta/Moebius transform pair therefore runs as one
 accumulation (or difference) pass per base element along a linear
 extension, in O(n |L|); the bipolar extension, a down-closed family of
 downset pairs, takes one pass per (side, base element). Which vertex each
-step combines with which depends on the lattice alone, so that step plan,
-two integer arrays that are also the Hasse diagram, is built once per
-lattice by :mod:`~choqlat.birkhoff` and kept with it. Each transform runs
+step combines with which depends on the vertex family alone, so that step
+plan, two integer arrays that are also the Hasse diagram, is built once per
+family by :mod:`~choqlat.birkhoff` and kept with the lattice. Each transform runs
 the plan's additions (or, backwards, its subtractions) on the numerators,
 and its output keeps the input's denominator: the fast Moebius transform of
 Kennes 1992, on integer arrays.
 
-No cache is global: step plans and position tables live on the
-:class:`DownsetLattice` they were built for (:meth:`DownsetLattice.derived`),
+No cache is global: the vertex families, with their step plans and position
+tables, live on the :class:`DownsetLattice` they were built for (:meth:`DownsetLattice.derived`),
 and the memo of the defining recursion :func:`rota_moebius`, which remains
 for arbitrary finite orders, is created per call or passed in explicitly.
 Callers that share nothing need no coordination.
@@ -40,10 +40,9 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 from .birkhoff import (
     DownsetLattice,
-    _element_positions,
-    _extension_plan,
-    _extension_positions,
-    _lattice_plan,
+    _extension_family,
+    _Family,
+    _lattice_family,
     bipolar_extension,
 )
 from .errors import (
@@ -105,19 +104,12 @@ def vertex_table(
     vertex left without a value is reported with an example. A
     :class:`ValueTable` built on ``positions`` itself (a capacity's values,
     a transform's output) is handed over as it is, unscanned and its values
-    unread. A table whose keys are the domain's own vertex objects, in
-    domain order, needs no lookup: each key is a vertex by identity, and
-    such a :class:`ValueTable` is handed over too; any other table's values
-    are read by the package's one number reader
-    (:func:`~choqlat.rationals._ratio`) and scaled to their least common
-    denominator.
+    unread; any other table's values are read by the package's one number
+    reader (:func:`~choqlat.rationals._ratio`) and scaled to their least
+    common denominator.
     """
     if isinstance(entries, ValueTable) and entries._positions is positions:
         return entries
-    if len(entries) == len(positions) and all(map(operator.is_, entries, positions)):
-        if isinstance(entries, ValueTable):
-            return entries
-        return ValueTable(positions, *_numerators(entries.values()))
     values: list = [None] * len(positions)
     for key, raw in entries.items():
         try:
@@ -150,20 +142,44 @@ def _scaled(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
     return [n * (denominator // d) for n, d in pairs], denominator
 
 
-class GeneralizedCapacity:
+class _CapacityBody:
+    """What both capacity kinds share: ``values``, the one
+    :class:`ValueTable` that :func:`vertex_table` makes of the caller's
+    table on the positions of a vertex family, and the checks that read its
+    numerators by position."""
+
+    def _hold(self, family: _Family, values: Mapping, vertex: Callable, what: str):
+        self.values = vertex_table(family.positions, values, vertex, what)
+        self.lattice, self._family = family.lattice, family
+
+    @property
+    def is_game(self) -> bool:
+        """True when the bottom vertex (position 0) carries value zero."""
+        return self.values._integers[0][0] == 0
+
+    @cached_property
+    def is_monotone(self) -> bool:
+        """Nondecreasing along the steps of the family's plan that grow the
+        positive part, nonincreasing along the others (a lattice has only
+        the former)."""
+        at = self.values._integers[0].__getitem__
+        keys, lowers, rising = self._family.plan
+        return all(map(operator.le, map(at, lowers[:rising]), map(at, keys[:rising]))) and all(
+            map(operator.ge, map(at, lowers[rising:]), map(at, keys[rising:]))
+        )
+
+
+class GeneralizedCapacity(_CapacityBody):
     """A rational value attached to every element of a downset lattice: a
     capacity, a game, or the Moebius coefficients of one.
 
-    ``values`` is the one :class:`ValueTable` that :func:`vertex_table`
-    makes of the caller's table, in lattice order: one numerator per
-    lattice position over one denominator. A transform's output is such a
-    table, taken over unread.
+    ``values`` holds one numerator per lattice position over one
+    denominator. A transform's output is such a table, taken over unread.
     """
 
     def __init__(self, lattice: DownsetLattice, values: Mapping):
-        positions = lattice.derived(_element_positions)
-        self.values = vertex_table(positions, values, lattice.check_element, "lattice elements")
-        self.lattice = lattice
+        family = lattice.derived(_lattice_family)
+        self._hold(family, values, lattice.check_element, "lattice elements")
 
     def __call__(self, x) -> Fraction:
         try:
@@ -173,18 +189,6 @@ class GeneralizedCapacity:
 
     def __repr__(self) -> str:
         return f"GeneralizedCapacity(on {len(self.lattice)} elements)"
-
-    @property
-    def is_game(self) -> bool:
-        """True when the bottom element (position 0) carries value zero."""
-        return self.values._integers[0][0] == 0
-
-    @cached_property
-    def is_monotone(self) -> bool:
-        """Nondecreasing along every cover of the lattice (its step plan)."""
-        at = self.values._integers[0].__getitem__
-        keys, lowers = self.lattice.derived(_lattice_plan)
-        return all(map(operator.le, map(at, lowers), map(at, keys)))
 
 
 def rota_moebius(
@@ -243,16 +247,15 @@ def lattice_moebius(lattice: DownsetLattice, lower, upper) -> int:
     return _interval_moebius(lattice.base, x, y)
 
 
-def _downset_pass(plan: tuple, numerators: list[int], inverse: bool) -> list[int]:
-    """Zeta transform of the integer table ``numerators``, or its Moebius
-    transform when ``inverse``, as a new list.
-
-    ``numerators`` holds one value per position of the domain ``plan`` was
-    built on, all over one denominator that the result keeps. Each step
+def _downset_pass(family: _Family, table: ValueTable, inverse: bool) -> ValueTable:
+    """Zeta transform of ``table``, a table on the positions of ``family``,
+    or its Moebius transform when ``inverse``, as a new table on the same
+    positions over the same denominator. Each step of the family's plan
     adds the value at the lower key (subtracts it, with the steps reversed,
     for the inverse).
     """
-    keys, lowers = plan
+    keys, lowers, _ = family.plan
+    numerators, denominator = table._integers
     nums = list(numerators)
     if inverse:
         for key, lower in zip(reversed(keys), reversed(lowers)):
@@ -260,24 +263,18 @@ def _downset_pass(plan: tuple, numerators: list[int], inverse: bool) -> list[int
     else:
         for key, lower in zip(keys, lowers):
             nums[key] += nums[lower]
-    return nums
-
-
-def _capacity_pass(g: GeneralizedCapacity, inverse: bool) -> GeneralizedCapacity:
-    (numerators, denominator), plan = g.values._integers, g.lattice.derived(_lattice_plan)
-    table = ValueTable(g.values._positions, _downset_pass(plan, numerators, inverse), denominator)
-    return GeneralizedCapacity(g.lattice, table)
+    return ValueTable(family.positions, nums, denominator)
 
 
 def moebius_transform(g: GeneralizedCapacity) -> GeneralizedCapacity:
     """Coefficients of ``g`` in the unanimity basis, as a table on the same
     lattice; inverse of ``zeta_transform``."""
-    return _capacity_pass(g, inverse=True)
+    return GeneralizedCapacity(g.lattice, _downset_pass(g._family, g.values, inverse=True))
 
 
 def zeta_transform(m: GeneralizedCapacity) -> GeneralizedCapacity:
     """Accumulate coefficients upward: value at x sums m over elements below x."""
-    return _capacity_pass(m, inverse=False)
+    return GeneralizedCapacity(m.lattice, _downset_pass(m._family, m.values, inverse=False))
 
 
 def unanimity(lattice: DownsetLattice, x) -> GeneralizedCapacity:
@@ -313,26 +310,23 @@ def bipolar_moebius_function(lattice: DownsetLattice, lower, upper) -> int:
     return _interval_moebius(lattice.base, z, x) * _interval_moebius(lattice.base, t, y)
 
 
-def _bipolar_pass(lattice: DownsetLattice, values: Mapping, inverse: bool) -> ValueTable:
-    """The pass of :func:`_downset_pass` over a table given on the whole
-    bipolar extension, checked by position, as a table in extension order."""
-    positions = lattice.derived(_extension_positions)
-    table = vertex_table(
-        positions, values, partial(check_bipolar_pair, lattice), "pairs of the bipolar extension"
-    )
-    (numerators, denominator), plan = table._integers, lattice.derived(_extension_plan)
-    return ValueTable(positions, _downset_pass(plan, numerators, inverse), denominator)
+def _extension_table(lattice: DownsetLattice, values: Mapping) -> tuple[_Family, ValueTable]:
+    """The bipolar extension's family and ``values``, a table given on the
+    whole extension, checked by :func:`vertex_table` on its positions."""
+    family = lattice.derived(_extension_family)
+    check = partial(check_bipolar_pair, lattice)
+    return family, vertex_table(family.positions, values, check, "pairs of the bipolar extension")
 
 
 def bipolar_moebius_transform(lattice: DownsetLattice, values: Mapping) -> ValueTable:
     """Moebius coefficients of a functional given on the whole bipolar
     extension; inverse of :func:`bipolar_zeta_transform`."""
-    return _bipolar_pass(lattice, values, inverse=True)
+    return _downset_pass(*_extension_table(lattice, values), inverse=True)
 
 
 def bipolar_zeta_transform(lattice: DownsetLattice, coefficients: Mapping) -> ValueTable:
     """Accumulate bipolar coefficients upward under the product order."""
-    return _bipolar_pass(lattice, coefficients, inverse=False)
+    return _downset_pass(*_extension_table(lattice, coefficients), inverse=False)
 
 
 def bipolar_unanimity(lattice: DownsetLattice, pair) -> dict:

@@ -213,7 +213,10 @@ def all_downsets(p: Poset, max_count: int | None = None) -> list[frozenset]:
         if len(family) + len(grown) > cap:
             raise SizeLimitExceeded(f"downset family exceeds cap {cap}", cap=cap)
         family.extend(grown)
-    family.sort(key=downset_key)
+    # the order of downset_key, in two stable sorts whose keys are lists, not
+    # tuples, so no tuple of labels outlives the sort
+    family.sort(key=sorted)
+    family.sort(key=len)
     return family
 
 

@@ -15,10 +15,18 @@ import random
 from hypothesis import strategies as st
 
 import choqlat as cq
-from choqlat.birkhoff import _codes
+from choqlat.birkhoff import _lattice_family
 from choqlat.kary import LevelIndexing
 from choqlat.moebius import ValueTable, check_bipolar_pair
 from choqlat.rationals import MAX_DIGITS, MAX_EXPONENT
+
+
+class Unscannable(dict):
+    """A position dict that fails when iterated: a table built on it and
+    handed over unscanned never iterates it."""
+
+    def __iter__(self):
+        raise AssertionError("the position dict was scanned")
 
 
 @contextmanager
@@ -416,6 +424,7 @@ PLAN_BASES = {
     "grid6x5": cq.build_kary_base(6, 5),
     "wedge": wedge_poset(),
     "antichain8": antichain(8),
+    "empty": cq.Poset([]),
 }
 
 
@@ -424,7 +433,7 @@ def slow_step_plan(lattice: cq.DownsetLattice, sides: int) -> tuple:
     are lattice positions (one side) or pairs packed as p * |L| + q from the
     positions p and q of their parts (two sides), and each key's lower
     covers come from a per-element drop table, scaled into the side."""
-    position = lattice.derived(_codes)
+    position = lattice.derived(_lattice_family).codes
     width, n = len(lattice.base), len(position)
     drops = [
         [(t, position[code ^ 1 << t]) for t in range(width)

@@ -10,12 +10,14 @@ import choqlat as cq
 import choqlat.bipolar
 import choqlat.birkhoff
 import choqlat.interpolation
-from choqlat.bipolar import _admissible_steps, _pair_positions
+from choqlat.birkhoff import _extension_family
+from choqlat.bipolar import _admissible_family, _pair_positions
 from choqlat.moebius import ValueTable
 from support import (
     PLAN_BASES,
     PROFILE_VALUES,
     VALUE_KINDS,
+    Unscannable,
     antichain,
     bipolar_capacity_tables,
     exact_tables,
@@ -50,8 +52,13 @@ from support import (
 
 
 def _steps_as_lists(lattice) -> tuple:
-    """``_admissible_steps`` with its arrays as lists, as the oracle gives."""
-    return tuple(tuple(map(list, steps)) for steps in _admissible_steps(lattice))
+    """The admissible family's plan as the oracle gives it: (keys, lowers)
+    lists of the steps that grow the positive part, then of the others."""
+    keys, lowers, rising = lattice.derived(_admissible_family).plan
+    return (
+        (list(keys[:rising]), list(lowers[:rising])),
+        (list(keys[rising:]), list(lowers[rising:])),
+    )
 
 
 def pair(pos=(), neg=()):
@@ -119,6 +126,17 @@ class TestExtension:
     def test_admissible_steps_match_oracle_on_larger_bases(self, base):
         lattice = cq.DownsetLattice(base)
         assert _steps_as_lists(lattice) == slow_admissible_steps(lattice)
+
+    @given(lattices(max_elements=6))
+    def test_admissible_family_is_the_extension_family_on_a_mosaic(self, lattice):
+        same = lattice.derived(_admissible_family) is lattice.derived(_extension_family)
+        assert same == cq.is_regular_mosaic(lattice.base)
+
+    @pytest.mark.parametrize("base", PLAN_BASES.values(), ids=PLAN_BASES.keys())
+    def test_admissible_family_is_the_extension_family_on_larger_bases(self, base):
+        lattice = cq.DownsetLattice(base)
+        same = lattice.derived(_admissible_family) is lattice.derived(_extension_family)
+        assert same == cq.is_regular_mosaic(base)
 
     @given(lattices(max_elements=6))
     def test_pair_positions_name_the_split_pairs(self, lattice):
@@ -777,6 +795,50 @@ class TestPositionalBipolarTables:
             with pytest.raises(cq.BaseMismatch) as info:
                 cq.bipolar_moebius_form_eval(coefficients, profile)
             assert str(info.value) == "coefficient keys mention labels outside the base"
+
+    def test_capacity_values_reach_the_transform_unscanned(self):
+        """On a mosaic a capacity's values sit on the extension's own
+        position dict: the capacity takes a table on it over, and the
+        transform takes the capacity's values over, neither iterating it."""
+        lattice = cq.DownsetLattice(cq.build_kary_base(3, 2))
+        family = lattice.derived(_extension_family)
+        family.positions = Unscannable((p, k) for k, p in enumerate(family.vertices))
+        numerators = [(3 * k) % 7 - 3 for k in range(len(family.vertices))]
+        table = ValueTable(family.positions, numerators, 3)
+        capacity = cq.BipolarCapacity(lattice, table)
+        assert capacity.values is table
+        coefficients = cq.bipolar_moebius_transform(lattice, capacity.values)
+        plain = {p: Fraction(n, 3) for p, n in zip(family.vertices, numerators)}
+        expected = slow_bipolar_moebius_transform(lattice, plain)
+        assert coefficients._positions is family.positions
+        got = [Fraction(n, coefficients._integers[1]) for n in coefficients._integers[0]]
+        assert got == [expected[p] for p in family.vertices]
+
+    def test_is_monotone_and_transform_walk_one_plan(self, monkeypatch):
+        """On a mosaic ``is_monotone`` and the bipolar transform read the
+        one plan of the one family: the steps are walked once."""
+        walks = []
+        step_plan = choqlat.birkhoff._step_plan
+
+        def counted(*args):
+            walks.append(args)
+            return step_plan(*args)
+
+        monkeypatch.setattr(choqlat.birkhoff, "_step_plan", counted)
+        lattice = cq.DownsetLattice(cq.build_kary_base(3, 2))
+        capacity = random_bipolar_capacity(random.Random(18), lattice)
+        assert capacity.is_monotone in (True, False)
+        cq.bipolar_moebius_transform(lattice, capacity.values)
+        cq.bipolar_zeta_transform(lattice, capacity.values)
+        assert len(walks) == 1
+
+    def test_non_mosaic_capacity_values_fail_the_transform(self, wedge_lattice):
+        """Off a mosaic a capacity holds only the admissible pairs, not the
+        whole extension the transform needs."""
+        table = {p: len(p.pos) - len(p.neg) for p in cq.admissible_vertex_pairs(wedge_lattice)}
+        capacity = cq.BipolarCapacity(wedge_lattice, table)
+        with pytest.raises(cq.BaseMismatch, match="missing values for 2 of the 11 pairs"):
+            cq.bipolar_moebius_transform(wedge_lattice, capacity.values)
 
     @pytest.mark.parametrize(
         "base", [cq.build_kary_base(3, 2), wedge_poset()], ids=["grid", "wedge"]

@@ -603,6 +603,28 @@ class TestInputBoundary:
         assert code == 2
         assert payload["error"]["code"] == "size_limit_exceeded"
 
+    @pytest.mark.parametrize("dot", [False, True], ids=["json", "dot"])
+    def test_enumerate_output_over_the_label_budget_exits_2(
+        self, capsys, monkeypatch, wedge_file, dot
+    ):
+        """``bipolar enumerate`` counts the labels it would print before it
+        builds its output: each part of each pair, and with --dot each part
+        of both ends of every cover. At the cap it prints; one label under
+        the count, it exits 2 and names the cap."""
+        lattice = cq.DownsetLattice(wedge_poset())
+        size = lambda pairs: sum(len(pos) + len(neg) for pos, neg in pairs)
+        labels = size(cq.bipolar_extension(lattice))
+        if dot:
+            labels += sum(size(edge) for edge in cq.bipolar_cover_pairs(lattice))
+        argv = ["bipolar", "enumerate", wedge_file, *(["--dot"] if dot else [])]
+        monkeypatch.setattr(cli, "OUTPUT_LABEL_CAP", labels)
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli, "OUTPUT_LABEL_CAP", labels - 1)
+        code, payload = run_json(capsys, *argv)
+        assert code == 2
+        assert payload["error"]["code"] == "size_limit_exceeded"
+        assert payload["error"]["cap"] == labels - 1
+
     @pytest.mark.parametrize(
         "text",
         ["[" * 100000, '{"elements": [' + "1" * 5000 + "]}", b"\xff\xfe"],

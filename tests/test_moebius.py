@@ -12,6 +12,7 @@ import choqlat as cq
 from choqlat.moebius import ValueTable, _numerators, vertex_table
 from support import (
     VALUE_KINDS,
+    Unscannable,
     antichain,
     capacities,
     capacity_tables,
@@ -222,10 +223,6 @@ class TestTransforms:
         keys is still scanned."""
         lattice = cq.DownsetLattice(wedge_poset())
 
-        class Unscannable(dict):
-            def __iter__(self):
-                raise AssertionError("the position dict was scanned")
-
         positions = Unscannable((x, i) for i, x in enumerate(lattice.elements))
         table = ValueTable(positions, list(range(len(positions))), 3)
         assert vertex_table(positions, table, lattice.check_element, "elements") is table
@@ -234,11 +231,11 @@ class TestTransforms:
             vertex_table(positions, other, lattice.check_element, "elements")
 
     def test_keys_outside_the_position_table_get_the_key_check(self):
-        """Own keys in domain order are read by identity, keys equal to a
-        vertex by one position lookup, and only other keys go through the
-        key check; the values come back as numerators by position over
-        their least common denominator. A positional table keyed by the
-        domain's own vertices hands over its integers unread."""
+        """Keys of the domain, its own vertex objects or equal ones, take one
+        position lookup each, and only other keys go through the key check;
+        the values come back as numerators by position over their least
+        common denominator. A positional table on the position dict itself
+        hands over its integers unread."""
         lattice = cq.DownsetLattice(wedge_poset())
         checked, looked_up = [], []
 
@@ -257,7 +254,8 @@ class TestTransforms:
         by_position = list(own.values())
         expected = _numerators(by_position)
         assert vertex_table(positions, own, vertex, "elements")._integers == expected
-        assert (checked, looked_up) == ([], [])
+        assert checked == [] and looked_up == list(own)
+        looked_up.clear()
         positional = ValueTable(positions, *expected)
         assert vertex_table(positions, positional, vertex, "elements")._integers is positional._integers
         assert (checked, looked_up) == ([], [])
