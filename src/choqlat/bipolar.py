@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .birkhoff import (
     BipolarElement,
@@ -224,16 +224,6 @@ def _admissible_family(lattice: DownsetLattice) -> _Family:
     return extension if pairs is extension.vertices else _Family(pairs, lattice, signed=True)
 
 
-def _pair_positions(lattice: DownsetLattice, masks: Iterable[int], positive: int) -> list[int]:
-    """Positions among the admissible pairs of the chain vertices ``masks``
-    (bit codes of downsets), each split along the tile whose positive side
-    has the bit code ``positive``: the bits outside it move to the negative
-    half of the pair's code."""
-    pairs = lattice.derived(_admissible_family).codes
-    width = len(lattice.base)
-    return [pairs[(m & ~positive) << width | m & positive] for m in masks]
-
-
 class BipolarCapacity(_CapacityBody):
     """Rational values on every signed vertex that lies in some tile.
 
@@ -343,10 +333,10 @@ def evaluate_bipolar(
     triangulate the magnitude profile, split every chain vertex along the
     complement pair, and take the convex combination of stored vertex
     values, bottom vertex included. Each vertex's bit code is split by the
-    tile's code and looked up among the admissible pairs
-    (:func:`_pair_positions`), and the sum runs on the capacity's integer
-    numerators (:meth:`~choqlat.interpolation.Evaluation.along`). The
-    result's ``chain`` holds the split vertices, built when first read,
+    tile's code and looked up among the admissible pairs, and the sum runs
+    on the capacity's integer numerators: the capacity's one chain sum, as
+    for an unsigned chain (:meth:`~choqlat.interpolation.Evaluation.along`).
+    The result's ``chain`` holds the split vertices, built when first read,
     and its ``tile`` the positive side. ``tile_hint`` forces a particular
     tile (it must contain the profile); the value does not depend on the
     admissible choice.
@@ -354,10 +344,7 @@ def evaluate_bipolar(
     if capacity.base != profile.base:
         raise BaseMismatch("capacity and profile are over different base posets")
     positive = select_tile(profile) if tile_hint is None else _checked_tile(profile, tile_hint)
-    dec = triangulate(profile.magnitude())
-    tile_code = sum(map(profile.base._bit.__getitem__, positive))
-    positions = _pair_positions(capacity.lattice, dec._masks, tile_code)
-    return Evaluation.along(capacity.values._integers, positions, dec, positive)
+    return Evaluation.along(capacity, triangulate(profile.magnitude()), positive)
 
 
 def bipolar_natural_extension(

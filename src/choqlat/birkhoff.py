@@ -13,10 +13,11 @@ the base, positive part low. The lattice's elements, the bipolar extension
 (the ordered pairs of disjoint elements, enumerated per downset from the
 elements' codes, counted before they are built) and the admissible pairs
 are down-closed families of codes, each one :class:`_Family` record kept
-with the lattice: its vertices, positions, codes and step plan. One walk
-over a family's code table lists its covers: the step plan of the
-zeta/Moebius transforms, also the Hasse diagram that every covering
-relation is read from.
+with the lattice: its vertices, positions, codes and step plan, and the
+one lookup of a chain's positions, a signed chain split along a tile (the
+pair-code layout is written only here). One walk over a family's code
+table lists its covers: the step plan of the zeta/Moebius transforms, also
+the Hasse diagram that every covering relation is read from.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 from .errors import NotALattice, NotAnElement, NotDistributive, SizeLimitExceeded
 from .poset import DOWNSET_CAP, Poset, all_downsets, downset_key, linear_extension
@@ -189,6 +190,16 @@ class _Family:
         code = dict(zip(elements.vertices, elements.codes))
         width = len(self.lattice.base)
         return {code[neg] << width | code[pos]: k for k, (pos, neg) in enumerate(self.vertices)}
+
+    def chain(self, masks: Iterable[int], positive: int | None = None) -> list[int]:
+        """Positions of the chain vertices ``masks``, bit codes of downsets.
+        With ``positive``, the bit code of a tile's positive side, each
+        downset is split along the tile: the bits outside it move to the
+        negative half of the pair's code."""
+        if positive is None:
+            return list(map(self.codes.__getitem__, masks))
+        width = len(self.lattice.base)
+        return [self.codes[(m & ~positive) << width | m & positive] for m in masks]
 
     @cached_property
     def plan(self) -> tuple:

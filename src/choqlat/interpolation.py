@@ -18,14 +18,14 @@ so every ``Fraction`` that leaves the module is the same either way.
 
 The chain path runs on lattice positions and integers. :func:`triangulate`
 records each chain vertex as a bit code of the base's elements, and the
-sorted profile pairs whose gaps are the weights; the caller maps the codes
-to positions in its capacity's ``values``, the one
-:class:`~choqlat.moebius.ValueTable` of integer numerators by position, and
-:func:`_chain_value`, the package's one chain sum, adds integer weight times
-value numerator and makes one ``Fraction``. It serves :meth:`Evaluation.along`,
-which builds every chain-path :class:`Evaluation`, unsigned
-(:func:`evaluate`) or signed (the extension pulled back through a tile),
-and the grid corner sweep of :mod:`~choqlat.kary`. An evaluation's frozenset
+sorted profile pairs whose gaps are the weights. A capacity's vertex family
+looks the codes up as positions, split along a tile for a signed chain
+(:meth:`~choqlat.birkhoff._Family.chain`), and the capacity's one chain sum
+(:meth:`~choqlat.moebius._CapacityBody._chain_value`) adds integer weight
+times value numerator and makes one ``Fraction``. That pair serves
+:meth:`Evaluation.along`, which builds every chain-path :class:`Evaluation`,
+unsigned (:func:`evaluate`) or signed (the extension pulled back through a
+tile), and the grid corner sweep of :mod:`~choqlat.kary`. An evaluation's
 chain and ``Fraction`` weights are built only when read, by the one
 build-on-read mechanism both records share.
 
@@ -42,9 +42,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, tee
-from math import lcm
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate
+from typing import Mapping, Sequence
 
 from .errors import (
     BaseMismatch,
@@ -58,7 +57,7 @@ from .errors import (
 from .birkhoff import BipolarElement
 from .moebius import GeneralizedCapacity
 from .poset import Poset, linear_extension
-from .rationals import _ratio, _shown, as_fraction
+from .rationals import _common_denominator, _ratio, _shown, as_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -218,8 +217,8 @@ def triangulate(profile: Profile, tie_break: Sequence[str] | None = None) -> Cha
     integer keys (:func:`_sort_keys`), stable in ``tie_break`` order. The
     record is positional: each chain vertex is the running OR of the sorted
     elements' bits, and the sorted values stand for the weights, the gaps
-    between consecutive values of 1, the sorted values and 0, which
-    :func:`_chain_value` takes as integers. The values are the profile's
+    between consecutive values of 1, the sorted values and 0, which a
+    capacity's chain sum takes as integers. The values are the profile's
     (numerator, denominator) pairs, never a ``Fraction``; the frozensets
     and ``Fraction`` weights are made only when read.
     """
@@ -244,30 +243,6 @@ def triangulate(profile: Profile, tie_break: Sequence[str] | None = None) -> Cha
     return ChainDecomposition._made(base=base, order=tuple(order), _masks=masks, _levels=levels)
 
 
-def _chain_value(
-    table: tuple[list[int], int], positions: Iterable[int], levels: Sequence[tuple[int, int]]
-) -> Fraction:
-    """The weighted sum of vertex values along a chain, exact.
-
-    ``table`` holds the vertex values as integer numerators by position
-    over one denominator, and ``positions`` the chain vertices' positions
-    in it, bottom first. ``levels`` are the chain's sorted values
-    (nonincreasing, in [0, 1]) as (numerator, positive denominator) pairs,
-    in lowest terms or not, and the weights are the gaps between
-    consecutive terms of 1, the levels and 0: integers over the levels'
-    least common denominator. The sum runs on integers and makes one
-    ``Fraction``, over the product of the two denominators. The scaled
-    levels are made as the sum reaches them, so however large that common
-    denominator grows, no more than two of them are held at once.
-    """
-    numerators, denominator = table
-    scale = lcm(*{d for _, d in levels})
-    high, low = tee(num * (scale // den) for num, den in levels)
-    weights = map(operator.sub, chain((scale,), high), chain(low, (0,)))
-    total = sum(map(operator.mul, weights, map(numerators.__getitem__, positions)))
-    return Fraction(total, denominator * scale)
-
-
 @dataclass(frozen=True)
 class Evaluation(_BuiltOnRead):
     """Value of an extension together with the chain that produced it.
@@ -290,18 +265,15 @@ class Evaluation(_BuiltOnRead):
     tile: frozenset | None = None
 
     @classmethod
-    def along(
-        cls,
-        table: tuple[list[int], int],
-        positions: Iterable[int],
-        dec: ChainDecomposition,
-        tile: frozenset | None = None,
-    ) -> "Evaluation":
-        """The extension at the profile that :func:`triangulate` decomposed
-        into ``dec``: its weights times the vertex values ``table`` holds
-        (integer numerators by position over one denominator) at the chain
-        vertices' ``positions``, summed once by :func:`_chain_value`."""
-        value = _chain_value(table, positions, dec._levels)
+    def along(cls, capacity, dec: ChainDecomposition, tile: frozenset | None = None) -> "Evaluation":
+        """The extension of ``capacity``, either capacity kind, at the
+        profile that :func:`triangulate` decomposed into ``dec``, pulled
+        back through ``tile`` (the positive side of a tile) when given: the
+        capacity's one chain sum
+        (:meth:`~choqlat.moebius._CapacityBody._chain_value`) over the chain
+        vertices' bit codes, split along the tile's code."""
+        positive = None if tile is None else sum(map(dec.base._bit.__getitem__, tile))
+        value = capacity._chain_value(dec._masks, dec._levels, positive)
         return cls._made(value=value, order=dec.order, tile=tile, _dec=dec)
 
     def _build_weights(self) -> tuple[Fraction, ...]:
@@ -310,19 +282,15 @@ class Evaluation(_BuiltOnRead):
     def _build_chain(self) -> tuple:
         if self.tile is None:
             return self._dec.chain
-        negative = frozenset(self._dec.base.elements) - self.tile
-        return tuple(BipolarElement(v & self.tile, v & negative) for v in self._dec.chain)
+        return tuple(BipolarElement(v & self.tile, v - self.tile) for v in self._dec.chain)
 
 
 def evaluate(functional: GeneralizedCapacity, profile: Profile) -> Evaluation:
     """Natural extension of a vertex functional at ``profile``, with its
-    triangulating chain and weights (see :func:`natural_extension`). Each
-    chain vertex's mask is looked up in the lattice's code table."""
+    triangulating chain and weights (see :func:`natural_extension`)."""
     if functional.lattice.base != profile.base:
         raise BaseMismatch("capacity and profile are over different base posets")
-    dec = triangulate(profile)
-    positions = map(functional._family.codes.__getitem__, dec._masks)
-    return Evaluation.along(functional.values._integers, positions, dec)
+    return Evaluation.along(functional, triangulate(profile))
 
 
 def natural_extension(functional: GeneralizedCapacity, profile: Profile) -> Fraction:
@@ -408,7 +376,9 @@ def _rank_form(
     value at the smallest rank of its labels, or the empty meet 1 (rank n,
     past the last value) for an empty key. Each numerator adds to the
     bucket of that rank; the sum then takes one product per nonempty
-    bucket, on integers over the least common denominator of the values.
+    bucket, on integers over the least common denominator of the values,
+    bounded before it is computed
+    (:func:`~choqlat.rationals._common_denominator`).
     """
     values = {(s, label): value for s, side in enumerate(sides) for label, value in side.items()}
     ranked = sorted(values, key=_sort_keys(values).__getitem__)
@@ -421,7 +391,7 @@ def _rank_form(
         low = min([min(map(rank.__getitem__, part), default=n) for rank, part in zip(ranks, key)])
         buckets[low] += num
     levels = list(map(values.__getitem__, ranked))
-    scale = lcm(*{q for _, q in levels})
+    scale = _common_denominator({q for _, q in levels})
     total = buckets[n] * scale + sum(
         bucket * p * (scale // q) for (p, q), bucket in zip(levels, buckets) if bucket
     )

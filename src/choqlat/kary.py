@@ -10,11 +10,11 @@ the capacity at the surrounding mesh nodes. The sorted-residue sweep over
 mesh corners and the generic natural extension of the point's staircase
 profile give the same number, so each checks the other: they find the
 order, the levels and the vertex codes independently and share only the
-positional integer sum over the capacity's ``values``, its one
-:class:`~choqlat.moebius.ValueTable`; the signed variants mirror the
-construction on a symmetric scale around 0. :func:`grid_steps` reads an
-:class:`~choqlat.interpolation.Evaluation` on a grid base as levels,
-criteria and grid points.
+capacity's one chain sum over its ``values``
+(:meth:`~choqlat.moebius._CapacityBody._chain_value`); the signed variants
+mirror the construction on a symmetric scale around 0. :func:`grid_steps`
+reads an :class:`~choqlat.interpolation.Evaluation` on a grid base as
+levels, criteria and grid points.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .bipolar import BipolarCapacity, BipolarProfile, _pair_positions
+from .bipolar import BipolarCapacity, BipolarProfile
 from .errors import InvalidDimensions, OutOfScale
-from .interpolation import Evaluation, Profile, _chain_value, _sort_keys
+from .interpolation import Evaluation, Profile, _sort_keys
 from .moebius import GeneralizedCapacity
 from .poset import Poset
 from .rationals import _ratio, _shown, as_fraction
@@ -283,16 +283,15 @@ def _corner_sweep(
     criterion below its level index); each step raises one more criterion,
     in sorted-residue order, to its index. The first corner enters with
     weight 1 minus the top residue, so corners with nonzero value at the
-    resting point are kept. Corners are bit codes of downsets, looked up by
-    position in the capacity's integer table; with ``positive`` (the bit
-    code of a tile's positive side) they are read as signed vertices split
-    along that tile. The sorted residues give the weights, and the weighted
-    corners are added by the package's one positional integer sum
-    (:func:`~choqlat.interpolation._chain_value`).
+    resting point are kept. Corners are bit codes of downsets; with
+    ``positive`` (the bit code of a tile's positive side) they are read as
+    signed vertices split along that tile. The sorted residues give the
+    weights, and the capacity's one chain sum
+    (:meth:`~choqlat.moebius._CapacityBody._chain_value`) adds the weighted
+    corners.
     """
     indices, residues, order = indexing.indices, indexing.residues, indexing.order
-    lattice = capacity.lattice
-    bit, down = lattice.base._bit, lattice.base._down
+    bit, down = capacity.lattice.base._bit, capacity.lattice.base._down
     # a level's principal downset is its criterion's levels up to it
     corner = 0
     for i, index in enumerate(indices, start=1):
@@ -302,12 +301,8 @@ def _corner_sweep(
     for criterion in order:
         corner |= bit[level_label(criterion, indices[criterion - 1])]
         corners.append(corner)
-    if positive is None:
-        positions = map(capacity._family.codes.__getitem__, corners)
-    else:
-        positions = _pair_positions(lattice, corners, positive)
     levels = [residues[criterion - 1].as_integer_ratio() for criterion in order]
-    return _chain_value(capacity.values._integers, positions, levels)
+    return capacity._chain_value(corners, levels, positive)
 
 
 def interpolate_point(

@@ -7,7 +7,9 @@ extension a table keyed by disjoint pairs. :func:`vertex_table` reads and
 checks every such table, and is the one place where keys become positions.
 It returns the functional's one :class:`ValueTable`, which a capacity keeps
 as its ``values``: one list of integer numerators by position over one
-common denominator, making a ``Fraction`` only when a value is read.
+common denominator, making a ``Fraction`` only when a value is read. Only
+this module reads those integers on the chain path: both capacity kinds
+share the package's one chain sum over them.
 
 On a downset lattice the Moebius function has a closed form: for downsets
 X <= Y it is (-1)^|Y - X| when Y - X is an antichain of the base and 0
@@ -35,7 +37,7 @@ import operator
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, partial
-from math import lcm
+from itertools import chain, tee
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .birkhoff import (
@@ -47,12 +49,13 @@ from .birkhoff import (
 )
 from .errors import (
     BaseMismatch,
+    ContradictoryValue,
     NotAnElement,
     NotComparable,
     NotInBipolarExtension,
 )
 from .poset import Poset
-from .rationals import _ratio
+from .rationals import _common_denominator, _ratio
 
 ZERO = Fraction(0)
 
@@ -106,26 +109,38 @@ def vertex_table(
     a transform's output) is handed over as it is, unscanned and its values
     unread; any other table's values are read by the package's one number
     reader (:func:`~choqlat.rationals._ratio`) and scaled to their least
-    common denominator.
+    common denominator. Two keys for one vertex must give equal values,
+    else :class:`~choqlat.errors.ContradictoryValue`, as in a file.
     """
     if isinstance(entries, ValueTable) and entries._positions is positions:
         return entries
     values: list = [None] * len(positions)
+    # only a table with more keys than vertices can give one vertex twice
+    # without leaving another one missing
+    twice = len(entries) > len(positions)
     for key, raw in entries.items():
         try:
             at = positions[key]
         except (KeyError, TypeError):
-            at = positions[vertex(key)]
+            key = vertex(key)
+            at = positions[key]
+        if twice and values[at] is not None:
+            (n, d), (m, e) = values[at], _ratio(raw)
+            if n * e != m * d:
+                raise ContradictoryValue(f"two different values for {_shown_vertex(key)!r}")
         values[at] = _ratio(raw)
     missing = [v for v, value in zip(positions, values) if value is None]
     if missing:
-        first = missing[0]
-        shown = sorted(first) if isinstance(first, frozenset) else tuple(map(sorted, first))
         raise BaseMismatch(
             f"missing values for {len(missing)} of the {len(positions)} {what},"
-            f" e.g. {shown!r}"
+            f" e.g. {_shown_vertex(missing[0])!r}"
         )
     return ValueTable(positions, *_scaled(values))
+
+
+def _shown_vertex(vertex) -> list | tuple:
+    """A lattice element as its sorted labels, a pair as two such lists."""
+    return sorted(vertex) if isinstance(vertex, frozenset) else tuple(map(sorted, vertex))
 
 
 def _numerators(values: Iterable) -> tuple[list[int], int]:
@@ -138,15 +153,15 @@ def _numerators(values: Iterable) -> tuple[list[int], int]:
 def _scaled(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
     """(numerator, positive denominator) ``pairs`` as integer numerators over
     the least common denominator of theirs, and that denominator."""
-    denominator = lcm(*{d for _, d in pairs})
+    denominator = _common_denominator({d for _, d in pairs})
     return [n * (denominator // d) for n, d in pairs], denominator
 
 
 class _CapacityBody:
     """What both capacity kinds share: ``values``, the one
     :class:`ValueTable` that :func:`vertex_table` makes of the caller's
-    table on the positions of a vertex family, and the checks that read its
-    numerators by position."""
+    table on the positions of a vertex family, the one chain sum and the
+    checks that read its numerators by position."""
 
     def _hold(self, family: _Family, values: Mapping, vertex: Callable, what: str):
         self.values = vertex_table(family.positions, values, vertex, what)
@@ -156,6 +171,33 @@ class _CapacityBody:
     def is_game(self) -> bool:
         """True when the bottom vertex (position 0) carries value zero."""
         return self.values._integers[0][0] == 0
+
+    def _chain_value(
+        self, masks: Iterable[int], levels: Sequence[tuple[int, int]], positive: int | None = None
+    ) -> Fraction:
+        """The weighted sum of vertex values along a chain, exact: the
+        package's one chain sum.
+
+        ``masks`` are the chain vertices' bit codes, bottom first, looked up
+        among the family's positions, split along the tile whose positive
+        side has the bit code ``positive`` when given
+        (:meth:`~choqlat.birkhoff._Family.chain`). ``levels`` are the
+        chain's sorted values (nonincreasing, in [0, 1]) as (numerator,
+        positive denominator) pairs, in lowest terms or not, and the weights
+        are the gaps between consecutive terms of 1, the levels and 0:
+        integers over the levels' least common denominator, bounded before
+        it is computed (:func:`~choqlat.rationals._common_denominator`). The
+        sum runs on integers and makes one ``Fraction``, over the product of
+        that and the values' denominator. The scaled levels are made as the
+        sum reaches them, so no more than two of them are held at once.
+        """
+        numerators, denominator = self.values._integers
+        scale = _common_denominator({den for _, den in levels})
+        high, low = tee(num * (scale // den) for num, den in levels)
+        weights = map(operator.sub, chain((scale,), high), chain(low, (0,)))
+        at = self._family.chain(masks, positive)
+        total = sum(map(operator.mul, weights, map(numerators.__getitem__, at)))
+        return Fraction(total, denominator * scale)
 
     @cached_property
     def is_monotone(self) -> bool:

@@ -72,6 +72,18 @@ def chain(m: int) -> cq.Poset:
     return cq.Poset(labels, list(zip(labels, labels[1:])))
 
 
+def long_denominator_values(labels) -> dict[str, str]:
+    """Nonincreasing values in [0, 1] on a chain of ``labels``, bottom
+    first, over distinct 490-digit denominators: the i-th of m values is
+    floor((m - i) q / (m + 1)) / q, with q = 10**489 + 2i + 1."""
+    m = len(labels)
+    values = {}
+    for i, label in enumerate(labels):
+        q = 10**489 + 2 * i + 1
+        values[label] = f"{(m - i) * q // (m + 1)}/{q}"
+    return values
+
+
 def poset_from_ranked_flags(labels, ranking, flags) -> cq.Poset:
     """Poset from a hidden ranking and one comparability flag per index pair.
 

@@ -11,7 +11,7 @@ import choqlat.bipolar
 import choqlat.birkhoff
 import choqlat.interpolation
 from choqlat.birkhoff import _extension_family
-from choqlat.bipolar import _admissible_family, _pair_positions
+from choqlat.bipolar import _admissible_family
 from choqlat.moebius import ValueTable
 from support import (
     PLAN_BASES,
@@ -139,15 +139,15 @@ class TestExtension:
         assert same == cq.is_regular_mosaic(base)
 
     @given(lattices(max_elements=6))
-    def test_pair_positions_name_the_split_pairs(self, lattice):
+    def test_chain_names_the_split_pairs(self, lattice):
         """Every downset, split along every tile, is found at the position
         of the pair (its part in the tile, its part outside)."""
-        pairs = cq.admissible_vertex_pairs(lattice)
+        family = lattice.derived(_admissible_family)
         bit = lattice.base._bit
         masks = [sum(map(bit.get, d)) for d in lattice.elements]
         for positive in lattice.complemented():
-            positions = _pair_positions(lattice, masks, sum(map(bit.get, positive)))
-            assert [pairs[k] for k in positions] == [
+            positions = family.chain(masks, sum(map(bit.get, positive)))
+            assert [family.vertices[k] for k in positions] == [
                 pair(d & positive, d - positive) for d in lattice.elements
             ]
 
@@ -545,6 +545,30 @@ class TestEvaluate:
             positive,
         )
 
+    @given(data=st.data())
+    def test_top_tile_is_the_lattice(self, data):
+        """On the tile at the top, pairs (d, empty), a signed capacity is a
+        capacity on the lattice: on a nonnegative profile the signed chain
+        is the unsigned one, all positive, and gives the same value."""
+        base = data.draw(posets(max_elements=5).filter(cq.is_regular_mosaic))
+        lattice = cq.DownsetLattice(base)
+        capacity = cq.BipolarCapacity(
+            lattice, data.draw(exact_tables(cq.admissible_vertex_pairs(lattice)))
+        )
+        empty = frozenset()
+        unsigned = cq.GeneralizedCapacity(
+            lattice, {d: capacity((d, empty)) for d in lattice.elements}
+        )
+        values = PROFILE_VALUES[data.draw(st.sampled_from(sorted(PROFILE_VALUES)))]
+        profile = data.draw(profiles(base, values))
+        signed = cq.evaluate_bipolar(capacity, cq.BipolarProfile(base, profile.values))
+        expected = cq.evaluate(unsigned, profile)
+        assert (signed.value, signed.order, signed.weights) == (
+            expected.value, expected.order, expected.weights
+        )
+        assert signed.tile == lattice.top
+        assert signed.chain == tuple(pair(d, empty) for d in expected.chain)
+
     @pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
     @given(data=st.data())
     def test_positional_chain_matches_slow_oracle(self, kind, data):
@@ -563,8 +587,7 @@ class TestEvaluate:
         tile = frozenset(base.elements).difference(*negative)
         tie_break = random_linear_extension(data.draw(st.randoms()), base)
         dec = cq.triangulate(magnitude, tie_break)
-        positions = _pair_positions(lattice, dec._masks, sum(base._bit[j] for j in tile))
-        evaluation = cq.Evaluation.along(capacity.values._integers, positions, dec, tile)
+        evaluation = cq.Evaluation.along(capacity, dec, tile)
         assert evaluation == slow_evaluation(
             capacity.values, slow_triangulate(magnitude, tie_break), tile
         )

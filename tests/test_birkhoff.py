@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import choqlat as cq
+from choqlat.bipolar import _admissible_family
 from choqlat.birkhoff import _extension_family, _lattice_family
 from support import (
     PLAN_BASES,
@@ -91,6 +92,15 @@ class TestStepPlans:
         lattice = cq.DownsetLattice(base)
         assert _plan(lattice, _lattice_family) == slow_step_plan(lattice, 1)
         assert _plan(lattice, _extension_family) == slow_step_plan(lattice, 2)
+
+
+class TestChainLookup:
+    @given(lattices(max_elements=6))
+    def test_unsplit_chain_reads_the_code_table(self, lattice):
+        """Without a tile, each family looks a code up in its code table."""
+        for build in (_lattice_family, _extension_family, _admissible_family):
+            codes = lattice.derived(build).codes
+            assert lattice.derived(build).chain(codes) == list(codes.values())
 
 
 class TestComplemented:

@@ -13,8 +13,15 @@ import pytest
 import choqlat as cq
 from choqlat import cli, fileio
 from choqlat.cli import main
-from choqlat.rationals import _shown
-from support import antichain, random_bipolar_capacity, random_capacity, wedge, wedge_poset
+from choqlat.rationals import MAX_DENOMINATOR_BITS, _shown
+from support import (
+    antichain,
+    long_denominator_values,
+    random_bipolar_capacity,
+    random_capacity,
+    wedge,
+    wedge_poset,
+)
 
 
 def run(capsys, *argv):
@@ -493,8 +500,10 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("name", ["levels", "levels_bipolar"])
     def test_broken_corner_sweep_exits_3(self, capsys, tmp_path, monkeypatch, name):
-        """The point path and its cross-check share no code: a wrong corner
-        sweep is caught by the generic extension of the staircase profile."""
+        """The point path and its cross-check share only the chain reader
+        (the vertex family's lookup and the capacity's chain sum), not the
+        corner sweep: a wrong corner sweep is caught by the generic
+        extension of the staircase profile."""
         monkeypatch.setattr("choqlat.kary._corner_sweep", wrong_value)
         dual = json.loads((GOLDEN / f"{name}.out").read_text(encoding="utf-8"))["value"]
         code, payload = run_json(capsys, *golden_argv(tmp_path, name))
@@ -888,6 +897,30 @@ class TestLargeExactValues:
         assert code == 2
         assert payload["error"]["code"] == "size_limit_exceeded"
         assert payload["error"]["cap"] == sys.get_int_max_str_digits()
+
+    @pytest.mark.parametrize("report", [[], ["--cross-check"]])
+    def test_common_denominator_over_the_budget(self, capsys, tmp_path, report):
+        """200 values of distinct 490-digit denominators, in a profile or in
+        a capacity: their common denominator could reach 325,000 bits, and
+        the sum is refused before it is computed."""
+        m = 200
+        labels = [f"x{i:02d}" for i in range(m)]
+        values = long_denominator_values(labels)
+        cpath = chain_capacity_file(tmp_path, m)
+        ppath = write(tmp_path, "profile.json", {"values": values})
+        code, payload = run_json(
+            capsys, "choquet", "eval", "--capacity", cpath, "--profile", ppath, *report
+        )
+        assert code == 2
+        assert payload["error"]["code"] == "size_limit_exceeded"
+        assert payload["error"]["cap"] == MAX_DENOMINATOR_BITS
+        capacity = json.loads(Path(cpath).read_text(encoding="utf-8"))
+        for entry, value in zip(capacity["values"], ["0", *reversed(values.values())]):
+            entry["value"] = value
+        cpath = write(tmp_path, "capacity.json", capacity)
+        code, payload = run_json(capsys, "mobius", "--capacity", cpath)
+        assert code == 2
+        assert payload["error"]["code"] == "size_limit_exceeded"
 
     def test_moebius_coefficients_with_too_many_digits(self, capsys, tmp_path):
         lattice = cq.DownsetLattice(antichain(4))

@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import choqlat as cq
+import choqlat.rationals
 from choqlat.interpolation import _sort_keys
+from choqlat.rationals import MAX_DENOMINATOR_BITS, _common_denominator
 from support import (
     PROFILE_VALUES,
     VALUE_KINDS,
@@ -16,6 +18,7 @@ from support import (
     decimal_unit_fractions,
     exact_tables,
     lattices,
+    long_denominator_values,
     nonincreasing,
     posets,
     profiles,
@@ -161,10 +164,8 @@ class TestTriangulate:
         assert dec == slow_triangulate(profile, tie_break)
         # positions read off the chain's frozensets, not off the decomposition's masks
         positions = {x: i for i, x in enumerate(lattice.elements)}
-        along = cq.Evaluation.along(
-            capacity.values._integers, map(positions.__getitem__, dec.chain), dec
-        )
-        assert along.value == value
+        assert capacity._family.chain(dec._masks) == list(map(positions.__getitem__, dec.chain))
+        assert cq.Evaluation.along(capacity, dec).value == value
 
     def test_empty_base(self):
         lattice = cq.DownsetLattice(cq.Poset([], []))
@@ -245,6 +246,73 @@ class TestSortKeys:
         assert cq.natural_extension(capacity, profile) == slow_chain_value(
             capacity.values, expected.chain, expected.weights
         )
+
+
+class TestCommonDenominatorBudget:
+    """Every sum over values of many long denominators is refused before
+    their least common denominator is computed: the bit lengths of the
+    distinct denominators bound its size."""
+
+    def test_the_cap_is_on_the_summed_bit_lengths(self, monkeypatch):
+        monkeypatch.setattr(choqlat.rationals, "MAX_DENOMINATOR_BITS", 5)
+        # 3 and 5 take 2 + 3 bits
+        assert _common_denominator({3, 5}) == 15
+        with pytest.raises(cq.SizeLimitExceeded) as refused:
+            _common_denominator({3, 5, 7})
+        assert refused.value.context == {"cap": 5}
+
+    def test_long_denominators_on_every_path(self):
+        # 200 distinct 490-digit denominators: 325,000 bits, over the cap
+        m = 200
+        base = chain(m)
+        values = long_denominator_values([f"x{i}" for i in range(m)])
+        assert sum(int(v.split("/")[1]).bit_length() for v in values.values()) > (
+            MAX_DENOMINATOR_BITS
+        )
+        lattice = cq.DownsetLattice(base)
+        capacity = cq.GeneralizedCapacity(
+            lattice, {d: Fraction(len(d), m) for d in lattice.elements}
+        )
+        profile = cq.Profile(base, values)
+        for evaluation in (cq.natural_extension, cq.moebius_form_eval):
+            with pytest.raises(cq.SizeLimitExceeded):
+                evaluation(capacity, profile)
+        pairs = cq.admissible_vertex_pairs(lattice)
+        signed = cq.BipolarCapacity(lattice, {x: Fraction(len(x.pos) - len(x.neg), m) for x in pairs})
+        signed_profile = cq.BipolarProfile(base, values)
+        with pytest.raises(cq.SizeLimitExceeded):
+            cq.bipolar_natural_extension(signed, signed_profile)
+        with pytest.raises(cq.SizeLimitExceeded):
+            cq.bipolar_moebius_form_eval(signed.values, signed_profile)
+        # the same denominators as values of either capacity kind
+        for kind, vertices in [
+            (cq.GeneralizedCapacity, lattice.elements),
+            (cq.BipolarCapacity, cq.admissible_vertex_pairs(lattice)),
+        ]:
+            table = {x: Fraction(1, 10**489 + 2 * k + 1) for k, x in enumerate(vertices)}
+            with pytest.raises(cq.SizeLimitExceeded):
+                kind(lattice, table)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_under_the_cap_the_value_is_exact(self, shared):
+        """100 such denominators (162,500 bits), or 200 values over one
+        of them, which counts once: summed exactly."""
+        m = 200 if shared else 100
+        base = chain(m)
+        lattice = cq.DownsetLattice(base)
+        capacity = cq.GeneralizedCapacity(
+            lattice, {d: Fraction(len(d), m) for d in lattice.elements}
+        )
+        labels = [f"x{i}" for i in range(m)]
+        if shared:
+            q = 10**489 + 1
+            values = {label: f"{(m - i) * q // (m + 1)}/{q}" for i, label in enumerate(labels)}
+        else:
+            values = long_denominator_values(labels)
+        profile = cq.Profile(base, values)
+        expected = sum(profile.values.values()) / m
+        assert cq.natural_extension(capacity, profile) == expected
+        assert cq.moebius_form_eval(cq.moebius_transform(capacity), profile) == expected
 
 
 class TestNaturalExtension:

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -191,6 +192,28 @@ class TestTransforms:
         lattice = boolean_lattice(2)
         with pytest.raises(cq.BaseMismatch):
             cq.GeneralizedCapacity(lattice, {frozenset(): 0})
+
+    @pytest.mark.parametrize("kind", ["unsigned", "signed"])
+    def test_one_vertex_under_two_keys(self, kind):
+        """A table that gives one vertex under two keys is refused when the
+        two values differ, as a file with such a clash is, and accepted
+        when they are equal, however each is written."""
+        lattice = cq.DownsetLattice(antichain(2))
+        one = frozenset({"1"})
+        if kind == "unsigned":
+            build, vertex, key, shown = cq.GeneralizedCapacity, one, ("1",), "['1']"
+            table = {x: Fraction(len(x), 3) for x in lattice.elements}
+        else:
+            build, vertex, key = cq.BipolarCapacity, (one, frozenset()), (("1",), ())
+            shown = "(['1'], [])"
+            pairs = cq.admissible_vertex_pairs(lattice)
+            table = {x: Fraction(len(x.pos) - len(x.neg), 3) for x in pairs}
+        assert table[vertex] == Fraction(1, 3)
+        with pytest.raises(cq.ContradictoryValue, match=re.escape(shown)):
+            build(lattice, {**table, key: Fraction(2, 3)})
+        with pytest.raises(cq.ContradictoryValue):
+            build(lattice, {key: Fraction(2, 3), **table})
+        assert build(lattice, {**table, key: "2/6"}).values == build(lattice, table).values
 
     @pytest.mark.parametrize("bad", ["abc", True])
     def test_own_keys_still_check_values(self, bad):
