@@ -21,8 +21,9 @@ records each chain vertex as a bit code of the base's elements, and the
 sorted profile pairs whose gaps are the weights. A capacity's vertex family
 looks the codes up as positions, split along a tile for a signed chain
 (:meth:`~choqlat.birkhoff._Family.chain`), and the capacity's one chain sum
-(:meth:`~choqlat.moebius._CapacityBody._chain_value`) adds integer weight
-times value numerator and makes one ``Fraction``. That pair serves
+(:meth:`~choqlat.moebius._CapacityBody._chain_value`) adds each level times
+the value's integer step there and makes one ``Fraction``, over a common
+denominator of only the levels where the value steps. That pair serves
 :meth:`Evaluation.along`, which builds every chain-path :class:`Evaluation`,
 unsigned (:func:`evaluate`) or signed (the extension pulled back through a
 tile), and the grid corner sweep of :mod:`~choqlat.kary`. An evaluation's
@@ -33,7 +34,8 @@ The dual path, :func:`moebius_form_eval`, reads only the Moebius
 coefficients and the profile: C(f) = sum of m(X) * min over X of f. It
 ranks the profile pairs once, adds each nonzero coefficient's integer
 numerator to the bucket of the smallest rank in its key, and ends with one
-product per nonempty bucket.
+product per nonempty bucket, over a common denominator of only the values
+at those ranks.
 """
 
 from __future__ import annotations
@@ -376,7 +378,8 @@ def _rank_form(
     value at the smallest rank of its labels, or the empty meet 1 (rank n,
     past the last value) for an empty key. Each numerator adds to the
     bucket of that rank; the sum then takes one product per nonempty
-    bucket, on integers over the least common denominator of the values,
+    bucket, on integers over the least common denominator of the values
+    at those ranks alone (a value whose bucket sums to 0 is never read),
     bounded before it is computed
     (:func:`~choqlat.rationals._common_denominator`).
     """
@@ -390,11 +393,9 @@ def _rank_form(
     for num, key in terms:
         low = min([min(map(rank.__getitem__, part), default=n) for rank, part in zip(ranks, key)])
         buckets[low] += num
-    levels = list(map(values.__getitem__, ranked))
-    scale = _common_denominator({q for _, q in levels})
-    total = buckets[n] * scale + sum(
-        bucket * p * (scale // q) for (p, q), bucket in zip(levels, buckets) if bucket
-    )
+    read = [(values[key], bucket) for key, bucket in zip(ranked, buckets) if bucket]
+    scale = _common_denominator({q for (_, q), _ in read})
+    total = buckets[n] * scale + sum(bucket * p * (scale // q) for (p, q), bucket in read)
     return Fraction(total, scale * denominator)
 
 

@@ -12,16 +12,22 @@ profile give the same number, so each checks the other: they find the
 order, the levels and the vertex codes independently and share only the
 capacity's one chain sum over its ``values``
 (:meth:`~choqlat.moebius._CapacityBody._chain_value`); the signed variants
-mirror the construction on a symmetric scale around 0. :func:`grid_steps`
-reads an :class:`~choqlat.interpolation.Evaluation` on a grid base as
-levels, criteria and grid points.
+mirror the construction on a symmetric scale around 0. The sweep reads one
+table per lattice, :func:`_grid`, kept with the lattice: each criterion's
+prefix codes, the bit codes of its levels 1..l, from which every corner
+and every signed tile is a sum or an OR, with no label built per point.
+The staircase is built by one function for both signs, :func:`_staircase`.
+:func:`grid_steps` reads an :class:`~choqlat.interpolation.Evaluation` on
+a grid base as levels, criteria and grid points.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .bipolar import BipolarCapacity, BipolarProfile
@@ -82,8 +88,14 @@ def grid_shape(base: Poset) -> tuple[int, int]:
     return k, n
 
 
-def _lattice_shape(lattice) -> tuple[int, int]:
-    return grid_shape(lattice.base)
+def _grid(lattice) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """(k, n) of a lattice's chain-product base and its prefix codes:
+    ``prefixes[i - 1][l]`` is the bit code of levels 1..l of criterion i (0
+    for l = 0), which is level l's principal downset."""
+    k, n = grid_shape(lattice.base)
+    down = lattice.base._down
+    prefixes = tuple((0, *(down[level_label(i, l)] for l in range(1, k))) for i in range(1, n + 1))
+    return k, n, prefixes
 
 
 def node_to_downset(node: Sequence[int], k: int) -> frozenset:
@@ -246,15 +258,18 @@ def locate_signed_point(
     return _locate_coordinates(point, scale)
 
 
-def _staircase_values(
-    k: int, n: int, indices: Sequence[int], residues: Sequence[Fraction]
-) -> dict[str, Fraction]:
-    out = {}
-    for i in range(1, n + 1):
-        index, residue = indices[i - 1], residues[i - 1]
+def _staircase(
+    k: int, indexing: LevelIndexing, positive: frozenset | None = None
+) -> tuple[Poset, dict[str, Fraction]]:
+    """The grid base of a located point and its staircase: on each criterion
+    1 below the level index, the residue at it and 0 above, negated on the
+    criteria outside ``positive`` when given."""
+    values = {}
+    for i, (index, residue) in enumerate(zip(indexing.indices, indexing.residues), start=1):
+        top, mid = (ONE, residue) if positive is None or i in positive else (-ONE, -residue)
         for l in range(1, k):
-            out[level_label(i, l)] = ONE if l < index else residue if l == index else ZERO
-    return out
+            values[level_label(i, l)] = top if l < index else mid if l == index else ZERO
+    return build_kary_base(k, len(indexing.indices)), values
 
 
 def level_profile(point: Sequence, scale: ReferenceScale) -> tuple[LevelIndexing, Profile]:
@@ -265,43 +280,33 @@ def level_profile(point: Sequence, scale: ReferenceScale) -> tuple[LevelIndexing
     closed interpolation formulas.
     """
     indexing = locate_point(point, scale)
-    n = len(indexing.indices)
-    base = build_kary_base(scale.k, n)
-    return indexing, Profile(
-        base, _staircase_values(scale.k, n, indexing.indices, indexing.residues)
-    )
+    return indexing, Profile(*_staircase(scale.k, indexing))
 
 
 def _corner_sweep(
     capacity: GeneralizedCapacity | BipolarCapacity,
+    prefixes: Sequence[Sequence[int]],
     indexing: LevelIndexing,
     positive: int | None = None,
 ) -> Fraction:
     """Sorted sweep over residues against lazily read mesh corners.
 
-    The corner with no criterion raised is the staircase prefix (every
-    criterion below its level index); each step raises one more criterion,
-    in sorted-residue order, to its index. The first corner enters with
-    weight 1 minus the top residue, so corners with nonzero value at the
-    resting point are kept. Corners are bit codes of downsets; with
-    ``positive`` (the bit code of a tile's positive side) they are read as
-    signed vertices split along that tile. The sorted residues give the
-    weights, and the capacity's one chain sum
-    (:meth:`~choqlat.moebius._CapacityBody._chain_value`) adds the weighted
-    corners.
+    Corners are bit codes of downsets, made from the grid's prefix codes
+    (:func:`_grid`). The corner with no criterion raised is the staircase
+    prefix, the sum of each criterion's code below its level index; each
+    step ORs in the next criterion's code up to its index, in sorted-residue
+    order. The first corner enters with weight 1 minus the top residue, so
+    corners with nonzero value at the resting point are kept. With
+    ``positive`` (the bit code of a tile's positive side) the corners are
+    read as signed vertices split along that tile. The capacity's one chain
+    sum (:meth:`~choqlat.moebius._CapacityBody._chain_value`) adds the
+    corners' values at the sorted residues.
     """
     indices, residues, order = indexing.indices, indexing.residues, indexing.order
-    bit, down = capacity.lattice.base._bit, capacity.lattice.base._down
-    # a level's principal downset is its criterion's levels up to it
-    corner = 0
-    for i, index in enumerate(indices, start=1):
-        if index > 1:
-            corner |= down[level_label(i, index - 1)]
-    corners = [corner]
-    for criterion in order:
-        corner |= bit[level_label(criterion, indices[criterion - 1])]
-        corners.append(corner)
-    levels = [residues[criterion - 1].as_integer_ratio() for criterion in order]
+    start = sum(prefix[index - 1] for prefix, index in zip(prefixes, indices))
+    raised = (prefixes[c - 1][indices[c - 1]] for c in order)
+    corners = accumulate(raised, operator.or_, initial=start)
+    levels = [residues[c - 1].as_integer_ratio() for c in order]
     return capacity._chain_value(corners, levels, positive)
 
 
@@ -314,15 +319,13 @@ def interpolate_point(
     Reads the 2^n corner values lazily rather than materialising a local
     capacity. Returns the capacity value itself at mesh nodes.
     """
-    k, n = capacity.lattice.derived(_lattice_shape)
+    k, n, prefixes = capacity.lattice.derived(_grid)
     if scale.symmetric or scale.k != k:
-        raise InvalidDimensions(
-            f"scale has {scale.k} levels but the capacity grid has {k}"
-        )
+        raise InvalidDimensions(f"scale has {scale.k} levels but the capacity grid has {k}")
     indexing = locate_point(point, scale)
     if len(indexing.indices) != n:
         raise InvalidDimensions(f"point has {len(indexing.indices)} coordinates, grid has {n}")
-    return _corner_sweep(capacity, indexing)
+    return _corner_sweep(capacity, prefixes, indexing)
 
 
 class GridSteps(NamedTuple):
@@ -370,13 +373,7 @@ def bipolar_level_profile(
     """Locate a signed score point: the set of nonnegative criteria, the
     per-side mesh indices and residues, and the signed staircase profile."""
     positive, indexing = locate_signed_point(point, scale)
-    k, n = scale.k, len(indexing.indices)
-    magnitudes = _staircase_values(k, n, indexing.indices, indexing.residues)
-    signed = {
-        label: (v if label_parts(label)[0] in positive else -v)
-        for label, v in magnitudes.items()
-    }
-    return positive, indexing, BipolarProfile(build_kary_base(k, n), signed)
+    return positive, indexing, BipolarProfile(*_staircase(scale.k, indexing, positive))
 
 
 def interpolate_signed_point(
@@ -387,16 +384,12 @@ def interpolate_signed_point(
     Criteria split by score sign (zero counts as positive); mesh corners are
     read as signed vertices split along that tile.
     """
-    k, n = capacity.lattice.derived(_lattice_shape)
+    k, n, prefixes = capacity.lattice.derived(_grid)
     if not scale.symmetric or scale.k != k:
-        raise InvalidDimensions(
-            f"need a symmetric scale with {k} levels per side"
-        )
+        raise InvalidDimensions(f"need a symmetric scale with {k} levels per side")
     positive, indexing = locate_signed_point(point, scale)
     if len(indexing.indices) != n:
         raise InvalidDimensions(f"point has {len(indexing.indices)} coordinates, grid has {n}")
-    # the top level's principal downset is the whole criterion
-    down = capacity.base._down
-    return _corner_sweep(
-        capacity, indexing, sum(down[level_label(i, k - 1)] for i in positive)
-    )
+    # a criterion's top prefix is the whole criterion
+    tile = sum(prefixes[i - 1][k - 1] for i in positive)
+    return _corner_sweep(capacity, prefixes, indexing, tile)

@@ -37,7 +37,6 @@ import operator
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import chain, tee
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .birkhoff import (
@@ -183,20 +182,22 @@ class _CapacityBody:
         side has the bit code ``positive`` when given
         (:meth:`~choqlat.birkhoff._Family.chain`). ``levels`` are the
         chain's sorted values (nonincreasing, in [0, 1]) as (numerator,
-        positive denominator) pairs, in lowest terms or not, and the weights
-        are the gaps between consecutive terms of 1, the levels and 0:
-        integers over the levels' least common denominator, bounded before
-        it is computed (:func:`~choqlat.rationals._common_denominator`). The
-        sum runs on integers and makes one ``Fraction``, over the product of
-        that and the values' denominator. The scaled levels are made as the
-        sum reaches them, so no more than two of them are held at once.
+        positive denominator) pairs, in lowest terms or not. The weights are
+        the gaps between consecutive terms of 1, the levels and 0, and the
+        sum is written in its step form v0 + sum of l_j (v_{j+1} - v_j),
+        with v_j the value numerators along the chain: level l_j enters only
+        where the value steps, so the common denominator is taken over those
+        levels alone, bounded before it is computed
+        (:func:`~choqlat.rationals._common_denominator`). The sum runs on
+        integers and makes one ``Fraction``, over the product of that and
+        the values' denominator.
         """
         numerators, denominator = self.values._integers
-        scale = _common_denominator({den for _, den in levels})
-        high, low = tee(num * (scale // den) for num, den in levels)
-        weights = map(operator.sub, chain((scale,), high), chain(low, (0,)))
-        at = self._family.chain(masks, positive)
-        total = sum(map(operator.mul, weights, map(numerators.__getitem__, at)))
+        values = list(map(numerators.__getitem__, self._family.chain(masks, positive)))
+        chain = zip(levels, values, values[1:])
+        steps = [(level, high - low) for level, low, high in chain if high != low]
+        scale = _common_denominator({den for (_, den), _ in steps})
+        total = values[0] * scale + sum(num * (scale // den) * step for (num, den), step in steps)
         return Fraction(total, denominator * scale)
 
     @cached_property

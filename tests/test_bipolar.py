@@ -308,6 +308,14 @@ class TestPsi:
             cq.psi(boolean2, {"1"}, {"1": -1, "2": 0})
         with pytest.raises(cq.SignConstraintViolated):
             cq.psi(boolean2, {"1"}, {"1": 0, "2": 2})
+        with pytest.raises(cq.SignConstraintViolated, match="positive value on the negative side"):
+            cq.psi(boolean2, {"1"}, {"1": 0, "2": 1})
+
+    def test_signed_map_must_cover_the_base(self, boolean2):
+        with pytest.raises(cq.BaseMismatch):
+            cq.psi(boolean2, {"1"}, {"1": 1})
+        with pytest.raises(cq.BaseMismatch):
+            cq.psi(boolean2, {"1"}, {"1": 1, "2": 0, "3": 0})
 
     def test_magnitude_must_be_nonincreasing(self, grid):
         with pytest.raises(cq.NotNonincreasing):
@@ -329,6 +337,13 @@ class TestCapacity:
         values[pair({"a"}, {"c"})] = 1
         with pytest.raises(cq.NotInTile):
             cq.BipolarCapacity(wedge_lattice, values)
+
+    def test_call_reads_stored_vertices_only(self, wedge_lattice):
+        pairs = cq.admissible_vertex_pairs(wedge_lattice)
+        capacity = cq.BipolarCapacity(wedge_lattice, {p: len(p.pos) - len(p.neg) for p in pairs})
+        assert capacity(({"a", "c"}, ())) == 2
+        with pytest.raises(cq.NotAnElement, match="is not a stored vertex"):
+            capacity(({"a"}, {"c"}))
 
     def test_overlapping_key_rejected(self, boolean2):
         values = {p: 0 for p in cq.admissible_vertex_pairs(boolean2)}
@@ -514,6 +529,26 @@ class TestEvaluate:
         with pytest.raises(cq.NotComplemented):
             cq.evaluate_bipolar(capacity, profile, tile_hint=frozenset({"c1l2"}))
 
+    def test_negative_value_inside_the_hinted_tile(self, grid):
+        capacity = random_bipolar_capacity(random.Random(9), grid)
+        profile = cq.BipolarProfile(
+            grid.base, {"c1l1": "-0.5", "c1l2": "-0.1", "c2l1": 0, "c2l2": 0}
+        )
+        with pytest.raises(cq.NotInTile, match="strictly negative value at 'c1l1' inside"):
+            cq.evaluate_bipolar(capacity, profile, tile_hint=grid.top)
+
+    def test_tile_hint_needs_a_mosaic(self, wedge_lattice):
+        capacity = random_bipolar_capacity(random.Random(10), wedge_lattice)
+        profile = cq.BipolarProfile(wedge_poset(), {"a": "0.5", "b": 0, "c": 0})
+        with pytest.raises(cq.NotRegularMosaic):
+            cq.evaluate_bipolar(capacity, profile, tile_hint=wedge_lattice.top)
+
+    def test_base_mismatch(self, boolean2):
+        capacity = random_bipolar_capacity(random.Random(11), boolean2)
+        profile = cq.BipolarProfile(antichain(3), {"1": "0.5", "2": 0, "3": "-0.5"})
+        with pytest.raises(cq.BaseMismatch):
+            cq.evaluate_bipolar(capacity, profile)
+
     @pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
     @given(data=st.data())
     def test_matches_slow_oracle(self, kind, data):
@@ -632,6 +667,12 @@ class TestBicapacityChoquet:
         assert cq.bicapacity_choquet(table, scores) == Fraction(1, 2)
         scores["3"] = Fraction(3, 10)  # wrong sign kills the meet
         assert cq.bicapacity_choquet(table, scores) == 0
+
+    def test_table_missing_the_induced_pair(self):
+        table = {pair(): 0, pair({"1"}): 1}
+        assert cq.bicapacity_choquet(table, {"1": "0.5"}) == Fraction(1, 2)
+        with pytest.raises(cq.NotAnElement, match=r"not defined at \(\[\], \['1'\]\)"):
+            cq.bicapacity_choquet(table, {"1": "-0.5"})
 
 
 class TestMoebiusFormEval:

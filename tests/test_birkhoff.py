@@ -35,6 +35,13 @@ class TestAccessors:
         with pytest.raises(cq.NotAnElement):
             wedge_lattice.check_element({"b"})
 
+    def test_membership(self, wedge_lattice):
+        assert {"a", "c"} in wedge_lattice
+        assert {"b"} not in wedge_lattice
+        # no frozenset can be made of these: not a member, not an error
+        assert [["a"]] not in wedge_lattice
+        assert 5 not in wedge_lattice
+
     def test_join_meet_examples(self, wedge_lattice):
         assert wedge_lattice.join({"a"}, {"c"}) == frozenset({"a", "c"})
         assert wedge_lattice.meet({"a"}, {"c"}) == frozenset()

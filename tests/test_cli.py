@@ -560,6 +560,35 @@ class TestInputBoundary:
         assert payload["error"]["code"] == "file_format"
         assert payload["error"]["field"] == "covers"
 
+    @pytest.mark.parametrize(
+        "field, poset",
+        [
+            ("elements", {"elements": ["a", 1], "covers": []}),
+            ("covers", {"elements": ["a"], "covers": 5}),
+        ],
+    )
+    def test_poset_fields_must_be_lists(self, capsys, tmp_path, field, poset):
+        code, payload = run_json(capsys, "poset", "check", write(tmp_path, "poset.json", poset))
+        assert code == 2
+        assert payload["error"]["code"] == "file_format"
+        assert payload["error"]["field"] == field
+
+    def test_profile_values_must_be_an_object(self, capsys, tmp_path):
+        _, _, cpath, _ = choquet_files(tmp_path)
+        ppath = write(tmp_path, "list_profile.json", {"values": ["0.5", "0", "0"]})
+        code, payload = run_json(capsys, "choquet", "eval", "--capacity", cpath, "--profile", ppath)
+        assert code == 2
+        assert payload["error"]["code"] == "file_format"
+        assert payload["error"]["field"] == "values"
+
+    def test_scale_levels_must_be_a_list(self, capsys, tmp_path, grid_capacity_file):
+        spath = write(tmp_path, "scale.json", {"levels": "0,0.5,1"})
+        argv = ["levels", "eval", "--scale", spath, "--capacity", grid_capacity_file]
+        code, payload = run_json(capsys, *argv, "--point=0.5,0.2")
+        assert code == 2
+        assert payload["error"]["code"] == "file_format"
+        assert payload["error"]["field"] == "levels"
+
     @pytest.mark.parametrize("point", ["abc,0.2", "0.5,,0.2", "0.5,0.2,"])
     def test_point_coordinates_must_parse(self, capsys, tmp_path, grid_capacity_file, point):
         spath = write(tmp_path, "scale.json", {"levels": ["0", "0.5", "1"]})
@@ -747,6 +776,13 @@ class TestMobius:
     def test_requires_exactly_one_input(self, capsys):
         code, payload = run_json(capsys, "mobius")
         assert code == 2
+
+    def test_bipolar_capacity_off_a_mosaic_exits_2(self, capsys, tmp_path):
+        capacity = random_bipolar_capacity(random.Random(3), cq.DownsetLattice(wedge_poset()))
+        path = write(tmp_path, "wedge_bipolar.json", fileio.bipolar_capacity_payload(capacity))
+        code, payload = run_json(capsys, "mobius", "--bipolar-capacity", path)
+        assert code == 2
+        assert payload["error"]["code"] == "not_regular_mosaic"
 
 
 class TestSelftest:

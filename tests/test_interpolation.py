@@ -314,6 +314,41 @@ class TestCommonDenominatorBudget:
         assert cq.natural_extension(capacity, profile) == expected
         assert cq.moebius_form_eval(cq.moebius_transform(capacity), profile) == expected
 
+    @pytest.mark.parametrize("rule", ["zero", "one", "step"])
+    def test_only_the_levels_a_sum_reads_are_scaled(self, rule):
+        """The 200 long denominators of the refused case, against capacities
+        that step at most once along the chain: each sum reads at most one
+        level, so it is exact on both paths."""
+        m = 200
+        base = chain(m)
+        lattice = cq.DownsetLattice(base)
+        value = {"zero": lambda d: 0, "one": lambda d: 1, "step": lambda d: int(bool(d))}[rule]
+        capacity = cq.GeneralizedCapacity(lattice, {d: value(d) for d in lattice.elements})
+        profile = cq.Profile(base, long_denominator_values([f"x{i}" for i in range(m)]))
+        expected = {"zero": 0, "one": 1, "step": profile("x0")}[rule]
+        assert cq.natural_extension(capacity, profile) == expected
+        assert cq.moebius_form_eval(cq.moebius_transform(capacity), profile) == expected
+
+    @pytest.mark.parametrize("step", [False, True])
+    def test_only_the_levels_a_signed_sum_reads_are_scaled(self, step):
+        """A zero bipolar capacity, or one that is 1 on every pair with a
+        positive side and -1 on every pair with a negative side, under the
+        fully negative profile of the long denominators: exact on both
+        paths."""
+        m = 200
+        base = chain(m)
+        lattice = cq.DownsetLattice(base)
+        pairs = cq.admissible_vertex_pairs(lattice)
+        assert len(pairs) == 2 * m + 1
+        table = {x: (bool(x.pos) - bool(x.neg)) * step for x in pairs}
+        capacity = cq.BipolarCapacity(lattice, table)
+        values = long_denominator_values([f"x{i}" for i in range(m)])
+        profile = cq.BipolarProfile(base, {label: f"-{v}" for label, v in values.items()})
+        expected = profile("x0") if step else 0
+        assert cq.bipolar_natural_extension(capacity, profile) == expected
+        coefficients = cq.bipolar_moebius_transform(lattice, capacity.values)
+        assert cq.bipolar_moebius_form_eval(coefficients, profile) == expected
+
 
 class TestNaturalExtension:
     def test_worked_instance_formula(self, grid_base, worked_profile):
@@ -422,6 +457,11 @@ class TestChoquetClassical:
         with pytest.raises(cq.NegativeScore):
             cq.choquet_classical(capacity, {"1": "-0.1", "2": 0})
 
+    def test_mapping_missing_a_prefix_set(self):
+        capacity = {frozenset(): 0, frozenset({"2"}): 1}
+        with pytest.raises(cq.NotAnElement, match=r"not defined on \['1', '2'\]"):
+            cq.choquet_classical(capacity, {"1": "0.5", "2": "0.7"})
+
     @given(st.data())
     def test_boolean_reduction_of_natural_extension(self, data):
         n = data.draw(st.integers(min_value=1, max_value=4))
@@ -457,6 +497,11 @@ class TestZeroOneMaxmin:
         lattice = cq.DownsetLattice(grid_base)
         zeros = cq.GeneralizedCapacity(lattice, {d: 0 for d in lattice.elements})
         assert cq.zero_one_maxmin(zeros, worked_profile) == 0
+
+    def test_base_mismatch(self, worked_profile):
+        lattice = cq.DownsetLattice(antichain(2))
+        with pytest.raises(cq.BaseMismatch):
+            cq.zero_one_maxmin(cq.unanimity(lattice, lattice.top), worked_profile)
 
     def test_wedge_pair_against_natural_extension(self):
         base = wedge_poset()
@@ -556,6 +601,12 @@ class TestMoebiusFormEval:
             vector = cq.GeneralizedCapacity(lattice, {frozenset(): value})
             assert cq.moebius_form_eval(vector, profile) == Fraction(value)
 
+    def test_base_mismatch(self, worked_profile):
+        lattice = cq.DownsetLattice(antichain(2))
+        coefficients = cq.GeneralizedCapacity(lattice, {d: 1 for d in lattice.elements})
+        with pytest.raises(cq.BaseMismatch):
+            cq.moebius_form_eval(coefficients, worked_profile)
+
 
 GRID = cq.DownsetLattice(cq.build_kary_base(3, 2))
 # the same scales written with scaled-up integers and signed zeros
@@ -563,6 +614,7 @@ SCALES = [
     (("0", "1/2", "1"), ("-0/3", "50e-2", "1.00"), False),
     (("-1", "-1/2", "0", "1/2", "1"), ("-2/2", "-0.50", "+0.0", "5e-1", "10/10"), True),
 ]
+
 
 
 class TestUnreducedText:

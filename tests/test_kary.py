@@ -191,6 +191,10 @@ class TestScaleValidation:
         with pytest.raises(cq.InvalidDimensions):
             cq.ReferenceScale(("0", "0"))
 
+    def test_one_level_scale(self):
+        with pytest.raises(cq.InvalidDimensions, match="at least two levels"):
+            cq.ReferenceScale(("0",))
+
     def test_symmetric_needs_odd_count(self):
         with pytest.raises(cq.InvalidDimensions):
             cq.ReferenceScale(("-1", "0", "0.5", "1"), symmetric=True)
@@ -204,6 +208,11 @@ class TestScaleValidation:
         assert symmetric5.rho(0) == 0
         assert symmetric5.rho(-2) == -1
         assert symmetric5.rho(2) == 1
+
+    def test_rho_outside_the_scale(self, scale3, symmetric5):
+        for scale, index in [(scale3, 3), (scale3, -1), (symmetric5, -3), (symmetric5, 3)]:
+            with pytest.raises(cq.OutOfScale, match="outside the scale"):
+                scale.rho(index)
 
 
 class TestPointInterpolation:
@@ -485,6 +494,80 @@ class TestPositionalCornerSweep:
         expected = slow_evaluation(capacity.values, slow_triangulate(profile.magnitude()), tile)
         assert cq.evaluate_bipolar(capacity, profile) == expected
         assert cq.interpolate_signed_point(capacity, point, scale) == expected.value
+
+
+class TestRefusals:
+    """The point locators and both sweeps refuse a scale or a point of the
+    wrong shape."""
+
+    def test_locators_check_the_scale_kind(self, scale3, symmetric5):
+        with pytest.raises(cq.InvalidDimensions, match="expects a one-sided scale"):
+            cq.locate_point(["0.5"], symmetric5)
+        with pytest.raises(cq.InvalidDimensions, match="needs a symmetric scale"):
+            cq.locate_signed_point(["0.5"], scale3)
+
+    def test_point_with_the_wrong_coordinate_count(self, grid32, scale3, symmetric5):
+        rng = random.Random(31)
+        with pytest.raises(cq.InvalidDimensions, match="point has 3 coordinates, grid has 2"):
+            cq.interpolate_point(random_capacity(rng, grid32), ["0", "0.5", "1"], scale3)
+        capacity = random_bipolar_capacity(rng, grid32)
+        with pytest.raises(cq.InvalidDimensions, match="point has 1 coordinates, grid has 2"):
+            cq.interpolate_signed_point(capacity, ["-0.5"], symmetric5)
+
+    def test_signed_sweep_checks_the_scale(self, grid32, scale3):
+        capacity = random_bipolar_capacity(random.Random(37), grid32)
+        wide = cq.ReferenceScale(("-1", "-0.5", "-0.25", "0", "0.25", "0.5", "1"), symmetric=True)
+        for scale in (scale3, wide):
+            with pytest.raises(cq.InvalidDimensions, match="symmetric scale with 3 levels"):
+                cq.interpolate_signed_point(capacity, ["0.5", "0.5"], scale)
+
+
+class TestGridTable:
+    """The prefix codes both corner sweeps read, and the sweeps against the
+    staircase on grids wide enough that the label sort puts ``c10l1``
+    before ``c2l1``, so bit order is not criterion order."""
+
+    @pytest.mark.parametrize(
+        "k, n", [(k, n) for k in (2, 3, 4) for n in (1, 2, 3, 4)] + [(5, 3), (6, 5), (2, 11)]
+    )
+    def test_prefixes_are_principal_downsets(self, k, n):
+        base = cq.build_kary_base(k, n)
+        got_k, got_n, prefixes = cq.DownsetLattice(base).derived(choqlat.kary._grid)
+        assert (got_k, got_n) == (k, n)
+        assert len(prefixes) == n
+        for i, prefix in enumerate(prefixes, start=1):
+            assert len(prefix) == k and prefix[0] == 0
+            for l in range(1, k):
+                assert prefix[l] == base._down[cq.level_label(i, l)]
+                assert prefix[l] == sum(base._bit[cq.level_label(i, j)] for j in range(1, l + 1))
+
+    def test_bit_order_is_not_criterion_order(self):
+        base = cq.build_kary_base(2, 11)
+        assert base._bit["c10l1"] < base._bit["c2l1"]
+
+    def test_wide_unsigned_sweep_matches_staircase(self):
+        rng = random.Random(23)
+        lattice = cq.DownsetLattice(cq.build_kary_base(2, 11))
+        capacity = random_capacity(rng, lattice)
+        scale = cq.ReferenceScale(("0", "1"))
+        for _ in range(20):
+            point = [Fraction(rng.randint(0, 20), 20) for _ in range(11)]
+            _, staircase = cq.level_profile(point, scale)
+            assert cq.interpolate_point(capacity, point, scale) == cq.natural_extension(
+                capacity, staircase
+            )
+
+    def test_wide_signed_sweep_matches_staircase(self):
+        rng = random.Random(29)
+        lattice = cq.DownsetLattice(cq.build_kary_base(2, 10))
+        capacity = random_bipolar_capacity(rng, lattice)
+        scale = cq.ReferenceScale(("-1", "0", "1"), symmetric=True)
+        for _ in range(20):
+            point = [Fraction(rng.randint(-20, 20), 20) for _ in range(10)]
+            _, _, staircase = cq.bipolar_level_profile(point, scale)
+            assert cq.interpolate_signed_point(
+                capacity, point, scale
+            ) == cq.bipolar_natural_extension(capacity, staircase)
 
 
 class TestTwoLevelCollapse:

@@ -67,6 +67,19 @@ class TestMoebiusFunction:
         with pytest.raises(cq.NotComparable):
             moebius_function(wedge_poset(), "b", "a")
 
+    def test_lattice_moebius_needs_comparable_elements(self):
+        lattice = cq.DownsetLattice(wedge_poset())
+        with pytest.raises(cq.NotComparable):
+            cq.lattice_moebius(lattice, {"a"}, {"c"})
+
+    def test_capacity_call(self):
+        lattice = cq.DownsetLattice(wedge_poset())
+        capacity = cq.GeneralizedCapacity(lattice, {d: len(d) for d in lattice.elements})
+        assert capacity({"a", "c"}) == 2
+        assert capacity([]) == 0
+        with pytest.raises(cq.NotAnElement, match="not a lattice element"):
+            capacity({"b"})
+
     @given(lattices(min_elements=1, max_elements=4), st.data())
     def test_matches_inline_recursion(self, lattice, data):
         x = data.draw(st.sampled_from(lattice.elements))

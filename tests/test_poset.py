@@ -47,6 +47,14 @@ class TestValidation:
         with pytest.raises(cq.UnknownLabel):
             cq.Poset(["a", "b"], [(["a"], "b")])
 
+    def test_label_must_be_a_string(self):
+        with pytest.raises(cq.UnknownLabel, match="labels must be strings"):
+            cq.Poset(["a", 1], [])
+
+    def test_query_on_an_unknown_label(self):
+        with pytest.raises(cq.UnknownLabel, match="unknown label 'z'"):
+            wedge_poset().leq("a", "z")
+
     def test_duplicate_label_rejected(self):
         with pytest.raises(cq.DuplicateLabel):
             cq.Poset(["a", "a"], [])
@@ -123,6 +131,10 @@ class TestDownsets:
     def test_cap_enforced(self):
         with pytest.raises(cq.SizeLimitExceeded):
             cq.all_downsets(antichain(8), max_count=10)
+
+    def test_cap_below_the_empty_family(self):
+        with pytest.raises(cq.SizeLimitExceeded, match="exceeds cap 0"):
+            cq.all_downsets(wedge_poset(), max_count=0)
 
     @given(posets())
     def test_all_outputs_are_downsets(self, p):
