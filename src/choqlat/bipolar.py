@@ -24,13 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-from .birkhoff import (
-    BipolarElement,
-    DownsetLattice,
-    _extension_family,
-    _Family,
-    bipolar_extension,
-)
+from .birkhoff import BipolarElement, DownsetLattice, _admissible_family
 from .errors import (
     BaseMismatch,
     NotAnElement,
@@ -201,27 +195,7 @@ def admissible_vertex_pairs(
     is a strict subset (elements like two minimal points of one component on
     opposite signs belong to no tile). Computed once per lattice.
     """
-    return lattice.derived(_admissible_pairs)
-
-
-def _admissible_pairs(lattice: DownsetLattice) -> tuple[BipolarElement, ...]:
-    # both parts of a disjoint pair meet a component only if it has two bottoms
-    shared = [c.members for c in connected_components(lattice.base) if len(c.minimals) > 1]
-    if not shared:
-        return bipolar_extension(lattice)
-    return tuple(
-        pair
-        for pair in bipolar_extension(lattice)
-        if all(pair.pos.isdisjoint(c) or pair.neg.isdisjoint(c) for c in shared)
-    )
-
-
-def _admissible_family(lattice: DownsetLattice) -> _Family:
-    """The admissible vertex pairs as a vertex family: on a regular mosaic
-    the extension's own family, else a down-closed family of its own."""
-    pairs = admissible_vertex_pairs(lattice)
-    extension = lattice.derived(_extension_family)
-    return extension if pairs is extension.vertices else _Family(pairs, lattice, signed=True)
+    return lattice.derived(_admissible_family).vertices
 
 
 class BipolarCapacity(_CapacityBody):

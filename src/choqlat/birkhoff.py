@@ -6,18 +6,16 @@ This module keeps that single representation everywhere: joins are unions,
 meets are intersections, and explicitly presented lattices are converted at
 the boundary by :func:`verify_distributive`.
 
-The bits are the base poset's own (base element j is bit (position of j in
-the linear extension)), and every vertex has one code: a lattice element
-its bits, a pair of disjoint elements those of a downset of two copies of
-the base, positive part low. The lattice's elements, the bipolar extension
-(the ordered pairs of disjoint elements, enumerated per downset from the
-elements' codes, counted before they are built) and the admissible pairs
-are down-closed families of codes, each one :class:`_Family` record kept
-with the lattice: its vertices, positions, codes and step plan, and the
-one lookup of a chain's positions, a signed chain split along a tile (the
-pair-code layout is written only here). One walk over a family's code
-table lists its covers: the step plan of the zeta/Moebius transforms, also
-the Hasse diagram that every covering relation is read from.
+A downset is an int on the base poset's bits (base element j is bit
+(position of j in the linear extension)). Each vertex family is built and
+held as such codes, one :class:`_Family` record kept with the lattice: the
+elements, from :func:`~choqlat.poset._downsets`; the bipolar extension,
+each disjoint pair the code of a downset of two copies of the base,
+positive part low (counted per downset before it is built); the admissible
+pairs, filtered from it. Label sets and signed pairs are a view, built on
+first read. One walk over each code's maximal elements lists the covers:
+the step plan of the zeta/Moebius transforms, also the Hasse diagram. The
+pair-code layout is written only here.
 """
 
 from __future__ import annotations
@@ -25,10 +23,11 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 from .errors import NotALattice, NotAnElement, NotDistributive, SizeLimitExceeded
-from .poset import DOWNSET_CAP, Poset, all_downsets, downset_key, linear_extension
+from .poset import DOWNSET_CAP, Poset, _downsets, _label_sets, connected_components, downset_key
 
 T = TypeVar("T")
 
@@ -37,8 +36,8 @@ class DownsetLattice:
     """The lattice of all downsets of ``base``, ordered by inclusion.
 
     Bottom is the empty set, top is the whole ground set. Elements are
-    enumerated lazily (first access to :attr:`elements`) and cached;
-    ``DOWNSET_CAP`` guards the exponential family. Tables that other
+    enumerated as codes on first need, their label sets (:attr:`elements`)
+    on first read; ``DOWNSET_CAP`` guards the family. Tables that other
     modules derive from the lattice are cached with it by :meth:`derived`.
     """
 
@@ -48,7 +47,7 @@ class DownsetLattice:
 
     @cached_property
     def elements(self) -> tuple[frozenset, ...]:
-        return tuple(all_downsets(self.base))
+        return tuple(_label_sets(self.base, self.derived(_lattice_family).order))
 
     @property
     def bottom(self) -> frozenset:
@@ -59,13 +58,15 @@ class DownsetLattice:
         return frozenset(self.base.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.derived(_lattice_family).order)
 
     def __contains__(self, item) -> bool:
         try:
-            return frozenset(item) in self.derived(_lattice_family).positions
+            member = frozenset(item)
         except TypeError:
             return False
+        bit, codes = self.base._bit, self.derived(_lattice_family).codes
+        return bit.keys() >= member and sum(map(bit.get, member)) in codes
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DownsetLattice):
@@ -95,7 +96,7 @@ class DownsetLattice:
         it is, in downset form, the element itself.
         """
         member = frozenset(x)
-        if member not in self.derived(_lattice_family).positions:
+        if member not in self:
             raise NotAnElement(
                 f"{sorted(member)!r} is not a downset of the base poset",
                 element=sorted(member),
@@ -129,9 +130,8 @@ class DownsetLattice:
 
     def complemented(self) -> dict[frozenset, frozenset]:
         """Elements whose set complement is again a downset, with complements."""
-        member = self.derived(_lattice_family).positions
         top = self.top
-        return {d: top - d for d in self.elements if (top - d) in member}
+        return {d: top - d for d in self.elements if top - d in self}
 
 
 class BipolarElement(NamedTuple):
@@ -163,33 +163,36 @@ def bipolar_cover_pairs(
 
 
 class _Family:
-    """One vertex family of a lattice: its ``vertices`` in domain order, and,
-    each built on first read, their ``positions``, their ``codes`` and the
-    family's step ``plan``.
+    """One vertex family of a lattice: ``order``, its vertices' codes in
+    domain order, and ``maxima``, each one's maximal elements; and, each
+    built on first read, ``codes`` (each code mapped to its position), the
+    ``vertices`` they stand for, their ``positions`` and the step ``plan``.
+    ``signed`` families hold pairs (pos, neg) of disjoint lattice elements,
+    each coded as a downset of two copies of the base, code(neg) << |base|
+    | code(pos): the positive part in the low bits."""
 
-    ``signed`` families hold pairs (pos, neg) of disjoint lattice elements.
-    A pair's code is the code of a downset of two copies of the base,
-    code(neg) << |base| | code(pos): the positive part in the low bits.
-    """
+    def __init__(self, lattice: DownsetLattice, order: list[int], maxima: list[int], signed: bool):
+        self.lattice, self.order, self.maxima, self.signed = lattice, order, maxima, signed
 
-    def __init__(self, vertices: tuple, lattice: DownsetLattice, signed: bool):
-        self.vertices, self.lattice, self.signed = vertices, lattice, signed
+    @cached_property
+    def codes(self) -> dict[int, int]:
+        """Each vertex's code mapped to its position, in domain order."""
+        return {code: k for k, code in enumerate(self.order)}
+
+    @cached_property
+    def vertices(self) -> tuple:
+        """The label view: the lattice's elements, or pairs of them."""
+        elements, width = self.lattice.elements, len(self.lattice.base)
+        if not self.signed:
+            return elements
+        part = dict(zip(self.lattice.derived(_lattice_family).order, elements))
+        low = (1 << width) - 1
+        return tuple([BipolarElement(part[c & low], part[c >> width]) for c in self.order])
 
     @cached_property
     def positions(self) -> dict:
         """Each vertex mapped to its position."""
         return {v: k for k, v in enumerate(self.vertices)}
-
-    @cached_property
-    def codes(self) -> dict[int, int]:
-        """Each vertex's code mapped to its position, in domain order."""
-        if not self.signed:
-            bit = self.lattice.base._bit
-            return {sum(map(bit.get, x)): k for k, x in enumerate(self.vertices)}
-        elements = self.lattice.derived(_lattice_family)
-        code = dict(zip(elements.vertices, elements.codes))
-        width = len(self.lattice.base)
-        return {code[neg] << width | code[pos]: k for k, (pos, neg) in enumerate(self.vertices)}
 
     def chain(self, masks: Iterable[int], positive: int | None = None) -> list[int]:
         """Positions of the chain vertices ``masks``, bit codes of downsets.
@@ -204,7 +207,7 @@ class _Family:
     @cached_property
     def plan(self) -> tuple:
         """The step plan of :func:`_step_plan` over :attr:`codes`."""
-        return _step_plan(self.codes, len(self.lattice.base))
+        return _step_plan(self.codes, self.maxima, len(self.lattice.base))
 
     def covers(self) -> list[tuple]:
         """The (lower, upper) pairs of the plan, by the position of the
@@ -214,7 +217,7 @@ class _Family:
 
 
 def _lattice_family(lattice: DownsetLattice) -> _Family:
-    return _Family(lattice.elements, lattice, signed=False)
+    return _Family(lattice, *_downsets(lattice.base), signed=False)
 
 
 def _extension_family(lattice: DownsetLattice) -> _Family:
@@ -224,8 +227,8 @@ def _extension_family(lattice: DownsetLattice) -> _Family:
     downset whose components are known; that element joins those that hold
     an element below it. The pairs are counted first, then built, sorted on
     the integers p * |L| + q for the positions p and q of their parts."""
-    position = lattice.derived(_lattice_family).codes
-    base = lattice.base
+    elements, base = lattice.derived(_lattice_family), lattice.base
+    position = elements.codes
     below = [base._down[j] ^ bit for j, bit in base._bit.items()]
     parts, size = {0: ()}, 1
     for code in list(position)[1:]:
@@ -246,40 +249,49 @@ def _extension_family(lattice: DownsetLattice) -> _Family:
             sides += [side | part for side in sides]
         keys += [position[side] * n + position[code ^ side] for side in sides]
     keys.sort()
-    elems = lattice.elements
-    pairs = tuple([BipolarElement(elems[key // n], elems[key % n]) for key in keys])
-    return _Family(pairs, lattice, signed=True)
+    width, order, tops = len(base), elements.order, elements.maxima
+    codes = [order[key % n] << width | order[key // n] for key in keys]
+    maxima = [tops[key % n] << width | tops[key // n] for key in keys]
+    return _Family(lattice, codes, maxima, signed=True)
 
 
-def _step_plan(at: dict[int, int], width: int) -> tuple:
+def _admissible_family(lattice: DownsetLattice) -> _Family:
+    """The admissible pairs: on a regular mosaic the extension's family, else
+    the pairs whose parts do not both meet a component with two bottoms."""
+    extension, base, width = lattice.derived(_extension_family), lattice.base, len(lattice.base)
+    parts = connected_components(base)
+    shared = [sum(map(base._bit.get, c.members)) for c in parts if len(c.minimals) > 1]
+    if not shared:
+        return extension
+    kept = [not any(code & c and code >> width & c for c in shared) for code in extension.order]
+    codes, maxima = compress(extension.order, kept), compress(extension.maxima, kept)
+    return _Family(lattice, list(codes), list(maxima), signed=True)
+
+
+def _step_plan(at: dict[int, int], maxima: list[int], width: int) -> tuple:
     """Index arrays (keys, lowers) of a family of codes, a key and its
     lower key at each step that clears one bit, the steps by bit; and the
     number of steps that clear one of the low ``width`` bits, which come
     first (the steps that grow the positive part of a pair).
 
-    ``at`` maps each code of a down-closed family to its position. A key
-    takes part in the step of bit t when clearing t leaves a code of the
-    family. The family is down-closed, so each interval below a key is the
-    same in it as in the full product of lattices, and the pairs are its
-    covering pairs, each once. Within one step no key is another's lower
-    key, so the flat sequence, read backwards, is also the inverse's order
-    of steps.
+    ``at`` maps each code of a down-closed family to its position, and
+    ``maxima`` are the codes' maximal elements. A key takes part in the step
+    of each maximal bit: clearing it leaves a downset, held by the family.
+    So each interval below a key is the same in the family as in the full
+    product of lattices, and the pairs are its covering pairs, each once.
+    Within one step no key is another's lower key, so the flat sequence,
+    read backwards, is also the inverse's order of steps.
     """
     steps = [[] for _ in range(max(at).bit_length())]
-    for code, k in at.items():
-        rest = code
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            lower = at.get(code ^ bit)
-            if lower is not None:
-                steps[bit.bit_length() - 1] += (k, lower)
+    for (code, k), top in zip(at.items(), maxima):
+        while top:
+            bit = top & -top
+            top ^= bit
+            steps[bit.bit_length() - 1] += (k, at[code ^ bit])
     flat = array("i")
-    for pairs in steps[:width]:
+    for pairs in steps:
         flat.extend(pairs)
-    rising = len(flat) // 2
-    for pairs in steps[width:]:
-        flat.extend(pairs)
+    rising = sum(map(len, steps[:width])) // 2
     return flat[0::2], flat[1::2], rising
 
 
@@ -307,7 +319,7 @@ def verify_distributive(explicit: Poset) -> BirkhoffForm:
     if n == 0:
         raise NotALattice("a lattice needs at least one element")
     down, up = explicit._down, {}
-    for x in reversed(linear_extension(explicit)):
+    for x in reversed(explicit._topo):
         up[x] = explicit._bit[x]
         for upper in explicit.upper_covers(x):
             up[x] |= up[upper]
@@ -322,23 +334,20 @@ def verify_distributive(explicit: Poset) -> BirkhoffForm:
     irreducibles = [x for x in elems if len(explicit.lower_covers(x)) == 1]
     base = explicit.restrict(irreducibles)
     try:
-        family = all_downsets(base, max_count=n)
+        count = len(_downsets(base, max_count=n)[0])
     except SizeLimitExceeded:
         raise NotDistributive(
             f"the join-irreducible poset has more downsets than the lattice"
             f" has elements ({n})"
         ) from None
-    if len(family) != n:
+    if count != n:
         raise NotDistributive(
             f"lattice has {n} elements but the join-irreducible poset has"
-            f" {len(family)} downsets"
+            f" {count} downsets"
         )
     inside = sum(map(explicit._bit.get, irreducibles))
     eta_map = {x: explicit._labels(down[x] & inside) for x in elems}
-    lattice = DownsetLattice(base)
-    # the counted family is the lattice's elements, in the same canonical order
-    lattice.elements = tuple(family)
-    return BirkhoffForm(lattice, eta_map)
+    return BirkhoffForm(DownsetLattice(base), eta_map)
 
 
 def explicit_poset(

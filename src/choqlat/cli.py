@@ -26,7 +26,7 @@ from .bipolar import (
     is_regular_mosaic,
     tile_union,
 )
-from .birkhoff import BipolarElement, DownsetLattice, bipolar_cover_pairs, bipolar_extension
+from .birkhoff import BipolarElement, DownsetLattice, _extension_family, bipolar_extension
 from .errors import (
     ChoqlatError,
     FileFormatError,
@@ -278,28 +278,25 @@ def cmd_bipolar_eval(args):
     return _eval_payload(args, capacity, profile, evaluate_bipolar(capacity, profile))
 
 
-def _label_count(pairs) -> int:
-    return sum(len(pos) + len(neg) for pos, neg in pairs)
-
-
 def cmd_bipolar_enumerate(args):
     lattice, _ = _load(args.file, fileio.parse_lattice)
-    extension = bipolar_extension(lattice)
-    # the labels the output prints, counted before it is built: each part of
-    # each pair, and with --dot each part of both ends of every cover
-    labels = _label_count(extension)
-    edges = bipolar_cover_pairs(lattice) if args.dot and labels <= OUTPUT_LABEL_CAP else []
-    labels += _label_count(chain.from_iterable(edges))
+    # the labels the output prints, counted on the pair codes before any pair
+    # is built: each part of each pair, with --dot of both ends of each cover
+    family = lattice.derived(_extension_family)
+    labels = sum(map(int.bit_count, family.order))
+    if args.dot and labels <= OUTPUT_LABEL_CAP:
+        keys, lowers, _ = family.plan
+        labels += sum(family.order[k].bit_count() for k in chain(keys, lowers))
     if labels > OUTPUT_LABEL_CAP:
         raise SizeLimitExceeded(
             f"the output would print at least {labels} labels, over the cap {OUTPUT_LABEL_CAP}",
             cap=OUTPUT_LABEL_CAP,
         )
     if args.dot:
-        return _dot("bipolar_extension", extension, edges, _pair_text)
+        return _dot("bipolar_extension", family.vertices, family.covers(), _pair_text)
     return {
-        "count": len(extension),
-        "elements": [_pair_payload(pair) for pair in extension],
+        "count": len(family.vertices),
+        "elements": [_pair_payload(pair) for pair in family.vertices],
         "join_irreducibles": [_pair_payload(j) for j in bipolar_join_irreducibles(lattice)],
         "regular_mosaic": is_regular_mosaic(lattice.base),
         "tile_count": len(lattice.complemented()),

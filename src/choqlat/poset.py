@@ -8,8 +8,10 @@ transitive reduction: a cover implied by other covers is rejected instead of
 silently dropped, which keeps file round trips byte-stable.
 
 A poset owns the one bit encoding of its order: element x is bit (position
-of x in the linear extension), each principal downset one int of those bits;
-label frozensets are made only where a public function returns them.
+of x in the linear extension), each downset one int of those bits. All
+downsets are enumerated once, as codes with their maximal elements, in
+canonical order (:func:`_downsets`); label frozensets are a view, made only
+where a public function returns them.
 """
 
 from __future__ import annotations
@@ -197,27 +199,45 @@ def downset_key(d: Iterable[str]) -> tuple:
 
 
 def all_downsets(p: Poset, max_count: int | None = None) -> list[frozenset]:
-    """Every downset of ``p`` exactly once, canonically ordered.
+    """Every downset of ``p`` exactly once, canonically ordered: the label
+    sets of :func:`_downsets`, which raises :class:`SizeLimitExceeded` as
+    soon as the family would outgrow ``max_count`` (default ``DOWNSET_CAP``)."""
+    return _label_sets(p, _downsets(p, max_count)[0])
 
-    Grows the family one element at a time along the linear extension;
-    raises :class:`SizeLimitExceeded` as soon as the family would outgrow
-    ``max_count`` (default ``DOWNSET_CAP``).
-    """
+
+def _label_sets(p: Poset, codes: list[int]) -> list[frozenset]:
+    """The label sets of ``codes``, every downset of ``p`` in canonical order:
+    each is the set of the smaller downset without its last element, plus it."""
+    at, sets = {0: 0}, [frozenset()]
+    for code in codes[1:]:
+        last = code.bit_length() - 1
+        at[code] = len(sets)
+        sets.append(sets[at[code ^ 1 << last]] | {p._topo[last]})
+    return sets
+
+
+def _downsets(p: Poset, max_count: int | None = None) -> tuple[list[int], list[int]]:
+    """The code of every downset of ``p`` in the order of :func:`downset_key`,
+    and of its maximal elements: along the linear extension, x joins each
+    downset holding its lower covers and replaces them among its maxima. The
+    sort key is the size above the complement of r, the code in label order
+    (smallest label highest): adding x adds one to the size and x's bit to r."""
     cap = DOWNSET_CAP if max_count is None else max_count
-    family: list[frozenset] = [frozenset()]
+    n = len(p.elements)
+    rank = {x: 1 << n - 1 - i for i, x in enumerate(p.elements)}
+    family = [((1 << n) - 1, 0, 0)]  # (sort key, code, maximal elements)
     if len(family) > cap:
         raise SizeLimitExceeded(f"downset family exceeds cap {cap}", cap=cap)
-    for label in linear_extension(p):
-        required = frozenset(p.lower_covers(label))
-        grown = [d | {label} for d in family if required <= d]
+    for x in p._topo:
+        bit, step = p._bit[x], (1 << n) - rank[x]
+        lows = sum(map(p._bit.get, p._lowers[x]))
+        grown = [(key + step, code | bit, top & ~lows | bit)
+                 for key, code, top in family if code & lows == lows]
         if len(family) + len(grown) > cap:
             raise SizeLimitExceeded(f"downset family exceeds cap {cap}", cap=cap)
-        family.extend(grown)
-    # the order of downset_key, in two stable sorts whose keys are lists, not
-    # tuples, so no tuple of labels outlives the sort
-    family.sort(key=sorted)
-    family.sort(key=len)
-    return family
+        family += grown
+    family.sort()
+    return [code for _, code, _ in family], [top for _, _, top in family]
 
 
 def connected_components(p: Poset) -> tuple[Component, ...]:

@@ -18,6 +18,7 @@ import choqlat as cq
 from choqlat.birkhoff import _lattice_family
 from choqlat.kary import LevelIndexing
 from choqlat.moebius import ValueTable, check_bipolar_pair
+from choqlat.poset import DOWNSET_CAP
 from choqlat.rationals import MAX_DIGITS, MAX_EXPONENT
 
 
@@ -70,6 +71,13 @@ def antichain(n: int) -> cq.Poset:
 def chain(m: int) -> cq.Poset:
     labels = [f"x{i}" for i in range(m)]
     return cq.Poset(labels, list(zip(labels, labels[1:])))
+
+
+def parallel_chains(m: int) -> cq.Poset:
+    """Two disjoint chains a0000 < a0001 < ... and b0000 < ... of m elements."""
+    a = [f"a{i:04d}" for i in range(m)]
+    b = [f"b{i:04d}" for i in range(m)]
+    return cq.Poset(a + b, [*zip(a, a[1:]), *zip(b, b[1:])])
 
 
 def long_denominator_values(labels) -> dict[str, str]:
@@ -156,6 +164,27 @@ def slow_below(p: cq.Poset) -> dict[str, frozenset]:
     for x in cq.linear_extension(p):
         below[x] = frozenset({x}).union(*(below[lower] for lower in p.lower_covers(x)))
     return below
+
+
+def slow_all_downsets(p: cq.Poset, max_count: int | None = None) -> list[frozenset]:
+    """Every downset as label sets, enumerated as it was before downsets
+    were codes: grown one element at a time along the linear extension,
+    then put in the order of ``downset_key`` by two sorts."""
+    cap = DOWNSET_CAP if max_count is None else max_count
+    family: list[frozenset] = [frozenset()]
+    if len(family) > cap:
+        raise cq.SizeLimitExceeded(f"downset family exceeds cap {cap}", cap=cap)
+    for label in cq.linear_extension(p):
+        required = frozenset(p.lower_covers(label))
+        grown = [d | {label} for d in family if required <= d]
+        if len(family) + len(grown) > cap:
+            raise cq.SizeLimitExceeded(f"downset family exceeds cap {cap}", cap=cap)
+        family.extend(grown)
+    # the order of downset_key, in two stable sorts whose keys are lists, not
+    # tuples, so no tuple of labels outlives the sort
+    family.sort(key=sorted)
+    family.sort(key=len)
+    return family
 
 
 def slow_is_downset(p: cq.Poset, members) -> bool:
@@ -428,12 +457,15 @@ def slow_bipolar_cover_pairs(lattice: cq.DownsetLattice) -> list:
     return out
 
 
-# grids, a wedge and an antichain on which the step plans are checked
+# grids, two parallel chains, a wedge and an antichain on which the step
+# plans are checked
 PLAN_BASES = {
     "grid3x2": cq.build_kary_base(3, 2),
     "grid4x3": cq.build_kary_base(4, 3),
     "grid4x4": cq.build_kary_base(4, 4),
     "grid6x5": cq.build_kary_base(6, 5),
+    "grid2x11": cq.build_kary_base(2, 11),
+    "chains32x2": parallel_chains(32),
     "wedge": wedge_poset(),
     "antichain8": antichain(8),
     "empty": cq.Poset([]),
@@ -468,6 +500,14 @@ def slow_step_plan(lattice: cq.DownsetLattice, sides: int) -> tuple:
     for pairs in steps:
         flat.extend(pairs)
     return flat[0::2], flat[1::2]
+
+
+def maximal_count(base: cq.Poset, vertices) -> int:
+    """The maximal elements of every part of every vertex, a label set or a
+    pair of them, counted on labels: an element with no upper cover in its
+    part."""
+    parts = (p for v in vertices for p in (v if isinstance(v, tuple) else (v,)))
+    return sum(1 for part in parts for x in part if part.isdisjoint(base.upper_covers(x)))
 
 
 def slow_admissible_steps(lattice: cq.DownsetLattice) -> tuple:

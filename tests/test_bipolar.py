@@ -23,6 +23,7 @@ from support import (
     exact_tables,
     fan,
     lattices,
+    maximal_count,
     mosaic_bases,
     posets,
     profiles,
@@ -53,8 +54,11 @@ from support import (
 
 def _steps_as_lists(lattice) -> tuple:
     """The admissible family's plan as the oracle gives it: (keys, lowers)
-    lists of the steps that grow the positive part, then of the others."""
-    keys, lowers, rising = lattice.derived(_admissible_family).plan
+    lists of the steps that grow the positive part, then of the others,
+    checked to hold one step per maximal element of each vertex."""
+    family = lattice.derived(_admissible_family)
+    keys, lowers, rising = family.plan
+    assert len(keys) == maximal_count(lattice.base, family.vertices)
     return (
         (list(keys[:rising]), list(lowers[:rising])),
         (list(keys[rising:]), list(lowers[rising:])),

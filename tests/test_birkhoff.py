@@ -13,6 +13,8 @@ from support import (
     chain,
     explicit_orders,
     lattices,
+    maximal_count,
+    parallel_chains,
     slow_cover_pairs,
     slow_step_plan,
     slow_verify_distributive,
@@ -77,11 +79,55 @@ class TestAccessors:
         assert lattice.cover_pairs() == slow_cover_pairs(lattice)
 
 
+class TestMembershipThroughCodes:
+    """``check_element``, ``in`` and a capacity's call read a label set
+    through its code, and raise what they raised on label sets."""
+
+    @pytest.mark.parametrize(
+        "x, shown",
+        [({"zz"}, "['zz']"), ({"a", "zz"}, "['a', 'zz']"), ({"b"}, "['b']"), ({1}, "[1]")],
+        ids=["unknown-label", "known-and-unknown", "not-a-downset", "not-a-string"],
+    )
+    def test_label_sets_that_are_not_elements(self, wedge_lattice, x, shown):
+        capacity = cq.GeneralizedCapacity(wedge_lattice, {d: 0 for d in wedge_lattice.elements})
+        assert x not in wedge_lattice
+        with pytest.raises(cq.NotAnElement) as info:
+            wedge_lattice.check_element(x)
+        assert str(info.value) == f"{shown} is not a downset of the base poset"
+        with pytest.raises(cq.NotAnElement) as info:
+            capacity(x)
+        assert str(info.value) == f"{shown} is not a lattice element"
+
+    @pytest.mark.parametrize(
+        "x", [5, None, [["a"]], [{"a"}]], ids=["int", "none", "list-label", "set-label"]
+    )
+    def test_inputs_that_are_not_label_sets(self, wedge_lattice, x):
+        with pytest.raises(TypeError) as expected:
+            frozenset(x)
+        capacity = cq.GeneralizedCapacity(wedge_lattice, {d: 0 for d in wedge_lattice.elements})
+        assert x not in wedge_lattice
+        for read in (wedge_lattice.check_element, capacity):
+            with pytest.raises(TypeError) as info:
+                read(x)
+            assert str(info.value) == str(expected.value)
+
+    def test_size_and_membership_leave_the_label_view_unbuilt(self):
+        lattice = cq.DownsetLattice(parallel_chains(128))
+        assert len(lattice) == 129 * 129
+        member = {"a0000", "a0001", "b0000"}
+        assert lattice.check_element(member) == frozenset(member)
+        assert {"a0001"} not in lattice
+        assert "elements" not in lattice.__dict__
+
+
 def _plan(lattice, build) -> tuple:
     """The (keys, lowers) arrays of a family's plan, as the oracle gives
-    them, checked to count the lattice's steps as all rising."""
-    keys, lowers, rising = lattice.derived(build).plan
+    them, checked to count the lattice's steps as all rising and one step
+    per maximal element of each vertex."""
+    family = lattice.derived(build)
+    keys, lowers, rising = family.plan
     assert build is _extension_family or rising == len(keys)
+    assert len(keys) == maximal_count(lattice.base, family.vertices)
     return keys, lowers
 
 

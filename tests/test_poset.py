@@ -8,6 +8,7 @@ from support import (
     chain,
     posets,
     reduce_order,
+    slow_all_downsets,
     slow_below,
     slow_components,
     slow_is_downset,
@@ -135,6 +136,38 @@ class TestDownsets:
     def test_cap_below_the_empty_family(self):
         with pytest.raises(cq.SizeLimitExceeded, match="exceeds cap 0"):
             cq.all_downsets(wedge_poset(), max_count=0)
+
+    @given(posets(max_elements=7))
+    def test_matches_label_oracle(self, p):
+        """The codes-first enumeration gives the label sets, in the order,
+        of the enumeration that grew and sorted label sets."""
+        assert cq.all_downsets(p) == slow_all_downsets(p)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            cq.build_kary_base(2, 11),
+            cq.Poset(["x", "y", "z"], [("z", "y"), ("y", "x")]),
+            antichain(12),
+            wedge_poset(),
+        ],
+        ids=["grid2x11", "chain-zyx", "antichain12", "wedge"],
+    )
+    def test_label_order_is_not_bit_order(self, p):
+        """Bases whose labels sort apart from their linear extension: the
+        canonical order is read on labels, not on bits."""
+        assert cq.all_downsets(p) == slow_all_downsets(p)
+
+    @given(posets(max_elements=5))
+    def test_cap_refused_as_the_oracle_refuses(self, p):
+        def outcome(enumerate, cap):
+            try:
+                return enumerate(p, max_count=cap)
+            except cq.SizeLimitExceeded as error:
+                return str(error), error.context
+
+        for cap in range(len(slow_all_downsets(p)) + 1):
+            assert outcome(cq.all_downsets, cap) == outcome(slow_all_downsets, cap)
 
     @given(posets())
     def test_all_outputs_are_downsets(self, p):
