@@ -113,13 +113,8 @@ class Tile:
 
 def tile(lattice: DownsetLattice, x) -> Tile:
     """Tile of the bipolar extension attached to a complemented element."""
-    member = lattice.check_element(x)
-    complement = lattice.top - member
-    if complement not in lattice:
-        raise NotComplemented(
-            f"{sorted(member)!r} has no complement", element=sorted(member)
-        )
-    return Tile(lattice, member, complement)
+    member = _complemented(lattice.base, x)
+    return Tile(lattice, member, lattice.top - member)
 
 
 def tile_union(lattice: DownsetLattice) -> frozenset:
@@ -233,9 +228,8 @@ class BipolarCapacity(_CapacityBody):
         try:
             return self.values[key]
         except KeyError:
-            raise NotAnElement(
-                f"({sorted(key.pos)!r}, {sorted(key.neg)!r}) is not a stored vertex"
-            ) from None
+            pos, neg = (sorted(part, key=str) for part in key)
+            raise NotAnElement(f"({pos!r}, {neg!r}) is not a stored vertex") from None
 
     def __repr__(self) -> str:
         return f"BipolarCapacity(on {len(self.values)} signed vertices)"
@@ -278,11 +272,9 @@ def select_tile(profile: BipolarProfile) -> frozenset:
 def _complemented(base: Poset, x) -> frozenset:
     """``x`` as a downset whose complement in ``base`` is a downset too."""
     member = frozenset(x)
-    complement = frozenset(base.elements) - member
-    if not (is_downset(base, member) and is_downset(base, complement)):
-        raise NotComplemented(
-            f"{sorted(member)!r} is not a complemented element", element=sorted(member)
-        )
+    if not (is_downset(base, member) and is_downset(base, set(base.elements) - member)):
+        shown = sorted(member)
+        raise NotComplemented(f"{shown!r} is not a complemented element", element=shown)
     return member
 
 

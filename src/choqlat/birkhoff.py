@@ -15,7 +15,8 @@ positive part low (counted per downset before it is built); the admissible
 pairs, filtered from it. Label sets and signed pairs are a view, built on
 first read. One walk over each code's maximal elements lists the covers:
 the step plan of the zeta/Moebius transforms, also the Hasse diagram. The
-pair-code layout is written only here.
+pair-code layout is written only here. Membership and tile questions read
+the base's masks (:func:`~choqlat.poset.is_downset`), never the lattice.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from functools import cached_property
 from itertools import compress
 from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
-from .errors import NotALattice, NotAnElement, NotDistributive, SizeLimitExceeded
-from .poset import DOWNSET_CAP, Poset, _downsets, _label_sets, connected_components, downset_key
+from .errors import NotALattice, NotAnElement, NotDistributive, SizeLimitExceeded, UnknownLabel
+from .poset import DOWNSET_CAP, Poset, _downsets, _label_sets, connected_components
+from .poset import downset_key, is_downset
 
 T = TypeVar("T")
 
@@ -61,12 +63,11 @@ class DownsetLattice:
         return len(self.derived(_lattice_family).order)
 
     def __contains__(self, item) -> bool:
+        """Decided on the base's masks, never by enumerating the lattice."""
         try:
-            member = frozenset(item)
-        except TypeError:
+            return is_downset(self.base, item)
+        except (TypeError, UnknownLabel):  # no label set, or not of the base
             return False
-        bit, codes = self.base._bit, self.derived(_lattice_family).codes
-        return bit.keys() >= member and sum(map(bit.get, member)) in codes
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DownsetLattice):
@@ -97,10 +98,8 @@ class DownsetLattice:
         """
         member = frozenset(x)
         if member not in self:
-            raise NotAnElement(
-                f"{sorted(member)!r} is not a downset of the base poset",
-                element=sorted(member),
-            )
+            shown = sorted(member, key=str)  # labels of mixed types too
+            raise NotAnElement(f"{shown!r} is not a downset of the base poset", element=shown)
         return member
 
     def join(self, x, y) -> frozenset:
@@ -130,8 +129,9 @@ class DownsetLattice:
 
     def complemented(self) -> dict[frozenset, frozenset]:
         """Elements whose set complement is again a downset, with complements."""
-        top = self.top
-        return {d: top - d for d in self.elements if top - d in self}
+        family, top, full = self.derived(_lattice_family), self.top, (1 << len(self.base)) - 1
+        kept = [full ^ code in family.codes for code in family.order]
+        return {d: top - d for d in compress(self.elements, kept)}
 
 
 class BipolarElement(NamedTuple):
@@ -334,20 +334,22 @@ def verify_distributive(explicit: Poset) -> BirkhoffForm:
     irreducibles = [x for x in elems if len(explicit.lower_covers(x)) == 1]
     base = explicit.restrict(irreducibles)
     try:
-        count = len(_downsets(base, max_count=n)[0])
+        codes, maxima = _downsets(base, max_count=n)
     except SizeLimitExceeded:
         raise NotDistributive(
             f"the join-irreducible poset has more downsets than the lattice"
             f" has elements ({n})"
         ) from None
-    if count != n:
+    if len(codes) != n:
         raise NotDistributive(
             f"lattice has {n} elements but the join-irreducible poset has"
-            f" {count} downsets"
+            f" {len(codes)} downsets"
         )
     inside = sum(map(explicit._bit.get, irreducibles))
     eta_map = {x: explicit._labels(down[x] & inside) for x in elems}
-    return BirkhoffForm(DownsetLattice(base), eta_map)
+    lattice = DownsetLattice(base)  # keeps the family just counted
+    lattice._derived[_lattice_family] = _Family(lattice, codes, maxima, signed=False)
+    return BirkhoffForm(lattice, eta_map)
 
 
 def explicit_poset(

@@ -228,7 +228,8 @@ class GeneralizedCapacity(_CapacityBody):
         try:
             return self.values[frozenset(x)]
         except KeyError:
-            raise NotAnElement(f"{sorted(frozenset(x))!r} is not a lattice element") from None
+            shown = sorted(frozenset(x), key=str)  # labels of mixed types too
+            raise NotAnElement(f"{shown!r} is not a lattice element") from None
 
     def __repr__(self) -> str:
         return f"GeneralizedCapacity(on {len(self.lattice)} elements)"

@@ -17,7 +17,9 @@ where a public function returns them.
 from __future__ import annotations
 
 import heapq
+from functools import reduce
 from itertools import compress
+from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -186,10 +188,12 @@ def linear_extension(p: Poset) -> tuple[str, ...]:
 
 
 def is_downset(p: Poset, members: Iterable[str]) -> bool:
-    """True iff ``members`` is downward closed in ``p``."""
-    kept = {p._check(label) for label in members}
-    inside = sum(map(p._bit.get, kept))
-    return all(p._down[label] | inside == inside for label in kept)
+    """True iff ``members`` is downward closed in ``p``: the union of their
+    principal downsets adds no bit. The package's one downset rule."""
+    kept = frozenset(members)
+    if not p._bit.keys() >= kept:
+        p._check(min(kept.difference(p._bit), key=str))
+    return reduce(or_, map(p._down.get, kept), 0) == sum(map(p._bit.get, kept))
 
 
 def downset_key(d: Iterable[str]) -> tuple:

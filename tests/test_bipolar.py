@@ -266,6 +266,32 @@ class TestTiles:
         with pytest.raises(cq.NotComplemented):
             cq.tile(wedge_lattice, {"a"})
 
+    def test_non_downset_rejected_as_not_complemented(self, wedge_lattice):
+        """One complement rule: a set that is no downset has no tile."""
+        with pytest.raises(cq.NotComplemented) as info:
+            cq.tile(wedge_lattice, {"b"})
+        assert str(info.value) == "['b'] is not a complemented element"
+
+    def test_unknown_label_rejected(self, wedge_lattice):
+        with pytest.raises(cq.UnknownLabel):
+            cq.tile(wedge_lattice, {"a", "zz"})
+
+    def test_tiles_over_the_cap(self):
+        """Tile questions on 2^25 downsets are answered on the base's masks,
+        with no lattice family built (each raised SizeLimitExceeded while
+        membership enumerated)."""
+        lattice = cq.DownsetLattice(antichain(25))
+        t = cq.tile(lattice, {"1"})
+        assert t.negative == lattice.top - {"1"}
+        assert t.phi(({"1"}, {"2"})) == frozenset({"1", "2"})
+        assert t.phi_inverse({"1", "3"}) == pair({"1"}, {"3"})
+        signed = {label: {"1": 1, "2": -1}.get(label, 0) for label in lattice.base.elements}
+        assert cq.psi(lattice, {"1"}, signed) == pair({"1"}, {"2"})
+        assert cq.psi_inverse(lattice, {"1"}, pair({"1"}, {"2"})) == signed
+        with pytest.raises(cq.NotInTile):
+            t.phi(({"2"}, ()))
+        assert choqlat.birkhoff._lattice_family not in lattice._derived
+
     @pytest.mark.parametrize("base", [antichain(2), cq.build_kary_base(3, 2)])
     def test_phi_round_trips_over_whole_tile(self, base):
         lattice = cq.DownsetLattice(base)
@@ -348,6 +374,9 @@ class TestCapacity:
         assert capacity(({"a", "c"}, ())) == 2
         with pytest.raises(cq.NotAnElement, match="is not a stored vertex"):
             capacity(({"a"}, {"c"}))
+        with pytest.raises(cq.NotAnElement) as info:
+            capacity(({"a", 1}, ()))
+        assert str(info.value) == "([1, 'a'], []) is not a stored vertex"
 
     def test_overlapping_key_rejected(self, boolean2):
         values = {p: 0 for p in cq.admissible_vertex_pairs(boolean2)}

@@ -5,17 +5,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import choqlat as cq
+import choqlat.birkhoff
 from choqlat.bipolar import _admissible_family
 from choqlat.birkhoff import _extension_family, _lattice_family
+from choqlat.poset import _downsets
 from support import (
     PLAN_BASES,
     antichain,
     chain,
     explicit_orders,
+    fan,
     lattices,
     maximal_count,
     parallel_chains,
+    posets,
     slow_cover_pairs,
+    slow_is_downset,
     slow_step_plan,
     slow_verify_distributive,
     wedge_poset,
@@ -85,8 +90,15 @@ class TestMembershipThroughCodes:
 
     @pytest.mark.parametrize(
         "x, shown",
-        [({"zz"}, "['zz']"), ({"a", "zz"}, "['a', 'zz']"), ({"b"}, "['b']"), ({1}, "[1]")],
-        ids=["unknown-label", "known-and-unknown", "not-a-downset", "not-a-string"],
+        [
+            ({"zz"}, "['zz']"),
+            ({"a", "zz"}, "['a', 'zz']"),
+            ({"b"}, "['b']"),
+            ({1}, "[1]"),
+            # labels that do not compare with each other are listed by str
+            ({"a", 1}, "[1, 'a']"),
+        ],
+        ids=["unknown-label", "known-and-unknown", "not-a-downset", "not-a-string", "mixed"],
     )
     def test_label_sets_that_are_not_elements(self, wedge_lattice, x, shown):
         capacity = cq.GeneralizedCapacity(wedge_lattice, {d: 0 for d in wedge_lattice.elements})
@@ -118,6 +130,49 @@ class TestMembershipThroughCodes:
         assert lattice.check_element(member) == frozenset(member)
         assert {"a0001"} not in lattice
         assert "elements" not in lattice.__dict__
+
+
+class TestMembershipOnTheBase:
+    """Membership is the base's mask rule, :func:`is_downset`: no question
+    about one element enumerates the lattice."""
+
+    @given(posets(max_elements=6), st.data())
+    def test_matches_oracle(self, p, data):
+        lattice = cq.DownsetLattice(p)
+        members = data.draw(st.sets(st.sampled_from(p.elements))) if p.elements else set()
+        assert (members in lattice) is slow_is_downset(p, members)
+        assert (members | {"zz"}) not in lattice
+        assert "elements" not in lattice.__dict__
+
+    @pytest.mark.parametrize(
+        "base, x, expected",
+        [
+            (antichain(25), {"1", "25"}, True),
+            (antichain(25), {"zz"}, False),
+            (antichain(25), {"1", 1}, False),
+            (antichain(25), [["1"]], False),
+            (fan(25), {"a01"}, False),
+            (fan(25), {"o", "a01"}, True),
+        ],
+        ids=["downset", "unknown-label", "mixed", "unhashable", "not-a-downset", "fan-downset"],
+    )
+    def test_answers_over_the_cap(self, base, x, expected):
+        lattice = cq.DownsetLattice(base)
+        assert (x in lattice) is expected
+        assert _lattice_family not in lattice._derived
+
+    def test_element_calls_over_the_cap(self):
+        """Element operations on 2^25 downsets answer without the family
+        (each one raised SizeLimitExceeded while membership enumerated)."""
+        lattice = cq.DownsetLattice(antichain(25))
+        assert lattice.check_element({"1"}) == frozenset({"1"})
+        assert lattice.join({"1"}, {"2"}) == frozenset({"1", "2"})
+        assert lattice.meet({"1", "2"}, {"2", "3"}) == frozenset({"2"})
+        assert cq.lattice_moebius(lattice, (), {"1", "2"}) == 1
+        assert cq.bipolar_moebius_function(lattice, ((), ()), ({"1"}, {"2"})) == 1
+        with pytest.raises(cq.NotAnElement):
+            lattice.join({"1"}, {"zz"})
+        assert _lattice_family not in lattice._derived
 
 
 def _plan(lattice, build) -> tuple:
@@ -275,6 +330,24 @@ class TestVerifyDistributive:
             [(f"x{i}", f"x{i + 1}") for i in range(1, 199)],
         )
         assert form.eta_map["x199"] == frozenset(form.lattice.base.elements)
+
+    def test_one_enumeration(self, monkeypatch):
+        """The join-irreducible poset's downsets, counted to check the size,
+        are the returned lattice's family: enumerated once."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return _downsets(*args, **kwargs)
+
+        monkeypatch.setattr(choqlat.birkhoff, "_downsets", counted)
+        for explicit, size in [(chain(1024), 1024), (cq.explicit_poset(cq.DownsetLattice(fan(3))), 9)]:
+            calls.clear()
+            lattice = cq.verify_distributive(explicit).lattice
+            read = len(lattice), lattice.elements, lattice.cover_pairs(), lattice.complemented()
+            assert len(calls) == 1
+            fresh = cq.DownsetLattice(lattice.base)
+            assert read == (size, fresh.elements, fresh.cover_pairs(), fresh.complemented())
 
     @given(lattices(min_elements=0, max_elements=4))
     def test_round_trip_through_explicit_form(self, lattice):
