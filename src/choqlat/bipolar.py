@@ -340,7 +340,7 @@ def bicapacity_choquet(values, scores: Mapping[str, object]) -> Fraction:
             return table[key]
         except KeyError:
             raise NotAnElement(
-                f"pair table not defined at ({sorted(key[0])!r}, {sorted(key[1])!r})"
+                f"pair table not defined at {tuple(sorted(part, key=str) for part in key)!r}"
             ) from None
 
     return choquet_classical(induced, {label: abs(v) for label, v in parsed.items()})

@@ -5,6 +5,12 @@ literals over as exact values read from their text, and a float a caller
 parsed is read through its shortest decimal form, so every value survives
 a parse/serialize round trip exactly. Duplicate value entries are tolerated only when they
 agree.
+
+A grid file's node becomes its vertex's bit code through the grid's prefix
+codes (:func:`~choqlat.kary._grid`), the package's one rule from a node to
+its vertex, and its entries are keyed by those codes while the file is
+read. A short file is refused before any vertex is enumerated; only then
+do the codes map to the lattice's own elements.
 """
 
 from __future__ import annotations
@@ -13,11 +19,11 @@ from fractions import Fraction
 from functools import partial
 
 from .bipolar import BipolarCapacity, BipolarProfile
-from .birkhoff import BirkhoffForm, DownsetLattice, verify_distributive
-from .errors import ContradictoryValue, FileFormatError, SizeLimitExceeded
+from .birkhoff import BipolarElement, DownsetLattice, _lattice_family, verify_distributive
+from .errors import BaseMismatch, ContradictoryValue, FileFormatError, SizeLimitExceeded
 from .interpolation import Profile
-from .kary import ReferenceScale, build_kary_base, node_to_downset, downset_to_node, grid_shape
-from .moebius import GeneralizedCapacity
+from .kary import ReferenceScale, _grid, _levels, build_kary_base, downset_to_node, grid_shape
+from .moebius import GeneralizedCapacity, check_bipolar_pair
 from .poset import DOWNSET_CAP, Poset
 from .rationals import _shown, as_fraction
 
@@ -128,7 +134,7 @@ def parse_lattice(obj) -> tuple[DownsetLattice, dict | None]:
     if role == "join_irreducibles":
         return DownsetLattice(base), None
     if role == "explicit_lattice":
-        form: BirkhoffForm = verify_distributive(base)
+        form = verify_distributive(base)
         return form.lattice, {x: sorted(d) for x, d in form.eta_map.items()}
     raise FileFormatError(f"unknown lattice role {role!r}", field="role")
 
@@ -216,19 +222,44 @@ def _grid_header(obj, where: str) -> tuple[int, int]:
     return k, n
 
 
-def _node(entry, name: str, where: str, k: int, n: int) -> frozenset:
+def _node(entry, name: str, where: str, prefixes) -> int:
+    """A grid point, checked for shape and range, as its downset's bit code:
+    the sum of its criteria's prefix codes (:func:`~choqlat.kary._grid`)."""
     node = _require(entry, name, where)
-    if not isinstance(node, list) or len(node) != n or not all(map(_is_int, node)):
-        raise FileFormatError(
-            f"{name} must be a list of {n} integers", field=name
-        )
-    return node_to_downset(node, k)
+    if not isinstance(node, list) or len(node) != len(prefixes) or not all(map(_is_int, node)):
+        raise FileFormatError(f"{name} must be a list of {len(prefixes)} integers", field=name)
+    return sum(prefix[level] for prefix, level in zip(prefixes, _levels(node, len(prefixes[0]))))
+
+
+def _grid_capacity(obj, what: str, names: tuple[str, ...], capacity):
+    """(k, n, capacity) of a grid file, unsigned or signed by its ``names``.
+
+    Nodes are read as codes and the entries keyed by them (by pairs of them
+    when signed), so a clash names its entry. No vertex is enumerated until
+    every entry is read and checked: an overlapping pair is refused first,
+    then a file naming fewer distinct nodes than its grid has vertices, k**n
+    nodes or (2k-1)**n disjoint pairs, unless that count is over
+    ``DOWNSET_CAP``, which the vertex family refuses. Only then do the codes
+    map to the lattice's own elements, which the capacity finds by identity.
+    """
+    k, n = _grid_header(obj, f"{what} file")
+    lattice = DownsetLattice(build_kary_base(k, n))
+    table = _read_entries(obj, what, names, partial(_node, prefixes=lattice.derived(_grid)[2]))
+    # per criterion: level 0, or one of k-1 levels on one of the named sides
+    signed, count = len(names) == 2, (len(names) * (k - 1) + 1) ** n
+    for pos, neg in table if signed else ():
+        if pos & neg:  # refused as the capacity's own check refuses the pair
+            check_bipolar_pair(lattice, map(lattice.base._labels, (pos, neg)))
+    if len(table) < count <= DOWNSET_CAP:
+        raise BaseMismatch(f"missing values for {count - len(table)} of the {count} vertices")
+    family = lattice.derived(_lattice_family)
+    element = lambda code: family.vertices[family.codes[code]]
+    vertex = (lambda pair: BipolarElement(*map(element, pair))) if signed else element
+    return k, n, capacity(lattice, {vertex(key): value for key, value in table.items()})
 
 
 def parse_kary_capacity(obj) -> tuple[int, int, GeneralizedCapacity]:
-    k, n = _grid_header(obj, "grid capacity file")
-    table = _read_entries(obj, "grid capacity", ("node",), partial(_node, k=k, n=n))
-    return k, n, GeneralizedCapacity(DownsetLattice(build_kary_base(k, n)), table)
+    return _grid_capacity(obj, "grid capacity", ("node",), GeneralizedCapacity)
 
 
 def kary_capacity_payload(capacity: GeneralizedCapacity) -> dict:
@@ -241,9 +272,7 @@ def kary_capacity_payload(capacity: GeneralizedCapacity) -> dict:
 
 
 def parse_bipolar_kary_capacity(obj) -> tuple[int, int, BipolarCapacity]:
-    k, n = _grid_header(obj, "grid bipolar capacity file")
-    table = _read_entries(obj, "grid bipolar capacity", ("pos", "neg"), partial(_node, k=k, n=n))
-    return k, n, BipolarCapacity(DownsetLattice(build_kary_base(k, n)), table)
+    return _grid_capacity(obj, "grid bipolar capacity", ("pos", "neg"), BipolarCapacity)
 
 
 def bipolar_kary_capacity_payload(capacity: BipolarCapacity) -> dict:

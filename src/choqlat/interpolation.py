@@ -312,15 +312,17 @@ def _capacity_value(capacity, subset: frozenset) -> Fraction:
     try:
         return as_fraction(capacity[subset])
     except KeyError:
-        raise NotAnElement(f"capacity not defined on {sorted(subset)!r}") from None
+        raise NotAnElement(f"capacity not defined on {sorted(subset, key=str)!r}") from None
 
 
 def choquet_classical(capacity, scores: Mapping[str, object]) -> Fraction:
     """Classical Choquet integral of nonnegative scores against a set function.
 
     ``capacity`` maps frozensets of score keys to numbers (mapping or
-    callable); only the sets along the sorted chain are read. Scores may
-    exceed 1: the formula is positively homogeneous.
+    callable); only the sets along the sorted chain are read, tied scores
+    in the order of their keys' text (the integral does not depend on it),
+    so keys of mixed types sort too. Scores may exceed 1: the formula is
+    positively homogeneous.
     """
     parsed = {label: as_fraction(raw) for label, raw in scores.items()}
     for label, value in parsed.items():
@@ -328,7 +330,7 @@ def choquet_classical(capacity, scores: Mapping[str, object]) -> Fraction:
             raise NegativeScore(
                 f"score {_shown(str(value))} at {label!r} is negative", label=label
             )
-    order = sorted(parsed, key=lambda label: (-parsed[label], label))
+    order = sorted(parsed, key=lambda label: (-parsed[label], str(label)))
     total = ZERO
     prefix: set = set()
     for i, label in enumerate(order):

@@ -16,6 +16,10 @@ mirror the construction on a symmetric scale around 0. The sweep reads one
 table per lattice, :func:`_grid`, kept with the lattice: each criterion's
 prefix codes, the bit codes of its levels 1..l, from which every corner
 and every signed tile is a sum or an OR, with no label built per point.
+The same table is the one rule from a grid node to its vertex: a grid
+file's node is read as the sum of its criteria's prefix codes
+(:mod:`~choqlat.fileio`), after the one range check, :func:`_levels`, that
+:func:`node_to_downset` shares.
 The staircase is built by one function for both signs, :func:`_staircase`.
 :func:`grid_steps` reads an :class:`~choqlat.interpolation.Evaluation` on
 a grid base as levels, criteria and grid points.
@@ -24,7 +28,6 @@ a grid base as levels, criteria and grid points.
 from __future__ import annotations
 
 import operator
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -98,18 +101,20 @@ def _grid(lattice) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
     return k, n, prefixes
 
 
-def node_to_downset(node: Sequence[int], k: int) -> frozenset:
-    """Downset of the base poset matching a grid point."""
-    out = set()
+def _levels(node: Sequence[int], k: int) -> Sequence[int]:
+    """``node`` once each coordinate is a level 0..k-1: the one range check
+    of a grid point, made before a coordinate indexes a table, where -1
+    would read the last entry."""
     for i, level in enumerate(node, start=1):
         if not 0 <= level <= k - 1:
-            raise InvalidDimensions(
-                f"node coordinate {level} of criterion {i} outside 0..{k - 1}"
-            )
-        # one shared string per label: a grid file repeats each label in
-        # thousands of nodes (97200 label strings for a 6**5 grid)
-        out.update(sys.intern(level_label(i, l)) for l in range(1, level + 1))
-    return frozenset(out)
+            raise InvalidDimensions(f"node coordinate {level} of criterion {i} outside 0..{k - 1}")
+    return node
+
+
+def node_to_downset(node: Sequence[int], k: int) -> frozenset:
+    """Downset of the base poset matching a grid point, as its labels."""
+    levels = enumerate(_levels(node, k), start=1)
+    return frozenset(level_label(i, l) for i, level in levels for l in range(1, level + 1))
 
 
 def downset_to_node(downset, n: int) -> tuple[int, ...]:

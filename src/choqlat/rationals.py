@@ -170,12 +170,6 @@ def as_fraction(value) -> Fraction:
     Plain ASCII strings (:func:`_read_plain`) are read on integers; every
     other string follows the grammar of ``Fraction``, then of ``Decimal``.
     A Fraction is returned as it is; anything else is read by
-    :func:`_ratio` and made into one ``Fraction``.
+    :func:`_ratio`, strings included, and made into one ``Fraction``.
     """
-    if type(value) is str:
-        numerator, denominator = _from_string(value)
-    elif isinstance(value, Fraction):
-        return value
-    else:
-        numerator, denominator = _ratio(value)
-    return Fraction(numerator, denominator)
+    return value if isinstance(value, Fraction) else Fraction(*_ratio(value))

@@ -706,6 +706,8 @@ class TestBicapacityChoquet:
         assert cq.bicapacity_choquet(table, {"1": "0.5"}) == Fraction(1, 2)
         with pytest.raises(cq.NotAnElement, match=r"not defined at \(\[\], \['1'\]\)"):
             cq.bicapacity_choquet(table, {"1": "-0.5"})
+        with pytest.raises(cq.NotAnElement, match=r"not defined at \(\[1, 'a'\], \[\]\)"):
+            cq.bicapacity_choquet({}, {"a": 1, 1: 1})
 
 
 class TestMoebiusFormEval:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import choqlat as cq
-from choqlat import fileio, rationals
+from choqlat import birkhoff, fileio, kary, moebius, rationals
 from support import (
     antichain,
     random_bipolar_capacity,
@@ -427,6 +428,149 @@ class TestGridFiles:
         entries = [{"node": [i], "value": "0"} for i in range(longest)]
         k, n, _ = fileio.parse_kary_capacity({"k": longest, "n": 1, "values": entries})
         assert (k, n) == (longest, 1)
+
+
+def grid_rows(rng: random.Random, k: int, n: int, signed: bool) -> list[dict]:
+    """Every entry of a random grid file, shuffled, a few given twice."""
+    nodes = list(itertools.product(range(k), repeat=n))
+    value = lambda: f"{rng.randint(-20, 20)}/{rng.randint(1, 9)}"
+    if signed:
+        rows = [
+            {"pos": list(a), "neg": list(b), "value": value()}
+            for a in nodes
+            for b in nodes
+            if not any(x and y for x, y in zip(a, b))
+        ]
+    else:
+        rows = [{"node": list(a), "value": value()} for a in nodes]
+    rows += rng.sample(rows, min(3, len(rows)))
+    rng.shuffle(rows)
+    return rows
+
+
+def refuse_enumeration(*args, **kwargs):
+    raise AssertionError("a vertex family was enumerated")
+
+
+class TestGridReader:
+    """Grid files are read as the grid's prefix codes, checked against the
+    label path (``node_to_downset``), and refused before any vertex is
+    enumerated when an entry is bad or the file is short."""
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_matches_label_keys(self, signed):
+        rng = random.Random(23 + signed)
+        parse = fileio.parse_bipolar_kary_capacity if signed else fileio.parse_kary_capacity
+        for _ in range(25):
+            k, n = rng.randint(2, 5), rng.randint(1, 3)
+            rows = grid_rows(rng, k, n, signed)
+            label = lambda node: cq.node_to_downset(node, k)
+            lattice = cq.DownsetLattice(cq.build_kary_base(k, n))
+            if signed:
+                pair = lambda r: cq.BipolarElement(label(r["pos"]), label(r["neg"]))
+                keyed = {pair(r): r["value"] for r in rows}
+                expected = cq.BipolarCapacity(lattice, keyed)
+            else:
+                expected = cq.GeneralizedCapacity(
+                    lattice, {label(r["node"]): r["value"] for r in rows}
+                )
+            got_k, got_n, parsed = parse({"k": k, "n": n, "values": rows})
+            assert (got_k, got_n) == (k, n)
+            assert parsed.values == expected.values
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_entries_keyed_by_the_lattices_own_elements(self, monkeypatch, signed):
+        k, n = (4, 4) if signed else (6, 5)
+        lattice = cq.DownsetLattice(cq.build_kary_base(k, n))
+        if signed:
+            pairs = cq.admissible_vertex_pairs(lattice)
+            zero = cq.BipolarCapacity(lattice, dict.fromkeys(pairs, 0))
+            payload = fileio.bipolar_kary_capacity_payload(zero)
+        else:
+            zero = cq.GeneralizedCapacity(lattice, dict.fromkeys(lattice.elements, 0))
+            payload = fileio.kary_capacity_payload(zero)
+        labels, tables = [], []
+        level_label, vertex_table = kary.level_label, moebius.vertex_table
+        monkeypatch.setattr(kary, "level_label", lambda *a: labels.append(a) or level_label(*a))
+        monkeypatch.setattr(
+            moebius, "vertex_table", lambda *a: tables.append(a[1]) or vertex_table(*a)
+        )
+        parse = fileio.parse_bipolar_kary_capacity if signed else fileio.parse_kary_capacity
+        _, _, parsed = parse(payload)
+        # labels are made for the base alone, never per entry
+        assert len(labels) <= 10 * (k - 1) * n < len(payload["values"])
+        own = set(map(id, parsed.lattice.elements))
+        (entries,) = tables
+        parts = [part for key in entries for part in (key if signed else (key,))]
+        assert len(parts) == len(payload["values"]) * (1 + signed)
+        assert all(id(part) in own for part in parts)
+        assert parsed.values == zero.values
+
+    @pytest.mark.parametrize(
+        "header, entries, missing, count",
+        [
+            ({"k": 10, "n": 6}, [], 10**6, 10**6),
+            ({"k": 3, "n": 2}, [{"node": [2, 1], "value": "1"}] * 2, 8, 9),
+            ({"k": 4, "n": 7, "signed": True}, [], 7**7, 7**7),
+            (
+                {"k": 3, "n": 2, "signed": True},
+                [
+                    {"pos": [1, 0], "neg": [0, 2], "value": "-1"},
+                    {"pos": [0, 0], "neg": [0, 0], "value": "0"},
+                ],
+                23,
+                25,
+            ),
+        ],
+    )
+    def test_short_file_refused_before_any_vertex(
+        self, monkeypatch, header, entries, missing, count
+    ):
+        monkeypatch.setattr(birkhoff, "_downsets", refuse_enumeration)
+        signed = header.pop("signed", False)
+        parse = fileio.parse_bipolar_kary_capacity if signed else fileio.parse_kary_capacity
+        text = f"missing values for {missing} of the {count} vertices"
+        with pytest.raises(cq.BaseMismatch, match=text):
+            parse({**header, "values": entries})
+
+    def test_signed_count_over_the_cap_refused_as_before(self):
+        # (2k-1)**n = 7**8 pairs: the extension's own size refusal, not a short file
+        with pytest.raises(cq.SizeLimitExceeded, match="bipolar extension has at least"):
+            fileio.parse_bipolar_kary_capacity({"k": 4, "n": 8, "values": []})
+
+    @pytest.mark.parametrize(
+        "bad, error, text",
+        [
+            ({"node": [0] * 5, "value": "0"}, cq.FileFormatError, "node must be a list of 6"),
+            ({"node": [0] * 5 + [-1], "value": "0"}, cq.InvalidDimensions, "-1 of criterion 6"),
+            ({"node": [0] * 5 + [10], "value": "0"}, cq.InvalidDimensions, "outside 0..9"),
+            ({"node": [0] * 6, "value": "x"}, cq.FileFormatError, "bad value in value"),
+            ({"node": [0] * 6, "value": "1"}, cq.ContradictoryValue, "two different values"),
+            ({"value": "0"}, cq.FileFormatError, "missing 'node' in grid capacity entry"),
+        ],
+    )
+    def test_malformed_entry_reported_before_any_vertex(self, monkeypatch, bad, error, text):
+        monkeypatch.setattr(birkhoff, "_downsets", refuse_enumeration)
+        entries = [{"node": [0] * 6, "value": "0"}, bad]
+        with pytest.raises(error, match=text):
+            fileio.parse_kary_capacity({"k": 10, "n": 6, "values": entries})
+
+    def test_overlapping_pair_reported_before_any_vertex(self, monkeypatch):
+        monkeypatch.setattr(birkhoff, "_downsets", refuse_enumeration)
+        entries = [{"pos": [2, 0, 0], "neg": [1, 3, 0], "value": "0"}]
+        with pytest.raises(cq.NotInBipolarExtension, match=r"not disjoint: \['c1l1'\]") as info:
+            fileio.parse_bipolar_kary_capacity({"k": 4, "n": 3, "values": entries})
+        assert info.value.context == {"overlap": ["c1l1"]}
+
+    @pytest.mark.parametrize("coordinate", [-1, 3, 10**30])
+    def test_coordinate_out_of_range(self, coordinate):
+        text = f"^node coordinate {coordinate} of criterion 2 outside 0..2$"
+        for payload, parse in [
+            ({"node": [1, coordinate]}, fileio.parse_kary_capacity),
+            ({"pos": [1, 0], "neg": [0, coordinate]}, fileio.parse_bipolar_kary_capacity),
+        ]:
+            with pytest.raises(cq.InvalidDimensions, match=text):
+                parse({"k": 3, "n": 2, "values": [{**payload, "value": "0"}]})
 
 
 class TestScaleFiles:

@@ -462,6 +462,13 @@ class TestChoquetClassical:
         with pytest.raises(cq.NotAnElement, match=r"not defined on \['1', '2'\]"):
             cq.choquet_classical(capacity, {"1": "0.5", "2": "0.7"})
 
+    def test_score_keys_of_mixed_types(self):
+        # ties break on the keys' text, and a missing set names its keys by text
+        assert cq.choquet_classical(len, {"a": 1, 1: 1}) == 2
+        assert cq.choquet_classical(len, {"a": 2, 1: 1, "b": 1}) == 4
+        with pytest.raises(cq.NotAnElement, match=r"not defined on \[1, 'a'\]"):
+            cq.choquet_classical({frozenset(): 0}, {"a": 2, 1: 2})
+
     @given(st.data())
     def test_boolean_reduction_of_natural_extension(self, data):
         n = data.draw(st.integers(min_value=1, max_value=4))

@@ -94,8 +94,10 @@ class TestBase:
             cq.interpolate_point(capacity, ["1/2"], cq.ReferenceScale(("0", "1")))
 
     def test_node_out_of_range(self):
-        with pytest.raises(cq.InvalidDimensions):
-            cq.node_to_downset((3, 0), 3)
+        # -1 is checked as a level, never read as the last prefix code
+        for node, text in [((3, 0), "3 of criterion 1"), ((0, -1), "-1 of criterion 2")]:
+            with pytest.raises(cq.InvalidDimensions, match=f"^node coordinate {text} outside"):
+                cq.node_to_downset(node, 3)
 
 
 class TestKaryChoquet:
