@@ -5,9 +5,11 @@ A signed vertex pairs a positive and a negative part from the bipolar
 extension (:func:`~choqlat.birkhoff.bipolar_extension`). For a complemented
 element the interval below (x, complement) is a tile order-isomorphic to
 the whole lattice; the vertices in some tile are read off the extension by
-one filter. When every connected component of the base poset has a single
-bottom element the tiles cover the entire extension (a "regular mosaic"),
-and signed profiles can be evaluated by pulling them back to the unsigned
+one filter. A :class:`Tile` is a frozen record
+(:func:`~choqlat._record.frozen_record`) of the lattice and its two sides.
+When every connected component of the base poset has a single bottom
+element the tiles cover the entire extension (a "regular mosaic"), and
+signed profiles can be evaluated by pulling them back to the unsigned
 polytope through their tile: :func:`evaluate_bipolar` returns the same
 :class:`~choqlat.interpolation.Evaluation` record as the unsigned
 :func:`~choqlat.interpolation.evaluate`, with signed chain vertices and the
@@ -19,11 +21,11 @@ profile.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
+from ._record import frozen_record
 from .birkhoff import BipolarElement, DownsetLattice, _admissible_family
 from .errors import (
     BaseMismatch,
@@ -70,7 +72,7 @@ def is_regular_mosaic(base: Poset) -> bool:
     return all(len(c.minimals) == 1 for c in connected_components(base))
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Tile:
     """Interval of the bipolar extension below (x, complement of x).
 

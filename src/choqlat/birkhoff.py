@@ -4,7 +4,8 @@ Every finite distributive lattice is, up to isomorphism, the family of
 downsets of the poset of its join-irreducible elements ordered by inclusion.
 This module keeps that single representation everywhere: joins are unions,
 meets are intersections, and explicitly presented lattices are converted at
-the boundary by :func:`verify_distributive`.
+the boundary by :func:`verify_distributive`, into the frozen record
+:class:`BirkhoffForm` (:func:`~choqlat._record.frozen_record`).
 
 A downset is an int on the base poset's bits (base element j is bit
 (position of j in the linear extension)). Each vertex family is built and
@@ -22,11 +23,11 @@ the base's masks (:func:`~choqlat.poset.is_downset`), never the lattice.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
+from ._record import frozen_record
 from .errors import NotALattice, NotAnElement, NotDistributive, SizeLimitExceeded, UnknownLabel
 from .poset import DOWNSET_CAP, Poset, _downsets, _label_sets, connected_components
 from .poset import downset_key, is_downset
@@ -295,7 +296,7 @@ def _step_plan(at: dict[int, int], maxima: list[int], width: int) -> tuple:
     return flat[0::2], flat[1::2], rising
 
 
-@dataclass(frozen=True)
+@frozen_record
 class BirkhoffForm:
     """Downset form of an explicitly given lattice, plus the dictionary
     sending each original element to its set of join-irreducibles."""

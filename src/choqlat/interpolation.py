@@ -28,7 +28,9 @@ denominator of only the levels where the value steps. That pair serves
 unsigned (:func:`evaluate`) or signed (the extension pulled back through a
 tile), and the grid corner sweep of :mod:`~choqlat.kary`. An evaluation's
 chain and ``Fraction`` weights are built only when read, by the one
-build-on-read mechanism both records share.
+build-on-read mechanism both records share. Both are frozen records
+(:func:`~choqlat._record.frozen_record`), equal, hashed and shown by their
+fields.
 
 The dual path, :func:`moebius_form_eval`, reads only the Moebius
 coefficients and the profile: C(f) = sum of m(X) * min over X of f. It
@@ -41,7 +43,6 @@ at those ranks.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -56,6 +57,7 @@ from .errors import (
     NotZeroOne,
     ValueOutOfRange,
 )
+from ._record import frozen_record
 from .birkhoff import BipolarElement
 from .moebius import GeneralizedCapacity
 from .poset import Poset, linear_extension
@@ -158,7 +160,7 @@ class _BuiltOnRead:
         return made
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ChainDecomposition(_BuiltOnRead):
     """A profile written as a convex combination of chained downset vertices.
 
@@ -245,7 +247,7 @@ def triangulate(profile: Profile, tie_break: Sequence[str] | None = None) -> Cha
     return ChainDecomposition._made(base=base, order=tuple(order), _masks=masks, _levels=levels)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Evaluation(_BuiltOnRead):
     """Value of an extension together with the chain that produced it.
 

@@ -42,7 +42,9 @@ def _shown(text: str) -> str:
 def _check_exponent(text: str, value: str) -> None:
     _, _, exponent = text.lower().partition("e")
     try:
-        size = abs(int(exponent))
+        # as Decimal reads it: Decimal drops every underscore ("1e_5" is
+        # 1E+5), where int refuses a leading or trailing one
+        size = abs(int(exponent.replace("_", "")))
     except ValueError:
         return  # not a number at all; the parse rejects it
     if size > MAX_EXPONENT:

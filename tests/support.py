@@ -574,7 +574,7 @@ def _slow_quoted(text: str) -> str:
 def _slow_check_exponent(text: str, value: str) -> None:
     _, _, exponent = text.lower().partition("e")
     try:
-        size = abs(int(exponent))
+        size = abs(int(exponent.replace("_", "")))
     except ValueError:
         return
     if size > MAX_EXPONENT:

@@ -1013,7 +1013,9 @@ class TestJsonNumberLiterals:
         assert payload["error"]["code"] == "value_out_of_range"
         assert payload["error"]["label"] == "a"
 
-    @pytest.mark.parametrize("literal", ["1e2000", "Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize(
+        "literal", ["1e2000", "Infinity", "-Infinity", "NaN", '"1e_2000"', '"1e-_2000"']
+    )
     def test_unbounded_literals_are_file_format_errors(self, capsys, tmp_path, literal):
         code, payload = self.profile_run(capsys, tmp_path, literal)
         assert code == 2

@@ -133,6 +133,16 @@ class TestValueParsing:
         bound = rationals.MAX_EXPONENT
         assert cq.as_fraction(f"1e{bound}") == 10**bound
         assert cq.as_fraction(f"2.5E-{bound}") == Fraction(25, 10 ** (bound + 1))
+        assert cq.as_fraction(f"1e_{bound}") == 10**bound
+
+    @pytest.mark.parametrize("raw", ["1e_2000", "1e+_2000", "1e-_2000", "1e2000_", "1E_-2_000"])
+    def test_underscored_exponents_are_bounded(self, raw):
+        """``Decimal`` reads an exponent with its underscores dropped, where
+        ``int`` refuses a leading or trailing one; the bound reads it as
+        ``Decimal`` does."""
+        for read in (cq.as_fraction, rationals._ratio):
+            with pytest.raises(ValueError, match="^exponent beyond 1000 in "):
+                read(raw)
 
 
 class TestParserOracle:

@@ -190,19 +190,19 @@ class TestLevelProfile:
 
 class TestScaleValidation:
     def test_strictly_increasing_required(self):
-        with pytest.raises(cq.InvalidDimensions):
+        with pytest.raises(cq.InvalidDimensions, match="^scale levels must be strictly increasing$"):
             cq.ReferenceScale(("0", "0"))
 
     def test_one_level_scale(self):
-        with pytest.raises(cq.InvalidDimensions, match="at least two levels"):
+        with pytest.raises(cq.InvalidDimensions, match="^a scale needs at least two levels$"):
             cq.ReferenceScale(("0",))
 
     def test_symmetric_needs_odd_count(self):
-        with pytest.raises(cq.InvalidDimensions):
+        with pytest.raises(cq.InvalidDimensions, match="^symmetric scales have an odd level count$"):
             cq.ReferenceScale(("-1", "0", "0.5", "1"), symmetric=True)
 
     def test_symmetric_needs_zero_centre(self):
-        with pytest.raises(cq.InvalidDimensions):
+        with pytest.raises(cq.InvalidDimensions, match="^symmetric scales are centred on 0$"):
             cq.ReferenceScale(("-2", "-1", "1", "2", "3"), symmetric=True)
 
     def test_signed_index_access(self, symmetric5):
