@@ -8,11 +8,12 @@ cross-check disagreement or a failed selftest), 1 any other failure (code
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import chain
+from types import SimpleNamespace
 
 from . import fileio
 from .bipolar import (
@@ -66,14 +67,9 @@ class CrossCheckFailure(Exception):
 
 
 class UsageError(ChoqlatError):
-    code = "usage"
-
-
-class _Parser(argparse.ArgumentParser):
     """Bad arguments end like a bad input file: a JSON error and exit 2."""
 
-    def error(self, message):
-        raise UsageError(message)
+    code = "usage"
 
 
 def _print_json(payload) -> None:
@@ -443,99 +439,101 @@ def cmd_selftest(args):
     return {"checks": checks, "all_ok": all_ok, "_exit_code": 0 if all_ok else 3}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="choqlat",
-        description=(
-            "Vertex-functional interpolation on distributive lattices:"
-            " validation, evaluation and Hasse diagrams."
-        ),
-    )
-    groups = parser.add_subparsers(dest="group", required=True, metavar="command")
-    subcommands: dict = {}
+# command words -> (handler name, arguments); the handler is looked up when it
+# runs. An argument's kind is also its usage: the positional file, a flag, an
+# option that may be given a value, or one that must be.
+FILE, FLAG, VALUE, REQUIRED = "{}", "[{}]", "[{} {}]", "{} {}"
+_EVAL = {"--capacity": REQUIRED, "--profile": REQUIRED, "--decomposition": FLAG,
+         "--cross-check": FLAG}
+_LEVELS = {"--scale": REQUIRED, "--capacity": REQUIRED, "--point": REQUIRED, "--bipolar": FLAG}
+COMMANDS = {
+    "poset check": ("cmd_poset_check", {"file": FILE, "--dot": FLAG}),
+    "lattice verify": ("cmd_lattice_verify", {"file": FILE}),
+    "mosaic check": ("cmd_mosaic_check", {"file": FILE}),
+    "mobius": ("cmd_mobius", {"--capacity": VALUE, "--bipolar-capacity": VALUE}),
+    "choquet eval": ("cmd_choquet_eval", _EVAL),
+    "bipolar eval": ("cmd_bipolar_eval", {**_EVAL, "--require-normalized": FLAG}),
+    "bipolar enumerate": ("cmd_bipolar_enumerate", {"file": FILE, "--dot": FLAG}),
+    "kary eval": ("cmd_kary_eval", {**_EVAL, "--bipolar": FLAG}),
+    "levels eval": ("cmd_levels_eval", _LEVELS),
+    "selftest": ("cmd_selftest", {}),
+}
+_HELP = {"-h": FLAG, "--help": FLAG}
+_negative_number = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
-    def command(group, group_help, name, help, handler):
-        if group not in subcommands:
-            subcommands[group] = groups.add_parser(group, help=group_help).add_subparsers(
-                dest="command", required=True
-            )
-        sub = subcommands[group].add_parser(name, help=help)
-        sub.set_defaults(handler=handler)
-        return sub
 
-    def evaluation(group, group_help, help, handler):
-        sub = command(group, group_help, "eval", help, handler)
-        sub.add_argument("--capacity", required=True)
-        sub.add_argument("--profile", required=True)
-        sub.add_argument("--decomposition", action="store_true")
-        sub.add_argument("--cross-check", action="store_true")
-        return sub
+def _usage() -> str:
+    lines = []
+    for words, (_, arguments) in COMMANDS.items():
+        shown = [kind.format(name, name[2:].upper()) for name, kind in arguments.items()]
+        lines.append(" ".join(["choqlat", words, *shown]))
+    return "usage: " + "\n       ".join(lines) + "\n"
 
-    poset_check = command(
-        "poset", "poset file operations", "check", "validate a poset file", cmd_poset_check
-    )
-    poset_check.add_argument("file")
-    poset_check.add_argument("--dot", action="store_true", help="emit a Graphviz Hasse diagram")
 
-    lattice_verify = command(
-        "lattice", "lattice file operations",
-        "verify", "check distributivity and extract the base poset", cmd_lattice_verify,
-    )
-    lattice_verify.add_argument("file")
-
-    mosaic_check = command(
-        "mosaic", "mosaic structure checks",
-        "check", "is the bipolar extension a union of tiles?", cmd_mosaic_check,
-    )
-    mosaic_check.add_argument("file")
-
-    mobius = groups.add_parser("mobius", help="Moebius coefficients of a capacity")
-    mobius.add_argument("--capacity")
-    mobius.add_argument("--bipolar-capacity")
-    mobius.set_defaults(handler=cmd_mobius)
-
-    evaluation(
-        "choquet", "unsigned evaluation", "extension value of a profile", cmd_choquet_eval
+def _is_option(word: str, known: dict) -> bool:
+    """A word of two or more characters starting with ``-`` is an option when
+    it names one of ``known`` (alone or before ``=``), else unless it is a
+    negative number or holds a space."""
+    return word[:1] == "-" and len(word) > 1 and (
+        word.partition("=")[0] in known or not (_negative_number(word) or " " in word)
     )
 
-    bipolar_eval = evaluation(
-        "bipolar", "signed structure and evaluation", "signed extension value", cmd_bipolar_eval
-    )
-    bipolar_eval.add_argument(
-        "--require-normalized",
-        action="store_true",
-        help="reject capacities that are not 1/-1 at the extreme vertices",
-    )
-    bipolar_enumerate = command(
-        "bipolar", None, "enumerate", "list the bipolar extension", cmd_bipolar_enumerate
-    )
-    bipolar_enumerate.add_argument("file")
-    bipolar_enumerate.add_argument("--dot", action="store_true")
 
-    kary_eval = evaluation(
-        "kary", "chain-product (grid) evaluation", "grid capacity against a profile", cmd_kary_eval
-    )
-    kary_eval.add_argument("--bipolar", action="store_true")
-
-    levels_eval = command(
-        "levels", "reference-level point scoring",
-        "eval", "score a point of the score space", cmd_levels_eval,
-    )
-    levels_eval.add_argument("--scale", required=True)
-    levels_eval.add_argument("--capacity", required=True)
-    levels_eval.add_argument("--point", required=True, help="comma-separated coordinates")
-    levels_eval.add_argument("--bipolar", action="store_true")
-
-    selftest = groups.add_parser("selftest", help="run the bundled golden instances")
-    selftest.set_defaults(handler=cmd_selftest)
-
-    return parser
+def read_argv(argv) -> tuple[str, SimpleNamespace]:
+    """The handler name and arguments of ``argv``: the command words, then
+    options and the file in any order. A value follows its option or its
+    ``=``, and a repeated option keeps its last value. Words are read from
+    left to right, as argparse reads them: help or a malformed option ends
+    the reading at once, while an unknown or extra word, like a missing one,
+    is refused at the end."""
+    rest, words, spec, known, values, unknown = list(argv), [], None, _HELP, {}, []
+    while rest:
+        word = rest.pop(0)
+        option, eq, value = word.partition("=")
+        if not _is_option(word, known):
+            if spec is None:  # the next command word
+                prefix = " ".join([*words, ""])
+                choices = [c.split()[len(words)] for c in COMMANDS if c.startswith(prefix)]
+                if word not in choices:
+                    shown = ", ".join(map(repr, dict.fromkeys(choices)))
+                    raise UsageError(f"invalid choice: {word!r} (choose from {shown})")
+                words.append(word)
+                spec = COMMANDS.get(" ".join(words))
+                known = {**_HELP, **spec[1]} if spec else known
+            elif "file" in known and "file" not in values:
+                values["file"] = word
+            else:
+                unknown.append(word)
+        elif option not in known:
+            unknown.append(word)
+        elif known[option] != FLAG:
+            if not eq:
+                if not rest or _is_option(rest[0], known):
+                    raise UsageError(f"argument {option}: expected one argument")
+                value = rest.pop(0)
+            values[option] = value
+        elif eq:
+            raise UsageError(f"argument {option}: ignored explicit argument {value!r}")
+        elif option in _HELP:
+            sys.stdout.write(_usage())
+            raise SystemExit(0)
+        else:
+            values[option] = True
+    # argv without its command words misses the command
+    name, arguments = spec or (None, {"command": FILE})
+    missing = [a for a, kind in arguments.items() if kind in (FILE, REQUIRED) and a not in values]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    values = {**{a: False if kind == FLAG else None for a, kind in arguments.items()}, **values}
+    return name, SimpleNamespace(**{a.lstrip("-").replace("-", "_"): v for a, v in values.items()})
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        result = args.handler(args)
+        name, args = read_argv(sys.argv[1:] if argv is None else argv)
+        result = globals()[name](args)
         # rendering fails like the handler: every run ends with a JSON body
         if isinstance(result, str):
             sys.stdout.write(result)

@@ -19,12 +19,12 @@ from fractions import Fraction
 from functools import partial
 
 from .bipolar import BipolarCapacity, BipolarProfile
-from .birkhoff import BipolarElement, DownsetLattice, _lattice_family, verify_distributive
+from .birkhoff import BipolarElement, DownsetLattice, _Family, _lattice_family, verify_distributive
 from .errors import BaseMismatch, ContradictoryValue, FileFormatError, SizeLimitExceeded
 from .interpolation import Profile
 from .kary import ReferenceScale, _grid, _levels, build_kary_base, downset_to_node, grid_shape
 from .moebius import GeneralizedCapacity, check_bipolar_pair
-from .poset import DOWNSET_CAP, Poset
+from .poset import DOWNSET_CAP, Poset, _downsets
 from .rationals import _shown, as_fraction
 
 # Poset files with more elements, and grid headers whose base (n chains of
@@ -148,10 +148,28 @@ def lattice_payload(lattice: DownsetLattice) -> dict:
 # capacities and profiles over an explicit lattice
 
 
+def _label_capacity(obj, what: str, names: tuple[str, ...], capacity):
+    """A capacity file keyed by label sets, unsigned or signed by its ``names``.
+
+    Every lattice element needs its own entry, and a signed file a pair
+    (A, ∅) for each element A. So once the entries are read, the base's
+    downsets are counted up to their number: one more makes the file short,
+    refused before its lattice is enumerated. Otherwise the counted family is
+    kept with the lattice, which is enumerated once.
+    """
+    lattice, _ = parse_lattice(_require(obj, "lattice", f"{what} file"))
+    table = _read_entries(obj, what, names, _labels)
+    if len(table) < DOWNSET_CAP and _lattice_family not in lattice._derived:
+        try:
+            family = _Family(lattice, *_downsets(lattice.base, len(table)), signed=False)
+        except SizeLimitExceeded:
+            raise BaseMismatch(f"only {len(table)} entries for a larger lattice") from None
+        lattice._derived[_lattice_family] = family
+    return capacity(lattice, table)
+
+
 def parse_capacity(obj) -> GeneralizedCapacity:
-    lattice, _ = parse_lattice(_require(obj, "lattice", "capacity file"))
-    table = _read_entries(obj, "capacity", ("downset",), _labels)
-    return GeneralizedCapacity(lattice, table)
+    return _label_capacity(obj, "capacity", ("downset",), GeneralizedCapacity)
 
 
 def capacity_payload(capacity: GeneralizedCapacity) -> dict:
@@ -181,9 +199,7 @@ def profile_payload(profile: Profile | BipolarProfile) -> dict:
 
 
 def parse_bipolar_capacity(obj) -> BipolarCapacity:
-    lattice, _ = parse_lattice(_require(obj, "lattice", "bipolar capacity file"))
-    table = _read_entries(obj, "bipolar capacity", ("pos", "neg"), _labels)
-    return BipolarCapacity(lattice, table)
+    return _label_capacity(obj, "bipolar capacity", ("pos", "neg"), BipolarCapacity)
 
 
 def bipolar_capacity_payload(capacity: BipolarCapacity) -> dict:

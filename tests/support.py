@@ -6,8 +6,10 @@ helpers drive the seeded bulk runs in the acceptance module.
 
 from __future__ import annotations
 
+import argparse
+import io
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 import random
@@ -874,3 +876,130 @@ def mosaic_bases() -> list[cq.Poset]:
         cq.build_kary_base(2, 4),
         forest,
     ]
+
+
+# the CLI's old argument parser, the reference for ``cli.read_argv``
+
+
+class OracleError(Exception):
+    """The old parser refused an argv: the CLI's exit 2 with code ``usage``."""
+
+
+class _OracleParser(argparse.ArgumentParser):
+    """Every parser of the oracle refuses abbreviated options, as the
+    command table does, and raises on an error instead of exiting."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise OracleError(message)
+
+
+def build_oracle_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI had before its command table, with each
+    handler given by name."""
+    parser = _OracleParser(
+        prog="choqlat",
+        description=(
+            "Vertex-functional interpolation on distributive lattices:"
+            " validation, evaluation and Hasse diagrams."
+        ),
+    )
+    groups = parser.add_subparsers(dest="group", required=True, metavar="command")
+    subcommands: dict = {}
+
+    def command(group, group_help, name, help, handler):
+        if group not in subcommands:
+            subcommands[group] = groups.add_parser(group, help=group_help).add_subparsers(
+                dest="command", required=True
+            )
+        sub = subcommands[group].add_parser(name, help=help)
+        sub.set_defaults(handler=handler)
+        return sub
+
+    def evaluation(group, group_help, help, handler):
+        sub = command(group, group_help, "eval", help, handler)
+        sub.add_argument("--capacity", required=True)
+        sub.add_argument("--profile", required=True)
+        sub.add_argument("--decomposition", action="store_true")
+        sub.add_argument("--cross-check", action="store_true")
+        return sub
+
+    poset_check = command(
+        "poset", "poset file operations", "check", "validate a poset file", "cmd_poset_check"
+    )
+    poset_check.add_argument("file")
+    poset_check.add_argument("--dot", action="store_true", help="emit a Graphviz Hasse diagram")
+
+    lattice_verify = command(
+        "lattice", "lattice file operations",
+        "verify", "check distributivity and extract the base poset", "cmd_lattice_verify",
+    )
+    lattice_verify.add_argument("file")
+
+    mosaic_check = command(
+        "mosaic", "mosaic structure checks",
+        "check", "is the bipolar extension a union of tiles?", "cmd_mosaic_check",
+    )
+    mosaic_check.add_argument("file")
+
+    mobius = groups.add_parser("mobius", help="Moebius coefficients of a capacity")
+    mobius.add_argument("--capacity")
+    mobius.add_argument("--bipolar-capacity")
+    mobius.set_defaults(handler="cmd_mobius")
+
+    evaluation(
+        "choquet", "unsigned evaluation", "extension value of a profile", "cmd_choquet_eval"
+    )
+
+    bipolar_eval = evaluation(
+        "bipolar", "signed structure and evaluation", "signed extension value", "cmd_bipolar_eval"
+    )
+    bipolar_eval.add_argument(
+        "--require-normalized",
+        action="store_true",
+        help="reject capacities that are not 1/-1 at the extreme vertices",
+    )
+    bipolar_enumerate = command(
+        "bipolar", None, "enumerate", "list the bipolar extension", "cmd_bipolar_enumerate"
+    )
+    bipolar_enumerate.add_argument("file")
+    bipolar_enumerate.add_argument("--dot", action="store_true")
+
+    kary_eval = evaluation(
+        "kary", "chain-product (grid) evaluation", "grid capacity against a profile",
+        "cmd_kary_eval",
+    )
+    kary_eval.add_argument("--bipolar", action="store_true")
+
+    levels_eval = command(
+        "levels", "reference-level point scoring",
+        "eval", "score a point of the score space", "cmd_levels_eval",
+    )
+    levels_eval.add_argument("--scale", required=True)
+    levels_eval.add_argument("--capacity", required=True)
+    levels_eval.add_argument("--point", required=True, help="comma-separated coordinates")
+    levels_eval.add_argument("--bipolar", action="store_true")
+
+    selftest = groups.add_parser("selftest", help="run the bundled golden instances")
+    selftest.set_defaults(handler="cmd_selftest")
+
+    return parser
+
+
+def oracle_read(argv):
+    """``"help"`` when the old parser printed help and exited 0, ``"error"``
+    when it refused ``argv``, else the handler name and the parsed values."""
+    try:
+        with redirect_stdout(io.StringIO()):
+            namespace = build_oracle_parser().parse_args(argv)
+    except OracleError:
+        return "error"
+    except SystemExit as exit:
+        assert exit.code == 0
+        return "help"
+    values = vars(namespace)
+    for key in ("group", "command"):
+        values.pop(key, None)
+    return values.pop("handler"), values

@@ -1,22 +1,27 @@
+import io
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import choqlat as cq
-from choqlat import cli, fileio
+from choqlat import birkhoff, cli, fileio
 from choqlat.cli import main
 from choqlat.rationals import MAX_DENOMINATOR_BITS, _shown
 from support import (
     antichain,
     long_denominator_values,
+    oracle_read,
     random_bipolar_capacity,
     random_capacity,
     wedge,
@@ -623,7 +628,11 @@ class TestInputBoundary:
         if command == "enumerate":
             argv = ["bipolar", "enumerate", write(tmp_path, "lattice.json", lattice)]
         else:
-            values = [{"pos": [], "neg": [], "value": "0"}]
+            # 13 atoms: 3**13 signed pairs, over the budget, and a file with a
+            # value at each (A, {}), so it is not refused as short first
+            small = cq.DownsetLattice(antichain(13))
+            lattice = fileio.lattice_payload(small)
+            values = [{"pos": sorted(a), "neg": [], "value": "0"} for a in small.elements]
             cpath = write(tmp_path, "capacity.json", {"lattice": lattice, "values": values})
             ppath = write(tmp_path, "profile.json", {"values": {"1": "0.5"}})
             argv = ["bipolar", "eval", "--capacity", cpath, "--profile", ppath]
@@ -632,6 +641,28 @@ class TestInputBoundary:
         assert time.perf_counter() - started < 2
         assert code == 2
         assert payload["error"]["code"] == "size_limit_exceeded"
+
+    @pytest.mark.parametrize("command", ["choquet", "bipolar"])
+    def test_short_label_capacity_exits_fast(self, capsys, tmp_path, monkeypatch, command):
+        """17 atoms give 2**17 lattice elements; a file with no values is
+        refused as short before its lattice is enumerated."""
+
+        def refuse_enumeration(*args, **kwargs):
+            raise AssertionError("the lattice was enumerated")
+
+        monkeypatch.setattr(birkhoff, "_downsets", refuse_enumeration)
+        lattice = fileio.lattice_payload(cq.DownsetLattice(antichain(17)))
+        cpath = write(tmp_path, "capacity.json", {"lattice": lattice, "values": []})
+        ppath = write(tmp_path, "profile.json", {"values": {"1": "0.5"}})
+        started = time.perf_counter()
+        code, payload = run_json(capsys, command, "eval", "--capacity", cpath, "--profile", ppath)
+        assert time.perf_counter() - started < 0.5
+        assert code == 2
+        assert payload["error"] == {
+            "code": "base_mismatch",
+            "message": "only 0 entries for a larger lattice",
+            "file": cpath,
+        }
 
     def test_thirteen_bottom_wedge_exits_2(self, capsys, tmp_path):
         lattice = fileio.lattice_payload(cq.DownsetLattice(wedge(13)))
@@ -684,8 +715,28 @@ class TestInputBoundary:
             ["levels", "eval", "--scale", "s.json", "--capacity", "c.json", "--point", "-0.3,0.2"],
             ["choquet", "eval", "--capacity", "c.json"],
             ["no-such-command"],
+            [],
+            ["poset"],
+            ["choquet", "eval", "--cap", "c.json", "--profile", "p.json"],
+            ["choquet", "eval", "--capacity", "c.json", "--profile"],
+            ["poset", "check", "a.json", "--dot=yes"],
+            ["poset", "check", "a.json", "b.json"],
+            ["selftest", "--bogus"],
+            ["--dot", "poset", "check", "a.json"],
         ],
-        ids=["negative_point_as_flag", "missing_profile", "unknown_command"],
+        ids=[
+            "negative_point_as_flag",
+            "missing_profile",
+            "unknown_command",
+            "empty_argv",
+            "missing_command_word",
+            "abbreviated_option",
+            "option_without_value",
+            "flag_given_a_value",
+            "extra_word",
+            "unknown_option",
+            "option_before_command",
+        ],
     )
     def test_bad_arguments_are_a_usage_error(self, capsys, argv):
         code, payload = run_json(capsys, *argv)
@@ -697,6 +748,18 @@ class TestInputBoundary:
             main(["--help"])
         assert exit_info.value.code == 0
         assert "usage: choqlat" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"], ["kary", "-h"], ["kary", "eval", "--bipolar", "-h"], ["selftest", "--help"]],
+    )
+    def test_help_lists_every_command(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: choqlat poset check file [--dot]\n")
+        assert all(f"choqlat {words}" in out for words in cli.COMMANDS)
 
     def test_unexpected_error_is_an_internal_error(self, capsys, monkeypatch):
         def broken(args):
@@ -1042,3 +1105,120 @@ class TestJsonNumberLiterals:
         assert code == 0
         assert payload["value"] == str(10**400)
         assert payload["float"] is None
+
+
+# the words of generated argvs: the option names of every command, alone and
+# with "=", values, help, unknown and abbreviated options, and the command
+# words themselves
+OPTION_NAMES = sorted({a for _, arguments in cli.COMMANDS.values() for a in arguments} - {"file"})
+VALUE_WORDS = ["a.json", "-0.3", "-5"]
+# The reader, like argparse on Python 3.11, takes "-0.3,0.2" after an option
+# for an option, not a value; the word joins the pool only where the running
+# argparse reads it so too.
+if oracle_read(["levels", "eval", "--scale", "s", "--capacity", "c", "--point", "-0.3,0.2"]) == (
+    "error"
+):
+    VALUE_WORDS.append("-0.3,0.2")
+STRAY_WORDS = [
+    *OPTION_NAMES,
+    *(f"{name}=b.json" for name in OPTION_NAMES),
+    *VALUE_WORDS,
+    "-h",
+    "--help",
+    "--help=x",
+    "--bogus",
+    "--bogus=1",
+    "--cap",
+    "--cross",
+    *sorted({word for words in cli.COMMANDS for word in words.split()}),
+]
+
+RARELY = st.sampled_from([False] * 3 + [True])
+
+
+@st.composite
+def argv_lists(draw):
+    """An argv near a valid one: a command's words, then usually each of its
+    arguments (the file, a flag, or an option given a value once or twice,
+    after it or after "="), in any order.
+    Now and then a few stray words or help join them, a command word is
+    lost, or a stray word comes before or between the command words."""
+    words = draw(st.sampled_from(list(cli.COMMANDS))).split()
+    _, arguments = cli.COMMANDS[" ".join(words)]
+    pieces = []
+    for name, kind in arguments.items():
+        if kind in (cli.FLAG, cli.VALUE) and draw(st.booleans()):
+            continue
+        if kind in (cli.FILE, cli.REQUIRED) and draw(RARELY):
+            continue
+        if kind == cli.FLAG:
+            pieces.append([name])
+        elif kind == cli.FILE:
+            pieces.append([draw(st.sampled_from(VALUE_WORDS))])
+        else:  # given once or twice
+            for value in draw(st.lists(st.sampled_from(VALUE_WORDS), min_size=1, max_size=2)):
+                pieces.append(draw(st.sampled_from([[name, value], [f"{name}={value}"]])))
+    if draw(RARELY):
+        pieces += [[word] for word in draw(st.lists(st.sampled_from(STRAY_WORDS), max_size=3))]
+    if draw(RARELY):
+        pieces.append([draw(st.sampled_from(["-h", "--help"]))])
+    if draw(RARELY):
+        del words[draw(st.integers(0, len(words) - 1))]
+    if draw(RARELY):
+        words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(STRAY_WORDS)))
+    return words + [word for piece in draw(st.permutations(pieces)) for word in piece]
+
+
+class TestArgumentReader:
+    @settings(max_examples=500, deadline=None)
+    @given(argv_lists())
+    def test_reader_matches_the_old_parser(self, argv):
+        """Where argparse accepted an argv, the reader gives the same handler
+        and values; where argparse refused it, the CLI exits 2 with code
+        ``usage``; where argparse printed help, so does the CLI."""
+        expected = oracle_read(argv)
+        out = io.StringIO()
+        try:
+            with redirect_stdout(out):
+                got = main(argv) if expected == "error" else cli.read_argv(argv)
+        except SystemExit as exit:
+            assert exit.code == 0
+            assert out.getvalue().startswith("usage: choqlat ")
+            got = "help"
+        if expected == "error":
+            assert got == 2
+            assert json.loads(out.getvalue())["error"]["code"] == "usage"
+        elif expected == "help":
+            assert got == "help"
+        else:
+            assert (got[0], vars(got[1])) == expected
+
+    @pytest.mark.parametrize(
+        "argv, handler, values",
+        [
+            (
+                ["levels", "eval", "--point", "-0.3", "--scale=s.json", "--capacity", "c.json",
+                 "--capacity=d.json", "--bipolar", "--bipolar"],
+                "cmd_levels_eval",
+                {"scale": "s.json", "capacity": "d.json", "point": "-0.3", "bipolar": True},
+            ),
+            (["poset", "check", "--dot", "-5"], "cmd_poset_check", {"file": "-5", "dot": True}),
+            (
+                ["mobius", "--capacity=a=b"],
+                "cmd_mobius",
+                {"capacity": "a=b", "bipolar_capacity": None},
+            ),
+            (["selftest"], "cmd_selftest", {}),
+        ],
+        ids=["repeats_and_equals", "negative_number_file", "value_with_equals", "no_arguments"],
+    )
+    def test_reads_the_grammar(self, argv, handler, values):
+        name, args = cli.read_argv(argv)
+        assert name == handler
+        assert vars(args) == values
+
+    def test_handlers_are_looked_up_when_they_run(self, capsys, monkeypatch):
+        assert all(callable(getattr(cli, name)) for name, _ in cli.COMMANDS.values())
+        monkeypatch.setattr(cli, "cmd_selftest", lambda args: {"stand_in": vars(args)})
+        code, payload = run_json(capsys, "selftest")
+        assert (code, payload) == (0, {"stand_in": {}})

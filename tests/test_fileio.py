@@ -363,6 +363,60 @@ class TestBipolarCapacityFiles:
             fileio.parse_bipolar_capacity(payload)
 
 
+class TestShortLabelFiles:
+    """A capacity file keyed by label sets needs an entry for each lattice
+    element (a signed one at each (A, {})): the base's downsets are counted
+    up to the entries, so a short file is refused before its lattice is
+    enumerated, and a full one enumerates it once."""
+
+    @pytest.mark.parametrize(
+        "signed, entry",
+        [
+            (False, {"downset": []}),
+            (False, {"downset": ["zz"]}),
+            (True, {"pos": [], "neg": []}),
+            (True, {"pos": ["1"], "neg": ["1"]}),
+        ],
+        ids=["unsigned", "unsigned_bad_key", "signed", "signed_overlapping_pair"],
+    )
+    def test_short_file_refused_before_its_lattice(self, monkeypatch, signed, entry):
+        # 17 atoms: 2**17 elements; a bad key is reported only after the count
+        monkeypatch.setattr(birkhoff, "_downsets", refuse_enumeration)
+        payload = {
+            "lattice": fileio.poset_payload(antichain(17)),
+            "values": [{**entry, "value": "0"}],
+        }
+        parse = fileio.parse_bipolar_capacity if signed else fileio.parse_capacity
+        with pytest.raises(cq.BaseMismatch, match="^only 1 entries for a larger lattice$"):
+            parse(payload)
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("role", ["join_irreducibles", "explicit_lattice"])
+    def test_full_file_enumerates_its_lattice_once(self, monkeypatch, signed, role):
+        rng = random.Random(3)
+        lattice = cq.DownsetLattice(wedge_poset())
+        header = fileio.poset_payload(lattice.base)
+        if role == "explicit_lattice":  # counted once, by the distributivity check
+            explicit = cq.explicit_poset(lattice)
+            lattice = cq.verify_distributive(explicit).lattice
+            header = {**fileio.poset_payload(explicit), "role": role}
+        if signed:
+            capacity = random_bipolar_capacity(rng, lattice)
+            payload = fileio.bipolar_capacity_payload(capacity)
+        else:
+            capacity = random_capacity(rng, lattice)
+            payload = fileio.capacity_payload(capacity)
+        calls = []
+        for module in (birkhoff, fileio):
+            count = module._downsets
+            monkeypatch.setattr(
+                module, "_downsets", lambda *a, count=count, **k: calls.append(a) or count(*a, **k)
+            )
+        parse = fileio.parse_bipolar_capacity if signed else fileio.parse_capacity
+        parsed = parse({**payload, "lattice": header})
+        assert parsed.values == capacity.values
+        assert len(calls) == 1
+
 class TestGridFiles:
     def test_round_trip(self):
         rng = random.Random(3)

@@ -3,7 +3,8 @@
 ``LevelIndexing``. Each is built by position, by keyword and with its
 defaults, refuses assignment and deletion, equals and hashes by its fields
 only against a record of its own class, and matches by position. Importing
-the package or its CLI loads neither ``dataclasses`` nor ``inspect``."""
+the package or its CLI loads none of ``dataclasses``, ``inspect``,
+``argparse``, ``gettext`` and ``locale``."""
 
 import subprocess
 import sys
@@ -164,11 +165,12 @@ def test_tile_keeps_its_cached_elements():
 @pytest.mark.parametrize("module", ["choqlat.cli", "choqlat"])
 def test_import_path_stays_light(module):
     """A fresh interpreter with no site hook, so nothing preloads or masks
-    a module: importing the package or its CLI loads neither
-    ``dataclasses`` nor ``inspect``."""
+    a module: importing the package or its CLI loads none of
+    ``dataclasses``, ``inspect``, ``argparse``, ``gettext`` and ``locale``."""
+    heavy = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import {module};"
-        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        f" print(sorted({heavy!r} & set(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
