@@ -16,7 +16,9 @@ run on the integer pairs it keeps as written; every parsed value must equal
 the Fraction it was rendered from.
 Each signed dual value is computed twice, from the capacity's positional
 table and from a plain dict copy of it (the value-by-value path of the
-transform and of the Moebius form); the two must agree.
+transform and of the Moebius form); the two must agree. Both capacities of
+each instance are also written as grid files, their values rendered the
+same way, and read back by the file reader, which must give them back.
 
     python scripts/dual_path_sweep.py --instances 300 --seed 7
 """
@@ -28,6 +30,7 @@ import time
 from fractions import Fraction
 
 import choqlat as cq
+from choqlat import fileio
 
 GRIDS = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]
 DENOMINATORS = (1, 2, 3, 7, 12, 60, 97, 1024, 10**9 + 7, 3**40)
@@ -65,6 +68,16 @@ def render(rng, value):
     return rng.choice(("", " ", "  ")) + sign + text + rng.choice(("", " "))
 
 
+def round_trip(rng, capacity, payload, parse) -> bool:
+    """True when ``capacity``, written as a grid file by ``payload`` with
+    each value rendered, does not come back from ``parse``."""
+    obj = payload(capacity)
+    for row in obj["values"]:
+        row["value"] = render(rng, Fraction(row["value"]))
+    _, _, parsed = parse(obj)
+    return parsed.values != capacity.values
+
+
 def random_values(rng, base):
     raw = {x: Fraction(rng.randint(0, 10), 10) for x in base.elements}
     return {
@@ -96,6 +109,9 @@ def sweep(instances, seed):
         capacity = cq.GeneralizedCapacity(
             lattice, {d: random_fraction(rng) for d in lattice.elements}
         )
+        mismatches += round_trip(
+            rng, capacity, fileio.kary_capacity_payload, fileio.parse_kary_capacity
+        )
         values = random_values(rng, base)
         profile = cq.Profile(base, {j: render(rng, v) for j, v in values.items()})
         mismatches += profile.values != values
@@ -116,6 +132,9 @@ def sweep(instances, seed):
         bipolar = cq.BipolarCapacity(
             lattice,
             {p: random_fraction(rng) for p in cq.admissible_vertex_pairs(lattice)},
+        )
+        mismatches += round_trip(
+            rng, bipolar, fileio.bipolar_kary_capacity_payload, fileio.parse_bipolar_kary_capacity
         )
         values = random_signed_values(rng, base)
         signed = cq.BipolarProfile(base, {j: render(rng, v) for j, v in values.items()})
@@ -139,7 +158,7 @@ def sweep(instances, seed):
 
     elapsed = time.perf_counter() - started
     print(
-        f"{instances} instances x 5 path pairs on grids {GRIDS}: "
+        f"{instances} instances x 5 path pairs and 2 grid file round trips on grids {GRIDS}: "
         f"{mismatches} mismatches in {elapsed:.2f}s"
     )
     return mismatches

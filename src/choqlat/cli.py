@@ -245,7 +245,7 @@ def cmd_mosaic_check(args):
 
 def cmd_mobius(args):
     if bool(args.capacity) == bool(args.bipolar_capacity):
-        raise FileFormatError("provide exactly one of --capacity / --bipolar-capacity")
+        raise UsageError("provide exactly one of --capacity / --bipolar-capacity")
     if args.capacity:
         table = moebius_transform(_load(args.capacity, fileio.parse_capacity)).values
         coefficients = [{"downset": sorted(d), "value": _exact(v)} for d, v in table.items()]

@@ -3,29 +3,35 @@
 Rationals travel as strings ("3/10" or "0.3"); the CLI hands number
 literals over as exact values read from their text, and a float a caller
 parsed is read through its shortest decimal form, so every value survives
-a parse/serialize round trip exactly. Duplicate value entries are tolerated only when they
-agree.
+a parse/serialize round trip exactly. A capacity file's values are read
+once, each to its (numerator, denominator) pair in lowest terms, and
+handed to the capacity as those pairs (:class:`~choqlat.moebius.FileTable`)
+with no ``Fraction`` made. Duplicate value entries are tolerated only when
+they agree.
 
 A grid file's node becomes its vertex's bit code through the grid's prefix
 codes (:func:`~choqlat.kary._grid`), the package's one rule from a node to
-its vertex, and its entries are keyed by those codes while the file is
-read. A short file is refused before any vertex is enumerated; only then
-do the codes map to the lattice's own elements.
+its vertex, and its entries stay keyed by those codes. A short file is
+refused before any vertex is enumerated; only then are the codes found
+among the capacity's own positions, by :func:`~choqlat.moebius.vertex_table`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
+from math import gcd
+from operator import getitem
 
 from .bipolar import BipolarCapacity, BipolarProfile
-from .birkhoff import BipolarElement, DownsetLattice, _Family, _lattice_family, verify_distributive
+from .birkhoff import DownsetLattice, _Family, _lattice_family, verify_distributive
 from .errors import BaseMismatch, ContradictoryValue, FileFormatError, SizeLimitExceeded
 from .interpolation import Profile
 from .kary import ReferenceScale, _grid, _levels, build_kary_base, downset_to_node, grid_shape
-from .moebius import GeneralizedCapacity, check_bipolar_pair
+from .moebius import FileTable, GeneralizedCapacity, check_bipolar_pair
 from .poset import DOWNSET_CAP, Poset, _downsets
-from .rationals import _shown, as_fraction
+from .rationals import _ratio, _shown, as_fraction
 
 # Poset files with more elements, and grid headers whose base (n chains of
 # k-1 elements) would have more, are refused before anything is built. The
@@ -47,31 +53,37 @@ def _label_list(value, where: str) -> list[str]:
     return value
 
 
-def _parse_value(raw, where: str) -> Fraction:
+def _parse_value(raw, where: str, read=as_fraction) -> Fraction | tuple[int, int]:
     try:
-        return as_fraction(raw)
+        return read(raw)
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"bad value in {where}: {exc}", field=where) from None
 
 
-def _read_entries(obj, what: str, names: tuple[str, ...], part) -> dict:
+def _read_entries(obj, what: str, names: tuple[str, ...], part, coded: bool) -> FileTable:
     """Values of a capacity file's entries, keyed by their ``names`` fields.
 
     ``part(entry, name, where)`` reads one field; an entry with two fields
-    is keyed by the pair. The one duplicate-entry check: a vertex given
-    twice must carry the same value both times, and a clash names the entry.
+    is keyed by the pair, or by the two codes' union when ``coded``. Each
+    value is read once (:func:`~choqlat.rationals._ratio`) to its pair in
+    lowest terms, so two entries for one vertex agree exactly when their
+    pairs are equal: the one duplicate-entry check, and a clash names the
+    entry. No ``Fraction`` is made.
     """
     entries = _require(obj, "values", f"{what} file")
     if not isinstance(entries, list):
         raise FileFormatError("values must be a list", field="values")
     where = f"{what} entry"
     pair = len(names) == 2
-    table: dict = {}
+    table = FileTable(coded)
     for entry in entries:
         vertex = part(entry, names[0], where)
         if pair:
-            vertex = (vertex, part(entry, names[1], where))
-        value = _parse_value(_require(entry, "value", where), "value")
+            other = part(entry, names[1], where)
+            vertex = vertex | other if coded else (vertex, other)
+        n, d = _parse_value(_require(entry, "value", where), "value", _ratio)
+        common = gcd(n, d)
+        value = (n // common, d // common)
         if table.setdefault(vertex, value) != value:
             fields = {name: entry[name] for name in names}
             shown = ", ".join(repr(v) for v in fields.values())
@@ -158,7 +170,7 @@ def _label_capacity(obj, what: str, names: tuple[str, ...], capacity):
     kept with the lattice, which is enumerated once.
     """
     lattice, _ = parse_lattice(_require(obj, "lattice", f"{what} file"))
-    table = _read_entries(obj, what, names, _labels)
+    table = _read_entries(obj, what, names, _labels, coded=False)
     if len(table) < DOWNSET_CAP and _lattice_family not in lattice._derived:
         try:
             family = _Family(lattice, *_downsets(lattice.base, len(table)), signed=False)
@@ -238,40 +250,52 @@ def _grid_header(obj, where: str) -> tuple[int, int]:
     return k, n
 
 
-def _node(entry, name: str, where: str, prefixes) -> int:
+def _node(prefixes: dict, entry, name: str, where: str) -> int:
     """A grid point, checked for shape and range, as its downset's bit code:
-    the sum of its criteria's prefix codes (:func:`~choqlat.kary._grid`)."""
+    the sum of its criteria's prefix codes (:func:`~choqlat.kary._grid`)
+    for the field ``name``, ``prefixes[name]``."""
     node = _require(entry, name, where)
-    if not isinstance(node, list) or len(node) != len(prefixes) or not all(map(_is_int, node)):
-        raise FileFormatError(f"{name} must be a list of {len(prefixes)} integers", field=name)
-    return sum(prefix[level] for prefix, level in zip(prefixes, _levels(node, len(prefixes[0]))))
+    codes = prefixes[name]
+    if not (
+        isinstance(node, list)
+        and len(node) == len(codes)
+        and all(map(isinstance, node, repeat(int)))
+        and bool not in map(type, node)
+    ):
+        raise FileFormatError(f"{name} must be a list of {len(codes)} integers", field=name)
+    if min(node) < 0 or max(node) >= len(codes[0]):
+        _levels(node, len(codes[0]))  # raises, naming the first coordinate out of range
+    return sum(map(getitem, codes, node))
 
 
 def _grid_capacity(obj, what: str, names: tuple[str, ...], capacity):
     """(k, n, capacity) of a grid file, unsigned or signed by its ``names``.
 
-    Nodes are read as codes and the entries keyed by them (by pairs of them
-    when signed), so a clash names its entry. No vertex is enumerated until
-    every entry is read and checked: an overlapping pair is refused first,
-    then a file naming fewer distinct nodes than its grid has vertices, k**n
-    nodes or (2k-1)**n disjoint pairs, unless that count is over
-    ``DOWNSET_CAP``, which the vertex family refuses. Only then do the codes
-    map to the lattice's own elements, which the capacity finds by identity.
+    Nodes are read as codes and the entries keyed by them, a signed pair
+    by code(neg) << |base| | code(pos) as the vertex families code it: the
+    negative side's prefix codes are shifted past the base's bits. A clash
+    names its entry. No vertex is enumerated until every entry is read and
+    checked: an overlapping pair is refused first, then a file naming fewer
+    distinct nodes than its grid has vertices, k**n nodes or (2k-1)**n
+    disjoint pairs, unless that count is over ``DOWNSET_CAP``, which the
+    vertex family refuses. Only then are the codes found among the
+    capacity's own (:func:`~choqlat.moebius.vertex_table`).
     """
     k, n = _grid_header(obj, f"{what} file")
     lattice = DownsetLattice(build_kary_base(k, n))
-    table = _read_entries(obj, what, names, partial(_node, prefixes=lattice.derived(_grid)[2]))
+    codes, width = lattice.derived(_grid)[2], len(lattice.base)
+    shifted = tuple(tuple(code << width for code in levels) for levels in codes)
+    prefixes = {"node": codes, "pos": codes, "neg": shifted}
+    table = _read_entries(obj, what, names, partial(_node, prefixes), coded=True)
     # per criterion: level 0, or one of k-1 levels on one of the named sides
     signed, count = len(names) == 2, (len(names) * (k - 1) + 1) ** n
-    for pos, neg in table if signed else ():
-        if pos & neg:  # refused as the capacity's own check refuses the pair
+    for code in table if signed else ():
+        if code & code >> width:  # refused as the capacity's own check refuses the pair
+            pos, neg = code & ((1 << width) - 1), code >> width
             check_bipolar_pair(lattice, map(lattice.base._labels, (pos, neg)))
     if len(table) < count <= DOWNSET_CAP:
         raise BaseMismatch(f"missing values for {count - len(table)} of the {count} vertices")
-    family = lattice.derived(_lattice_family)
-    element = lambda code: family.vertices[family.codes[code]]
-    vertex = (lambda pair: BipolarElement(*map(element, pair))) if signed else element
-    return k, n, capacity(lattice, {vertex(key): value for key, value in table.items()})
+    return k, n, capacity(lattice, table)
 
 
 def parse_kary_capacity(obj) -> tuple[int, int, GeneralizedCapacity]:

@@ -4,7 +4,8 @@ arithmetic.
 A capacity, a game and its Moebius coefficients are one object, a rational
 value on each lattice vertex: :class:`GeneralizedCapacity`, or on the bipolar
 extension a table keyed by disjoint pairs. :func:`vertex_table` reads and
-checks every such table, and is the one place where keys become positions.
+checks every such table, a file's pairs keyed by vertex code included, and
+is the one place where keys become positions.
 It returns the functional's one :class:`ValueTable`, which a capacity keeps
 as its ``values``: one list of integer numerators by position over one
 common denominator, making a ``Fraction`` only when a value is read. Only
@@ -93,8 +94,22 @@ class ValueTable(Mapping):
         return f"ValueTable(on {len(self)} vertices)"
 
 
+class FileTable(dict):
+    """A capacity file's values as its reader leaves them: each value read
+    once, to a (numerator, positive denominator) pair in lowest terms,
+    keyed by vertex or, when ``coded``, by the vertex's code
+    (:attr:`~choqlat.birkhoff._Family.codes`). :func:`vertex_table` takes
+    the pairs as they are."""
+
+    __slots__ = ("coded",)
+
+    def __init__(self, coded: bool):
+        super().__init__()
+        self.coded = coded
+
+
 def vertex_table(
-    positions: Mapping, entries: Mapping, vertex: Callable, what: str
+    positions: Mapping, entries: Mapping, vertex: Callable, what: str, codes: Mapping | None = None
 ) -> ValueTable:
     """Exact values of ``entries`` on every vertex, as a :class:`ValueTable`
     over ``positions``: integer numerators by position over one common
@@ -106,30 +121,38 @@ def vertex_table(
     vertex left without a value is reported with an example. A
     :class:`ValueTable` built on ``positions`` itself (a capacity's values,
     a transform's output) is handed over as it is, unscanned and its values
-    unread; any other table's values are read by the package's one number
-    reader (:func:`~choqlat.rationals._ratio`) and scaled to their least
-    common denominator. Two keys for one vertex must give equal values,
-    else :class:`~choqlat.errors.ContradictoryValue`, as in a file.
+    unread. A :class:`FileTable` holds values a file reader has already
+    read to pairs, taken as they are, and when coded its keys are found
+    among ``codes``, the domain's vertex codes mapped to their positions.
+    Any other table's values are read by the package's one number reader
+    (:func:`~choqlat.rationals._ratio`; a ``Fraction`` gives its own
+    pair) and scaled to their least common denominator. Two keys for one
+    vertex must give equal values, else
+    :class:`~choqlat.errors.ContradictoryValue`, as in a file.
     """
     if isinstance(entries, ValueTable) and entries._positions is positions:
         return entries
+    pairs = type(entries) is FileTable
+    lookup = codes if pairs and entries.coded else positions
     values: list = [None] * len(positions)
     # only a table with more keys than vertices can give one vertex twice
     # without leaving another one missing
     twice = len(entries) > len(positions)
     for key, raw in entries.items():
         try:
-            at = positions[key]
+            at = lookup[key]
         except (KeyError, TypeError):
             key = vertex(key)
             at = positions[key]
+        if not pairs:
+            raw = raw.as_integer_ratio() if type(raw) is Fraction else _ratio(raw)
         if twice and values[at] is not None:
-            (n, d), (m, e) = values[at], _ratio(raw)
+            (n, d), (m, e) = values[at], raw
             if n * e != m * d:
                 raise ContradictoryValue(f"two different values for {_shown_vertex(key)!r}")
-        values[at] = _ratio(raw)
-    missing = [v for v, value in zip(positions, values) if value is None]
-    if missing:
+        values[at] = raw
+    if None in values:
+        missing = [v for v, value in zip(positions, values) if value is None]
         raise BaseMismatch(
             f"missing values for {len(missing)} of the {len(positions)} {what},"
             f" e.g. {_shown_vertex(missing[0])!r}"
@@ -163,7 +186,7 @@ class _CapacityBody:
     checks that read its numerators by position."""
 
     def _hold(self, family: _Family, values: Mapping, vertex: Callable, what: str):
-        self.values = vertex_table(family.positions, values, vertex, what)
+        self.values = vertex_table(family.positions, values, vertex, what, family.codes)
         self.lattice, self._family = family.lattice, family
 
     @property

@@ -174,4 +174,6 @@ def as_fraction(value) -> Fraction:
     A Fraction is returned as it is; anything else is read by
     :func:`_ratio`, strings included, and made into one ``Fraction``.
     """
-    return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
+    if type(value) is Fraction or isinstance(value, Fraction):
+        return value
+    return Fraction(*_ratio(value))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 from array import array
 from contextlib import contextmanager, redirect_stdout
 from decimal import Decimal, InvalidOperation
@@ -17,18 +18,22 @@ import random
 from hypothesis import strategies as st
 
 import choqlat as cq
-from choqlat.birkhoff import _lattice_family
-from choqlat.kary import LevelIndexing
+from choqlat import fileio
+from choqlat.birkhoff import _Family, _lattice_family
+from choqlat.kary import LevelIndexing, _grid
 from choqlat.moebius import ValueTable, check_bipolar_pair
-from choqlat.poset import DOWNSET_CAP
+from choqlat.poset import DOWNSET_CAP, _downsets
 from choqlat.rationals import MAX_DIGITS, MAX_EXPONENT
 
 
 class Unscannable(dict):
-    """A position dict that fails when iterated: a table built on it and
-    handed over unscanned never iterates it."""
+    """A position dict that fails when iterated or a key is looked up in it:
+    a table built on it and handed over unscanned does neither."""
 
     def __iter__(self):
+        raise AssertionError("the position dict was scanned")
+
+    def __getitem__(self, key):
         raise AssertionError("the position dict was scanned")
 
 
@@ -615,6 +620,200 @@ def slow_as_fraction(value) -> Fraction:
             raise ValueError(f"{_slow_quoted(repr(value))} is not a finite number")
         return Fraction(number)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+# slow reference capacity file readers, on Fractions and label sets: each
+# value made a Fraction by ``as_fraction``, duplicates compared as
+# Fractions, grid entries checked per coordinate and re-keyed from their
+# codes to the lattice's label sets
+
+
+def _slow_read_entries(obj, what: str, names: tuple[str, ...], part) -> dict:
+    entries = fileio._require(obj, "values", f"{what} file")
+    if not isinstance(entries, list):
+        raise cq.FileFormatError("values must be a list", field="values")
+    where = f"{what} entry"
+    pair = len(names) == 2
+    table: dict = {}
+    for entry in entries:
+        vertex = part(entry, names[0], where)
+        if pair:
+            vertex = (vertex, part(entry, names[1], where))
+        raw = fileio._require(entry, "value", where)
+        try:
+            value = cq.as_fraction(raw)
+        except (TypeError, ValueError) as exc:
+            raise cq.FileFormatError(f"bad value in value: {exc}", field="value") from None
+        if table.setdefault(vertex, value) != value:
+            fields = {name: entry[name] for name in names}
+            shown = ", ".join(repr(v) for v in fields.values())
+            label = f"({shown})" if pair else f"{names[0]} {shown}"
+            raise cq.ContradictoryValue(f"two different values for {label}", **fields)
+    return table
+
+
+def _slow_label_capacity(obj, what: str, names: tuple[str, ...], capacity):
+    lattice, _ = fileio.parse_lattice(fileio._require(obj, "lattice", f"{what} file"))
+    table = _slow_read_entries(obj, what, names, fileio._labels)
+    if len(table) < DOWNSET_CAP and _lattice_family not in lattice._derived:
+        try:
+            family = _Family(lattice, *_downsets(lattice.base, len(table)), signed=False)
+        except cq.SizeLimitExceeded:
+            raise cq.BaseMismatch(f"only {len(table)} entries for a larger lattice") from None
+        lattice._derived[_lattice_family] = family
+    return capacity(lattice, table)
+
+
+def _slow_node(entry, name: str, where: str, prefixes) -> int:
+    node = fileio._require(entry, name, where)
+    is_int = lambda x: isinstance(x, int) and not isinstance(x, bool)
+    if not isinstance(node, list) or len(node) != len(prefixes) or not all(map(is_int, node)):
+        raise cq.FileFormatError(f"{name} must be a list of {len(prefixes)} integers", field=name)
+    for i, level in enumerate(node, start=1):
+        if not 0 <= level <= len(prefixes[0]) - 1:
+            raise cq.InvalidDimensions(
+                f"node coordinate {level} of criterion {i} outside 0..{len(prefixes[0]) - 1}"
+            )
+    return sum(prefix[level] for prefix, level in zip(prefixes, node))
+
+
+def _slow_grid_capacity(obj, what: str, names: tuple[str, ...], capacity):
+    k, n = fileio._grid_header(obj, f"{what} file")
+    lattice = cq.DownsetLattice(cq.build_kary_base(k, n))
+    prefixes = lattice.derived(_grid)[2]
+    table = _slow_read_entries(
+        obj, what, names, lambda entry, name, where: _slow_node(entry, name, where, prefixes)
+    )
+    signed, count = len(names) == 2, (len(names) * (k - 1) + 1) ** n
+    for pos, neg in table if signed else ():
+        if pos & neg:
+            check_bipolar_pair(lattice, map(lattice.base._labels, (pos, neg)))
+    if len(table) < count <= DOWNSET_CAP:
+        raise cq.BaseMismatch(f"missing values for {count - len(table)} of the {count} vertices")
+    family = lattice.derived(_lattice_family)
+    element = lambda code: family.vertices[family.codes[code]]
+    vertex = (lambda pair: cq.BipolarElement(*map(element, pair))) if signed else element
+    return k, n, capacity(lattice, {vertex(key): value for key, value in table.items()})
+
+
+SLOW_CAPACITY_READERS = {
+    "capacity": lambda obj: _slow_label_capacity(
+        obj, "capacity", ("downset",), cq.GeneralizedCapacity
+    ),
+    "bipolar capacity": lambda obj: _slow_label_capacity(
+        obj, "bipolar capacity", ("pos", "neg"), cq.BipolarCapacity
+    ),
+    "grid capacity": lambda obj: _slow_grid_capacity(
+        obj, "grid capacity", ("node",), cq.GeneralizedCapacity
+    ),
+    "grid bipolar capacity": lambda obj: _slow_grid_capacity(
+        obj, "grid bipolar capacity", ("pos", "neg"), cq.BipolarCapacity
+    ),
+}
+
+
+class IntSub(int):
+    """An ``int`` subclass, which a grid file's node reads as its integer."""
+
+
+GRID_SHAPES = ((2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (4, 2), (3, 3))
+BAD_VALUES = ("zero", "1/0", "nan", "1e5000", " ", True, None, [1], float("inf"))
+FILE_FAULTS = ("short", "agree", "contradict", "bad value", "bad key", "overlap", "no tile")
+
+
+@st.composite
+def spellings(draw, value: Fraction):
+    """``value`` as a file may give it: its text, padded or not, or text
+    with its integers scaled up (:func:`unreduced_texts`); the Fraction
+    itself, as the CLI reads a number literal; an int, or a float that
+    reads back to it."""
+    forms = [str(value), f" {value}\t", value]
+    if value.denominator == 1:
+        forms.append(int(value))
+    if Fraction(repr(float(value))) == value:
+        forms.append(float(value))
+    return draw(st.one_of(st.sampled_from(forms), unreduced_texts(value)))
+
+
+def _bad_key(draw, row: dict, field: str, k: int | None) -> dict:
+    """``row`` with its ``field`` broken: for a grid node a coordinate of
+    the wrong type or out of range (or an ``int`` subclass, in range or
+    not), a wrong length or no list; for label sets an unknown label, a
+    non-string or no list."""
+    key = row[field]
+    if k is None:
+        broken = draw(st.sampled_from((["zz"], [1], "p0", key[:-1] if key else ["p0"])))
+    elif draw(st.integers(0, 3)):
+        broken = list(key)
+        at = draw(st.integers(0, len(key) - 1))
+        choices = (True, False, 1.0, -1, k, 10**30, "1", None, IntSub(key[at]), IntSub(k))
+        broken[at] = draw(st.sampled_from(choices))
+    else:
+        broken = draw(st.sampled_from((key[:-1], key + [0], tuple(key), {"levels": key})))
+    return {**row, field: broken}
+
+
+@st.composite
+def capacity_files(draw):
+    """A capacity file of one of the four kinds, with the name of its
+    reader (:data:`SLOW_CAPACITY_READERS`): every vertex once, values in
+    mixed spellings, with up to three faults (:data:`FILE_FAULTS`): an
+    entry dropped, an entry given again in another spelling or with
+    another value, a bad value, a bad key, an overlapping pair or a pair
+    in no tile; the entries shuffled."""
+    kind = draw(st.sampled_from(sorted(SLOW_CAPACITY_READERS)))
+    signed, grid = "bipolar" in kind, kind.startswith("grid")
+    fields = ("pos", "neg") if signed else ("node",) if grid else ("downset",)
+    if grid:
+        k, n = draw(st.sampled_from(GRID_SHAPES))
+        header = {"k": k, "n": n}
+        nodes = [list(node) for node in itertools.product(range(k), repeat=n)]
+        if signed:
+            keys = [(a, b) for a in nodes for b in nodes if not any(x and y for x, y in zip(a, b))]
+            overlaps = [(a, a) for a in nodes if any(a)]
+        else:
+            keys, overlaps = [(a,) for a in nodes], []
+        outside = []
+    else:
+        k, lattice = None, draw(lattices(max_elements=4))
+        header = {"lattice": fileio.poset_payload(lattice.base)}
+        if signed:
+            pairs = cq.admissible_vertex_pairs(lattice)
+            keys = [(sorted(p.pos), sorted(p.neg)) for p in pairs]
+            overlaps = [(sorted(x), sorted(x)) for x in lattice.elements if x]
+            outside = [
+                (sorted(a), sorted(b)) for a, b in cq.bipolar_extension(lattice)
+                if (a, b) not in pairs
+            ]
+        else:
+            keys, overlaps, outside = [(sorted(x),) for x in lattice.elements], [], []
+    kinds = (decimal_unit_fractions, VALUE_KINDS["small"], VALUE_KINDS["mixed"])
+    values = draw(st.sampled_from(kinds))
+    exact = [draw(values) for _ in keys]
+    rows = [{**dict(zip(fields, key)), "value": draw(spellings(v))} for key, v in zip(keys, exact)]
+    faults = [f for f in FILE_FAULTS if f not in ("overlap", "no tile")]
+    faults += ["overlap"] * bool(overlaps) + ["no tile"] * bool(outside)
+    for fault in draw(st.lists(st.sampled_from(faults), max_size=3)):
+        at = draw(st.integers(0, len(keys) - 1))
+        if fault == "short" and rows:
+            del rows[draw(st.integers(0, len(rows) - 1))]
+        elif fault == "agree":
+            rows.append({**dict(zip(fields, keys[at])), "value": draw(spellings(exact[at]))})
+        elif fault == "contradict":
+            rows.append({**dict(zip(fields, keys[at])), "value": str(exact[at] + 1)})
+        elif fault == "bad value" and rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            row["value"] = draw(st.sampled_from(BAD_VALUES))
+        elif fault == "bad key" and rows:
+            at = draw(st.integers(0, len(rows) - 1))
+            rows[at] = _bad_key(draw, rows[at], draw(st.sampled_from(fields)), k)
+        elif fault == "overlap":
+            pair = draw(st.sampled_from(overlaps))
+            rows.append({**dict(zip(fields, pair)), "value": "0"})
+        elif fault == "no tile":
+            pair = draw(st.sampled_from(outside))
+            rows.append({**dict(zip(fields, pair)), "value": "0"})
+    return kind, {**header, "values": draw(st.permutations(rows))}
 
 
 # slow reference point location: Fraction comparisons against the scale's

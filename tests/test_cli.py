@@ -837,8 +837,13 @@ class TestMobius:
         assert table[("1", "2")] == "3/10"
 
     def test_requires_exactly_one_input(self, capsys):
-        code, payload = run_json(capsys, "mobius")
-        assert code == 2
+        for inputs in ([], ["--capacity", "a.json", "--bipolar-capacity", "b.json"]):
+            code, payload = run_json(capsys, "mobius", *inputs)
+            assert code == 2
+            assert payload["error"]["code"] == "usage"
+            assert payload["error"]["message"] == (
+                "provide exactly one of --capacity / --bipolar-capacity"
+            )
 
     def test_bipolar_capacity_off_a_mosaic_exits_2(self, capsys, tmp_path):
         capacity = random_bipolar_capacity(random.Random(3), cq.DownsetLattice(wedge_poset()))

@@ -4,13 +4,15 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import choqlat as cq
 from choqlat import birkhoff, fileio, kary, moebius, rationals
 from support import (
+    SLOW_CAPACITY_READERS,
     antichain,
+    capacity_files,
     random_bipolar_capacity,
     random_capacity,
     slow_as_fraction,
@@ -516,6 +518,10 @@ def refuse_enumeration(*args, **kwargs):
     raise AssertionError("a vertex family was enumerated")
 
 
+def refuse_fraction(*args, **kwargs):
+    raise AssertionError("a file value was made a Fraction")
+
+
 class TestGridReader:
     """Grid files are read as the grid's prefix codes, checked against the
     label path (``node_to_downset``), and refused before any vertex is
@@ -543,7 +549,7 @@ class TestGridReader:
             assert parsed.values == expected.values
 
     @pytest.mark.parametrize("signed", [False, True])
-    def test_entries_keyed_by_the_lattices_own_elements(self, monkeypatch, signed):
+    def test_entries_keyed_by_codes_and_read_to_pairs(self, monkeypatch, signed):
         k, n = (4, 4) if signed else (6, 5)
         lattice = cq.DownsetLattice(cq.build_kary_base(k, n))
         if signed:
@@ -553,22 +559,26 @@ class TestGridReader:
         else:
             zero = cq.GeneralizedCapacity(lattice, dict.fromkeys(lattice.elements, 0))
             payload = fileio.kary_capacity_payload(zero)
+        payload["values"][-1]["value"] = "-6/4"
         labels, tables = [], []
         level_label, vertex_table = kary.level_label, moebius.vertex_table
         monkeypatch.setattr(kary, "level_label", lambda *a: labels.append(a) or level_label(*a))
         monkeypatch.setattr(
             moebius, "vertex_table", lambda *a: tables.append(a[1]) or vertex_table(*a)
         )
+        monkeypatch.setattr(fileio, "as_fraction", refuse_fraction)
         parse = fileio.parse_bipolar_kary_capacity if signed else fileio.parse_kary_capacity
         _, _, parsed = parse(payload)
         # labels are made for the base alone, never per entry
         assert len(labels) <= 10 * (k - 1) * n < len(payload["values"])
-        own = set(map(id, parsed.lattice.elements))
         (entries,) = tables
-        parts = [part for key in entries for part in (key if signed else (key,))]
-        assert len(parts) == len(payload["values"]) * (1 + signed)
-        assert all(id(part) in own for part in parts)
-        assert parsed.values == zero.values
+        assert type(entries) is moebius.FileTable and entries.coded
+        # one vertex code per entry, code(neg) << |base| | code(pos) when signed
+        assert sorted(entries) == sorted(parsed._family.codes)
+        *zeros, last = entries.values()
+        assert set(zeros) == {(0, 1)} and last == (-3, 2)
+        assert parsed.values._integers == ([0] * (len(zeros)) + [-3], 2)
+
 
     @pytest.mark.parametrize(
         "header, entries, missing, count",
@@ -635,6 +645,81 @@ class TestGridReader:
         ]:
             with pytest.raises(cq.InvalidDimensions, match=text):
                 parse({"k": 3, "n": 2, "values": [{**payload, "value": "0"}]})
+
+
+ONE_ATOM = fileio.poset_payload(antichain(1))
+FILE_READERS = {
+    "capacity": fileio.parse_capacity,
+    "bipolar capacity": fileio.parse_bipolar_capacity,
+    "grid capacity": fileio.parse_kary_capacity,
+    "grid bipolar capacity": fileio.parse_bipolar_kary_capacity,
+}
+
+
+def file_outcome(read, payload):
+    """What reading ``payload`` gives: the error's class, code, text and
+    context, or the capacity's shape, vertices and integers."""
+    try:
+        result = read(payload)
+    except cq.ChoqlatError as exc:
+        return type(exc), exc.code, str(exc), exc.context
+    *shape, capacity = result if isinstance(result, tuple) else (result,)
+    return shape, list(capacity.values), capacity.values._integers
+
+
+class TestValuesReadOnce:
+    """Capacity files read each value once, to a pair in lowest terms keyed
+    by the vertex (by its code in a grid file), and give what the Fraction
+    path gave (``SLOW_CAPACITY_READERS``): the same integers over the same
+    denominator, or the same error first."""
+
+    @settings(max_examples=200)
+    @given(capacity_files())
+    def test_reads_as_the_fraction_path(self, file):
+        kind, payload = file
+        expected = file_outcome(SLOW_CAPACITY_READERS[kind], payload)
+        assert file_outcome(FILE_READERS[kind], payload) == expected
+
+    @pytest.mark.parametrize(
+        "kind, header, keys",
+        [
+            ("capacity", {"lattice": ONE_ATOM}, [{"downset": []}, {"downset": ["1"]}]),
+            (
+                "bipolar capacity",
+                {"lattice": ONE_ATOM},
+                [{"pos": [], "neg": []}, {"pos": ["1"], "neg": []}, {"pos": [], "neg": ["1"]}],
+            ),
+            ("grid capacity", {"k": 2, "n": 1}, [{"node": [0]}, {"node": [1]}]),
+            (
+                "grid bipolar capacity",
+                {"k": 2, "n": 1},
+                [{"pos": [0], "neg": [0]}, {"pos": [1], "neg": [0]}, {"pos": [0], "neg": [1]}],
+            ),
+        ],
+    )
+    def test_spellings_of_one_value_share_its_reduced_denominator(self, kind, header, keys):
+        rows = [{**key, "value": text} for key, text in zip(keys, ("2/4", "0.50", " 50e-2 "))]
+        rows.append({**keys[0], "value": Fraction(1, 2)})  # agreeing, in another spelling
+        result = FILE_READERS[kind]({**header, "values": rows})
+        capacity = result[-1] if isinstance(result, tuple) else result
+        assert capacity.values._integers == ([1] * len(keys), 2)
+
+    def test_denominator_cap_counts_reduced_denominators(self):
+        # 256 values of 1/2, each written over its own 1650-bit denominator:
+        # unreduced, their bit lengths would sum past the cap
+        scales = [10**497 + i for i in range(256)]
+        assert sum((2 * m).bit_length() for m in scales) > rationals.MAX_DENOMINATOR_BITS
+        nodes = itertools.product(range(2), repeat=8)
+        rows = [{"node": list(node), "value": f"{m}/{2 * m}"} for node, m in zip(nodes, scales)]
+        _, _, capacity = fileio.parse_kary_capacity({"k": 2, "n": 8, "values": rows})
+        assert capacity.values._integers == ([1] * 256, 2)
+        # in lowest terms they are refused, as the Fraction path refuses them
+        for row, m in zip(rows, scales):
+            row["value"] = f"1/{2 * m}"
+        payload = {"k": 2, "n": 8, "values": rows}
+        expected = file_outcome(SLOW_CAPACITY_READERS["grid capacity"], payload)
+        assert expected[0] is cq.SizeLimitExceeded
+        assert file_outcome(fileio.parse_kary_capacity, payload) == expected
 
 
 class TestScaleFiles:

@@ -10,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import choqlat as cq
-from choqlat.moebius import ValueTable, _numerators, vertex_table
+from choqlat.birkhoff import _lattice_family
+from choqlat.moebius import FileTable, ValueTable, _numerators, vertex_table
 from support import (
     VALUE_KINDS,
     Unscannable,
@@ -262,7 +263,8 @@ class TestTransforms:
         positions = Unscannable((x, i) for i, x in enumerate(lattice.elements))
         table = ValueTable(positions, list(range(len(positions))), 3)
         assert vertex_table(positions, table, lattice.check_element, "elements") is table
-        other = ValueTable(dict(positions), list(range(len(positions))), 3)
+        same = {x: i for i, x in enumerate(lattice.elements)}
+        other = ValueTable(same, list(range(len(positions))), 3)
         with pytest.raises(AssertionError, match="scanned"):
             vertex_table(positions, other, lattice.check_element, "elements")
 
@@ -310,6 +312,15 @@ class TestTransforms:
         with pytest.raises(cq.NotAnElement):
             vertex_table(positions, extra, vertex, "elements")
         assert checked == [("b",)]
+        checked.clear()
+        looked_up.clear()
+        # a file's pairs keyed by vertex code: found among the codes and
+        # taken as they are, with neither the position dict nor the key check
+        family = lattice.derived(_lattice_family)
+        coded = FileTable(coded=True)
+        coded.update((family.order[i], v.as_integer_ratio()) for i, v in enumerate(by_position))
+        assert vertex_table(positions, coded, vertex, "elements", family.codes)._integers == expected
+        assert (checked, looked_up) == ([], [])
 
 
 class TestBipolarMoebius:
