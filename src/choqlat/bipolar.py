@@ -239,12 +239,10 @@ class BipolarCapacity(_CapacityBody):
     def check_normalized(self) -> bool:
         """Optional normalization: 1 at (top, bottom) and -1 at (bottom, top)."""
         numerators, denominator = self.values._integers
-        at = self._family.positions
-        top, empty = self.lattice.top, frozenset()
-        return (
-            numerators[at[BipolarElement(top, empty)]] == denominator
-            and numerators[at[BipolarElement(empty, top)]] == -denominator
-        )
+        # the top's code split along the tile of the whole base, then of none
+        top = (1 << len(self.base)) - 1
+        (plus,), (minus,) = (self._family.chain([top], side) for side in (top, 0))
+        return numerators[plus] == denominator and numerators[minus] == -denominator
 
 
 def select_tile(profile: BipolarProfile) -> frozenset:
@@ -369,8 +367,8 @@ def bipolar_moebius_form_eval(
     """
     if isinstance(coefficients, ValueTable):
         numerators, denominator = coefficients._integers
-        # the last key, (top, empty), holds every label of every key
-        labels = frozenset().union(*next(reversed(coefficients._positions)))
+        # every key's labels lie in the top
+        labels = coefficients._family.lattice.top
     else:
         numerators, denominator = _numerators(coefficients.values())
         # the labels of every distinct key part, zero coefficients' keys

@@ -13,7 +13,11 @@ A grid file's node becomes its vertex's bit code through the grid's prefix
 codes (:func:`~choqlat.kary._grid`), the package's one rule from a node to
 its vertex, and its entries stay keyed by those codes. A short file is
 refused before any vertex is enumerated; only then are the codes found
-among the capacity's own positions, by :func:`~choqlat.moebius.vertex_table`.
+among the vertex family's own (:func:`~choqlat.moebius.vertex_table`), and
+the capacity's table sits on that family: from file to score no label set
+is made. The label view is built only by what reads labels: the payload
+writers here, a read by label or iteration of ``values``, and ``mobius``
+output.
 """
 
 from __future__ import annotations
@@ -279,7 +283,7 @@ def _grid_capacity(obj, what: str, names: tuple[str, ...], capacity):
     distinct nodes than its grid has vertices, k**n nodes or (2k-1)**n
     disjoint pairs, unless that count is over ``DOWNSET_CAP``, which the
     vertex family refuses. Only then are the codes found among the
-    capacity's own (:func:`~choqlat.moebius.vertex_table`).
+    family's own (:func:`~choqlat.moebius.vertex_table`).
     """
     k, n = _grid_header(obj, f"{what} file")
     lattice = DownsetLattice(build_kary_base(k, n))

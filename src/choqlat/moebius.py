@@ -8,9 +8,13 @@ checks every such table, a file's pairs keyed by vertex code included, and
 is the one place where keys become positions.
 It returns the functional's one :class:`ValueTable`, which a capacity keeps
 as its ``values``: one list of integer numerators by position over one
-common denominator, making a ``Fraction`` only when a value is read. Only
-this module reads those integers on the chain path: both capacity kinds
-share the package's one chain sum over them.
+common denominator, making a ``Fraction`` only when a value is read. The
+table sits on its vertex family's codes; the family's label view (label
+sets or signed pairs, and their positions) is built only for a read by
+label, iteration, a payload writer, the Moebius form or ``mobius`` output,
+never on the chain path or for its decomposition. Only this module reads those integers
+on the chain path: both capacity kinds share the package's one chain sum
+over them.
 
 On a downset lattice the Moebius function has a closed form: for downsets
 X <= Y it is (-1)^|Y - X| when Y - X is an antichain of the base and 0
@@ -61,34 +65,37 @@ ZERO = Fraction(0)
 
 
 class ValueTable(Mapping):
-    """Read-only table of exact values on a domain, held by position.
+    """Read-only table of exact values on a vertex family, held by position.
 
-    ``_positions`` maps each vertex of the domain to its position, in domain
-    order (lattice order, or extension order for pairs, so the top comes
-    last), and ``_integers`` is the one list of numerators by position over
-    one denominator. A value becomes a ``Fraction`` only when it is read;
-    zeros share one.
+    ``_family`` is the :class:`~choqlat.birkhoff._Family` the table sits
+    on, its vertices' codes in domain order (lattice order, or extension
+    order for pairs, so the top comes last), and ``_integers`` is the one
+    list of numerators by position over one denominator. A value becomes a
+    ``Fraction`` only when it is read; zeros share one. Reading by label
+    set or pair, ``in`` and iteration go through the family's label view
+    (``positions``), built on the first such read; the chain sum, the
+    transforms and the checks read positions and codes only.
     """
 
-    __slots__ = ("_positions", "_integers")
+    __slots__ = ("_family", "_integers")
 
-    def __init__(self, positions: Mapping, numerators: list[int], denominator: int):
-        self._positions = positions
+    def __init__(self, family: _Family, numerators: list[int], denominator: int):
+        self._family = family
         self._integers = (numerators, denominator)
 
     def __getitem__(self, key) -> Fraction:
         numerators, denominator = self._integers
-        num = numerators[self._positions[key]]
+        num = numerators[self._family.positions[key]]
         return Fraction(num, denominator) if num else ZERO
 
     def __contains__(self, key) -> bool:
-        return key in self._positions
+        return key in self._family.positions
 
     def __iter__(self):
-        return iter(self._positions)
+        return iter(self._family.positions)
 
     def __len__(self) -> int:
-        return len(self._positions)
+        return len(self._family.order)
 
     def __repr__(self) -> str:
         return f"ValueTable(on {len(self)} vertices)"
@@ -108,42 +115,40 @@ class FileTable(dict):
         self.coded = coded
 
 
-def vertex_table(
-    positions: Mapping, entries: Mapping, vertex: Callable, what: str, codes: Mapping | None = None
-) -> ValueTable:
-    """Exact values of ``entries`` on every vertex, as a :class:`ValueTable`
-    over ``positions``: integer numerators by position over one common
-    denominator.
+def vertex_table(family: _Family, entries: Mapping, vertex: Callable, what: str) -> ValueTable:
+    """Exact values of ``entries`` on every vertex of ``family``, as a
+    :class:`ValueTable` on it: integer numerators by position over one
+    common denominator.
 
-    ``positions`` maps each vertex of the domain to its position, in domain
-    order. A key found there needs no other check; any other key goes to
+    A key found among the family's label view (``positions``, each vertex
+    mapped to its position) needs no other check; any other key goes to
     ``vertex``, which checks it and returns it as a vertex (or raises). A
-    vertex left without a value is reported with an example. A
-    :class:`ValueTable` built on ``positions`` itself (a capacity's values,
-    a transform's output) is handed over as it is, unscanned and its values
-    unread. A :class:`FileTable` holds values a file reader has already
-    read to pairs, taken as they are, and when coded its keys are found
-    among ``codes``, the domain's vertex codes mapped to their positions.
-    Any other table's values are read by the package's one number reader
-    (:func:`~choqlat.rationals._ratio`; a ``Fraction`` gives its own
-    pair) and scaled to their least common denominator. Two keys for one
-    vertex must give equal values, else
+    vertex left without a value is reported with an example, the only read
+    of the family's ``vertices``. A :class:`ValueTable` on ``family``
+    itself (a capacity's values, a transform's output) is handed over as it
+    is, unscanned and its values unread. A :class:`FileTable` holds values
+    a file reader has already read to pairs, taken as they are, and when
+    coded its keys are found among the family's ``codes``, so no label view
+    is built. Any other table's values are read by the package's one
+    number reader (:func:`~choqlat.rationals._ratio`; a ``Fraction`` gives
+    its own pair) and scaled to their least common denominator. Two keys
+    for one vertex must give equal values, else
     :class:`~choqlat.errors.ContradictoryValue`, as in a file.
     """
-    if isinstance(entries, ValueTable) and entries._positions is positions:
+    if isinstance(entries, ValueTable) and entries._family is family:
         return entries
     pairs = type(entries) is FileTable
-    lookup = codes if pairs and entries.coded else positions
-    values: list = [None] * len(positions)
+    lookup = family.codes if pairs and entries.coded else family.positions
+    values: list = [None] * len(family.order)
     # only a table with more keys than vertices can give one vertex twice
     # without leaving another one missing
-    twice = len(entries) > len(positions)
+    twice = len(entries) > len(values)
     for key, raw in entries.items():
         try:
             at = lookup[key]
         except (KeyError, TypeError):
             key = vertex(key)
-            at = positions[key]
+            at = family.positions[key]
         if not pairs:
             raw = raw.as_integer_ratio() if type(raw) is Fraction else _ratio(raw)
         if twice and values[at] is not None:
@@ -152,12 +157,12 @@ def vertex_table(
                 raise ContradictoryValue(f"two different values for {_shown_vertex(key)!r}")
         values[at] = raw
     if None in values:
-        missing = [v for v, value in zip(positions, values) if value is None]
+        missing = [v for v, value in zip(family.vertices, values) if value is None]
         raise BaseMismatch(
-            f"missing values for {len(missing)} of the {len(positions)} {what},"
+            f"missing values for {len(missing)} of the {len(values)} {what},"
             f" e.g. {_shown_vertex(missing[0])!r}"
         )
-    return ValueTable(positions, *_scaled(values))
+    return ValueTable(family, *_scaled(values))
 
 
 def _shown_vertex(vertex) -> list | tuple:
@@ -182,11 +187,11 @@ def _scaled(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
 class _CapacityBody:
     """What both capacity kinds share: ``values``, the one
     :class:`ValueTable` that :func:`vertex_table` makes of the caller's
-    table on the positions of a vertex family, the one chain sum and the
+    table on a vertex family, the one chain sum and the
     checks that read its numerators by position."""
 
     def _hold(self, family: _Family, values: Mapping, vertex: Callable, what: str):
-        self.values = vertex_table(family.positions, values, vertex, what, family.codes)
+        self.values = vertex_table(family, values, vertex, what)
         self.lattice, self._family = family.lattice, family
 
     @property
@@ -201,7 +206,7 @@ class _CapacityBody:
         package's one chain sum.
 
         ``masks`` are the chain vertices' bit codes, bottom first, looked up
-        among the family's positions, split along the tile whose positive
+        among the family's codes, split along the tile whose positive
         side has the bit code ``positive`` when given
         (:meth:`~choqlat.birkhoff._Family.chain`). ``levels`` are the
         chain's sorted values (nonincreasing, in [0, 1]) as (numerator,
@@ -315,9 +320,9 @@ def lattice_moebius(lattice: DownsetLattice, lower, upper) -> int:
 
 
 def _downset_pass(family: _Family, table: ValueTable, inverse: bool) -> ValueTable:
-    """Zeta transform of ``table``, a table on the positions of ``family``,
-    or its Moebius transform when ``inverse``, as a new table on the same
-    positions over the same denominator. Each step of the family's plan
+    """Zeta transform of ``table``, a table on ``family``, or its Moebius
+    transform when ``inverse``, as a new table on the same family over the
+    same denominator. Each step of the family's plan
     adds the value at the lower key (subtracts it, with the steps reversed,
     for the inverse).
     """
@@ -330,7 +335,7 @@ def _downset_pass(family: _Family, table: ValueTable, inverse: bool) -> ValueTab
     else:
         for key, lower in zip(keys, lowers):
             nums[key] += nums[lower]
-    return ValueTable(family.positions, nums, denominator)
+    return ValueTable(family, nums, denominator)
 
 
 def moebius_transform(g: GeneralizedCapacity) -> GeneralizedCapacity:
@@ -379,10 +384,10 @@ def bipolar_moebius_function(lattice: DownsetLattice, lower, upper) -> int:
 
 def _extension_table(lattice: DownsetLattice, values: Mapping) -> tuple[_Family, ValueTable]:
     """The bipolar extension's family and ``values``, a table given on the
-    whole extension, checked by :func:`vertex_table` on its positions."""
+    whole extension, checked by :func:`vertex_table` on its family."""
     family = lattice.derived(_extension_family)
     check = partial(check_bipolar_pair, lattice)
-    return family, vertex_table(family.positions, values, check, "pairs of the bipolar extension")
+    return family, vertex_table(family, values, check, "pairs of the bipolar extension")
 
 
 def bipolar_moebius_transform(lattice: DownsetLattice, values: Mapping) -> ValueTable:

@@ -897,19 +897,20 @@ class TestPositionalBipolarTables:
 
     def test_capacity_values_reach_the_transform_unscanned(self):
         """On a mosaic a capacity's values sit on the extension's own
-        position dict: the capacity takes a table on it over, and the
-        transform takes the capacity's values over, neither iterating it."""
+        family: the capacity takes a table on it over, and the transform
+        takes the capacity's values over, neither reading its position
+        dict."""
         lattice = cq.DownsetLattice(cq.build_kary_base(3, 2))
         family = lattice.derived(_extension_family)
         family.positions = Unscannable((p, k) for k, p in enumerate(family.vertices))
         numerators = [(3 * k) % 7 - 3 for k in range(len(family.vertices))]
-        table = ValueTable(family.positions, numerators, 3)
+        table = ValueTable(family, numerators, 3)
         capacity = cq.BipolarCapacity(lattice, table)
         assert capacity.values is table
         coefficients = cq.bipolar_moebius_transform(lattice, capacity.values)
         plain = {p: Fraction(n, 3) for p, n in zip(family.vertices, numerators)}
         expected = slow_bipolar_moebius_transform(lattice, plain)
-        assert coefficients._positions is family.positions
+        assert coefficients._family is family
         got = [Fraction(n, coefficients._integers[1]) for n in coefficients._integers[0]]
         assert got == [expected[p] for p in family.vertices]
 

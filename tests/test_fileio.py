@@ -579,6 +579,75 @@ class TestGridReader:
         assert set(zeros) == {(0, 1)} and last == (-3, 2)
         assert parsed.values._integers == ([0] * (len(zeros)) + [-3], 2)
 
+    def test_grid_files_score_on_codes_and_build_the_label_view_on_demand(self):
+        """A grid file and a signed grid file go from file to score on codes
+        alone: after a profile, a signed profile, a point and a signed point
+        are scored, no vertex family holds its label view (``positions``,
+        ``vertices``) and no lattice its ``elements``. Label reads,
+        iteration, ``capacity(x)`` and the payload writers build the view
+        on demand (``len`` does not), and every read gives the ``Fraction``s
+        of a capacity built from a label-keyed table."""
+        rng = random.Random(27)
+        k, n = 3, 3
+        unsigned = random_capacity(rng, cq.DownsetLattice(cq.build_kary_base(k, n)))
+        signed = random_bipolar_capacity(rng, cq.DownsetLattice(cq.build_kary_base(k, n)))
+        files = {
+            unsigned: (fileio.parse_kary_capacity, fileio.kary_capacity_payload(unsigned)),
+            signed: (fileio.parse_bipolar_kary_capacity, fileio.bipolar_kary_capacity_payload(signed)),
+        }
+        parse = lambda labelled: files[labelled][0](files[labelled][1])[2]
+
+        def view_built(capacity) -> bool:
+            families = [f for f in capacity.lattice._derived.values() if type(f) is birkhoff._Family]
+            assert capacity._family in families
+            held = {name for f in families for name in vars(f)} | set(vars(capacity.lattice))
+            return bool(held & {"positions", "vertices", "elements"})
+
+        base = unsigned.lattice.base
+        # nonincreasing along each criterion's chain, criterion 2 negative
+        levels = {label: kary.label_parts(label) for label in base.elements}
+        profile = {j: Fraction(max(0, 10 - 3 * l - i), 10) for j, (i, l) in levels.items()}
+        signed_profile = {j: v * (-1 if levels[j][0] == 2 else 1) for j, v in profile.items()}
+        scale = kary.ReferenceScale(["0", "1/3", "1"])
+        signed_scale = kary.ReferenceScale(["-1", "-1/3", "0", "1/3", "1"], symmetric=True)
+        scores = {
+            unsigned: [
+                lambda c: cq.natural_extension(c, cq.Profile(c.lattice.base, profile)),
+                lambda c: kary.interpolate_point(c, ["0.2", "1/2", "0.9"], scale),
+            ],
+            signed: [
+                lambda c: cq.evaluate_bipolar(c, cq.BipolarProfile(c.base, signed_profile)).value,
+                lambda c: kary.interpolate_signed_point(c, ["-0.2", "1/2", "0"], signed_scale),
+            ],
+        }
+        for labelled, calls in scores.items():
+            parsed = parse(labelled)
+            assert [score(parsed) for score in calls] == [score(labelled) for score in calls]
+            assert parsed.values._integers == labelled.values._integers
+            assert len(parsed.values) == len(labelled.values)
+            assert not view_built(parsed)
+        element = unsigned.lattice.elements[len(unsigned.lattice) // 2]
+        pair = next(p for p in signed.values if p.pos and p.neg)
+        reads = {
+            unsigned: [
+                lambda c: c.values[frozenset(sorted(element))],
+                lambda c: list(c.values.items()),
+                lambda c: c(sorted(element)),
+                fileio.kary_capacity_payload,
+            ],
+            signed: [
+                lambda c: c.values[(frozenset(pair.pos), frozenset(pair.neg))],
+                lambda c: list(c.values.items()),
+                lambda c: c((sorted(pair.pos), sorted(pair.neg))),
+                fileio.bipolar_kary_capacity_payload,
+            ],
+        }
+        for labelled, calls in reads.items():
+            for read in calls:
+                parsed = parse(labelled)
+                assert read(parsed) == read(labelled)
+                assert view_built(parsed)
+
 
     @pytest.mark.parametrize(
         "header, entries, missing, count",

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import choqlat as cq
-from choqlat.birkhoff import _lattice_family
+from choqlat.birkhoff import _Family, _lattice_family
 from choqlat.moebius import FileTable, ValueTable, _numerators, vertex_table
 from support import (
     VALUE_KINDS,
@@ -255,25 +255,27 @@ class TestTransforms:
         assert errors[0] == errors[1]
 
     def test_table_on_the_domain_positions_is_handed_over_unscanned(self):
-        """A table built on the domain's own position dict is returned
-        before any key is compared; a table on another dict with the same
-        keys is still scanned."""
+        """A table built on the domain's own vertex family is returned before
+        any key or code is looked up; a table on another family of the same
+        vertices is still scanned."""
         lattice = cq.DownsetLattice(wedge_poset())
-
-        positions = Unscannable((x, i) for i, x in enumerate(lattice.elements))
-        table = ValueTable(positions, list(range(len(positions))), 3)
-        assert vertex_table(positions, table, lattice.check_element, "elements") is table
-        same = {x: i for i, x in enumerate(lattice.elements)}
-        other = ValueTable(same, list(range(len(positions))), 3)
+        family = lattice.derived(_lattice_family)
+        family.positions = Unscannable((x, i) for i, x in enumerate(lattice.elements))
+        family.codes = Unscannable((c, i) for i, c in enumerate(family.order))
+        table = ValueTable(family, list(range(len(family.order))), 3)
+        assert vertex_table(family, table, lattice.check_element, "elements") is table
+        other = _Family(lattice, family.order, family.maxima, signed=False)
+        same = ValueTable(other, list(range(len(family.order))), 3)
+        assert list(same) == list(lattice.elements)
         with pytest.raises(AssertionError, match="scanned"):
-            vertex_table(positions, other, lattice.check_element, "elements")
+            vertex_table(family, same, lattice.check_element, "elements")
 
     def test_keys_outside_the_position_table_get_the_key_check(self):
         """Keys of the domain, its own vertex objects or equal ones, take one
         position lookup each, and only other keys go through the key check;
         the values come back as numerators by position over their least
-        common denominator. A positional table on the position dict itself
-        hands over its integers unread."""
+        common denominator. A positional table on the family itself hands
+        over its integers unread."""
         lattice = cq.DownsetLattice(wedge_poset())
         checked, looked_up = [], []
 
@@ -282,7 +284,9 @@ class TestTransforms:
                 looked_up.append(key)
                 return super().__getitem__(key)
 
-        positions = Positions((x, i) for i, x in enumerate(lattice.elements))
+        elements = lattice.derived(_lattice_family)
+        family = _Family(lattice, elements.order, elements.maxima, signed=False)
+        family.positions = Positions((x, i) for i, x in enumerate(lattice.elements))
 
         def vertex(key):
             checked.append(key)
@@ -291,35 +295,34 @@ class TestTransforms:
         own = {x: Fraction(i, 1 + i % 3) for i, x in enumerate(lattice.elements)}
         by_position = list(own.values())
         expected = _numerators(by_position)
-        assert vertex_table(positions, own, vertex, "elements")._integers == expected
+        assert vertex_table(family, own, vertex, "elements")._integers == expected
         assert checked == [] and looked_up == list(own)
         looked_up.clear()
-        positional = ValueTable(positions, *expected)
-        assert vertex_table(positions, positional, vertex, "elements")._integers is positional._integers
+        positional = ValueTable(family, *expected)
+        assert vertex_table(family, positional, vertex, "elements")._integers is positional._integers
         assert (checked, looked_up) == ([], [])
         equal = {frozenset(sorted(x)): v for x, v in reversed(own.items())}
-        assert vertex_table(positions, equal, vertex, "elements")._integers == expected
+        assert vertex_table(family, equal, vertex, "elements")._integers == expected
         assert checked == [] and len(looked_up) == len(own)
         tuples = {tuple(sorted(x)): v for x, v in own.items()}
-        assert vertex_table(positions, tuples, vertex, "elements")._integers == expected
+        assert vertex_table(family, tuples, vertex, "elements")._integers == expected
         assert checked == list(tuples)
         checked.clear()
         short = dict(list(own.items())[:-1])
         with pytest.raises(cq.BaseMismatch):
-            vertex_table(positions, short, vertex, "elements")
+            vertex_table(family, short, vertex, "elements")
         assert checked == []
         extra = {**own, ("b",): 0}
         with pytest.raises(cq.NotAnElement):
-            vertex_table(positions, extra, vertex, "elements")
+            vertex_table(family, extra, vertex, "elements")
         assert checked == [("b",)]
         checked.clear()
         looked_up.clear()
         # a file's pairs keyed by vertex code: found among the codes and
         # taken as they are, with neither the position dict nor the key check
-        family = lattice.derived(_lattice_family)
         coded = FileTable(coded=True)
         coded.update((family.order[i], v.as_integer_ratio()) for i, v in enumerate(by_position))
-        assert vertex_table(positions, coded, vertex, "elements", family.codes)._integers == expected
+        assert vertex_table(family, coded, vertex, "elements")._integers == expected
         assert (checked, looked_up) == ([], [])
 
 
