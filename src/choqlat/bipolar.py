@@ -15,12 +15,11 @@ polytope through their tile: :func:`evaluate_bipolar` returns the same
 :func:`~choqlat.interpolation.evaluate`, with signed chain vertices and the
 tile set. Its dual path, :func:`bipolar_moebius_form_eval`, is the same
 rank-bucket sum over one ranking of the positive and negative parts of the
-profile.
+profile, keyed by the pair codes of the coefficients' family.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
@@ -358,30 +357,37 @@ def bipolar_moebius_form_eval(
     empty-meet value 1. The minima come from one ranking of the 2n values
     max(f, 0) and max(-f, 0), split from the profile's (numerator,
     denominator) pairs, and the sum runs on integer numerators by rank
-    bucket, as in :func:`~choqlat.interpolation.moebius_form_eval`.
-    A :class:`~choqlat.moebius.ValueTable` (a transform's output) is read
-    as its numerators by position; any other mapping is read value by value
-    to numerators over one denominator. Only the nonzero numerators enter
-    the sum. Equals ``bipolar_natural_extension`` when the coefficients are
-    the bipolar Moebius transform of the capacity.
+    bucket, as in :func:`~choqlat.interpolation.moebius_form_eval`. Each
+    key is the pair code code(neg) << n | code(pos): the positive parts
+    take the low n bits and the negative parts the high ones, both read in
+    the key base's bit order. A :class:`~choqlat.moebius.ValueTable` (a
+    transform's output) is read as its numerators by position, keyed by
+    its family's codes on its own base, so no label view is built; a table
+    on lattice elements is refused. Any other mapping is read value by
+    value to numerators over one denominator, its label keys coded on the
+    profile base's bits. Only the nonzero numerators enter the sum. Equals
+    ``bipolar_natural_extension`` when the coefficients are the bipolar
+    Moebius transform of the capacity.
     """
-    if isinstance(coefficients, ValueTable):
-        numerators, denominator = coefficients._integers
-        # every key's labels lie in the top
-        labels = coefficients._family.lattice.top
-    else:
-        numerators, denominator = _numerators(coefficients.values())
-        # the labels of every distinct key part, zero coefficients' keys
-        # included (many keys share each part)
-        labels = itertools.chain.from_iterable(set(itertools.chain.from_iterable(coefficients)))
-    terms = [(num, key) for num, key in zip(numerators, coefficients) if num]
-    pairs = profile._pairs
-    if not frozenset(pairs).issuperset(labels):
-        raise BaseMismatch("coefficient keys mention labels outside the base")
+    # a label missing from the profile, in a key or in the table's base
+    try:
+        if isinstance(coefficients, ValueTable):
+            family = coefficients._family
+            if not family.signed:
+                raise BaseMismatch("coefficients are on lattice elements, not signed pairs")
+            numerators, denominator = coefficients._integers
+            base, codes = family.lattice.base, family.order
+        else:
+            numerators, denominator = _numerators(coefficients.values())
+            base, bit = profile.base, profile.base._bit.__getitem__
+            codes = [sum(map(bit, n)) << len(base) | sum(map(bit, p)) for p, n in coefficients]
+        parts = list(map(profile._pairs.__getitem__, base._topo))
+    except KeyError:
+        raise BaseMismatch("coefficient keys mention labels outside the base") from None
     zero = (0, 1)
-    plus = {j: pair if pair[0] > 0 else zero for j, pair in pairs.items()}
-    minus = {j: (-n, d) if n < 0 else zero for j, (n, d) in pairs.items()}
-    return _rank_form((plus, minus), terms, denominator)
+    plus = [pair if pair[0] > 0 else zero for pair in parts]
+    minus = [(-n, d) if n < 0 else zero for n, d in parts]
+    return _rank_form(plus + minus, numerators, codes, denominator)
 
 
 def embed_profile(profile: Profile, x) -> BipolarProfile:

@@ -15,9 +15,10 @@ its vertex, and its entries stay keyed by those codes. A short file is
 refused before any vertex is enumerated; only then are the codes found
 among the vertex family's own (:func:`~choqlat.moebius.vertex_table`), and
 the capacity's table sits on that family: from file to score no label set
-is made. The label view is built only by what reads labels: the payload
-writers here, a read by label or iteration of ``values``, and ``mobius``
-output.
+is made, the Moebius forms of ``--cross-check`` included, since they read
+the family's codes. The label view is built only by what reads labels: the
+payload writers here, a read by label or iteration of ``values``, and
+``mobius`` output.
 """
 
 from __future__ import annotations

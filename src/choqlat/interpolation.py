@@ -34,10 +34,11 @@ fields.
 
 The dual path, :func:`moebius_form_eval`, reads only the Moebius
 coefficients and the profile: C(f) = sum of m(X) * min over X of f. It
-ranks the profile pairs once, adds each nonzero coefficient's integer
-numerator to the bucket of the smallest rank in its key, and ends with one
-product per nonempty bucket, over a common denominator of only the values
-at those ranks.
+ranks the profile pairs once by bit position, adds each nonzero
+coefficient's integer numerator to the bucket of the smallest rank among
+the bits of its key, the vertex's bit code, and ends with one product per
+nonempty bucket, over a common denominator of only the values at those
+ranks. No label set is read or built.
 """
 
 from __future__ import annotations
@@ -369,35 +370,34 @@ def zero_one_maxmin(functional: GeneralizedCapacity, profile: Profile) -> Fracti
 
 
 def _rank_form(
-    sides: Sequence[Mapping[str, tuple[int, int]]], terms: Sequence, denominator: int
+    values: Sequence[tuple[int, int]], numerators: list[int], codes: Sequence[int], denominator: int
 ) -> Fraction:
-    """Sum over ``terms`` of coefficient times the minimum value over a key.
+    """Sum over coefficients of the numerator times the minimum value over
+    its key.
 
-    ``sides`` maps labels to values as (numerator, positive denominator)
-    pairs, one map per part of a key (one part for lattice elements, two
-    for signed pairs); ``terms`` holds the (nonzero integer numerator, key)
-    pairs of the coefficients, all over ``denominator``, a key being one
-    label set per side. All values are ranked in one stable sort on exact
-    integer keys (:func:`_sort_keys`), so the minimum over a key is the
-    value at the smallest rank of its labels, or the empty meet 1 (rank n,
-    past the last value) for an empty key. Each numerator adds to the
-    bucket of that rank; the sum then takes one product per nonempty
-    bucket, on integers over the least common denominator of the values
-    at those ranks alone (a value whose bucket sums to 0 is never read),
+    ``values`` holds (numerator, positive denominator) pairs by bit
+    position; ``numerators[k]`` is an integer numerator over
+    ``denominator`` whose key is the bit mask ``codes[k]``. The values are
+    ranked in one stable sort on exact integer keys (:func:`_sort_keys`),
+    so the minimum over a key is the value at the smallest rank among its
+    bits, or the empty meet 1 (rank n, past the last value) for the empty
+    key: the first "1" among the key's binary digits read in rank order,
+    with a sentinel digit read last for rank n. Each nonzero numerator adds
+    to the bucket of that rank; the sum then takes one product per nonempty
+    bucket, on integers over the least common denominator of the values at
+    those ranks alone (a value whose bucket sums to 0 is never read),
     bounded before it is computed
     (:func:`~choqlat.rationals._common_denominator`).
     """
-    values = {(s, label): value for s, side in enumerate(sides) for label, value in side.items()}
-    ranked = sorted(values, key=_sort_keys(values).__getitem__)
-    ranks: list[dict] = [{} for _ in sides]
-    for r, (s, label) in enumerate(ranked):
-        ranks[s][label] = r
-    n = len(ranked)
+    n = len(values)
+    ranked = sorted(range(n), key=_sort_keys(dict(enumerate(values))).__getitem__)
+    # bin(code | sentinel) is "0b", the sentinel at index 2, then bit i at index 2 + n - i
+    digits, sentinel = operator.itemgetter(*[2 + n - i for i in ranked], 2), 1 << n
     buckets = [0] * (n + 1)
-    for num, key in terms:
-        low = min([min(map(rank.__getitem__, part), default=n) for rank, part in zip(ranks, key)])
-        buckets[low] += num
-    read = [(values[key], bucket) for key, bucket in zip(ranked, buckets) if bucket]
+    for num, code in zip(numerators, codes):
+        if num:
+            buckets[digits(bin(code | sentinel)).index("1")] += num
+    read = [(values[i], bucket) for i, bucket in zip(ranked, buckets) if bucket]
     scale = _common_denominator({q for (_, q), _ in read})
     total = buckets[n] * scale + sum(bucket * p * (scale // q) for (p, q), bucket in read)
     return Fraction(total, scale * denominator)
@@ -409,17 +409,16 @@ def moebius_form_eval(coefficients: GeneralizedCapacity, profile: Profile) -> Fr
     Each lattice element contributes its coefficient times the minimum
     profile value over its decomposition; the bottom element contributes
     the bare coefficient (empty meet is 1). The coefficients are read as
-    integer numerators by lattice position, the minima come from one
-    ranking of the profile values, and the sum runs by rank bucket
-    (:func:`_rank_form`). Equals ``natural_extension`` of the zeta
-    transform.
+    integer numerators by position, each keyed by its vertex's bit code
+    (``_family.order``), the profile values by bit position (its base's
+    linear extension), and the sum runs by rank bucket (:func:`_rank_form`):
+    no label set is read or built. Equals ``natural_extension`` of the zeta
+    transform. Coefficients on signed pairs are refused.
     """
     if coefficients.lattice.base != profile.base:
         raise BaseMismatch("coefficients and profile are over different base posets")
+    if coefficients._family.signed:
+        raise BaseMismatch("coefficients are on signed pairs, not lattice elements")
     numerators, denominator = coefficients.values._integers
-    terms = [
-        (num, (element,))
-        for num, element in zip(numerators, coefficients.lattice.elements)
-        if num
-    ]
-    return _rank_form((profile._pairs,), terms, denominator)
+    values = list(map(profile._pairs.__getitem__, coefficients.lattice.base._topo))
+    return _rank_form(values, numerators, coefficients._family.order, denominator)

@@ -11,10 +11,11 @@ as its ``values``: one list of integer numerators by position over one
 common denominator, making a ``Fraction`` only when a value is read. The
 table sits on its vertex family's codes; the family's label view (label
 sets or signed pairs, and their positions) is built only for a read by
-label, iteration, a payload writer, the Moebius form or ``mobius`` output,
-never on the chain path or for its decomposition. Only this module reads those integers
-on the chain path: both capacity kinds share the package's one chain sum
-over them.
+label, iteration, a payload writer or ``mobius`` output, never on the
+chain path, for its decomposition or for either Moebius form, which reads
+the numerators with the family's codes. Only this module reads those
+integers on the chain path: both capacity kinds share the package's one
+chain sum over them.
 
 On a downset lattice the Moebius function has a closed form: for downsets
 X <= Y it is (-1)^|Y - X| when Y - X is an antichain of the base and 0

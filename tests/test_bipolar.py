@@ -28,6 +28,7 @@ from support import (
     posets,
     profiles,
     random_bipolar_capacity,
+    random_capacity,
     random_fraction,
     random_linear_extension,
     random_profile,
@@ -795,6 +796,27 @@ class TestMoebiusFormEval:
                         cq.bipolar_moebius_form_eval(table, profile)
                     assert str(info.value) == message
 
+    def test_signed_coefficients_are_refused_by_the_unsigned_form(self, grid):
+        """A capacity on signed pairs is refused by the unsigned Moebius
+        form, not summed as if its pair codes were lattice elements."""
+        rng = random.Random(25)
+        capacity = random_bipolar_capacity(rng, grid)
+        for _ in range(5):
+            with pytest.raises(cq.BaseMismatch) as info:
+                cq.moebius_form_eval(capacity, random_profile(rng, grid.base))
+            assert str(info.value) == "coefficients are on signed pairs, not lattice elements"
+
+    def test_unsigned_tables_are_refused_by_the_signed_form(self, grid):
+        """A table on lattice elements, a capacity's or its transform's, is
+        refused by the signed Moebius form with a BaseMismatch."""
+        rng = random.Random(26)
+        capacity = random_capacity(rng, grid)
+        for table in (capacity.values, cq.moebius_transform(capacity).values):
+            for _ in range(5):
+                with pytest.raises(cq.BaseMismatch) as info:
+                    cq.bipolar_moebius_form_eval(table, random_signed_profile(rng, grid.base))
+                assert str(info.value) == "coefficients are on lattice elements, not signed pairs"
+
     def test_keys_may_be_any_iterables(self, grid):
         rng = random.Random(24)
         table = {p: str(random_fraction(rng)) for p in cq.bipolar_extension(grid)}
@@ -867,17 +889,22 @@ class TestPositionalBipolarTables:
     def test_signed_form_on_a_positional_table(self, shape, profile_kind, data):
         """The signed Moebius form of a transform's output, and of a
         capacity's own table, equals the form of a dict of the same values
-        and the slow oracle."""
+        and the slow oracle; also for the same values as a profile on the
+        antichain of the base's labels, whose bits follow another linear
+        extension: a positional table is read in its own base's bit order."""
         lattice = cq.DownsetLattice(data.draw(bases(shape)))
         table = data.draw(exact_tables(cq.bipolar_extension(lattice)))
         capacity = cq.BipolarCapacity(
             lattice, {p: table[p] for p in cq.admissible_vertex_pairs(lattice)}
         )
         profile = data.draw(signed_profiles(lattice.base, PROFILE_VALUES[profile_kind]))
+        antichain = cq.Poset(sorted(lattice.base.elements, reverse=True))
+        on_antichain = cq.BipolarProfile(antichain, profile.values)
         for positional in (cq.bipolar_moebius_transform(lattice, table), capacity.values):
-            value = cq.bipolar_moebius_form_eval(positional, profile)
-            assert value == cq.bipolar_moebius_form_eval(dict(positional), profile)
-            assert value == slow_bipolar_moebius_form_eval(dict(positional), profile)
+            for read in (profile, on_antichain):
+                value = cq.bipolar_moebius_form_eval(positional, read)
+                assert value == cq.bipolar_moebius_form_eval(dict(positional), read)
+                assert value == slow_bipolar_moebius_form_eval(dict(positional), read)
 
     @pytest.mark.parametrize("shape", ["mosaic", "non-mosaic"])
     @given(data=st.data())

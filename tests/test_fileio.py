@@ -582,8 +582,10 @@ class TestGridReader:
     def test_grid_files_score_on_codes_and_build_the_label_view_on_demand(self):
         """A grid file and a signed grid file go from file to score on codes
         alone: after a profile, a signed profile, a point and a signed point
-        are scored, no vertex family holds its label view (``positions``,
-        ``vertices``) and no lattice its ``elements``. Label reads,
+        are scored, and the Moebius form of each capacity's transform is
+        taken (the dual path of ``--cross-check``), no vertex family holds
+        its label view (``positions``, ``vertices``) and no lattice its
+        ``elements``. Label reads,
         iteration, ``capacity(x)`` and the payload writers build the view
         on demand (``len`` does not), and every read gives the ``Fraction``s
         of a capacity built from a label-keyed table."""
@@ -614,10 +616,17 @@ class TestGridReader:
             unsigned: [
                 lambda c: cq.natural_extension(c, cq.Profile(c.lattice.base, profile)),
                 lambda c: kary.interpolate_point(c, ["0.2", "1/2", "0.9"], scale),
+                lambda c: cq.moebius_form_eval(
+                    cq.moebius_transform(c), cq.Profile(c.lattice.base, profile)
+                ),
             ],
             signed: [
                 lambda c: cq.evaluate_bipolar(c, cq.BipolarProfile(c.base, signed_profile)).value,
                 lambda c: kary.interpolate_signed_point(c, ["-0.2", "1/2", "0"], signed_scale),
+                lambda c: cq.bipolar_moebius_form_eval(
+                    cq.bipolar_moebius_transform(c.lattice, c.values),
+                    cq.BipolarProfile(c.base, signed_profile),
+                ),
             ],
         }
         for labelled, calls in scores.items():
