@@ -17,8 +17,12 @@ the Fraction it was rendered from.
 Each signed dual value is computed twice, from the capacity's positional
 table and from a plain dict copy of it (the value-by-value path of the
 transform and of the Moebius form); the two must agree. Both capacities of
-each instance are also written as grid files, their values rendered the
-same way, and read back by the file reader, which must give them back.
+each grid instance are also written as grid files, their values rendered
+the same way, and read back by the file reader, which must give them back.
+Besides the grids, the instances cycle through small regular mosaics whose
+components have mixed shapes (a diamond, a fan, chains, a point), some with
+labels whose order is not the bit order of the base's linear extension;
+those run the two profile path pairs, unsigned and signed.
 
     python scripts/dual_path_sweep.py --instances 300 --seed 7
 """
@@ -33,6 +37,18 @@ import choqlat as cq
 from choqlat import fileio
 
 GRIDS = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]
+# regular mosaics: (labels, covers) with one bottom per component
+MOSAICS = [
+    # a diamond, two chains and a point, in label order
+    (
+        "abcdefghij",
+        [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("e", "f"), ("f", "g"), ("i", "j")],
+    ),
+    # a diamond, a chain and a point, each component's labels descending up the order
+    ("abcdmyz", [("d", "c"), ("d", "b"), ("c", "a"), ("b", "a"), ("z", "y")]),
+    # a fan under one bottom, a chain and a point
+    ("onmlkeq", [("o", "n"), ("o", "m"), ("o", "l"), ("k", "e")]),
+]
 DENOMINATORS = (1, 2, 3, 7, 12, 60, 97, 1024, 10**9 + 7, 3**40)
 
 
@@ -99,19 +115,22 @@ def sweep(instances, seed):
     rng = random.Random(seed)
     mismatches = 0
     started = time.perf_counter()
-    lattices = [cq.DownsetLattice(cq.build_kary_base(k, n)) for k, n in GRIDS]
+    bases = [cq.build_kary_base(k, n) for k, n in GRIDS]
+    bases += [cq.Poset(labels, covers) for labels, covers in MOSAICS]
+    lattices = [cq.DownsetLattice(base) for base in bases]
 
     for i in range(instances):
-        k, n = GRIDS[i % len(GRIDS)]
-        lattice = lattices[i % len(GRIDS)]
+        lattice = lattices[i % len(lattices)]
         base = lattice.base
+        grid = i % len(lattices) < len(GRIDS)
 
         capacity = cq.GeneralizedCapacity(
             lattice, {d: random_fraction(rng) for d in lattice.elements}
         )
-        mismatches += round_trip(
-            rng, capacity, fileio.kary_capacity_payload, fileio.parse_kary_capacity
-        )
+        if grid:
+            mismatches += round_trip(
+                rng, capacity, fileio.kary_capacity_payload, fileio.parse_kary_capacity
+            )
         values = random_values(rng, base)
         profile = cq.Profile(base, {j: render(rng, v) for j, v in values.items()})
         mismatches += profile.values != values
@@ -119,23 +138,16 @@ def sweep(instances, seed):
         dual = cq.moebius_form_eval(cq.moebius_transform(capacity), profile)
         mismatches += direct != dual
 
-        scale = cq.ReferenceScale(
-            tuple(Fraction(j, k - 1) for j in range(k))
-        )
-        exact = [Fraction(rng.randint(0, 24), 24) for _ in range(n)]
-        point = [render(rng, v) for v in exact]
-        mismatches += [cq.as_fraction(v) for v in point] != exact
-        corner = cq.interpolate_point(capacity, point, scale)
-        _, staircase = cq.level_profile(point, scale)
-        mismatches += corner != cq.natural_extension(capacity, staircase)
+        if grid:
+            mismatches += points(rng, capacity, GRIDS[i % len(lattices)])
 
         bipolar = cq.BipolarCapacity(
             lattice,
             {p: random_fraction(rng) for p in cq.admissible_vertex_pairs(lattice)},
         )
-        mismatches += round_trip(
-            rng, bipolar, fileio.bipolar_kary_capacity_payload, fileio.parse_bipolar_kary_capacity
-        )
+        if grid:
+            payload = fileio.bipolar_kary_capacity_payload
+            mismatches += round_trip(rng, bipolar, payload, fileio.parse_bipolar_kary_capacity)
         values = random_signed_values(rng, base)
         signed = cq.BipolarProfile(base, {j: render(rng, v) for j, v in values.items()})
         mismatches += signed.values != values
@@ -146,22 +158,46 @@ def sweep(instances, seed):
         plain = cq.bipolar_moebius_transform(lattice, dict(bipolar.values))
         mismatches += dual != cq.bipolar_moebius_form_eval(dict(plain), signed)
 
-        symmetric = cq.ReferenceScale(
-            tuple(Fraction(j, k - 1) for j in range(1 - k, k)), symmetric=True
-        )
-        exact = [Fraction(rng.randint(-24, 24), 24) for _ in range(n)]
-        point = [render(rng, v) for v in exact]
-        mismatches += [cq.as_fraction(v) for v in point] != exact
-        corner = cq.interpolate_signed_point(bipolar, point, symmetric)
-        _, _, staircase = cq.bipolar_level_profile(point, symmetric)
-        mismatches += corner != cq.bipolar_natural_extension(bipolar, staircase)
+        if grid:
+            mismatches += signed_points(rng, bipolar, GRIDS[i % len(lattices)])
 
     elapsed = time.perf_counter() - started
     print(
-        f"{instances} instances x 5 path pairs and 2 grid file round trips on grids {GRIDS}: "
-        f"{mismatches} mismatches in {elapsed:.2f}s"
+        f"{instances} instances x 5 path pairs and 2 grid file round trips on grids {GRIDS}"
+        f" and {len(MOSAICS)} mosaics (2 path pairs each):"
+        f" {mismatches} mismatches in {elapsed:.2f}s"
     )
     return mismatches
+
+
+def points(rng, capacity, grid) -> int:
+    """Mismatches of an unsigned point: its text read back, and the corner
+    sweep against the natural extension of its staircase profile."""
+    k, n = grid
+    mismatches = 0
+    scale = cq.ReferenceScale(tuple(Fraction(j, k - 1) for j in range(k)))
+    exact = [Fraction(rng.randint(0, 24), 24) for _ in range(n)]
+    point = [render(rng, v) for v in exact]
+    mismatches += [cq.as_fraction(v) for v in point] != exact
+    corner = cq.interpolate_point(capacity, point, scale)
+    _, staircase = cq.level_profile(point, scale)
+    return mismatches + (corner != cq.natural_extension(capacity, staircase))
+
+
+def signed_points(rng, bipolar, grid) -> int:
+    """Mismatches of a signed point, as :func:`points` counts them, on the
+    symmetric scale."""
+    k, n = grid
+    mismatches = 0
+    symmetric = cq.ReferenceScale(
+        tuple(Fraction(j, k - 1) for j in range(1 - k, k)), symmetric=True
+    )
+    exact = [Fraction(rng.randint(-24, 24), 24) for _ in range(n)]
+    point = [render(rng, v) for v in exact]
+    mismatches += [cq.as_fraction(v) for v in point] != exact
+    corner = cq.interpolate_signed_point(bipolar, point, symmetric)
+    _, _, staircase = cq.bipolar_level_profile(point, symmetric)
+    return mismatches + (corner != cq.bipolar_natural_extension(bipolar, staircase))
 
 
 def main():

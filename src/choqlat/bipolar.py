@@ -13,15 +13,22 @@ signed profiles can be evaluated by pulling them back to the unsigned
 polytope through their tile: :func:`evaluate_bipolar` returns the same
 :class:`~choqlat.interpolation.Evaluation` record as the unsigned
 :func:`~choqlat.interpolation.evaluate`, with signed chain vertices and the
-tile set. Its dual path, :func:`bipolar_moebius_form_eval`, is the same
-rank-bucket sum over one ranking of the positive and negative parts of the
-profile, keyed by the pair codes of the coefficients' family.
+tile set. A signed profile is positional, as an unsigned one is: its pairs
+by base bit position and the sort keys of their sizes, which its
+``magnitude()`` keeps. The tile is read on bit masks: each connected
+component's mask, kept with the base beside whether the base is a regular
+mosaic, is tested against the masks of the strictly positive and strictly
+negative values (:func:`select_tile`). The dual path,
+:func:`bipolar_moebius_form_eval`, is the same rank-bucket sum over one
+ranking of the positive and negative parts of the profile's pairs, keyed by
+the pair codes of the coefficients' family.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Mapping
 
 from ._record import frozen_record
@@ -46,7 +53,7 @@ from .interpolation import (
     triangulate,
 )
 from .moebius import ValueTable, _CapacityBody, _numerators, check_bipolar_pair
-from .poset import Poset, connected_components, is_downset
+from .poset import Poset, _component_masks, _rising_cover, is_downset
 from .rationals import as_fraction
 
 
@@ -66,9 +73,11 @@ def bipolar_join_irreducibles(lattice: DownsetLattice) -> tuple[BipolarElement, 
 def is_regular_mosaic(base: Poset) -> bool:
     """True iff every connected component of ``base`` has one minimal element.
 
-    Exactly then is the bipolar extension the union of its tiles.
+    Exactly then is the bipolar extension the union of its tiles. Found
+    once per poset, with its components
+    (:func:`~choqlat.poset._component_masks`).
     """
-    return all(len(c.minimals) == 1 for c in connected_components(base))
+    return _component_masks(base)[2]
 
 
 @frozen_record
@@ -143,11 +152,11 @@ def psi(lattice: DownsetLattice, x, signed: Mapping[str, int]) -> BipolarElement
             raise SignConstraintViolated(
                 f"positive value on the negative side at {label!r}", label=label
             )
-    for lower, upper in base.covers:
-        if abs(signed[lower]) < abs(signed[upper]):
-            raise NotNonincreasing(
-                f"|values| increase along {lower!r} < {upper!r}", lower=lower, upper=upper
-            )
+    if rise := _rising_cover(base, [abs(signed[label]) for label in base._topo]):
+        lower, upper = rise
+        raise NotNonincreasing(
+            f"|values| increase along {lower!r} < {upper!r}", lower=lower, upper=upper
+        )
     pos = frozenset(label for label, value in signed.items() if value == 1)
     neg = frozenset(label for label, value in signed.items() if value == -1)
     return BipolarElement(pos, neg)
@@ -167,18 +176,17 @@ class BipolarProfile(_ProfileBody):
     """Signed map on the base poset: values in [-1, 1], sizes nonincreasing.
 
     Kept as :class:`~choqlat.interpolation.Profile` keeps its values: checked
-    (numerator, denominator) pairs in base order, with the reduced
-    ``values`` built on first read.
+    (numerator, denominator) pairs by base bit position and the sort keys of
+    their sizes, with the reduced ``values`` built on first read.
     """
 
     def __init__(self, base: Poset, values: Mapping[str, object]):
-        self.base, self._pairs = base, _profile_values(base, values, signed=True)
+        self.base, (self._pairs, self._keys) = base, _profile_values(base, values, signed=True)
 
     def magnitude(self) -> Profile:
-        # the sizes of checked signed values pass the unsigned checks as they are
-        return Profile._from_checked(
-            self.base, {label: (abs(n), d) for label, (n, d) in self._pairs.items()}
-        )
+        # the sizes of checked signed values pass the unsigned checks as
+        # they are, and their keys are the ones already held
+        return Profile._from_checked(self.base, [(abs(n), d) for n, d in self._pairs], self._keys)
 
 
 def admissible_vertex_pairs(
@@ -249,23 +257,23 @@ def select_tile(profile: BipolarProfile) -> frozenset:
 
     A connected component goes to the positive side exactly when it carries
     no strictly negative value (so all-zero components count as positive);
-    a component carrying both strict signs lies in no tile.
+    a component carrying both strict signs lies in no tile. Each
+    component's bit code (:func:`~choqlat.poset._component_masks`) is
+    tested against the codes of the strictly positive and the strictly
+    negative values.
     """
-    if not is_regular_mosaic(profile.base):
+    base = profile.base
+    parts, masks, regular = _component_masks(base)
+    if not regular:
         raise NotRegularMosaic("signed evaluation needs a regular mosaic base")
-    pairs = profile._pairs
-    positive: set = set()
-    for comp in connected_components(profile.base):
-        has_pos = any(pairs[l][0] > 0 for l in comp.members)
-        has_neg = any(pairs[l][0] < 0 for l in comp.members)
-        if has_pos and has_neg:
-            raise ProfileNotInAnyTile(
-                f"component {sorted(comp.members)!r} carries both signs",
-                component=sorted(comp.members),
-            )
-        if not has_neg:
-            positive |= comp.members
-    return frozenset(positive)
+    numerators = [n for n, _ in profile._pairs]
+    minus = sum(compress(base._bit.values(), map((0).__gt__, numerators)))
+    plus = sum(compress(base._bit.values(), numerators)) - minus
+    for mask, part in zip(masks, parts):
+        if mask & minus and mask & plus:
+            shown = sorted(part.members)
+            raise ProfileNotInAnyTile(f"component {shown!r} carries both signs", component=shown)
+    return frozenset().union(*[part.members for m, part in zip(masks, parts) if not m & minus])
 
 
 def _complemented(base: Poset, x) -> frozenset:
@@ -281,7 +289,8 @@ def _checked_tile(profile: BipolarProfile, x) -> frozenset:
     if not is_regular_mosaic(profile.base):
         raise NotRegularMosaic("signed evaluation needs a regular mosaic base")
     member = _complemented(profile.base, x)
-    for label, (n, _) in profile._pairs.items():
+    # base order is label order
+    for label, (n, _) in sorted(zip(profile.base._topo, profile._pairs)):
         if n > 0 and label not in member:
             raise NotInTile(f"strictly positive value at {label!r} outside the tile")
         if n < 0 and label in member:
@@ -356,8 +365,8 @@ def bipolar_moebius_form_eval(
     negative part over its negative side; empty sides contribute the
     empty-meet value 1. The minima come from one ranking of the 2n values
     max(f, 0) and max(-f, 0), split from the profile's (numerator,
-    denominator) pairs, and the sum runs on integer numerators by rank
-    bucket, as in :func:`~choqlat.interpolation.moebius_form_eval`. Each
+    denominator) pairs by bit position, and the sum runs on integer
+    numerators by rank bucket, as in :func:`~choqlat.interpolation.moebius_form_eval`. Each
     key is the pair code code(neg) << n | code(pos): the positive parts
     take the low n bits and the negative parts the high ones, both read in
     the key base's bit order. A :class:`~choqlat.moebius.ValueTable` (a
@@ -381,7 +390,9 @@ def bipolar_moebius_form_eval(
             numerators, denominator = _numerators(coefficients.values())
             base, bit = profile.base, profile.base._bit.__getitem__
             codes = [sum(map(bit, n)) << len(base) | sum(map(bit, p)) for p, n in coefficients]
-        parts = list(map(profile._pairs.__getitem__, base._topo))
+        parts = profile._pairs
+        if base._topo != profile.base._topo:  # the profile read in the key base's bit order
+            parts = list(map(dict(zip(profile.base._topo, parts)).__getitem__, base._topo))
     except KeyError:
         raise BaseMismatch("coefficient keys mention labels outside the base") from None
     zero = (0, 1)

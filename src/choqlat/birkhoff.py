@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 from ._record import frozen_record
 from .errors import NotALattice, NotAnElement, NotDistributive, SizeLimitExceeded, UnknownLabel
-from .poset import DOWNSET_CAP, Poset, _downsets, _label_sets, connected_components
+from .poset import DOWNSET_CAP, Poset, _component_masks, _downsets, _label_sets
 from .poset import downset_key, is_downset
 
 T = TypeVar("T")
@@ -260,8 +260,8 @@ def _admissible_family(lattice: DownsetLattice) -> _Family:
     """The admissible pairs: on a regular mosaic the extension's family, else
     the pairs whose parts do not both meet a component with two bottoms."""
     extension, base, width = lattice.derived(_extension_family), lattice.base, len(lattice.base)
-    parts = connected_components(base)
-    shared = [sum(map(base._bit.get, c.members)) for c in parts if len(c.minimals) > 1]
+    parts, masks, _ = _component_masks(base)
+    shared = [mask for part, mask in zip(parts, masks) if len(part.minimals) > 1]
     if not shared:
         return extension
     kept = [not any(code & c and code >> width & c for c in shared) for code in extension.order]

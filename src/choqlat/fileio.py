@@ -32,7 +32,7 @@ from operator import getitem
 from .bipolar import BipolarCapacity, BipolarProfile
 from .birkhoff import DownsetLattice, _Family, _lattice_family, verify_distributive
 from .errors import BaseMismatch, ContradictoryValue, FileFormatError, SizeLimitExceeded
-from .interpolation import Profile
+from .interpolation import Profile, _profile_values
 from .kary import ReferenceScale, _grid, _levels, build_kary_base, downset_to_node, grid_shape
 from .moebius import FileTable, GeneralizedCapacity, check_bipolar_pair
 from .poset import DOWNSET_CAP, Poset, _downsets
@@ -196,19 +196,25 @@ def capacity_payload(capacity: GeneralizedCapacity) -> dict:
     }
 
 
-def _profile_entries(obj) -> dict[str, Fraction]:
+def _profile_entries(obj, base: Poset, signed: bool = False) -> tuple:
+    """The base, pairs and keys of a profile file's values: each value read
+    once (:func:`~choqlat.rationals._ratio`) to its pair in lowest terms, as
+    a capacity file's are, and the pairs checked as the profile checks them
+    (:func:`~choqlat.interpolation._profile_values`), with no ``Fraction`` made."""
     values = _require(obj, "values", "profile file")
     if not isinstance(values, dict):
         raise FileFormatError("values must be a label-to-number object", field="values")
-    return {label: _parse_value(raw, label) for label, raw in values.items()}
+    pairs = [_parse_value(raw, label, _ratio) for label, raw in values.items()]
+    pairs = [(n // common, d // common) for n, d in pairs for common in [gcd(n, d)]]
+    return base, *_profile_values(base, values, signed, pairs)
 
 
 def parse_profile(obj, base: Poset) -> Profile:
-    return Profile(base, _profile_entries(obj))
+    return Profile._from_checked(*_profile_entries(obj, base))
 
 
 def parse_bipolar_profile(obj, base: Poset) -> BipolarProfile:
-    return BipolarProfile(base, _profile_entries(obj))
+    return BipolarProfile._from_checked(*_profile_entries(obj, base, signed=True))
 
 
 def profile_payload(profile: Profile | BipolarProfile) -> dict:

@@ -9,16 +9,22 @@ combination of its vertex values. On an antichain base this is the classical
 Choquet integral; the bottom vertex is always kept in the combination so
 functionals that do not vanish at the empty set evaluate correctly.
 
-Profile values are read once, straight to (numerator, denominator) pairs
-(:func:`~choqlat.rationals._ratio`), and checked on those integers; a
-profile keeps the pairs, not in lowest terms when the text was not
-("0.50" is (50, 100)), and builds its ``values``, the reduced ``Fraction``s,
-only when they are read. Only order and the final sums depend on the pairs,
-so every ``Fraction`` that leaves the module is the same either way.
+Profiles are positional. Their values are read once, straight to
+(numerator, denominator) pairs (:func:`~choqlat.rationals._ratio`), and a
+profile keeps them as one list by base bit position (the base's linear
+extension), not in lowest terms when the text was not ("0.50" is
+(50, 100)), with the exact integer sort key of each value's size
+(:func:`_sort_keys`), computed once. The checks compare keys, and read the
+covers in one fixed order held with the base, so a rise names the smallest
+failing cover (:func:`~choqlat.poset._rising_cover`). ``values``, the
+reduced ``Fraction``s by label, is built only when read. Only order and the
+final sums depend on the pairs, so every ``Fraction`` that leaves the
+module is the same either way.
 
 The chain path runs on lattice positions and integers. :func:`triangulate`
-records each chain vertex as a bit code of the base's elements, and the
-sorted profile pairs whose gaps are the weights. A capacity's vertex family
+sorts the base positions by the profile's keys and records each chain
+vertex as a bit code of the base's elements, and the sorted profile pairs
+whose gaps are the weights. A capacity's vertex family
 looks the codes up as positions, split along a tile for a signed chain
 (:meth:`~choqlat.birkhoff._Family.chain`), and the capacity's one chain sum
 (:meth:`~choqlat.moebius._CapacityBody._chain_value`) adds each level times
@@ -33,12 +39,12 @@ build-on-read mechanism both records share. Both are frozen records
 fields.
 
 The dual path, :func:`moebius_form_eval`, reads only the Moebius
-coefficients and the profile: C(f) = sum of m(X) * min over X of f. It
-ranks the profile pairs once by bit position, adds each nonzero
-coefficient's integer numerator to the bucket of the smallest rank among
-the bits of its key, the vertex's bit code, and ends with one product per
-nonempty bucket, over a common denominator of only the values at those
-ranks. No label set is read or built.
+coefficients and the profile's pairs, never its keys: C(f) = sum of
+m(X) * min over X of f. It ranks the profile pairs once by bit position,
+adds each nonzero coefficient's integer numerator to the bucket of the
+smallest rank among the bits of its key, the vertex's bit code, and ends
+with one product per nonempty bucket, over a common denominator of only
+the values at those ranks. No label set is read or built.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, starmap
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -61,71 +67,87 @@ from .errors import (
 from ._record import frozen_record
 from .birkhoff import BipolarElement
 from .moebius import GeneralizedCapacity
-from .poset import Poset, linear_extension
+from .poset import Poset, _rising_cover
 from .rationals import _common_denominator, _ratio, _shown, as_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
+# a profile's lowest value and the words of its errors, unsigned and signed
+_TERMS = ((0, "profile value", "profile increases"), (-1, "signed value", "|values| increase"))
+_denominator = operator.itemgetter(1)
 
 def _profile_values(
-    base: Poset, values: Mapping[str, object], signed: bool = False
-) -> dict[str, tuple[int, int]]:
-    """Checked values of a profile on ``base``, as the (numerator,
-    denominator) pairs :func:`~choqlat.rationals._ratio` reads, in base
-    order.
+    base: Poset, values: Mapping[str, object], signed: bool = False, read: list | None = None
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """The values of a profile on ``base`` as (numerator, positive
+    denominator) pairs in a list by base bit position, and the sort keys of
+    their sizes (:func:`_sort_keys`), once they pass the profile's checks.
 
-    Unsigned profiles take values in [0, 1] and are nonincreasing; signed
-    ones take values in [-1, 1] and their sizes are nonincreasing.
+    ``values`` maps labels to numbers, each read by
+    :func:`~choqlat.rationals._ratio`; a file reader that has read them
+    passes their pairs, in the same order, as ``read``. Labels given in bit
+    order (the base's linear extension, label order on a grid of up to nine
+    criteria) need no reordering. Unsigned profiles take values in [0, 1]
+    and are nonincreasing; signed ones take values in [-1, 1] and their
+    sizes are nonincreasing. Both checks compare the sizes' keys, which
+    order as their values: a value is out of range when its key is negative
+    or when the value of the largest key is above 1. A value out of range
+    is named in the order of ``values``; a rise along a cover names the
+    smallest such cover (:func:`~choqlat.poset._rising_cover`).
     """
-    parsed = {label: _ratio(raw) for label, raw in values.items()}
-    # key views compare as sets; the sets are built only to report a mismatch
-    if parsed.keys() != base._bit.keys():
-        raise BaseMismatch(
-            "profile labels must cover the base poset exactly",
-            missing=sorted(set(base.elements) - set(parsed)),
-            extra=sorted(set(parsed) - set(base.elements)),
-        )
-    if signed:
-        low, kind, rising = -1, "signed value", "|values| increase"
+    labels = values.keys()
+    if read is None:
+        read = list(map(_ratio, values.values()))
+    if tuple(labels) == base._topo:
+        pairs = read
     else:
-        low, kind, rising = 0, "profile value", "profile increases"
-    # checks on each value's own numerator and denominator (denominators
-    # are positive), sizes compared by cross-multiplying
-    for label, (n, d) in parsed.items():
-        if not low * d <= n <= d:
-            raise ValueOutOfRange(
-                f"{kind} {_shown(str(Fraction(n, d)))} at {label!r} is outside [{low}, 1]",
-                label=label,
+        parsed = dict(zip(labels, read))
+        # key views compare as sets; the sets are built only to report a mismatch
+        if parsed.keys() != base._bit.keys():
+            raise BaseMismatch(
+                "profile labels must cover the base poset exactly",
+                missing=sorted(set(base.elements) - set(parsed)),
+                extra=sorted(set(parsed) - set(base.elements)),
             )
-    sizes = {label: (abs(n), d) for label, (n, d) in parsed.items()} if signed else parsed
-    for lower, upper in base.covers:
-        (an, ad), (bn, bd) = sizes[lower], sizes[upper]
-        if an * bd < bn * ad:
-            raise NotNonincreasing(
-                f"{rising} along {lower!r} < {upper!r}", lower=lower, upper=upper
-            )
-    return {label: parsed[label] for label in base.elements}
+        pairs = list(map(parsed.__getitem__, base._topo))
+    sizes = [(abs(n), d) for n, d in pairs] if signed else pairs
+    keys = _sort_keys(sizes)
+    low, kind, rising = _TERMS[signed]
+    # keys order as their values: the largest value is above 1 when any is
+    if keys and (min(keys) < 0 or operator.gt(*sizes[keys.index(max(keys))])):
+        for label, (n, d) in zip(labels, read):
+            if not low * d <= n <= d:
+                raise ValueOutOfRange(
+                    f"{kind} {_shown(str(Fraction(n, d)))} at {label!r} is outside [{low}, 1]",
+                    label=label,
+                )
+    if rise := _rising_cover(base, keys):
+        lower, upper = rise
+        raise NotNonincreasing(f"{rising} along {lower!r} < {upper!r}", lower=lower, upper=upper)
+    return pairs, keys
 
 
 class _ProfileBody:
-    """What both profile kinds hold: the checked values as ``_pairs``,
-    (numerator, denominator) by label in base order, as they were read
-    (``"0.50"`` is (50, 100)); the evaluations read those. ``values``, the
-    reduced ``Fraction``s, is built on first read. Each kind's own
+    """What both profile kinds hold: the checked values as ``_pairs``, one
+    (numerator, denominator) pair by base bit position (the base's linear
+    extension), as they were read (``"0.50"`` is (50, 100)), and
+    ``_keys``, the exact sort keys of their sizes by the same positions;
+    the evaluations read those. ``values``, the reduced ``Fraction``s by
+    label in base order, is built on first read. Each kind's own
     ``__init__`` checks its values."""
 
     @classmethod
-    def _from_checked(cls, base: Poset, pairs: dict[str, tuple[int, int]]):
-        """A profile of ``pairs`` that already pass every check of its
-        kind, given in base order."""
+    def _from_checked(cls, base: Poset, pairs: list[tuple[int, int]], keys: list[int]):
+        """A profile of ``pairs`` by position that already pass every check
+        of its kind, with the sort keys of their sizes."""
         profile = cls.__new__(cls)
-        profile.base, profile._pairs = base, pairs
+        profile.base, profile._pairs, profile._keys = base, pairs, keys
         return profile
 
     @cached_property
     def values(self) -> dict[str, Fraction]:
-        return {label: Fraction(n, d) for label, (n, d) in self._pairs.items()}
+        # base order is label order
+        return dict(sorted(zip(self.base._topo, starmap(Fraction, self._pairs))))
 
     def __call__(self, label: str) -> Fraction:
         return self.values[label]
@@ -138,7 +160,7 @@ class Profile(_ProfileBody):
     """Nonincreasing map from the base poset into [0, 1]."""
 
     def __init__(self, base: Poset, values: Mapping[str, object]):
-        self.base, self._pairs = base, _profile_values(base, values)
+        self.base, (self._pairs, self._keys) = base, _profile_values(base, values)
 
 
 class _BuiltOnRead:
@@ -169,16 +191,20 @@ class ChainDecomposition(_BuiltOnRead):
     ``weights`` are the simplex coordinates (nonnegative, summing to one),
     with ``weights[0]`` attached to the bottom vertex.
 
-    :func:`triangulate` makes the record by position: each vertex as a mask
-    of the base's element bits (``_masks``), and the sorted profile values
-    as (numerator, denominator) pairs (``_levels``) in place of the
-    weights. Its ``chain`` and ``weights`` are built on first read.
+    :func:`triangulate` makes the record by position: the sorted base
+    positions (``_ranked``), each vertex as a mask of the base's element
+    bits (``_masks``), and the sorted profile values as (numerator,
+    denominator) pairs (``_levels``) in place of the weights. Its
+    ``order``, ``chain`` and ``weights`` are built on first read.
     """
 
     base: Poset
     order: tuple[str, ...]
     chain: tuple[frozenset, ...]
     weights: tuple[Fraction, ...]
+
+    def _build_order(self) -> tuple[str, ...]:
+        return tuple(map(self.base._topo.__getitem__, self._ranked))
 
     def _build_chain(self) -> tuple[frozenset, ...]:
         return tuple(frozenset(self.order[:i]) for i in range(len(self.order) + 1))
@@ -196,10 +222,10 @@ class ChainDecomposition(_BuiltOnRead):
         return out
 
 
-def _sort_keys(values: Mapping[object, tuple[int, int]]) -> dict[object, int]:
-    """An integer per key that orders the keys exactly as their values,
-    given as (numerator, positive denominator) pairs, in lowest terms or
-    not.
+def _sort_keys(values: Sequence[tuple[int, int]]) -> list[int]:
+    """An integer per value, given as (numerator, positive denominator)
+    pairs, in lowest terms or not, that orders the values exactly, by the
+    values' positions.
 
     The key is the value scaled by 2**shift and rounded down, where
     ``shift`` is twice the bit length of the largest denominator. Two
@@ -208,8 +234,8 @@ def _sort_keys(values: Mapping[object, tuple[int, int]]) -> dict[object, int]:
     same direction; equal values get equal keys. Each key costs one shift
     and one division on the value's own numerator and denominator.
     """
-    shift = 2 * max([d.bit_length() for _, d in values.values()], default=0)
-    return {key: (n << shift) // d for key, (n, d) in values.items()}
+    shift = 2 * max(values, key=_denominator, default=(0, 1))[1].bit_length()
+    return [(n << shift) // d for n, d in values]
 
 
 def triangulate(profile: Profile, tie_break: Sequence[str] | None = None) -> ChainDecomposition:
@@ -218,34 +244,34 @@ def triangulate(profile: Profile, tie_break: Sequence[str] | None = None) -> Cha
     Elements are sorted by decreasing value; ties fall back to ``tie_break``
     (any linear extension of the base poset, the deterministic one by
     default). The extension value computed from the result never depends on
-    the tie order, only the reported chain does. The sort runs on exact
-    integer keys (:func:`_sort_keys`), stable in ``tie_break`` order. The
-    record is positional: each chain vertex is the running OR of the sorted
-    elements' bits, and the sorted values stand for the weights, the gaps
-    between consecutive values of 1, the sorted values and 0, which a
-    capacity's chain sum takes as integers. The values are the profile's
-    (numerator, denominator) pairs, never a ``Fraction``; the frozensets
-    and ``Fraction`` weights are made only when read.
+    the tie order, only the reported chain does. The sort runs on base
+    positions by the profile's exact integer keys (:func:`_sort_keys`),
+    stable in ``tie_break`` order. The record is positional: each chain
+    vertex is the running OR of the sorted positions' bits, and the sorted
+    values stand for the weights, the gaps between consecutive values of 1,
+    the sorted values and 0, which a capacity's chain sum takes as
+    integers. The values are the profile's (numerator, denominator) pairs,
+    never a ``Fraction``; the labels, frozensets and ``Fraction`` weights
+    are made only when read.
     """
     base = profile.base
     if tie_break is None:
-        # the cached linear extension refines the order by construction
-        tie_break = linear_extension(base)
+        # the positions follow the cached linear extension, which refines the order
+        positions = range(len(base._topo))
     else:
         ranks = {label: i for i, label in enumerate(tie_break)}
-        if set(ranks) != set(base.elements) or len(tie_break) != len(base.elements):
+        if ranks.keys() != base._bit.keys() or len(tie_break) != len(base.elements):
             raise BaseMismatch("tie_break must enumerate the base poset exactly")
-        for lower, upper in base.covers:
-            if ranks[lower] > ranks[upper]:
-                raise NotNonincreasing(
-                    f"tie_break does not refine the base order at {lower!r} < {upper!r}"
-                )
-    values = profile._pairs
-    # a stable sort keeps tied labels in tie_break order, reverse=True included
-    order = sorted(tie_break, key=_sort_keys(values).__getitem__, reverse=True)
-    masks = list(accumulate(map(base._bit.__getitem__, order), operator.or_, initial=0))
-    levels = list(map(values.__getitem__, order))
-    return ChainDecomposition._made(base=base, order=tuple(order), _masks=masks, _levels=levels)
+        if rise := _rising_cover(base, [-ranks[label] for label in base._topo]):
+            raise NotNonincreasing(
+                f"tie_break does not refine the base order at {rise[0]!r} < {rise[1]!r}"
+            )
+        positions = [base._bit[label].bit_length() - 1 for label in tie_break]
+    # a stable sort keeps tied positions in tie_break order, reverse=True included
+    ranked = sorted(positions, key=profile._keys.__getitem__, reverse=True)
+    masks = list(accumulate(map((1).__lshift__, ranked), operator.or_, initial=0))
+    levels = list(map(profile._pairs.__getitem__, ranked))
+    return ChainDecomposition._made(base=base, _ranked=ranked, _masks=masks, _levels=levels)
 
 
 @frozen_record
@@ -279,7 +305,10 @@ class Evaluation(_BuiltOnRead):
         vertices' bit codes, split along the tile's code."""
         positive = None if tile is None else sum(map(dec.base._bit.__getitem__, tile))
         value = capacity._chain_value(dec._masks, dec._levels, positive)
-        return cls._made(value=value, order=dec.order, tile=tile, _dec=dec)
+        return cls._made(value=value, tile=tile, _dec=dec)
+
+    def _build_order(self) -> tuple[str, ...]:
+        return self._dec.order
 
     def _build_weights(self) -> tuple[Fraction, ...]:
         return self._dec.weights
@@ -390,7 +419,7 @@ def _rank_form(
     (:func:`~choqlat.rationals._common_denominator`).
     """
     n = len(values)
-    ranked = sorted(range(n), key=_sort_keys(dict(enumerate(values))).__getitem__)
+    ranked = sorted(range(n), key=_sort_keys(values).__getitem__)
     # bin(code | sentinel) is "0b", the sentinel at index 2, then bit i at index 2 + n - i
     digits, sentinel = operator.itemgetter(*[2 + n - i for i in ranked], 2), 1 << n
     buckets = [0] * (n + 1)
@@ -420,5 +449,5 @@ def moebius_form_eval(coefficients: GeneralizedCapacity, profile: Profile) -> Fr
     if coefficients._family.signed:
         raise BaseMismatch("coefficients are on signed pairs, not lattice elements")
     numerators, denominator = coefficients.values._integers
-    values = list(map(profile._pairs.__getitem__, coefficients.lattice.base._topo))
-    return _rank_form(values, numerators, coefficients._family.order, denominator)
+    # equal bases hold their elements at equal bit positions
+    return _rank_form(profile._pairs, numerators, coefficients._family.order, denominator)

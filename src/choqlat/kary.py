@@ -20,13 +20,17 @@ The same table is the one rule from a grid node to its vertex: a grid
 file's node is read as the sum of its criteria's prefix codes
 (:mod:`~choqlat.fileio`), after the one range check, :func:`_levels`, that
 :func:`node_to_downset` shares.
-The staircase is built by one function for both signs, :func:`_staircase`.
+A scale keeps its levels' (numerator, denominator) pairs, and a located
+point its residues as pairs, turned into ``Fraction``s only when read. The
+staircase is built by one function for both signs, :func:`_staircase`,
+which hands its pairs, by bit position, to the profile as they are.
 :func:`grid_steps` reads an :class:`~choqlat.interpolation.Evaluation` on
 a grid base as levels, criteria and grid points.
 :class:`ReferenceScale` and :class:`LevelIndexing` are frozen records
 (:func:`~choqlat._record.frozen_record`) with constructors of their own: the
-scale checks its levels, and a point's indexing, built once per scored
-point, stores its three fields directly.
+scale checks its levels, and an indexing stores its three fields; a located
+point's indexing, made once per scored point, holds its indices, residue
+pairs and sorted criteria, and builds ``residues`` on read.
 """
 
 from __future__ import annotations
@@ -39,13 +43,10 @@ from typing import NamedTuple, Sequence
 from ._record import frozen_record
 from .bipolar import BipolarCapacity, BipolarProfile
 from .errors import InvalidDimensions, OutOfScale
-from .interpolation import Evaluation, Profile, _sort_keys
+from .interpolation import Evaluation, Profile, _BuiltOnRead, _sort_keys
 from .moebius import GeneralizedCapacity
 from .poset import Poset
 from .rationals import _ratio, _shown, as_fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def level_label(criterion: int, level: int) -> str:
@@ -138,7 +139,8 @@ class ReferenceScale:
 
     Symmetric scales must contain 0 with equally many levels on each side;
     signed level indices then count away from the neutral entry. The levels
-    are kept as ``Fraction``s.
+    are kept as ``Fraction``s, and as their (numerator, denominator) pairs
+    (``_anchors``), which every located point reads.
     """
 
     levels: tuple[Fraction, ...]
@@ -146,7 +148,8 @@ class ReferenceScale:
 
     def __init__(self, levels, symmetric: bool = False):
         levels = tuple(map(as_fraction, levels))
-        self.__dict__.update(levels=levels, symmetric=symmetric)
+        anchors = [level.as_integer_ratio() for level in levels]
+        self.__dict__.update(levels=levels, symmetric=symmetric, _anchors=anchors)
         if len(levels) < 2:
             raise InvalidDimensions("a scale needs at least two levels")
         if any(a >= b for a, b in zip(levels, levels[1:])):
@@ -172,19 +175,25 @@ class ReferenceScale:
 
 
 @frozen_record
-class LevelIndexing:
+class LevelIndexing(_BuiltOnRead):
     """Mesh-cell location of a score point: per-criterion level index in
-    1..k-1 and residue in [0, 1], plus the criteria sorted by residue."""
+    1..k-1 and residue in [0, 1], plus the criteria sorted by residue.
+
+    A located point's record is made with its residues as (numerator,
+    denominator) pairs (``_residues``), which the corner sweep and the
+    staircase read; its ``Fraction`` residues are built on first read.
+    """
 
     indices: tuple[int, ...]
     residues: tuple[Fraction, ...]
     order: tuple[int, ...]
 
     def __init__(self, indices, residues, order):
-        # built once per scored point: three stores take under half the
-        # time of the generic record constructor, or of a dataclass's
         fields = self.__dict__
         fields["indices"], fields["residues"], fields["order"] = indices, residues, order
+
+    def _build_residues(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, d) for n, d in self._residues)
 
     @property
     def prefix_size(self) -> int:
@@ -224,18 +233,18 @@ def _locate_coordinates(
     sign (zero counts as nonnegative); on a one-sided scale every
     coordinate is on the nonnegative side. The coordinates are read
     straight to (numerator, denominator) pairs, the range and sign tests run
-    on those integers and the scale levels' pairs, read once per point, and
-    the residues are ordered by exact integer keys
-    (:func:`~choqlat.interpolation._sort_keys`), ties by criterion.
+    on those integers and the scale's level pairs, read when the scale was
+    made, and the residue pairs are ordered by exact integer keys
+    (:func:`~choqlat.interpolation._sort_keys`), ties by criterion. No
+    ``Fraction`` is made.
     """
-    values = [_ratio(v) for v in point]
+    values = list(map(_ratio, point))
     if not values:
         raise InvalidDimensions("a point needs at least one coordinate")
-    levels = scale.levels
-    anchors = [level.as_integer_ratio() for level in levels]
+    levels, anchors = scale.levels, scale._anchors
     (ln, ld), (hn, hd) = anchors[0], anchors[-1]
     middle = len(levels) // 2 if scale.symmetric else 0
-    indices, residues, positive = [], {}, set()
+    indices, residues, positive = [], [], set()
     for i, value in enumerate(values, start=1):
         n, d = value
         if not (ln * d <= n * ld and n * hd <= hn * d):
@@ -247,12 +256,13 @@ def _locate_coordinates(
         sign = -1 if scale.symmetric and n < 0 else 1
         if sign > 0:
             positive.add(i)
-        index, residues[i] = _locate(value, anchors, middle, sign)
+        index, residue = _locate(value, anchors, middle, sign)
         indices.append(index)
+        residues.append(residue)
     # a stable sort keeps tied criteria in increasing order, reverse=True included
-    order = sorted(residues, key=_sort_keys(residues).__getitem__, reverse=True)
-    exact = tuple(Fraction(n, d) for n, d in residues.values())
-    indexing = LevelIndexing(tuple(indices), exact, tuple(order))
+    ranked = sorted(range(len(residues)), key=_sort_keys(residues).__getitem__, reverse=True)
+    order = tuple(map((1).__add__, ranked))
+    indexing = LevelIndexing._made(indices=tuple(indices), order=order, _residues=residues)
     return frozenset(positive), indexing
 
 
@@ -275,16 +285,21 @@ def locate_signed_point(
 
 def _staircase(
     k: int, indexing: LevelIndexing, positive: frozenset | None = None
-) -> tuple[Poset, dict[str, Fraction]]:
-    """The grid base of a located point and its staircase: on each criterion
+) -> Profile | BipolarProfile:
+    """The staircase of a located point on its grid base: on each criterion
     1 below the level index, the residue at it and 0 above, negated on the
-    criteria outside ``positive`` when given."""
+    criteria outside ``positive`` when given (a signed profile). The values
+    pass every profile check by construction, so their pairs, the residues
+    as the corner sweep reads them, go to the profile by bit position."""
     values = {}
-    for i, (index, residue) in enumerate(zip(indexing.indices, indexing.residues), start=1):
-        top, mid = (ONE, residue) if positive is None or i in positive else (-ONE, -residue)
+    for i, (index, (n, d)) in enumerate(zip(indexing.indices, indexing._residues), start=1):
+        top, mid = ((1, 1), (n, d)) if positive is None or i in positive else ((-1, 1), (-n, d))
         for l in range(1, k):
-            values[level_label(i, l)] = top if l < index else mid if l == index else ZERO
-    return build_kary_base(k, len(indexing.indices)), values
+            values[level_label(i, l)] = top if l < index else mid if l == index else (0, 1)
+    base = build_kary_base(k, len(indexing.indices))
+    pairs = list(map(values.__getitem__, base._topo))
+    kind = Profile if positive is None else BipolarProfile
+    return kind._from_checked(base, pairs, _sort_keys([(abs(n), d) for n, d in pairs]))
 
 
 def level_profile(point: Sequence, scale: ReferenceScale) -> tuple[LevelIndexing, Profile]:
@@ -295,7 +310,7 @@ def level_profile(point: Sequence, scale: ReferenceScale) -> tuple[LevelIndexing
     closed interpolation formulas.
     """
     indexing = locate_point(point, scale)
-    return indexing, Profile(*_staircase(scale.k, indexing))
+    return indexing, _staircase(scale.k, indexing)
 
 
 def _corner_sweep(
@@ -317,11 +332,11 @@ def _corner_sweep(
     sum (:meth:`~choqlat.moebius._CapacityBody._chain_value`) adds the
     corners' values at the sorted residues.
     """
-    indices, residues, order = indexing.indices, indexing.residues, indexing.order
+    indices, residues, order = indexing.indices, indexing._residues, indexing.order
     start = sum(prefix[index - 1] for prefix, index in zip(prefixes, indices))
     raised = (prefixes[c - 1][indices[c - 1]] for c in order)
     corners = accumulate(raised, operator.or_, initial=start)
-    levels = [residues[c - 1].as_integer_ratio() for c in order]
+    levels = [residues[c - 1] for c in order]
     return capacity._chain_value(corners, levels, positive)
 
 
@@ -388,7 +403,7 @@ def bipolar_level_profile(
     """Locate a signed score point: the set of nonnegative criteria, the
     per-side mesh indices and residues, and the signed staircase profile."""
     positive, indexing = locate_signed_point(point, scale)
-    return positive, indexing, BipolarProfile(*_staircase(scale.k, indexing, positive))
+    return positive, indexing, _staircase(scale.k, indexing, positive)
 
 
 def interpolate_signed_point(

@@ -43,6 +43,7 @@ import operator
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import compress
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .birkhoff import (
@@ -214,19 +215,21 @@ class _CapacityBody:
         positive denominator) pairs, in lowest terms or not. The weights are
         the gaps between consecutive terms of 1, the levels and 0, and the
         sum is written in its step form v0 + sum of l_j (v_{j+1} - v_j),
-        with v_j the value numerators along the chain: level l_j enters only
-        where the value steps, so the common denominator is taken over those
-        levels alone, bounded before it is computed
+        with v_j the value numerators along the chain: the steps are one
+        ``map``, and level l_j enters only where the value steps (one
+        ``compress``), so the common denominator is taken over those levels
+        alone, bounded before it is computed
         (:func:`~choqlat.rationals._common_denominator`). The sum runs on
         integers and makes one ``Fraction``, over the product of that and
         the values' denominator.
         """
         numerators, denominator = self.values._integers
         values = list(map(numerators.__getitem__, self._family.chain(masks, positive)))
-        chain = zip(levels, values, values[1:])
-        steps = [(level, high - low) for level, low, high in chain if high != low]
-        scale = _common_denominator({den for (_, den), _ in steps})
-        total = values[0] * scale + sum(num * (scale // den) * step for (num, den), step in steps)
+        steps = list(map(operator.sub, values[1:], values))
+        kept = list(compress(levels, steps))
+        scale = _common_denominator({den for _, den in kept})
+        scaled = [num * (scale // den) for num, den in kept]
+        total = values[0] * scale + sum(map(operator.mul, filter(None, steps), scaled))
         return Fraction(total, denominator * scale)
 
     @cached_property

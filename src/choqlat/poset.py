@@ -8,7 +8,11 @@ transitive reduction: a cover implied by other covers is rejected instead of
 silently dropped, which keeps file round trips byte-stable.
 
 A poset owns the one bit encoding of its order: element x is bit (position
-of x in the linear extension), each downset one int of those bits. All
+of x in the linear extension), each downset one int of those bits, and a
+map on the elements (a profile, say) one list by those positions. The
+covers are held once more as two lists of positions, in the order of their
+labels, so a check along the covers reads them in one fixed order and names
+the smallest failing cover whatever the hash seed (:func:`_rising_cover`). All
 downsets are enumerated once, as codes with their maximal elements, in
 canonical order (:func:`_downsets`); label frozensets are a view, made only
 where a public function returns them.
@@ -18,8 +22,8 @@ from __future__ import annotations
 
 import heapq
 from functools import reduce
-from itertools import compress
-from operator import or_
+from itertools import compress, count
+from operator import lt, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -45,7 +49,9 @@ class Component(NamedTuple):
 class Poset:
     """Immutable finite poset described by elements and covering pairs."""
 
-    __slots__ = ("elements", "covers", "_uppers", "_lowers", "_topo", "_bit", "_down", "_components")
+    __slots__ = (
+        "elements", "covers", "_uppers", "_lowers", "_topo", "_bit", "_down", "_ends", "_components"
+    )
 
     def __init__(self, elements: Iterable[str], covers: Iterable[Sequence[str]] = ()):
         labels: list[str] = []
@@ -82,7 +88,7 @@ class Poset:
         self._lowers = {x: tuple(sorted(lows)) for x, lows in lowers.items()}
 
         self._topo = self._toposort()
-        self._components: tuple[Component, ...] | None = None  # on first request
+        self._components: tuple | None = None  # on first request
 
         # one OR per cover; a cover is implied when its lower end lies
         # strictly below another lower cover of its upper end
@@ -103,6 +109,9 @@ class Poset:
                 lower=lower,
                 upper=upper,
             )
+        # the covers in label order, as the positions of their lower and upper ends
+        ends = zip(*sorted(pairs)) if pairs else ((), ())
+        self._ends = tuple([bit[x].bit_length() - 1 for x in side] for side in ends)
 
     def _toposort(self) -> tuple[str, ...]:
         indegree = {x: len(self._lowers[x]) for x in self.elements}
@@ -178,6 +187,16 @@ class Poset:
         return f"Poset({len(self.elements)} elements, {len(self.covers)} covers)"
 
 
+def _rising_cover(p: Poset, keys: list) -> tuple[str, str] | None:
+    """The smallest cover (lower, upper), in label order, whose lower end's
+    key is below its upper end's, ``keys`` given by position; ``None`` when
+    the keys are nonincreasing along every cover."""
+    lows, ups = p._ends
+    rises = map(lt, map(keys.__getitem__, lows), map(keys.__getitem__, ups))
+    at = next(compress(count(), rises), None)
+    return None if at is None else (p._topo[lows[at]], p._topo[ups[at]])
+
+
 def linear_extension(p: Poset) -> tuple[str, ...]:
     """Deterministic total order refining the poset order.
 
@@ -248,10 +267,19 @@ def connected_components(p: Poset) -> tuple[Component, ...]:
     """Components of the comparability graph, each with its minimal elements.
 
     Ordered by smallest member label, so output is deterministic. Found
-    once per poset and kept with it.
+    once per poset and kept with it (:func:`_component_masks`).
     """
+    return _component_masks(p)[0]
+
+
+def _component_masks(p: Poset) -> tuple[tuple[Component, ...], tuple[int, ...], bool]:
+    """The connected components of ``p``, each one's bit code, and whether
+    every component has one minimal element (``p`` is a regular mosaic):
+    found once per poset and kept with it."""
     if p._components is None:
-        p._components = _components(p)
+        parts = _components(p)
+        masks = tuple(sum(map(p._bit.get, c.members)) for c in parts)
+        p._components = parts, masks, all(len(c.minimals) == 1 for c in parts)
     return p._components
 
 

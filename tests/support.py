@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import io
 import itertools
+import operator
 from array import array
 from contextlib import contextmanager, redirect_stdout
 from decimal import Decimal, InvalidOperation
@@ -23,7 +24,7 @@ from choqlat.birkhoff import _Family, _lattice_family
 from choqlat.kary import LevelIndexing, _grid
 from choqlat.moebius import ValueTable, check_bipolar_pair
 from choqlat.poset import DOWNSET_CAP, _downsets
-from choqlat.rationals import MAX_DIGITS, MAX_EXPONENT
+from choqlat.rationals import MAX_DIGITS, MAX_EXPONENT, _ratio
 
 
 class Unscannable(dict):
@@ -739,8 +740,11 @@ def _bad_key(draw, row: dict, field: str, k: int | None) -> dict:
     """``row`` with its ``field`` broken: for a grid node a coordinate of
     the wrong type or out of range (or an ``int`` subclass, in range or
     not), a wrong length or no list; for label sets an unknown label, a
-    non-string or no list."""
+    non-string or no list. A key that is no list of ints or strings is
+    broken already, and is left as it is."""
     key = row[field]
+    if not (isinstance(key, list) and all(type(x) in (int, str) for x in key)):
+        return row
     if k is None:
         broken = draw(st.sampled_from((["zz"], [1], "p0", key[:-1] if key else ["p0"])))
     elif draw(st.integers(0, 3)):
@@ -850,6 +854,124 @@ def slow_locate_coordinates(point, scale: cq.ReferenceScale) -> tuple[frozenset,
         residues.append(residue)
     order = sorted(range(1, len(residues) + 1), key=lambda i: (-residues[i - 1], i))
     return frozenset(positive), LevelIndexing(tuple(indices), tuple(residues), tuple(order))
+
+
+# the label-keyed profile path that positional profiles replaced, kept as
+# their oracle: checked pairs held in a label dict, sorted and tiled by
+# label, and a point's residues made into Fractions. It reads the covers in
+# label order, so a rise names the smallest failing cover, as the
+# positional checks do whatever the hash seed.
+
+
+def _slow_sort_keys(values: dict) -> dict:
+    shift = 2 * max([d.bit_length() for _, d in values.values()], default=0)
+    return {key: (n << shift) // d for key, (n, d) in values.items()}
+
+
+def slow_profile_values(base: cq.Poset, values, signed: bool = False) -> dict:
+    """A profile's checked pairs by label, in base order."""
+    parsed = {label: _ratio(raw) for label, raw in values.items()}
+    if parsed.keys() != base._bit.keys():
+        raise cq.BaseMismatch(
+            "profile labels must cover the base poset exactly",
+            missing=sorted(set(base.elements) - set(parsed)),
+            extra=sorted(set(parsed) - set(base.elements)),
+        )
+    if signed:
+        low, kind, rising = -1, "signed value", "|values| increase"
+    else:
+        low, kind, rising = 0, "profile value", "profile increases"
+    for label, (n, d) in parsed.items():
+        if not low * d <= n <= d:
+            raise cq.ValueOutOfRange(
+                f"{kind} {_slow_quoted(str(Fraction(n, d)))} at {label!r} is outside [{low}, 1]",
+                label=label,
+            )
+    sizes = {label: (abs(n), d) for label, (n, d) in parsed.items()}
+    for lower, upper in sorted(base.covers):
+        (an, ad), (bn, bd) = sizes[lower], sizes[upper]
+        if an * bd < bn * ad:
+            raise cq.NotNonincreasing(
+                f"{rising} along {lower!r} < {upper!r}", lower=lower, upper=upper
+            )
+    return {label: parsed[label] for label in base.elements}
+
+
+def slow_keyed_triangulate(base: cq.Poset, values: dict, tie_break=None) -> tuple:
+    """(order, masks, levels) of the pairs ``values`` by label: the labels
+    sorted on exact integer keys, stable in ``tie_break`` order, the running
+    OR of their bits and their pairs in that order."""
+    if tie_break is None:
+        tie_break = cq.linear_extension(base)
+    else:
+        ranks = {label: i for i, label in enumerate(tie_break)}
+        if set(ranks) != set(base.elements) or len(tie_break) != len(base.elements):
+            raise cq.BaseMismatch("tie_break must enumerate the base poset exactly")
+        for lower, upper in sorted(base.covers):
+            if ranks[lower] > ranks[upper]:
+                raise cq.NotNonincreasing(
+                    f"tie_break does not refine the base order at {lower!r} < {upper!r}"
+                )
+    order = sorted(tie_break, key=_slow_sort_keys(values).__getitem__, reverse=True)
+    masks = list(itertools.accumulate(map(base._bit.__getitem__, order), operator.or_, initial=0))
+    return tuple(order), masks, [values[label] for label in order]
+
+
+def slow_select_tile(base: cq.Poset, values: dict) -> frozenset:
+    """Positive side of the tile of the signed pairs ``values`` by label."""
+    if not all(len(c.minimals) == 1 for c in cq.connected_components(base)):
+        raise cq.NotRegularMosaic("signed evaluation needs a regular mosaic base")
+    positive: set = set()
+    for comp in cq.connected_components(base):
+        has_pos = any(values[label][0] > 0 for label in comp.members)
+        has_neg = any(values[label][0] < 0 for label in comp.members)
+        if has_pos and has_neg:
+            raise cq.ProfileNotInAnyTile(
+                f"component {sorted(comp.members)!r} carries both signs",
+                component=sorted(comp.members),
+            )
+        if not has_neg:
+            positive |= comp.members
+    return frozenset(positive)
+
+
+def _slow_pair_locate(value, anchors, middle: int, sign: int) -> tuple:
+    n, d = value
+    pn, pd = anchors[middle]
+    for j in range(1, len(anchors) - middle):
+        an, ad = anchors[middle + sign * j]
+        if (n * ad <= an * d) if sign > 0 else (n * ad >= an * d):
+            return j, (sign * (n * pd - pn * d) * ad, sign * (an * pd - pn * ad) * d)
+        pn, pd = an, ad
+    raise cq.OutOfScale(f"{_slow_quoted(str(Fraction(n, d)))} is outside the scale range")
+
+
+def slow_pair_locate_coordinates(point, scale: cq.ReferenceScale) -> tuple:
+    """Point location on integer pairs with the residues keyed by criterion
+    and made into Fractions."""
+    values = [_ratio(v) for v in point]
+    if not values:
+        raise cq.InvalidDimensions("a point needs at least one coordinate")
+    levels = scale.levels
+    anchors = [level.as_integer_ratio() for level in levels]
+    (ln, ld), (hn, hd) = anchors[0], anchors[-1]
+    middle = len(levels) // 2 if scale.symmetric else 0
+    indices, residues, positive = [], {}, set()
+    for i, (n, d) in enumerate(values, start=1):
+        if not (ln * d <= n * ld and n * hd <= hn * d):
+            raise cq.OutOfScale(
+                f"coordinate {_slow_quoted(str(Fraction(n, d)))} of criterion {i} outside"
+                f" [{_slow_quoted(str(levels[0]))}, {_slow_quoted(str(levels[-1]))}]",
+                criterion=i,
+            )
+        sign = -1 if scale.symmetric and n < 0 else 1
+        if sign > 0:
+            positive.add(i)
+        index, residues[i] = _slow_pair_locate((n, d), anchors, middle, sign)
+        indices.append(index)
+    order = sorted(residues, key=_slow_sort_keys(residues).__getitem__, reverse=True)
+    exact = tuple(Fraction(n, d) for n, d in residues.values())
+    return frozenset(positive), LevelIndexing(tuple(indices), exact, tuple(order))
 
 
 # slow reference chain path: sort on (-value, tie-break rank) and subtract

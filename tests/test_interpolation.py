@@ -221,7 +221,8 @@ class TestSortKeys:
         # the same values with their integers scaled up, by a different factor for "c"
         scaled = {label: (n * 7, d * 7) for label, (n, d) in pairs.items()}
         scaled["c"] = (above.numerator * 3, above.denominator * 3)
-        for keys in map(_sort_keys, (pairs, scaled)):
+        for keys in map(_sort_keys, (list(pairs.values()), list(scaled.values()))):
+            keys = dict(zip(values, keys))  # the keys come by position
             assert keys["o"] > keys["a"] == keys["c"] > keys["b"] == keys["d"] > keys["z"]
         profile = cq.Profile(antichain(2), {"1": below, "2": above})
         assert cq.triangulate(profile).order == ("2", "1")
