@@ -32,7 +32,7 @@ from itertools import compress
 from typing import Mapping
 
 from ._record import frozen_record
-from .birkhoff import BipolarElement, DownsetLattice, _admissible_family
+from .birkhoff import BipolarElement, DownsetLattice, _admissible_family, _vertex_code
 from .errors import (
     BaseMismatch,
     NotAnElement,
@@ -52,7 +52,7 @@ from .interpolation import (
     choquet_classical,
     triangulate,
 )
-from .moebius import ValueTable, _CapacityBody, _numerators, check_bipolar_pair
+from .moebius import ValueTable, _CapacityBody, _numerators
 from .poset import Poset, _component_masks, _rising_cover, is_downset
 from .rationals import as_fraction
 
@@ -215,20 +215,7 @@ class BipolarCapacity(_CapacityBody):
     """
 
     def __init__(self, lattice: DownsetLattice, values: Mapping):
-        family = lattice.derived(_admissible_family)
-
-        def vertex(key) -> tuple[frozenset, frozenset]:
-            # a key the position table does not hold: report it as the full check does
-            pos, neg = pair = check_bipolar_pair(lattice, key)
-            if pair not in family.positions:
-                raise NotInTile(
-                    f"({sorted(pos)!r}, {sorted(neg)!r}) lies in no tile",
-                    pos=sorted(pos),
-                    neg=sorted(neg),
-                )
-            return pair
-
-        self._hold(family, values, vertex, "signed vertices in a tile")
+        self._hold(lattice.derived(_admissible_family), values, "signed vertices in a tile")
         self.base = lattice.base
 
     def __call__(self, pair) -> Fraction:
@@ -388,8 +375,8 @@ def bipolar_moebius_form_eval(
             base, codes = family.lattice.base, family.order
         else:
             numerators, denominator = _numerators(coefficients.values())
-            base, bit = profile.base, profile.base._bit.__getitem__
-            codes = [sum(map(bit, n)) << len(base) | sum(map(bit, p)) for p, n in coefficients]
+            base = profile.base
+            codes = [_vertex_code(base, (pos, neg)) for pos, neg in coefficients]
         parts = profile._pairs
         if base._topo != profile.base._topo:  # the profile read in the key base's bit order
             parts = list(map(dict(zip(profile.base._topo, parts)).__getitem__, base._topo))

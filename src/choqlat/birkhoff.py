@@ -16,8 +16,14 @@ positive part low (counted per downset before it is built); the admissible
 pairs, filtered from it. Label sets and signed pairs are a view, built on
 first read. One walk over each code's maximal elements lists the covers:
 the step plan of the zeta/Moebius transforms, also the Hasse diagram. The
-pair-code layout is written only here. Membership and tile questions read
-the base's masks (:func:`~choqlat.poset.is_downset`), never the lattice.
+pair-code layout is written only here: by the families, by
+:func:`_pair_code` for a grid file's pairs and by :func:`_vertex_code` for
+label sets and pairs of them, a label-format file's keys among them. Each
+family checks the keys it does not hold (:meth:`_Family.check`): a lattice
+element, a pair of disjoint ones (:func:`check_bipolar_pair`), or a pair in
+some tile; a file's code is read back as its labels first
+(:meth:`_Family.label`). Membership and tile questions read the base's
+masks (:func:`~choqlat.poset.is_downset`), never the lattice.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from itertools import compress
 from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 from ._record import frozen_record
-from .errors import NotALattice, NotAnElement, NotDistributive, SizeLimitExceeded, UnknownLabel
+from .errors import NotALattice, NotAnElement, NotDistributive, NotInBipolarExtension, NotInTile
+from .errors import SizeLimitExceeded, UnknownLabel
 from .poset import DOWNSET_CAP, Poset, _component_masks, _downsets, _label_sets
 from .poset import downset_key, is_downset
 
@@ -195,6 +202,27 @@ class _Family:
         """Each vertex mapped to its position."""
         return {v: k for k, v in enumerate(self.vertices)}
 
+    def label(self, key):
+        """The labels of ``key`` when it is a vertex code: its label set, or
+        its pair of them; any other key as it is."""
+        if type(key) is not int:
+            return key
+        base, width = self.lattice.base, len(self.lattice.base)
+        labels = base._labels(key & (1 << width) - 1), base._labels(key >> width)
+        return BipolarElement(*labels) if self.signed else labels[0]
+
+    def check(self, key):
+        """``key``, a label set or a pair of them, as one of this family's
+        vertices, else the error that says why it is none: no lattice
+        element, no pair of disjoint ones, or a pair in no tile."""
+        if not self.signed:
+            return self.lattice.check_element(key)
+        pos, neg = pair = check_bipolar_pair(self.lattice, key)
+        if _vertex_code(self.lattice.base, pair) not in self.codes:
+            shown = {"pos": sorted(pos), "neg": sorted(neg)}
+            raise NotInTile(f"({shown['pos']!r}, {shown['neg']!r}) lies in no tile", **shown)
+        return pair
+
     def chain(self, masks: Iterable[int], positive: int | None = None) -> list[int]:
         """Positions of the chain vertices ``masks``, bit codes of downsets.
         With ``positive``, the bit code of a tile's positive side, each
@@ -219,6 +247,50 @@ class _Family:
 
 def _lattice_family(lattice: DownsetLattice) -> _Family:
     return _Family(lattice, *_downsets(lattice.base), signed=False)
+
+
+def _count_elements(lattice: DownsetLattice, bound: int) -> None:
+    """Enumerate the lattice's elements, unless it holds them already, and
+    keep their family with it; past ``bound`` elements the count is refused
+    at once with :class:`SizeLimitExceeded`."""
+    if _lattice_family not in lattice._derived:
+        family = _Family(lattice, *_downsets(lattice.base, bound), signed=False)
+        lattice._derived[_lattice_family] = family
+
+
+def _pair_code(pos: int, neg: int, width: int) -> int:
+    """The code of the pair of downset codes (pos, neg) on a base of
+    ``width`` elements: the positive part in the low bits."""
+    return neg << width | pos
+
+
+def _vertex_code(base: Poset, parts) -> int:
+    """The code of the vertex whose parts are the label sets ``parts``, one
+    for a lattice element and (pos, neg) for a pair: each part's code is the
+    OR of its labels' bits, and a pair's the :func:`_pair_code` of its two.
+    A label outside the base raises ``KeyError``."""
+    codes = [sum(map(base._bit.__getitem__, part)) for part in parts]
+    return _pair_code(*codes, len(base)) if len(codes) == 2 else codes[0]
+
+
+def check_bipolar_pair(lattice: DownsetLattice, pair) -> tuple[frozenset, frozenset]:
+    """``pair`` as two disjoint lattice elements (pos, neg), else the error
+    naming the part that is none or the labels they share."""
+    pos, neg = pair
+    pos, neg = lattice.check_element(pos), lattice.check_element(neg)
+    if overlap := sorted(pos & neg):
+        raise NotInBipolarExtension(f"parts are not disjoint: {overlap!r}", overlap=overlap)
+    return pos, neg
+
+
+def _refuse_overlaps(lattice: DownsetLattice, codes: Iterable[int]) -> None:
+    """Refuse the first pair code of ``codes`` whose parts overlap, read as
+    its labels, as :func:`check_bipolar_pair` refuses them; no vertex family
+    is built."""
+    base, width = lattice.base, len(lattice.base)
+    for code in codes:
+        if code & code >> width:
+            check_bipolar_pair(lattice, map(base._labels, (code & (1 << width) - 1, code >> width)))
 
 
 def _extension_family(lattice: DownsetLattice) -> _Family:
@@ -333,23 +405,17 @@ def verify_distributive(explicit: Poset) -> BirkhoffForm:
             if down[x] & down[y] not in downs:
                 raise NotALattice(f"{x!r} and {y!r} have no meet", x=x, y=y)
     irreducibles = [x for x in elems if len(explicit.lower_covers(x)) == 1]
-    base = explicit.restrict(irreducibles)
+    lattice = DownsetLattice(explicit.restrict(irreducibles))
     try:
-        codes, maxima = _downsets(base, max_count=n)
+        _count_elements(lattice, n)  # kept with the lattice
     except SizeLimitExceeded:
         raise NotDistributive(
             f"the join-irreducible poset has more downsets than the lattice"
             f" has elements ({n})"
         ) from None
-    if len(codes) != n:
-        raise NotDistributive(
-            f"lattice has {n} elements but the join-irreducible poset has"
-            f" {len(codes)} downsets"
-        )
+    # no fewer: x -> {join-irreducibles <= x} is one-to-one, x being their join
     inside = sum(map(explicit._bit.get, irreducibles))
     eta_map = {x: explicit._labels(down[x] & inside) for x in elems}
-    lattice = DownsetLattice(base)  # keeps the family just counted
-    lattice._derived[_lattice_family] = _Family(lattice, codes, maxima, signed=False)
     return BirkhoffForm(lattice, eta_map)
 
 

@@ -3,22 +3,26 @@
 Rationals travel as strings ("3/10" or "0.3"); the CLI hands number
 literals over as exact values read from their text, and a float a caller
 parsed is read through its shortest decimal form, so every value survives
-a parse/serialize round trip exactly. A capacity file's values are read
-once, each to its (numerator, denominator) pair in lowest terms, and
-handed to the capacity as those pairs (:class:`~choqlat.moebius.FileTable`)
-with no ``Fraction`` made. Duplicate value entries are tolerated only when
-they agree.
+a parse/serialize round trip exactly. Every file value, a point's
+coordinates and a scale's levels included, is read once by one reader
+(:func:`_parse_value`) to its (numerator, denominator) pair in lowest
+terms. A capacity file's values are handed to the capacity as those pairs
+(:class:`~choqlat.moebius.FileTable`) with no ``Fraction`` made. Duplicate
+value entries are tolerated only when they agree.
 
-A grid file's node becomes its vertex's bit code through the grid's prefix
-codes (:func:`~choqlat.kary._grid`), the package's one rule from a node to
-its vertex, and its entries stay keyed by those codes. A short file is
-refused before any vertex is enumerated; only then are the codes found
-among the vertex family's own (:func:`~choqlat.moebius.vertex_table`), and
-the capacity's table sits on that family: from file to score no label set
-is made, the Moebius forms of ``--cross-check`` included, since they read
-the family's codes. The label view is built only by what reads labels: the
-payload writers here, a read by label or iteration of ``values``, and
-``mobius`` output.
+Every capacity file keys its entries by vertex code. A label-format entry
+is coded by :func:`~choqlat.birkhoff._vertex_code`, the OR of its labels'
+bits (a pair: the pair code of its parts), and keeps its labels only where
+it names one outside the base. A grid file's node becomes its vertex's code
+through the grid's prefix codes (:func:`~choqlat.kary._grid`), the
+package's one rule from a node to its vertex. A short file is refused
+before any vertex is enumerated; only then are the codes found among the
+vertex family's own (:func:`~choqlat.moebius.vertex_table`), which checks
+every other key in file order, and the capacity's table sits on that
+family: from file to score no label set is made, the Moebius forms of
+``--cross-check`` included, since they read the family's codes. The label
+view is built only by what reads labels: the payload writers here, a read
+by label or iteration of ``values``, and ``mobius`` output.
 """
 
 from __future__ import annotations
@@ -30,13 +34,14 @@ from math import gcd
 from operator import getitem
 
 from .bipolar import BipolarCapacity, BipolarProfile
-from .birkhoff import DownsetLattice, _Family, _lattice_family, verify_distributive
+from .birkhoff import DownsetLattice, _count_elements, _pair_code, _refuse_overlaps, _vertex_code
+from .birkhoff import verify_distributive
 from .errors import BaseMismatch, ContradictoryValue, FileFormatError, SizeLimitExceeded
 from .interpolation import Profile, _profile_values
 from .kary import ReferenceScale, _grid, _levels, build_kary_base, downset_to_node, grid_shape
-from .moebius import FileTable, GeneralizedCapacity, check_bipolar_pair
-from .poset import DOWNSET_CAP, Poset, _downsets
-from .rationals import _ratio, _shown, as_fraction
+from .moebius import FileTable, GeneralizedCapacity
+from .poset import DOWNSET_CAP, Poset
+from .rationals import _ratio, _shown
 
 # Poset files with more elements, and grid headers whose base (n chains of
 # k-1 elements) would have more, are refused before anything is built. The
@@ -58,41 +63,38 @@ def _label_list(value, where: str) -> list[str]:
     return value
 
 
-def _parse_value(raw, where: str, read=as_fraction) -> Fraction | tuple[int, int]:
+def _parse_value(raw, where: str) -> tuple[int, int]:
+    """A file value read once (:func:`~choqlat.rationals._ratio`) to its
+    (numerator, positive denominator) pair in lowest terms."""
     try:
-        return read(raw)
+        n, d = _ratio(raw)
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"bad value in {where}: {exc}", field=where) from None
+    common = gcd(n, d)
+    return n // common, d // common
 
 
-def _read_entries(obj, what: str, names: tuple[str, ...], part, coded: bool) -> FileTable:
-    """Values of a capacity file's entries, keyed by their ``names`` fields.
+def _read_entries(obj, what: str, names: tuple[str, ...], key) -> FileTable:
+    """Values of a capacity file's entries, each keyed by ``key(entry,
+    where)``, which reads the entry's ``names`` fields to its vertex code.
 
-    ``part(entry, name, where)`` reads one field; an entry with two fields
-    is keyed by the pair, or by the two codes' union when ``coded``. Each
-    value is read once (:func:`~choqlat.rationals._ratio`) to its pair in
-    lowest terms, so two entries for one vertex agree exactly when their
-    pairs are equal: the one duplicate-entry check, and a clash names the
-    entry. No ``Fraction`` is made.
+    Each value is read once to its pair in lowest terms, so two entries for
+    one vertex agree exactly when their pairs are equal: the one
+    duplicate-entry check, and a clash names the entry. No ``Fraction`` is
+    made.
     """
     entries = _require(obj, "values", f"{what} file")
     if not isinstance(entries, list):
         raise FileFormatError("values must be a list", field="values")
     where = f"{what} entry"
-    pair = len(names) == 2
-    table = FileTable(coded)
+    table = FileTable()
     for entry in entries:
-        vertex = part(entry, names[0], where)
-        if pair:
-            other = part(entry, names[1], where)
-            vertex = vertex | other if coded else (vertex, other)
-        n, d = _parse_value(_require(entry, "value", where), "value", _ratio)
-        common = gcd(n, d)
-        value = (n // common, d // common)
+        vertex = key(entry, where)
+        value = _parse_value(_require(entry, "value", where), "value")
         if table.setdefault(vertex, value) != value:
             fields = {name: entry[name] for name in names}
             shown = ", ".join(repr(v) for v in fields.values())
-            label = f"({shown})" if pair else f"{names[0]} {shown}"
+            label = f"({shown})" if len(names) == 2 else f"{names[0]} {shown}"
             raise ContradictoryValue(f"two different values for {label}", **fields)
     return table
 
@@ -168,20 +170,32 @@ def lattice_payload(lattice: DownsetLattice) -> dict:
 def _label_capacity(obj, what: str, names: tuple[str, ...], capacity):
     """A capacity file keyed by label sets, unsigned or signed by its ``names``.
 
-    Every lattice element needs its own entry, and a signed file a pair
-    (A, ∅) for each element A. So once the entries are read, the base's
-    downsets are counted up to their number: one more makes the file short,
-    refused before its lattice is enumerated. Otherwise the counted family is
-    kept with the lattice, which is enumerated once.
+    Each entry is keyed by its vertex's code
+    (:func:`~choqlat.birkhoff._vertex_code`), or by its labels where it
+    names one outside the base. Every lattice element needs its own entry,
+    and a signed file a pair (A, ∅) for each element A. So once the entries
+    are read, the base's downsets are counted up to their number
+    (:func:`~choqlat.birkhoff._count_elements`): one more makes the file
+    short, refused before its lattice is enumerated. Otherwise the counted
+    family is kept with the lattice, which is enumerated once, and the
+    capacity's vertex family checks every key it does not hold, in file
+    order.
     """
     lattice, _ = parse_lattice(_require(obj, "lattice", f"{what} file"))
-    table = _read_entries(obj, what, names, _labels, coded=False)
-    if len(table) < DOWNSET_CAP and _lattice_family not in lattice._derived:
+
+    def key(entry, where: str):
+        parts = tuple(_labels(entry, name, where) for name in names)
         try:
-            family = _Family(lattice, *_downsets(lattice.base, len(table)), signed=False)
+            return _vertex_code(lattice.base, parts)
+        except KeyError:  # a label outside the base: kept as the labels
+            return parts if len(parts) == 2 else parts[0]
+
+    table = _read_entries(obj, what, names, key)
+    if len(table) < DOWNSET_CAP:
+        try:
+            _count_elements(lattice, len(table))
         except SizeLimitExceeded:
             raise BaseMismatch(f"only {len(table)} entries for a larger lattice") from None
-        lattice._derived[_lattice_family] = family
     return capacity(lattice, table)
 
 
@@ -204,8 +218,7 @@ def _profile_entries(obj, base: Poset, signed: bool = False) -> tuple:
     values = _require(obj, "values", "profile file")
     if not isinstance(values, dict):
         raise FileFormatError("values must be a label-to-number object", field="values")
-    pairs = [_parse_value(raw, label, _ratio) for label, raw in values.items()]
-    pairs = [(n // common, d // common) for n, d in pairs for common in [gcd(n, d)]]
+    pairs = [_parse_value(raw, label) for label, raw in values.items()]
     return base, *_profile_values(base, values, signed, pairs)
 
 
@@ -261,12 +274,11 @@ def _grid_header(obj, where: str) -> tuple[int, int]:
     return k, n
 
 
-def _node(prefixes: dict, entry, name: str, where: str) -> int:
-    """A grid point, checked for shape and range, as its downset's bit code:
-    the sum of its criteria's prefix codes (:func:`~choqlat.kary._grid`)
-    for the field ``name``, ``prefixes[name]``."""
+def _node(codes: tuple, name: str, entry, where: str) -> int:
+    """The grid point in the field ``name``, checked for shape and range, as
+    its downset's bit code: the sum of its criteria's prefix ``codes``
+    (:func:`~choqlat.kary._grid`)."""
     node = _require(entry, name, where)
-    codes = prefixes[name]
     if not (
         isinstance(node, list)
         and len(node) == len(codes)
@@ -283,27 +295,26 @@ def _grid_capacity(obj, what: str, names: tuple[str, ...], capacity):
     """(k, n, capacity) of a grid file, unsigned or signed by its ``names``.
 
     Nodes are read as codes and the entries keyed by them, a signed pair
-    by code(neg) << |base| | code(pos) as the vertex families code it: the
-    negative side's prefix codes are shifted past the base's bits. A clash
-    names its entry. No vertex is enumerated until every entry is read and
-    checked: an overlapping pair is refused first, then a file naming fewer
-    distinct nodes than its grid has vertices, k**n nodes or (2k-1)**n
-    disjoint pairs, unless that count is over ``DOWNSET_CAP``, which the
-    vertex family refuses. Only then are the codes found among the
-    family's own (:func:`~choqlat.moebius.vertex_table`).
+    by the pair code of its two (:func:`~choqlat.birkhoff._pair_code`), as
+    the vertex families code it. A clash names its entry. No vertex is
+    enumerated until every entry is read and checked: an overlapping pair
+    (:func:`~choqlat.birkhoff._refuse_overlaps`) is refused first, then a
+    file naming fewer distinct nodes than its grid has vertices, k**n nodes
+    or (2k-1)**n disjoint pairs, unless that count is over ``DOWNSET_CAP``,
+    which the vertex family refuses. Only then are the codes found among
+    the family's own (:func:`~choqlat.moebius.vertex_table`).
     """
     k, n = _grid_header(obj, f"{what} file")
     lattice = DownsetLattice(build_kary_base(k, n))
-    codes, width = lattice.derived(_grid)[2], len(lattice.base)
-    shifted = tuple(tuple(code << width for code in levels) for levels in codes)
-    prefixes = {"node": codes, "pos": codes, "neg": shifted}
-    table = _read_entries(obj, what, names, partial(_node, prefixes), coded=True)
+    node, width = partial(_node, lattice.derived(_grid)[2]), len(lattice.base)
+    key, signed = partial(node, "node"), len(names) == 2
+    if signed:
+        key = lambda e, where: _pair_code(node("pos", e, where), node("neg", e, where), width)
+    table = _read_entries(obj, what, names, key)
+    if signed:
+        _refuse_overlaps(lattice, table)
     # per criterion: level 0, or one of k-1 levels on one of the named sides
-    signed, count = len(names) == 2, (len(names) * (k - 1) + 1) ** n
-    for code in table if signed else ():
-        if code & code >> width:  # refused as the capacity's own check refuses the pair
-            pos, neg = code & ((1 << width) - 1), code >> width
-            check_bipolar_pair(lattice, map(lattice.base._labels, (pos, neg)))
+    count = (len(names) * (k - 1) + 1) ** n
     if len(table) < count <= DOWNSET_CAP:
         raise BaseMismatch(f"missing values for {count - len(table)} of the {count} vertices")
     return k, n, capacity(lattice, table)
@@ -341,7 +352,7 @@ def parse_point(text: str) -> list[Fraction]:
     parts = [part.strip() for part in text.split(",")]
     if not all(parts):
         raise FileFormatError(f"empty coordinate in point {_shown(repr(text))}", field="point")
-    return [_parse_value(part, "point") for part in parts]
+    return [Fraction(*_parse_value(part, "point")) for part in parts]
 
 
 def parse_scale(obj, symmetric: bool = False) -> ReferenceScale:
@@ -349,7 +360,7 @@ def parse_scale(obj, symmetric: bool = False) -> ReferenceScale:
     if not isinstance(levels, list):
         raise FileFormatError("levels must be a list", field="levels")
     return ReferenceScale(
-        tuple(_parse_value(raw, "levels") for raw in levels), symmetric=symmetric
+        tuple(Fraction(*_parse_value(raw, "levels")) for raw in levels), symmetric=symmetric
     )
 
 

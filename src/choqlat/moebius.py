@@ -3,9 +3,10 @@ arithmetic.
 
 A capacity, a game and its Moebius coefficients are one object, a rational
 value on each lattice vertex: :class:`GeneralizedCapacity`, or on the bipolar
-extension a table keyed by disjoint pairs. :func:`vertex_table` reads and
-checks every such table, a file's pairs keyed by vertex code included, and
-is the one place where keys become positions.
+extension a table keyed by disjoint pairs. :func:`vertex_table` reads every
+such table, a file's pairs keyed by vertex code included, and is the one
+place where keys become positions; a key it does not find goes to the
+vertex family's own check (:meth:`~choqlat.birkhoff._Family.check`).
 It returns the functional's one :class:`ValueTable`, which a capacity keeps
 as its ``values``: one list of integer numerators by position over one
 common denominator, making a ``Fraction`` only when a value is read. The
@@ -42,7 +43,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import compress
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -52,14 +53,9 @@ from .birkhoff import (
     _Family,
     _lattice_family,
     bipolar_extension,
+    check_bipolar_pair,
 )
-from .errors import (
-    BaseMismatch,
-    ContradictoryValue,
-    NotAnElement,
-    NotComparable,
-    NotInBipolarExtension,
-)
+from .errors import BaseMismatch, ContradictoryValue, NotAnElement, NotComparable
 from .poset import Poset
 from .rationals import _common_denominator, _ratio
 
@@ -105,42 +101,37 @@ class ValueTable(Mapping):
 
 class FileTable(dict):
     """A capacity file's values as its reader leaves them: each value read
-    once, to a (numerator, positive denominator) pair in lowest terms,
-    keyed by vertex or, when ``coded``, by the vertex's code
-    (:attr:`~choqlat.birkhoff._Family.codes`). :func:`vertex_table` takes
-    the pairs as they are."""
-
-    __slots__ = ("coded",)
-
-    def __init__(self, coded: bool):
-        super().__init__()
-        self.coded = coded
+    once, to a (numerator, positive denominator) pair in lowest terms, keyed
+    by its vertex's code (:attr:`~choqlat.birkhoff._Family.codes`), or by
+    its labels where it names one outside the base. :func:`vertex_table`
+    takes the pairs as they are."""
 
 
-def vertex_table(family: _Family, entries: Mapping, vertex: Callable, what: str) -> ValueTable:
+def vertex_table(family: _Family, entries: Mapping, what: str) -> ValueTable:
     """Exact values of ``entries`` on every vertex of ``family``, as a
     :class:`ValueTable` on it: integer numerators by position over one
     common denominator.
 
     A key found among the family's label view (``positions``, each vertex
-    mapped to its position) needs no other check; any other key goes to
-    ``vertex``, which checks it and returns it as a vertex (or raises). A
-    vertex left without a value is reported with an example, the only read
-    of the family's ``vertices``. A :class:`ValueTable` on ``family``
-    itself (a capacity's values, a transform's output) is handed over as it
-    is, unscanned and its values unread. A :class:`FileTable` holds values
-    a file reader has already read to pairs, taken as they are, and when
-    coded its keys are found among the family's ``codes``, so no label view
-    is built. Any other table's values are read by the package's one
-    number reader (:func:`~choqlat.rationals._ratio`; a ``Fraction`` gives
-    its own pair) and scaled to their least common denominator. Two keys
-    for one vertex must give equal values, else
+    mapped to its position) needs no other check; any other key goes to the
+    family's :meth:`~choqlat.birkhoff._Family.check`, which returns it as a
+    vertex or raises. A vertex left without a value is reported with an
+    example, the only read of the family's ``vertices``. A
+    :class:`ValueTable` on ``family`` itself (a capacity's values, a
+    transform's output) is handed over as it is, unscanned and its values
+    unread. A :class:`FileTable` holds values a file reader has already
+    read to pairs, taken as they are, and its keys are found among the
+    family's ``codes``, so no label view is built; a key it does not find
+    is checked as its labels, and fails. Any other table's values are read
+    by the package's one number reader (:func:`~choqlat.rationals._ratio`;
+    a ``Fraction`` gives its own pair) and scaled to their least common
+    denominator. Two keys for one vertex must give equal values, else
     :class:`~choqlat.errors.ContradictoryValue`, as in a file.
     """
     if isinstance(entries, ValueTable) and entries._family is family:
         return entries
     pairs = type(entries) is FileTable
-    lookup = family.codes if pairs and entries.coded else family.positions
+    lookup = family.codes if pairs else family.positions
     values: list = [None] * len(family.order)
     # only a table with more keys than vertices can give one vertex twice
     # without leaving another one missing
@@ -149,7 +140,7 @@ def vertex_table(family: _Family, entries: Mapping, vertex: Callable, what: str)
         try:
             at = lookup[key]
         except (KeyError, TypeError):
-            key = vertex(key)
+            key = family.check(family.label(key) if pairs else key)
             at = family.positions[key]
         if not pairs:
             raw = raw.as_integer_ratio() if type(raw) is Fraction else _ratio(raw)
@@ -192,8 +183,8 @@ class _CapacityBody:
     table on a vertex family, the one chain sum and the
     checks that read its numerators by position."""
 
-    def _hold(self, family: _Family, values: Mapping, vertex: Callable, what: str):
-        self.values = vertex_table(family, values, vertex, what)
+    def _hold(self, family: _Family, values: Mapping, what: str):
+        self.values = vertex_table(family, values, what)
         self.lattice, self._family = family.lattice, family
 
     @property
@@ -253,8 +244,7 @@ class GeneralizedCapacity(_CapacityBody):
     """
 
     def __init__(self, lattice: DownsetLattice, values: Mapping):
-        family = lattice.derived(_lattice_family)
-        self._hold(family, values, lattice.check_element, "lattice elements")
+        self._hold(lattice.derived(_lattice_family), values, "lattice elements")
 
     def __call__(self, x) -> Fraction:
         try:
@@ -323,14 +313,14 @@ def lattice_moebius(lattice: DownsetLattice, lower, upper) -> int:
     return _interval_moebius(lattice.base, x, y)
 
 
-def _downset_pass(family: _Family, table: ValueTable, inverse: bool) -> ValueTable:
-    """Zeta transform of ``table``, a table on ``family``, or its Moebius
-    transform when ``inverse``, as a new table on the same family over the
-    same denominator. Each step of the family's plan
+def _downset_pass(table: ValueTable, inverse: bool) -> ValueTable:
+    """Zeta transform of ``table``, or its Moebius transform when
+    ``inverse``, as a new table on the same vertex family over the same
+    denominator. Each step of the family's plan
     adds the value at the lower key (subtracts it, with the steps reversed,
     for the inverse).
     """
-    keys, lowers, _ = family.plan
+    keys, lowers, _ = table._family.plan
     numerators, denominator = table._integers
     nums = list(numerators)
     if inverse:
@@ -339,18 +329,18 @@ def _downset_pass(family: _Family, table: ValueTable, inverse: bool) -> ValueTab
     else:
         for key, lower in zip(keys, lowers):
             nums[key] += nums[lower]
-    return ValueTable(family, nums, denominator)
+    return ValueTable(table._family, nums, denominator)
 
 
 def moebius_transform(g: GeneralizedCapacity) -> GeneralizedCapacity:
     """Coefficients of ``g`` in the unanimity basis, as a table on the same
     lattice; inverse of ``zeta_transform``."""
-    return GeneralizedCapacity(g.lattice, _downset_pass(g._family, g.values, inverse=True))
+    return GeneralizedCapacity(g.lattice, _downset_pass(g.values, inverse=True))
 
 
 def zeta_transform(m: GeneralizedCapacity) -> GeneralizedCapacity:
     """Accumulate coefficients upward: value at x sums m over elements below x."""
-    return GeneralizedCapacity(m.lattice, _downset_pass(m._family, m.values, inverse=False))
+    return GeneralizedCapacity(m.lattice, _downset_pass(m.values, inverse=False))
 
 
 def unanimity(lattice: DownsetLattice, x) -> GeneralizedCapacity:
@@ -364,18 +354,6 @@ def unanimity(lattice: DownsetLattice, x) -> GeneralizedCapacity:
 # bipolar side: functionals on pairs of disjoint elements under the product order
 
 
-def check_bipolar_pair(lattice: DownsetLattice, pair) -> tuple[frozenset, frozenset]:
-    pos, neg = pair
-    pos = lattice.check_element(pos)
-    neg = lattice.check_element(neg)
-    if pos & neg:
-        raise NotInBipolarExtension(
-            f"parts are not disjoint: {sorted(pos & neg)!r}",
-            overlap=sorted(pos & neg),
-        )
-    return pos, neg
-
-
 def bipolar_moebius_function(lattice: DownsetLattice, lower, upper) -> int:
     """Moebius function on the bipolar extension: the product of the two
     one-sided lattice values."""
@@ -386,23 +364,22 @@ def bipolar_moebius_function(lattice: DownsetLattice, lower, upper) -> int:
     return _interval_moebius(lattice.base, z, x) * _interval_moebius(lattice.base, t, y)
 
 
-def _extension_table(lattice: DownsetLattice, values: Mapping) -> tuple[_Family, ValueTable]:
-    """The bipolar extension's family and ``values``, a table given on the
-    whole extension, checked by :func:`vertex_table` on its family."""
+def _extension_table(lattice: DownsetLattice, values: Mapping) -> ValueTable:
+    """``values``, a table given on the whole bipolar extension, read by
+    :func:`vertex_table` on the extension's family."""
     family = lattice.derived(_extension_family)
-    check = partial(check_bipolar_pair, lattice)
-    return family, vertex_table(family, values, check, "pairs of the bipolar extension")
+    return vertex_table(family, values, "pairs of the bipolar extension")
 
 
 def bipolar_moebius_transform(lattice: DownsetLattice, values: Mapping) -> ValueTable:
     """Moebius coefficients of a functional given on the whole bipolar
     extension; inverse of :func:`bipolar_zeta_transform`."""
-    return _downset_pass(*_extension_table(lattice, values), inverse=True)
+    return _downset_pass(_extension_table(lattice, values), inverse=True)
 
 
 def bipolar_zeta_transform(lattice: DownsetLattice, coefficients: Mapping) -> ValueTable:
     """Accumulate bipolar coefficients upward under the product order."""
-    return _downset_pass(*_extension_table(lattice, coefficients), inverse=False)
+    return _downset_pass(_extension_table(lattice, coefficients), inverse=False)
 
 
 def bipolar_unanimity(lattice: DownsetLattice, pair) -> dict:

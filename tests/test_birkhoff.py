@@ -53,6 +53,22 @@ class TestAccessors:
         assert wedge_lattice.join({"a"}, {"c"}) == frozenset({"a", "c"})
         assert wedge_lattice.meet({"a"}, {"c"}) == frozenset()
 
+    @given(lattices(), st.data())
+    def test_leq_is_inclusion(self, lattice, data):
+        pick = st.sampled_from(lattice.elements)
+        x, y = data.draw(pick), data.draw(pick)
+        assert lattice.leq(x, y) is (x <= y)
+        assert lattice.leq(sorted(x), list(y)) is (x <= y)  # any label iterables
+        assert lattice.leq(lattice.meet(x, y), x) and lattice.leq(x, lattice.join(x, y))
+
+    def test_equal_on_the_base_and_not_to_other_objects(self, wedge_lattice):
+        base = wedge_lattice.base
+        same = cq.DownsetLattice(cq.Poset(list(reversed(base.elements)), base.covers))
+        assert wedge_lattice == same and hash(wedge_lattice) == hash(same)
+        assert wedge_lattice != cq.DownsetLattice(cq.Poset(["a"]))
+        assert wedge_lattice.__eq__(wedge_lattice.base) is NotImplemented
+        assert wedge_lattice != wedge_lattice.base and wedge_lattice != wedge_lattice.elements
+
     @given(lattices(min_elements=1), st.data())
     def test_lattice_laws(self, lattice, data):
         pick = st.sampled_from(lattice.elements)

@@ -647,10 +647,15 @@ class TestInputBoundary:
         """17 atoms give 2**17 lattice elements; a file with no values is
         refused as short before its lattice is enumerated."""
 
-        def refuse_enumeration(*args, **kwargs):
-            raise AssertionError("the lattice was enumerated")
+        bounds, count = [], birkhoff._downsets
 
-        monkeypatch.setattr(birkhoff, "_downsets", refuse_enumeration)
+        def counted(base, max_count=None):
+            # a count up to the entries, never an enumeration
+            assert max_count is not None, "the lattice was enumerated"
+            bounds.append(max_count)
+            return count(base, max_count)
+
+        monkeypatch.setattr(birkhoff, "_downsets", counted)
         lattice = fileio.lattice_payload(cq.DownsetLattice(antichain(17)))
         cpath = write(tmp_path, "capacity.json", {"lattice": lattice, "values": []})
         ppath = write(tmp_path, "profile.json", {"values": {"1": "0.5"}})
@@ -663,6 +668,7 @@ class TestInputBoundary:
             "message": "only 0 entries for a larger lattice",
             "file": cpath,
         }
+        assert bounds == [0]
 
     def test_thirteen_bottom_wedge_exits_2(self, capsys, tmp_path):
         lattice = fileio.lattice_payload(cq.DownsetLattice(wedge(13)))

@@ -1,14 +1,15 @@
 import itertools
+import json
 import random
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import choqlat as cq
-from choqlat import birkhoff, fileio, kary, moebius, rationals
+from choqlat import birkhoff, cli, fileio, kary, moebius, rationals
 from support import (
     SLOW_CAPACITY_READERS,
     antichain,
@@ -383,7 +384,7 @@ class TestShortLabelFiles:
     )
     def test_short_file_refused_before_its_lattice(self, monkeypatch, signed, entry):
         # 17 atoms: 2**17 elements; a bad key is reported only after the count
-        monkeypatch.setattr(birkhoff, "_downsets", refuse_enumeration)
+        bounds = count_only(monkeypatch)
         payload = {
             "lattice": fileio.poset_payload(antichain(17)),
             "values": [{**entry, "value": "0"}],
@@ -391,6 +392,7 @@ class TestShortLabelFiles:
         parse = fileio.parse_bipolar_capacity if signed else fileio.parse_capacity
         with pytest.raises(cq.BaseMismatch, match="^only 1 entries for a larger lattice$"):
             parse(payload)
+        assert bounds == [1]  # counted up to the one entry, never enumerated
 
     @pytest.mark.parametrize("signed", [False, True])
     @pytest.mark.parametrize("role", ["join_irreducibles", "explicit_lattice"])
@@ -409,15 +411,156 @@ class TestShortLabelFiles:
             capacity = random_capacity(rng, lattice)
             payload = fileio.capacity_payload(capacity)
         calls = []
-        for module in (birkhoff, fileio):
-            count = module._downsets
-            monkeypatch.setattr(
-                module, "_downsets", lambda *a, count=count, **k: calls.append(a) or count(*a, **k)
-            )
+        count = birkhoff._downsets
+        monkeypatch.setattr(
+            birkhoff, "_downsets", lambda *a, count=count, **k: calls.append(a) or count(*a, **k)
+        )
         parse = fileio.parse_bipolar_capacity if signed else fileio.parse_capacity
         parsed = parse({**payload, "lattice": header})
         assert parsed.values == capacity.values
         assert len(calls) == 1
+
+class TestLabelFilesOnCodes:
+    """A label-format file is keyed by vertex codes, as a grid file is: it
+    goes from file to score, with or without the Moebius form of
+    ``--cross-check``, with no label view built (no family's ``positions``
+    or ``vertices``, no lattice's ``elements``); what reads labels builds
+    the view on demand and reads what a label-keyed capacity reads."""
+
+    # a fan under "a" and a chain "d" < "e": a regular mosaic of two components
+    BASE = cq.Poset(["a", "b", "c", "d", "e"], [("a", "b"), ("a", "c"), ("d", "e")])
+    PROFILE = {"a": "9/10", "b": "1/2", "c": "3/10", "d": "7/10", "e": "1/5"}
+    SIGNED = {**PROFILE, "d": "-7/10", "e": "-1/5"}
+
+    @staticmethod
+    def view_built(capacity) -> bool:
+        families = [f for f in capacity.lattice._derived.values() if type(f) is birkhoff._Family]
+        assert capacity._family in families
+        held = {name for f in families for name in vars(f)} | set(vars(capacity.lattice))
+        return bool(held & {"positions", "vertices", "elements"})
+
+    def capacities(self):
+        rng = random.Random(30)
+        unsigned = random_capacity(rng, cq.DownsetLattice(self.BASE))
+        signed = random_bipolar_capacity(rng, cq.DownsetLattice(self.BASE))
+        return {
+            unsigned: lambda: fileio.parse_capacity(fileio.capacity_payload(unsigned)),
+            signed: lambda: fileio.parse_bipolar_capacity(fileio.bipolar_capacity_payload(signed)),
+        }
+
+    def test_scored_on_codes_and_the_label_view_built_on_demand(self):
+        (unsigned, parse), (signed, parse_signed) = self.capacities().items()
+        scores = [
+            lambda c: cq.natural_extension(c, cq.Profile(c.lattice.base, self.PROFILE)),
+            lambda c: cq.moebius_form_eval(
+                cq.moebius_transform(c), cq.Profile(c.lattice.base, self.PROFILE)
+            ),
+        ]
+        signed_scores = [
+            lambda c: cq.evaluate_bipolar(c, cq.BipolarProfile(c.base, self.SIGNED)).value,
+            lambda c: cq.bipolar_moebius_form_eval(
+                cq.bipolar_moebius_transform(c.lattice, c.values),
+                cq.BipolarProfile(c.base, self.SIGNED),
+            ),
+        ]
+        for labelled, read, calls in ((unsigned, parse, scores), (signed, parse_signed, signed_scores)):
+            parsed = read()
+            assert [score(parsed) for score in calls] == [score(labelled) for score in calls]
+            assert parsed.values._integers == labelled.values._integers
+            assert not self.view_built(parsed)
+        element = unsigned.lattice.elements[len(unsigned.lattice) // 2]
+        pair = next(p for p in signed.values if p.pos and p.neg)
+        reads = [
+            (unsigned, parse, lambda c: c.values[element]),
+            (unsigned, parse, lambda c: list(c.values.items())),
+            (unsigned, parse, lambda c: list(cq.moebius_transform(c).values.items())),
+            (signed, parse_signed, lambda c: c.values[pair]),
+            (signed, parse_signed, lambda c: list(c.values.items())),
+            (
+                signed,
+                parse_signed,
+                lambda c: list(cq.bipolar_moebius_transform(c.lattice, c.values).items()),
+            ),
+        ]
+        for labelled, read, reading in reads:
+            parsed = read()
+            assert reading(parsed) == reading(labelled)
+            assert self.view_built(parsed)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"downset": ["b"]},
+            {"downset": ["zz"]},
+            {"pos": ["a"], "neg": ["c"]},
+            {"pos": ["c"], "neg": ["a"]},
+            {"pos": ["a"], "neg": ["a"]},
+            {"pos": ["zz"], "neg": ["c"]},
+        ],
+        ids=["not_a_downset", "unknown", "no_tile", "no_tile_reversed", "overlap", "pos_unknown"],
+    )
+    def test_a_key_no_vertex_is_refused_as_its_labels(self, bad):
+        """A file's key that its vertex family does not hold, read back from
+        its code to its labels (or kept as labels), fails as the same key
+        given as label sets to the capacity: class, text and context."""
+        lattice = cq.DownsetLattice(wedge_poset())  # two bottoms: some pairs lie in no tile
+        if "downset" in bad:
+            capacity, parse = cq.GeneralizedCapacity, fileio.parse_capacity
+            rows = fileio.capacity_payload(capacity(lattice, dict.fromkeys(lattice.elements, 0)))
+            key = frozenset(bad["downset"])
+        else:
+            capacity, parse = cq.BipolarCapacity, fileio.parse_bipolar_capacity
+            pairs = cq.admissible_vertex_pairs(lattice)
+            rows = fileio.bipolar_capacity_payload(capacity(lattice, dict.fromkeys(pairs, 0)))
+            key = (frozenset(bad["pos"]), frozenset(bad["neg"]))
+        with pytest.raises(cq.ChoqlatError) as expected:
+            capacity(lattice, {key: 0})
+        for at in (0, len(rows["values"])):
+            payload = {**rows, "values": list(rows["values"])}
+            payload["values"].insert(at, {**bad, "value": "0"})
+            with pytest.raises(cq.ChoqlatError) as info:
+                parse(payload)
+            assert type(info.value) is type(expected.value)
+            assert (str(info.value), info.value.context) == (
+                str(expected.value),
+                expected.value.context,
+            )
+
+    def test_cli_scores_without_the_label_view(self, monkeypatch, tmp_path, capsys):
+        """``choquet eval`` and ``bipolar eval``, with and without
+        ``--cross-check``, build no label set of the lattice; ``mobius``
+        output does."""
+        (unsigned, _), (signed, _) = self.capacities().items()
+        files = {}
+        for name, payload in [
+            ("capacity", fileio.capacity_payload(unsigned)),
+            ("signed", fileio.bipolar_capacity_payload(signed)),
+            ("profile", {"values": self.PROFILE}),
+            ("signed-profile", {"values": self.SIGNED}),
+        ]:
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps(payload))
+        built, label_sets = [], birkhoff._label_sets
+        monkeypatch.setattr(
+            birkhoff, "_label_sets", lambda *a: built.append(a) or label_sets(*a)
+        )
+        runs = [
+            (["choquet", "eval", "--capacity", files["capacity"], "--profile", files["profile"]], False),
+            (
+                ["bipolar", "eval", "--capacity", files["signed"], "--profile", files["signed-profile"]],
+                False,
+            ),
+            (["mobius", "--capacity", files["capacity"]], True),
+            (["mobius", "--bipolar-capacity", files["signed"]], True),
+        ]
+        for argv, view in runs:
+            for check in ([], ["--cross-check"]) if not view else ([],):
+                built.clear()
+                assert cli.main([*map(str, argv), *check]) == 0
+                out = json.loads(capsys.readouterr().out)
+                assert out.get("cross_check", {"agrees": True})["agrees"] is True
+                assert bool(built) is view
+
 
 class TestGridFiles:
     def test_round_trip(self):
@@ -522,6 +665,21 @@ def refuse_fraction(*args, **kwargs):
     raise AssertionError("a file value was made a Fraction")
 
 
+def count_only(monkeypatch) -> list:
+    """Let ``birkhoff._downsets`` count a family up to a bound and refuse an
+    enumeration; the bounds it was given are returned, appended as it runs."""
+    bounds, count = [], birkhoff._downsets
+
+    def counted(base, max_count=None):
+        if max_count is None:
+            refuse_enumeration()
+        bounds.append(max_count)
+        return count(base, max_count)
+
+    monkeypatch.setattr(birkhoff, "_downsets", counted)
+    return bounds
+
+
 class TestGridReader:
     """Grid files are read as the grid's prefix codes, checked against the
     label path (``node_to_downset``), and refused before any vertex is
@@ -566,13 +724,13 @@ class TestGridReader:
         monkeypatch.setattr(
             moebius, "vertex_table", lambda *a: tables.append(a[1]) or vertex_table(*a)
         )
-        monkeypatch.setattr(fileio, "as_fraction", refuse_fraction)
+        monkeypatch.setattr(fileio, "Fraction", refuse_fraction)
         parse = fileio.parse_bipolar_kary_capacity if signed else fileio.parse_kary_capacity
         _, _, parsed = parse(payload)
         # labels are made for the base alone, never per entry
         assert len(labels) <= 10 * (k - 1) * n < len(payload["values"])
         (entries,) = tables
-        assert type(entries) is moebius.FileTable and entries.coded
+        assert type(entries) is moebius.FileTable
         # one vertex code per entry, code(neg) << |base| | code(pos) when signed
         assert sorted(entries) == sorted(parsed._family.codes)
         *zeros, last = entries.values()
@@ -801,6 +959,32 @@ class TestValuesReadOnce:
 
 
 class TestScaleFiles:
+    @given(st.lists(number_texts(), min_size=1, max_size=3))
+    def test_points_and_levels_read_as_the_fraction_path(self, texts):
+        """A point's coordinates and a scale's levels, each read once to a
+        reduced pair, are the ``Fraction``s of the slow reader, and a bad
+        one fails with its text and the field."""
+        parts = [text.strip() for text in texts]
+        assume(all(parts))
+        # a point's coordinates are stripped from its text, a level is read whole
+        for field, parse, raw, build in [
+            ("point", lambda: fileio.parse_point(",".join(texts)), parts, list),
+            ("levels", lambda: fileio.parse_scale({"levels": texts}).levels, texts, tuple),
+        ]:
+            try:
+                expected = build(map(slow_as_fraction, raw))
+            except (TypeError, ValueError) as exc:
+                expected = (f"bad value in {field}: {exc}", {"field": field})
+            try:
+                got = parse()
+                assert all(type(value) is Fraction for value in got)
+            except cq.FileFormatError as exc:
+                got = (str(exc), exc.context)
+            except cq.InvalidDimensions:  # not increasing: the scale's own check
+                assert field == "levels"
+                continue
+            assert got == expected
+
     def test_round_trip(self):
         scale = cq.ReferenceScale(("0", "0.5", "1"))
         parsed = fileio.parse_scale(fileio.scale_payload(scale))

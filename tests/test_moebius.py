@@ -263,19 +263,19 @@ class TestTransforms:
         family.positions = Unscannable((x, i) for i, x in enumerate(lattice.elements))
         family.codes = Unscannable((c, i) for i, c in enumerate(family.order))
         table = ValueTable(family, list(range(len(family.order))), 3)
-        assert vertex_table(family, table, lattice.check_element, "elements") is table
+        assert vertex_table(family, table, "elements") is table
         other = _Family(lattice, family.order, family.maxima, signed=False)
         same = ValueTable(other, list(range(len(family.order))), 3)
         assert list(same) == list(lattice.elements)
         with pytest.raises(AssertionError, match="scanned"):
-            vertex_table(family, same, lattice.check_element, "elements")
+            vertex_table(family, same, "elements")
 
     def test_keys_outside_the_position_table_get_the_key_check(self):
         """Keys of the domain, its own vertex objects or equal ones, take one
-        position lookup each, and only other keys go through the key check;
-        the values come back as numerators by position over their least
-        common denominator. A positional table on the family itself hands
-        over its integers unread."""
+        position lookup each, and only other keys go through the family's
+        key check; the values come back as numerators by position over their
+        least common denominator. A positional table on the family itself
+        hands over its integers unread."""
         lattice = cq.DownsetLattice(wedge_poset())
         checked, looked_up = [], []
 
@@ -288,41 +288,43 @@ class TestTransforms:
         family = _Family(lattice, elements.order, elements.maxima, signed=False)
         family.positions = Positions((x, i) for i, x in enumerate(lattice.elements))
 
-        def vertex(key):
+        def check(key):
             checked.append(key)
-            return lattice.check_element(key)
+            return _Family.check(family, key)
+
+        family.check = check
 
         own = {x: Fraction(i, 1 + i % 3) for i, x in enumerate(lattice.elements)}
         by_position = list(own.values())
         expected = _numerators(by_position)
-        assert vertex_table(family, own, vertex, "elements")._integers == expected
+        assert vertex_table(family, own, "elements")._integers == expected
         assert checked == [] and looked_up == list(own)
         looked_up.clear()
         positional = ValueTable(family, *expected)
-        assert vertex_table(family, positional, vertex, "elements")._integers is positional._integers
+        assert vertex_table(family, positional, "elements")._integers is positional._integers
         assert (checked, looked_up) == ([], [])
         equal = {frozenset(sorted(x)): v for x, v in reversed(own.items())}
-        assert vertex_table(family, equal, vertex, "elements")._integers == expected
+        assert vertex_table(family, equal, "elements")._integers == expected
         assert checked == [] and len(looked_up) == len(own)
         tuples = {tuple(sorted(x)): v for x, v in own.items()}
-        assert vertex_table(family, tuples, vertex, "elements")._integers == expected
+        assert vertex_table(family, tuples, "elements")._integers == expected
         assert checked == list(tuples)
         checked.clear()
         short = dict(list(own.items())[:-1])
         with pytest.raises(cq.BaseMismatch):
-            vertex_table(family, short, vertex, "elements")
+            vertex_table(family, short, "elements")
         assert checked == []
         extra = {**own, ("b",): 0}
         with pytest.raises(cq.NotAnElement):
-            vertex_table(family, extra, vertex, "elements")
+            vertex_table(family, extra, "elements")
         assert checked == [("b",)]
         checked.clear()
         looked_up.clear()
         # a file's pairs keyed by vertex code: found among the codes and
         # taken as they are, with neither the position dict nor the key check
-        coded = FileTable(coded=True)
+        coded = FileTable()
         coded.update((family.order[i], v.as_integer_ratio()) for i, v in enumerate(by_position))
-        assert vertex_table(family, coded, vertex, "elements")._integers == expected
+        assert vertex_table(family, coded, "elements")._integers == expected
         assert (checked, looked_up) == ([], [])
 
 

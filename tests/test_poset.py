@@ -100,6 +100,11 @@ class TestValidation:
         assert p == q
         assert hash(p) == hash(q)
 
+    def test_a_poset_is_not_equal_to_a_non_poset(self):
+        p = cq.Poset(["a", "b"], [("a", "b")])
+        assert p.__eq__((p.elements, p.covers)) is NotImplemented
+        assert p != (p.elements, p.covers) and p != "ab" and p != None  # noqa: E711
+
 
 class TestDownsets:
     def test_wedge_downsets(self):
