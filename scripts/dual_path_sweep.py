@@ -12,8 +12,8 @@ from 1 to over a dozen digits. About half of the profile values and point
 coordinates reach the library as text (p/q, decimal or exponent form, with
 or without surrounding spaces, half of it not in lowest terms: "2/4",
 "0.50", "50e-2", "-0/3"), so both paths start from the number reader and
-run on the integer pairs it keeps as written; every parsed value must equal
-the Fraction it was rendered from.
+run on the integer pairs it reduces to lowest terms; every parsed value must
+equal the Fraction it was rendered from.
 Each signed dual value is computed twice, from the capacity's positional
 table and from a plain dict copy of it (the value-by-value path of the
 transform and of the Moebius form); the two must agree. Both capacities of

@@ -20,7 +20,6 @@ from .bipolar import (
     BipolarCapacity,
     admissible_vertex_pairs,
     bipolar_join_irreducibles,
-    bipolar_leq,
     bipolar_moebius_form_eval,
     embed_profile,
     evaluate_bipolar,
@@ -48,10 +47,9 @@ from .kary import (
 )
 from .moebius import (
     GeneralizedCapacity,
-    bipolar_moebius_function,
     bipolar_moebius_transform,
+    bipolar_zeta_transform,
     moebius_transform,
-    rota_moebius,
 )
 from .poset import Poset, connected_components, linear_extension
 from .rationals import as_fraction
@@ -413,17 +411,12 @@ def cmd_selftest(args):
         {"extension": len(extension), "tile_union": len(covered)},
     )
 
-    boolean = DownsetLattice(Poset(["1", "2"], []))
-    pairs = bipolar_extension(boolean)
-    cache: dict = {}
-    product_ok = all(
-        bipolar_moebius_function(boolean, low, up)
-        == rota_moebius(pairs, bipolar_leq, low, up, cache)
-        for low in pairs
-        for up in pairs
-        if bipolar_leq(low, up)
+    grid = bipolar_capacity.lattice
+    coefficients = bipolar_moebius_transform(grid, bipolar_capacity.values)
+    record(
+        "bipolar transforms invert",
+        bipolar_zeta_transform(grid, coefficients) == bipolar_capacity.values,
     )
-    record("product rule equals recursion", product_ok)
 
     scale = fileio.parse_scale({"levels": ["0", "0.5", "1"]})
     point_value = interpolate_point(capacity, ["0.7", "0.1"], scale)

@@ -30,7 +30,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
-from math import gcd
 from operator import getitem
 
 from .bipolar import BipolarCapacity, BipolarProfile
@@ -64,24 +63,23 @@ def _label_list(value, where: str) -> list[str]:
 
 
 def _parse_value(raw, where: str) -> tuple[int, int]:
-    """A file value read once (:func:`~choqlat.rationals._ratio`) to its
-    (numerator, positive denominator) pair in lowest terms."""
+    """A file value read once by :func:`~choqlat.rationals._ratio` to its
+    (numerator, positive denominator) pair in lowest terms; a value it
+    refuses is a :class:`~choqlat.errors.FileFormatError` on ``where``."""
     try:
-        n, d = _ratio(raw)
+        return _ratio(raw)
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"bad value in {where}: {exc}", field=where) from None
-    common = gcd(n, d)
-    return n // common, d // common
 
 
 def _read_entries(obj, what: str, names: tuple[str, ...], key) -> FileTable:
     """Values of a capacity file's entries, each keyed by ``key(entry,
     where)``, which reads the entry's ``names`` fields to its vertex code.
 
-    Each value is read once to its pair in lowest terms, so two entries for
-    one vertex agree exactly when their pairs are equal: the one
-    duplicate-entry check, and a clash names the entry. No ``Fraction`` is
-    made.
+    Each value is read once (:func:`_parse_value`) to its pair in lowest
+    terms, so two entries for one vertex agree exactly when their pairs are
+    equal: the one duplicate-entry check, and a clash names the entry. No
+    ``Fraction`` is made.
     """
     entries = _require(obj, "values", f"{what} file")
     if not isinstance(entries, list):
@@ -212,8 +210,8 @@ def capacity_payload(capacity: GeneralizedCapacity) -> dict:
 
 def _profile_entries(obj, base: Poset, signed: bool = False) -> tuple:
     """The base, pairs and keys of a profile file's values: each value read
-    once (:func:`~choqlat.rationals._ratio`) to its pair in lowest terms, as
-    a capacity file's are, and the pairs checked as the profile checks them
+    once (:func:`_parse_value`) to its pair in lowest terms, as a capacity
+    file's are, and the pairs checked as the profile checks them
     (:func:`~choqlat.interpolation._profile_values`), with no ``Fraction`` made."""
     values = _require(obj, "values", "profile file")
     if not isinstance(values, dict):

@@ -10,16 +10,14 @@ Choquet integral; the bottom vertex is always kept in the combination so
 functionals that do not vanish at the empty set evaluate correctly.
 
 Profiles are positional. Their values are read once, straight to
-(numerator, denominator) pairs (:func:`~choqlat.rationals._ratio`), and a
-profile keeps them as one list by base bit position (the base's linear
-extension), not in lowest terms when the text was not ("0.50" is
-(50, 100)), with the exact integer sort key of each value's size
-(:func:`_sort_keys`), computed once. The checks compare keys, and read the
-covers in one fixed order held with the base, so a rise names the smallest
-failing cover (:func:`~choqlat.poset._rising_cover`). ``values``, the
-reduced ``Fraction``s by label, is built only when read. Only order and the
-final sums depend on the pairs, so every ``Fraction`` that leaves the
-module is the same either way.
+(numerator, denominator) pairs in lowest terms
+(:func:`~choqlat.rationals._ratio`), and a profile keeps them as one list
+by base bit position (the base's linear extension), with the exact integer
+sort key of each value's size (:func:`_sort_keys`), computed once. The
+checks compare keys, and read the covers in one fixed order held with the
+base, so a rise names the smallest failing cover
+(:func:`~choqlat.poset._rising_cover`). ``values``, the ``Fraction``s by
+label, is built only when read.
 
 The chain path runs on lattice positions and integers. :func:`triangulate`
 sorts the base positions by the profile's keys and records each chain
@@ -129,11 +127,11 @@ def _profile_values(
 
 class _ProfileBody:
     """What both profile kinds hold: the checked values as ``_pairs``, one
-    (numerator, denominator) pair by base bit position (the base's linear
-    extension), as they were read (``"0.50"`` is (50, 100)), and
-    ``_keys``, the exact sort keys of their sizes by the same positions;
-    the evaluations read those. ``values``, the reduced ``Fraction``s by
-    label in base order, is built on first read. Each kind's own
+    (numerator, denominator) pair in lowest terms by base bit position
+    (the base's linear extension), and ``_keys``, the exact sort keys of
+    their sizes by the same positions; the evaluations read those.
+    ``values``, the ``Fraction``s by label in base order, is built on first
+    read. Each kind's own
     ``__init__`` checks its values."""
 
     @classmethod

@@ -1,19 +1,20 @@
 """Coercion of user-supplied numbers to exact rationals.
 
-The package has one number grammar, :func:`_ratio`: it reads a value to an
-integer pair (numerator, positive denominator). A string is read straight to
-its integers, so ``"0.50"`` gives (50, 100), not reduced; Fractions, ints,
-Decimals and floats give their reduced pair. Profile values and point
-coordinates stay pairs, since their checks cross-multiply and their sums
-run on integers; :func:`as_fraction` is that reader followed by one
-``Fraction``, for every value that is kept as one. Sums over many pairs
+The package has one number reader, :func:`_ratio`: it reads a value to an
+integer pair (numerator, positive denominator) in lowest terms, so
+``"0.50"`` gives (1, 2). A string is read by the standard library's parsers:
+``Decimal`` without a ``/``, ``int`` on the two halves of ASCII ``p/q`` text
+and ``Fraction`` on any other. Profile values and point coordinates stay
+pairs, since their checks cross-multiply and their sums run on integers;
+:func:`as_fraction` is that reader followed by one ``Fraction``, for every
+value that is kept as one. Sums over many pairs
 scale them to one common denominator, :func:`_common_denominator`, whose
 size is bounded before it is computed.
 """
 
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import SizeLimitExceeded
 
@@ -51,46 +52,10 @@ def _check_exponent(text: str, value: str) -> None:
         raise ValueError(f"exponent beyond {MAX_EXPONENT} in {_shown(repr(value))}")
 
 
-def _read_plain(text: str) -> tuple[int, int] | None:
-    """Integer pair of a plain number string, or None when it is not plain.
-
-    Plain means ASCII of the form ``[+-]digits/digits`` or
-    ``[+-]digits[.digits][(e|E)[+-]digits]``, with digits on at least one
-    side of the point (".5" and "5." count). ``Fraction(text)`` reads each
-    such string to the same value; here ``int`` reads the digits, without a
-    regular expression, and the pair is the digits as written: "0.50" is
-    (50, 100) and "2/4" is (2, 4). A zero denominator raises
-    ``ZeroDivisionError`` as ``Fraction`` does.
-    """
-    if not text.isascii():
-        return None
-    negative = text[:1] == "-"
-    body = text[1:] if negative or text[:1] == "+" else text
-    whole, slash, rest = body.partition("/")
-    if slash:
-        if not (whole.isdigit() and rest.isdigit()):
-            return None
-        numerator, denominator = int(whole), int(rest)
-        if not denominator:
-            raise ZeroDivisionError(text)
-    else:
-        mantissa, e, exponent = body.lower().partition("e")
-        whole, _, decimals = mantissa.partition(".")
-        digits = whole + decimals
-        if not digits.isdigit():
-            return None
-        shift = -len(decimals)
-        if e:
-            unsigned = exponent[1:] if exponent[:1] in ("+", "-") else exponent
-            if not unsigned.isdigit():
-                return None
-            shift += int(exponent)
-        numerator, denominator = int(digits), 1
-        if shift >= 0:
-            numerator *= 10**shift
-        else:
-            denominator = 10**-shift
-    return (-numerator if negative else numerator), denominator
+def _finite(number: Decimal, value) -> tuple[int, int]:
+    if not number.is_finite():
+        raise ValueError(f"{_shown(repr(value))} is not a finite number")
+    return number.as_integer_ratio()
 
 
 def _from_string(value: str) -> tuple[int, int]:
@@ -99,30 +64,34 @@ def _from_string(value: str) -> tuple[int, int]:
         raise ValueError(f"number longer than {MAX_DIGITS} characters: {value[:20]!r}...")
     if "e" in text or "E" in text:
         _check_exponent(text, value)
-    try:
-        pair = _read_plain(text)
-        return Fraction(text).as_integer_ratio() if pair is None else pair
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {_shown(repr(value))}") from None
-    except ValueError:
-        pass
-    try:
-        number = Decimal(text)
-    except InvalidOperation:
-        raise ValueError(f"cannot parse {_shown(repr(value))} as a rational") from None
-    if not number.is_finite():
-        raise ValueError(f"{_shown(repr(value))} is not a finite number")
-    return number.as_integer_ratio()
+    if "/" not in text:
+        try:
+            number = Decimal(text)
+        except InvalidOperation:
+            raise ValueError(f"cannot parse {_shown(repr(value))} as a rational") from None
+        return _finite(number, value)
+    whole, _, rest = text.partition("/")
+    unsigned = whole[1:] if whole[:1] in ("+", "-") else whole
+    if text.isascii() and unsigned.isdigit() and rest.isdigit():
+        numerator, denominator = int(whole), int(rest)
+    else:
+        try:
+            numerator, denominator = Fraction(text).as_integer_ratio()
+        except ZeroDivisionError:
+            denominator = 0
+        except ValueError:
+            raise ValueError(f"cannot parse {_shown(repr(value))} as a rational") from None
+    if not denominator:
+        raise ValueError(f"zero denominator in {_shown(repr(value))}")
+    common = gcd(numerator, denominator)
+    return numerator // common, denominator // common
 
 
 def _ratio(value) -> tuple[int, int]:
-    """``value`` as an exact (numerator, denominator) pair, the denominator
-    positive.
+    """``value`` as an exact (numerator, denominator) pair in lowest terms,
+    the denominator positive: the pair of its ``Fraction``.
 
-    Accepts what :func:`as_fraction` accepts and raises what it raises. A
-    plain string keeps the integers it was written with (:func:`_read_plain`),
-    so the pair need not be in lowest terms; every other value gives the
-    pair of its ``Fraction``.
+    Accepts what :func:`as_fraction` accepts and raises what it raises.
     """
     kind = type(value)
     if kind is str:
@@ -138,10 +107,7 @@ def _ratio(value) -> tuple[int, int]:
     if isinstance(value, int):
         return Fraction(value).as_integer_ratio()
     if isinstance(value, (Decimal, float)):
-        number = value if isinstance(value, Decimal) else Decimal(repr(value))
-        if not number.is_finite():
-            raise ValueError(f"{_shown(repr(value))} is not a finite number")
-        return number.as_integer_ratio()
+        return _finite(value if isinstance(value, Decimal) else Decimal(repr(value)), value)
     if isinstance(value, str):
         return _from_string(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
@@ -169,10 +135,10 @@ def as_fraction(value) -> Fraction:
     must be finite (a string, a float and a Decimal that is not raise the
     same "is not a finite number"), and a string at most ``MAX_DIGITS``
     characters long with an exponent of at most ``MAX_EXPONENT`` in size.
-    Plain ASCII strings (:func:`_read_plain`) are read on integers; every
-    other string follows the grammar of ``Fraction``, then of ``Decimal``.
-    A Fraction is returned as it is; anything else is read by
-    :func:`_ratio`, strings included, and made into one ``Fraction``.
+    A string without ``/`` follows the grammar of ``Decimal``; ASCII
+    ``[+-]digits/digits`` is read by ``int`` and every other ``p/q`` string
+    by ``Fraction``. A Fraction is returned as it is; anything else is read
+    by :func:`_ratio`, strings included, and made into one ``Fraction``.
     """
     if type(value) is Fraction or isinstance(value, Fraction):
         return value
