@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -84,6 +85,30 @@ def _read_ratio(raw) -> Fraction:
     numerator, denominator = rationals._ratio(raw)
     assert type(numerator) is int and type(denominator) is int and denominator > 0
     return Fraction(numerator, denominator)
+
+
+# plain text: ASCII p/q or decimal digits, with no underscore, inner space
+# or non-finite word, whose value int alone reads from its digits
+PLAIN = re.compile(
+    r"(?P<sign>[+-]?)(?:(?P<p>\d+)/(?P<q>\d+)"
+    r"|(?=\.?\d)(?P<whole>\d*)(?:\.(?P<fraction>\d*))?(?:[eE](?P<exponent>[+-]?\d+))?)",
+    re.ASCII,
+)
+
+
+def _integer_pair(match: re.Match) -> tuple[int, int]:
+    """The lowest-terms pair of a ``PLAIN`` match, made with int alone."""
+    if match["q"] is not None:
+        numerator, denominator = int(match["p"]), int(match["q"])
+    else:
+        fraction = match["fraction"] or ""
+        exponent = int(match["exponent"] or 0) - len(fraction)
+        numerator = int(match["whole"] + fraction) * 10 ** max(exponent, 0)
+        denominator = 10 ** max(-exponent, 0)
+    if match["sign"] == "-":
+        numerator = -numerator
+    common = gcd(numerator, denominator)
+    return numerator // common, denominator // common
 
 
 class TestValueParsing:
@@ -233,6 +258,23 @@ class TestParserOracle:
         except ValueError:
             return
         assert gcd(numerator, denominator) == 1 and denominator > 0
+
+    @pytest.mark.parametrize(
+        "raw,plain",
+        [
+            ("3/4", True), ("-3/4", True), ("+.5e-3", True), ("5.", True), ("1E+9", True),
+            ("3 / 4", False), ("1_000", False), ("١", False), ("inf", False), (".", False),
+        ],
+    )
+    def test_which_strings_read_on_integers(self, raw, plain):
+        """Plain text reads to the pair int makes of its digits; any other
+        string is read, or refused, as Fraction and Decimal read it."""
+        match = PLAIN.fullmatch(raw)
+        assert (match is not None) is plain
+        if plain:
+            assert rationals._ratio(raw) == _integer_pair(match)
+        else:
+            assert _value_outcome(_read_ratio, raw) == _value_outcome(slow_as_fraction, raw)
 
 
 class TestPosetFiles:
