@@ -176,17 +176,19 @@ class BipolarProfile(_ProfileBody):
     """Signed map on the base poset: values in [-1, 1], sizes nonincreasing.
 
     Kept as :class:`~choqlat.interpolation.Profile` keeps its values: checked
-    (numerator, denominator) pairs by base bit position and the sort keys of
-    their sizes, with the reduced ``values`` built on first read.
+    (numerator, denominator) pairs by base bit position, their sizes, which
+    :meth:`magnitude` hands on as they are, and the sort keys of the sizes,
+    with the reduced ``values`` built on first read.
     """
 
     def __init__(self, base: Poset, values: Mapping[str, object]):
-        self.base, (self._pairs, self._keys) = base, _profile_values(base, values, signed=True)
+        checked = _profile_values(base, values, signed=True)
+        self.base, (self._pairs, self._keys, self._sizes) = base, checked
 
     def magnitude(self) -> Profile:
-        # the sizes of checked signed values pass the unsigned checks as
-        # they are, and their keys are the ones already held
-        return Profile._from_checked(self.base, [(abs(n), d) for n, d in self._pairs], self._keys)
+        # the held sizes of checked signed values pass the unsigned checks
+        # as they are, with the keys already held
+        return Profile._from_checked(self.base, self._sizes, self._keys, self._sizes)
 
 
 def admissible_vertex_pairs(
@@ -249,6 +251,18 @@ def select_tile(profile: BipolarProfile) -> frozenset:
     tested against the codes of the strictly positive and the strictly
     negative values.
     """
+    parts, masks, plus, minus = _signed_masks(profile)
+    for mask, part in zip(masks, parts):
+        if mask & minus and mask & plus:
+            shown = sorted(part.members)
+            raise ProfileNotInAnyTile(f"component {shown!r} carries both signs", component=shown)
+    return frozenset().union(*[part.members for m, part in zip(masks, parts) if not m & minus])
+
+
+def _signed_masks(profile: BipolarProfile) -> tuple:
+    """The base's components and their bit codes, and the bit codes of the
+    strictly positive and the strictly negative values, on a regular mosaic
+    base."""
     base = profile.base
     parts, masks, regular = _component_masks(base)
     if not regular:
@@ -256,11 +270,7 @@ def select_tile(profile: BipolarProfile) -> frozenset:
     numerators = [n for n, _ in profile._pairs]
     minus = sum(compress(base._bit.values(), map((0).__gt__, numerators)))
     plus = sum(compress(base._bit.values(), numerators)) - minus
-    for mask, part in zip(masks, parts):
-        if mask & minus and mask & plus:
-            shown = sorted(part.members)
-            raise ProfileNotInAnyTile(f"component {shown!r} carries both signs", component=shown)
-    return frozenset().union(*[part.members for m, part in zip(masks, parts) if not m & minus])
+    return parts, masks, plus, minus
 
 
 def _complemented(base: Poset, x) -> frozenset:
@@ -273,15 +283,18 @@ def _complemented(base: Poset, x) -> frozenset:
 
 
 def _checked_tile(profile: BipolarProfile, x) -> frozenset:
-    if not is_regular_mosaic(profile.base):
-        raise NotRegularMosaic("signed evaluation needs a regular mosaic base")
+    """``x`` as the positive side of a tile containing the profile: its
+    code must hold every strictly positive value and no strictly negative
+    one, and the first failing label in label order names the fault."""
+    _, _, plus, minus = _signed_masks(profile)
+    bits = profile.base._bit
     member = _complemented(profile.base, x)
-    # base order is label order
-    for label, (n, _) in sorted(zip(profile.base._topo, profile._pairs)):
-        if n > 0 and label not in member:
+    code = sum(map(bits.__getitem__, member))
+    if wrong := plus & ~code | minus & code:
+        label = min(label for label, bit in bits.items() if bit & wrong)
+        if bits[label] & plus:
             raise NotInTile(f"strictly positive value at {label!r} outside the tile")
-        if n < 0 and label in member:
-            raise NotInTile(f"strictly negative value at {label!r} inside the tile")
+        raise NotInTile(f"strictly negative value at {label!r} inside the tile")
     return member
 
 

@@ -209,9 +209,9 @@ def capacity_payload(capacity: GeneralizedCapacity) -> dict:
 
 
 def _profile_entries(obj, base: Poset, signed: bool = False) -> tuple:
-    """The base, pairs and keys of a profile file's values: each value read
-    once (:func:`_parse_value`) to its pair in lowest terms, as a capacity
-    file's are, and the pairs checked as the profile checks them
+    """The base, pairs, keys and sizes of a profile file's values: each
+    value read once (:func:`_parse_value`) to its pair in lowest terms, as
+    a capacity file's are, and the pairs checked as the profile checks them
     (:func:`~choqlat.interpolation._profile_values`), with no ``Fraction`` made."""
     values = _require(obj, "values", "profile file")
     if not isinstance(values, dict):

@@ -76,10 +76,11 @@ _denominator = operator.itemgetter(1)
 
 def _profile_values(
     base: Poset, values: Mapping[str, object], signed: bool = False, read: list | None = None
-) -> tuple[list[tuple[int, int]], list[int]]:
+) -> tuple[list[tuple[int, int]], list[int], list[tuple[int, int]]]:
     """The values of a profile on ``base`` as (numerator, positive
-    denominator) pairs in a list by base bit position, and the sort keys of
-    their sizes (:func:`_sort_keys`), once they pass the profile's checks.
+    denominator) pairs in a list by base bit position, the sort keys of
+    their sizes (:func:`_sort_keys`) and the sizes, once they pass the
+    profile's checks. An unsigned profile's sizes are its pairs.
 
     ``values`` maps labels to numbers, each read by
     :func:`~choqlat.rationals._ratio`; a file reader that has read them
@@ -122,24 +123,25 @@ def _profile_values(
     if rise := _rising_cover(base, keys):
         lower, upper = rise
         raise NotNonincreasing(f"{rising} along {lower!r} < {upper!r}", lower=lower, upper=upper)
-    return pairs, keys
+    return pairs, keys, sizes
 
 
 class _ProfileBody:
     """What both profile kinds hold: the checked values as ``_pairs``, one
     (numerator, denominator) pair in lowest terms by base bit position
-    (the base's linear extension), and ``_keys``, the exact sort keys of
-    their sizes by the same positions; the evaluations read those.
+    (the base's linear extension), ``_sizes``, their sizes by the same
+    positions (the pairs themselves when unsigned), and ``_keys``, the
+    exact sort keys of the sizes; the evaluations read those.
     ``values``, the ``Fraction``s by label in base order, is built on first
     read. Each kind's own
     ``__init__`` checks its values."""
 
     @classmethod
-    def _from_checked(cls, base: Poset, pairs: list[tuple[int, int]], keys: list[int]):
+    def _from_checked(cls, base: Poset, pairs: list[tuple[int, int]], keys: list[int], sizes: list):
         """A profile of ``pairs`` by position that already pass every check
-        of its kind, with the sort keys of their sizes."""
+        of its kind, with the sort keys of their sizes and the sizes."""
         profile = cls.__new__(cls)
-        profile.base, profile._pairs, profile._keys = base, pairs, keys
+        profile.base, profile._pairs, profile._keys, profile._sizes = base, pairs, keys, sizes
         return profile
 
     @cached_property
@@ -158,7 +160,7 @@ class Profile(_ProfileBody):
     """Nonincreasing map from the base poset into [0, 1]."""
 
     def __init__(self, base: Poset, values: Mapping[str, object]):
-        self.base, (self._pairs, self._keys) = base, _profile_values(base, values)
+        self.base, (self._pairs, self._keys, self._sizes) = base, _profile_values(base, values)
 
 
 class _BuiltOnRead:

@@ -27,10 +27,10 @@ which hands its pairs, by bit position, to the profile as they are.
 :func:`grid_steps` reads an :class:`~choqlat.interpolation.Evaluation` on
 a grid base as levels, criteria and grid points.
 :class:`ReferenceScale` and :class:`LevelIndexing` are frozen records
-(:func:`~choqlat._record.frozen_record`) with constructors of their own: the
-scale checks its levels, and an indexing stores its three fields; a located
-point's indexing, made once per scored point, holds its indices, residue
-pairs and sorted criteria, and builds ``residues`` on read.
+(:func:`~choqlat._record.frozen_record`). The scale has a constructor of
+its own, which checks its levels; a located point's indexing, made once per
+scored point, holds its indices, residue pairs and sorted criteria, and
+builds ``residues`` on read.
 """
 
 from __future__ import annotations
@@ -188,10 +188,6 @@ class LevelIndexing(_BuiltOnRead):
     residues: tuple[Fraction, ...]
     order: tuple[int, ...]
 
-    def __init__(self, indices, residues, order):
-        fields = self.__dict__
-        fields["indices"], fields["residues"], fields["order"] = indices, residues, order
-
     def _build_residues(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, d) for n, d in self._residues)
 
@@ -298,8 +294,9 @@ def _staircase(
             values[level_label(i, l)] = top if l < index else mid if l == index else (0, 1)
     base = build_kary_base(k, len(indexing.indices))
     pairs = list(map(values.__getitem__, base._topo))
+    sizes = [(abs(n), d) for n, d in pairs]
     kind = Profile if positive is None else BipolarProfile
-    return kind._from_checked(base, pairs, _sort_keys([(abs(n), d) for n, d in pairs]))
+    return kind._from_checked(base, pairs, _sort_keys(sizes), sizes)
 
 
 def level_profile(point: Sequence, scale: ReferenceScale) -> tuple[LevelIndexing, Profile]:

@@ -935,6 +935,24 @@ def slow_select_tile(base: cq.Poset, values: dict) -> frozenset:
     return frozenset(positive)
 
 
+def slow_checked_tile(profile: cq.BipolarProfile, x) -> frozenset:
+    """A tile hint's check as a walk over the profile's labels in label
+    order: the first label on the wrong side names the fault."""
+    base = profile.base
+    if not cq.is_regular_mosaic(base):
+        raise cq.NotRegularMosaic("signed evaluation needs a regular mosaic base")
+    member = frozenset(x)
+    if not (cq.is_downset(base, member) and cq.is_downset(base, set(base.elements) - member)):
+        shown = sorted(member)
+        raise cq.NotComplemented(f"{shown!r} is not a complemented element", element=shown)
+    for label, value in sorted(profile.values.items()):
+        if value > 0 and label not in member:
+            raise cq.NotInTile(f"strictly positive value at {label!r} outside the tile")
+        if value < 0 and label in member:
+            raise cq.NotInTile(f"strictly negative value at {label!r} inside the tile")
+    return member
+
+
 def _slow_pair_locate(value, anchors, middle: int, sign: int) -> tuple:
     n, d = value
     pn, pd = anchors[middle]

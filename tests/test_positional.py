@@ -1,13 +1,13 @@
 """Positional profiles against the label-keyed path they replaced.
 
-Profiles hold one (numerator, denominator) pair and one sort key per base
-bit position. The oracle in ``support`` holds the pairs in a label dict, as
-the package did before, and sorts, tiles and locates by label: the two
-must give the same pairs, order, chain, weights, value, tile and level
-indexing, or the same error (class, code, text and context). The Moebius
-forms rank the pairs themselves, so a profile whose stored keys are wrong
-still gets its reference value from them. Checks along the covers name the
-same cover under every hash seed.
+Profiles hold one (numerator, denominator) pair, its size and one sort key
+per base bit position. The oracle in ``support`` holds the pairs in a label
+dict, as the package did before, and sorts, tiles, checks tile hints and
+locates by label: the two must give the same pairs, order, chain, weights,
+value, tile and level indexing, or the same error (class, code, text and
+context). The Moebius forms rank the pairs themselves, so a profile whose
+stored keys are wrong still gets its reference value from them. Checks
+along the covers name the same cover under every hash seed.
 """
 
 import os
@@ -21,8 +21,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import choqlat as cq
+from choqlat.bipolar import _checked_tile
+from choqlat.fileio import parse_bipolar_profile
 from choqlat.interpolation import _sort_keys
-from choqlat.kary import _locate_coordinates
+from choqlat.kary import _locate_coordinates, bipolar_level_profile
 from support import (
     mosaic_bases,
     nonincreasing,
@@ -30,6 +32,7 @@ from support import (
     random_bipolar_capacity,
     random_capacity,
     random_linear_extension,
+    slow_checked_tile,
     slow_evaluation,
     slow_keyed_triangulate,
     slow_pair_locate_coordinates,
@@ -121,6 +124,37 @@ def _decomposition(base: cq.Poset, order, levels) -> cq.ChainDecomposition:
     return cq.ChainDecomposition(base, order, chain, weights)
 
 
+def _oracle_sizes(base: cq.Poset, values) -> list:
+    """The sizes of the oracle's checked pairs, by base bit position."""
+    pairs = slow_profile_values(base, values, signed=True)
+    return [(abs(n), d) for n, d in map(pairs.__getitem__, base._topo)]
+
+
+class TestHeldSizes:
+    """Each producer of a signed profile hands over the sizes of its values,
+    and the magnitude holds them as they are, copying nothing."""
+
+    @given(data=st.data())
+    def test_read_profiles(self, data):
+        base = data.draw(bases())
+        values = data.draw(raw_profiles(base, signed=True))
+        made = outcome(cq.BipolarProfile, base, values)
+        if made[0] != "ok":
+            return
+        for profile in (made[1], parse_bipolar_profile({"values": values}, base)):
+            assert profile.magnitude()._pairs is profile._sizes
+            assert profile._sizes == _oracle_sizes(base, values)
+
+    @pytest.mark.parametrize("point", [["-1/3", "1/2"], ["0", "-1"], ["0.7", "-0.2"]])
+    def test_staircase(self, point):
+        scale = cq.ReferenceScale(("-1", "-0.5", "0", "0.5", "1"), symmetric=True)
+        _, _, profile = bipolar_level_profile(point, scale)
+        assert profile.magnitude()._pairs is profile._sizes
+        # the residues are kept unreduced, as the corner sweep reads them
+        sizes = [Fraction(n, d) for n, d in profile._sizes]
+        assert sizes == [Fraction(n, d) for n, d in _oracle_sizes(profile.base, profile.values)]
+
+
 class TestPositionalOracle:
     @given(data=st.data())
     def test_unsigned(self, data):
@@ -200,6 +234,20 @@ class TestPositionalOracle:
             indexing = made[1][1]
             assert indexing.residues == tuple(Fraction(n, d) for n, d in indexing._residues)
 
+    @given(data=st.data())
+    def test_tile_hint(self, data):
+        """A hint is tested on the masks select_tile reads: two mask tests
+        name the fault the label walk named, class, text and context."""
+        base = data.draw(bases(mosaic=data.draw(st.booleans())))
+        made = outcome(cq.BipolarProfile, base, data.draw(raw_profiles(base, signed=True)))
+        if made[0] != "ok":
+            return
+        parts = cq.connected_components(base)
+        hint = frozenset().union(*[part.members for part in parts if data.draw(st.booleans())])
+        if base.elements and data.draw(st.integers(0, 4)) == 0:  # not always complemented
+            hint = data.draw(st.frozensets(st.sampled_from(base.elements)))
+        assert outcome(_checked_tile, made[1], hint) == outcome(slow_checked_tile, made[1], hint)
+
 
 class TestKeysAreTheChainPathsAlone:
     """Both Moebius forms rank the profile's pairs themselves: corrupting
@@ -227,9 +275,11 @@ class TestKeysAreTheChainPathsAlone:
         signed_coefficients = cq.bipolar_moebius_transform(lattice, bipolar.values)
         reversed_keys, zero_keys = (lambda keys: keys[::-1]), (lambda keys: [0] * len(keys))
         for corrupt in (reversed_keys, zero_keys, lambda keys: [-k for k in keys]):
-            profile = cq.Profile._from_checked(base, clean._pairs, corrupt(clean._keys))
+            profile = cq.Profile._from_checked(
+                base, clean._pairs, corrupt(clean._keys), clean._sizes
+            )
             signed = cq.BipolarProfile._from_checked(
-                base, signed_clean._pairs, corrupt(signed_clean._keys)
+                base, signed_clean._pairs, corrupt(signed_clean._keys), signed_clean._sizes
             )
             assert cq.moebius_form_eval(coefficients, profile) == reference
             assert cq.bipolar_moebius_form_eval(signed_coefficients, signed) == signed_reference
@@ -239,7 +289,7 @@ class TestKeysAreTheChainPathsAlone:
     def test_the_chain_path_reads_the_keys(self):
         base = cq.build_kary_base(3, 2)
         clean = cq.Profile(base, {"c1l1": "0.9", "c1l2": "0.6", "c2l1": "0.8", "c2l2": "0.1"})
-        corrupted = cq.Profile._from_checked(base, clean._pairs, clean._keys[::-1])
+        corrupted = cq.Profile._from_checked(base, clean._pairs, clean._keys[::-1], clean._sizes)
         assert cq.triangulate(clean).order == ("c1l1", "c2l1", "c1l2", "c2l2")
         assert cq.triangulate(corrupted).order != cq.triangulate(clean).order
 
