@@ -52,7 +52,6 @@ from .moebius import (
     moebius_transform,
 )
 from .poset import Poset, connected_components, linear_extension
-from .rationals import as_fraction
 
 
 # most label strings one output may print: two chains of 128 elements print
@@ -74,15 +73,10 @@ def _print_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, default=str) + "\n")
 
 
-def _not_finite(literal: str):
-    raise ValueError(f"{literal} is not a finite number")
-
-
 def _load(path, parse, *extra):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            # number literals are read exactly, within the string reader's bounds
-            obj = json.load(handle, parse_float=as_fraction, parse_constant=_not_finite)
+            obj = fileio.load_json(handle)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}", file=str(path)) from None
     except (ValueError, RecursionError) as exc:

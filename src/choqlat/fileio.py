@@ -8,7 +8,17 @@ coordinates and a scale's levels included, is read once by one reader
 (:func:`_parse_value`) to its (numerator, denominator) pair in lowest
 terms. A capacity file's values are handed to the capacity as those pairs
 (:class:`~choqlat.moebius.FileTable`) with no ``Fraction`` made. Duplicate
-value entries are tolerated only when they agree.
+value entries are tolerated only when they agree. :func:`load_json` reads
+a file's JSON text with one string object per distinct label.
+
+A grid file is read in whole-list passes (:func:`_grid_entries`): its
+points checked by coordinate column and coded by the OR of per-criterion
+lookups, and, where every value is a string, each distinct value text read
+once, its entries sharing one pair; that is a read per file, not a cache.
+The pass never raises. Where any entry would fail, it declines, and the
+per-entry loop reads the file from its first entry and names the first
+bad one, so each error keeps its class, text, context and precedence.
+Label-format files are read by the per-entry loop alone.
 
 Every capacity file keys its entries by vertex code. A label-format entry
 is coded by :func:`~choqlat.birkhoff._vertex_code`, the OR of its labels'
@@ -27,10 +37,11 @@ by label or iteration of ``values``, and ``mobius`` output.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
-from operator import getitem
+from operator import eq, getitem, itemgetter, or_
 
 from .bipolar import BipolarCapacity, BipolarProfile
 from .birkhoff import DownsetLattice, _count_elements, _pair_code, _refuse_overlaps, _vertex_code
@@ -40,7 +51,7 @@ from .interpolation import Profile, _profile_values
 from .kary import ReferenceScale, _grid, _levels, build_kary_base, downset_to_node, grid_shape
 from .moebius import FileTable, GeneralizedCapacity
 from .poset import DOWNSET_CAP, Poset
-from .rationals import _ratio, _shown
+from .rationals import _ratio, _shown, as_fraction
 
 # Poset files with more elements, and grid headers whose base (n chains of
 # k-1 elements) would have more, are refused before anything is built. The
@@ -48,6 +59,31 @@ from .rationals import _ratio, _shown
 # 30 MB), but an explicit lattice is checked with one mask step per pair of
 # elements (a chain of 1024 verifies in about 2 s in a cold CLI).
 GRID_ELEMENT_CAP = 1024
+
+
+def _not_finite(literal: str):
+    raise ValueError(f"{literal} is not a finite number")
+
+
+def load_json(handle):
+    """The JSON text of the file ``handle`` as ``json.load`` reads it, with
+    number literals read exactly (:func:`~choqlat.rationals.as_fraction`,
+    within its bounds) and the strings of each list of strings swapped, as
+    its object is parsed, for one object per distinct text. A label file
+    then holds its distinct labels once, not once per occurrence; the
+    result is equal to ``json.load``'s, so no read or error can change. A
+    list is taken as one of strings by its first item, so that a grid
+    file's nodes cost one type check each."""
+    seen: dict[str, str] = {}
+
+    def intern(obj: dict) -> dict:
+        for name, value in obj.items():
+            if type(value) is list and value and type(value[0]) is str:
+                obj[name] = [seen.setdefault(x, x) if type(x) is str else x for x in value]
+        return obj
+
+    return json.load(handle, parse_float=as_fraction, parse_constant=_not_finite,
+                     object_hook=intern)
 
 
 def _require(obj, key: str, where: str):
@@ -72,18 +108,25 @@ def _parse_value(raw, where: str) -> tuple[int, int]:
         raise FileFormatError(f"bad value in {where}: {exc}", field=where) from None
 
 
-def _read_entries(obj, what: str, names: tuple[str, ...], key) -> FileTable:
+def _read_entries(obj, what: str, names: tuple[str, ...], key, codes: tuple = ()) -> FileTable:
     """Values of a capacity file's entries, each keyed by ``key(entry,
     where)``, which reads the entry's ``names`` fields to its vertex code.
 
-    Each value is read once (:func:`_parse_value`) to its pair in lowest
-    terms, so two entries for one vertex agree exactly when their pairs are
-    equal: the one duplicate-entry check, and a clash names the entry. No
-    ``Fraction`` is made.
+    A grid file, whose ``codes`` are given, is first read in whole-list
+    passes (:func:`_grid_entries`), which read each distinct value text
+    once per file (a per-file read, not a cache). Only where that pass
+    declines is the file read by the per-entry loop, from its first entry;
+    the loop alone raises, and names the first bad entry. In the loop each
+    value is read once (:func:`_parse_value`) to its pair in lowest terms.
+    Either way two entries for one vertex agree exactly when their pairs
+    are equal: the one duplicate-entry check, and a clash names the entry.
+    No ``Fraction`` is made.
     """
     entries = _require(obj, "values", f"{what} file")
     if not isinstance(entries, list):
         raise FileFormatError("values must be a list", field="values")
+    if codes and (table := _grid_entries(entries, names, codes)) is not None:
+        return table
     where = f"{what} entry"
     table = FileTable()
     for entry in entries:
@@ -289,6 +332,50 @@ def _node(codes: tuple, name: str, entry, where: str) -> int:
     return sum(map(getitem, codes, node))
 
 
+def _grid_entries(entries: list, names: tuple[str, ...], codes: tuple) -> FileTable | None:
+    """The table of a grid file's ``entries``, read in whole-list passes,
+    or ``None`` where any entry would fail the per-entry loop or is not
+    plain JSON (a coordinate of an ``int`` subclass, say), so that the loop
+    reads the file and names its first bad entry. Never raises.
+
+    ``codes`` holds, for each field of ``names``, each criterion's codes by
+    level; a vertex's code is the OR of its coordinates' codes. Each point
+    field is checked by coordinate column. When every value is a string,
+    each distinct text is read once by :func:`~choqlat.rationals._ratio`
+    and its entries share that pair: a per-file read, not a cache. Any
+    other values are read one by one, since ``1`` and ``true`` are equal
+    keys. An entry repeating a vertex must carry an equal pair.
+    """
+    if set(map(type, entries)) != {dict}:
+        return None
+    try:
+        points = [list(map(itemgetter(name), entries)) for name in names]
+        values = list(map(itemgetter("value"), entries))
+    except KeyError:
+        return None
+    vertices = repeat(0, len(entries))
+    for nodes, criteria in zip(points, codes):
+        if set(map(type, nodes)) != {list} or set(map(len, nodes)) != {len(criteria)}:
+            return None
+        for column, by_level in zip(zip(*nodes), criteria):
+            if set(map(type, column)) != {int} or min(column) < 0 or max(column) >= len(by_level):
+                return None
+            vertices = map(or_, vertices, map(by_level.__getitem__, column))
+    vertices = list(vertices)
+    try:
+        if set(map(type, values)) == {str}:
+            read = {text: _ratio(text) for text in set(values)}
+            pairs = list(map(read.__getitem__, values))
+        else:
+            pairs = list(map(_ratio, values))
+    except (TypeError, ValueError):
+        return None
+    table = FileTable(zip(vertices, pairs))
+    if len(table) < len(pairs) and not all(map(eq, map(table.__getitem__, vertices), pairs)):
+        return None
+    return table
+
+
 def _grid_capacity(obj, what: str, names: tuple[str, ...], capacity):
     """(k, n, capacity) of a grid file, unsigned or signed by its ``names``.
 
@@ -304,11 +391,13 @@ def _grid_capacity(obj, what: str, names: tuple[str, ...], capacity):
     """
     k, n = _grid_header(obj, f"{what} file")
     lattice = DownsetLattice(build_kary_base(k, n))
-    node, width = partial(_node, lattice.derived(_grid)[2]), len(lattice.base)
-    key, signed = partial(node, "node"), len(names) == 2
+    prefixes, width = lattice.derived(_grid)[2], len(lattice.base)
+    node, signed = partial(_node, prefixes), len(names) == 2
+    key, codes = partial(node, "node"), (prefixes,)
     if signed:
         key = lambda e, where: _pair_code(node("pos", e, where), node("neg", e, where), width)
-    table = _read_entries(obj, what, names, key)
+        codes += (tuple(tuple(code << width for code in criterion) for criterion in prefixes),)
+    table = _read_entries(obj, what, names, key, codes)
     if signed:
         _refuse_overlaps(lattice, table)
     # per criterion: level 0, or one of k-1 levels on one of the named sides

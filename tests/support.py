@@ -758,14 +758,14 @@ def _bad_key(draw, row: dict, field: str, k: int | None) -> dict:
 
 
 @st.composite
-def capacity_files(draw):
-    """A capacity file of one of the four kinds, with the name of its
+def capacity_files(draw, kinds=tuple(SLOW_CAPACITY_READERS), faults=FILE_FAULTS):
+    """A capacity file of one of the ``kinds``, with the name of its
     reader (:data:`SLOW_CAPACITY_READERS`): every vertex once, values in
-    mixed spellings, with up to three faults (:data:`FILE_FAULTS`): an
-    entry dropped, an entry given again in another spelling or with
+    mixed spellings, with up to three of the ``faults`` (:data:`FILE_FAULTS`):
+    an entry dropped, an entry given again in another spelling or with
     another value, a bad value, a bad key, an overlapping pair or a pair
     in no tile; the entries shuffled."""
-    kind = draw(st.sampled_from(sorted(SLOW_CAPACITY_READERS)))
+    kind = draw(st.sampled_from(sorted(kinds)))
     signed, grid = "bipolar" in kind, kind.startswith("grid")
     fields = ("pos", "neg") if signed else ("node",) if grid else ("downset",)
     if grid:
@@ -791,13 +791,14 @@ def capacity_files(draw):
             ]
         else:
             keys, overlaps, outside = [(sorted(x),) for x in lattice.elements], [], []
-    kinds = (decimal_unit_fractions, VALUE_KINDS["small"], VALUE_KINDS["mixed"])
-    values = draw(st.sampled_from(kinds))
+    value_kinds = (decimal_unit_fractions, VALUE_KINDS["small"], VALUE_KINDS["mixed"])
+    values = draw(st.sampled_from(value_kinds))
     exact = [draw(values) for _ in keys]
     rows = [{**dict(zip(fields, key)), "value": draw(spellings(v))} for key, v in zip(keys, exact)]
-    faults = [f for f in FILE_FAULTS if f not in ("overlap", "no tile")]
-    faults += ["overlap"] * bool(overlaps) + ["no tile"] * bool(outside)
-    for fault in draw(st.lists(st.sampled_from(faults), max_size=3)):
+    drawn = [f for f in faults if f not in ("overlap", "no tile")]
+    drawn += ["overlap"] * bool(overlaps and "overlap" in faults)
+    drawn += ["no tile"] * bool(outside and "no tile" in faults)
+    for fault in draw(st.lists(st.sampled_from(drawn), max_size=3)):
         at = draw(st.integers(0, len(keys) - 1))
         if fault == "short" and rows:
             del rows[draw(st.integers(0, len(rows) - 1))]

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import random
@@ -5,6 +6,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +25,7 @@ from support import (
 )
 
 MAX_DIGITS, MAX_EXPONENT = rationals.MAX_DIGITS, rationals.MAX_EXPONENT
+GRID_KINDS = ("grid capacity", "grid bipolar capacity")
 
 
 def chain_payload(n: int) -> dict:
@@ -614,6 +617,21 @@ class TestLabelFilesOnCodes:
                 assert out.get("cross_check", {"agrees": True})["agrees"] is True
                 assert bool(built) is view
 
+    def test_loader_keeps_one_object_per_label(self):
+        """``load_json`` reads what ``json.load`` reads, number literals as
+        ``Fraction``s, with every string of a list of strings one object
+        per text; other lists are left as they are."""
+        text = '{"lattice": {"elements": ["ab", "cd"]}, "values": [{"downset": ["cd", "ab"], ' \
+               '"value": 0.5}, {"downset": ["ab"], "node": [1, "ab"], "value": "ab"}]}'
+        obj = fileio.load_json(io.StringIO(text))
+        assert obj == json.loads(text, parse_float=Fraction)
+        a, b = obj["lattice"]["elements"]
+        first, second = obj["values"]
+        assert first["downset"][0] is b and first["downset"][1] is a and second["downset"][0] is a
+        assert second["node"][1] is not a
+        with pytest.raises(ValueError, match="^NaN is not a finite number$"):
+            fileio.load_json(io.StringIO('{"values": [NaN]}'))
+
 
 class TestGridFiles:
     def test_round_trip(self):
@@ -934,6 +952,49 @@ class TestGridReader:
         ]:
             with pytest.raises(cq.InvalidDimensions, match=text):
                 parse({"k": 3, "n": 2, "values": [{**payload, "value": "0"}]})
+
+    @pytest.mark.parametrize(
+        "parse, keys",
+        [
+            (fileio.parse_kary_capacity, [{"node": [0]}, {"node": [1]}]),
+            (
+                fileio.parse_bipolar_kary_capacity,
+                [{"pos": [0], "neg": [0]}, {"pos": [1], "neg": [0]}],
+            ),
+        ],
+    )
+    def test_boolean_value_after_an_equal_int_refused(self, parse, keys):
+        # 1 == True: values keyed by themselves would read true as 1
+        rows = [{**keys[0], "value": 1}, {**keys[1], "value": True}]
+        with pytest.raises(cq.FileFormatError, match="^bad value in value: booleans are not"):
+            parse({"k": 2, "n": 1, "values": rows})
+
+    @pytest.mark.parametrize(
+        "first, then, error, text",
+        [
+            ({"value": "x"}, {"node": [0, 9]}, cq.FileFormatError, "bad value in value"),
+            ({"node": [0, 9]}, {"value": "x"}, cq.InvalidDimensions, "9 of criterion 2"),
+        ],
+    )
+    def test_first_bad_entry_named(self, first, then, error, text):
+        rows = [{"node": [0, 0], "value": "0", **first}, {"node": [1, 0], "value": "0", **then}]
+        with pytest.raises(error, match=text):
+            fileio.parse_kary_capacity({"k": 3, "n": 2, "values": rows})
+
+    @settings(max_examples=100)
+    @given(capacity_files(kinds=GRID_KINDS, faults=("short", "agree", "overlap")))
+    def test_whole_list_pass_reads_every_fault_free_file(self, file):
+        """Files with no bad entry, short ones, repeats that agree and
+        overlapping pairs included, are read by the whole-list pass, and
+        read as the per-entry loop reads them."""
+        kind, payload = file
+        assume(payload["values"])
+        tables, whole = [], fileio._grid_entries
+        with mock.patch.object(fileio, "_grid_entries", lambda *a: tables.append(whole(*a))):
+            loop = file_outcome(FILE_READERS[kind], payload)
+        assert [type(table) for table in tables] == [moebius.FileTable]
+        with mock.patch.object(fileio, "_grid_entries", lambda *a: tables[0]):
+            assert file_outcome(FILE_READERS[kind], payload) == loop
 
 
 ONE_ATOM = fileio.poset_payload(antichain(1))
