@@ -17,8 +17,9 @@ pairs, filtered from it. Label sets and signed pairs are a view, built on
 first read. One walk over each code's maximal elements lists the covers:
 the step plan of the zeta/Moebius transforms, also the Hasse diagram. The
 pair-code layout is written only here: by the families, by
-:func:`_pair_code` for a grid file's pairs and by :func:`_vertex_code` for
-label sets and pairs of them, a label-format file's keys among them. Each
+:func:`_pair_code` for a grid file's pairs and the per-criterion codes of
+their negative parts, and by :func:`_vertex_code` for label sets and pairs
+of them, a label-format file's keys among them. Each
 family checks the keys it does not hold (:meth:`_Family.check`): a lattice
 element, a pair of disjoint ones (:func:`check_bipolar_pair`), or a pair in
 some tile; a file's code is read back as its labels first
@@ -245,17 +246,15 @@ class _Family:
         return [(self.vertices[lo], self.vertices[up]) for lo, up in sorted(zip(lowers, keys))]
 
 
-def _lattice_family(lattice: DownsetLattice) -> _Family:
-    return _Family(lattice, *_downsets(lattice.base), signed=False)
-
-
-def _count_elements(lattice: DownsetLattice, bound: int) -> None:
-    """Enumerate the lattice's elements, unless it holds them already, and
-    keep their family with it; past ``bound`` elements the count is refused
+def _lattice_family(lattice: DownsetLattice, bound: int | None = None) -> _Family:
+    """The family of the lattice's elements, enumerated unless the lattice
+    holds it already, and kept with it (:meth:`DownsetLattice.derived`);
+    past ``bound`` elements (default ``DOWNSET_CAP``) the count is refused
     at once with :class:`SizeLimitExceeded`."""
-    if _lattice_family not in lattice._derived:
-        family = _Family(lattice, *_downsets(lattice.base, bound), signed=False)
-        lattice._derived[_lattice_family] = family
+    held = lattice._derived
+    if _lattice_family not in held:
+        held[_lattice_family] = _Family(lattice, *_downsets(lattice.base, bound), signed=False)
+    return held[_lattice_family]
 
 
 def _pair_code(pos: int, neg: int, width: int) -> int:
@@ -310,10 +309,8 @@ def _extension_family(lattice: DownsetLattice) -> _Family:
         parts[code] = (*kept, code ^ sum(kept))
         size += 1 << len(parts[code])
         if size > DOWNSET_CAP:
-            raise SizeLimitExceeded(
-                f"bipolar extension has at least {size} pairs, over the cap {DOWNSET_CAP}",
-                cap=DOWNSET_CAP,
-            )
+            what = f"bipolar extension has at least {size} pairs"
+            raise SizeLimitExceeded.over(what, DOWNSET_CAP)
     n = len(position)
     keys = []
     for code, components in parts.items():
@@ -407,7 +404,7 @@ def verify_distributive(explicit: Poset) -> BirkhoffForm:
     irreducibles = [x for x in elems if len(explicit.lower_covers(x)) == 1]
     lattice = DownsetLattice(explicit.restrict(irreducibles))
     try:
-        _count_elements(lattice, n)  # kept with the lattice
+        _lattice_family(lattice, n)  # kept with the lattice
     except SizeLimitExceeded:
         raise NotDistributive(
             f"the join-irreducible poset has more downsets than the lattice"

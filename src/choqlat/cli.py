@@ -276,10 +276,8 @@ def cmd_bipolar_enumerate(args):
         keys, lowers, _ = family.plan
         labels += sum(family.order[k].bit_count() for k in chain(keys, lowers))
     if labels > OUTPUT_LABEL_CAP:
-        raise SizeLimitExceeded(
-            f"the output would print at least {labels} labels, over the cap {OUTPUT_LABEL_CAP}",
-            cap=OUTPUT_LABEL_CAP,
-        )
+        what = f"the output would print at least {labels} labels"
+        raise SizeLimitExceeded.over(what, OUTPUT_LABEL_CAP)
     if args.dot:
         return _dot("bipolar_extension", family.vertices, family.covers(), _pair_text)
     return {

@@ -2,6 +2,12 @@
 
 Every error carries a stable ``code`` string so the command line layer can
 surface failures in a machine-readable way.
+
+A size budget is refused in one form, :meth:`SizeLimitExceeded.over`:
+"<what was counted>, over the cap N", with ``cap`` = N in the context. Two
+refusals keep older wordings, with ``cap`` in the context too: the downset
+enumeration's "downset family exceeds cap N" and the CLI's "exact value has
+a numerator or denominator over N digits".
 """
 
 
@@ -35,6 +41,12 @@ class RedundantCover(ChoqlatError):
 
 class SizeLimitExceeded(ChoqlatError):
     code = "size_limit_exceeded"
+
+    @classmethod
+    def over(cls, what: str, cap: int) -> "SizeLimitExceeded":
+        """The refusal of a size budget: "``what``, over the cap ``cap``",
+        with ``cap`` in the context."""
+        return cls(f"{what}, over the cap {cap}", cap=cap)
 
 
 # lattices in downset form

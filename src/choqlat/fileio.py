@@ -44,7 +44,7 @@ from itertools import repeat
 from operator import eq, getitem, itemgetter, or_
 
 from .bipolar import BipolarCapacity, BipolarProfile
-from .birkhoff import DownsetLattice, _count_elements, _pair_code, _refuse_overlaps, _vertex_code
+from .birkhoff import DownsetLattice, _lattice_family, _pair_code, _refuse_overlaps, _vertex_code
 from .birkhoff import verify_distributive
 from .errors import BaseMismatch, ContradictoryValue, FileFormatError, SizeLimitExceeded
 from .interpolation import Profile, _profile_values
@@ -155,10 +155,7 @@ def _labels(entry, name: str, where: str) -> frozenset:
 def parse_poset(obj) -> Poset:
     elements = _label_list(_require(obj, "elements", "poset file"), "elements")
     if len(elements) > GRID_ELEMENT_CAP:
-        raise SizeLimitExceeded(
-            f"poset has {len(elements)} elements, over the cap {GRID_ELEMENT_CAP}",
-            cap=GRID_ELEMENT_CAP,
-        )
+        raise SizeLimitExceeded.over(f"poset has {len(elements)} elements", GRID_ELEMENT_CAP)
     covers_raw = _require(obj, "covers", "poset file")
     if not isinstance(covers_raw, list):
         raise FileFormatError("covers must be a list of [lower, upper] pairs", field="covers")
@@ -216,7 +213,7 @@ def _label_capacity(obj, what: str, names: tuple[str, ...], capacity):
     names one outside the base. Every lattice element needs its own entry,
     and a signed file a pair (A, ∅) for each element A. So once the entries
     are read, the base's downsets are counted up to their number
-    (:func:`~choqlat.birkhoff._count_elements`): one more makes the file
+    (:func:`~choqlat.birkhoff._lattice_family`): one more makes the file
     short, refused before its lattice is enumerated. Otherwise the counted
     family is kept with the lattice, which is enumerated once, and the
     capacity's vertex family checks every key it does not hold, in file
@@ -234,7 +231,7 @@ def _label_capacity(obj, what: str, names: tuple[str, ...], capacity):
     table = _read_entries(obj, what, names, key)
     if len(table) < DOWNSET_CAP:
         try:
-            _count_elements(lattice, len(table))
+            _lattice_family(lattice, len(table))
         except SizeLimitExceeded:
             raise BaseMismatch(f"only {len(table)} entries for a larger lattice") from None
     return capacity(lattice, table)
@@ -303,15 +300,11 @@ def _grid_header(obj, where: str) -> tuple[int, int]:
         raise FileFormatError(f"k and n must be integers in {where}", field="k")
     if k >= 2 and n >= 1:
         if (k - 1) * n > GRID_ELEMENT_CAP:
-            raise SizeLimitExceeded(
-                f"grid base has (k-1)*n = {(k - 1) * n} elements, over the cap"
-                f" {GRID_ELEMENT_CAP}",
-                cap=GRID_ELEMENT_CAP,
+            raise SizeLimitExceeded.over(
+                f"grid base has (k-1)*n = {(k - 1) * n} elements", GRID_ELEMENT_CAP
             )
         if k**n > DOWNSET_CAP:
-            raise SizeLimitExceeded(
-                f"grid lattice has {k}**{n} nodes, over the cap {DOWNSET_CAP}", cap=DOWNSET_CAP
-            )
+            raise SizeLimitExceeded.over(f"grid lattice has {k}**{n} nodes", DOWNSET_CAP)
     return k, n
 
 
@@ -320,12 +313,7 @@ def _node(codes: tuple, name: str, entry, where: str) -> int:
     its downset's bit code: the sum of its criteria's prefix ``codes``
     (:func:`~choqlat.kary._grid`)."""
     node = _require(entry, name, where)
-    if not (
-        isinstance(node, list)
-        and len(node) == len(codes)
-        and all(map(isinstance, node, repeat(int)))
-        and bool not in map(type, node)
-    ):
+    if not (isinstance(node, list) and len(node) == len(codes) and all(map(_is_int, node))):
         raise FileFormatError(f"{name} must be a list of {len(codes)} integers", field=name)
     if min(node) < 0 or max(node) >= len(codes[0]):
         _levels(node, len(codes[0]))  # raises, naming the first coordinate out of range
@@ -396,7 +384,7 @@ def _grid_capacity(obj, what: str, names: tuple[str, ...], capacity):
     key, codes = partial(node, "node"), (prefixes,)
     if signed:
         key = lambda e, where: _pair_code(node("pos", e, where), node("neg", e, where), width)
-        codes += (tuple(tuple(code << width for code in criterion) for criterion in prefixes),)
+        codes += (tuple(tuple(_pair_code(0, code, width) for code in c) for c in prefixes),)
     table = _read_entries(obj, what, names, key, codes)
     if signed:
         _refuse_overlaps(lattice, table)

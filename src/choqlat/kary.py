@@ -23,7 +23,7 @@ file's node is read as the sum of its criteria's prefix codes
 A scale keeps its levels' (numerator, denominator) pairs, and a located
 point its residues as pairs, turned into ``Fraction``s only when read. The
 staircase is built by one function for both signs, :func:`_staircase`,
-which hands its pairs, by bit position, to the profile as they are.
+which hands its pairs, in lowest terms, to the profile through its check.
 :func:`grid_steps` reads an :class:`~choqlat.interpolation.Evaluation` on
 a grid base as levels, criteria and grid points.
 :class:`ReferenceScale` and :class:`LevelIndexing` are frozen records
@@ -38,12 +38,13 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from ._record import frozen_record
 from .bipolar import BipolarCapacity, BipolarProfile
 from .errors import InvalidDimensions, OutOfScale
-from .interpolation import Evaluation, Profile, _BuiltOnRead, _sort_keys
+from .interpolation import Evaluation, Profile, _BuiltOnRead, _profile_values, _sort_keys
 from .moebius import GeneralizedCapacity
 from .poset import Poset
 from .rationals import _ratio, _shown, as_fraction
@@ -284,19 +285,20 @@ def _staircase(
 ) -> Profile | BipolarProfile:
     """The staircase of a located point on its grid base: on each criterion
     1 below the level index, the residue at it and 0 above, negated on the
-    criteria outside ``positive`` when given (a signed profile). The values
-    pass every profile check by construction, so their pairs, the residues
-    as the corner sweep reads them, go to the profile by bit position."""
+    criteria outside ``positive`` when given (a signed profile). Its pairs,
+    the residues in lowest terms, go through the profile's one check
+    (:func:`~choqlat.interpolation._profile_values`), which puts them in bit
+    order and finds their sizes and sort keys."""
     values = {}
     for i, (index, (n, d)) in enumerate(zip(indexing.indices, indexing._residues), start=1):
+        g = gcd(n, d)
+        n, d = n // g, d // g
         top, mid = ((1, 1), (n, d)) if positive is None or i in positive else ((-1, 1), (-n, d))
         for l in range(1, k):
             values[level_label(i, l)] = top if l < index else mid if l == index else (0, 1)
-    base = build_kary_base(k, len(indexing.indices))
-    pairs = list(map(values.__getitem__, base._topo))
-    sizes = [(abs(n), d) for n, d in pairs]
-    kind = Profile if positive is None else BipolarProfile
-    return kind._from_checked(base, pairs, _sort_keys(sizes), sizes)
+    base, signed = build_kary_base(k, len(indexing.indices)), positive is not None
+    checked = _profile_values(base, values, signed, read=list(values.values()))
+    return (BipolarProfile if signed else Profile)._from_checked(base, *checked)
 
 
 def level_profile(point: Sequence, scale: ReferenceScale) -> tuple[LevelIndexing, Profile]:

@@ -208,18 +208,15 @@ class _CapacityBody:
         sum is written in its step form v0 + sum of l_j (v_{j+1} - v_j),
         with v_j the value numerators along the chain: the steps are one
         ``map``, and level l_j enters only where the value steps (one
-        ``compress``), so the common denominator is taken over those levels
-        alone, bounded before it is computed
-        (:func:`~choqlat.rationals._common_denominator`). The sum runs on
-        integers and makes one ``Fraction``, over the product of that and
-        the values' denominator.
+        ``compress``), so only those levels are scaled to their common
+        denominator, by :func:`_scaled`, which bounds it before it is
+        computed. The sum runs on integers and makes one ``Fraction``, over
+        the product of that and the values' denominator.
         """
         numerators, denominator = self.values._integers
         values = list(map(numerators.__getitem__, self._family.chain(masks, positive)))
         steps = list(map(operator.sub, values[1:], values))
-        kept = list(compress(levels, steps))
-        scale = _common_denominator({den for _, den in kept})
-        scaled = [num * (scale // den) for num, den in kept]
+        scaled, scale = _scaled(list(compress(levels, steps)))
         total = values[0] * scale + sum(map(operator.mul, filter(None, steps), scaled))
         return Fraction(total, denominator * scale)
 

@@ -119,10 +119,8 @@ def _common_denominator(denominators: set[int]) -> int:
     computed when their bit lengths sum past ``MAX_DENOMINATOR_BITS``."""
     bits = sum(map(int.bit_length, denominators))
     if bits > MAX_DENOMINATOR_BITS:
-        raise SizeLimitExceeded(
-            f"common denominator of up to {bits} bits, over the cap {MAX_DENOMINATOR_BITS}",
-            cap=MAX_DENOMINATOR_BITS,
-        )
+        what = f"common denominator of up to {bits} bits"
+        raise SizeLimitExceeded.over(what, MAX_DENOMINATOR_BITS)
     return lcm(*denominators)
 
 

@@ -179,9 +179,13 @@ class TestExtension:
         assert len(cq.bipolar_extension(cq.DownsetLattice(fan(13)))) == 16385
 
     def test_thirteen_bottom_wedge_is_refused(self):
-        message = r"bipolar extension has at least \d+ pairs, over the cap 1000000"
-        with pytest.raises(cq.SizeLimitExceeded, match=message):
+        """Counted per downset, the pairs pass the cap at the downset that
+        brings them to 1000403, before any pair is built."""
+        with pytest.raises(cq.SizeLimitExceeded) as refused:
             cq.bipolar_extension(cq.DownsetLattice(wedge(13)))
+        message = "bipolar extension has at least 1000403 pairs, over the cap 1000000"
+        assert str(refused.value) == message
+        assert refused.value.context == {"cap": 1000000}
 
     @given(lattices(max_elements=6))
     def test_admissible_pairs_match_component_filter(self, lattice):

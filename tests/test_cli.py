@@ -697,8 +697,12 @@ class TestInputBoundary:
         monkeypatch.setattr(cli, "OUTPUT_LABEL_CAP", labels - 1)
         code, payload = run_json(capsys, *argv)
         assert code == 2
-        assert payload["error"]["code"] == "size_limit_exceeded"
-        assert payload["error"]["cap"] == labels - 1
+        assert payload["error"] == {
+            "code": "size_limit_exceeded",
+            "message": f"the output would print at least {labels} labels,"
+            f" over the cap {labels - 1}",
+            "cap": labels - 1,
+        }
 
     @pytest.mark.parametrize(
         "text",

@@ -686,11 +686,20 @@ class TestGridFiles:
         ],
     )
     def test_header_over_budget_rejected(self, k, n):
+        """The base's (k-1)*n elements are checked first, then the k**n
+        nodes; each refusal names its count and its cap, whole."""
+        if (k - 1) * n > fileio.GRID_ELEMENT_CAP:
+            cap = fileio.GRID_ELEMENT_CAP
+            message = f"grid base has (k-1)*n = {(k - 1) * n} elements, over the cap {cap}"
+        else:
+            cap = fileio.DOWNSET_CAP
+            message = f"grid lattice has {k}**{n} nodes, over the cap {cap}"
         payload = {"k": k, "n": n, "values": []}
-        with pytest.raises(cq.SizeLimitExceeded):
-            fileio.parse_kary_capacity(payload)
-        with pytest.raises(cq.SizeLimitExceeded):
-            fileio.parse_bipolar_kary_capacity(payload)
+        for parse in (fileio.parse_kary_capacity, fileio.parse_bipolar_kary_capacity):
+            with pytest.raises(cq.SizeLimitExceeded) as refused:
+                parse(payload)
+            assert str(refused.value) == message
+            assert refused.value.context == {"cap": cap}
 
     def test_largest_headers_in_use_still_parse(self):
         grid = cq.DownsetLattice(cq.build_kary_base(6, 5))

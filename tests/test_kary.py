@@ -572,6 +572,53 @@ class TestGridTable:
             ) == cq.bipolar_natural_extension(capacity, staircase)
 
 
+class TestStaircaseCheck:
+    """The staircase goes through the profile's one check: its pairs, sort
+    keys and sizes are those the public constructor makes of its values,
+    on 11 criteria too, where the label sort puts ``c10l1`` before
+    ``c2l1``, so bit order is not label order."""
+
+    @staticmethod
+    def expected(indexing, k: int, negated=frozenset()) -> dict:
+        """1 below each criterion's level index, its residue at it, 0 above;
+        negated on the criteria in ``negated``."""
+        values = {}
+        for i, (index, residue) in enumerate(zip(indexing.indices, indexing.residues), start=1):
+            sign = -1 if i in negated else 1
+            for l in range(1, k):
+                level = 1 if l < index else residue if l == index else 0
+                values[cq.level_label(i, l)] = sign * level
+        return values
+
+    @staticmethod
+    def held(profile) -> tuple:
+        return profile._pairs, profile._keys, profile._sizes
+
+    @pytest.mark.parametrize("n", [2, 11], ids=["grid32", "eleven_criteria"])
+    def test_unsigned(self, scale3, n):
+        rng = random.Random(n)
+        for _ in range(30):
+            point = [Fraction(rng.randint(0, 8), 8) for _ in range(n)]
+            indexing, staircase = cq.level_profile(point, scale3)
+            expected = self.expected(indexing, 3)
+            assert staircase.values == expected
+            # criterion order is label order; on 11 criteria it is not bit order
+            assert (list(staircase.base._topo) == list(expected)) == (n == 2)
+            built = cq.Profile(staircase.base, staircase.values)
+            assert self.held(staircase) == self.held(built)
+
+    @pytest.mark.parametrize("n", [2, 11], ids=["grid32", "eleven_criteria"])
+    def test_signed(self, symmetric5, n):
+        rng = random.Random(n + 1)
+        for _ in range(30):
+            point = [Fraction(rng.randint(-8, 8), 8) for _ in range(n)]
+            positive, indexing, staircase = cq.bipolar_level_profile(point, symmetric5)
+            negated = frozenset(range(1, n + 1)) - positive
+            assert staircase.values == self.expected(indexing, 3, negated)
+            built = cq.BipolarProfile(staircase.base, staircase.values)
+            assert self.held(staircase) == self.held(built)
+
+
 class TestTwoLevelCollapse:
     def test_unsigned_matches_classical(self):
         rng = random.Random(16)

@@ -150,7 +150,7 @@ class TestHeldSizes:
         scale = cq.ReferenceScale(("-1", "-0.5", "0", "0.5", "1"), symmetric=True)
         _, _, profile = bipolar_level_profile(point, scale)
         assert profile.magnitude()._pairs is profile._sizes
-        # the residues are kept unreduced, as the corner sweep reads them
+        # the corner sweep reads the residues unreduced; the staircase reduces them
         sizes = [Fraction(n, d) for n, d in profile._sizes]
         assert sizes == [Fraction(n, d) for n, d in _oracle_sizes(profile.base, profile.values)]
 
