@@ -13,12 +13,13 @@ a file's JSON text with one string object per distinct label.
 
 A grid file is read in whole-list passes (:func:`_grid_entries`): its
 points checked by coordinate column and coded by the OR of per-criterion
-lookups, and, where every value is a string, each distinct value text read
-once, its entries sharing one pair; that is a read per file, not a cache.
-The pass never raises. Where any entry would fail, it declines, and the
-per-entry loop reads the file from its first entry and names the first
-bad one, so each error keeps its class, text, context and precedence.
-Label-format files are read by the per-entry loop alone.
+code tables, and, where every value is a string, each distinct value text
+read once, its entries sharing one pair; that is a read per file, not a
+cache. The pass never raises. Where any entry would fail, it declines, and
+the per-entry loop (:func:`_read_entries`) reads the file from its first
+entry, coding each point as the sum over the same tables, and names the
+first bad one, so each error keeps its class, text, context and
+precedence. Label-format files are read by the per-entry loop alone.
 
 Every capacity file keys its entries by vertex code. A label-format entry
 is coded by :func:`~choqlat.birkhoff._vertex_code`, the OR of its labels'
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import partial
 from itertools import repeat
 from operator import eq, getitem, itemgetter, or_
 
@@ -108,25 +108,20 @@ def _parse_value(raw, where: str) -> tuple[int, int]:
         raise FileFormatError(f"bad value in {where}: {exc}", field=where) from None
 
 
-def _read_entries(obj, what: str, names: tuple[str, ...], key, codes: tuple = ()) -> FileTable:
-    """Values of a capacity file's entries, each keyed by ``key(entry,
-    where)``, which reads the entry's ``names`` fields to its vertex code.
-
-    A grid file, whose ``codes`` are given, is first read in whole-list
-    passes (:func:`_grid_entries`), which read each distinct value text
-    once per file (a per-file read, not a cache). Only where that pass
-    declines is the file read by the per-entry loop, from its first entry;
-    the loop alone raises, and names the first bad entry. In the loop each
-    value is read once (:func:`_parse_value`) to its pair in lowest terms.
-    Either way two entries for one vertex agree exactly when their pairs
-    are equal: the one duplicate-entry check, and a clash names the entry.
-    No ``Fraction`` is made.
-    """
+def _entry_list(obj, what: str) -> list:
     entries = _require(obj, "values", f"{what} file")
     if not isinstance(entries, list):
         raise FileFormatError("values must be a list", field="values")
-    if codes and (table := _grid_entries(entries, names, codes)) is not None:
-        return table
+    return entries
+
+
+def _read_entries(entries: list, what: str, names: tuple[str, ...], key) -> FileTable:
+    """Values of a capacity file's ``entries`` in file order, each keyed by
+    ``key(entry, where)``, which reads the entry's ``names`` fields to its
+    vertex code, and read once (:func:`_parse_value`) to its pair in lowest
+    terms; the first bad entry is named. Two entries for one vertex agree
+    exactly when their pairs are equal, and a clash names the entry. No
+    ``Fraction`` is made."""
     where = f"{what} entry"
     table = FileTable()
     for entry in entries:
@@ -228,7 +223,7 @@ def _label_capacity(obj, what: str, names: tuple[str, ...], capacity):
         except KeyError:  # a label outside the base: kept as the labels
             return parts if len(parts) == 2 else parts[0]
 
-    table = _read_entries(obj, what, names, key)
+    table = _read_entries(_entry_list(obj, what), what, names, key)
     if len(table) < DOWNSET_CAP:
         try:
             _lattice_family(lattice, len(table))
@@ -310,8 +305,8 @@ def _grid_header(obj, where: str) -> tuple[int, int]:
 
 def _node(codes: tuple, name: str, entry, where: str) -> int:
     """The grid point in the field ``name``, checked for shape and range, as
-    its downset's bit code: the sum of its criteria's prefix ``codes``
-    (:func:`~choqlat.kary._grid`)."""
+    the sum of its criteria's ``codes`` at its levels: its downset's bit
+    code for the grid's prefix codes (:func:`~choqlat.kary._grid`)."""
     node = _require(entry, name, where)
     if not (isinstance(node, list) and len(node) == len(codes) and all(map(_is_int, node))):
         raise FileFormatError(f"{name} must be a list of {len(codes)} integers", field=name)
@@ -367,9 +362,12 @@ def _grid_entries(entries: list, names: tuple[str, ...], codes: tuple) -> FileTa
 def _grid_capacity(obj, what: str, names: tuple[str, ...], capacity):
     """(k, n, capacity) of a grid file, unsigned or signed by its ``names``.
 
-    Nodes are read as codes and the entries keyed by them, a signed pair
-    by the pair code of its two (:func:`~choqlat.birkhoff._pair_code`), as
-    the vertex families code it. A clash names its entry. No vertex is
+    Nodes are read as codes through one table per field: the grid's prefix
+    codes, shifted by :func:`~choqlat.birkhoff._pair_code` for ``neg``, so a
+    signed pair is keyed by its pair code, as the vertex families code it.
+    The whole-list pass (:func:`_grid_entries`) reads the file over those
+    tables; only where it declines does the per-entry loop
+    (:func:`_read_entries`) read it over the same ones. No vertex is
     enumerated until every entry is read and checked: an overlapping pair
     (:func:`~choqlat.birkhoff._refuse_overlaps`) is refused first, then a
     file naming fewer distinct nodes than its grid has vertices, k**n nodes
@@ -380,12 +378,15 @@ def _grid_capacity(obj, what: str, names: tuple[str, ...], capacity):
     k, n = _grid_header(obj, f"{what} file")
     lattice = DownsetLattice(build_kary_base(k, n))
     prefixes, width = lattice.derived(_grid)[2], len(lattice.base)
-    node, signed = partial(_node, prefixes), len(names) == 2
-    key, codes = partial(node, "node"), (prefixes,)
+    codes, signed = (prefixes,), len(names) == 2
     if signed:
-        key = lambda e, where: _pair_code(node("pos", e, where), node("neg", e, where), width)
         codes += (tuple(tuple(_pair_code(0, code, width) for code in c) for c in prefixes),)
-    table = _read_entries(obj, what, names, key, codes)
+    # the parts' codes sit in disjoint bits, so their sum is the pair code
+    key = lambda e, where: sum(_node(c, name, e, where) for name, c in zip(names, codes))
+    entries = _entry_list(obj, what)
+    table = _grid_entries(entries, names, codes)
+    if table is None:
+        table = _read_entries(entries, what, names, key)
     if signed:
         _refuse_overlaps(lattice, table)
     # per criterion: level 0, or one of k-1 levels on one of the named sides

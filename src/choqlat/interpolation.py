@@ -85,14 +85,14 @@ def _profile_values(
     ``values`` maps labels to numbers, each read by
     :func:`~choqlat.rationals._ratio`; a file reader that has read them
     passes their pairs, in the same order, as ``read``. Labels given in bit
-    order (the base's linear extension, label order on a grid of up to nine
-    criteria) need no reordering. Unsigned profiles take values in [0, 1]
-    and are nonincreasing; signed ones take values in [-1, 1] and their
-    sizes are nonincreasing. Both checks compare the sizes' keys, which
-    order as their values: a value is out of range when its key is negative
-    or when the value of the largest key is above 1. A value out of range
-    is named in the order of ``values``; a rise along a cover names the
-    smallest such cover (:func:`~choqlat.poset._rising_cover`).
+    order (the base's linear extension: on a grid of k <= 10 levels, label
+    order, for any n) need no reordering. Unsigned profiles take values in
+    [0, 1] and are nonincreasing; signed ones take values in [-1, 1] and
+    their sizes are nonincreasing. Both checks compare the sizes' keys,
+    which order as their values: a value is out of range when its key is
+    negative or when the value of the largest key is above 1. A value out of
+    range is named in the order of ``values``; a rise along a cover names
+    the smallest such cover (:func:`~choqlat.poset._rising_cover`).
     """
     labels = values.keys()
     if read is None:

@@ -316,7 +316,7 @@ def _corner_sweep(
     capacity: GeneralizedCapacity | BipolarCapacity,
     prefixes: Sequence[Sequence[int]],
     indexing: LevelIndexing,
-    positive: int | None = None,
+    positive: frozenset | None = None,
 ) -> Fraction:
     """Sorted sweep over residues against lazily read mesh corners.
 
@@ -326,17 +326,22 @@ def _corner_sweep(
     step ORs in the next criterion's code up to its index, in sorted-residue
     order. The first corner enters with weight 1 minus the top residue, so
     corners with nonzero value at the resting point are kept. With
-    ``positive`` (the bit code of a tile's positive side) the corners are
+    ``positive`` (the criteria on a tile's positive side) the corners are
     read as signed vertices split along that tile. The capacity's one chain
     sum (:meth:`~choqlat.moebius._CapacityBody._chain_value`) adds the
-    corners' values at the sorted residues.
+    corners' values at the sorted residues. A point with other than one
+    coordinate per criterion is refused before any prefix is read.
     """
     indices, residues, order = indexing.indices, indexing._residues, indexing.order
+    if len(indices) != len(prefixes):
+        raise InvalidDimensions(f"point has {len(indices)} coordinates, grid has {len(prefixes)}")
+    # a criterion's top prefix is the whole criterion
+    tile = None if positive is None else sum(prefixes[i - 1][-1] for i in positive)
     start = sum(prefix[index - 1] for prefix, index in zip(prefixes, indices))
     raised = (prefixes[c - 1][indices[c - 1]] for c in order)
     corners = accumulate(raised, operator.or_, initial=start)
     levels = [residues[c - 1] for c in order]
-    return capacity._chain_value(corners, levels, positive)
+    return capacity._chain_value(corners, levels, tile)
 
 
 def interpolate_point(
@@ -348,13 +353,10 @@ def interpolate_point(
     Reads the 2^n corner values lazily rather than materialising a local
     capacity. Returns the capacity value itself at mesh nodes.
     """
-    k, n, prefixes = capacity.lattice.derived(_grid)
+    k, _, prefixes = capacity.lattice.derived(_grid)
     if scale.symmetric or scale.k != k:
         raise InvalidDimensions(f"scale has {scale.k} levels but the capacity grid has {k}")
-    indexing = locate_point(point, scale)
-    if len(indexing.indices) != n:
-        raise InvalidDimensions(f"point has {len(indexing.indices)} coordinates, grid has {n}")
-    return _corner_sweep(capacity, prefixes, indexing)
+    return _corner_sweep(capacity, prefixes, locate_point(point, scale))
 
 
 class GridSteps(NamedTuple):
@@ -413,12 +415,8 @@ def interpolate_signed_point(
     Criteria split by score sign (zero counts as positive); mesh corners are
     read as signed vertices split along that tile.
     """
-    k, n, prefixes = capacity.lattice.derived(_grid)
+    k, _, prefixes = capacity.lattice.derived(_grid)
     if not scale.symmetric or scale.k != k:
         raise InvalidDimensions(f"need a symmetric scale with {k} levels per side")
     positive, indexing = locate_signed_point(point, scale)
-    if len(indexing.indices) != n:
-        raise InvalidDimensions(f"point has {len(indexing.indices)} coordinates, grid has {n}")
-    # a criterion's top prefix is the whole criterion
-    tile = sum(prefixes[i - 1][k - 1] for i in positive)
-    return _corner_sweep(capacity, prefixes, indexing, tile)
+    return _corner_sweep(capacity, prefixes, indexing, positive)

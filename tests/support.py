@@ -954,45 +954,6 @@ def slow_checked_tile(profile: cq.BipolarProfile, x) -> frozenset:
     return member
 
 
-def _slow_pair_locate(value, anchors, middle: int, sign: int) -> tuple:
-    n, d = value
-    pn, pd = anchors[middle]
-    for j in range(1, len(anchors) - middle):
-        an, ad = anchors[middle + sign * j]
-        if (n * ad <= an * d) if sign > 0 else (n * ad >= an * d):
-            return j, (sign * (n * pd - pn * d) * ad, sign * (an * pd - pn * ad) * d)
-        pn, pd = an, ad
-    raise cq.OutOfScale(f"{_slow_quoted(str(Fraction(n, d)))} is outside the scale range")
-
-
-def slow_pair_locate_coordinates(point, scale: cq.ReferenceScale) -> tuple:
-    """Point location on integer pairs with the residues keyed by criterion
-    and made into Fractions."""
-    values = [_ratio(v) for v in point]
-    if not values:
-        raise cq.InvalidDimensions("a point needs at least one coordinate")
-    levels = scale.levels
-    anchors = [level.as_integer_ratio() for level in levels]
-    (ln, ld), (hn, hd) = anchors[0], anchors[-1]
-    middle = len(levels) // 2 if scale.symmetric else 0
-    indices, residues, positive = [], {}, set()
-    for i, (n, d) in enumerate(values, start=1):
-        if not (ln * d <= n * ld and n * hd <= hn * d):
-            raise cq.OutOfScale(
-                f"coordinate {_slow_quoted(str(Fraction(n, d)))} of criterion {i} outside"
-                f" [{_slow_quoted(str(levels[0]))}, {_slow_quoted(str(levels[-1]))}]",
-                criterion=i,
-            )
-        sign = -1 if scale.symmetric and n < 0 else 1
-        if sign > 0:
-            positive.add(i)
-        index, residues[i] = _slow_pair_locate((n, d), anchors, middle, sign)
-        indices.append(index)
-    order = sorted(residues, key=_slow_sort_keys(residues).__getitem__, reverse=True)
-    exact = tuple(Fraction(n, d) for n, d in residues.values())
-    return frozenset(positive), LevelIndexing(tuple(indices), exact, tuple(order))
-
-
 # slow reference chain path: sort on (-value, tie-break rank) and subtract
 # in Fractions, then add the weighted vertex values in Fractions
 

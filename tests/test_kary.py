@@ -515,6 +515,9 @@ class TestRefusals:
         capacity = random_bipolar_capacity(rng, grid32)
         with pytest.raises(cq.InvalidDimensions, match="point has 1 coordinates, grid has 2"):
             cq.interpolate_signed_point(capacity, ["-0.5"], symmetric5)
+        # a long signed point is refused before its tile is summed
+        with pytest.raises(cq.InvalidDimensions, match="point has 3 coordinates, grid has 2"):
+            cq.interpolate_signed_point(capacity, ["0.5", "-0.5", "0.5"], symmetric5)
 
     def test_signed_sweep_checks_the_scale(self, grid32, scale3):
         capacity = random_bipolar_capacity(random.Random(37), grid32)
