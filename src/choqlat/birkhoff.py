@@ -236,13 +236,15 @@ class _Family:
 
     @cached_property
     def plan(self) -> tuple:
-        """The step plan of :func:`_step_plan` over :attr:`codes`."""
-        return _step_plan(self.codes, self.maxima, len(self.lattice.base))
+        """The step plan of :func:`_step_plan` over :attr:`codes`, built for
+        the transforms and the Hasse diagram; the monotonicity check walks
+        the maxima itself and builds none."""
+        return _step_plan(self.codes, self.maxima)
 
     def covers(self) -> list[tuple]:
         """The (lower, upper) pairs of the plan, by the position of the
         lower vertex, then of the upper one."""
-        keys, lowers, _ = self.plan
+        keys, lowers = self.plan
         return [(self.vertices[lo], self.vertices[up]) for lo, up in sorted(zip(lowers, keys))]
 
 
@@ -338,11 +340,11 @@ def _admissible_family(lattice: DownsetLattice) -> _Family:
     return _Family(lattice, list(codes), list(maxima), signed=True)
 
 
-def _step_plan(at: dict[int, int], maxima: list[int], width: int) -> tuple:
+def _step_plan(at: dict[int, int], maxima: list[int]) -> tuple:
     """Index arrays (keys, lowers) of a family of codes, a key and its
-    lower key at each step that clears one bit, the steps by bit; and the
-    number of steps that clear one of the low ``width`` bits, which come
-    first (the steps that grow the positive part of a pair).
+    lower key at each step that clears one bit, the steps by bit, lowest
+    bit first. Only the transforms and the Hasse diagram read them:
+    ``is_monotone`` walks the same covers without a plan.
 
     ``at`` maps each code of a down-closed family to its position, and
     ``maxima`` are the codes' maximal elements. A key takes part in the step
@@ -361,8 +363,7 @@ def _step_plan(at: dict[int, int], maxima: list[int], width: int) -> tuple:
     flat = array("i")
     for pairs in steps:
         flat.extend(pairs)
-    rising = sum(map(len, steps[:width])) // 2
-    return flat[0::2], flat[1::2], rising
+    return flat[0::2], flat[1::2]
 
 
 @frozen_record

@@ -273,7 +273,7 @@ def cmd_bipolar_enumerate(args):
     family = lattice.derived(_extension_family)
     labels = sum(map(int.bit_count, family.order))
     if args.dot and labels <= OUTPUT_LABEL_CAP:
-        keys, lowers, _ = family.plan
+        keys, lowers = family.plan
         labels += sum(family.order[k].bit_count() for k in chain(keys, lowers))
     if labels > OUTPUT_LABEL_CAP:
         what = f"the output would print at least {labels} labels"

@@ -13,13 +13,14 @@ a file's JSON text with one string object per distinct label.
 
 A grid file is read in whole-list passes (:func:`_grid_entries`): its
 points checked by coordinate column and coded by the OR of per-criterion
-code tables, and, where every value is a string, each distinct value text
-read once, its entries sharing one pair; that is a read per file, not a
-cache. The pass never raises. Where any entry would fail, it declines, and
-the per-entry loop (:func:`_read_entries`) reads the file from its first
-entry, coding each point as the sum over the same tables, and names the
-first bad one, so each error keeps its class, text, context and
-precedence. Label-format files are read by the per-entry loop alone.
+code tables, one lookup call per column, and, where every value is a
+string, each distinct value text read once, its entries sharing one pair;
+that is a read per file, not a cache. The pass never raises. Where any
+entry would fail, it declines, and the per-entry loop
+(:func:`_read_entries`) reads the file from its first entry, coding each
+point as the sum over the same tables, and names the first bad one, so
+each error keeps its class, text, context and precedence. Label-format
+files are read by the per-entry loop alone.
 
 Every capacity file keys its entries by vertex code. A label-format entry
 is coded by :func:`~choqlat.birkhoff._vertex_code`, the OR of its labels'
@@ -323,11 +324,14 @@ def _grid_entries(entries: list, names: tuple[str, ...], codes: tuple) -> FileTa
 
     ``codes`` holds, for each field of ``names``, each criterion's codes by
     level; a vertex's code is the OR of its coordinates' codes. Each point
-    field is checked by coordinate column. When every value is a string,
-    each distinct text is read once by :func:`~choqlat.rationals._ratio`
-    and its entries share that pair: a per-file read, not a cache. Any
-    other values are read one by one, since ``1`` and ``true`` are equal
-    keys. An entry repeating a vertex must carry an equal pair.
+    field is checked by coordinate column, and a column is coded by one
+    ``itemgetter`` call on its criterion's table, which gives the column's
+    codes as one tuple (one code alone, for a file of one entry). When
+    every value is a string, each distinct text is read once by
+    :func:`~choqlat.rationals._ratio` and its entries share that pair: a
+    per-file read, not a cache. Any other values are read one by one,
+    since ``1`` and ``true`` are equal keys. An entry repeating a vertex
+    must carry an equal pair.
     """
     if set(map(type, entries)) != {dict}:
         return None
@@ -343,7 +347,8 @@ def _grid_entries(entries: list, names: tuple[str, ...], codes: tuple) -> FileTa
         for column, by_level in zip(zip(*nodes), criteria):
             if set(map(type, column)) != {int} or min(column) < 0 or max(column) >= len(by_level):
                 return None
-            vertices = map(or_, vertices, map(by_level.__getitem__, column))
+            coded = itemgetter(*column)(by_level)  # one index gives its item alone
+            vertices = map(or_, vertices, coded if len(column) > 1 else (coded,))
     vertices = list(vertices)
     try:
         if set(map(type, values)) == {str}:

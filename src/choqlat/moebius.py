@@ -222,14 +222,24 @@ class _CapacityBody:
 
     @cached_property
     def is_monotone(self) -> bool:
-        """Nondecreasing along the steps of the family's plan that grow the
-        positive part, nonincreasing along the others (a lattice has only
-        the former)."""
-        at = self.values._integers[0].__getitem__
-        keys, lowers, rising = self._family.plan
-        return all(map(operator.le, map(at, lowers[:rising]), map(at, keys[:rising]))) and all(
-            map(operator.ge, map(at, lowers[rising:]), map(at, keys[rising:]))
-        )
+        """Nondecreasing along every cover that grows the positive part,
+        nonincreasing along the others (a lattice has only the former).
+
+        Each vertex is compared with its lower covers, its code less one of
+        its maximal bits, found through the family's codes: a bit among the
+        low |base| ones grows the positive part. No step plan is built, and
+        the walk stops at the first cover that goes the wrong way."""
+        nums, family = self.values._integers[0], self._family
+        at, low = family.codes, (1 << len(self.lattice.base)) - 1
+        for (code, k), top in zip(at.items(), family.maxima):
+            value = nums[k]
+            while top:
+                bit = top & -top
+                top ^= bit
+                lower = nums[at[code ^ bit]]
+                if (lower > value) if bit <= low else (lower < value):
+                    return False
+        return True
 
 
 class GeneralizedCapacity(_CapacityBody):
@@ -317,7 +327,7 @@ def _downset_pass(table: ValueTable, inverse: bool) -> ValueTable:
     adds the value at the lower key (subtracts it, with the steps reversed,
     for the inverse).
     """
-    keys, lowers, _ = table._family.plan
+    keys, lowers = table._family.plan
     numerators, denominator = table._integers
     nums = list(numerators)
     if inverse:

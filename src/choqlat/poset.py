@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 from functools import reduce
 from itertools import compress, count
-from operator import lt, or_
+from operator import itemgetter, lt, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -244,7 +244,9 @@ def _downsets(p: Poset, max_count: int | None = None) -> tuple[list[int], list[i
     and of its maximal elements: along the linear extension, x joins each
     downset holding its lower covers and replaces them among its maxima. The
     sort key is the size above the complement of r, the code in label order
-    (smallest label highest): adding x adds one to the size and x's bit to r."""
+    (smallest label highest): adding x adds one to the size and x's bit to r.
+    The key is one int per downset and no two are equal, so the family is
+    sorted on the keys alone, comparing small ints rather than tuples."""
     cap = DOWNSET_CAP if max_count is None else max_count
     n = len(p.elements)
     rank = {x: 1 << n - 1 - i for i, x in enumerate(p.elements)}
@@ -259,7 +261,7 @@ def _downsets(p: Poset, max_count: int | None = None) -> tuple[list[int], list[i
         if len(family) + len(grown) > cap:
             raise SizeLimitExceeded(f"downset family exceeds cap {cap}", cap=cap)
         family += grown
-    family.sort()
+    family.sort(key=itemgetter(0))
     return [code for _, code, _ in family], [top for _, _, top in family]
 
 

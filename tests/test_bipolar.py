@@ -58,8 +58,11 @@ def _steps_as_lists(lattice) -> tuple:
     lists of the steps that grow the positive part, then of the others,
     checked to hold one step per maximal element of each vertex."""
     family = lattice.derived(_admissible_family)
-    keys, lowers, rising = family.plan
+    keys, lowers = family.plan
     assert len(keys) == maximal_count(lattice.base, family.vertices)
+    # a step that grows the positive part changes one of the low |base| bits
+    low, order = 1 << len(lattice.base), family.order
+    rising = sum(order[key] ^ order[lower] < low for key, lower in zip(keys, lowers))
     return (
         (list(keys[:rising]), list(lowers[:rising])),
         (list(keys[rising:]), list(lowers[rising:])),
@@ -946,8 +949,9 @@ class TestPositionalBipolarTables:
         assert got == [expected[p] for p in family.vertices]
 
     def test_is_monotone_and_transform_walk_one_plan(self, monkeypatch):
-        """On a mosaic ``is_monotone`` and the bipolar transform read the
-        one plan of the one family: the steps are walked once."""
+        """On a mosaic ``is_monotone`` builds no plan, and both bipolar
+        transforms read the one plan of the one family: the steps are
+        planned once, by the first transform."""
         walks = []
         step_plan = choqlat.birkhoff._step_plan
 
@@ -959,6 +963,7 @@ class TestPositionalBipolarTables:
         lattice = cq.DownsetLattice(cq.build_kary_base(3, 2))
         capacity = random_bipolar_capacity(random.Random(18), lattice)
         assert capacity.is_monotone in (True, False)
+        assert walks == []
         cq.bipolar_moebius_transform(lattice, capacity.values)
         cq.bipolar_zeta_transform(lattice, capacity.values)
         assert len(walks) == 1

@@ -360,6 +360,28 @@ class TestKaryAndLevels:
         assert payload["positive_criteria"] == [1]
         assert payload["cross_check"]["agrees"] is True
 
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_kary_eval_builds_no_step_plan(self, capsys, monkeypatch, tmp_path, signed):
+        """The monotonicity note walks the covers itself: a grid eval builds
+        no step plan, unless ``--cross-check`` takes the Moebius form."""
+        plans, step_plan = [], birkhoff._step_plan
+        monkeypatch.setattr(birkhoff, "_step_plan", lambda *a: plans.append(a) or step_plan(*a))
+        if signed:
+            cpath, flags = bipolar_grid_capacity_path(tmp_path, 3), ["--bipolar"]
+            values = {"c1l1": "0.5", "c1l2": "0.1", "c2l1": "-0.3", "c2l2": "-0.2"}
+        else:
+            cpath, flags = grid_capacity_path(tmp_path), []
+            values = {"c1l1": "0.5", "c1l2": "0.1", "c2l1": "0.3", "c2l2": "0.2"}
+        ppath = write(tmp_path, "profile.json", {"values": values})
+        argv = ["kary", "eval", *flags, "--capacity", cpath, "--profile", ppath]
+        code, payload = run_json(capsys, *argv)
+        assert code == 0
+        assert ("capacity is not monotone" in payload["diagnostics"]) is signed
+        assert plans == []
+        code, payload = run_json(capsys, *argv, "--cross-check")
+        assert code == 0 and payload["cross_check"]["agrees"] is True
+        assert len(plans) == 1
+
     def test_levels_eval(self, capsys, tmp_path, grid_capacity_file):
         spath = write(tmp_path, "scale.json", {"levels": ["0", "0.5", "1"]})
         code, payload = run_json(

@@ -1005,6 +1005,23 @@ class TestGridReader:
         with mock.patch.object(fileio, "_grid_entries", lambda *a: tables[0]):
             assert file_outcome(FILE_READERS[kind], payload) == loop
 
+    @pytest.mark.parametrize("kind", GRID_KINDS)
+    @pytest.mark.parametrize("k, n", [(2, 1), (3, 2)])
+    @pytest.mark.parametrize("size", [0, 1, 2])
+    def test_files_of_few_entries_read_as_the_loop_reads_them(self, kind, k, n, size):
+        """Files of 0, 1 and 2 entries: with one entry, a column's codes
+        come back from their one lookup as one code, not a tuple of them.
+        The whole-list pass never raises; it reads every file that has an
+        entry, and each file reads as the per-entry loop reads it."""
+        rows = grid_rows(random.Random(k + n), k, n, kind == GRID_KINDS[1])
+        payload = {"k": k, "n": n, "values": rows[:size]}
+        tables, whole = [], fileio._grid_entries
+        with mock.patch.object(fileio, "_grid_entries", lambda *a: tables.append(whole(*a))):
+            loop = file_outcome(FILE_READERS[kind], payload)
+        assert [type(table) for table in tables] == [moebius.FileTable if size else type(None)]
+        with mock.patch.object(fileio, "_grid_entries", lambda *a: tables[0]):
+            assert file_outcome(FILE_READERS[kind], payload) == loop
+
 
 ONE_ATOM = fileio.poset_payload(antichain(1))
 FILE_READERS = {

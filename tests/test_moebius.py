@@ -202,6 +202,19 @@ class TestTransforms:
             capacity.values[a] <= capacity.values[b] for a, b in slow_cover_pairs(lattice)
         )
 
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_is_monotone_builds_no_plan(self, signed):
+        """The check walks each vertex's lower covers through the family's
+        codes, monotone tables to the end, and keeps no step plan."""
+        lattice = cq.DownsetLattice(cq.build_kary_base(3, 2))
+        if signed:
+            values = {p: len(p.pos) - len(p.neg) for p in cq.admissible_vertex_pairs(lattice)}
+            capacity = cq.BipolarCapacity(lattice, values)
+        else:
+            capacity = cq.GeneralizedCapacity(lattice, {d: len(d) for d in lattice.elements})
+        assert capacity.is_monotone
+        assert "plan" not in vars(capacity._family)
+
     def test_missing_values_rejected(self):
         lattice = boolean_lattice(2)
         with pytest.raises(cq.BaseMismatch):

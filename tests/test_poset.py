@@ -6,6 +6,7 @@ import choqlat as cq
 from support import (
     antichain,
     chain,
+    parallel_chains,
     posets,
     reduce_order,
     slow_all_downsets,
@@ -155,12 +156,20 @@ class TestDownsets:
             cq.Poset(["x", "y", "z"], [("z", "y"), ("y", "x")]),
             antichain(12),
             wedge_poset(),
+            cq.build_kary_base(3, 3),
+            cq.build_kary_base(4, 2),
+            parallel_chains(6),
+            antichain(6),
         ],
-        ids=["grid2x11", "chain-zyx", "antichain12", "wedge"],
+        ids=[
+            "grid2x11", "chain-zyx", "antichain12", "wedge",
+            "grid3x3", "grid4x2", "chains6x2", "antichain6",
+        ],
     )
     def test_label_order_is_not_bit_order(self, p):
-        """Bases whose labels sort apart from their linear extension: the
-        canonical order is read on labels, not on bits."""
+        """Bases whose labels sort apart from their linear extension, and
+        bases with many downsets of one size, which only the key's code
+        part orders: the canonical order is read on labels, not on bits."""
         assert cq.all_downsets(p) == slow_all_downsets(p)
 
     @given(posets(max_elements=5))
