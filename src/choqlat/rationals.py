@@ -4,7 +4,10 @@ The package has one number reader, :func:`_ratio`: it reads a value to an
 integer pair (numerator, positive denominator) in lowest terms, so
 ``"0.50"`` gives (1, 2). A string is read by the standard library's parsers:
 ``Decimal`` without a ``/``, ``int`` on the two halves of ASCII ``p/q`` text
-and ``Fraction`` on any other. Profile values and point coordinates stay
+and ``Fraction`` on any other. A string is stripped only where that can
+change its outcome, and its exponent is checked only when its text is long
+enough to pass ``MAX_EXPONENT``, so ``"7/12"``, ``"0.35"`` and ``"35e-2"``
+each go straight to their parser. Profile values and point coordinates stay
 pairs, since their checks cross-multiply and their sums run on integers;
 :func:`as_fraction` is that reader followed by one ``Fraction``, for every
 value that is kept as one. Sums over many pairs
@@ -23,6 +26,10 @@ from .errors import SizeLimitExceeded
 # ("1e-99999999999" asks for a hundred-billion-digit integer).
 MAX_DIGITS = 1000
 MAX_EXPONENT = 1000
+# _ratio checks the exponent of a string without "/" only when an e/E comes
+# before its last len(str(MAX_EXPONENT)) characters: an exponent text
+# shorter than that cannot name a size beyond MAX_EXPONENT
+_SHORT_EXPONENT = -len(str(MAX_EXPONENT))
 
 # Bound on the bit length of a least common denominator, checked before it
 # is computed: the sum of the distinct denominators' bit lengths bounds the
@@ -58,23 +65,52 @@ def _finite(number: Decimal, value) -> tuple[int, int]:
     return number.as_integer_ratio()
 
 
-def _from_string(value: str) -> tuple[int, int]:
-    text = value.strip()
-    if len(text) > MAX_DIGITS:
+def _ratio(value) -> tuple[int, int]:
+    """``value`` as an exact (numerator, denominator) pair in lowest terms,
+    the denominator positive: the pair of its ``Fraction``.
+
+    Accepts what :func:`as_fraction` accepts and raises what it raises.
+    A string is read without ``strip`` where that cannot change its
+    outcome: ``Decimal`` drops the same surrounding whitespace, and ASCII
+    ``[+-]digits/digits`` has none. It is stripped to check a length past
+    ``MAX_DIGITS`` and before ``Fraction`` reads any other ``p/q`` text,
+    and its exponent is checked only when its text is long enough to pass
+    ``MAX_EXPONENT``.
+    """
+    kind = type(value)
+    if kind is not str:
+        if kind is Fraction:
+            return value.as_integer_ratio()
+        if kind is int:
+            return value, 1
+        if isinstance(value, Fraction):
+            return value.as_integer_ratio()
+        if isinstance(value, bool):
+            raise TypeError("booleans are not numeric values")
+        if isinstance(value, int):
+            return Fraction(value).as_integer_ratio()
+        if isinstance(value, (Decimal, float)):
+            return _finite(value if isinstance(value, Decimal) else Decimal(repr(value)), value)
+        if not isinstance(value, str):
+            raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+    if len(value) > MAX_DIGITS and len(value.strip()) > MAX_DIGITS:
         raise ValueError(f"number longer than {MAX_DIGITS} characters: {value[:20]!r}...")
-    if "e" in text or "E" in text:
-        _check_exponent(text, value)
-    if "/" not in text:
+    if "/" not in value:
+        if "e" in (head := value[:_SHORT_EXPONENT]) or "E" in head:
+            _check_exponent(value.strip(), value)
         try:
-            number = Decimal(text)
+            number = Decimal(value)
         except InvalidOperation:
             raise ValueError(f"cannot parse {_shown(repr(value))} as a rational") from None
         return _finite(number, value)
-    whole, _, rest = text.partition("/")
+    whole, _, rest = value.partition("/")
     unsigned = whole[1:] if whole[:1] in ("+", "-") else whole
-    if text.isascii() and unsigned.isdigit() and rest.isdigit():
+    if rest.isdigit() and value.isascii() and unsigned.isdigit():
         numerator, denominator = int(whole), int(rest)
     else:
+        text = value.strip()
+        if "e" in text or "E" in text:
+            _check_exponent(text, value)
         try:
             numerator, denominator = Fraction(text).as_integer_ratio()
         except ZeroDivisionError:
@@ -85,32 +121,6 @@ def _from_string(value: str) -> tuple[int, int]:
         raise ValueError(f"zero denominator in {_shown(repr(value))}")
     common = gcd(numerator, denominator)
     return numerator // common, denominator // common
-
-
-def _ratio(value) -> tuple[int, int]:
-    """``value`` as an exact (numerator, denominator) pair in lowest terms,
-    the denominator positive: the pair of its ``Fraction``.
-
-    Accepts what :func:`as_fraction` accepts and raises what it raises.
-    """
-    kind = type(value)
-    if kind is str:
-        return _from_string(value)
-    if kind is Fraction:
-        return value.as_integer_ratio()
-    if kind is int:
-        return value, 1
-    if isinstance(value, Fraction):
-        return value.as_integer_ratio()
-    if isinstance(value, bool):
-        raise TypeError("booleans are not numeric values")
-    if isinstance(value, int):
-        return Fraction(value).as_integer_ratio()
-    if isinstance(value, (Decimal, float)):
-        return _finite(value if isinstance(value, Decimal) else Decimal(repr(value)), value)
-    if isinstance(value, str):
-        return _from_string(value)
-    raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
 def _common_denominator(denominators: set[int]) -> int:

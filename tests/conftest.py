@@ -6,4 +6,9 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# a longer, reproducible run for CI's parser-oracle step
+# (--hypothesis-profile=deep overrides the default loaded below)
+settings.register_profile(
+    "deep", settings.get_profile("suite"), max_examples=2000, derandomize=True
+)
 settings.load_profile("suite")

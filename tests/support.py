@@ -10,6 +10,10 @@ import argparse
 import io
 import itertools
 import operator
+import os
+import resource
+import subprocess
+import sys
 from array import array
 from contextlib import contextmanager, redirect_stdout
 from decimal import Decimal, InvalidOperation
@@ -53,6 +57,15 @@ def values_unread():
         yield
     finally:
         ValueTable.__getitem__ = original
+
+
+def run_bounded(argv, cwd, wall_s: float, limit_kb: int) -> subprocess.CompletedProcess:
+    """``python argv`` in ``cwd`` with the package on its path, its address space
+    capped at ``limit_kb`` KB on the child only, and killed after ``wall_s`` s."""
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (limit_kb * 1024,) * 2)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cq.__file__))}
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=wall_s, preexec_fn=cap)
 
 
 def wedge_poset() -> cq.Poset:

@@ -7,27 +7,14 @@ in seconds and its address bound in KB. A new budget gets a row here."""
 import functools
 import itertools
 import json
-import os
-import resource
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
-from support import chain, fan, long_denominator_values, parallel_chains
+from support import chain, fan, long_denominator_values, parallel_chains, run_bounded
 
 import choqlat as cq
 from choqlat.fileio import lattice_payload, poset_payload
 from choqlat.kary import level_label
-
-
-def run_bounded(argv, cwd, wall_s: float, limit_kb: int) -> subprocess.CompletedProcess:
-    """``python argv`` in ``cwd`` with the package on its path, its address space
-    capped at ``limit_kb`` KB on the child only, and killed after ``wall_s`` s."""
-    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (limit_kb * 1024,) * 2)
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cq.__file__))}
-    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True,
-                          text=True, timeout=wall_s, preexec_fn=cap)
 
 
 def evaluate(command: str, capacity: str, *flags) -> tuple:

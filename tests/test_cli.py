@@ -24,6 +24,7 @@ from support import (
     oracle_read,
     random_bipolar_capacity,
     random_capacity,
+    run_bounded,
     wedge,
     wedge_poset,
 )
@@ -835,14 +836,13 @@ class TestInputBoundary:
     @pytest.mark.parametrize("point", ["inf,0.2", "0.5,-Infinity", "1e-99999999999,0.2"])
     def test_point_must_be_finite_and_bounded(self, capsys, tmp_path, grid_capacity_file, point):
         spath = write(tmp_path, "scale.json", {"levels": ["0", "0.5", "1"]})
+        argv = ("levels", "eval", "--scale", spath, "--capacity", grid_capacity_file,
+                f"--point={point}")
+        # first in a child under a wall bound, so that a reader which lost its
+        # exponent bound fails here instead of stalling the suite below
+        assert run_bounded(("-m", "choqlat.cli", *argv), tmp_path, 10, 500000).returncode == 2
         started = time.perf_counter()
-        code, payload = run_json(
-            capsys,
-            "levels", "eval",
-            "--scale", spath,
-            "--capacity", grid_capacity_file,
-            f"--point={point}",
-        )
+        code, payload = run_json(capsys, *argv)
         assert time.perf_counter() - started < 1
         assert code == 2
         assert payload["error"]["code"] == "file_format"

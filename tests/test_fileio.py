@@ -20,12 +20,23 @@ from support import (
     capacity_files,
     random_bipolar_capacity,
     random_capacity,
+    run_bounded,
     slow_as_fraction,
     wedge_poset,
 )
 
 MAX_DIGITS, MAX_EXPONENT = rationals.MAX_DIGITS, rationals.MAX_EXPONENT
 GRID_KINDS = ("grid capacity", "grid bipolar capacity")
+# exits 0 when as_fraction refuses argv[1] with a ValueError
+REFUSES = """
+import sys, choqlat as cq
+try:
+    cq.as_fraction(sys.argv[1])
+except ValueError:
+    pass
+else:
+    raise SystemExit("read")
+"""
 
 
 def chain_payload(n: int) -> dict:
@@ -140,9 +151,11 @@ class TestValueParsing:
     @pytest.mark.parametrize(
         "raw", ["inf", "-inf", "Infinity", "nan", "sNaN", "1e-9999999", "1e-99999999999", "1E+1001"]
     )
-    def test_rejects_non_finite_and_huge_exponents(self, raw):
-        with pytest.raises(ValueError):
-            cq.as_fraction(raw)
+    def test_rejects_non_finite_and_huge_exponents(self, raw, tmp_path):
+        """Read in a child under a wall bound, so that a reader which lost its
+        exponent bound fails here instead of stalling the suite."""
+        done = run_bounded(("-c", REFUSES, raw), tmp_path, 10, 500000)
+        assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize(
         "raw", [float("inf"), float("-inf"), float("nan"), Decimal("Infinity"), Decimal("-Infinity"),
@@ -199,11 +212,40 @@ class TestParserOracle:
             "١/2", "Inf", "-nan", "1e1001", "1E-1000", "0x10", "1/", "/2", "1/+2", "1/-2",
             "1/ 2", "1 /2", "1e+-5", "1e--5", "1e 5", "- 1", "1.2.3", "1/2/3",
             "3/4", "-3/4", "1E+9", "١", "inf",
+            # the unstripped reads' edges: exponent texts at and past the
+            # checked width, p/q texts at the int branch's guards, lengths at
+            # MAX_DIGITS, padding that strip and Decimal drop alike and that
+            # int refuses ("\x1c"), and padding past MAX_DIGITS
+            "1e999", "1e-999", "1e+99", "1e+999", "1e1000", "1e_99", "1e9_9",
+            "+3/4", "-0/7", "+/4", "03/04", "1/٢", "3/²", "²/3", "1e5/3", "sNaN",
+            "1/" + "7" * (MAX_DIGITS - 2), "1/" + "7" * (MAX_DIGITS - 1),
+            "0." + "5" * (MAX_DIGITS - 2), "0." + "5" * (MAX_DIGITS - 1),
+            "\xa00.35\xa0", "\x1c7/12\x1c", "\u300035e-2\u3000", "\xa01e999", "1/2\u3000",
+            "1/3e1001\x1c", "\x1c1e1001\x1c", " " * MAX_DIGITS + "1/2",
+            "\xa0" + "1" * MAX_DIGITS + "\xa0",
         ],
     )
     def test_pinned_strings(self, raw):
         assert _outcome(cq.as_fraction, raw) == _outcome(slow_as_fraction, raw)
         assert _value_outcome(_read_ratio, raw) == _value_outcome(slow_as_fraction, raw)
+
+    @pytest.mark.parametrize(
+        "raw,pair", [("7/12", (7, 12)), ("-1/2", (-1, 2)), ("0.35", (7, 20)), ("35e-2", (7, 20))]
+    )
+    def test_common_forms_take_the_fast_path(self, raw, pair, monkeypatch):
+        """The profile and point texts the benchmark scores go straight to
+        their parser: not stripped (``Fraction`` reads only stripped text)
+        and no exponent check."""
+
+        class Unstripped(str):
+            def strip(self, chars=None):
+                raise AssertionError(f"{raw!r} was stripped")
+
+        def checked(*args):
+            raise AssertionError(f"{raw!r} had its exponent checked")
+
+        monkeypatch.setattr(rationals, "_check_exponent", checked)
+        assert rationals._ratio(raw) == rationals._ratio(Unstripped(raw)) == pair
 
     class Text(str):
         pass
